@@ -92,13 +92,9 @@ func benchWorldOpts() mp.Options { return mp.Options{RecvTimeout: 120 * time.Sec
 // rendered subimages and returns the per-rank counters.
 func compositeOnce(b testing.TB, env *benchEnv, method string, granularity int) []*stats.Rank {
 	b.Helper()
-	comp, err := core.New(method)
+	comp, err := core.Build(method, granularity, 0, nil)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if m, ok := comp.(core.BSLC); ok {
-		m.Granularity = granularity
-		comp = m
 	}
 	rs := make([]*stats.Rank, env.p)
 	err = mp.Run(env.p, benchWorldOpts(), func(c mp.Comm) error {

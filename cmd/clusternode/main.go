@@ -23,7 +23,6 @@ import (
 	"sortlast/internal/mpnet"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
-	"sortlast/internal/tilecomp"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
 )
@@ -125,8 +124,8 @@ func run(list []string) error {
 		return err
 	}
 	// Power-of-two worlds run over the kd decomposition; other world
-	// sizes are served by the natively any-P tile-routed methods, which
-	// take the fold plan as pure geometry (no fold messages).
+	// sizes run over the fold plan, which core.Build turns into the fold
+	// pre-stage or — for the natively any-P methods — pure geometry.
 	var dec *partition.Decomposition
 	var lay partition.Layout
 	if p := c.Size(); p&(p-1) == 0 {
@@ -135,8 +134,7 @@ func run(list []string) error {
 		}
 		lay = dec
 	} else {
-		spec, _ := core.Lookup(*method)
-		if !spec.Caps.ServesAnyP() {
+		if !core.ServesAnyP(*method) {
 			return fmt.Errorf("method %q requires a power-of-two world, got %d ranks (any-P methods: %s)",
 				*method, p, strings.Join(core.AnyPMethods(), ", "))
 		}
@@ -145,15 +143,8 @@ func run(list []string) error {
 			return err
 		}
 		dec, lay = plan.Dec, plan
-		switch v := comp.(type) {
-		case tilecomp.DS:
-			v.Lay = plan
-			comp = v
-		case tilecomp.DFB:
-			v.Lay = plan
-			comp = v
-		default:
-			comp = &core.Folded{Plan: plan, Inner: comp}
+		if comp, err = core.Build(*method, 0, 0, plan); err != nil {
+			return err
 		}
 	}
 	cam := render.NewCamera(*size, *size, vol.Bounds(), *rotX, *rotY)

@@ -39,7 +39,7 @@ var (
 	methodsFl = flag.String("method", "", "comma-separated methods overriding each sweep's method set (core methods or auto)")
 	maxP      = flag.Int("maxp", 64, "largest processor count in the sweep")
 	plist     = flag.String("plist", "", "comma-separated explicit processor counts overriding the power-of-two sweep (any-P methods accept non-powers of two)")
-	tileFl    = flag.Int("tile", 0, "dfb tile edge in pixels (0: the tilecomp default)")
+	tileFl    = flag.Int("tile", 0, "dfb tile edge in pixels (0: core.DefaultTile)")
 	rotX      = flag.Float64("rotx", 20, "viewpoint rotation about x (degrees)")
 	rotY      = flag.Float64("roty", 30, "viewpoint rotation about y (degrees)")
 	csv       = flag.Bool("csv", false, "emit CSV instead of formatted tables")

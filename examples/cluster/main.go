@@ -65,7 +65,11 @@ func main() {
 				c := node.Comm()
 
 				img := render.Raycast(vol, dec.Box(r), cam, tf, render.Options{})
-				res, err := core.BSBRC{}.Composite(c, dec, cam.Dir, img)
+				comp, err := core.New("bsbrc")
+				if err != nil {
+					return err
+				}
+				res, err := comp.Composite(c, dec, cam.Dir, img)
 				if err != nil {
 					return err
 				}

@@ -13,7 +13,6 @@ import (
 	"sortlast/internal/frame"
 	"sortlast/internal/rle"
 	"sortlast/internal/stats"
-	"sortlast/internal/tilecomp"
 )
 
 // MethodAuto is the method name that requests adaptive per-frame
@@ -26,11 +25,10 @@ func IsAuto(method string) bool { return method == MethodAuto }
 // Candidates are the methods the selector chooses among: every
 // registered method carrying a closed-form cost model — the paper's
 // four evaluated methods, the §3.3 interleaved-compression variant, and
-// the tile-routed pair (ds, dfb) from internal/tilecomp. All of them
-// serve non-power-of-two worlds (the binary-swap family folds, the
-// tile-routed pair runs natively at any P), so an "auto" request is
-// valid wherever a fixed method request is. Importing this package
-// links tilecomp, so the registry is always fully populated here.
+// the owner-routed pair (ds, dfb). All of them serve non-power-of-two
+// worlds (the binary-swap family folds, the owner-routed pair runs
+// natively at any P), so an "auto" request is valid wherever a fixed
+// method request is.
 func Candidates() []string {
 	return core.ModelBacked()
 }
@@ -121,7 +119,7 @@ func Predict(p costmodel.Params, method string, f Features) (costmodel.Cost, err
 		if method == "ds" {
 			cost = p.DirectSendCost(sp)
 		} else {
-			cost = p.TileRoutedCost(sp, tilecomp.DefaultTile)
+			cost = p.TileRoutedCost(sp, core.DefaultTile)
 		}
 		comp, comm = cost.Comp, cost.Comm
 	default:

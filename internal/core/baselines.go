@@ -10,110 +10,6 @@ import (
 	"sortlast/internal/stats"
 )
 
-// DirectSend is the "buffered case" baseline of §2 (Hsu; Neumann): the
-// final image is divided into P horizontal strips, each rank owns one,
-// and every rank sends each owner the intersection of its bounding
-// rectangle with that owner's strip in a single round. Owners composite
-// the P-1 received blocks plus their own pixels in depth order.
-type DirectSend struct{}
-
-// Name implements Compositor.
-func (DirectSend) Name() string { return "DirectSend" }
-
-// stripRect returns strip r of p over the full frame.
-func stripRect(full frame.Rect, r, p int) frame.Rect {
-	h := full.Dy()
-	return frame.Rect{
-		X0: full.X0, Y0: full.Y0 + r*h/p,
-		X1: full.X1, Y1: full.Y0 + (r+1)*h/p,
-	}.Canon()
-}
-
-// Composite implements Compositor.
-func (DirectSend) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
-	img *frame.Image) (*Result, error) {
-	if err := checkWorld(c, dec); err != nil {
-		return nil, err
-	}
-	st := &stats.Rank{RankID: c.Rank(), Method: "DirectSend"}
-	var timer stats.Timer
-	ar := getArena()
-	defer putArena(ar)
-	p := c.Size()
-	me := c.Rank()
-	full := img.Full()
-	c.SetStage(stageLabel(1))
-
-	timer.Start()
-	localBR, scanned := img.BoundingRect(full)
-	timer.Stop()
-	st.BoundScan = scanned
-	s := st.StageAt(1)
-
-	// Send each owner the overlap of our bounding rectangle with its
-	// strip. Sends are buffered, so all sends complete before receives.
-	for dst := 0; dst < p; dst++ {
-		if dst == me {
-			continue
-		}
-		sr := localBR.Intersect(stripRect(full, dst, p))
-		payload := ar.rect(sr, sr.Area()*frame.PixelBytes)
-		if !sr.Empty() {
-			timer.Start()
-			payload = frame.EncodeRegion(img, sr, payload)
-			timer.Stop()
-		}
-		if err := c.Send(dst, tagDirect, payload); err != nil {
-			return nil, fmt.Errorf("direct: send to %d: %w", dst, err)
-		}
-		ar.codec.Retain(payload)
-		s.MsgsSent++
-		s.BytesSent += len(payload)
-		s.SentPixels += sr.Area()
-	}
-
-	// Composite contributions for our strip front-to-back.
-	myStrip := stripRect(full, me, p)
-	out := frame.NewImage(full.Dx(), full.Dy())
-	for _, src := range dec.DepthOrder(viewDir) {
-		// out accumulates front contributions first: new blocks are
-		// behind what is already composited.
-		if src == me {
-			r := localBR.Intersect(myStrip)
-			if !r.Empty() {
-				timer.Start()
-				s.Composited += out.CompositeImage(img, r, false)
-				timer.Stop()
-			}
-			continue
-		}
-		recv, err := c.Recv(src, tagDirect)
-		if err != nil {
-			return nil, fmt.Errorf("direct: recv from %d: %w", src, err)
-		}
-		if len(recv) < frame.RectBytes {
-			return nil, fmt.Errorf("direct: short message from %d", src)
-		}
-		r := frame.GetRect(recv)
-		s.MsgsRecv++
-		s.BytesRecv += len(recv)
-		s.RecvPixels += r.Area()
-		if !r.Empty() {
-			if !myStrip.ContainsRect(r) {
-				return nil, fmt.Errorf("direct: rect %v from %d outside strip %v", r, src, myStrip)
-			}
-			if len(recv) != frame.RectBytes+r.Area()*frame.PixelBytes {
-				return nil, fmt.Errorf("direct: bad payload size from %d", src)
-			}
-			timer.Start()
-			s.Composited += out.CompositeWire(r, recv[frame.RectBytes:], false)
-			timer.Stop()
-		}
-	}
-	st.CompWall = timer.Total()
-	return &Result{Image: out, Own: RectOwn{R: myStrip}, Stats: st}, nil
-}
-
 // Pipeline is the parallel-pipeline baseline of §2 (Lee et al.), adapted
 // to volume rendering's non-commutative over operator: ranks are arranged
 // on a ring in depth order; the partial for the strip owned by ring
@@ -163,14 +59,14 @@ func (Pipeline) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]fl
 	var result *frame.Image
 	var myStrip frame.Rect
 	for s := 0; s < p; s++ {
-		c.SetStage(stageLabel(s + 1))
+		stg := st.StageAt(s + 1)
+		c.SetStage(stg.Label)
 		ownerPos := (me - s - 1 + p) % p
 		strip := stripRect(full, ownerPos, p)
 		pp := pipePartial{
 			front: frame.NewImage(w, h),
 			back:  frame.NewImage(w, h),
 		}
-		stg := st.StageAt(s + 1)
 		if s > 0 {
 			// Receive the in-flight partial for this strip.
 			recv, err := c.Recv(prev, tagPipe)
@@ -223,38 +119,26 @@ func (Pipeline) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]fl
 	return &Result{Image: result, Own: RectOwn{R: myStrip}, Stats: st}, nil
 }
 
-// packPartialPair serializes two sparse partial images as bounding-rect
-// blocks, appending to buf.
+// packPartialPair serializes two sparse partial images as rect+raw
+// regions, appending to buf.
 func packPartialPair(front, back *frame.Image, buf []byte) []byte {
+	var unused stats.Stage
 	for _, im := range []*frame.Image{front, back} {
 		br, _ := im.BoundingRect(im.Full())
-		var rb [frame.RectBytes]byte
-		frame.PutRect(rb[:], br)
-		buf = append(buf, rb[:]...)
-		if !br.Empty() {
-			buf = frame.EncodeRegion(im, br, buf)
-		}
+		buf = rectRaw{}.encode(buf, nil, im, region{rect: im.Full()}, br, &unused)
 	}
 	return buf
 }
 
-// unpackPartialPair parses the two partials into the provided images.
+// unpackPartialPair parses the two partials into the provided (blank)
+// images; compositing onto blank pixels stores the received ones.
 func unpackPartialPair(buf []byte, front, back *frame.Image) error {
+	var unused stats.Stage
 	for _, im := range []*frame.Image{front, back} {
-		if len(buf) < frame.RectBytes {
-			return fmt.Errorf("core: truncated partial pair")
+		var err error
+		if _, buf, err = (rectRaw{}).decode(im, region{rect: im.Full()}, buf, false, &unused); err != nil {
+			return fmt.Errorf("core: partial pair: %w", err)
 		}
-		r := frame.GetRect(buf)
-		buf = buf[frame.RectBytes:]
-		if r.Empty() {
-			continue
-		}
-		need := r.Area() * frame.PixelBytes
-		if len(buf) < need {
-			return fmt.Errorf("core: truncated partial body")
-		}
-		im.StoreWire(r, buf[:need])
-		buf = buf[need:]
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("core: %d trailing bytes in partial pair", len(buf))
@@ -294,14 +178,14 @@ func (BinaryTree) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]
 		if me&((1<<(stage-1))-1) != 0 {
 			break // this rank already sent its data away
 		}
-		c.SetStage(stageLabel(stage))
+		s := st.StageAt(stage)
+		c.SetStage(s.Label)
 		partner := dec.Partner(me, stage)
 		if me&(1<<(stage-1)) != 0 {
 			payload := rle.PackRuns(runs, ar.codec.Grab(4+len(runs)*rle.RunBytes))
 			if err := c.Send(partner, tagTree, payload); err != nil {
 				return nil, fmt.Errorf("bintree: stage %d: %w", stage, err)
 			}
-			s := st.StageAt(stage)
 			s.MsgsSent, s.BytesSent = 1, len(payload)
 			s.Codes = len(runs)
 			runs = nil
@@ -329,7 +213,6 @@ func (BinaryTree) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]
 		if err != nil {
 			return nil, fmt.Errorf("bintree: stage %d: %w", stage, err)
 		}
-		s := st.StageAt(stage)
 		s.MsgsRecv, s.BytesRecv = 1, len(recv)
 		s.Codes = len(theirs)
 		s.RecvPixels = full.Area()

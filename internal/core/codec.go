@@ -1,0 +1,484 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"sortlast/internal/frame"
+	"sortlast/internal/rle"
+	"sortlast/internal/stats"
+)
+
+// region is a set of frame pixels a schedule moves as one unit: a block,
+// or — when iv is non-nil — the interleaved subset of the block's
+// row-major pixel sequence that the load-balanced split deals out.
+type region struct {
+	rect frame.Rect
+	iv   []Interval
+}
+
+// regionCodec owns one wire format end to end: how a region of an image
+// becomes bytes, how received bytes are validated and composited into
+// the receiver's image, and which stats.Stage counters the format
+// feeds. Counters accumulate, so a schedule that sends several regions
+// in one round passes the same stage to each call. The schedules own
+// everything else — pairing, tags, byte and message counts, spans.
+type regionCodec interface {
+	// bounded reports whether the format ships the sender's bounding
+	// rectangle, so the schedule must find it first and track it.
+	bounded() bool
+	// encode appends send's pixels to buf. br bounds img's non-blank
+	// pixels (bounded codecs only; others ignore it).
+	encode(buf []byte, ar *arena, img *frame.Image, send region, br frame.Rect, s *stats.Stage) []byte
+	// decode parses one payload for keep from the front of recv and
+	// composites it into img, in front of the local pixels or behind
+	// them. It returns the rectangle the received foreground lies in
+	// (bounded codecs) and the bytes after the payload; nothing outside
+	// keep is written, whatever recv holds.
+	decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error)
+}
+
+// decodeWhole decodes a message that must be exactly one payload.
+func decodeWhole(c regionCodec, img *frame.Image, keep region, recv []byte, front bool,
+	s *stats.Stage) (frame.Rect, error) {
+	got, rest, err := c.decode(img, keep, recv, front, s)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	return got, err
+}
+
+func appendRect(buf []byte, r frame.Rect) []byte {
+	var rb [frame.RectBytes]byte
+	frame.PutRect(rb[:], r)
+	return append(buf, rb[:]...)
+}
+
+// readRect parses a rectangle header and checks it against the region
+// it must lie in.
+func readRect(buf []byte, within frame.Rect) (frame.Rect, []byte, error) {
+	if len(buf) < frame.RectBytes {
+		return frame.ZR, nil, fmt.Errorf("short message (%d bytes)", len(buf))
+	}
+	r := frame.GetRect(buf)
+	if !within.ContainsRect(r) {
+		return frame.ZR, nil, fmt.Errorf("received rect %v outside %v", r, within)
+	}
+	return r, buf[frame.RectBytes:], nil
+}
+
+// parseRLE parses one packed run-length encoding that must cover total
+// pixels from the front of body.
+func parseRLE(body []byte, total int) (rle.Wire, []byte, error) {
+	e, rest, err := rle.ParseWire(body)
+	if err != nil {
+		return e, nil, err
+	}
+	if e.Total() != total {
+		return e, nil, fmt.Errorf("encoding covers %d pixels, region has %d", e.Total(), total)
+	}
+	return e, rest, nil
+}
+
+// packCounted appends a finished run-length encoding to buf and counts
+// its codes and pixels as sent.
+func packCounted(e *rle.Encoding, buf []byte, s *stats.Stage) []byte {
+	s.Codes += len(e.Codes)
+	s.SentPixels += len(e.NonBlank)
+	return e.Pack(buf)
+}
+
+// raw is plain binary swap's format (§3.1): every pixel of the region,
+// blanks included, 16 bytes each.
+type raw struct{}
+
+func (raw) bounded() bool { return false }
+
+func (raw) encode(buf []byte, _ *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
+	s.SentPixels += send.rect.Area()
+	return frame.EncodeRegion(img, send.rect, buf)
+}
+
+func (raw) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+	n := keep.rect.Area() * frame.PixelBytes
+	if len(recv) < n {
+		return frame.ZR, nil, fmt.Errorf("got %d bytes for %d pixels", len(recv), keep.rect.Area())
+	}
+	s.RecvPixels += keep.rect.Area()
+	s.Composited += img.CompositeWire(keep.rect, recv[:n], front)
+	return frame.ZR, recv[n:], nil
+}
+
+// rectRaw is the bounding-rectangle format (§3.2): the part of the
+// sender's bounding rectangle inside the region (four short integers, 8
+// bytes) followed by the raw pixels inside it. An empty rectangle costs
+// only the header.
+type rectRaw struct{}
+
+func (rectRaw) bounded() bool { return true }
+
+func (rectRaw) encode(buf []byte, _ *arena, img *frame.Image, send region, br frame.Rect, s *stats.Stage) []byte {
+	sr := br.Intersect(send.rect)
+	buf = appendRect(buf, sr)
+	if sr.Empty() {
+		s.SendRectEmpty = true
+		return buf
+	}
+	s.SentPixels += sr.Area()
+	return frame.EncodeRegion(img, sr, buf)
+}
+
+func (rectRaw) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+	r, body, err := readRect(recv, keep.rect)
+	if err != nil {
+		return r, nil, err
+	}
+	if r.Empty() {
+		s.RecvRectEmpty = true
+		return r, body, nil
+	}
+	n := r.Area() * frame.PixelBytes
+	if len(body) < n {
+		return r, nil, fmt.Errorf("%d body bytes for rect %v", len(body), r)
+	}
+	s.RecvPixels += r.Area()
+	s.Composited += img.CompositeWire(r, body[:n], front)
+	return r, body[n:], nil
+}
+
+// rectRLE is the paper's best format (§3.4): the rectangle header, then
+// the run-length codes and non-blank pixels of the rectangle only — the
+// encoder scans A_send pixels instead of the whole region, and blanks
+// inside a sparse rectangle stay off the wire. In a batch of several
+// regions per message (dfb) a region without foreground is scanned but
+// not shipped, so an empty one on the wire is malformed.
+type rectRLE struct{ batched bool }
+
+func (rectRLE) bounded() bool { return true }
+
+func (c rectRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, br frame.Rect, s *stats.Stage) []byte {
+	sr := br.Intersect(send.rect)
+	if sr.Empty() {
+		if c.batched {
+			return buf
+		}
+		s.SendRectEmpty = true
+		return appendRect(buf, sr)
+	}
+	rle.EncodeRect(img, sr, &ar.enc)
+	s.Encoded += sr.Area() // every pixel of the rectangle is scanned
+	if c.batched && len(ar.enc.NonBlank) == 0 {
+		return buf
+	}
+	return packCounted(&ar.enc, appendRect(buf, sr), s)
+}
+
+func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+	r, body, err := readRect(recv, keep.rect)
+	if err != nil {
+		return r, nil, err
+	}
+	if r.Empty() {
+		if c.batched {
+			return r, nil, fmt.Errorf("empty region in a batch")
+		}
+		s.RecvRectEmpty = true
+		return r, body, nil
+	}
+	e, rest, err := parseRLE(body, r.Area())
+	if err != nil {
+		return r, nil, err
+	}
+	s.RecvPixels += r.Area()
+	img.Grow(r)
+	w := r.Dx()
+	n := 0
+	// Positions arrive in row-major order; fetch each scanline segment
+	// once.
+	rowY := -1
+	var row []frame.Pixel
+	e.Walk(func(seq int, p frame.Pixel) {
+		if y := r.Y0 + seq/w; y != rowY {
+			rowY = y
+			row = img.Row(y, r.X0, r.X1)
+		}
+		if front {
+			frame.OverInto(p, &row[seq%w])
+		} else {
+			row[seq%w] = frame.Over(row[seq%w], p)
+		}
+		n++
+	})
+	s.Composited += n
+	return r, rest, nil
+}
+
+// forwarded is direct pixel forwarding (Lee, §2): a count, then each
+// non-blank pixel with explicit x and y coordinates, 20 bytes per pixel.
+// The paper prefers run-length codes because they carry less position
+// information (§3.3).
+type forwarded struct{}
+
+// dpfPixelBytes is the wire cost of one forwarded pixel: two uint16
+// coordinates plus the pixel payload.
+const dpfPixelBytes = 4 + frame.PixelBytes
+
+func (forwarded) bounded() bool { return false }
+
+func (forwarded) encode(buf []byte, _ *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
+	off := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	scan := send.rect.Intersect(img.Bounds())
+	var px [frame.PixelBytes]byte
+	for y := scan.Y0; y < scan.Y1; y++ {
+		for i, p := range img.Row(y, scan.X0, scan.X1) {
+			if p.Blank() {
+				continue
+			}
+			x := scan.X0 + i
+			buf = append(buf, byte(x), byte(x>>8), byte(y), byte(y>>8))
+			frame.PutPixel(px[:], p)
+			buf = append(buf, px[:]...)
+		}
+	}
+	n := (len(buf) - off - 4) / dpfPixelBytes
+	binary.LittleEndian.PutUint32(buf[off:], uint32(n))
+	s.Encoded += send.rect.Area() // the scan for non-blank pixels
+	s.SentPixels += n
+	return buf
+}
+
+func (forwarded) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+	count, body, err := readU32(recv)
+	if err != nil {
+		return frame.ZR, nil, err
+	}
+	n := int(count)
+	if len(body)/dpfPixelBytes < n {
+		return frame.ZR, nil, fmt.Errorf("%d bytes for %d forwarded pixels", len(body), n)
+	}
+	for i := 0; i < n; i++ {
+		off := i * dpfPixelBytes
+		x := int(binary.LittleEndian.Uint16(body[off:]))
+		y := int(binary.LittleEndian.Uint16(body[off+2:]))
+		if !keep.rect.Contains(x, y) {
+			return frame.ZR, nil, fmt.Errorf("forwarded pixel (%d,%d) outside kept half %v", x, y, keep.rect)
+		}
+		img.CompositePixel(x, y, frame.GetPixel(body[off+4:]), front)
+	}
+	s.RecvPixels += keep.rect.Area()
+	s.Composited += n
+	return frame.ZR, body[n*dpfPixelBytes:], nil
+}
+
+// valueRuns is Ahrens–Painter value coding (§2): runs of identical
+// pixels carry a count field. For float-valued volume pixels adjacent
+// values almost never repeat, so it degenerates to one 18-byte run per
+// pixel (§3.3) — which is why the paper's codecs encode blank/non-blank
+// state instead.
+type valueRuns struct{}
+
+func (valueRuns) bounded() bool { return false }
+
+func (valueRuns) encode(buf []byte, ar *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
+	ar.runs = rle.EncodeValuesRect(img, send.rect, ar.runs)
+	s.Encoded += send.rect.Area()
+	s.Codes += len(ar.runs)
+	return rle.PackRuns(ar.runs, buf)
+}
+
+func (valueRuns) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+	runs, rest, err := rle.UnpackRuns(recv)
+	if err != nil {
+		return frame.ZR, nil, err
+	}
+	if rle.RunsLen(runs) != keep.rect.Area() {
+		return frame.ZR, nil, fmt.Errorf("runs cover %d pixels, kept half has %d",
+			rle.RunsLen(runs), keep.rect.Area())
+	}
+	s.RecvPixels += keep.rect.Area()
+	s.Composited += compositeRunsRect(img, keep.rect, runs, front)
+	return frame.ZR, rest, nil
+}
+
+// compositeRunsRect composites value-encoded runs covering region (in
+// row-major order) directly into img, skipping blank runs arithmetically
+// — the fused equivalent of CompositeRegion(region, DecodeValues(runs),
+// front). It returns the number of over operations.
+func compositeRunsRect(img *frame.Image, region frame.Rect, runs []rle.Run, front bool) int {
+	img.Grow(region)
+	w := region.Dx()
+	ops := 0
+	idx := 0
+	rowY := -1
+	var row []frame.Pixel
+	for _, r := range runs {
+		n := int(r.Count)
+		if r.Value.Blank() {
+			idx += n
+			continue
+		}
+		for k := 0; k < n; k++ {
+			i := idx + k
+			if y := region.Y0 + i/w; y != rowY {
+				rowY = y
+				row = img.Row(y, region.X0, region.X1)
+			}
+			if front {
+				frame.OverInto(r.Value, &row[i%w])
+			} else {
+				row[i%w] = frame.Over(row[i%w], r.Value)
+			}
+			ops++
+		}
+		idx += n
+	}
+	return ops
+}
+
+// intervalRLE is the load-balanced format (§3.3): the pixels of an
+// interleaved interval set, in sequence order, as background/foreground
+// run-length codes plus the non-blank pixels. With rect set (§5's "more
+// efficient encoding schemes", BSBRLC) the message also carries the
+// sender's whole bounding rectangle, and the encoder scans only inside
+// it: everything outside becomes run-length codes without a pixel being
+// touched, shrinking Eq. (5)'s T_encode x A/2^k term toward BSBRC's
+// T_encode x A_send while keeping the balanced M_max.
+type intervalRLE struct{ rect bool }
+
+func (c intervalRLE) bounded() bool { return c.rect }
+
+func (c intervalRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, br frame.Rect, s *stats.Stage) []byte {
+	w := img.Full().Dx()
+	if !c.rect {
+		ar.se.Start(&ar.enc)
+		encodeIntervals(img, w, send.iv, img.Bounds(), &ar.se)
+		ar.se.Finish()
+		s.Encoded += intervalsLen(send.iv) // every pixel of the sent set counts as scanned
+		return packCounted(&ar.enc, buf, s)
+	}
+	// The two run builders trim trailing runs differently (see
+	// rle.SeqEncoder) and each format's bytes are pinned, so each keeps
+	// the builder it shipped with.
+	ar.b.Reset()
+	s.Encoded += encodeIntervals(img, w, send.iv, br, &ar.b) // only in-rectangle pixels are touched
+	s.SendRectEmpty = s.SendRectEmpty || br.Empty()
+	enc := ar.b.Done()
+	return packCounted(&enc, appendRect(buf, br), s)
+}
+
+func (c intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+	var got frame.Rect
+	if c.rect {
+		var err error
+		if got, recv, err = readRect(recv, keep.rect); err != nil {
+			return got, nil, err
+		}
+		s.RecvRectEmpty = s.RecvRectEmpty || got.Empty()
+	}
+	keepLen := intervalsLen(keep.iv)
+	e, rest, err := parseRLE(recv, keepLen)
+	if err != nil {
+		return got, nil, err
+	}
+	s.RecvPixels += keepLen
+	w := img.Full().Dx()
+	growToIntervals(img, w, keep.iv)
+	n := 0
+	cur := intervalCursor{iv: keep.iv}
+	// The walk visits ascending positions; grab each scanline once
+	// (growToIntervals guaranteed full-width storage for every touched
+	// row).
+	rowY := -1
+	var row []frame.Pixel
+	e.Walk(func(seq int, p frame.Pixel) {
+		idx := cur.index(seq)
+		if y := idx / w; y != rowY {
+			rowY = y
+			row = img.Row(y, 0, w)
+		}
+		if front {
+			frame.OverInto(p, &row[idx%w])
+		} else {
+			row[idx%w] = frame.Over(row[idx%w], p)
+		}
+		n++
+	})
+	s.Composited += n
+	return got, rest, nil
+}
+
+// runSink is the incremental encoder surface rle.SeqEncoder and
+// rle.Builder share.
+type runSink interface {
+	Blank(n int)
+	Pixels(px []frame.Pixel)
+}
+
+// encodeIntervals feeds the pixels of the interval set, in sequence
+// order, to enc. Only pixels inside clip can be foreground: everything
+// outside it, and everything the image has no storage for, goes in as
+// arithmetic blank runs instead of materialized blank pixels. It
+// returns the number of pixels inside clip — what the encoder is
+// charged for scanning.
+func encodeIntervals(img *frame.Image, w int, iv []Interval, clip frame.Rect, enc runSink) int {
+	bounds := clip.Intersect(img.Bounds())
+	scanned := 0
+	for _, v := range iv {
+		for i := v.Lo; i < v.Hi; {
+			y, x0 := i/w, i%w
+			x1 := min(w, v.Hi-y*w) // end of this row segment, clipped to the interval
+			i += x1 - x0
+			if y >= clip.Y0 && y < clip.Y1 {
+				scanned += max(0, min(x1, clip.X1)-max(x0, clip.X0))
+			}
+			sx0, sx1 := max(x0, bounds.X0), min(x1, bounds.X1)
+			if y < bounds.Y0 || y >= bounds.Y1 || sx0 >= sx1 {
+				enc.Blank(x1 - x0)
+				continue
+			}
+			enc.Blank(sx0 - x0)
+			enc.Pixels(img.Row(y, sx0, sx1))
+			enc.Blank(x1 - sx1)
+		}
+	}
+	return scanned
+}
+
+func intervalsLen(iv []Interval) int {
+	n := 0
+	for _, v := range iv {
+		n += v.Len()
+	}
+	return n
+}
+
+// growToIntervals pre-grows the image to the bounding box of the interval
+// set so per-pixel compositing does not repeatedly reallocate.
+func growToIntervals(img *frame.Image, w int, iv []Interval) {
+	if len(iv) == 0 {
+		return
+	}
+	r := frame.ZR
+	for _, v := range iv {
+		y0, y1 := v.Lo/w, (v.Hi-1)/w
+		r = r.Union(frame.Rect{X0: 0, Y0: y0, X1: w, Y1: y1 + 1})
+	}
+	img.Grow(r)
+}
+
+// intervalCursor maps sequence positions to linear indices for
+// monotonically non-decreasing queries (the order rle.Walk produces).
+type intervalCursor struct {
+	iv   []Interval
+	i    int // current interval
+	base int // sequence position of iv[i].Lo
+}
+
+func (c *intervalCursor) index(seq int) int {
+	for seq >= c.base+c.iv[c.i].Len() {
+		c.base += c.iv[c.i].Len()
+		c.i++
+	}
+	return c.iv[c.i].Lo + (seq - c.base)
+}

@@ -1,0 +1,323 @@
+package core
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"sortlast/internal/frame"
+	"sortlast/internal/partition"
+	"sortlast/internal/rle"
+	"sortlast/internal/stats"
+	"sortlast/internal/transfer"
+	"sortlast/internal/volume"
+)
+
+// codecCases lists every region codec once, for the table-driven codec
+// tests and the decoder fuzz target.
+var codecCases = []struct {
+	name        string
+	codec       regionCodec
+	interleaved bool
+}{
+	{"raw", raw{}, false},
+	{"rectRaw", rectRaw{}, false},
+	{"rectRLE", rectRLE{}, false},
+	{"rectRLE-batched", rectRLE{batched: true}, false},
+	{"forwarded", forwarded{}, false},
+	{"valueRuns", valueRuns{}, false},
+	{"intervalRLE", intervalRLE{}, true},
+	{"intervalRLE-rect", intervalRLE{rect: true}, true},
+}
+
+// codecRegion is the region the codec tests exchange over a w x h frame:
+// an off-center block, or every other 7-pixel section of the frame.
+func codecRegion(w, h int, interleaved bool) region {
+	if !interleaved {
+		return region{rect: frame.XYWH(w/4, h/8, w/2, h/2)}
+	}
+	full := frame.XYWH(0, 0, w, h)
+	evens, _ := splitInterleavedInto([]Interval{{0, full.Area()}}, 7, nil, nil)
+	return region{rect: full, iv: evens}
+}
+
+// inRegion reports whether pixel (x, y) of a frame of width w belongs to g.
+func inRegion(g region, w, x, y int) bool {
+	if g.iv == nil {
+		return g.rect.Contains(x, y)
+	}
+	for _, v := range g.iv {
+		if i := y*w + x; i >= v.Lo && i < v.Hi {
+			return true
+		}
+	}
+	return false
+}
+
+// Every codec must carry a region's pixels exactly: decoding what encode
+// produced into a blank image reproduces the source inside the region,
+// leaves everything outside it blank, consumes the whole payload, and
+// appends after whatever the buffer already held.
+func TestRegionCodecRoundTrip(t *testing.T) {
+	const w, h = 40, 32
+	for _, tc := range codecCases {
+		for _, density := range []float64{0, 0.1, 1} {
+			src := sparseImage(7, w, h, density)
+			g := codecRegion(w, h, tc.interleaved)
+			br, _ := src.BoundingRect(src.Full())
+			var sent, got stats.Stage
+			prefix := []byte{0xAA, 0xBB, 0xCC}
+			payload := tc.codec.encode(prefix, new(arena), src, g, br, &sent)
+			if !reflect.DeepEqual(payload[:3], prefix) {
+				t.Fatalf("%s: encode overwrote the buffer it was given", tc.name)
+			}
+			payload = payload[3:]
+			if len(payload) == 0 {
+				// A batched region without foreground is not shipped.
+				if c, ok := tc.codec.(rectRLE); !ok || !c.batched {
+					t.Fatalf("%s density %g: empty payload", tc.name, density)
+				}
+				continue
+			}
+			dst := frame.NewImage(w, h)
+			_, rest, err := tc.codec.decode(dst, g, payload, true, &got)
+			if err != nil {
+				t.Fatalf("%s density %g: %v", tc.name, density, err)
+			}
+			if len(rest) != 0 {
+				t.Fatalf("%s density %g: %d bytes left over", tc.name, density, len(rest))
+			}
+			nonBlank := 0
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					want := frame.Pixel{}
+					if inRegion(g, w, x, y) {
+						want = src.At(x, y)
+					}
+					if !want.Blank() {
+						nonBlank++
+					}
+					if dst.At(x, y) != want {
+						t.Fatalf("%s density %g: pixel (%d,%d) = %v, want %v",
+							tc.name, density, x, y, dst.At(x, y), want)
+					}
+				}
+			}
+			if got.Composited != nonBlank {
+				t.Errorf("%s density %g: composited %d, region holds %d non-blank pixels",
+					tc.name, density, got.Composited, nonBlank)
+			}
+		}
+	}
+}
+
+// parseRLE must reject an encoding whose pixel count disagrees with its
+// region, and a truncated body.
+func TestParseRLERejectsMismatch(t *testing.T) {
+	img := frame.NewImage(8, 8)
+	img.Set(2, 2, frame.Pixel{I: 1, A: 1})
+	var e rle.Encoding
+	r := frame.XYWH(0, 0, 4, 4)
+	rle.EncodeRect(img, r, &e)
+	body := e.Pack(nil)
+	if _, _, err := parseRLE(body, r.Area()); err != nil {
+		t.Fatalf("valid region rejected: %v", err)
+	}
+	if _, _, err := parseRLE(body, 25); err == nil {
+		t.Fatal("area mismatch accepted")
+	}
+	if _, _, err := parseRLE(body[:len(body)-2], r.Area()); err == nil {
+		t.Fatal("truncated body accepted")
+	}
+}
+
+// packIntervals collects the pixels of the interval set in sequence
+// order — the dense reference the fused interval encoder must match.
+func packIntervals(img *frame.Image, w int, iv []Interval) []frame.Pixel {
+	var out []frame.Pixel
+	for _, v := range iv {
+		for i := v.Lo; i < v.Hi; i++ {
+			out = append(out, img.At(i%w, i/w))
+		}
+	}
+	return out
+}
+
+// encodeIntervals must produce exactly the encoding of the dense
+// sequence through either run builder — with the bounding rectangle as
+// the clip (scanning only the in-rectangle parts) and with the image
+// bounds as the clip — including on an image that stores only part of
+// the frame.
+func TestEncodeIntervalsMatchesDense(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		w, h := 24, 20
+		br := frame.XYWH(3+r.Intn(5), 2+r.Intn(5), 1+r.Intn(12), 1+r.Intn(10)).
+			Intersect(frame.XYWH(0, 0, w, h))
+		img := frame.NewImage(w, h)
+		if trial%2 == 1 {
+			img = frame.NewImageBounds(w, h, br)
+		}
+		// Non-blank pixels only inside the rectangle (the invariant the
+		// caller maintains).
+		for i := 0; i < 30; i++ {
+			x := br.X0 + r.Intn(br.Dx())
+			y := br.Y0 + r.Intn(br.Dy())
+			img.Set(x, y, frame.Pixel{I: r.Float64(), A: 0.5 + r.Float64()/2})
+		}
+		var iv []Interval
+		pos := 0
+		for pos < w*h {
+			skip := r.Intn(30)
+			n := 1 + r.Intn(60)
+			if pos+skip+n > w*h {
+				break
+			}
+			iv = append(iv, Interval{Lo: pos + skip, Hi: pos + skip + n})
+			pos += skip + n
+		}
+		want := rle.Encode(packIntervals(img, w, iv))
+		same := func(label string, enc rle.Encoding) {
+			if enc.Total != want.Total || !reflect.DeepEqual(enc.Codes, want.Codes) ||
+				!reflect.DeepEqual(enc.NonBlank, want.NonBlank) {
+				t.Fatalf("trial %d: %s encoding differs from dense\n got %v\nwant %v",
+					trial, label, enc.Codes, want.Codes)
+			}
+		}
+		var b rle.Builder
+		// A clip wider than the stored bounds still only reads storage.
+		scanned := encodeIntervals(img, w, iv, br.Union(frame.XYWH(0, 0, 2, 2)), &b)
+		same("rect-clipped", b.Done())
+		if scanned > intervalsLen(iv) {
+			t.Fatalf("scanned %d > set size %d", scanned, intervalsLen(iv))
+		}
+		var e rle.Encoding
+		var se rle.SeqEncoder
+		se.Start(&e)
+		encodeIntervals(img, w, iv, img.Bounds(), &se)
+		se.Finish()
+		same("bounds-clipped", e)
+	}
+}
+
+// The rectangle must slash the encoder's scan volume on sparse scenes
+// while leaving the balanced message sizes of BSLC intact — the design
+// goal of the combined method.
+func TestBSBRLCScansLessThanBSLC(t *testing.T) {
+	sc := makeScene(t, volume.EngineBlock(48, 48, 20), transfer.EngineHigh(), 96, 96, 20, 30)
+	const p = 8
+	dec, err := partition.Decompose(sc.vol.Bounds(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanOf := func(rs []*stats.Rank) int {
+		n := 0
+		for _, r := range rs {
+			for _, s := range r.Stages {
+				n += s.Encoded
+			}
+		}
+		return n
+	}
+	_, bslc := runComposite(t, sc, mustNew(t, "bslc"), dec, p)
+	_, combined := runComposite(t, sc, mustNew(t, "bsbrlc"), dec, p)
+	if s, c := scanOf(bslc), scanOf(combined); c*4 > s {
+		t.Errorf("BSBRLC scans %d px, BSLC %d — expected at least 4x reduction on a sparse scene", c, s)
+	}
+	mmaxB := stats.MaxMessageBytes(bslc)
+	mmaxC := stats.MaxMessageBytes(combined)
+	// Same interleave, same pixels: M_max should match up to the 8-byte
+	// rectangle header per stage.
+	slack := frame.RectBytes * dec.Stages()
+	if mmaxC > mmaxB+slack || mmaxB > mmaxC+slack {
+		t.Errorf("M_max diverged: BSLC %d, BSBRLC %d", mmaxB, mmaxC)
+	}
+}
+
+// packForwarded is the forwarded codec's message for region.
+func packForwarded(img *frame.Image, r frame.Rect) []byte {
+	var s stats.Stage
+	return forwarded{}.encode(nil, nil, img, region{rect: r}, frame.ZR, &s)
+}
+
+func TestForwardedSkipsBlanksAndClips(t *testing.T) {
+	img := frame.NewImage(16, 16)
+	img.Set(2, 2, frame.Pixel{I: 1, A: 1})
+	img.Set(9, 9, frame.Pixel{I: 1, A: 1})
+	// Region covering only the first pixel.
+	buf := packForwarded(img, frame.XYWH(0, 0, 8, 8))
+	if n := binary.LittleEndian.Uint32(buf); n != 1 {
+		t.Errorf("forwarded %d pixels, want 1", n)
+	}
+}
+
+func TestForwardedRejectsCorruption(t *testing.T) {
+	img := frame.NewImage(8, 8)
+	keep := frame.XYWH(0, 0, 8, 8)
+	decode := func(keep frame.Rect, buf []byte) error {
+		var s stats.Stage
+		_, _, err := forwarded{}.decode(img, region{rect: keep}, buf, true, &s)
+		return err
+	}
+	if decode(keep, []byte{1, 2}) == nil {
+		t.Error("truncated header accepted")
+	}
+	// Count says 2 but only one tuple present.
+	src := frame.NewImage(8, 8)
+	src.Set(1, 1, frame.Pixel{I: 1, A: 1})
+	buf := packForwarded(src, keep)
+	binary.LittleEndian.PutUint32(buf[:4], 2)
+	if decode(keep, buf) == nil {
+		t.Error("count/body mismatch accepted")
+	}
+	// A pixel outside the kept half must be rejected.
+	binary.LittleEndian.PutUint32(buf[:4], 1)
+	if decode(frame.XYWH(4, 4, 4, 4), buf) == nil {
+		t.Error("out-of-half pixel accepted")
+	}
+}
+
+// The DPF wire cost is 20 bytes per non-blank pixel, the number the
+// paper's §3.3 compares against 2-byte run codes.
+func TestForwardedWireCost(t *testing.T) {
+	img := frame.NewImage(32, 32)
+	for i := 0; i < 10; i++ {
+		img.Set(i, i, frame.Pixel{I: 1, A: 1})
+	}
+	buf := packForwarded(img, img.Full())
+	if len(buf) != 4+10*dpfPixelBytes {
+		t.Errorf("wire size %d, want %d", len(buf), 4+10*dpfPixelBytes)
+	}
+	if dpfPixelBytes != 20 {
+		t.Errorf("dpf pixel bytes = %d, want 20", dpfPixelBytes)
+	}
+}
+
+// On a sparse scene the paper's ordering of encodings must show up in
+// M_max: value-coding (18 B/run, degenerate) > direct forwarding (20 B
+// per non-blank, but only non-blanks) comparable, and both above BSBRC's
+// rect + 2-byte codes.
+func TestVariantEncodingCostOrdering(t *testing.T) {
+	sc := makeScene(t, volume.EngineBlock(48, 48, 96), transfer.EngineLow(), 96, 96, 20, 30)
+	const p = 8
+	dec, err := partition.Decompose(sc.vol.Bounds(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmax := map[string]int{}
+	for _, name := range []string{"bsbrc", "bsdpf", "bsvc", "bs"} {
+		_, rs := runComposite(t, sc, mustNew(t, name), dec, p)
+		mmax[name] = stats.MaxMessageBytes(rs)
+	}
+	if mmax["bsbrc"] >= mmax["bsdpf"] {
+		t.Errorf("BSBRC M_max %d not below BSDPF %d", mmax["bsbrc"], mmax["bsdpf"])
+	}
+	if mmax["bsvc"] >= mmax["bs"] {
+		t.Errorf("BSVC M_max %d not below raw BS %d (value runs still skip blanks)",
+			mmax["bsvc"], mmax["bs"])
+	}
+	if mmax["bsdpf"] >= mmax["bs"] {
+		t.Errorf("BSDPF M_max %d not below raw BS %d", mmax["bsdpf"], mmax["bs"])
+	}
+}

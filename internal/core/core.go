@@ -1,11 +1,16 @@
 // Package core implements the paper's contribution: the compositing
-// phase of the sort-last-sparse pipeline. It provides the binary-swap
-// family — BS (plain), BSBR (bounding rectangle), BSLC (run-length
-// encoding over an interleaved, statically load-balanced split), and
-// BSBRC (bounding rectangle + run-length encoding) — plus the related
-// baselines from §2 (direct-send, parallel-pipeline, binary-tree with
-// value compression) and the §5 future-work extension to non-power-of-two
-// processor counts.
+// phase of the sort-last-sparse pipeline. Every method is a routing
+// schedule paired with a region codec (registry.go holds the table).
+// Two schedules carry ten of the twelve methods: swapLoop, the binary
+// swap of §3 — BS (plain), BSBR (bounding rectangle), BSLC (run-length
+// encoding over an interleaved, statically load-balanced split), BSBRC
+// (bounding rectangle + run-length encoding) and the §2/§5 encoding
+// variants — and ownerMerge, one route round to static strip or tile
+// owners followed by a depth-order merge (direct, ds, dfb). The codecs
+// (codec.go) each own one wire format end to end. The remaining §2
+// baselines (parallel-pipeline, binary-tree with value compression) and
+// the §5 fold to non-power-of-two processor counts are schedules of
+// their own.
 //
 // All compositors are communication optimizations, not approximations:
 // on the same subimages they produce bit-identical final images, because
@@ -28,6 +33,8 @@ const (
 	tagDirect
 	tagPipe
 	tagTree
+	tagDS  = 11
+	tagDFB = 12
 )
 
 // Compositor merges the per-rank subimages into a distributed final
@@ -50,37 +57,6 @@ type Result struct {
 	Stats *stats.Rank
 }
 
-// stageLabel names a compositing stage in the message log. Labels for
-// the stage counts any practical world produces (up to 2^32 ranks) are
-// precomputed: the label is set once per stage per rank per frame, and
-// formatting it was the hottest allocation site in the composite loop.
-func stageLabel(k int) string {
-	if k >= 1 && k <= len(stageLabels) {
-		return stageLabels[k-1]
-	}
-	return fmt.Sprintf("stage%d", k)
-}
-
-var stageLabels = [32]string{
-	"stage1", "stage2", "stage3", "stage4", "stage5", "stage6", "stage7", "stage8",
-	"stage9", "stage10", "stage11", "stage12", "stage13", "stage14", "stage15", "stage16",
-	"stage17", "stage18", "stage19", "stage20", "stage21", "stage22", "stage23", "stage24",
-	"stage25", "stage26", "stage27", "stage28", "stage29", "stage30", "stage31", "stage32",
-}
-
-// stageHalves splits the region owned at the start of a stage along the
-// stage's alternating centerline (horizontal first) and returns the half
-// this rank keeps and the half it sends. The rank on side 0 of the
-// stage's kd level keeps the low half, so partners always make
-// complementary choices.
-func stageHalves(dec *partition.Decomposition, rank, stage int, region frame.Rect) (keep, send frame.Rect) {
-	low, high := region.Split(stage - 1)
-	if dec.Side(rank, dec.StageLevel(stage)) == 0 {
-		return low, high
-	}
-	return high, low
-}
-
 // partnerInFront reports whether the stage partner's contribution lies in
 // front of this rank's accumulated pixels.
 func partnerInFront(dec *partition.Decomposition, rank, stage int, viewDir [3]float64) bool {
@@ -88,7 +64,7 @@ func partnerInFront(dec *partition.Decomposition, rank, stage int, viewDir [3]fl
 }
 
 // checkWorld validates the comm/decomposition pairing shared by the
-// power-of-two compositors.
+// schedules that pair ranks along the kd tree.
 func checkWorld(c mp.Comm, dec *partition.Decomposition) error {
 	if c.Size() != dec.Size() {
 		return fmt.Errorf("core: world has %d ranks but decomposition expects %d",
@@ -99,7 +75,3 @@ func checkWorld(c mp.Comm, dec *partition.Decomposition) error {
 	}
 	return nil
 }
-
-// New, Known, Names, PaperMethods and the capability queries live in
-// registry.go: every method — built-in or subsystem-registered — enters
-// through one Register call carrying its capability flags.

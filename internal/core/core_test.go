@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"sortlast/internal/frame"
 	"sortlast/internal/mp"
+	"sortlast/internal/mpnet"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
 	"sortlast/internal/stats"
@@ -31,29 +35,109 @@ func makeScene(t *testing.T, vol *volume.Volume, tf *transfer.Func, w, h int, ro
 	return &scene{vol: vol, tf: tf, cam: cam, serial: serial}
 }
 
-// runComposite renders per-rank subimages and runs the compositor,
-// returning the gathered final image and the per-rank stats.
-func runComposite(t *testing.T, sc *scene, comp Compositor, dec *partition.Decomposition,
-	p int) (*frame.Image, []*stats.Rank) {
+// mustNew returns the named method with default settings.
+func mustNew(t testing.TB, name string) Compositor {
 	t.Helper()
+	comp, err := New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp
+}
+
+// methodWorld builds the named method and the geometry it runs over at
+// p ranks: the kd decomposition at powers of two; otherwise the fold
+// plan, with the method folded or handed the plan as its layout. tile
+// is the dfb tile edge (0: default).
+func methodWorld(t testing.TB, name string, bounds volume.Box, p, tile int) (Compositor, *partition.Decomposition, partition.Layout) {
+	t.Helper()
+	if p&(p-1) == 0 {
+		dec, err := partition.Decompose(bounds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := Build(name, 0, tile, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp, dec, dec
+	}
+	plan, err := partition.PlanFold(bounds, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := Build(name, 0, tile, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp, plan.Dec, plan
+}
+
+// legalAt reports whether the method serves p ranks.
+func legalAt(s Spec, p int) bool { return p&(p-1) == 0 || s.Caps.ServesAnyP() }
+
+// world runs fn on every rank of a p-rank world and returns the first
+// error.
+type world func(p int, fn func(c mp.Comm) error) error
+
+func inProcess(p int, fn func(c mp.Comm) error) error { return mp.Run(p, testOpts(), fn) }
+
+// loopback runs the ranks as mpnet nodes over TCP sockets on 127.0.0.1.
+func loopback(p int, fn func(c mp.Comm) error) error {
+	listeners := make([]net.Listener, p)
+	addrs := make([]string, p)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, l := range listeners[:i] {
+				l.Close()
+			}
+			return err
+		}
+		listeners[i], addrs[i] = ln, ln.Addr().String()
+	}
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			node, err := mpnet.Connect(mpnet.Config{Rank: r, Addrs: addrs, Listener: listeners[r],
+				DialTimeout: 10 * time.Second, Opts: testOpts()})
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			defer node.Close()
+			if errs[r] = fn(node.Comm()); errs[r] == nil {
+				errs[r] = node.Comm().Barrier() // quiesce before closing
+			}
+		}(r)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// runImages composites the given per-rank subimages (cloned, so callers
+// can reuse them) and returns the image gathered at rank 0 and the
+// per-rank stats.
+func runImages(t testing.TB, run world, comp Compositor, dec *partition.Decomposition,
+	viewDir [3]float64, imgs []*frame.Image) (*frame.Image, []*stats.Rank) {
+	t.Helper()
+	p := len(imgs)
 	ranksStats := make([]*stats.Rank, p)
 	var final *frame.Image
-	err := mp.Run(p, testOpts(), func(c mp.Comm) error {
-		img := render.Raycast(sc.vol, dec.Box(c.Rank()), sc.cam, sc.tf,
-			render.Options{EarlyTermination: -1})
-		res, err := comp.Composite(c, dec, sc.cam.Dir, img)
+	err := run(p, func(c mp.Comm) error {
+		res, err := comp.Composite(c, dec, viewDir, imgs[c.Rank()].Clone())
 		if err != nil {
 			return err
 		}
 		ranksStats[c.Rank()] = res.Stats
 		out, err := GatherImage(c, 0, res)
-		if err != nil {
-			return err
-		}
 		if c.Rank() == 0 {
 			final = out
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatalf("%s P=%d: %v", comp.Name(), p, err)
@@ -64,8 +148,46 @@ func runComposite(t *testing.T, sc *scene, comp Compositor, dec *partition.Decom
 	return final, ranksStats
 }
 
+// renderRanks ray casts every rank's subimage of the scene.
+func renderRanks(sc *scene, lay partition.Layout) []*frame.Image {
+	imgs := make([]*frame.Image, lay.Size())
+	for r := range imgs {
+		imgs[r] = render.Raycast(sc.vol, lay.Box(r), sc.cam, sc.tf, render.Options{EarlyTermination: -1})
+	}
+	return imgs
+}
+
+// runComposite renders per-rank subimages and runs the compositor,
+// returning the gathered final image and the per-rank stats.
+func runComposite(t *testing.T, sc *scene, comp Compositor, dec *partition.Decomposition,
+	p int) (*frame.Image, []*stats.Rank) {
+	t.Helper()
+	return runImages(t, inProcess, comp, dec, sc.cam.Dir, renderRanks(sc, dec))
+}
+
+// requireIdentical asserts got equals want byte for byte — the identity
+// bar of the depth-order schedules, not an epsilon.
+func requireIdentical(t *testing.T, label string, got, want *frame.Image) {
+	t.Helper()
+	full := want.Full()
+	if got.Full() != full {
+		t.Fatalf("%s: frame %v, want %v", label, got.Full(), full)
+	}
+	for y := full.Y0; y < full.Y1; y++ {
+		for x := full.X0; x < full.X1; x++ {
+			if got.At(x, y) != want.At(x, y) {
+				t.Fatalf("%s: pixel (%d,%d) = %v, want %v",
+					label, x, y, got.At(x, y), want.At(x, y))
+			}
+		}
+	}
+}
+
 // Every compositor must reproduce the serial rendering (the master
-// integration property), across datasets, rank counts, and rotations.
+// integration property), across datasets, rotations and every rank count
+// the method declares legal — powers of two for all, the folded and the
+// natively any-P counts for the methods that serve them — in process,
+// and once more over loopback TCP.
 func TestAllMethodsMatchSerial(t *testing.T) {
 	scenes := map[string]*scene{
 		"engine_low":  makeScene(t, volume.EngineBlock(32, 32, 14), transfer.EngineLow(), 48, 48, 0, 0),
@@ -73,25 +195,25 @@ func TestAllMethodsMatchSerial(t *testing.T) {
 		"head":        makeScene(t, volume.HeadPhantom(32, 32, 15), transfer.Head(), 48, 48, 10, -30),
 		"cube":        makeScene(t, volume.SolidCube(32, 32, 14), transfer.Cube(), 48, 48, 45, 45),
 	}
-	for name, sc := range scenes {
-		for _, p := range []int{1, 2, 4, 8} {
-			dec, err := partition.Decompose(sc.vol.Bounds(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, methodName := range Names() {
-				comp, err := New(methodName)
-				if err != nil {
-					t.Fatal(err)
+	check := func(name string, sc *scene, run world, ps []int) {
+		for _, p := range ps {
+			for _, spec := range Specs() {
+				if !legalAt(spec, p) {
+					continue
 				}
-				final, _ := runComposite(t, sc, comp, dec, p)
+				comp, dec, lay := methodWorld(t, spec.Name, sc.vol.Bounds(), p, 0)
+				final, _ := runImages(t, run, comp, dec, sc.cam.Dir, renderRanks(sc, lay))
 				if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {
 					t.Errorf("%s %s P=%d: final image differs from serial by %g",
-						name, methodName, p, d)
+						name, spec.Name, p, d)
 				}
 			}
 		}
 	}
+	for name, sc := range scenes {
+		check(name, sc, inProcess, []int{1, 2, 3, 4, 6, 8})
+	}
+	check("head over tcp", scenes["head"], loopback, []int{4, 6})
 }
 
 // The four paper methods are communication optimizations of the same
@@ -104,8 +226,9 @@ func TestPaperMethodsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := runComposite(t, sc, BS{}, dec, p)
-	for _, m := range []Compositor{BSBR{}, BSLC{}, BSBRC{}} {
+	ref, _ := runComposite(t, sc, mustNew(t, "bs"), dec, p)
+	for _, name := range []string{"bsbr", "bslc", "bsbrc"} {
+		m := mustNew(t, name)
 		got, _ := runComposite(t, sc, m, dec, p)
 		for y := 0; y < 64; y++ {
 			for x := 0; x < 64; x++ {
@@ -199,30 +322,25 @@ func TestFoldedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, inner := range []Compositor{BS{}, BSBR{}, BSLC{}, BSBRC{}} {
-			comp := &Folded{Plan: plan, Inner: inner}
-			var final *frame.Image
-			err := mp.Run(p, testOpts(), func(c mp.Comm) error {
-				img := render.Raycast(sc.vol, plan.Box(c.Rank()), sc.cam, sc.tf,
-					render.Options{EarlyTermination: -1})
-				res, err := comp.Composite(c, plan.Dec, sc.cam.Dir, img)
-				if err != nil {
-					return err
-				}
-				out, err := GatherImage(c, 0, res)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					final = out
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", comp.Name(), p, err)
+		for _, spec := range Specs() {
+			if !spec.Caps.Foldable {
+				continue
 			}
+			comp, err := Build(spec.Name, 0, 0, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.Name() != mustNew(t, spec.Name).Name()+"+fold" {
+				t.Fatalf("%s over a fold plan is %q, want the folded method", spec.Name, comp.Name())
+			}
+			final, rs := runImages(t, inProcess, comp, plan.Dec, sc.cam.Dir, renderRanks(sc, plan))
 			if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {
 				t.Errorf("%s P=%d: differs from serial by %g", comp.Name(), p, d)
+			}
+			for _, r := range rs {
+				if r.Method != comp.Name() {
+					t.Errorf("P=%d rank %d reports method %q, want %q", p, r.RankID, r.Method, comp.Name())
+				}
 			}
 		}
 	}
@@ -238,7 +356,8 @@ func TestBoundingRectSkipsEmptyHalves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Compositor{BSBR{}, BSBRC{}} {
+	for _, name := range []string{"bsbr", "bsbrc"} {
+		m := mustNew(t, name)
 		_, rs := runComposite(t, sc, m, dec, p)
 		empties := 0
 		for _, r := range rs {
@@ -288,8 +407,8 @@ func TestBSLCBalancesLoad(t *testing.T) {
 		}
 		return float64(max-min) / float64(max)
 	}
-	_, bslc := runComposite(t, sc, BSLC{}, dec, p)
-	_, bsbrc := runComposite(t, sc, BSBRC{}, dec, p)
+	_, bslc := runComposite(t, sc, mustNew(t, "bslc"), dec, p)
+	_, bsbrc := runComposite(t, sc, mustNew(t, "bsbrc"), dec, p)
 	if spread(bslc) > spread(bsbrc) {
 		t.Errorf("BSLC spread %.3f not tighter than BSBRC %.3f",
 			spread(bslc), spread(bsbrc))
@@ -352,7 +471,7 @@ func TestCheckWorldMismatch(t *testing.T) {
 	}
 	err = mp.Run(2, testOpts(), func(c mp.Comm) error {
 		img := frame.NewImage(8, 8)
-		_, err := BS{}.Composite(c, dec, [3]float64{0, 0, 1}, img)
+		_, err := mustNew(t, "bs").Composite(c, dec, [3]float64{0, 0, 1}, img)
 		if err == nil {
 			return fmt.Errorf("size mismatch must be rejected")
 		}
@@ -375,7 +494,7 @@ func TestFinalRegionsTileFrame(t *testing.T) {
 	owns := make([]Ownership, p)
 	err = mp.Run(p, testOpts(), func(c mp.Comm) error {
 		img := render.Raycast(sc.vol, dec.Box(c.Rank()), sc.cam, sc.tf, render.Options{})
-		res, err := BSBRC{}.Composite(c, dec, sc.cam.Dir, img)
+		res, err := mustNew(t, "bsbrc").Composite(c, dec, sc.cam.Dir, img)
 		if err != nil {
 			return err
 		}

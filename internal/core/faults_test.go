@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sortlast/internal/frame"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/volume"
@@ -47,7 +46,7 @@ func runWithCorruption(t *testing.T, comp Compositor, p, target int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := mp.NewWorld(p, mp.Options{RecvTimeout: 1500 * time.Millisecond})
+	w, err := mp.NewWorld(p, mp.Options{RecvTimeout: 400 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func runWithCorruption(t *testing.T, comp Compositor, p, target int,
 			mu:        &mu, count: &count, target: target,
 			mutate: mutate,
 		}
-		c, err := mp.FromTransport(r, p, tr, mp.Options{RecvTimeout: 1500 * time.Millisecond})
+		c, err := mp.FromTransport(r, p, tr, mp.Options{RecvTimeout: 400 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +85,10 @@ func runWithCorruption(t *testing.T, comp Compositor, p, target int,
 	return nil
 }
 
+// Every registered method must fail cleanly on a mangled message. The
+// one exemption: BS ships raw pixels with no structure, so any byte
+// string of the right length is valid data and header garbage is
+// undetectable by design; truncation is still caught.
 func TestCompositorsRejectCorruptMessages(t *testing.T) {
 	mutations := map[string]func([]byte) []byte{
 		"truncate": func(b []byte) []byte {
@@ -101,49 +104,40 @@ func TestCompositorsRejectCorruptMessages(t *testing.T) {
 			return b
 		},
 	}
-	for _, name := range []string{"bs", "bsbr", "bslc", "bsbrc", "bsdpf", "bsvc"} {
-		comp, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, spec := range Specs() {
+		comp := mustNew(t, spec.Name)
 		for mname, mutate := range mutations {
-			if name == "bs" && mname == "garbage-header" {
-				// BS ships raw pixels with no structure: any byte string
-				// of the right length is valid data, so header garbage
-				// is undetectable by design. Truncation is still caught.
+			if spec.Name == "bs" && mname == "garbage-header" {
 				continue
 			}
 			err := runWithCorruption(t, comp, 4, 3, mutate)
 			if err == nil {
-				t.Errorf("%s/%s: corrupt message accepted silently", name, mname)
+				t.Errorf("%s/%s: corrupt message accepted silently", spec.Name, mname)
 				continue
 			}
 			if strings.Contains(err.Error(), "panic") {
-				t.Errorf("%s/%s: %v", name, mname, err)
+				t.Errorf("%s/%s: %v", spec.Name, mname, err)
 			}
 		}
 	}
 }
 
 // A zero-length corrupt frame must also surface as an error, not hang.
+// At P=2 plain BS exchanges whole non-empty halves, so it is covered too.
 func TestCompositorsRejectEmptyMessages(t *testing.T) {
-	for _, name := range []string{"bsbr", "bsbrc", "bslc"} {
-		comp, err := New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = runWithCorruption(t, comp, 2, 1, func([]byte) []byte { return nil })
+	for _, spec := range Specs() {
+		err := runWithCorruption(t, mustNew(t, spec.Name), 2, 1, func([]byte) []byte { return nil })
 		if err == nil {
-			t.Errorf("%s: empty message accepted", name)
+			t.Errorf("%s: empty message accepted", spec.Name)
 		}
 	}
 }
 
 // Sanity: without corruption the same scaffolding completes cleanly.
 func TestCorruptionHarnessCleanRun(t *testing.T) {
-	comp := BSBRC{}
-	if err := runWithCorruption(t, comp, 4, 1<<30, func(b []byte) []byte { return b }); err != nil {
-		t.Fatal(err)
+	for _, spec := range Specs() {
+		if err := runWithCorruption(t, mustNew(t, spec.Name), 4, 1<<30, func(b []byte) []byte { return b }); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
 	}
-	_ = frame.Pixel{}
 }

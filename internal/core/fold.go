@@ -6,7 +6,6 @@ import (
 	"sortlast/internal/frame"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
-	"sortlast/internal/rle"
 	"sortlast/internal/stats"
 )
 
@@ -14,8 +13,8 @@ import (
 // implementing the first future-work item of the paper's §5 ("the number
 // of processors must be a power of two"). Extra ranks render the high
 // half of a once-more-split core subvolume and, in a fold pre-stage, ship
-// their whole subimage (bounding rectangle + run-length encoding, the
-// BSBRC message format) to their core partner, which pre-composites it.
+// their whole subimage (one rectRLE region, the BSBRC message format) to
+// their core partner, which pre-composites it.
 // The power-of-two core then runs the inner method unchanged; folded
 // ranks own nothing and rejoin only for the final gather.
 type Folded struct {
@@ -58,14 +57,7 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		defer putArena(ar)
 		timer.Start()
 		br, scanned := img.BoundingRect(full)
-		payload := ar.rect(br, 64)
-		if !br.Empty() {
-			rle.EncodeRect(img, br, &ar.enc)
-			payload = ar.enc.Pack(payload)
-			st.Fold.Encoded = br.Area()
-			st.Fold.Codes = len(ar.enc.Codes)
-			st.Fold.SentPixels = len(ar.enc.NonBlank)
-		}
+		payload := rectRLE{}.encode(ar.codec.Grab(0), ar, img, region{rect: full}, br, &st.Fold)
 		timer.Stop()
 		st.BoundScan = scanned
 		if err := c.Send(f.Plan.FoldPartner(me), tagFold, payload); err != nil {
@@ -73,7 +65,6 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		}
 		st.Fold.MsgsSent = 1
 		st.Fold.BytesSent = len(payload)
-		st.Fold.SendRectEmpty = br.Empty()
 		st.CompWall = timer.Total()
 		// Folded ranks own nothing; they still join the final gather.
 		return &Result{Image: img, Own: RectOwn{}, Stats: st}, nil
@@ -86,43 +77,13 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		if err != nil {
 			return nil, fmt.Errorf("fold: recv from %d: %w", e, err)
 		}
-		if len(recv) < frame.RectBytes {
-			return nil, fmt.Errorf("fold: short message from %d", e)
-		}
-		br := frame.GetRect(recv)
 		fold.MsgsRecv = 1
 		fold.BytesRecv = len(recv)
-		fold.RecvRectEmpty = br.Empty()
-		fold.RecvPixels = br.Area()
-		if !br.Empty() {
-			foldTimer.Start()
-			enc, rest, err := rle.ParseWire(recv[frame.RectBytes:])
-			if err != nil {
-				return nil, fmt.Errorf("fold: from %d: %w", e, err)
-			}
-			if len(rest) != 0 || enc.Total() != br.Area() {
-				return nil, fmt.Errorf("fold: malformed payload from %d", e)
-			}
-			front := f.Plan.ExtraInFront(me, viewDir)
-			img.Grow(br)
-			w := br.Dx()
-			// Positions arrive in row-major order; fetch each scanline
-			// segment once.
-			rowY := -1
-			var row []frame.Pixel
-			enc.Walk(func(seq int, p frame.Pixel) {
-				if y := br.Y0 + seq/w; y != rowY {
-					rowY = y
-					row = img.Row(y, br.X0, br.X1)
-				}
-				if front {
-					frame.OverInto(p, &row[seq%w])
-				} else {
-					row[seq%w] = frame.Over(row[seq%w], p)
-				}
-				fold.Composited++
-			})
-			foldTimer.Stop()
+		foldTimer.Start()
+		_, err = decodeWhole(rectRLE{}, img, region{rect: full}, recv, f.Plan.ExtraInFront(me, viewDir), &fold)
+		foldTimer.Stop()
+		if err != nil {
+			return nil, fmt.Errorf("fold: from %d: %w", e, err)
 		}
 	}
 

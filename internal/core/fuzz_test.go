@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sortlast/internal/frame"
+	"sortlast/internal/stats"
 )
 
 // FuzzParseOwnership feeds arbitrary bytes to the ownership parser used
@@ -38,19 +39,88 @@ func FuzzParseOwnership(f *testing.F) {
 	})
 }
 
-// FuzzCompositeForwarded feeds arbitrary bytes to the BSDPF message
-// parser.
-func FuzzCompositeForwarded(f *testing.F) {
-	img := frame.NewImage(16, 16)
-	img.Set(2, 3, frame.Pixel{I: 1, A: 1})
-	f.Add(packForwarded(img, img.Full(), nil))
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{1, 0, 0, 0, 5, 0, 5, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dst := frame.NewImage(16, 16)
-		n, err := compositeForwarded(dst, dst.Full(), data, true)
-		if err == nil && n < 0 {
-			t.Fatal("negative composite count")
+// decodeCase is one wire-format parser under fuzz: how to make a real
+// payload for it, how to feed it bytes, and which pixels it may touch.
+type decodeCase struct {
+	name   string
+	seed   func(src *frame.Image) []byte
+	decode func(img *frame.Image, data []byte, front bool)
+	kept   func(x, y int) bool
+}
+
+// decodeCases lists every region codec's decoder plus dfb's batch
+// framing around the batched codec.
+func decodeCases() []decodeCase {
+	var cases []decodeCase
+	for _, tc := range codecCases {
+		tc := tc
+		g := codecRegion(goldenW, goldenH, tc.interleaved)
+		cases = append(cases, decodeCase{
+			name: tc.name,
+			seed: func(src *frame.Image) []byte {
+				br, _ := src.BoundingRect(src.Full())
+				return tc.codec.encode(nil, new(arena), src, g, br, new(stats.Stage))
+			},
+			decode: func(img *frame.Image, data []byte, front bool) {
+				tc.codec.decode(img, g, data, front, new(stats.Stage))
+			},
+			kept: func(x, y int) bool { return inRegion(g, goldenW, x, y) },
+		})
+	}
+	const p, me = 4, 1
+	dfb := &ownerMerge{name: "DFB", codec: rectRLE{batched: true}, tile: 16}
+	til, err := newTiling(frame.XYWH(0, 0, goldenW, goldenH), dfb.tile, p)
+	if err != nil {
+		panic(err)
+	}
+	return append(cases, decodeCase{
+		name: "dfb-batch",
+		seed: func(src *frame.Image) []byte {
+			br, _ := src.BoundingRect(src.Full())
+			return dfb.encodeFor(new(arena), src, til, me, br, new(stats.Stage))
+		},
+		decode: func(img *frame.Image, data []byte, _ bool) {
+			dfb.mergeFrom(img, til, me, data, new(stats.Stage))
+		},
+		kept: func(x, y int) bool {
+			for t := me; t < til.n; t += p {
+				if til.rect(t).Contains(x, y) {
+					return true
+				}
+			}
+			return false
+		},
+	})
+}
+
+// FuzzRegionDecode feeds arbitrary bytes to every region codec's decoder
+// — the one parser each wire format has, whichever schedule carries it
+// (swap halves, fold pre-stage, ds regions, dfb batch entries, pipeline
+// partials) — and to dfb's batch framing. Seeds are real payloads built
+// from the golden scenes. A decoder must never panic and never write
+// outside the region it was told to keep, accepted or not.
+func FuzzRegionDecode(f *testing.F) {
+	cases := decodeCases()
+	for ci, dc := range cases {
+		for scene := range goldenScenes {
+			f.Add(uint8(ci), dc.seed(goldenImages(scene, 4)[1]))
+		}
+		f.Add(uint8(ci), []byte{})
+	}
+	// The receiver's own pixels: whatever the payload says, the ones
+	// outside the kept region must come out untouched.
+	before := goldenImages(1, 4)[0]
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		dc := cases[int(which&0x7F)%len(cases)]
+		img := before.Clone()
+		dc.decode(img, data, which&0x80 != 0)
+		for y := 0; y < goldenH; y++ {
+			for x := 0; x < goldenW; x++ {
+				if !dc.kept(x, y) && img.At(x, y) != before.At(x, y) {
+					t.Fatalf("%s: pixel (%d,%d) outside the kept region changed: %v -> %v",
+						dc.name, x, y, before.At(x, y), img.At(x, y))
+				}
+			}
 		}
 	})
 }

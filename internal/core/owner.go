@@ -1,0 +1,258 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"sortlast/internal/frame"
+	"sortlast/internal/mp"
+	"sortlast/internal/partition"
+	"sortlast/internal/stats"
+	"sortlast/internal/trace"
+)
+
+// DefaultTile is the dfb tile edge when none is configured: big enough
+// that per-tile framing stays small against pixel payloads, small enough
+// that a compact foreground still spreads across owners.
+const DefaultTile = 64
+
+// ownerMerge is the owner-routed schedule, the Distributed FrameBuffer
+// view of sort-last compositing (Usher et al.): the frame is cut into
+// tiles with static owners, one route round ships every owner the
+// encoded part of the sender's bounding rectangle that falls in its
+// tiles, and each owner then merges what it received with its own
+// pixels in depth order. Exactly P-1 messages leave every rank — an
+// owner with nothing to receive still gets an empty message — so
+// receives are deterministic without barriers, and sends are buffered
+// (mp.Comm.Send never blocks), so the fan-out completes before any rank
+// starts its merge: no cyclic waits at any P.
+//
+// Only per-rank geometry is needed, never stage pairing, so the schedule
+// runs at any rank count. Correctness rests on one argument: each rank's
+// subimage enters its owner's accumulation in the layout's global
+// front-to-back order. The rank boxes form a BSP of the volume, so that
+// order is a valid per-pixel order for every pixel, and skipping a blank
+// pixel is exact under the over operator.
+//
+// With tile 0 the tiles are P horizontal strips, one per rank, and a
+// message is one codec region (direct, ds). With a positive tile edge
+// they are square tiles dealt round-robin (partition.Tiling) and a
+// message batches the regions of all the owner's tiles that carry
+// foreground: [u32 count] then per region [u32 tile][codec region]
+// (dfb). Tile ownership depends only on the grid and P, so a sparse
+// frame ships only the tiles it touches.
+type ownerMerge struct {
+	name  string // display name and stats.Rank.Method
+	tag   int
+	codec regionCodec
+	tile  int
+	// lay fixes the rank geometry when the world is not described by
+	// the decomposition passed to Composite (a fold plan at
+	// non-power-of-two P); nil uses that decomposition.
+	lay partition.Layout
+}
+
+// Name implements Compositor.
+func (m *ownerMerge) Name() string { return m.name }
+
+// tiling cuts the frame into owner tiles: tile t belongs to rank t mod P.
+type tiling struct {
+	full frame.Rect
+	p, n int
+	grid *partition.Tiling // nil: P horizontal strips
+}
+
+func newTiling(full frame.Rect, tile, p int) (tiling, error) {
+	if tile == 0 {
+		return tiling{full: full, p: p, n: p}, nil
+	}
+	grid, err := partition.NewTiling(full, tile, p)
+	if err != nil {
+		return tiling{}, err
+	}
+	return tiling{full: full, p: p, n: grid.NumTiles(), grid: grid}, nil
+}
+
+// rect returns tile i's pixels.
+func (t tiling) rect(i int) frame.Rect {
+	if t.grid != nil {
+		return t.grid.Rect(i)
+	}
+	return stripRect(t.full, i, t.p)
+}
+
+// stripRect returns strip r of p over the full frame. Strips are
+// horizontal bands of near-equal height; with p > height the trailing
+// strips are empty, which is valid (their owners receive nothing and own
+// nothing).
+func stripRect(full frame.Rect, r, p int) frame.Rect {
+	h := full.Dy()
+	return frame.Rect{
+		X0: full.X0, Y0: full.Y0 + r*h/p,
+		X1: full.X1, Y1: full.Y0 + (r+1)*h/p,
+	}.Canon()
+}
+
+// Composite implements Compositor.
+func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
+	img *frame.Image) (*Result, error) {
+	lay := m.lay
+	if lay == nil {
+		if dec == nil {
+			return nil, fmt.Errorf("core: %s: no layout and no decomposition", m.name)
+		}
+		lay = dec
+	}
+	p, me := c.Size(), c.Rank()
+	if p != lay.Size() {
+		return nil, fmt.Errorf("core: world has %d ranks but layout expects %d", p, lay.Size())
+	}
+	if me < 0 || me >= p {
+		return nil, fmt.Errorf("core: rank %d out of range", me)
+	}
+	full := img.Full()
+	til, err := newTiling(full, m.tile, p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", m.name, err)
+	}
+	st := &stats.Rank{RankID: me, Method: m.name}
+	var timer stats.Timer
+	tr := c.Tracer()
+	ar := getArena()
+	defer putArena(ar)
+	// Stage 1 carries the route round (encode + sends), stage 2 the merge
+	// pass (receives + composites), mirroring the two cost terms of the
+	// owner-routed cost models so report.MeasuredVsModeled gets a real
+	// per-stage breakdown instead of one degenerate stage.
+	merge := st.StageAt(2)
+	route := st.StageAt(1)
+	route.Label, merge.Label = trace.StageRoute, trace.StageMerge
+
+	c.SetStage(route.Label)
+	bm := tr.Begin()
+	timer.Start()
+	br, scanned := img.BoundingRect(full)
+	timer.Stop()
+	tr.End(bm, trace.SpanBound, "")
+	st.BoundScan = scanned
+
+	em := tr.Begin()
+	for dst := 0; dst < p; dst++ {
+		if dst == me {
+			continue
+		}
+		timer.Start()
+		payload := m.encodeFor(ar, img, til, dst, br, route)
+		timer.Stop()
+		if err := c.Send(dst, m.tag, payload); err != nil {
+			return nil, fmt.Errorf("%s: send to %d: %w", m.name, dst, err)
+		}
+		ar.codec.Retain(payload)
+		route.MsgsSent++
+		route.BytesSent += len(payload)
+	}
+	tr.End(em, trace.SpanEncode, route.Label)
+	// Umbrella span (Name == Stage), the per-stage measured total the
+	// reports sum — the counterpart of the swap schedule's stageK spans.
+	tr.End(em, route.Label, route.Label)
+
+	// out accumulates front contributions first, so each new region goes
+	// behind what is already composited.
+	out := frame.NewImage(full.Dx(), full.Dy())
+	c.SetStage(merge.Label)
+	cm := tr.Begin()
+	for _, src := range lay.DepthOrder(viewDir) {
+		if src == me {
+			timer.Start()
+			for t := me; t < til.n; t += p {
+				if r := til.rect(t).Intersect(br); !r.Empty() {
+					merge.Composited += out.CompositeImage(img, r, false)
+				}
+			}
+			timer.Stop()
+			continue
+		}
+		recv, err := c.Recv(src, m.tag)
+		if err != nil {
+			return nil, fmt.Errorf("%s: recv from %d: %w", m.name, src, err)
+		}
+		merge.MsgsRecv++
+		merge.BytesRecv += len(recv)
+		timer.Start()
+		err = m.mergeFrom(out, til, me, recv, merge)
+		timer.Stop()
+		if err != nil {
+			return nil, fmt.Errorf("%s: from %d: %w", m.name, src, err)
+		}
+	}
+	tr.End(cm, trace.SpanComposite, merge.Label)
+	tr.End(cm, merge.Label, merge.Label)
+	c.SetStage("")
+	st.CompWall = timer.Total()
+
+	if m.tile == 0 {
+		return &Result{Image: out, Own: RectOwn{R: til.rect(me)}, Stats: st}, nil
+	}
+	rs := make([]frame.Rect, 0, (til.n-me+p-1)/p)
+	for t := me; t < til.n; t += p {
+		rs = append(rs, til.rect(t))
+	}
+	return &Result{Image: out, Own: RectSetOwn{Rs: rs}, Stats: st}, nil
+}
+
+// encodeFor builds the message for owner dst in arena scratch.
+func (m *ownerMerge) encodeFor(ar *arena, img *frame.Image, til tiling, dst int,
+	br frame.Rect, route *stats.Stage) []byte {
+	buf := ar.codec.Grab(0)
+	if m.tile == 0 {
+		return m.codec.encode(buf, ar, img, region{rect: til.rect(dst)}, br, route)
+	}
+	buf = append(buf, 0, 0, 0, 0)
+	count := 0
+	for t := dst; t < til.n; t += til.p {
+		entry := m.codec.encode(appendU32(buf, uint32(t)), ar, img, region{rect: til.rect(t)}, br, route)
+		if len(entry) == len(buf)+4 {
+			continue // no foreground in this tile: nothing shipped
+		}
+		buf = entry
+		count++
+	}
+	binary.LittleEndian.PutUint32(buf, uint32(count))
+	if count == 0 {
+		route.SendRectEmpty = true
+	}
+	return buf
+}
+
+// mergeFrom validates one received message and composites its regions
+// into out, behind the pixels already accumulated.
+func (m *ownerMerge) mergeFrom(out *frame.Image, til tiling, me int, recv []byte,
+	merge *stats.Stage) error {
+	if m.tile == 0 {
+		_, err := decodeWhole(m.codec, out, region{rect: til.rect(me)}, recv, false, merge)
+		return err
+	}
+	count, recv, err := readU32(recv)
+	if err != nil {
+		return err
+	}
+	if count == 0 {
+		merge.RecvRectEmpty = true
+	}
+	for i := 0; i < int(count); i++ {
+		var t uint32
+		if t, recv, err = readU32(recv); err != nil {
+			return err
+		}
+		if t >= uint32(til.n) || int(t)%til.p != me {
+			return fmt.Errorf("tile %d is not mine", t)
+		}
+		if _, recv, err = m.codec.decode(out, region{rect: til.rect(int(t))}, recv, false, merge); err != nil {
+			return err
+		}
+	}
+	if len(recv) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(recv))
+	}
+	return nil
+}

@@ -97,7 +97,7 @@ func TestParseOwnershipRejectsGarbage(t *testing.T) {
 	}
 }
 
-// splitInterleaved partitions the sequence exactly, with sections
+// splitInterleavedInto partitions the sequence exactly, with sections
 // alternating at granularity g.
 func TestSplitInterleavedProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500, Values: func(vals []reflect.Value, r *rand.Rand) {
@@ -114,7 +114,7 @@ func TestSplitInterleavedProperty(t *testing.T) {
 		vals[1] = reflect.ValueOf(1 + r.Intn(20))
 	}}
 	err := quick.Check(func(iv []Interval, g int) bool {
-		evens, odds := splitInterleaved(iv, g)
+		evens, odds := splitInterleavedInto(iv, g, nil, nil)
 		if intervalsLen(evens)+intervalsLen(odds) != intervalsLen(iv) {
 			return false
 		}
@@ -154,7 +154,7 @@ func TestSplitInterleavedProperty(t *testing.T) {
 func TestSplitInterleavedMergesAdjacent(t *testing.T) {
 	// A single long interval with g=2 must produce coalesced sections,
 	// not per-pixel fragments beyond the alternation.
-	evens, odds := splitInterleaved([]Interval{{0, 10}}, 2)
+	evens, odds := splitInterleavedInto([]Interval{{0, 10}}, 2, nil, nil)
 	if !reflect.DeepEqual(evens, []Interval{{0, 2}, {4, 6}, {8, 10}}) {
 		t.Errorf("evens = %v", evens)
 	}
@@ -165,7 +165,7 @@ func TestSplitInterleavedMergesAdjacent(t *testing.T) {
 	// position, not absolute index.
 	// Positions 0-3 form section 0 (indices 0,1,2 and 100); positions
 	// 4-5 fall in section 1 (indices 101,102).
-	evens, odds = splitInterleaved([]Interval{{0, 3}, {100, 103}}, 4)
+	evens, odds = splitInterleavedInto([]Interval{{0, 3}, {100, 103}}, 4, nil, nil)
 	if !reflect.DeepEqual(evens, []Interval{{0, 3}, {100, 101}}) {
 		t.Errorf("gap case evens = %v", evens)
 	}
@@ -176,7 +176,7 @@ func TestSplitInterleavedMergesAdjacent(t *testing.T) {
 
 func TestIntervalCursor(t *testing.T) {
 	iv := []Interval{{10, 13}, {20, 22}, {30, 35}}
-	cur := newIntervalCursor(iv)
+	cur := intervalCursor{iv: iv}
 	want := []int{10, 11, 12, 20, 21, 30, 31, 32, 33, 34}
 	for seq, w := range want {
 		if got := cur.index(seq); got != w {
@@ -185,19 +185,30 @@ func TestIntervalCursor(t *testing.T) {
 	}
 }
 
+// Strip ownership must partition the frame exactly for any rank count,
+// including more ranks than scanlines and a frame off the origin.
 func TestStripRectCoversFrame(t *testing.T) {
-	full := frame.XYWH(0, 0, 100, 97)
-	for _, p := range []int{1, 2, 3, 7, 97, 100, 150} {
-		total := 0
-		for r := 0; r < p; r++ {
-			s := stripRect(full, r, p)
-			total += s.Area()
-			if !full.ContainsRect(s) {
-				t.Fatalf("p=%d strip %d = %v escapes frame", p, r, s)
+	for _, full := range []frame.Rect{frame.XYWH(0, 0, 100, 97), frame.XYWH(3, 5, 41, 23)} {
+		for _, p := range []int{1, 2, 3, 7, 23, 64, 97, 100, 150} {
+			total := 0
+			prevY1 := full.Y0
+			for r := 0; r < p; r++ {
+				s := stripRect(full, r, p)
+				if s.Empty() {
+					continue
+				}
+				if !full.ContainsRect(s) {
+					t.Fatalf("p=%d strip %d = %v escapes frame", p, r, s)
+				}
+				if s.Y0 != prevY1 {
+					t.Fatalf("p=%d: strip %d starts at %d, want %d", p, r, s.Y0, prevY1)
+				}
+				prevY1 = s.Y1
+				total += s.Area()
 			}
-		}
-		if total != full.Area() {
-			t.Errorf("p=%d strips cover %d, want %d", p, total, full.Area())
+			if total != full.Area() || prevY1 != full.Y1 {
+				t.Errorf("p=%d strips cover %d, want %d", p, total, full.Area())
+			}
 		}
 	}
 }

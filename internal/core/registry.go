@@ -1,11 +1,15 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"sortlast/internal/partition"
+)
 
 // Caps are a compositing method's capability flags. Admission (which
 // rank counts a method serves), the autotune selector (which methods the
 // model can rank), and the benches all read the same flags, so adding a
-// method means one Register call instead of editing parallel lists.
+// method means one registry line instead of editing parallel lists.
 type Caps struct {
 	// Paper marks one of the four methods of the paper's evaluation.
 	Paper bool
@@ -13,7 +17,7 @@ type Caps struct {
 	// any rank count through the core.Folded pre-stage.
 	Foldable bool
 	// NativeAnyP marks a method that runs at any rank count without the
-	// fold (the tile-routed family).
+	// fold (the owner-routed ds and dfb).
 	NativeAnyP bool
 	// ModelBacked marks a method autotune.Predict has a closed form for;
 	// these are the "auto" candidates.
@@ -27,64 +31,127 @@ type Caps struct {
 // counts (natively or through the fold).
 func (c Caps) ServesAnyP() bool { return c.NativeAnyP || c.Foldable }
 
-// Spec is one registered compositing method.
+// Spec is one registered compositing method: a name, its capability
+// flags, and the schedule x codec pair that implements it.
 type Spec struct {
-	Name string
-	Make func() Compositor
-	Caps Caps
+	Name  string
+	Caps  Caps
+	build builder
 }
 
-var (
-	registry []Spec
-	regIndex = map[string]int{}
-)
+// builder returns a method configured with the interleave granularity,
+// the tile edge and the rank geometry; each method reads the knobs it
+// has.
+type builder func(granularity, tile int, lay partition.Layout) Compositor
 
-// Register adds a method to the registry. It must be called from package
-// init (this package registers the built-ins; internal/tilecomp adds the
-// tile-routed methods), so lookups never race with registration.
-func Register(s Spec) {
-	if s.Name == "" || s.Make == nil {
-		panic("core: Register needs a name and a constructor")
+// registry lists the methods in the order the paper discusses them: the
+// four evaluated methods, the related-work baselines, the related-work
+// encodings as binary-swap variants (§2/§3.3 ablations), then the
+// owner-routed pair that runs natively at any rank count.
+var registry = []Spec{
+	{Name: "bs", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true},
+		build: swap("BS", raw{})},
+	{Name: "bsbr", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true},
+		build: swap("BSBR", rectRaw{})},
+	{Name: "bslc", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true, WireEncoded: true},
+		build: swap("BSLC", intervalRLE{})},
+	{Name: "bsbrc", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true, WireEncoded: true},
+		build: swap("BSBRC", rectRLE{})},
+	{Name: "direct",
+		build: owners("DirectSend", tagDirect, rectRaw{}, false)},
+	{Name: "pipeline",
+		build: fixed(Pipeline{})},
+	{Name: "bintree", Caps: Caps{WireEncoded: true},
+		build: fixed(BinaryTree{})},
+	{Name: "bsdpf", Caps: Caps{Foldable: true},
+		build: swap("BSDPF", forwarded{})},
+	{Name: "bsvc", Caps: Caps{Foldable: true, WireEncoded: true},
+		build: swap("BSVC", valueRuns{})},
+	{Name: "bsbrlc", Caps: Caps{Foldable: true, ModelBacked: true, WireEncoded: true},
+		build: swap("BSBRLC", intervalRLE{rect: true})},
+	{Name: "ds", Caps: Caps{NativeAnyP: true, ModelBacked: true, WireEncoded: true},
+		build: owners("DS", tagDS, rectRLE{}, false)},
+	{Name: "dfb", Caps: Caps{NativeAnyP: true, ModelBacked: true, WireEncoded: true},
+		build: owners("DFB", tagDFB, rectRLE{batched: true}, true)},
+}
+
+// swap is a registry line for the binary-swap schedule. The interval
+// codec brings the interleaved split with it.
+func swap(name string, codec regionCodec) builder {
+	_, interleave := codec.(intervalRLE)
+	return func(granularity, _ int, _ partition.Layout) Compositor {
+		return &swapLoop{name: name, codec: codec, interleave: interleave, granularity: granularity}
 	}
-	if _, dup := regIndex[s.Name]; dup {
-		panic(fmt.Sprintf("core: duplicate compositor %q", s.Name))
+}
+
+// owners is a registry line for the owner-merge schedule, over square
+// tiles (tiled) or P strips.
+func owners(name string, tag int, codec regionCodec, tiled bool) builder {
+	return func(_, tile int, lay partition.Layout) Compositor {
+		if !tiled {
+			tile = 0
+		} else if tile <= 0 {
+			tile = DefaultTile
+		}
+		return &ownerMerge{name: name, tag: tag, codec: codec, tile: tile, lay: lay}
 	}
-	regIndex[s.Name] = len(registry)
-	registry = append(registry, s)
+}
+
+// fixed is a registry line for a schedule without knobs.
+func fixed(c Compositor) builder {
+	return func(int, int, partition.Layout) Compositor { return c }
 }
 
 // Lookup returns the named method's spec.
 func Lookup(name string) (Spec, bool) {
-	i, ok := regIndex[name]
-	if !ok {
-		return Spec{}, false
+	for _, s := range registry {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	return registry[i], true
+	return Spec{}, false
 }
 
-// Specs returns the registered methods in registration order: the
-// paper's four, the baselines, the encoding variants, then any
-// subsystem-registered methods.
+// Specs returns the registered methods in registry order.
 func Specs() []Spec {
 	out := make([]Spec, len(registry))
 	copy(out, registry)
 	return out
 }
 
-// New returns the named compositor; Names lists the recognized names.
-func New(name string) (Compositor, error) {
+// Build returns the named method configured and ready to run.
+// granularity is the interleave section size of the load-balanced
+// methods in pixels (0: one scanline) and tile the dfb tile edge (0:
+// DefaultTile); methods without the knob ignore it. A nil plan builds
+// the method for a power-of-two world described by the decomposition
+// passed to Composite. A fold plan adapts it to the plan's rank count:
+// foldable methods are wrapped in the Folded pre-stage, natively any-P
+// methods take the plan as pure rank geometry (no fold messages); either
+// way Composite must then be given plan.Dec.
+func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compositor, error) {
 	s, ok := Lookup(name)
-	if !ok {
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("core: unknown compositor %q", name)
+	case plan == nil:
+		return s.build(granularity, tile, nil), nil
+	case s.Caps.NativeAnyP:
+		return s.build(granularity, tile, plan), nil
+	case s.Caps.Foldable:
+		return &Folded{Plan: plan, Inner: s.build(granularity, tile, nil)}, nil
 	}
-	return s.Make(), nil
+	return nil, fmt.Errorf("core: compositor %q needs a power-of-two rank count", name)
 }
+
+// New returns the named compositor with default settings; Names lists
+// the recognized names.
+func New(name string) (Compositor, error) { return Build(name, 0, 0, nil) }
 
 // Known reports whether name is a registered compositor, so admission
 // layers can validate a method name without constructing the compositor
 // or parsing New's error.
 func Known(name string) bool {
-	_, ok := regIndex[name]
+	_, ok := Lookup(name)
 	return ok
 }
 
@@ -126,32 +193,4 @@ func namesWhere(pred func(Caps) bool) []string {
 		}
 	}
 	return out
-}
-
-// The built-in methods, in the order the paper discusses them: the four
-// evaluated methods, the related-work baselines, then the related-work
-// encodings as binary-swap variants (§2/§3.3 ablations).
-func init() {
-	for _, s := range []Spec{
-		{Name: "bs", Make: func() Compositor { return BS{} },
-			Caps: Caps{Paper: true, Foldable: true, ModelBacked: true}},
-		{Name: "bsbr", Make: func() Compositor { return BSBR{} },
-			Caps: Caps{Paper: true, Foldable: true, ModelBacked: true}},
-		{Name: "bslc", Make: func() Compositor { return BSLC{} },
-			Caps: Caps{Paper: true, Foldable: true, ModelBacked: true, WireEncoded: true}},
-		{Name: "bsbrc", Make: func() Compositor { return BSBRC{} },
-			Caps: Caps{Paper: true, Foldable: true, ModelBacked: true, WireEncoded: true}},
-		{Name: "direct", Make: func() Compositor { return DirectSend{} }},
-		{Name: "pipeline", Make: func() Compositor { return Pipeline{} }},
-		{Name: "bintree", Make: func() Compositor { return BinaryTree{} },
-			Caps: Caps{WireEncoded: true}},
-		{Name: "bsdpf", Make: func() Compositor { return BSDPF{} },
-			Caps: Caps{Foldable: true}},
-		{Name: "bsvc", Make: func() Compositor { return BSVC{} },
-			Caps: Caps{Foldable: true, WireEncoded: true}},
-		{Name: "bsbrlc", Make: func() Compositor { return BSBRLC{} },
-			Caps: Caps{Foldable: true, ModelBacked: true, WireEncoded: true}},
-	} {
-		Register(s)
-	}
 }

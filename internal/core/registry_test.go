@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"sortlast/internal/partition"
+	"sortlast/internal/volume"
+)
 
 // The registry serves every list the system previously hardcoded; the
 // built-ins must be present with coherent capability flags.
@@ -8,10 +14,20 @@ func TestRegistryLists(t *testing.T) {
 	if len(PaperMethods()) != 4 {
 		t.Fatalf("paper methods: %v", PaperMethods())
 	}
-	for _, name := range []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "pipeline", "bintree", "bsdpf", "bsvc", "bsbrlc"} {
+	want := []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "pipeline", "bintree", "bsdpf", "bsvc", "bsbrlc", "ds", "dfb"}
+	if !reflect.DeepEqual(Names(), want) {
+		t.Errorf("Names() = %v, want %v", Names(), want)
+	}
+	for _, name := range want {
 		if !Known(name) {
 			t.Errorf("built-in %q not registered", name)
 		}
+	}
+	if got, want := ModelBacked(), []string{"bs", "bsbr", "bslc", "bsbrc", "bsbrlc", "ds", "dfb"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ModelBacked() = %v, want %v", got, want)
+	}
+	if got, want := AnyPMethods(), []string{"bs", "bsbr", "bslc", "bsbrc", "bsdpf", "bsvc", "bsbrlc", "ds", "dfb"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("AnyPMethods() = %v, want %v", got, want)
 	}
 	names := map[string]bool{}
 	for _, s := range Specs() {
@@ -57,16 +73,30 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsBadSpecs(t *testing.T) {
-	mustPanic := func(label string, s Spec) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register did not panic", label)
-			}
-		}()
-		Register(s)
+// Build adapts a method to a fold plan by its capability: foldable
+// methods get the fold pre-stage, natively any-P methods take the plan
+// as geometry, and power-of-two-only methods refuse it.
+func TestBuildOverFoldPlan(t *testing.T) {
+	plan, err := partition.PlanFold(volume.Box{Hi: [3]int{32, 32, 32}}, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustPanic("empty name", Spec{Make: func() Compositor { return BS{} }})
-	mustPanic("nil make", Spec{Name: "x"})
-	mustPanic("duplicate", Spec{Name: "bs", Make: func() Compositor { return BS{} }})
+	for _, s := range Specs() {
+		comp, err := Build(s.Name, 0, 0, plan)
+		switch {
+		case !s.Caps.ServesAnyP():
+			if err == nil {
+				t.Errorf("%s: power-of-two-only method accepted a fold plan", s.Name)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", s.Name, err)
+		default:
+			if _, folded := comp.(*Folded); folded != s.Caps.Foldable {
+				t.Errorf("%s: folded = %v, want %v", s.Name, folded, s.Caps.Foldable)
+			}
+		}
+	}
+	if _, err := Build("nope", 0, 0, plan); err == nil {
+		t.Error("Build must reject unknown names")
+	}
 }

@@ -36,10 +36,3 @@ func CompositeSequential(imgs []*frame.Image, dec *partition.Decomposition,
 	viewDir [3]float64) *frame.Image {
 	return CompositeSequentialLayout(imgs, dec, viewDir)
 }
-
-// CompositeSequentialFold is the sequential reference for a fold plan
-// (arbitrary rank counts).
-func CompositeSequentialFold(imgs []*frame.Image, plan *partition.FoldPlan,
-	viewDir [3]float64) *frame.Image {
-	return CompositeSequentialLayout(imgs, plan, viewDir)
-}

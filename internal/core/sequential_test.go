@@ -3,99 +3,38 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"sortlast/internal/frame"
-	"sortlast/internal/mp"
-	"sortlast/internal/partition"
 	"sortlast/internal/volume"
 )
 
 // Random sparse subimages (not rendered ones — arbitrary content): every
-// compositor must match the sequential depth-order reference. This
+// compositor must match the sequential depth-order reference at every
+// rank count it serves, folded and natively any-P ones included. This
 // catches ordering bugs that structured scenes can mask.
 func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 	root := volume.Box{Hi: [3]int{64, 64, 64}}
 	r := rand.New(rand.NewSource(99))
-	for _, p := range []int{2, 4, 8} {
-		dec, err := partition.Decompose(root, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range []int{2, 4, 5, 8} {
 		for trial := 0; trial < 3; trial++ {
 			viewDir := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 			imgs := make([]*frame.Image, p)
 			for i := range imgs {
 				imgs[i] = sparseImage(int64(trial*100+i), 48, 48, 0.15+0.5*r.Float64())
 			}
-			ref := CompositeSequential(imgs, dec, viewDir)
-
-			for _, name := range Names() {
-				comp, err := New(name)
-				if err != nil {
-					t.Fatal(err)
+			for _, spec := range Specs() {
+				if !legalAt(spec, p) {
+					continue
 				}
-				var final *frame.Image
-				err = mp.Run(p, mp.Options{RecvTimeout: 20 * time.Second}, func(c mp.Comm) error {
-					res, err := comp.Composite(c, dec, viewDir, imgs[c.Rank()].Clone())
-					if err != nil {
-						return err
-					}
-					out, err := GatherImage(c, 0, res)
-					if err != nil {
-						return err
-					}
-					if c.Rank() == 0 {
-						final = out
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("%s P=%d trial %d: %v", name, p, trial, err)
-				}
+				comp, dec, lay := methodWorld(t, spec.Name, root, p, 0)
+				ref := CompositeSequentialLayout(imgs, lay, viewDir)
+				final, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
 				if d := ref.MaxAbsDiff(final, ref.Full()); d > 1e-11 {
 					t.Errorf("%s P=%d trial %d: differs from sequential by %g",
-						name, p, trial, d)
+						spec.Name, p, trial, d)
 				}
 			}
 		}
-	}
-}
-
-func TestSequentialFoldMatchesFoldedCompositor(t *testing.T) {
-	root := volume.Box{Hi: [3]int{64, 64, 64}}
-	const p = 5
-	plan, err := partition.PlanFold(root, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewDir := [3]float64{0.3, -0.5, 0.8}
-	imgs := make([]*frame.Image, p)
-	for i := range imgs {
-		imgs[i] = sparseImage(int64(i+1), 40, 40, 0.3)
-	}
-	ref := CompositeSequentialFold(imgs, plan, viewDir)
-	comp := &Folded{Plan: plan, Inner: BSBRC{}}
-	var final *frame.Image
-	err = mp.Run(p, mp.Options{RecvTimeout: 20 * time.Second}, func(c mp.Comm) error {
-		res, err := comp.Composite(c, plan.Dec, viewDir, imgs[c.Rank()].Clone())
-		if err != nil {
-			return err
-		}
-		out, err := GatherImage(c, 0, res)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			final = out
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := ref.MaxAbsDiff(final, ref.Full()); d > 1e-11 {
-		t.Errorf("folded differs from sequential by %g", d)
 	}
 }
 

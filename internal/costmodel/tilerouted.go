@@ -2,8 +2,8 @@ package costmodel
 
 import "time"
 
-// Closed forms for the tile-routed compositors (internal/tilecomp),
-// under the same first-order gloss as the paper's Eq. 1–8: the frame's
+// Closed forms for the owner-routed compositors (internal/core's
+// owner-merge schedule: ds, dfb), under the same first-order gloss as the paper's Eq. 1–8: the frame's
 // non-blank density α and bounding-rectangle coverage β describe every
 // rank's subimage too, so the predictions are comparable inputs to the
 // same argmin. Under that gloss each owner receives the same α·A(1-1/P)

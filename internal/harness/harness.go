@@ -22,7 +22,6 @@ import (
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
 	"sortlast/internal/stats"
-	"sortlast/internal/tilecomp"
 	"sortlast/internal/trace"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
@@ -89,7 +88,7 @@ type Config struct {
 	// Granularity is BSLC's interleave section size (0: one scanline).
 	Granularity int
 
-	// Tile is the dfb tile edge in pixels (0: tilecomp.DefaultTile).
+	// Tile is the dfb tile edge in pixels (0: core.DefaultTile).
 	Tile int
 
 	// DistributeVolume exercises the partitioning phase: rank 0 extracts
@@ -246,28 +245,15 @@ func (e *Pow2MethodError) Error() string {
 }
 
 // newCompositor builds the configured compositor plus the rank geometry
-// it runs over. At non-power-of-two P, foldable binary-swap methods wrap
-// in the core.Folded pre-stage, while natively any-P methods (the
-// tile-routed family) take the fold plan as pure geometry — per-rank
-// boxes and a global depth order, no fold messages.
+// it runs over. At non-power-of-two P, core.Build wraps foldable
+// binary-swap methods in the fold pre-stage and hands natively any-P
+// methods the fold plan as pure geometry — per-rank boxes and a global
+// depth order, no fold messages.
 func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partition.Decomposition, partition.Layout, error) {
 	bounds := vol.Bounds()
-	inner, err := core.New(cfg.Method)
+	comp, err := core.Build(cfg.Method, cfg.Granularity, cfg.Tile, nil)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	spec, _ := core.Lookup(cfg.Method)
-	if b, ok := inner.(core.BSLC); ok {
-		b.Granularity = cfg.Granularity
-		inner = b
-	}
-	if b, ok := inner.(core.BSBRLC); ok {
-		b.Granularity = cfg.Granularity
-		inner = b
-	}
-	if b, ok := inner.(tilecomp.DFB); ok {
-		b.Tile = cfg.Tile
-		inner = b
 	}
 	if IsPow2(cfg.P) {
 		var dec *partition.Decomposition
@@ -280,30 +266,22 @@ func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partitio
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return inner, dec, dec, nil
+		return comp, dec, dec, nil
 	}
 	if cfg.BalanceRender {
 		return nil, nil, nil, fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
 	}
-	if !spec.Caps.ServesAnyP() {
+	if !core.ServesAnyP(cfg.Method) {
 		return nil, nil, nil, &Pow2MethodError{Method: cfg.Method, P: cfg.P}
 	}
 	plan, err := partition.PlanFold(bounds, cfg.P)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if spec.Caps.NativeAnyP {
-		switch v := inner.(type) {
-		case tilecomp.DS:
-			v.Lay = plan
-			inner = v
-		case tilecomp.DFB:
-			v.Lay = plan
-			inner = v
-		}
-		return inner, plan.Dec, plan, nil
+	if comp, err = core.Build(cfg.Method, cfg.Granularity, cfg.Tile, plan); err != nil {
+		return nil, nil, nil, err
 	}
-	return &core.Folded{Plan: plan, Inner: inner}, plan.Dec, plan, nil
+	return comp, plan.Dec, plan, nil
 }
 
 // Run executes the experiment and returns its table row.

@@ -173,7 +173,11 @@ func TestTCPFullPipeline(t *testing.T) {
 	err = launch(t, p, func(c mp.Comm) error {
 		img := render.Raycast(vol, dec.Box(c.Rank()), cam, tf,
 			render.Options{EarlyTermination: -1})
-		res, err := core.BSBRC{}.Composite(c, dec, cam.Dir, img)
+		comp, err := core.New("bsbrc")
+		if err != nil {
+			return err
+		}
+		res, err := comp.Composite(c, dec, cam.Dir, img)
 		if err != nil {
 			return err
 		}

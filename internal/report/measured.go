@@ -65,7 +65,7 @@ func MeasuredVsModeled(rec *trace.Recorder, ranks []*stats.Rank, params costmode
 		var measTotal time.Duration
 		modTotal := time.Duration(r.BoundScan) * params.Tbound
 		for k := range r.Stages {
-			lbl := stageLabel(r.Method, r.Stages[k].Stage)
+			lbl := r.Stages[k].Label
 			measTotal += sum(lbl, lbl)
 			modTotal += params.Stage(r.Method, &r.Stages[k]).Total()
 		}
@@ -84,7 +84,7 @@ func MeasuredVsModeled(rec *trace.Recorder, ranks []*stats.Rank, params costmode
 		}
 		for k := range r.Stages {
 			s := &r.Stages[k]
-			lbl := stageLabel(r.Method, s.Stage)
+			lbl := s.Label
 			meas := sum(lbl, lbl)
 			model := params.Stage(r.Method, s)
 			measShare := share(meas, measTotal)
@@ -117,18 +117,4 @@ func fmtMS(d time.Duration) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.3fms", float64(d)/1e6)
-}
-
-// stageLabel names the umbrella span for stage k of a method. The
-// tile-routed methods record two named rounds — route then merge,
-// matching the terms of their cost models — while the binary-swap
-// family keeps numbered stages.
-func stageLabel(method string, k int) string {
-	if method == "DS" || method == "DFB" {
-		if k == 1 {
-			return trace.StageRoute
-		}
-		return trace.StageMerge
-	}
-	return fmt.Sprintf("stage%d", k)
 }

@@ -138,6 +138,7 @@ type metrics struct {
 	inflight      atomic.Int64             // frames dispatched, not yet replied
 	wire          atomic.Int64             // compositing bytes received, all ranks
 	worldRestarts atomic.Int64             // rank worlds torn down and rebuilt
+	spansDropped  atomic.Int64             // spans a frame's recorder discarded at trace.MaxRankSpans
 
 	queueDepth func() int // sampled at scrape time
 
@@ -315,6 +316,9 @@ func (m *metrics) write(w io.Writer, exemplars bool) {
 	fmt.Fprintf(w, "# HELP renderd_world_restarts_total Rank worlds torn down and rebuilt after a pipeline failure or watchdog wedge.\n")
 	fmt.Fprintf(w, "# TYPE renderd_world_restarts_total counter\n")
 	fmt.Fprintf(w, "renderd_world_restarts_total %d\n", m.worldRestarts.Load())
+	fmt.Fprintf(w, "# HELP renderd_trace_spans_dropped_total Spans discarded because a rank's recorder reached its span cap; the frame's trace is flagged truncated.\n")
+	fmt.Fprintf(w, "# TYPE renderd_trace_spans_dropped_total counter\n")
+	fmt.Fprintf(w, "renderd_trace_spans_dropped_total %d\n", m.spansDropped.Load())
 	fmt.Fprintf(w, "# HELP renderd_queue_depth Requests admitted and waiting for dispatch.\n")
 	fmt.Fprintf(w, "# TYPE renderd_queue_depth gauge\n")
 	fmt.Fprintf(w, "renderd_queue_depth %d\n", m.queueDepth())

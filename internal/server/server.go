@@ -503,6 +503,7 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 				s.met.phaseDone("render", j.rec.MaxTotal(trace.SpanRender), uint64(j.id))
 				s.met.phaseDone("composite", j.rec.MaxTotal(trace.SpanCompositing), uint64(j.id))
 				s.met.phaseDone("gather", j.rec.MaxTotal(trace.SpanGather), uint64(j.id))
+				s.met.spansDropped.Add(int64(j.rec.Dropped()))
 				s.lastTrace.Store(j.rec)
 			}
 			j.finish(reply{img: img})

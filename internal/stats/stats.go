@@ -7,11 +7,18 @@
 // directly.
 package stats
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Stage holds the counters of one compositing stage on one rank.
 type Stage struct {
 	Stage int // 1-based compositing stage
+	// Label names the stage in the message log and on its trace spans:
+	// "stageK" unless the schedule that ran the stage renames it (the
+	// owner-merge schedules' "route" and "merge" rounds).
+	Label string
 
 	// RecvPixels counts pixels delivered to the compositing loop as a
 	// dense region: A/2^k for BS, the receiving-bounding-rectangle area
@@ -94,9 +101,28 @@ func (r *Rank) StageAt(k int) *Stage {
 		r.Stages = grown
 	}
 	for len(r.Stages) < k {
-		r.Stages = append(r.Stages, Stage{Stage: len(r.Stages) + 1})
+		n := len(r.Stages) + 1
+		r.Stages = append(r.Stages, Stage{Stage: n, Label: stageLabel(n)})
 	}
 	return &r.Stages[k-1]
+}
+
+// stageLabel is the default label of 1-based stage k. Labels for the
+// stage counts any practical world produces (up to 2^32 ranks) are
+// precomputed: a label is set once per stage per rank per frame, and
+// formatting it was the hottest allocation site in the composite loop.
+func stageLabel(k int) string {
+	if k >= 1 && k <= len(stageLabels) {
+		return stageLabels[k-1]
+	}
+	return fmt.Sprintf("stage%d", k)
+}
+
+var stageLabels = [32]string{
+	"stage1", "stage2", "stage3", "stage4", "stage5", "stage6", "stage7", "stage8",
+	"stage9", "stage10", "stage11", "stage12", "stage13", "stage14", "stage15", "stage16",
+	"stage17", "stage18", "stage19", "stage20", "stage21", "stage22", "stage23", "stage24",
+	"stage25", "stage26", "stage27", "stage28", "stage29", "stage30", "stage31", "stage32",
 }
 
 // BytesReceived returns the rank's total received payload bytes — the

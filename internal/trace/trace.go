@@ -57,10 +57,10 @@ const (
 // StageGather labels comm spans issued during the final gather.
 const StageGather = "gather"
 
-// StageRoute and StageMerge label the two phases of the tile-routed
-// compositors (internal/tilecomp): route is the encode-and-send fan-out
-// to the strip/tile owners, merge is the owner's depth-ordered
-// compositing of the received contributions.
+// StageRoute and StageMerge label the two rounds of internal/core's
+// owner-merge schedule: route is the encode-and-send fan-out to the
+// strip/tile owners, merge is the owner's depth-ordered compositing of
+// the received contributions.
 const (
 	StageRoute = "route"
 	StageMerge = "merge"
@@ -88,8 +88,9 @@ type Rank struct {
 	id    int
 	epoch time.Time
 
-	mu    sync.Mutex
-	spans []Span
+	mu      sync.Mutex
+	spans   []Span
+	dropped int // spans End discarded at MaxRankSpans since the last reset
 }
 
 // ID returns the rank number.
@@ -119,7 +120,11 @@ func (r *Rank) End(m Mark, name, stage string) {
 	}
 	now := time.Since(r.epoch)
 	r.mu.Lock()
-	r.spans = append(r.spans, Span{Name: name, Stage: stage, Start: time.Duration(m), Dur: now - time.Duration(m)})
+	if len(r.spans) < MaxRankSpans {
+		r.spans = append(r.spans, Span{Name: name, Stage: stage, Start: time.Duration(m), Dur: now - time.Duration(m)})
+	} else {
+		r.dropped++
+	}
 	r.mu.Unlock()
 }
 
@@ -150,10 +155,21 @@ func (r *Rank) Total(name string) time.Duration {
 	return d
 }
 
+// Dropped returns the number of spans discarded at MaxRankSpans.
+func (r *Rank) Dropped() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
 // reset truncates the buffer, keeping its storage.
 func (r *Rank) reset() {
 	r.mu.Lock()
 	r.spans = r.spans[:0]
+	r.dropped = 0
 	r.mu.Unlock()
 }
 
@@ -161,6 +177,14 @@ func (r *Rank) reset() {
 // records a handful of spans per binary-swap stage plus the phase and
 // gather spans; 256 covers P=64 runs without growing.
 const spansPerRankHint = 256
+
+// MaxRankSpans caps one rank's buffer between resets. A frame records a
+// few hundred spans per rank (P=64 stays under spansPerRankHint), so the
+// cap only bites on a recorder that is never reset; it bounds that
+// recorder's memory at ~3 MiB per rank instead of letting a runaway
+// writer grow the slice until the host OOMs. Spans past the cap are
+// counted in Dropped, never silently lost.
+const MaxRankSpans = 1 << 16
 
 // Recorder holds the span buffers of one world, one track per rank,
 // sharing a single epoch so the tracks align. A nil *Recorder is the
@@ -237,6 +261,18 @@ func (rec *Recorder) Snapshot() [][]Span {
 		out[i] = r.Spans()
 	}
 	return out
+}
+
+// Dropped sums the spans every rank discarded at MaxRankSpans.
+func (rec *Recorder) Dropped() int {
+	if rec == nil {
+		return 0
+	}
+	n := 0
+	for _, r := range rec.ranks {
+		n += r.Dropped()
+	}
+	return n
 }
 
 // MaxTotal returns the slowest rank's summed duration for one span

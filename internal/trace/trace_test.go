@@ -206,7 +206,10 @@ func TestConcurrentRecordersExport(t *testing.T) {
 			wg.Add(1)
 			go func(r *Rank) {
 				defer wg.Done()
-				for {
+				// Bounded: a writer that outruns the exporter stops at
+				// the rank's span cap instead of spinning for the whole
+				// export loop.
+				for n := 0; n < MaxRankSpans/2; n++ {
 					select {
 					case <-stop:
 						return
@@ -248,6 +251,39 @@ func TestConcurrentRecordersExport(t *testing.T) {
 				t.Fatalf("concurrent recording broke nesting: %v", err)
 			}
 		}
+	}
+}
+
+// TestRankSpanCap pins the recorder's memory bound: a rank keeps at most
+// MaxRankSpans spans between resets, counts what it discards, and a wire
+// tree built from a recorder that dropped spans says it is truncated.
+func TestRankSpanCap(t *testing.T) {
+	rec := NewRecorder(2)
+	r := rec.Rank(1)
+	const over = 10
+	for i := 0; i < MaxRankSpans+over; i++ {
+		r.End(r.Begin(), SpanEncode, "stage1")
+	}
+	if n := len(r.Spans()); n != MaxRankSpans {
+		t.Fatalf("rank holds %d spans, cap is %d", n, MaxRankSpans)
+	}
+	if r.Dropped() != over || rec.Dropped() != over {
+		t.Fatalf("dropped = %d (rank) / %d (recorder), want %d", r.Dropped(), rec.Dropped(), over)
+	}
+	if w := BuildWire(NewID(), "p", time.Millisecond, nil, rec); !w.Truncated {
+		t.Fatal("wire built from a recorder that dropped spans is not flagged truncated")
+	}
+	rec.Reset()
+	if rec.Dropped() != 0 || len(r.Spans()) != 0 {
+		t.Fatal("Reset must clear the spans and the dropped count")
+	}
+	if w := BuildWire(NewID(), "p", time.Millisecond, nil, rec); w.Truncated {
+		t.Fatal("wire from a fresh recorder is flagged truncated")
+	}
+	var nilRank *Rank
+	var nilRec *Recorder
+	if nilRank.Dropped() != 0 || nilRec.Dropped() != 0 {
+		t.Fatal("nil recorder reports dropped spans")
 	}
 }
 

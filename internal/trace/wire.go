@@ -103,9 +103,10 @@ func toWireSpans(spans []Span) []WireSpan {
 // from its own timestamps) followed by one track per recorder rank.
 // rec may be nil (tracing disabled server-side); the process track
 // alone still tells the caller where queue time went. The result is
-// capped at MaxWireSpans.
+// capped at MaxWireSpans, and Truncated is also set when the recorder
+// itself dropped spans at MaxRankSpans.
 func BuildWire(traceID ID, proc string, total time.Duration, procTrack []Span, rec *Recorder) *Wire {
-	w := &Wire{TraceID: traceID.String(), TotalUS: us(total)}
+	w := &Wire{TraceID: traceID.String(), TotalUS: us(total), Truncated: rec.Dropped() > 0}
 	p := WireProc{Name: proc}
 	if len(procTrack) > 0 {
 		p.Tracks = append(p.Tracks, WireTrack{Name: "server", Spans: toWireSpans(procTrack)})
