@@ -32,7 +32,6 @@ import (
 var (
 	listen      = flag.String("listen", "127.0.0.1:7171", "frame-protocol listen address")
 	metricsAddr = flag.String("metrics-addr", "127.0.0.1:7172", "observability sidecar address serving /healthz, /metrics, /debug/pprof/ and /debug/trace/last; empty disables")
-	httpAddr    = flag.String("http", "", "alias for -metrics-addr (kept for compatibility)")
 	noTrace     = flag.Bool("no-trace", false, "disable the per-frame span recorder (also empties /debug/trace/last, /debug/flight and the phase histograms)")
 	flightSize  = flag.Int("flight", 0, "frame flight recorder capacity: the last N slow/failed frames retained with span trees at /debug/flight (0: 64)")
 	world       = flag.String("world", "mp", "resident rank pool kind: mp (in-process) or mpnet (TCP)")
@@ -61,14 +60,6 @@ func run() error {
 	if *addrs != "" {
 		worldAddrs = strings.Split(*addrs, ",")
 	}
-	// -metrics-addr is canonical; -http remains as an alias and loses if
-	// both are set explicitly.
-	sidecar := *metricsAddr
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["http"] && !set["metrics-addr"] {
-		sidecar = *httpAddr
-	}
 	var prof *autotune.Profile
 	if *profilePath != "" {
 		var err error
@@ -78,7 +69,7 @@ func run() error {
 	}
 	srv, err := server.Start(server.Config{
 		Addr:            *listen,
-		HTTPAddr:        sidecar,
+		HTTPAddr:        *metricsAddr,
 		World:           *world,
 		WorldAddrs:      worldAddrs,
 		P:               *p,

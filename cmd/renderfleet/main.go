@@ -90,15 +90,16 @@ func perReplicaP(spec string, n int) ([]int, error) {
 	return ps, nil
 }
 
-func run() error {
+// replicaConfigs builds the replica set the flags describe: -attach
+// addresses, or -replicas in-process renderd configurations.
+func replicaConfigs() ([]fleet.ReplicaConfig, error) {
 	var prof *autotune.Profile
 	if *profilePath != "" {
 		var err error
 		if prof, err = autotune.LoadProfile(*profilePath); err != nil {
-			return err
+			return nil, err
 		}
 	}
-
 	var rcs []fleet.ReplicaConfig
 	if *attach != "" {
 		for _, a := range strings.Split(*attach, ",") {
@@ -107,28 +108,39 @@ func run() error {
 			}
 		}
 		if len(rcs) == 0 {
-			return fmt.Errorf("-attach lists no addresses")
+			return nil, fmt.Errorf("-attach lists no addresses")
 		}
-	} else {
-		if *replicas < 1 {
-			return fmt.Errorf("-replicas must be >= 1")
-		}
-		ps, err := perReplicaP(*pList, *replicas)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < *replicas; i++ {
-			rcs = append(rcs, fleet.ReplicaConfig{Server: &server.Config{
-				World:           *world,
-				P:               ps[i],
-				QueueDepth:      *queue,
-				MaxInFlight:     *inflight,
-				Workers:         *workers,
-				DefaultDeadline: *deadline,
-				FrameTimeout:    *frameTO,
-				Profile:         prof,
-			}})
-		}
+		return rcs, nil
+	}
+	if *replicas < 1 {
+		return nil, fmt.Errorf("-replicas must be >= 1")
+	}
+	ps, err := perReplicaP(*pList, *replicas)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < *replicas; i++ {
+		rcs = append(rcs, fleet.ReplicaConfig{Server: &server.Config{
+			World:           *world,
+			P:               ps[i],
+			QueueDepth:      *queue,
+			MaxInFlight:     *inflight,
+			Workers:         *workers,
+			DefaultDeadline: *deadline,
+			FrameTimeout:    *frameTO,
+			Profile:         prof,
+			// An in-process replica has no sidecar, so with gateway
+			// tracing off nothing could read what its recorder keeps.
+			DisableTracing: *noTrace,
+		}})
+	}
+	return rcs, nil
+}
+
+func run() error {
+	rcs, err := replicaConfigs()
+	if err != nil {
+		return err
 	}
 
 	cb := *cacheBytes

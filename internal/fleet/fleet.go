@@ -32,11 +32,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
 	"sortlast/internal/client"
+	"sortlast/internal/obs"
 	"sortlast/internal/server"
 	"sortlast/internal/trace"
 )
@@ -141,17 +141,10 @@ type Gateway struct {
 	// when tracing is disabled.
 	flight *trace.Flight
 
-	ln      net.Listener
-	httpLn  net.Listener
-	httpSrv *http.Server
+	lis     *server.Listener // frame protocol; serve is its handler
+	sidecar *obs.Sidecar     // nil when Config.HTTPAddr is empty
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-
-	connWG   sync.WaitGroup // accept loop + connection handlers
-	sendWG   sync.WaitGroup // in-flight replica dispatches (incl. hedge losers)
-	stopOnce sync.Once
+	sendWG sync.WaitGroup // in-flight replica dispatches (incl. hedge losers)
 }
 
 // Start builds the replica set (concurrently — replicas are
@@ -170,61 +163,34 @@ func Start(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		replicas: replicas,
 		router:   newRouter(cfg.AffinityHalfLife),
-		met:      newFleetMetrics(),
-		conns:    make(map[net.Conn]struct{}),
 	}
 	if cfg.CacheBytes > 0 {
 		g.cache = newFrameCache(cfg.CacheBytes)
 	}
 	if !cfg.TracingDisabled {
 		g.flight = trace.NewFlight(cfg.FlightSize)
-		g.met.flightLen = g.flight.Len
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	g.met = newFleetMetrics(g)
+
+	// The frame listener starts last: once it accepts, serve runs.
+	g.sidecar, err = obs.StartSidecar(cfg.HTTPAddr, g.met.reg, g.handleHealthz, g.flight)
+	if err == nil {
+		g.sidecar.HandleFunc("/cache/invalidate", g.handleInvalidate)
+		g.lis, err = server.Listen(cfg.Addr, g.serve)
+	}
 	if err != nil {
+		g.sidecar.Shutdown(context.Background())
 		g.stopReplicas(context.Background())
 		return nil, err
 	}
-	g.ln = ln
-	if cfg.HTTPAddr != "" {
-		httpLn, err := net.Listen("tcp", cfg.HTTPAddr)
-		if err != nil {
-			ln.Close()
-			g.stopReplicas(context.Background())
-			return nil, err
-		}
-		g.httpLn = httpLn
-		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", g.handleHealthz)
-		mux.HandleFunc("/metrics", g.handleMetrics)
-		mux.HandleFunc("/cache/invalidate", g.handleInvalidate)
-		mux.Handle("/debug/flight", g.flight) // nil-safe: answers 404 when disabled
-		// Explicit pprof routes, matching renderd's sidecar: the gateway
-		// uses its own mux, so the net/http/pprof init() registrations on
-		// DefaultServeMux don't apply.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		g.httpSrv = &http.Server{Handler: mux}
-		go g.httpSrv.Serve(httpLn)
-	}
-	g.connWG.Add(1)
-	go g.acceptLoop()
 	return g, nil
 }
 
 // Addr returns the gateway's frame-protocol listen address.
-func (g *Gateway) Addr() net.Addr { return g.ln.Addr() }
+func (g *Gateway) Addr() net.Addr { return g.lis.Addr() }
 
 // HTTPAddr returns the sidecar listen address, nil when disabled.
-func (g *Gateway) HTTPAddr() net.Addr {
-	if g.httpLn == nil {
-		return nil
-	}
-	return g.httpLn.Addr()
-}
+func (g *Gateway) HTTPAddr() net.Addr { return g.sidecar.Addr() }
 
 // InvalidateDataset drops every cached frame of dataset; a non-empty
 // method restricts the sweep to that method's entries. It returns the
@@ -256,16 +222,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ok (%d/%d replicas healthy)\n", healthy, len(g.replicas))
 }
 
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if server.NegotiatesOpenMetrics(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", server.ContentTypeOpenMetrics)
-		g.writeProm(w, true)
-		return
-	}
-	w.Header().Set("Content-Type", server.ContentTypeProm)
-	g.writeProm(w, false)
-}
-
 func (g *Gateway) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	dataset := r.URL.Query().Get("dataset")
 	if dataset == "" {
@@ -278,60 +234,19 @@ func (g *Gateway) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 
 // ---- serving ----
 
-func (g *Gateway) acceptLoop() {
-	defer g.connWG.Done()
-	for {
-		conn, err := g.ln.Accept()
-		if err != nil {
-			return // listener closed by Shutdown
-		}
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			conn.Close()
-			return
-		}
-		g.conns[conn] = struct{}{}
-		g.connWG.Add(1)
-		g.mu.Unlock()
-		go g.handleConn(conn)
-	}
-}
-
-func (g *Gateway) handleConn(conn net.Conn) {
-	defer g.connWG.Done()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-		conn.Close()
-	}()
-	for {
-		var req server.Request
-		if err := server.ReadJSON(conn, server.MaxRequestFrame, &req); err != nil {
-			return // EOF, deadline from Shutdown, or garbage framing
-		}
-		resp, gray := g.serve(req)
-		if err := server.WriteJSON(conn, resp); err != nil {
-			return
-		}
-		if resp.OK {
-			if err := server.WriteFrame(conn, gray); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// serve answers one request: from the frame cache when the quantized
-// camera hits, otherwise by dispatching to a replica (with hedging and
-// cross-replica retry) and caching the result.
+// serve answers one request — it is the frame listener's handler: from
+// the frame cache when the quantized camera hits, otherwise by
+// dispatching to a replica (with hedging and cross-replica retry) and
+// caching the result.
 func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 	g.met.requests.Add(1)
+	if err := req.Check(); err != nil {
+		g.met.errored.Add(1)
+		return &server.Response{Code: server.CodeBadRequest, Error: err.Error()}, nil
+	}
 	t0 := time.Now()
 	key := quantKey(req, g.cfg.QuantDeg)
 	rt := g.newReqTrace(req.Trace, t0)
-	detail := reqDetail(req)
 
 	// gen is the cache's invalidation generation as of this lookup; an
 	// invalidation between here and the post-render put makes the put a
@@ -343,42 +258,25 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		gen = g.cache.generation()
 		g.cacheMu.Unlock()
 		if ok {
-			total := time.Since(t0)
-			g.met.cacheHits.Add(1)
-			g.met.latency.observeTraced(total.Seconds(), uint64(rt.traceID()))
-			rt.finish(total)
-			g.observeFlight(rt, "ok", detail, total, false, true)
-			resp := &server.Response{
+			g.met.cache.Add(1, "hit")
+			return g.reply(rt, req, time.Since(t0), &server.Response{
 				OK: true, Width: e.width, Height: e.height,
-				Stats: server.FrameStats{Cached: true, TotalMS: float64(total) / 1e6,
-					Quality: e.quality, ErrorBound: e.errorBound,
-					TraceID: rt.traceID().String()},
-			}
-			if rt.wantsReply() {
-				resp.Trace = rt.wire()
-			}
-			return resp, e.gray
+				Stats: server.FrameStats{Cached: true, Quality: e.quality, ErrorBound: e.errorBound},
+			}), e.gray
 		}
-		g.met.cacheMiss.Add(1)
+		g.met.cache.Add(1, "miss")
 		rt.cacheLookup(time.Since(t0))
 	}
 
-	deadline := g.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), req.Deadline(g.cfg.DefaultDeadline))
 	defer cancel()
 
 	f, idx, hedged, err := g.dispatch(ctx, req, key, rt)
 	total := time.Since(t0)
-	rt.finish(total)
 	if err != nil {
-		g.met.errored.Add(1)
 		resp := errorResponse(err)
-		resp.Stats.TraceID = rt.traceID().String()
-		g.observeFlight(rt, failCode(resp.Code), detail, total, hedged, false)
-		return resp, nil
+		resp.Stats.Hedged = hedged
+		return g.reply(rt, req, total, resp), nil
 	}
 	g.router.remember(key, idx, time.Now())
 	if g.cache != nil {
@@ -397,53 +295,51 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		g.cacheMu.Unlock()
 		g.met.cacheEvict.Add(int64(evicted))
 	}
-	g.met.latency.observeTraced(total.Seconds(), uint64(rt.traceID()))
-	g.observeFlight(rt, "ok", detail, total, hedged, false)
 	resp := &server.Response{OK: true, Width: f.Width, Height: f.Height, Stats: f.Stats}
 	resp.Stats.Replica = idx + 1
 	resp.Stats.Hedged = hedged
+	return g.reply(rt, req, total, resp), f.Gray
+}
+
+// reply closes one request, whatever its outcome: the gateway-side wall
+// time and trace identity are stamped on the response, the latency
+// histogram (served frames) or the error counter moves, and the request
+// is offered to the flight recorder. The flight entry's span tree is
+// built lazily at export time, so a hedge loser reaped after this call
+// still shows up in the retained trace.
+func (g *Gateway) reply(rt *reqTrace, req server.Request, total time.Duration, resp *server.Response) *server.Response {
+	rt.finish(total)
 	resp.Stats.TotalMS = float64(total) / 1e6
 	resp.Stats.TraceID = rt.traceID().String()
-	if rt.wantsReply() {
-		resp.Trace = rt.wire()
+	outcome := "ok"
+	if resp.OK {
+		g.met.latency.Observe(total.Seconds(), uint64(rt.traceID()))
+		if rt.wantsReply() {
+			resp.Trace = rt.wire()
+		}
+	} else {
+		g.met.errored.Add(1)
+		if outcome = resp.Code; outcome == "" {
+			outcome = server.CodeInternal
+		}
 	}
-	return resp, f.Gray
-}
-
-// reqDetail is the flight-recorder label for one request.
-func reqDetail(req server.Request) string {
-	method := req.Method
-	if method == "" {
-		method = server.DefaultMethod
+	if g.flight != nil && rt != nil {
+		method := req.Method
+		if method == "" {
+			method = server.DefaultMethod
+		}
+		g.flight.Observe(trace.FlightEntry{
+			TraceID: resp.Stats.TraceID,
+			At:      time.Now(),
+			Latency: total,
+			Outcome: outcome,
+			Hedged:  resp.Stats.Hedged,
+			Cached:  resp.Stats.Cached,
+			Detail:  fmt.Sprintf("%s %dx%d %s", method, req.Width, req.Height, req.Dataset),
+			Trace:   rt.wire,
+		})
 	}
-	return fmt.Sprintf("%s %dx%d %s", method, req.Width, req.Height, req.Dataset)
-}
-
-// failCode normalizes an empty reply code for flight-entry outcomes.
-func failCode(code string) string {
-	if code == "" {
-		return server.CodeInternal
-	}
-	return code
-}
-
-// observeFlight offers one finished request to the gateway's flight
-// recorder. The span tree is built lazily at export time, so a hedge
-// loser reaped after this call still shows up in the retained trace.
-func (g *Gateway) observeFlight(rt *reqTrace, outcome, detail string, total time.Duration, hedged, cached bool) {
-	if g.flight == nil || rt == nil {
-		return
-	}
-	g.flight.Observe(trace.FlightEntry{
-		TraceID: rt.traceID().String(),
-		At:      time.Now(),
-		Latency: total,
-		Outcome: outcome,
-		Hedged:  hedged,
-		Cached:  cached,
-		Detail:  detail,
-		Trace:   rt.wire,
-	})
+	return resp
 }
 
 // errorResponse maps a dispatch error onto the wire's typed reply. A
@@ -631,32 +527,28 @@ func dispatchRetryable(err error) bool {
 // ---- teardown ----
 
 func (g *Gateway) stopReplicas(ctx context.Context) error {
-	var firstErr error
-	var mu sync.Mutex
+	errs := make([]error, len(g.replicas))
 	var wg sync.WaitGroup
-	for _, r := range g.replicas {
-		if r == nil || r.srv == nil {
+	for i, r := range g.replicas {
+		if r.srv == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(r *replica) {
+		go func(i int, r *replica) {
 			defer wg.Done()
-			if err := r.srv.Shutdown(ctx); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("fleet: replica %d shutdown: %w", r.idx, err)
-				}
-				mu.Unlock()
-			}
-		}(r)
+			errs[i] = r.srv.Shutdown(ctx)
+		}(i, r)
 	}
 	wg.Wait()
 	for _, r := range g.replicas {
-		if r != nil {
-			r.stop()
+		r.stop()
+	}
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("fleet: replica %d shutdown: %w", i, err)
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // Shutdown stops the gateway: the listener closes, connection handlers
@@ -664,34 +556,7 @@ func (g *Gateway) stopReplicas(ctx context.Context) error {
 // included) complete, then the in-process replicas drain. ctx bounds
 // the whole sequence.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.stopOnce.Do(func() {
-		g.mu.Lock()
-		g.closed = true
-		g.mu.Unlock()
-		g.ln.Close()
-	})
-
-	// Unblock idle connection readers, then wait for handlers; force-close
-	// stragglers at the deadline.
-	g.mu.Lock()
-	for conn := range g.conns {
-		conn.SetReadDeadline(time.Now())
-	}
-	g.mu.Unlock()
-	var err error
-	connDone := make(chan struct{})
-	go func() { g.connWG.Wait(); close(connDone) }()
-	select {
-	case <-connDone:
-	case <-ctx.Done():
-		err = ctx.Err()
-		g.mu.Lock()
-		for conn := range g.conns {
-			conn.Close()
-		}
-		g.mu.Unlock()
-		<-connDone
-	}
+	err := g.lis.Drain(ctx)
 
 	// Hedge losers may still be in flight; their contexts carry request
 	// deadlines, so this wait is bounded even if ctx is not.
@@ -708,10 +573,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	if serr := g.stopReplicas(ctx); serr != nil && err == nil {
 		err = serr
 	}
-	if g.httpSrv != nil {
-		if herr := g.httpSrv.Shutdown(ctx); herr != nil && err == nil {
-			err = herr
-		}
+	if herr := g.sidecar.Shutdown(ctx); herr != nil && err == nil {
+		err = herr
 	}
 	return err
 }

@@ -3,11 +3,14 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,4 +256,59 @@ func TestFleetCacheByteIdentity(t *testing.T) {
 		t.Errorf("shutdown: %v", err)
 	}
 	waitNoLeaks(t, before)
+}
+
+// TestGatewayRejectsOversizeGeometry: the gateway applies the protocol's
+// geometry bound itself. An oversize request is a typed bad_request
+// that never reaches a replica — here a bare listener standing in for
+// one, which must see no connection at all.
+func TestGatewayRejectsOversizeGeometry(t *testing.T) {
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	var dialled atomic.Int64
+	go func() {
+		for {
+			c, err := backend.Accept()
+			if err != nil {
+				return
+			}
+			dialled.Add(1)
+			c.Close()
+		}
+	}()
+	g, err := fleet.Start(fleet.Config{
+		Addr:     "127.0.0.1:0",
+		Replicas: []fleet.ReplicaConfig{{Addr: backend.Addr().String()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := client.New(g.Addr().String())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = cl.Render(ctx, server.Request{Dataset: "cube", Width: 100000, Height: 100000})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, client.ErrBadRequest) {
+		t.Errorf("oversize request through the gateway: got %v, want ErrBadRequest", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+		t.Errorf("rejecting one oversize request allocated %d MiB", grown>>20)
+	}
+	st := g.Stats()
+	if st.Requests != 1 || st.Errors != 1 {
+		t.Errorf("gateway counted requests=%d errors=%d, want 1 and 1", st.Requests, st.Errors)
+	}
+	if r := st.Replicas[0]; r.Frames+r.Errors+r.Outstanding != 0 || dialled.Load() != 0 {
+		t.Errorf("replica was contacted: %+v, %d connections", r, dialled.Load())
+	}
+	cl.Close()
+	if err := g.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
 }

@@ -1,117 +1,72 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strconv"
 	"time"
+
+	"sortlast/internal/obs"
 )
 
-// histogram is a Prometheus-style cumulative latency histogram (same
-// shape as renderd's; kept local because the bucket math is 40 lines
-// and the two services version their metrics independently).
-type histogram struct {
-	buckets []float64 // upper bounds, seconds, ascending; +Inf implicit
-
-	mu        sync.Mutex
-	counts    []int64
-	sum       float64
-	count     int64
-	exemplars []exemplar // per bucket (incl. +Inf): last traced observation
-}
-
-// exemplar links one histogram bucket to the trace of its most recent
-// traced observation (OpenMetrics exemplar). A zero id means none yet.
-type exemplar struct {
-	id  uint64
-	val float64
-}
-
-func newHistogram(buckets []float64) *histogram {
-	return &histogram{
-		buckets:   buckets,
-		counts:    make([]int64, len(buckets)+1),
-		exemplars: make([]exemplar, len(buckets)+1),
-	}
-}
-
-func (h *histogram) observe(s float64) { h.observeTraced(s, 0) }
-
-// observeTraced records s and, when traceID is nonzero, pins it as the
-// owning bucket's exemplar.
-func (h *histogram) observeTraced(s float64, traceID uint64) {
-	h.mu.Lock()
-	i := sort.SearchFloat64s(h.buckets, s)
-	h.counts[i]++
-	h.sum += s
-	h.count++
-	if traceID != 0 {
-		h.exemplars[i] = exemplar{id: traceID, val: s}
-	}
-	h.mu.Unlock()
-}
-
-// exemplarSuffix renders one bucket's exemplar annotation, empty when
-// the bucket never saw a traced observation. Appended to the bucket's
-// own sample line, and only on OpenMetrics-negotiated scrapes — the
-// classic text parser rejects any trailing annotation, so emitting it
-// there would fail the entire scrape (see server.NegotiatesOpenMetrics).
-func exemplarSuffix(e exemplar) string {
-	if e.id == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" # {trace_id=\"%016x\"} %g", e.id, e.val)
-}
-
-func (h *histogram) write(w io.Writer, name string, withExemplars bool) {
-	h.mu.Lock()
-	counts := append([]int64(nil), h.counts...)
-	exemplars := append([]exemplar(nil), h.exemplars...)
-	sum, count := h.sum, h.count
-	h.mu.Unlock()
-	suffix := func(e exemplar) string {
-		if !withExemplars {
-			return ""
-		}
-		return exemplarSuffix(e)
-	}
-	cum := int64(0)
-	for i, ub := range h.buckets {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d%s\n", name, fmt.Sprintf("%g", ub), cum, suffix(exemplars[i]))
-	}
-	cum += counts[len(h.buckets)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d%s\n", name, cum, suffix(exemplars[len(h.buckets)]))
-	fmt.Fprintf(w, "%s_sum %g\n", name, sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, count)
-}
-
-// metrics is the gateway's observability surface: cache effectiveness,
-// hedging activity, cross-replica retries, and per-replica traffic
-// gauges, exposed in Prometheus text format on the HTTP sidecar.
+// metrics is the gateway's observability surface: the handles of the
+// families it registers with obs — cache effectiveness, hedging
+// activity, cross-replica retries and the request latency — which the
+// sidecar serves on /metrics together with the per-replica and cache
+// gauges sampled at scrape time.
 type metrics struct {
-	requests   atomic.Int64 // requests accepted (any outcome)
-	errored    atomic.Int64 // requests answered with a typed error
-	cacheHits  atomic.Int64
-	cacheMiss  atomic.Int64
-	cacheEvict atomic.Int64
-	hedges     atomic.Int64 // hedged dispatches issued
-	hedgeWins  atomic.Int64 // requests won by the hedge, not the primary
-	retries    atomic.Int64 // cross-replica retries after a failed dispatch
+	reg *obs.Registry
 
-	latency *histogram
+	requests   *obs.Counter // requests accepted (any outcome)
+	errored    *obs.Counter // requests answered with a typed error
+	cache      *obs.Counter // cache lookups per outcome (hit, miss)
+	cacheEvict *obs.Counter
+	hedges     *obs.Counter // hedged dispatches issued
+	hedgeWins  *obs.Counter // requests won by the hedge, not the primary
+	retries    *obs.Counter // cross-replica retries after a failed dispatch
 
-	// flightLen reads the flight recorder's entry count; nil when
-	// tracing is disabled.
-	flightLen func() int
+	latency *obs.Histogram
 }
 
-func newFleetMetrics() *metrics {
-	return &metrics{
-		latency: newHistogram([]float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}),
+var fleetLatencyBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
+
+// newFleetMetrics registers the gateway's families in export order. g
+// must already hold its replicas, cache and flight recorder: the
+// per-replica families take one series per replica, and a nil flight
+// (tracing disabled) leaves its gauge out.
+func newFleetMetrics(g *Gateway) *metrics {
+	r := new(obs.Registry)
+	m := &metrics{reg: r}
+	m.requests = r.Counter("fleet_requests_total", "Requests accepted by the gateway.", obs.None)
+	m.errored = r.Counter("fleet_request_errors_total", "Requests answered with a typed error.", obs.None)
+	m.cache = r.Counter("fleet_cache_requests_total", "Frame cache lookups, by outcome.", obs.Label("outcome", "hit", "miss"))
+	m.cacheEvict = r.Counter("fleet_cache_evictions_total", "Cache entries evicted under the byte budget.", obs.None)
+	obs.GaugeFunc(r, "fleet_cache_bytes", "Bytes held by the frame cache.", obs.None, func(int) int64 { b, _ := g.cacheSize(); return b })
+	obs.GaugeFunc(r, "fleet_cache_entries", "Entries held by the frame cache.", obs.None, func(int) int { _, n := g.cacheSize(); return n })
+	m.hedges = r.Counter("fleet_hedges_total", "Hedged dispatches issued after a request exceeded its replica's rolling p99.", obs.None)
+	m.hedgeWins = r.Counter("fleet_hedge_wins_total", "Requests whose hedge replied before the primary dispatch.", obs.None)
+	m.retries = r.Counter("fleet_retries_total", "Cross-replica retries after a retryable dispatch failure.", obs.None)
+
+	ids := make([]string, len(g.replicas))
+	for i := range ids {
+		ids[i] = strconv.Itoa(i)
 	}
+	perReplica := obs.Label("replica", ids...)
+	obs.CounterFunc(r, "fleet_replica_frames_total", "Successful dispatches per replica.", perReplica, func(i int) int64 { return g.replicas[i].frames.Load() })
+	obs.CounterFunc(r, "fleet_replica_errors_total", "Failed dispatches per replica.", perReplica, func(i int) int64 { return g.replicas[i].errs.Load() })
+	obs.GaugeFunc(r, "fleet_replica_outstanding", "In-flight dispatches per replica.", perReplica, func(i int) int64 { return g.replicas[i].outstanding.Load() })
+	obs.GaugeFunc(r, "fleet_replica_p99_seconds", "Rolling-window p99 dispatch latency per replica (hedge threshold).", perReplica, func(i int) float64 { return g.replicas[i].p99MS() / 1e3 })
+	obs.GaugeFunc(r, "fleet_replica_degraded", "Whether the replica's world is down and rebuilding (in-process replicas).", perReplica, func(i int) int {
+		if g.replicas[i].degraded() {
+			return 1
+		}
+		return 0
+	})
+	obs.CounterFunc(r, "fleet_replica_world_restarts_total", "World restarts per in-process replica.", perReplica, func(i int) int64 { return g.replicas[i].restarts() })
+
+	m.latency = r.Histogram("fleet_request_latency_seconds", "Gateway-side request latency (cache hits included).", fleetLatencyBuckets, obs.None)
+	if g.flight != nil {
+		obs.GaugeFunc(r, "fleet_flight_entries", "Requests retained by the flight recorder at /debug/flight.", obs.None, func(int) int { return g.flight.Len() })
+	}
+	return m
 }
 
 // ReplicaStats is one replica's slice of a Stats snapshot.
@@ -160,29 +115,23 @@ func (g *Gateway) Stats() Stats {
 	s := Stats{
 		Requests:       g.met.requests.Load(),
 		Errors:         g.met.errored.Load(),
-		CacheHits:      g.met.cacheHits.Load(),
-		CacheMisses:    g.met.cacheMiss.Load(),
+		CacheHits:      g.met.cache.Load("hit"),
+		CacheMisses:    g.met.cache.Load("miss"),
 		CacheEvictions: g.met.cacheEvict.Load(),
 		HedgesIssued:   g.met.hedges.Load(),
 		HedgeWins:      g.met.hedgeWins.Load(),
 		Retries:        g.met.retries.Load(),
 	}
-	if g.cache != nil {
-		g.cacheMu.Lock()
-		s.CacheBytes = g.cache.sizeBytes()
-		s.CacheEntries = g.cache.entries()
-		g.cacheMu.Unlock()
-	}
+	s.CacheBytes, s.CacheEntries = g.cacheSize()
 	now := time.Now()
 	for _, r := range g.replicas {
-		p99, _ := r.win.p99()
 		s.Replicas = append(s.Replicas, ReplicaStats{
 			Addr:          r.addr,
 			Frames:        r.frames.Load(),
 			Errors:        r.errs.Load(),
 			HedgeWins:     r.hedgesWon.Load(),
 			Outstanding:   r.outstanding.Load(),
-			P99MS:         float64(p99) / 1e6,
+			P99MS:         r.p99MS(),
 			WorldRestarts: r.restarts(),
 			Degraded:      r.degraded(),
 			Suspect:       r.isSuspect(now),
@@ -191,88 +140,12 @@ func (g *Gateway) Stats() Stats {
 	return s
 }
 
-// writeProm renders the gateway metrics in the classic Prometheus text
-// format (exemplars off) or, for a scrape that negotiated OpenMetrics,
-// with per-bucket trace-ID exemplars and the mandatory # EOF trailer.
-func (g *Gateway) writeProm(w io.Writer, openMetrics bool) {
-	s := g.Stats()
-	fmt.Fprintf(w, "# HELP fleet_requests_total Requests accepted by the gateway.\n")
-	fmt.Fprintf(w, "# TYPE fleet_requests_total counter\n")
-	fmt.Fprintf(w, "fleet_requests_total %d\n", s.Requests)
-	fmt.Fprintf(w, "# HELP fleet_request_errors_total Requests answered with a typed error.\n")
-	fmt.Fprintf(w, "# TYPE fleet_request_errors_total counter\n")
-	fmt.Fprintf(w, "fleet_request_errors_total %d\n", s.Errors)
-	fmt.Fprintf(w, "# HELP fleet_cache_requests_total Frame cache lookups, by outcome.\n")
-	fmt.Fprintf(w, "# TYPE fleet_cache_requests_total counter\n")
-	fmt.Fprintf(w, "fleet_cache_requests_total{outcome=\"hit\"} %d\n", s.CacheHits)
-	fmt.Fprintf(w, "fleet_cache_requests_total{outcome=\"miss\"} %d\n", s.CacheMisses)
-	fmt.Fprintf(w, "# HELP fleet_cache_evictions_total Cache entries evicted under the byte budget.\n")
-	fmt.Fprintf(w, "# TYPE fleet_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "fleet_cache_evictions_total %d\n", s.CacheEvictions)
-	fmt.Fprintf(w, "# HELP fleet_cache_bytes Bytes held by the frame cache.\n")
-	fmt.Fprintf(w, "# TYPE fleet_cache_bytes gauge\n")
-	fmt.Fprintf(w, "fleet_cache_bytes %d\n", s.CacheBytes)
-	fmt.Fprintf(w, "# HELP fleet_cache_entries Entries held by the frame cache.\n")
-	fmt.Fprintf(w, "# TYPE fleet_cache_entries gauge\n")
-	fmt.Fprintf(w, "fleet_cache_entries %d\n", s.CacheEntries)
-	fmt.Fprintf(w, "# HELP fleet_hedges_total Hedged dispatches issued after a request exceeded its replica's rolling p99.\n")
-	fmt.Fprintf(w, "# TYPE fleet_hedges_total counter\n")
-	fmt.Fprintf(w, "fleet_hedges_total %d\n", s.HedgesIssued)
-	fmt.Fprintf(w, "# HELP fleet_hedge_wins_total Requests whose hedge replied before the primary dispatch.\n")
-	fmt.Fprintf(w, "# TYPE fleet_hedge_wins_total counter\n")
-	fmt.Fprintf(w, "fleet_hedge_wins_total %d\n", s.HedgeWins)
-	fmt.Fprintf(w, "# HELP fleet_retries_total Cross-replica retries after a retryable dispatch failure.\n")
-	fmt.Fprintf(w, "# TYPE fleet_retries_total counter\n")
-	fmt.Fprintf(w, "fleet_retries_total %d\n", s.Retries)
-
-	fmt.Fprintf(w, "# HELP fleet_replica_frames_total Successful dispatches per replica.\n")
-	fmt.Fprintf(w, "# TYPE fleet_replica_frames_total counter\n")
-	for i, r := range s.Replicas {
-		fmt.Fprintf(w, "fleet_replica_frames_total{replica=\"%d\"} %d\n", i, r.Frames)
+// cacheSize reads the frame cache's footprint, zeros when disabled.
+func (g *Gateway) cacheSize() (bytes int64, entries int) {
+	if g.cache == nil {
+		return 0, 0
 	}
-	fmt.Fprintf(w, "# HELP fleet_replica_errors_total Failed dispatches per replica.\n")
-	fmt.Fprintf(w, "# TYPE fleet_replica_errors_total counter\n")
-	for i, r := range s.Replicas {
-		fmt.Fprintf(w, "fleet_replica_errors_total{replica=\"%d\"} %d\n", i, r.Errors)
-	}
-	fmt.Fprintf(w, "# HELP fleet_replica_outstanding In-flight dispatches per replica.\n")
-	fmt.Fprintf(w, "# TYPE fleet_replica_outstanding gauge\n")
-	for i, r := range s.Replicas {
-		fmt.Fprintf(w, "fleet_replica_outstanding{replica=\"%d\"} %d\n", i, r.Outstanding)
-	}
-	fmt.Fprintf(w, "# HELP fleet_replica_p99_seconds Rolling-window p99 dispatch latency per replica (hedge threshold).\n")
-	fmt.Fprintf(w, "# TYPE fleet_replica_p99_seconds gauge\n")
-	for i, r := range s.Replicas {
-		fmt.Fprintf(w, "fleet_replica_p99_seconds{replica=\"%d\"} %g\n", i, r.P99MS/1e3)
-	}
-	fmt.Fprintf(w, "# HELP fleet_replica_degraded Whether the replica's world is down and rebuilding (in-process replicas).\n")
-	fmt.Fprintf(w, "# TYPE fleet_replica_degraded gauge\n")
-	for i, r := range s.Replicas {
-		fmt.Fprintf(w, "fleet_replica_degraded{replica=\"%d\"} %d\n", i, b2i(r.Degraded))
-	}
-	fmt.Fprintf(w, "# HELP fleet_replica_world_restarts_total World restarts per in-process replica.\n")
-	fmt.Fprintf(w, "# TYPE fleet_replica_world_restarts_total counter\n")
-	for i, r := range s.Replicas {
-		fmt.Fprintf(w, "fleet_replica_world_restarts_total{replica=\"%d\"} %d\n", i, r.WorldRestarts)
-	}
-
-	fmt.Fprintf(w, "# HELP fleet_request_latency_seconds Gateway-side request latency (cache hits included).\n")
-	fmt.Fprintf(w, "# TYPE fleet_request_latency_seconds histogram\n")
-	g.met.latency.write(w, "fleet_request_latency_seconds", openMetrics)
-
-	if g.met.flightLen != nil {
-		fmt.Fprintf(w, "# HELP fleet_flight_entries Requests retained by the flight recorder at /debug/flight.\n")
-		fmt.Fprintf(w, "# TYPE fleet_flight_entries gauge\n")
-		fmt.Fprintf(w, "fleet_flight_entries %d\n", g.met.flightLen())
-	}
-	if openMetrics {
-		fmt.Fprintf(w, "# EOF\n")
-	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	return g.cache.sizeBytes(), g.cache.entries()
 }

@@ -93,6 +93,12 @@ func (r *replica) isSuspect(now time.Time) bool {
 	return now.UnixNano() < r.suspectUntil.Load()
 }
 
+// p99MS is the rolling-window p99 dispatch latency in milliseconds.
+func (r *replica) p99MS() float64 {
+	p99, _ := r.win.p99()
+	return float64(p99) / 1e6
+}
+
 // degraded reports the replica's world is down and being rebuilt; only
 // observable for in-process replicas (remote ones surface it through
 // dispatch failures instead).

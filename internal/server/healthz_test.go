@@ -11,11 +11,11 @@ import (
 // of milliseconds, so the e2e chaos tests cannot reliably observe it
 // over HTTP; pin the handler's two states directly instead.
 func TestHealthzReportsDegradedWorld(t *testing.T) {
-	s := &Server{}
+	s := &Server{met: bareMetrics(0)}
 	err := errors.New("rank 1: connection reset")
 	s.degraded.Store(true)
 	s.lastWorldErr.Store(&err)
-	s.restarts.Store(3)
+	s.met.worldRestarts.Add(3)
 
 	rec := httptest.NewRecorder()
 	s.handleHealthz(rec, nil)

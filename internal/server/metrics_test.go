@@ -15,8 +15,24 @@ import (
 func scrape(t *testing.T, m *metrics) string {
 	t.Helper()
 	var sb strings.Builder
-	m.WriteProm(&sb)
+	m.reg.Write(&sb, false)
 	return sb.String()
+}
+
+// bareMetrics is a metrics set with no flight recorder and no render
+// stats attached.
+func bareMetrics(queueDepth int) *metrics {
+	return newMetrics(func() int { return queueDepth }, func() int { return 0 }, nil, nil)
+}
+
+// frameDone records one served frame the way submit does.
+func (m *metrics) frameDone(method string, latency time.Duration, traceID uint64) {
+	m.frames.Add(1, method)
+	m.latency.Observe(latency.Seconds(), traceID)
+}
+
+func (m *metrics) phaseDone(phase string, d time.Duration, traceID uint64) {
+	m.phases.Observe(d.Seconds(), traceID, phase)
 }
 
 // metricName extracts the family name of a sample line, stripping the
@@ -37,10 +53,10 @@ func metricName(line string) string {
 // TYPE lines (in that order, before any sample), and every sample value
 // parses as a float.
 func TestWritePromExpositionValid(t *testing.T) {
-	m := newMetrics(func() int { return 3 })
+	m := bareMetrics(3)
 	m.frameDone("bsbrc", 42*time.Millisecond, 0)
 	m.frameDone("bs", 3*time.Second, 0)
-	m.requestFailed(CodeOverloaded)
+	m.errors.Add(1, CodeOverloaded)
 	m.phaseDone("render", 10*time.Millisecond, 0)
 	m.phaseDone("composite", 2*time.Millisecond, 0)
 	m.phaseDone("gather", 500*time.Microsecond, 0)
@@ -102,8 +118,7 @@ func TestWritePromExpositionValid(t *testing.T) {
 // sampler is attached (with HELP/TYPE, passing the structural test
 // above) and are absent otherwise.
 func TestWritePromRenderStats(t *testing.T) {
-	m := newMetrics(func() int { return 0 })
-	if out := scrape(t, m); strings.Contains(out, "renderd_render_") {
+	if out := scrape(t, bareMetrics(0)); strings.Contains(out, "renderd_render_") {
 		t.Error("render counters exposed without a sampler attached")
 	}
 	var rs render.Stats
@@ -112,8 +127,7 @@ func TestWritePromRenderStats(t *testing.T) {
 	rs.SamplesSkipped.Store(600)
 	rs.CellsVisited.Store(50)
 	rs.CellsSkipped.Store(30)
-	m.renderStats = rs.Snapshot
-	out := scrape(t, m)
+	out := scrape(t, newMetrics(func() int { return 0 }, func() int { return 0 }, nil, rs.Snapshot))
 	for _, want := range []string{
 		"renderd_render_rays_total 10",
 		`renderd_render_samples_total{outcome="evaluated"} 400`,
@@ -162,7 +176,7 @@ func histSeries(t *testing.T, out, name, labels string) (buckets []float64, coun
 // values are cumulative (non-decreasing in le order), the +Inf bucket
 // equals _count, and per-phase series are independent.
 func TestWritePromHistogramMonotone(t *testing.T) {
-	m := newMetrics(func() int { return 0 })
+	m := bareMetrics(0)
 	for _, lat := range []time.Duration{time.Millisecond, 40 * time.Millisecond, 3 * time.Second, time.Minute} {
 		m.frameDone("bsbrc", lat, 0)
 	}
@@ -210,7 +224,7 @@ func TestPhaseBucketCoverage(t *testing.T) {
 	}
 
 	// A typical fast-kernel spread must scatter across distinct buckets.
-	m := newMetrics(func() int { return 0 })
+	m := bareMetrics(0)
 	spread := []time.Duration{
 		800 * time.Microsecond, 1500 * time.Microsecond, 3 * time.Millisecond,
 		5 * time.Millisecond, 7 * time.Millisecond, 9 * time.Millisecond,
@@ -219,15 +233,15 @@ func TestPhaseBucketCoverage(t *testing.T) {
 	for _, d := range spread {
 		m.phaseDone("render", d, 0)
 	}
-	h := m.phases["render"]
-	h.mu.Lock()
-	occupied := 0
-	for _, c := range h.counts {
-		if c > 0 {
+	// The exposition is cumulative: a bucket is occupied where it steps.
+	buckets, _ := histSeries(t, scrape(t, m), "renderd_phase_latency_seconds", fmt.Sprintf("phase=%q,", "render"))
+	occupied, prev := 0, 0.0
+	for _, cum := range buckets {
+		if cum > prev {
 			occupied++
 		}
+		prev = cum
 	}
-	h.mu.Unlock()
 	if occupied < 6 {
 		t.Fatalf("8-point sub-25ms spread occupies %d buckets, want >= 6 (buckets %v)", occupied, phaseBuckets)
 	}
@@ -239,7 +253,7 @@ func TestPhaseBucketCoverage(t *testing.T) {
 // sample value but an optional timestamp, so a stock Prometheus scrape
 // must stay exemplar-free even when every request is traced.
 func TestExemplars(t *testing.T) {
-	m := newMetrics(func() int { return 0 })
+	m := bareMetrics(0)
 	m.frameDone("bsbrc", 42*time.Millisecond, 0xabcd)
 
 	// Classic scrape: no exemplars, ever.
@@ -249,7 +263,7 @@ func TestExemplars(t *testing.T) {
 
 	// OpenMetrics scrape: the owning bucket carries it, plus # EOF.
 	var sb strings.Builder
-	m.WriteOpenMetrics(&sb)
+	m.reg.Write(&sb, true)
 	out := sb.String()
 	want := `le="0.05"} 1 # {trace_id="000000000000abcd"} 0.042`
 	if !strings.Contains(out, want) {
@@ -262,28 +276,5 @@ func TestExemplars(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "# EOF\n") {
 		t.Fatal("OpenMetrics exposition missing # EOF trailer")
-	}
-}
-
-// TestNegotiatesOpenMetrics pins the Accept-header negotiation that
-// decides which exposition (and whether exemplars) a scrape gets.
-func TestNegotiatesOpenMetrics(t *testing.T) {
-	for _, tc := range []struct {
-		accept string
-		want   bool
-	}{
-		{"", false},
-		{"text/plain;version=0.0.4", false},
-		{"*/*", false},
-		{"application/openmetrics-text", true},
-		{"application/openmetrics-text;version=1.0.0", true},
-		// Prometheus's real header: OpenMetrics preferred, classic fallback.
-		{"application/openmetrics-text;version=1.0.0,text/plain;version=0.0.4;q=0.5,*/*;q=0.1", true},
-		{"text/plain;version=0.0.4, application/openmetrics-text; version=1.0.0; q=0.8", true},
-		{"application/openmetrics-text;q=0", false},
-	} {
-		if got := NegotiatesOpenMetrics(tc.accept); got != tc.want {
-			t.Errorf("NegotiatesOpenMetrics(%q) = %v, want %v", tc.accept, got, tc.want)
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 
 	"sortlast/internal/harness"
 	"sortlast/internal/trace"
@@ -97,6 +98,29 @@ type Request struct {
 	// the reply carries the server's span tree in Response.Trace so the
 	// caller can assemble one merged cross-process trace.
 	Trace *trace.Context `json:"trace,omitempty"`
+}
+
+// Check bounds what a request can make any tier allocate, before a plan
+// is built or a replica is dialled: a frame of more than MaxReplyFrame
+// pixels could not be delivered anyway — its gray payload would exceed
+// the reply frame limit every client enforces. renderd and the gateway
+// answer a failed Check with CodeBadRequest. (Non-positive dimensions
+// are the execution layer's to reject, see harness.Config.Check.)
+func (r Request) Check() error {
+	w, h := int64(r.Width), int64(r.Height)
+	// Each side is bounded first so the product cannot overflow.
+	if w > MaxReplyFrame || h > MaxReplyFrame || (w > 0 && h > 0 && w*h > MaxReplyFrame) {
+		return fmt.Errorf("server: %dx%d frame exceeds the %d-pixel reply limit", r.Width, r.Height, MaxReplyFrame)
+	}
+	return nil
+}
+
+// Deadline is the request's time budget: DeadlineMS, or def when unset.
+func (r Request) Deadline(def time.Duration) time.Duration {
+	if r.DeadlineMS > 0 {
+		return time.Duration(r.DeadlineMS) * time.Millisecond
+	}
+	return def
 }
 
 // Typed error codes carried in Response.Code. The client library maps

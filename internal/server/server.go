@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +38,7 @@ import (
 	"sortlast/internal/frame"
 	"sortlast/internal/harness"
 	"sortlast/internal/mp"
+	"sortlast/internal/obs"
 	"sortlast/internal/render"
 	"sortlast/internal/trace"
 )
@@ -215,23 +215,21 @@ type Server struct {
 	// degraded is set while the rank world is down and being rebuilt;
 	// /healthz reports 503 until a fresh world is serving again.
 	degraded     atomic.Bool
-	restarts     atomic.Int64
 	lastWorldErr atomic.Pointer[error]
 
 	// renderStats accumulates the ray caster's work counters across all
 	// frames and ranks this server has rendered; /metrics exposes them.
 	renderStats render.Stats
 
-	ln      net.Listener
-	httpLn  net.Listener
-	httpSrv *http.Server
+	lis     *Listener    // frame protocol; submit is its handler
+	sidecar *obs.Sidecar // nil when Config.HTTPAddr is empty
 
+	// closed ends admission: set under mu by Shutdown, checked under mu
+	// by enqueue.
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
 	closed bool
 
-	supDone chan struct{}  // supervisor exited
-	connWG  sync.WaitGroup // connection handlers + accept loop
+	supDone chan struct{} // supervisor exited
 
 	// lastTrace is the most recently completed frame's span recorder,
 	// served by /debug/trace/last.
@@ -247,7 +245,7 @@ type Server struct {
 
 // WorldRestarts reports how many times the resident rank world has been
 // torn down and rebuilt after a failure.
-func (s *Server) WorldRestarts() int64 { return s.restarts.Load() }
+func (s *Server) WorldRestarts() int64 { return s.met.worldRestarts.Load() }
 
 // Degraded reports whether the rank world is currently down and being
 // rebuilt (requests queue until it returns).
@@ -272,8 +270,8 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	return Stats{
 		QueueLen:      len(s.queue),
-		Inflight:      s.met.inflight.Load(),
-		WorldRestarts: s.restarts.Load(),
+		Inflight:      int64(len(s.tokens)),
+		WorldRestarts: s.met.worldRestarts.Load(),
 		Degraded:      s.degraded.Load(),
 	}
 }
@@ -303,15 +301,12 @@ func Start(cfg Config) (*Server, error) {
 		queue:   make(chan *job, cfg.QueueDepth),
 		tokens:  make(chan struct{}, cfg.MaxInFlight),
 		stop:    make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
 		supDone: make(chan struct{}),
 	}
-	s.met = newMetrics(func() int { return len(s.queue) })
-	s.met.renderStats = s.renderStats.Snapshot
 	if !cfg.DisableTracing {
 		s.flight = trace.NewFlight(cfg.FlightSize)
-		s.met.flightLen = s.flight.Len
 	}
+	s.met = newMetrics(func() int { return len(s.queue) }, func() int { return len(s.tokens) }, s.flight, s.renderStats.Snapshot)
 
 	// The first world builds synchronously so configuration errors
 	// (unknown world kind, bad address list) fail Start; later failures
@@ -323,65 +318,29 @@ func Start(cfg Config) (*Server, error) {
 	s.setCur(run)
 	go s.supervise(run)
 
-	ln, err := net.Listen("tcp", cfg.Addr)
+	// The frame listener starts last: once it accepts, submit runs.
+	s.sidecar, err = obs.StartSidecar(cfg.HTTPAddr, s.met.reg, s.handleHealthz, s.flight)
+	if err == nil {
+		s.sidecar.HandleFunc("/debug/trace/last", s.handleTraceLast)
+		s.sidecar.HandleFunc("/debug/autotune", s.handleAutotune)
+		s.lis, err = Listen(cfg.Addr, s.submit)
+	}
 	if err != nil {
-		s.teardownEarly()
+		// Nothing was served yet: only the sidecar and the world to unwind.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.sidecar.Shutdown(ctx)
+		s.stopWorld(ctx)
 		return nil, err
 	}
-	s.ln = ln
-	if cfg.HTTPAddr != "" {
-		httpLn, err := net.Listen("tcp", cfg.HTTPAddr)
-		if err != nil {
-			ln.Close()
-			s.teardownEarly()
-			return nil, err
-		}
-		s.httpLn = httpLn
-		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", s.handleHealthz)
-		mux.HandleFunc("/metrics", s.handleMetrics)
-		mux.HandleFunc("/debug/trace/last", s.handleTraceLast)
-		mux.Handle("/debug/flight", s.flight) // nil-safe: answers 404 when disabled
-		mux.HandleFunc("/debug/autotune", s.handleAutotune)
-		// Explicit pprof routes: the sidecar uses its own mux, so the
-		// net/http/pprof init() registrations on DefaultServeMux don't
-		// apply.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		s.httpSrv = &http.Server{Handler: mux}
-		go s.httpSrv.Serve(httpLn)
-	}
-	s.connWG.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// teardownEarly unwinds a half-started server (listen failed).
-func (s *Server) teardownEarly() {
-	close(s.stop)
-	<-s.supDone
-	if run := s.takeCur(); run != nil {
-		run.res.forceStop()
-		run.pipeWG.Wait()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		run.res.shutdown(ctx)
-	}
-}
-
 // Addr returns the frame-protocol listen address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+func (s *Server) Addr() net.Addr { return s.lis.Addr() }
 
 // HTTPAddr returns the sidecar listen address, nil when disabled.
-func (s *Server) HTTPAddr() net.Addr {
-	if s.httpLn == nil {
-		return nil
-	}
-	return s.httpLn.Addr()
-}
+func (s *Server) HTTPAddr() net.Addr { return s.sidecar.Addr() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.degraded.Load() {
@@ -389,22 +348,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		if p := s.lastWorldErr.Load(); p != nil {
 			msg = fmt.Sprintf("%s: %v", msg, *p)
 		}
-		http.Error(w, fmt.Sprintf("%s (restarts: %d)", msg, s.restarts.Load()),
+		http.Error(w, fmt.Sprintf("%s (restarts: %d)", msg, s.met.worldRestarts.Load()),
 			http.StatusServiceUnavailable)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if NegotiatesOpenMetrics(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", ContentTypeOpenMetrics)
-		s.met.WriteOpenMetrics(w)
-		return
-	}
-	w.Header().Set("Content-Type", ContentTypeProm)
-	s.met.WriteProm(w)
 }
 
 // handleAutotune serves the autotune selector's introspection snapshot:
@@ -437,7 +386,6 @@ func (s *Server) failQueued() {
 	for {
 		select {
 		case j := <-s.queue:
-			s.met.requestFailed(CodeShutdown)
 			j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
 		default:
 			return
@@ -490,19 +438,16 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 			run.fail(s, fmt.Errorf("rank %d: %w", me, err))
 			if me == 0 && run.untrack(j) {
 				<-s.tokens
-				s.met.inflight.Add(-1)
-				s.met.requestFailed(CodeWorldFailed)
 				j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", err)})
 			}
 			return
 		}
 		if me == 0 && run.untrack(j) {
 			<-s.tokens
-			s.met.inflight.Add(-1)
 			if j.rec != nil {
-				s.met.phaseDone("render", j.rec.MaxTotal(trace.SpanRender), uint64(j.id))
-				s.met.phaseDone("composite", j.rec.MaxTotal(trace.SpanCompositing), uint64(j.id))
-				s.met.phaseDone("gather", j.rec.MaxTotal(trace.SpanGather), uint64(j.id))
+				s.met.phases.Observe(j.rec.MaxTotal(trace.SpanRender).Seconds(), uint64(j.id), "render")
+				s.met.phases.Observe(j.rec.MaxTotal(trace.SpanCompositing).Seconds(), uint64(j.id), "composite")
+				s.met.phases.Observe(j.rec.MaxTotal(trace.SpanGather).Seconds(), uint64(j.id), "gather")
 				s.met.spansDropped.Add(int64(j.rec.Dropped()))
 				s.lastTrace.Store(j.rec)
 			}
@@ -526,22 +471,24 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 	}
 }
 
-// ---- admission and connections ----
+// ---- admission ----
 
-// submit validates, admits and waits for one request; it always returns
-// a response (the typed-error path never hangs the caller). A degraded
-// server (rank world down, rebuilding) still admits: the job waits in
-// the queue until the supervisor brings a fresh world up, bounded by the
-// queue depth and the request deadline.
-func (s *Server) submit(req Request) (*Response, *frame.Image) {
+// submit validates, admits and waits for one request; it is the frame
+// listener's handler and always returns a response (the typed-error
+// path never hangs the caller). A degraded server (rank world down,
+// rebuilding) still admits: the job waits in the queue until the
+// supervisor brings a fresh world up, bounded by the queue depth and
+// the request deadline.
+func (s *Server) submit(req Request) (*Response, []byte) {
+	if err := req.Check(); err != nil {
+		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
+	}
 	if err := ValidateMethod(req.Method); err != nil {
-		s.met.requestFailed(CodeBadRequest)
-		return &Response{Code: CodeBadRequest, Error: err.Error()}, nil
+		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
 	}
 	requested, err := NormalizeQuality(req.Quality)
 	if err != nil {
-		s.met.requestFailed(CodeBadRequest)
-		return &Response{Code: CodeBadRequest, Error: err.Error()}, nil
+		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
 	}
 	if s.cfg.DegradeDisabled {
 		// req is a copy, so clearing the flag here blinds every
@@ -549,63 +496,22 @@ func (s *Server) submit(req Request) (*Response, *frame.Image) {
 		// admission ladder below) in one place.
 		req.DegradeOK = false
 	}
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	deadlineAt := time.Now().Add(deadline)
-
-	j, resp := s.buildJob(req, requested, requested, deadlineAt)
+	j, resp := s.admit(req, requested, time.Now().Add(req.Deadline(s.cfg.DefaultDeadline)))
 	if resp != nil {
 		return resp, nil
 	}
 
-	// The closed check and the enqueue are one critical section: Shutdown
-	// sets closed under the same lock before the scheduler drains the
-	// queue, so a job admitted here is guaranteed to be seen (and thus
-	// answered) by the scheduler — no request can fall between admission
-	// and drain and hang its handler.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.met.requestFailed(CodeShutdown)
-		s.observeFlight(j, CodeShutdown, jobDetail(j, req))
-		return &Response{Code: CodeShutdown, Error: "server shutting down"}, nil
-	}
-	select {
-	case s.queue <- j:
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		if !req.DegradeOK {
-			// Admission control: reject now rather than queue unboundedly.
-			s.met.requestFailed(CodeOverloaded)
-			s.observeFlight(j, CodeOverloaded, jobDetail(j, req))
-			return &Response{Code: CodeOverloaded,
-				Error: fmt.Sprintf("admission queue full (%d deep)", cap(s.queue))}, nil
-		}
-		// The request opted into degraded delivery: walk the quality
-		// ladder down instead of bouncing.
-		if j, resp = s.admitDegraded(req, requested, deadlineAt); resp != nil {
-			return resp, nil
-		}
-	}
-
 	rep := <-j.done
-	total := time.Since(j.admitted)
-	detail := jobDetail(j, req)
 	if rep.code != "" {
-		s.observeFlight(j, rep.code, detail)
-		return &Response{
-			Code: rep.code, Error: rep.err.Error(),
-			Stats: FrameStats{TraceID: j.id.String(), TotalMS: float64(total) / 1e6},
-		}, nil
+		return s.reject(j, req, rep.code, rep.err.Error()), nil
 	}
+	total := time.Since(j.admitted)
 	delivered, bound := j.delivered()
 	degraded := harness.QualityRank(delivered) < harness.QualityRank(j.requested)
-	s.met.frameDone(j.method, total, uint64(j.id))
-	s.met.qualityDelivered(delivered)
-	s.observeFlight(j, "ok", detail)
+	s.met.frames.Add(1, j.method)
+	s.met.latency.Observe(total.Seconds(), uint64(j.id))
+	s.met.quality.Add(1, delivered)
+	s.observeFlight(j, req, "ok")
 	resp = &Response{
 		OK: true,
 		// The plan's geometry, not the request's: a preview delivery
@@ -626,7 +532,46 @@ func (s *Server) submit(req Request) (*Response, *frame.Image) {
 	if j.sampled {
 		resp.Trace = s.frameWire(j, total)
 	}
-	return resp, rep.img
+	return resp, rep.img.AppendGray(nil)
+}
+
+// reject answers a request with a typed error, wherever it failed: at
+// validation (no job yet), at admission, or — reported through the
+// job's reply by whoever gave up on it — in the queue or the rank pool.
+// This is the one place a failed request is counted. Once a job exists
+// (the request got as far as a plan and a trace identity) the failure
+// is also offered to the flight recorder, and the reply carries the
+// trace ID and the time spent.
+func (s *Server) reject(j *job, req Request, code, msg string) *Response {
+	s.met.errors.Add(1, code)
+	resp := &Response{Code: code, Error: msg}
+	if j != nil {
+		s.observeFlight(j, req, code)
+		resp.Stats = FrameStats{TraceID: j.id.String(), TotalMS: float64(time.Since(j.admitted)) / 1e6}
+	}
+	return resp
+}
+
+// enqueue offers j to the admission queue without blocking and returns
+// "" when it was admitted, else the typed code and message to reject
+// with. The closed check and the enqueue are one critical section:
+// Shutdown sets closed under the same lock before the scheduler drains
+// the queue, so a job admitted here is guaranteed to be seen (and thus
+// answered) by the scheduler — no request can fall between admission
+// and drain and hang its handler.
+func (s *Server) enqueue(j *job) (code, msg string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return CodeShutdown, "server shutting down"
+	}
+	select {
+	case s.queue <- j:
+		return "", ""
+	default:
+		// Admission control: reject now rather than queue unboundedly.
+		return CodeOverloaded, fmt.Sprintf("admission queue full (%d deep)", cap(s.queue))
+	}
 }
 
 // buildJob resolves one request at one quality contract into a
@@ -662,19 +607,18 @@ func (s *Server) buildJob(req Request, quality, requested string, deadlineAt tim
 		demote = new(atomic.Bool)
 		cfg.RenderOpts.Demote = demote
 	}
-	if err := cfg.Check(); err != nil {
-		s.met.requestFailed(CodeBadRequest)
-		return nil, &Response{Code: CodeBadRequest, Error: err.Error()}
+	err := cfg.Check()
+	var plan *harness.Plan
+	if err == nil {
+		plan, err = harness.NewPlan(cfg)
 	}
-	plan, err := harness.NewPlan(cfg)
 	if err != nil {
-		s.met.requestFailed(CodeBadRequest)
-		return nil, &Response{Code: CodeBadRequest, Error: err.Error()}
+		return nil, s.reject(nil, req, CodeBadRequest, err.Error())
 	}
 	if plan.Choice != nil {
 		// Method "auto": cfg still says "auto" but the plan resolved it;
 		// count what the selector picked.
-		s.met.methodSelected(plan.Cfg.Method)
+		s.met.selected.Add(1, plan.Cfg.Method)
 	}
 	// Trace identity: adopt the caller's context, or mint a local ID so
 	// flight entries and exemplars stay correlatable even for untraced
@@ -704,71 +648,46 @@ func (s *Server) buildJob(req Request, quality, requested string, deadlineAt tim
 	return j, nil
 }
 
-func jobDetail(j *job, req Request) string {
-	d := fmt.Sprintf("%s %dx%d %s", j.method, j.plan.Cfg.Width, j.plan.Cfg.Height, req.Dataset)
-	if j.quality != QualityFull {
-		d += " " + j.quality
-	}
-	return d
-}
-
 // degradePoll paces the degraded-admission retry loop: long enough for
 // the dispatcher to drain a queue slot between attempts, negligible next
 // to any real frame time.
 const degradePoll = 2 * time.Millisecond
 
-// admitDegraded admits a DegradeOK request that found the queue full.
-// Each attempt steps the contract one rung down the full→approx→preview
-// ladder (rebuilding the job cheaper) and retries the non-blocking
-// enqueue; at the preview floor it keeps polling. The only exits are a
-// queue slot (success — the caller waits on the returned job), the
-// request deadline, shutdown, or a build error; never CodeOverloaded.
-// Every enqueue stays inside the closed-check critical section,
-// preserving the shutdown-drain invariant of the fast path.
-func (s *Server) admitDegraded(req Request, requested string, deadlineAt time.Time) (*job, *Response) {
+// admit builds the request's job and offers it to the admission queue.
+// A full queue bounces the request with CodeOverloaded — unless it
+// opted into degraded delivery (DegradeOK): then each further attempt
+// steps the contract one rung down the full→approx→preview ladder
+// (rebuilding the job cheaper), polling at the preview floor, and the
+// only exits are a queue slot, the request deadline, shutdown, or a
+// build error. On success the caller waits on the returned job.
+func (s *Server) admit(req Request, requested string, deadlineAt time.Time) (*job, *Response) {
 	quality := requested
-	var j *job
-	for {
+	j, resp := s.buildJob(req, quality, requested, deadlineAt)
+	for polled := false; resp == nil; polled = true {
+		code, msg := s.enqueue(j)
+		switch {
+		case code == "":
+			return j, nil
+		case code != CodeOverloaded || !req.DegradeOK:
+			return nil, s.reject(j, req, code, msg)
+		}
+		if polled { // the first step down is tried at once
+			select {
+			case <-s.stop:
+				return nil, s.reject(j, req, CodeShutdown, "server shutting down")
+			case <-time.After(degradePoll):
+				if time.Now().After(j.deadline) {
+					return nil, s.reject(j, req, CodeDeadline, "deadline expired before a degraded slot freed")
+				}
+			}
+		}
 		if next, ok := harness.DegradeQuality(quality); ok {
 			quality = next
-			s.met.degraded("admission", quality, 1)
-			j = nil // rebuild at the cheaper contract
-		}
-		if j == nil {
-			var resp *Response
-			if j, resp = s.buildJob(req, quality, requested, deadlineAt); resp != nil {
-				return nil, resp
-			}
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			s.met.requestFailed(CodeShutdown)
-			s.observeFlight(j, CodeShutdown, jobDetail(j, req))
-			return nil, &Response{Code: CodeShutdown, Error: "server shutting down"}
-		}
-		select {
-		case s.queue <- j:
-			s.mu.Unlock()
-			return j, nil
-		default:
-			s.mu.Unlock()
-		}
-		select {
-		case <-s.stop:
-			s.met.requestFailed(CodeShutdown)
-			s.observeFlight(j, CodeShutdown, jobDetail(j, req))
-			return nil, &Response{Code: CodeShutdown, Error: "server shutting down"}
-		case <-time.After(degradePoll):
-			if time.Now().After(j.deadline) {
-				s.met.requestFailed(CodeDeadline)
-				s.observeFlight(j, CodeDeadline, jobDetail(j, req))
-				return nil, &Response{Code: CodeDeadline,
-					Error: "deadline expired before a degraded slot freed",
-					Stats: FrameStats{TraceID: j.id.String()}}
-			}
+			s.met.degrades.Add(1, "admission", quality)
+			j, resp = s.buildJob(req, quality, requested, deadlineAt)
 		}
 	}
+	return nil, resp
 }
 
 // frameWire assembles the server's span tree for one finished job: a
@@ -796,11 +715,15 @@ func (s *Server) frameWire(j *job, total time.Duration) *trace.Wire {
 // observeFlight offers one finished request to the flight recorder; the
 // span tree is built lazily at export time so retaining an entry costs
 // a closure, not a wire build.
-func (s *Server) observeFlight(j *job, outcome, detail string) {
+func (s *Server) observeFlight(j *job, req Request, outcome string) {
 	if s.flight == nil {
 		return
 	}
 	total := time.Since(j.admitted)
+	detail := fmt.Sprintf("%s %dx%d %s", j.method, j.plan.Cfg.Width, j.plan.Cfg.Height, req.Dataset)
+	if j.quality != QualityFull {
+		detail += " " + j.quality
+	}
 	s.flight.Observe(trace.FlightEntry{
 		TraceID: j.id.String(),
 		At:      time.Now(),
@@ -811,126 +734,60 @@ func (s *Server) observeFlight(j *job, outcome, detail string) {
 	})
 }
 
-func (s *Server) acceptLoop() {
-	defer s.connWG.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed by Shutdown
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
-}
-
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.connWG.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	for {
-		var req Request
-		if err := ReadJSON(conn, MaxRequestFrame, &req); err != nil {
-			return // EOF, deadline from Shutdown, or garbage framing
-		}
-		resp, img := s.submit(req)
-		if err := WriteJSON(conn, resp); err != nil {
-			return
-		}
-		if resp.OK {
-			if err := WriteFrame(conn, img.AppendGray(nil)); err != nil {
-				return
-			}
-		}
-	}
-}
-
 // Shutdown stops the server: admission is closed, queued jobs are
 // answered with CodeShutdown, in-flight frames finish and are delivered,
 // then the resident world quiesces and every listener and connection is
 // closed. If ctx expires first, blocked ranks are force-stopped.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.stopOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		s.ln.Close()
-		close(s.stop)
-	})
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.lis.Close()
+	err := s.stopWorld(ctx)
+	// Every job is answered; handlers are only writing their last reply.
+	if derr := s.lis.Drain(ctx); err == nil {
+		err = derr
+	}
+	if herr := s.sidecar.Shutdown(ctx); herr != nil && err == nil {
+		err = herr
+	}
+	return err
+}
+
+// stopWorld ends the supervisor and the live world incarnation, leaving
+// no admitted job unanswered.
+func (s *Server) stopWorld(ctx context.Context) error {
+	s.stopOnce.Do(func() { close(s.stop) })
 
 	// The supervisor drains the queue and closes the rank pipelines (or,
 	// if the world was mid-rebuild, exits without one).
 	<-s.supDone
+	run := s.takeCur()
+	if run == nil {
+		return nil // stopped while the world was down
+	}
 
 	// Wait for in-flight frames; on timeout, cancel through the world so
-	// blocked receives fail instead of waiting out their timeout. run is
-	// nil when the server stopped while the world was down.
-	run := s.takeCur()
+	// blocked receives fail instead of waiting out their timeout.
 	var err error
-	if run != nil {
-		pipeDone := make(chan struct{})
-		go func() { run.pipeWG.Wait(); close(pipeDone) }()
-		select {
-		case <-pipeDone:
-		case <-ctx.Done():
-			err = ctx.Err()
-			run.res.forceStop()
-			<-pipeDone
-		}
-		// Frames cancelled mid-flight by the forced stop were untracked
-		// by their composite loop's error path; any job still tracked
-		// (e.g. never picked up) is answered here so no handler hangs.
-		for _, j := range run.takeInflight() {
-			<-s.tokens
-			s.met.inflight.Add(-1)
-			s.met.requestFailed(CodeShutdown)
-			j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
-		}
-	}
-
-	// Unblock idle connection readers, then wait for handlers to finish
-	// writing their last reply; force-close stragglers at the deadline.
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	connDone := make(chan struct{})
-	go func() { s.connWG.Wait(); close(connDone) }()
+	pipeDone := make(chan struct{})
+	go func() { run.pipeWG.Wait(); close(pipeDone) }()
 	select {
-	case <-connDone:
+	case <-pipeDone:
 	case <-ctx.Done():
-		if err == nil {
-			err = ctx.Err()
-		}
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		<-connDone
+		err = ctx.Err()
+		run.res.forceStop()
+		<-pipeDone
 	}
-
-	if run != nil {
-		if werr := run.res.shutdown(ctx); werr != nil && err == nil {
-			err = werr
-		}
+	// Frames cancelled mid-flight by the forced stop were untracked by
+	// their composite loop's error path; any job still tracked (e.g.
+	// never picked up) is answered here so no handler hangs.
+	for _, j := range run.takeInflight() {
+		<-s.tokens
+		j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
 	}
-	if s.httpSrv != nil {
-		if herr := s.httpSrv.Shutdown(ctx); herr != nil && err == nil {
-			err = herr
-		}
+	if werr := run.res.shutdown(ctx); werr != nil && err == nil {
+		err = werr
 	}
 	return err
 }

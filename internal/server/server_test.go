@@ -136,3 +136,31 @@ func TestUnknownWorldKind(t *testing.T) {
 		t.Fatal("unknown world kind must fail Start")
 	}
 }
+
+// TestOversizeGeometryRejected: request geometry is bounded at
+// admission. A frame no client could read back (its gray payload would
+// exceed MaxReplyFrame) is a typed bad_request before any plan exists —
+// it used to allocate P full-size images first, so the bound on what
+// the rejections may allocate is the point of the test.
+func TestOversizeGeometryRejected(t *testing.T) {
+	_, cl := startServer(t, server.Config{P: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, req := range []server.Request{
+		{Dataset: "cube", Width: 100000, Height: 100000},
+		{Dataset: "cube", Width: 100000, Height: 100000, Quality: server.QualityPreview, DegradeOK: true},
+		{Dataset: "cube", Width: 1 << 14, Height: 1<<14 + 1},
+		{Dataset: "cube", Width: 1 << 32, Height: 1 << 32}, // product wraps int64 to 0
+	} {
+		if _, err := cl.Render(ctx, req); !errors.Is(err, client.ErrBadRequest) {
+			t.Errorf("%dx%d: got %v, want ErrBadRequest", req.Width, req.Height, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 16<<20 {
+		t.Errorf("rejecting four oversize requests allocated %d MiB", grown>>20)
+	}
+}

@@ -185,7 +185,7 @@ func (s *Server) watchdog(run *worldRun) {
 		case now := <-ticker.C:
 			demoted, over := run.expired(now, s.frameTimeout())
 			if demoted > 0 {
-				s.met.degraded("watchdog", QualityApprox, int64(demoted))
+				s.met.degrades.Add(int64(demoted), "watchdog", QualityApprox)
 			}
 			if over > 0 {
 				run.fail(s, fmt.Errorf("%w: frame %v past its %v deadline",
@@ -217,7 +217,6 @@ func (s *Server) supervise(run *worldRun) {
 		// The incarnation failed: count the restart, go degraded, tear
 		// down, answer every in-flight job with the retryable code.
 		s.met.worldRestarts.Add(1)
-		s.restarts.Add(1)
 		s.degraded.Store(true)
 		s.teardownFailed(run)
 
@@ -263,14 +262,12 @@ func (s *Server) dispatch(run *worldRun) (stopped bool) {
 			return false
 		case j := <-s.queue:
 			if time.Now().After(j.deadline) {
-				s.met.requestFailed(CodeDeadline)
 				j.finish(reply{code: CodeDeadline, err: errors.New("deadline expired while queued")})
 				continue
 			}
 			select {
 			case s.tokens <- struct{}{}:
 			case <-s.stop:
-				s.met.requestFailed(CodeShutdown)
 				j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
 				s.failQueued()
 				return true
@@ -278,11 +275,9 @@ func (s *Server) dispatch(run *worldRun) (stopped bool) {
 				// Admitted, but the world died before a pipeline slot
 				// freed; answer retryable so the client can try again
 				// against the rebuilt world.
-				s.met.requestFailed(CodeWorldFailed)
 				j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
 				return false
 			}
-			s.met.inflight.Add(1)
 			j.dispatched = time.Now()
 			run.track(j, j.dispatched.Add(s.frameTimeout()))
 			for _, ch := range run.renderChs {
@@ -305,8 +300,6 @@ func (s *Server) teardownFailed(run *worldRun) {
 	run.pipeWG.Wait()
 	for _, j := range run.takeInflight() {
 		<-s.tokens
-		s.met.inflight.Add(-1)
-		s.met.requestFailed(CodeWorldFailed)
 		j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
 	}
 	// Bounded close of sockets/listeners; the world is already
