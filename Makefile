@@ -61,8 +61,8 @@ bench-fleet:
 	@$(GO) run ./cmd/servebench -fleet 2 -out BENCH_fleet.json || \
 		{ echo "bench-fleet: FAILED -- the fleet benchmark did not complete, a cached reply diverged, or the open-loop generator could not hold its offered rate (see error above); BENCH_fleet.json not updated" >&2; exit 1; }
 
-# bench-quality sweeps the quality ladder (full, approx, preview) over
-# one dense workload and writes BENCH_quality.json. The sweep itself
+# bench-quality runs both quality contracts (full, preview) over one
+# dense workload and writes BENCH_quality.json. The sweep itself
 # asserts preview cuts p99 latency at least 2x against full, so a
 # quality contract that stops buying latency fails loudly.
 bench-quality:

@@ -21,8 +21,6 @@ import (
 	"sortlast/internal/harness"
 	"sortlast/internal/mp"
 	"sortlast/internal/mpnet"
-	"sortlast/internal/partition"
-	"sortlast/internal/render"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
 )
@@ -86,24 +84,29 @@ func validateFlags() ([]string, error) {
 }
 
 func run(list []string) error {
-	var vol *volume.Volume
-	var tf *transfer.Func
-	var err error
+	cfg := harness.Config{
+		Dataset: *dataset, Method: *method, P: len(list),
+		Width: *size, Height: *size,
+		RotX: *rotX, RotY: *rotY,
+	}
 	if *in != "" {
-		vol, err = volume.ReadFile(*in)
+		vol, err := volume.ReadFile(*in)
 		if err != nil {
 			return err
 		}
-		name := *tfName
-		if name == "" {
-			name = "linear"
-		}
-		if name == "linear" {
-			tf = transfer.Ramp("linear", 0, 255, 0.3)
-		} else if tf, err = transfer.Preset(name); err != nil {
+		cfg.Volume = vol
+		if *tfName == "" || *tfName == "linear" {
+			cfg.TF = transfer.Ramp("linear", 0, 255, 0.3)
+		} else if cfg.TF, err = transfer.Preset(*tfName); err != nil {
 			return err
 		}
-	} else if vol, tf, err = harness.Dataset(*dataset); err != nil {
+	}
+	// The plan is the one the in-process harness runs: kd decomposition
+	// at power-of-two world sizes, the fold plan otherwise (a method that
+	// cannot serve the world size fails here with harness.Pow2MethodError,
+	// before any socket opens).
+	plan, err := harness.NewPlan(cfg)
+	if err != nil {
 		return err
 	}
 
@@ -119,48 +122,18 @@ func run(list []string) error {
 	defer node.Close()
 	c := node.Comm()
 
-	comp, err := core.New(*method)
-	if err != nil {
-		return err
-	}
-	// Power-of-two worlds run over the kd decomposition; other world
-	// sizes run over the fold plan, which core.Build turns into the fold
-	// pre-stage or — for the natively any-P methods — pure geometry.
-	var dec *partition.Decomposition
-	var lay partition.Layout
-	if p := c.Size(); p&(p-1) == 0 {
-		if dec, err = partition.Decompose(vol.Bounds(), p); err != nil {
-			return err
-		}
-		lay = dec
-	} else {
-		if !core.ServesAnyP(*method) {
-			return fmt.Errorf("method %q requires a power-of-two world, got %d ranks (any-P methods: %s)",
-				*method, p, strings.Join(core.AnyPMethods(), ", "))
-		}
-		plan, err := partition.PlanFold(vol.Bounds(), p)
-		if err != nil {
-			return err
-		}
-		dec, lay = plan.Dec, plan
-		if comp, err = core.Build(*method, 0, 0, plan); err != nil {
-			return err
-		}
-	}
-	cam := render.NewCamera(*size, *size, vol.Bounds(), *rotX, *rotY)
-
 	start := time.Now()
-	img := render.Raycast(vol, lay.Box(c.Rank()), cam, tf, render.Options{})
+	img := plan.RenderRank(c.Rank())
 	renderTime := time.Since(start)
 
 	if err := c.Barrier(); err != nil {
 		return err
 	}
-	res, err := comp.Composite(c, dec, cam.Dir, img)
+	res, err := plan.CompositeRank(c, img)
 	if err != nil {
 		return err
 	}
-	final, err := core.GatherImage(c, 0, res)
+	final, err := plan.GatherRank(c, res)
 	if err != nil {
 		return err
 	}

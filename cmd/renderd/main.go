@@ -43,7 +43,7 @@ var (
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline; a frame stuck longer fails the rank world, which is rebuilt (0: 60s)")
 	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
 	profilePath = flag.String("profile", "", "machine profile JSON from cmd/calibrate, driving Method \"auto\" selection (default: the paper's SP2 preset)")
-	noDegrade   = flag.Bool("no-degrade", false, "ignore DegradeOK on requests: a saturated queue rejects with a typed overload error and a slow frame fails the world, pinning full fidelity fleet-wide")
+	noDegrade   = flag.Bool("no-degrade", false, "ignore DegradeOK on requests: a saturated queue rejects with a typed overload error, pinning full fidelity fleet-wide")
 	drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGINT/SIGTERM")
 )
 

@@ -39,7 +39,7 @@ var (
 	metrics   = flag.String("metrics-addr", "", "observability sidecar address for the in-process renderd (/healthz, /metrics, /debug/pprof/, /debug/trace/last); empty (the default) disables")
 	chaos     = flag.Bool("chaos", false, "inject probabilistic connection resets into the rank world and drive through them with a retrying client (exercises world supervision under load; failed frames are counted, not fatal)")
 	chaosSeed = flag.Int64("chaos-seed", 1, "fault-injection seed, so a chaos run is reproducible")
-	quality   = flag.String("quality", "", "quality contract stamped on every request (full, approx, preview), or \"sweep\" to bench the whole ladder on one dense workload and write per-quality records")
+	quality   = flag.String("quality", "", "quality contract stamped on every request (full, preview), or \"sweep\" to bench both on one dense workload and write per-quality records")
 )
 
 // record is one benchmark configuration's result.
@@ -114,7 +114,7 @@ func run() error {
 	return os.WriteFile(*out, buf, 0o644)
 }
 
-// runQualitySweep benches the full quality ladder on one dense
+// runQualitySweep benches both quality contracts on one dense
 // workload (cube at -size, bsbrc, P=4) and writes per-quality records.
 // The sweep asserts the contract's point: preview must cut p99 latency
 // at least in half against full on the same workload, or the run fails
@@ -122,18 +122,16 @@ func run() error {
 func runQualitySweep() error {
 	const p, method = 4, "bsbrc"
 	var records []record
-	byQuality := map[string]record{}
-	for _, q := range []string{server.QualityFull, server.QualityApprox, server.QualityPreview} {
+	for _, q := range []string{server.QualityFull, server.QualityPreview} {
 		rec, err := bench(p, method, q)
 		if err != nil {
 			return fmt.Errorf("quality=%s: %w", q, err)
 		}
 		records = append(records, rec)
-		byQuality[q] = rec
 		fmt.Fprintf(os.Stderr, "P=%d %-6s quality=%-7s %6.2f frames/s  p50 %6.1f ms  p99 %6.1f ms  wire %d B/frame\n",
 			rec.P, rec.Method, q, rec.FPS, rec.P50MS, rec.P99MS, rec.WireBytes)
 	}
-	full, prev := byQuality[server.QualityFull], byQuality[server.QualityPreview]
+	full, prev := records[0], records[1]
 	if prev.P99MS*2 > full.P99MS {
 		return fmt.Errorf("preview p99 %.1f ms is not at least 2x below full p99 %.1f ms",
 			prev.P99MS, full.P99MS)

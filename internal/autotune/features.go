@@ -37,11 +37,11 @@ type Features struct {
 	// unobserved.
 	Skip float64 `json:"skip,omitempty"`
 
-	// Quality is the frame's quality contract ("" or "full", "approx",
+	// Quality is the frame's quality contract ("" or "full",
 	// "preview"). The Eq. 1–8 closed forms never read it; it routes the
 	// selection and its measurement into the selector's per-contract
 	// EWMA row, so the argmin learns each contract's cost surface
-	// separately (approx frames are thinner, preview frames smaller).
+	// separately (preview frames are smaller).
 	Quality string `json:"quality,omitempty"`
 }
 

@@ -219,8 +219,8 @@ func (s *Selector) ChooseFor(width, height, p int) (Choice, bool, error) {
 
 // ChooseForQuality is ChooseFor under a quality contract: predictions
 // rank with that contract's correction row, so the Eq. 1–8 argmin runs
-// per contract (an approx frame's thinned images earn corrections of
-// their own instead of polluting the full-quality row).
+// per contract (a preview frame's quarter-size images earn corrections
+// of their own instead of polluting the full-quality row).
 func (s *Selector) ChooseForQuality(width, height, p int, quality string) (Choice, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

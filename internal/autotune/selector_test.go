@@ -189,11 +189,10 @@ func TestPredictRejectsInvalid(t *testing.T) {
 	}
 }
 
-// Correction factors are learned per (method, quality contract): approx
-// frames terminate early and drop regions, so their measured/predicted
-// ratio must not contaminate the full-quality row, and vice versa. The
-// full contract keeps the bare-method key so pre-quality state carries
-// over.
+// Correction factors are learned per (method, quality contract): preview
+// frames are a quarter of the pixels, so their measured/predicted ratio
+// must not contaminate the full-quality row, and vice versa. The full
+// contract keeps the bare-method key so pre-quality state carries over.
 func TestObserveKeysFactorsByQuality(t *testing.T) {
 	sel := NewSelector(costmodel.SP2(), TransportMP)
 	f := Features{Width: 384, Height: 384, P: 8, Alpha: 0.04, Beta: 0.2, Runs: 3}
@@ -203,28 +202,28 @@ func TestObserveKeysFactorsByQuality(t *testing.T) {
 	}
 	predicted := ch.Predictions[0].Score
 
-	// An approx observation twice as fast as predicted must only move
-	// the "@approx" row.
-	fa := f
-	fa.Quality = "approx"
-	sel.Observe(ch.Method, fa, predicted/2)
+	// A preview observation twice as fast as predicted must only move
+	// the "@preview" row.
+	fp := f
+	fp.Quality = "preview"
+	sel.Observe(ch.Method, fp, predicted/2)
 	snap := sel.Snapshot()
 	if v := snap.Factors[ch.Method]; v != 1 {
-		t.Errorf("full-quality factor moved to %g after an approx observation", v)
+		t.Errorf("full-quality factor moved to %g after a preview observation", v)
 	}
-	if v := snap.Factors[ch.Method+"@approx"]; v >= 1 {
-		t.Errorf("approx factor = %g after a fast approx observation, want < 1", v)
+	if v := snap.Factors[ch.Method+"@preview"]; v >= 1 {
+		t.Errorf("preview factor = %g after a fast preview observation, want < 1", v)
 	}
 
-	// A slow full observation moves the bare row and leaves approx alone.
-	before := snap.Factors[ch.Method+"@approx"]
+	// A slow full observation moves the bare row and leaves preview alone.
+	before := snap.Factors[ch.Method+"@preview"]
 	sel.Observe(ch.Method, f, predicted*2)
 	snap = sel.Snapshot()
 	if v := snap.Factors[ch.Method]; v <= 1 {
 		t.Errorf("full factor = %g after a slow full observation, want > 1", v)
 	}
-	if v := snap.Factors[ch.Method+"@approx"]; v != before {
-		t.Errorf("approx factor moved from %g to %g on a full observation", before, v)
+	if v := snap.Factors[ch.Method+"@preview"]; v != before {
+		t.Errorf("preview factor moved from %g to %g on a full observation", before, v)
 	}
 
 	// The explicit "full" name is the bare row, not a separate one.
@@ -238,7 +237,7 @@ func TestObserveKeysFactorsByQuality(t *testing.T) {
 	// ChooseForQuality stamps the contract into the features it ranks
 	// with, so the learned per-quality factor feeds back into choice.
 	sel.Seed(f)
-	ch2, seeded, err := sel.ChooseForQuality(384, 384, 8, "approx")
+	ch2, seeded, err := sel.ChooseForQuality(384, 384, 8, "preview")
 	if err != nil || !seeded {
 		t.Fatalf("ChooseForQuality: seeded=%v err=%v", seeded, err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -183,17 +184,67 @@ func requireIdentical(t *testing.T, label string, got, want *frame.Image) {
 	}
 }
 
+// blobSeed seeds the random-blob volume and the random cameras of
+// TestAllMethodsMatchSerial. It is part of every such scene's name, so
+// a failure message alone says how to reproduce it.
+const blobSeed = 19990921
+
+// blobScenes returns one scene per camera over a single seeded volume of
+// overlapping random blobs: fixed axis-aligned and grazing views (where
+// footprints degenerate to slivers and depth order flips between
+// neighbouring boxes) followed by n cameras drawn uniformly.
+func blobScenes(t *testing.T, n int) map[string]*scene {
+	t.Helper()
+	rng := rand.New(rand.NewSource(blobSeed))
+	vol := volume.New(32, 28, 18)
+	for i := 0; i < 9; i++ {
+		cx, cy, cz := rng.Float64()*32, rng.Float64()*28, rng.Float64()*18
+		r, val := 2+rng.Float64()*6, uint8(60+rng.Intn(196))
+		lo := [3]int{int(cx - r), int(cy - r), int(cz - r)}
+		hi := [3]int{int(cx+r) + 1, int(cy+r) + 1, int(cz+r) + 1}
+		b := vol.Bounds().Intersect(volume.Box{Lo: lo, Hi: hi})
+		for z := b.Lo[2]; z < b.Hi[2]; z++ {
+			for y := b.Lo[1]; y < b.Hi[1]; y++ {
+				for x := b.Lo[0]; x < b.Hi[0]; x++ {
+					dx, dy, dz := float64(x)-cx, float64(y)-cy, float64(z)-cz
+					if dx*dx+dy*dy+dz*dz <= r*r {
+						vol.Set(x, y, z, val)
+					}
+				}
+			}
+		}
+	}
+	cams := [][2]float64{{0, 0}, {90, 0}, {0, -90}, {180, 90}, {0, 89.75}, {-89.75, 45}}
+	for i := 0; i < n; i++ {
+		cams = append(cams, [2]float64{rng.Float64()*360 - 180, rng.Float64()*360 - 180})
+	}
+	scenes := make(map[string]*scene, len(cams))
+	for _, c := range cams {
+		name := fmt.Sprintf("blobs(seed %d) rot=(%.4f,%.4f)", blobSeed, c[0], c[1])
+		sc := makeScene(t, vol, transfer.Ramp("blobs", 50, 255, 0.35), 48, 40, c[0], c[1])
+		if sc.serial.CountNonBlank(sc.serial.Full()) == 0 {
+			t.Fatalf("%s: serial render is blank; the scene tests nothing", name)
+		}
+		scenes[name] = sc
+	}
+	return scenes
+}
+
 // Every compositor must reproduce the serial rendering (the master
-// integration property), across datasets, rotations and every rank count
-// the method declares legal — powers of two for all, the folded and the
-// natively any-P counts for the methods that serve them — in process,
-// and once more over loopback TCP.
+// integration property), across datasets, rotations — the paper's four
+// fixed views plus seeded random cameras over a seeded random volume —
+// and every rank count the method declares legal — powers of two for
+// all, the folded and the natively any-P counts for the methods that
+// serve them — in process, and once more over loopback TCP.
 func TestAllMethodsMatchSerial(t *testing.T) {
 	scenes := map[string]*scene{
 		"engine_low":  makeScene(t, volume.EngineBlock(32, 32, 14), transfer.EngineLow(), 48, 48, 0, 0),
 		"engine_high": makeScene(t, volume.EngineBlock(32, 32, 14), transfer.EngineHigh(), 48, 48, 25, 40),
 		"head":        makeScene(t, volume.HeadPhantom(32, 32, 15), transfer.Head(), 48, 48, 10, -30),
 		"cube":        makeScene(t, volume.SolidCube(32, 32, 14), transfer.Cube(), 48, 48, 45, 45),
+	}
+	for name, sc := range blobScenes(t, 8) {
+		scenes[name] = sc
 	}
 	check := func(name string, sc *scene, run world, ps []int) {
 		for _, p := range ps {

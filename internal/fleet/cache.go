@@ -31,10 +31,9 @@ type cacheKey struct {
 	shaded  bool
 	qx, qy  int
 	// quality is the contract of the bytes behind the key — the
-	// delivered quality on insert, the requested quality on lookup. An
-	// approx lookup may also fall back to the full-quality key (lookup):
-	// a higher-fidelity frame always satisfies a lower contract, never
-	// the reverse.
+	// delivered quality on insert, the requested quality on lookup.
+	// Contracts never answer for one another: preview bytes have
+	// different geometry than full ones.
 	quality string
 }
 
@@ -91,10 +90,9 @@ type cacheEntry struct {
 	key           cacheKey
 	width, height int
 	gray          []byte
-	// quality and errorBound echo the delivered contract of the reply
-	// that populated the entry, so a hit reports them like a render.
-	quality    string
-	errorBound float64
+	// quality echoes the delivered contract of the reply that populated
+	// the entry, so a hit reports it like a render.
+	quality string
 }
 
 // entryOverhead approximates the bookkeeping bytes per entry charged
@@ -139,25 +137,6 @@ func (c *frameCache) get(key cacheKey) (*cacheEntry, bool) {
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry), true
-}
-
-// lookup resolves the entry serving a request keyed by key: the exact
-// quality match, or — for an approx contract — the full-quality entry
-// of the same camera. Serving higher fidelity than asked is always
-// sound; the keying makes serving lower impossible (a preview or approx
-// entry can never answer a full request).
-func (c *frameCache) lookup(key cacheKey) (*cacheEntry, bool) {
-	if e, ok := c.get(key); ok {
-		return e, true
-	}
-	if key.quality == server.QualityApprox {
-		full := key
-		full.quality = server.QualityFull
-		if e, ok := c.get(full); ok {
-			return e, true
-		}
-	}
-	return nil, false
 }
 
 // generation returns the invalidation generation to snapshot before a

@@ -213,12 +213,11 @@ func qualityKey(quality string, rot float64) cacheKey {
 	}, 0.5)
 }
 
-// Quality is part of the cache key, and lookup may substitute higher
-// fidelity for lower — a full entry answers an approx request — but
-// never the reverse: a full request must not be served a preview or
-// approx entry, and a preview contract keys separately because its
-// bytes are a different geometry.
-func TestCacheQualityKeyingAndFallback(t *testing.T) {
+// Quality is part of the cache key and contracts never answer for one
+// another: a full request must not be served a preview entry, and a
+// preview request is served only by its own key because its bytes are
+// a different geometry.
+func TestCacheQualityKeying(t *testing.T) {
 	c := newFrameCache(1 << 20)
 	full := &cacheEntry{key: qualityKey("", 0), quality: server.QualityFull, gray: make([]byte, 64)}
 	c.put(full, c.generation())
@@ -227,28 +226,24 @@ func TestCacheQualityKeyingAndFallback(t *testing.T) {
 	if k := qualityKey(server.QualityFull, 0); k != full.key {
 		t.Errorf("explicit full keys differently from the default: %+v vs %+v", k, full.key)
 	}
-	// An approx request falls back onto the full entry (higher fidelity
-	// satisfies a lower contract).
-	if e, ok := c.lookup(qualityKey(server.QualityApprox, 0)); !ok || e != full {
-		t.Error("approx lookup did not fall back to the full-quality entry")
-	}
-	// A preview request does not: preview bytes are quarter-geometry, so
-	// the contract is served only by its own key.
-	if _, ok := c.lookup(qualityKey(server.QualityPreview, 0)); ok {
+	if _, ok := c.get(qualityKey(server.QualityPreview, 0)); ok {
 		t.Error("preview lookup was served a full-quality entry")
 	}
-
-	// The reverse direction never holds: with only degraded entries
-	// cached, a full request misses.
-	approx := &cacheEntry{key: qualityKey(server.QualityApprox, 10), quality: server.QualityApprox, gray: make([]byte, 64)}
-	preview := &cacheEntry{key: qualityKey(server.QualityPreview, 10), quality: server.QualityPreview, gray: make([]byte, 64)}
-	c.put(approx, c.generation())
-	c.put(preview, c.generation())
-	if _, ok := c.lookup(qualityKey("", 10)); ok {
-		t.Fatal("a full request was served a lower-quality entry")
+	// An unknown contract keys as itself: it can only miss, and the
+	// replica answers it with bad_request.
+	if _, ok := c.get(qualityKey("bogus", 0)); ok {
+		t.Error("unknown-quality lookup was served a full-quality entry")
 	}
-	if e, ok := c.lookup(qualityKey(server.QualityApprox, 10)); !ok || e != approx {
-		t.Error("exact approx entry missed in favor of the fallback")
+
+	// The reverse direction: with only a preview entry cached, a full
+	// request misses and the preview request hits its own entry.
+	preview := &cacheEntry{key: qualityKey(server.QualityPreview, 10), quality: server.QualityPreview, gray: make([]byte, 64)}
+	c.put(preview, c.generation())
+	if _, ok := c.get(qualityKey("", 10)); ok {
+		t.Fatal("a full request was served a preview entry")
+	}
+	if e, ok := c.get(qualityKey(server.QualityPreview, 10)); !ok || e != preview {
+		t.Error("exact preview entry missed")
 	}
 }
 
@@ -256,14 +251,14 @@ func TestCacheQualityKeyingAndFallback(t *testing.T) {
 // variants of a dataset never outlive their dataset.
 func TestCacheInvalidateSweepsQualityVariants(t *testing.T) {
 	c := newFrameCache(1 << 20)
-	for _, q := range []string{"", server.QualityApprox, server.QualityPreview} {
+	for _, q := range []string{"", server.QualityPreview} {
 		e := &cacheEntry{key: qualityKey(q, 0), quality: q, gray: make([]byte, 16)}
 		c.put(e, c.generation())
 	}
-	if c.entries() != 3 {
-		t.Fatalf("entries = %d, want 3 quality variants", c.entries())
+	if c.entries() != 2 {
+		t.Fatalf("entries = %d, want 2 quality variants", c.entries())
 	}
-	if n := c.invalidate("cube", ""); n != 3 {
-		t.Errorf("invalidate removed %d entries, want all 3 quality variants", n)
+	if n := c.invalidate("cube", ""); n != 2 {
+		t.Errorf("invalidate removed %d entries, want both quality variants", n)
 	}
 }

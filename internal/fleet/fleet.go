@@ -254,14 +254,14 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 	var gen uint64
 	if g.cache != nil {
 		g.cacheMu.Lock()
-		e, ok := g.cache.lookup(key)
+		e, ok := g.cache.get(key)
 		gen = g.cache.generation()
 		g.cacheMu.Unlock()
 		if ok {
 			g.met.cache.Add(1, "hit")
 			return g.reply(rt, req, time.Since(t0), &server.Response{
 				OK: true, Width: e.width, Height: e.height,
-				Stats: server.FrameStats{Cached: true, Quality: e.quality, ErrorBound: e.errorBound},
+				Stats: server.FrameStats{Cached: true, Quality: e.quality},
 			}), e.gray
 		}
 		g.met.cache.Add(1, "miss")
@@ -288,8 +288,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		if q, err := server.NormalizeQuality(f.Stats.Quality); err == nil {
 			ckey.quality = q
 		}
-		e := &cacheEntry{key: ckey, width: f.Width, height: f.Height, gray: f.Gray,
-			quality: ckey.quality, errorBound: f.Stats.ErrorBound}
+		e := &cacheEntry{key: ckey, width: f.Width, height: f.Height, gray: f.Gray, quality: ckey.quality}
 		g.cacheMu.Lock()
 		evicted := g.cache.put(e, gen)
 		g.cacheMu.Unlock()

@@ -180,29 +180,6 @@ func (im *Image) Row(y, x0, x1 int) []Pixel {
 }
 
 // Clear resets every allocated pixel to blank without releasing storage.
-// DropBelow blanks every pixel whose accumulated opacity is under tau,
-// returning how many were dropped. It is the approx quality contract's
-// encode-side thinning: sub-threshold contributions vanish before the
-// bounding scan and RLE encode, so they cost neither rectangle area nor
-// codes nor wire bytes downstream. Dropping a segment of opacity a < tau
-// perturbs the final front-to-back composite by at most 2a per channel,
-// which callers fold into the reported error bound. The logical bounds
-// are left unchanged — compositors re-derive the bounding rectangle from
-// content.
-func (im *Image) DropBelow(tau float64) int {
-	dropped := 0
-	for y := im.bounds.Y0; y < im.bounds.Y1; y++ {
-		row := im.Row(y, im.bounds.X0, im.bounds.X1)
-		for i, p := range row {
-			if p.A < tau && !p.Blank() {
-				row[i] = Pixel{}
-				dropped++
-			}
-		}
-	}
-	return dropped
-}
-
 func (im *Image) Clear() {
 	for i := range im.pix {
 		im.pix[i] = Pixel{}

@@ -56,12 +56,10 @@ type Config struct {
 	RotX, RotY float64
 
 	// Quality is the frame's quality contract: QualityFull (or empty,
-	// byte-identical to an unconstrained render), QualityApprox (raised
-	// early-termination cutoff and sub-ApproxDropAlpha pixels dropped
-	// before encode, error bounded by Plan.ErrorBound), or
-	// QualityPreview. Preview is geometric: callers pass the reduced
-	// PreviewDims as Width/Height themselves — the harness renders
-	// exactly the geometry it is given.
+	// byte-identical to an unconstrained render) or QualityPreview.
+	// Preview is geometric: callers pass the reduced PreviewDims as
+	// Width/Height themselves — the harness renders exactly the
+	// geometry it is given.
 	Quality string
 
 	// Params are the cost-model constants; zero value means the SP2

@@ -58,11 +58,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 	} else {
 		cfg.Quality = q
 	}
-	if cfg.Quality == QualityApprox && !cfg.Surface && cfg.RenderOpts.EarlyTermination == 0 {
-		// The approx contract's render-side knob: terminate rays earlier
-		// than the 0.999 default. An explicit caller-set cutoff wins.
-		cfg.RenderOpts.EarlyTermination = render.ApproxCutoff
-	}
 	var sel *autotune.Selector
 	var choice *autotune.Choice
 	if autotune.IsAuto(cfg.Method) {
@@ -163,25 +158,7 @@ func (p *Plan) renderFrom(src volumeSource, me int, tr *trace.Rank, rs *render.S
 	opts := p.Cfg.RenderOpts
 	opts.Trace = tr
 	opts.Stats = rs
-	img := render.Raycast(src, box, p.Cam, p.TF, opts)
-	if p.Cfg.Quality == QualityApprox {
-		// The approx contract's encode-side knob: sub-threshold
-		// accumulations vanish before the bounding scan, so every
-		// compositor downstream ships smaller rectangles and fewer codes.
-		img.DropBelow(ApproxDropAlpha)
-	}
-	return img
-}
-
-// ErrorBound is the worst-case per-pixel 8-bit error of this plan's
-// output against a full-quality render of the same geometry: zero for
-// full (and for preview, whose degradation is resolution rather than
-// pixel values), the cutoff+drop bound of ApproxErrorBound for approx.
-func (p *Plan) ErrorBound() float64 {
-	if p.Cfg.Quality != QualityApprox || p.Cfg.Surface {
-		return 0
-	}
-	return ApproxErrorBound(p.Cfg.P, p.Cfg.RenderOpts.Cutoff(), ApproxDropAlpha)
+	return render.Raycast(src, box, p.Cam, p.TF, opts)
 }
 
 // CompositeRank runs the compositing phase for one rank over a standing

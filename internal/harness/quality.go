@@ -2,29 +2,17 @@ package harness
 
 import "fmt"
 
-// Quality contracts (ROADMAP item 2, "Approximate Puzzlepiece
-// Compositing" in PAPERS.md): a request names how much fidelity it is
-// willing to trade for latency, and every layer honors the same three
-// names. The serving tier's wire protocol re-exports these constants.
+// Quality contracts: a request names how much fidelity it is willing to
+// trade for latency, and every layer honors the same two names. The
+// serving tier's wire protocol re-exports these constants.
 //
 //	full    — the default: byte-identical to a plain render.
-//	approx  — raised early-termination cutoff plus sub-threshold pixels
-//	          dropped before encode; the per-frame error bound is
-//	          computable from the knobs (see ApproxErrorBound).
 //	preview — quarter-resolution render (PreviewDims); the client
 //	          upscales. Resolution degrades, pixel values do not.
 const (
 	QualityFull    = "full"
-	QualityApprox  = "approx"
 	QualityPreview = "preview"
 )
-
-// ApproxDropAlpha is the accumulated-opacity threshold below which an
-// approx-quality frame's pixels are dropped before the bounding scan
-// and RLE encode (frame.Image.DropBelow). Dropping a segment of opacity
-// a < tau perturbs the final composite by at most 2a per channel, so
-// the value trades visible haze for smaller rectangles and fewer codes.
-const ApproxDropAlpha = 0.005
 
 // NormalizeQuality maps the empty string to QualityFull and rejects
 // unknown names, so admission layers can fail bad contracts up front.
@@ -32,38 +20,11 @@ func NormalizeQuality(q string) (string, error) {
 	switch q {
 	case "", QualityFull:
 		return QualityFull, nil
-	case QualityApprox, QualityPreview:
+	case QualityPreview:
 		return q, nil
 	}
-	return "", fmt.Errorf("harness: unknown quality %q (have %s, %s, %s)",
-		q, QualityFull, QualityApprox, QualityPreview)
-}
-
-// DegradeQuality steps one rung down the full→approx→preview ladder;
-// ok is false at the floor (preview has nothing cheaper below it).
-func DegradeQuality(q string) (string, bool) {
-	switch q {
-	case "", QualityFull:
-		return QualityApprox, true
-	case QualityApprox:
-		return QualityPreview, true
-	}
-	return q, false
-}
-
-// QualityRank orders contracts by fidelity (full 2, approx 1, preview
-// 0; unknown -1), so layers can compare "is this delivery below what
-// was asked" without re-encoding the ladder.
-func QualityRank(q string) int {
-	switch q {
-	case "", QualityFull:
-		return 2
-	case QualityApprox:
-		return 1
-	case QualityPreview:
-		return 0
-	}
-	return -1
+	return "", fmt.Errorf("harness: unknown quality %q (have %s, %s)",
+		q, QualityFull, QualityPreview)
 }
 
 // PreviewDims is the preview contract's render geometry: each dimension
@@ -73,23 +34,4 @@ func QualityRank(q string) int {
 // upscales back to the requested size.
 func PreviewDims(w, h int) (int, int) {
 	return (w + 1) / 2, (h + 1) / 2
-}
-
-// ApproxErrorBound is the worst-case per-pixel 8-bit gray error of an
-// approx delivery against the full render, from the two knobs that
-// created it: early termination at cutoff leaves at most (1-cutoff)
-// opacity unaccumulated on any ray, and dropping sub-dropAlpha segments
-// perturbs the composite by at most 2·dropAlpha each, with at most one
-// dropped segment per rank along a ray (P of them). The bound is
-// conservative — measured error is typically far smaller — but it is
-// computable per frame without rendering the reference.
-func ApproxErrorBound(p int, cutoff, dropAlpha float64) float64 {
-	residual := 1 - cutoff
-	if residual < 0 {
-		residual = 0
-	}
-	if dropAlpha < 0 {
-		dropAlpha = 0
-	}
-	return 255 * (residual + 2*float64(p)*dropAlpha)
 }

@@ -152,20 +152,20 @@ func TestObserveDoesNotAllocate(t *testing.T) {
 	r := new(Registry)
 	c := r.Counter("c_total", "C.", None)
 	v := r.Counter("v_total", "V.", Label("method", "bs", "bsbr", "bsbrc", "dfb"))
-	v2 := r.Counter("p_total", "P.", Labels{Keys: []string{"path", "to"}, Series: [][]string{{"admission", "approx"}, {"watchdog", "approx"}}})
+	v2 := r.Counter("p_total", "P.", Labels{Keys: []string{"path", "to"}, Series: [][]string{{"admission", "preview"}, {"watchdog", "preview"}}})
 	h := r.Histogram("h", "H.", []float64{.01, .1, 1}, None)
 	hv := r.Histogram("hv", "HV.", []float64{.01, .1, 1}, Label("phase", "render", "composite", "gather"))
 	method, path := "dfb", "watchdog" // not constants: the lookup compares real strings
 	if n := testing.AllocsPerRun(200, func() {
 		c.Add(1)
 		v.Add(1, method)
-		v2.Add(1, path, "approx")
+		v2.Add(1, path, "preview")
 		h.Observe(.05, 0xabcd)
 		hv.Observe(.05, 0xabcd, "gather")
 	}); n != 0 {
 		t.Errorf("observing allocates %v times per round, want 0", n)
 	}
-	if v.Load("dfb") == 0 || v2.Load("watchdog", "approx") == 0 {
+	if v.Load("dfb") == 0 || v2.Load("watchdog", "preview") == 0 {
 		t.Error("observations were not recorded")
 	}
 }

@@ -57,13 +57,6 @@ type Options struct {
 	// given collector. Shared collectors are safe (atomics); nil (the
 	// default) skips collection.
 	Stats *Stats
-	// Demote, when set, is polled as each tile starts: once it reads
-	// true, remaining tiles terminate rays at ApproxCutoff instead of
-	// the configured cutoff, salvaging a frame that is blowing its
-	// budget mid-render (the serving tier's frame watchdog flips it).
-	// nil — the default — renders every tile at the configured cutoff
-	// and stays byte-identical.
-	Demote *atomic.Bool
 }
 
 func (o Options) step() float64 {
@@ -79,17 +72,6 @@ func (o Options) workers() int {
 	}
 	return o.Workers
 }
-
-// ApproxCutoff is the early-termination opacity threshold the "approx"
-// quality contract renders with: well below the 0.999 full-quality
-// default, so rays give up as soon as the view is nearly opaque. The
-// residual (1 - ApproxCutoff) bounds the per-ray accumulation error.
-const ApproxCutoff = 0.98
-
-// Cutoff resolves the EarlyTermination sentinels (zero → 0.999 default,
-// negative → disabled) to the threshold the kernel actually uses, so
-// layers reporting error bounds see the effective value.
-func (o Options) Cutoff() float64 { return o.cutoff() }
 
 func (o Options) cutoff() float64 {
 	switch {
@@ -160,29 +142,7 @@ func Raycast(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Opti
 	tilesY := (foot.Dy() + tileH - 1) / tileH
 	tiles := tilesX * tilesY
 
-	// A demoted frame's remaining tiles render through a second kernel
-	// that differs only in cutoff, built lazily on the first demoted
-	// tile. Per-tile granularity keeps the fast path untouched: pixels
-	// rendered before the flip flipped are already full quality, and a
-	// tile never mixes cutoffs.
-	var (
-		demoteOnce   sync.Once
-		demoteKernel *kernel
-	)
-	demoted := func() *kernel {
-		demoteOnce.Do(func() {
-			o := opt
-			o.EarlyTermination = ApproxCutoff
-			demoteKernel = newKernel(s, box, cam, tf, o)
-		})
-		return demoteKernel
-	}
-
 	renderTile := func(idx int, st *tileStats) {
-		kt := k
-		if opt.Demote != nil && k.cutoff > ApproxCutoff && opt.Demote.Load() {
-			kt = demoted()
-		}
 		x0 := foot.X0 + (idx%tilesX)*tileW
 		y0 := foot.Y0 + (idx/tilesX)*tileH
 		x1 := min(x0+tileW, foot.X1)
@@ -190,7 +150,7 @@ func Raycast(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Opti
 		for py := y0; py < y1; py++ {
 			row := img.Row(py, x0, x1)
 			for px := x0; px < x1; px++ {
-				if acc := kt.castRay(px, py, st); !acc.Blank() {
+				if acc := k.castRay(px, py, st); !acc.Blank() {
 					row[px-x0] = acc
 				}
 			}

@@ -122,48 +122,57 @@ func TestWorldCrashRecovery(t *testing.T) {
 // case, here 30s against a 300ms frame budget), the per-frame watchdog
 // declares the world wedged, the stalled sleep is released by teardown
 // instead of being slept out, and service resumes on a fresh world.
+// The watchdog has this one behaviour: a frame that opted into degraded
+// delivery is failed like any other, and its successor is full quality.
 func TestWatchdogUnwedgesStalledRank(t *testing.T) {
-	before := runtime.NumGoroutine()
+	for _, degradeOK := range []bool{false, true} {
+		t.Run(fmt.Sprintf("degrade_ok=%v", degradeOK), func(t *testing.T) {
+			before := runtime.NumGoroutine()
 
-	const p = 4
-	srv, cl, inj := chaosServer(t, server.Config{
-		P: p, QueueDepth: 8, MaxInFlight: 2,
-		DefaultDeadline: time.Minute,
-		FrameTimeout:    300 * time.Millisecond,
-	}, faultinject.Config{Seed: 1})
+			const p = 4
+			srv, cl, inj := chaosServer(t, server.Config{
+				P: p, QueueDepth: 8, MaxInFlight: 2,
+				DefaultDeadline: time.Minute,
+				FrameTimeout:    300 * time.Millisecond,
+			}, faultinject.Config{Seed: 1})
 
-	req := server.Request{Dataset: "cube", Method: "bs", Width: 48, Height: 48}
-	ref := referenceGray(t, req, p, 0)
+			req := server.Request{Dataset: "cube", Method: "bs", Width: 48, Height: 48, DegradeOK: degradeOK}
+			ref := referenceGray(t, req, p, 0)
 
-	inj.Stall(1, 30*time.Second)
-	start := time.Now()
-	if _, err := renderOnce(t, cl, req); !errors.Is(err, client.ErrWorldFailed) {
-		t.Fatalf("frame against stalled rank: err = %v, want ErrWorldFailed", err)
-	}
-	// The watchdog, not the 30s stall (nor any client deadline), must be
-	// what fails the frame.
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("wedged frame took %v to fail; watchdog should fire near 300ms", elapsed)
-	}
+			inj.Stall(1, 30*time.Second)
+			start := time.Now()
+			if _, err := renderOnce(t, cl, req); !errors.Is(err, client.ErrWorldFailed) {
+				t.Fatalf("frame against stalled rank: err = %v, want ErrWorldFailed", err)
+			}
+			// The watchdog, not the 30s stall (nor any client deadline), must be
+			// what fails the frame.
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Errorf("wedged frame took %v to fail; watchdog should fire near 300ms", elapsed)
+			}
 
-	f, err := renderOnce(t, cl, req)
-	if err != nil {
-		t.Fatalf("frame after watchdog restart: %v", err)
-	}
-	if !bytes.Equal(f.Gray, ref) {
-		t.Error("frame after watchdog restart differs from fault-free reference")
-	}
-	if n := srv.WorldRestarts(); n < 1 {
-		t.Errorf("WorldRestarts() = %d, want >= 1", n)
-	}
+			f, err := renderOnce(t, cl, req)
+			if err != nil {
+				t.Fatalf("frame after watchdog restart: %v", err)
+			}
+			if !bytes.Equal(f.Gray, ref) {
+				t.Error("frame after watchdog restart differs from fault-free reference")
+			}
+			if f.Stats.Quality != server.QualityFull || f.Stats.Degraded {
+				t.Errorf("frame after watchdog restart reported quality=%q degraded=%v", f.Stats.Quality, f.Stats.Degraded)
+			}
+			if n := srv.WorldRestarts(); n != 1 {
+				t.Errorf("WorldRestarts() = %d, want exactly 1", n)
+			}
 
-	cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Errorf("shutdown: %v", err)
+			cl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+			waitNoLeaks(t, before)
+		})
 	}
-	waitNoLeaks(t, before)
 }
 
 // TestChaosSoakWithRetries drives sequential frames through a world

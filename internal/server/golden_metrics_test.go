@@ -43,11 +43,8 @@ func goldenMetrics(full bool) *metrics {
 		m.errors.Add(int64(i+1), code)
 	}
 	m.quality.Add(2, QualityFull)
-	m.quality.Add(1, QualityApprox)
 	m.quality.Add(1, QualityPreview)
-	m.degrades.Add(2, "admission", QualityApprox)
 	m.degrades.Add(1, "admission", QualityPreview)
-	m.degrades.Add(4, "watchdog", QualityApprox)
 	m.worldRestarts.Add(2)
 	m.spansDropped.Add(17)
 	m.wire.Add(1234567)
@@ -72,8 +69,9 @@ func goldenScrapes(m *metrics) (classic, openMetrics string) {
 // order, HELP text, label order, le formatting, exemplar suffix and the
 // # EOF trailer — for the classic and the OpenMetrics scrape. The files
 // were generated from the hand-written exposition at b8c02f6, before
-// internal/obs existed; pass -update only when a metric is meant to
-// change.
+// internal/obs existed (since then only the three sample lines of the
+// deleted approx contract have left them); pass -update only when a
+// metric is meant to change.
 func TestGoldenExposition(t *testing.T) {
 	for _, sc := range []struct {
 		name string

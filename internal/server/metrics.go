@@ -16,18 +16,13 @@ var errorCodes = []string{CodeOverloaded, CodeBadRequest, CodeDeadline, CodeShut
 
 // qualityNames pre-registers the delivered-quality labels, in export
 // order (highest fidelity first).
-var qualityNames = []string{QualityFull, QualityApprox, QualityPreview}
+var qualityNames = []string{QualityFull, QualityPreview}
 
 // degradePaths pre-registers every (degrade path, landed-on contract)
-// pair that can occur: admission walks the ladder one rung at a time,
-// the watchdog only ever demotes to approx.
+// pair that can occur: admission steps a full request down to preview.
 var degradePaths = obs.Labels{
-	Keys: []string{"path", "to"},
-	Series: [][]string{
-		{"admission", QualityApprox},
-		{"admission", QualityPreview},
-		{"watchdog", QualityApprox},
-	},
+	Keys:   []string{"path", "to"},
+	Series: [][]string{{"admission", QualityPreview}},
 }
 
 // latencyBuckets covers whole-request latency from cache-hit-fast to

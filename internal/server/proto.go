@@ -38,21 +38,16 @@ const DefaultMethod = "bsbrc"
 
 // Quality contract names accepted in Request.Quality, re-exported from
 // the harness so the wire protocol and the execution layer can never
-// disagree on the ladder. See harness/quality.go for the semantics.
+// disagree on the names. See harness/quality.go for the semantics.
 const (
 	QualityFull    = harness.QualityFull
-	QualityApprox  = harness.QualityApprox
 	QualityPreview = harness.QualityPreview
 )
 
-// NormalizeQuality and QualityRank re-export the harness quality
-// helpers at the protocol layer, so gateways that key caches by
-// contract need not import the execution harness.
+// NormalizeQuality re-exports the harness quality helper at the
+// protocol layer, so gateways that key caches by contract need not
+// import the execution harness.
 func NormalizeQuality(q string) (string, error) { return harness.NormalizeQuality(q) }
-
-// QualityRank orders contracts by fidelity (full > approx > preview);
-// see harness.QualityRank.
-func QualityRank(q string) int { return harness.QualityRank(q) }
 
 // Request asks for one frame.
 type Request struct {
@@ -77,18 +72,14 @@ type Request struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
 	// Quality is the request's quality contract: "" or "full" (exact,
-	// byte-identical to an unconstrained render), "approx" (raised
-	// early-termination cutoff, sub-threshold regions dropped before
-	// encode, worst-case error reported in Stats.ErrorBound), or
-	// "preview" (quarter-resolution render; the reply carries the
-	// reduced dimensions and the client library upscales). Unknown
-	// names are rejected with CodeBadRequest.
+	// byte-identical to an unconstrained render) or "preview"
+	// (quarter-resolution render; the reply carries the reduced
+	// dimensions and the client library upscales). Unknown names are
+	// rejected with CodeBadRequest.
 	Quality string `json:"quality,omitempty"`
 	// DegradeOK opts into degraded delivery instead of failure: when
-	// the admission queue is saturated the server steps the contract
-	// down the full→approx→preview ladder rather than answering
-	// CodeOverloaded, and the frame watchdog demotes a slow frame to
-	// approx on its first trip instead of failing the world. The
+	// the admission queue is saturated the server steps a full request
+	// down to preview rather than answering CodeOverloaded. The
 	// delivered contract is reported in Stats.Quality.
 	DegradeOK bool `json:"degrade_ok,omitempty"`
 
@@ -182,15 +173,11 @@ type FrameStats struct {
 	// camera-quantized frame cache without touching a world.
 	Cached bool `json:"cached,omitempty"`
 
-	// Quality is the delivered quality contract (full, approx,
-	// preview) — what was actually rendered, which DegradeOK requests
-	// may find below what they asked for. Degraded flags exactly that
-	// case. ErrorBound is the worst-case per-pixel 8-bit gray error of
-	// a non-full delivery against the full render (0 for preview:
-	// resolution degrades, pixel values do not — and 0 for full).
-	Quality    string  `json:"quality,omitempty"`
-	Degraded   bool    `json:"degraded,omitempty"`
-	ErrorBound float64 `json:"error_bound,omitempty"`
+	// Quality is the delivered quality contract (full or preview) —
+	// what was actually rendered, which DegradeOK requests may find
+	// below what they asked for. Degraded flags exactly that case.
+	Quality  string `json:"quality,omitempty"`
+	Degraded bool   `json:"degraded,omitempty"`
 
 	// TraceID names the distributed trace this frame belongs to (hex),
 	// even when the request was unsampled: it keys the server's

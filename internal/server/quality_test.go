@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sortlast/internal/client"
+	"sortlast/internal/fleet"
 	"sortlast/internal/harness"
 	"sortlast/internal/server"
 )
@@ -30,12 +32,12 @@ func upscaleRef(gray []byte, sw, sh, w, h int) []byte {
 	return out
 }
 
-// TestQualityContract pins the quality ladder end to end against one
-// resident world: full is byte-identical to the seed behavior (with and
-// without the explicit name, and with DegradeOK set under no
-// contention), approx reports a positive error bound that its pixels
-// respect, preview renders quarter resolution and the client upscales
-// it to the requested geometry, and an unknown name is a bad request.
+// TestQualityContract pins both quality contracts end to end against
+// one resident world: full is byte-identical to the seed behavior (with
+// and without the explicit name, and with DegradeOK set under no
+// contention), preview renders quarter resolution and the client
+// upscales it to the requested geometry, and an unknown name is a bad
+// request.
 func TestQualityContract(t *testing.T) {
 	const p, w, h = 4, 64, 64
 	srv, err := server.Start(server.Config{
@@ -55,7 +57,7 @@ func TestQualityContract(t *testing.T) {
 	ref := referenceGray(t, base, p, 0)
 
 	// Full contract: "" and "full" and DegradeOK-without-contention all
-	// return the exact seed bytes and report full quality, no bound.
+	// return the exact seed bytes and report full quality.
 	for _, req := range []server.Request{
 		base,
 		{Dataset: "cube", Method: "bsbrc", Width: w, Height: h, RotY: 30, Quality: "full"},
@@ -68,37 +70,9 @@ func TestQualityContract(t *testing.T) {
 		if !bytes.Equal(f.Gray, ref) {
 			t.Errorf("quality=%q degrade_ok=%v: image differs from the seed render", req.Quality, req.DegradeOK)
 		}
-		if f.Stats.Quality != server.QualityFull || f.Stats.Degraded || f.Stats.ErrorBound != 0 {
-			t.Errorf("full contract reported quality=%q degraded=%v bound=%g",
-				f.Stats.Quality, f.Stats.Degraded, f.Stats.ErrorBound)
+		if f.Stats.Quality != server.QualityFull || f.Stats.Degraded {
+			t.Errorf("full contract reported quality=%q degraded=%v", f.Stats.Quality, f.Stats.Degraded)
 		}
-	}
-
-	// Approx: delivered as asked, positive bound, pixels within it.
-	approx := base
-	approx.Quality = server.QualityApprox
-	fa, err := cl.Render(ctx, approx)
-	if err != nil {
-		t.Fatalf("approx render: %v", err)
-	}
-	if fa.Stats.Quality != server.QualityApprox || fa.Stats.Degraded {
-		t.Errorf("approx reply reported quality=%q degraded=%v", fa.Stats.Quality, fa.Stats.Degraded)
-	}
-	if fa.Stats.ErrorBound <= 0 {
-		t.Fatalf("approx error bound = %g, want > 0", fa.Stats.ErrorBound)
-	}
-	worst := 0
-	for i := range ref {
-		d := int(fa.Gray[i]) - int(ref[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	if float64(worst) > fa.Stats.ErrorBound+1 { // +1 for 8-bit rounding
-		t.Errorf("approx pixel error %d exceeds the reported bound %g", worst, fa.Stats.ErrorBound)
 	}
 
 	// Preview: the server renders the quarter-resolution geometry and the
@@ -114,8 +88,8 @@ func TestQualityContract(t *testing.T) {
 	if fp.Width != w || fp.Height != h {
 		t.Fatalf("preview reply is %dx%d after upscale, want %dx%d", fp.Width, fp.Height, w, h)
 	}
-	if fp.Stats.Quality != server.QualityPreview || fp.Stats.ErrorBound != 0 {
-		t.Errorf("preview reply reported quality=%q bound=%g", fp.Stats.Quality, fp.Stats.ErrorBound)
+	if fp.Stats.Quality != server.QualityPreview || fp.Stats.Degraded {
+		t.Errorf("preview reply reported quality=%q degraded=%v", fp.Stats.Quality, fp.Stats.Degraded)
 	}
 	if !bytes.Equal(fp.Gray, upscaleRef(small, pw, ph, w, h)) {
 		t.Error("preview reply differs from the upscaled quarter-resolution reference")
@@ -131,7 +105,7 @@ func TestQualityContract(t *testing.T) {
 
 // TestDegradeUnderOverload saturates a capacity-2 server (1 in flight,
 // 1 queued) with concurrent DegradeOK requests: every request must be
-// answered with a frame — degraded down the ladder, never rejected with
+// answered with a frame — degraded to preview, never rejected with
 // overloaded — with the delivered quality populated, and the admission
 // degrade path must show up in /metrics.
 func TestDegradeUnderOverload(t *testing.T) {
@@ -171,8 +145,8 @@ func TestDegradeUnderOverload(t *testing.T) {
 			quals[f.Stats.Quality]++
 			if f.Stats.Degraded {
 				degraded++
-				if server.QualityRank(f.Stats.Quality) >= server.QualityRank(server.QualityFull) {
-					errCh <- fmt.Errorf("degraded reply still claims quality %q", f.Stats.Quality)
+				if f.Stats.Quality != server.QualityPreview {
+					errCh <- fmt.Errorf("degraded reply claims quality %q, want preview", f.Stats.Quality)
 				}
 			}
 		}()
@@ -199,78 +173,71 @@ func TestDegradeUnderOverload(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !bytes.Contains(body, []byte(`renderd_degraded_total{path="admission"`)) {
-		t.Error("metrics missing the admission degrade counter family")
+	if !bytes.Contains(body, []byte(`renderd_degraded_total{path="admission",to="preview"}`)) {
+		t.Error("metrics missing the admission degrade counter")
 	}
-	if bytes.Contains(body, []byte(`renderd_degraded_total{path="admission",to="approx"} 0`)) &&
-		bytes.Contains(body, []byte(`renderd_degraded_total{path="admission",to="preview"} 0`)) {
-		t.Error("admission degrade counters all zero after a degrading burst")
+	if bytes.Contains(body, []byte(`renderd_degraded_total{path="admission",to="preview"} 0`)) {
+		t.Error("admission degrade counter zero after a degrading burst")
 	}
 	if !bytes.Contains(body, []byte(`renderd_quality_delivered_total{quality="full"}`)) {
 		t.Error("metrics missing the delivered-quality counter family")
 	}
 }
 
-// TestWatchdogDemotesSlowFrame pins the watchdog's first-trip behavior
-// for DegradeOK work: a frame that overruns the watchdog deadline is
-// demoted to approx — remaining tiles re-rendered under the raised
-// early-termination cutoff — and completes inside a doubled window,
-// instead of tearing the world down. The frame must come back OK,
-// reporting approx quality with a positive bound, and the world must
-// never restart. Timing is calibrated from a measured full render and
-// retried across watchdog scales, since the demotion only engages when
-// the deadline lands mid-render.
-func TestWatchdogDemotesSlowFrame(t *testing.T) {
-	const p = 2
-	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 320, Height: 320, DegradeOK: true}
+// retiredQuality is the lossy contract this tree used to accept between
+// full and preview; clients built against it may still send the name.
+const retiredQuality = `approx`
 
-	start := time.Now()
-	referenceGray(t, server.Request{Dataset: req.Dataset, Method: req.Method, Width: req.Width, Height: req.Height}, p, 0)
-	full := time.Since(start)
-
-	for _, scale := range []float64{0.5, 0.25, 0.75} {
-		timeout := time.Duration(float64(full) * scale)
-		if timeout < 10*time.Millisecond {
-			timeout = 10 * time.Millisecond
-		}
-		srv, err := server.Start(server.Config{
-			Addr: "127.0.0.1:0", P: p,
-			QueueDepth: 2, MaxInFlight: 1,
-			DefaultDeadline: 2 * time.Minute, FrameTimeout: timeout,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl := client.New(srv.Addr().String())
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		f, err := cl.Render(ctx, req)
-		cancel()
-		restarts := srv.WorldRestarts()
-		cl.Close()
-		srv.Shutdown(context.Background())
-		if err != nil {
-			t.Logf("scale %.2f (timeout %v): %v; retrying at the next scale", scale, timeout, err)
-			continue
-		}
-		if f.Stats.Quality != server.QualityApprox {
-			t.Logf("scale %.2f (timeout %v): frame finished at quality %q without tripping; retrying",
-				scale, timeout, f.Stats.Quality)
-			continue
-		}
-		// Demoted: the contract must say so, with a bound, and the world
-		// must have survived.
-		if !f.Stats.Degraded {
-			t.Error("watchdog-demoted frame does not report degraded")
-		}
-		if f.Stats.ErrorBound <= 0 {
-			t.Errorf("watchdog-demoted frame reports bound %g, want > 0", f.Stats.ErrorBound)
-		}
-		if restarts != 0 {
-			t.Errorf("world restarted %d times; the first trip should demote, not fail", restarts)
-		}
-		return
+// TestRetiredQualityIsBadRequest pins what such a client gets: a typed
+// bad_request naming the two contracts that exist, from renderd
+// directly and through the gateway — which lets the unknown name miss
+// the cache and relays the replica's answer without retrying it on the
+// other replica or caching anything.
+func TestRetiredQualityIsBadRequest(t *testing.T) {
+	mk := func() *server.Config {
+		return &server.Config{P: 2, QueueDepth: 8, MaxInFlight: 1, DefaultDeadline: time.Minute}
 	}
-	t.Skip("no watchdog scale landed mid-render on this host; demotion not exercised")
+	srv, direct := startServer(t, *mk())
+	gw, err := fleet.Start(fleet.Config{
+		Addr:     "127.0.0.1:0",
+		Replicas: []fleet.ReplicaConfig{{Server: mk()}, {Server: mk()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	via := client.New(gw.Addr().String())
+	defer func() {
+		via.Close()
+		gw.Shutdown(context.Background())
+	}()
+
+	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32, Quality: retiredQuality}
+	for _, tier := range []struct {
+		name string
+		cl   *client.Client
+	}{{"renderd", direct}, {"gateway", via}} {
+		for _, degradeOK := range []bool{false, true} {
+			req.DegradeOK = degradeOK
+			_, err := renderOnce(t, tier.cl, req)
+			var ce *client.Error
+			if !errors.As(err, &ce) || ce.Code != server.CodeBadRequest {
+				t.Errorf("%s degrade_ok=%v: err = %v, want a typed bad_request", tier.name, degradeOK, err)
+				continue
+			}
+			for _, want := range []string{retiredQuality, server.QualityFull, server.QualityPreview} {
+				if !strings.Contains(ce.Msg, want) {
+					t.Errorf("%s: message %q does not name %q", tier.name, ce.Msg, want)
+				}
+			}
+		}
+	}
+	if n := srv.WorldRestarts(); n != 0 {
+		t.Errorf("renderd restarted its world %d times over a bad request", n)
+	}
+	st := gw.Stats()
+	if st.CacheHits != 0 || st.CacheMisses != 2 || st.CacheEntries != 0 || st.Retries != 0 || st.Errors != 2 {
+		t.Errorf("gateway stats after two retired-contract requests: %+v; want 2 misses, 2 errors, nothing cached or retried", st)
+	}
 }
 
 // TestDegradeDisabledIgnoresOptIn pins the operator override (renderd

@@ -79,10 +79,9 @@ type Config struct {
 	FrameTimeout time.Duration
 
 	// DegradeDisabled makes the server ignore Request.DegradeOK: a
-	// saturated queue rejects with CodeOverloaded and a slow frame fails
-	// the world, exactly as if the caller had not opted in. Operator
-	// knob for pinning full fidelity fleet-wide (renderd -no-degrade)
-	// without changing clients.
+	// saturated queue rejects with CodeOverloaded, exactly as if the
+	// caller had not opted in. Operator knob for pinning full fidelity
+	// fleet-wide (renderd -no-degrade) without changing clients.
 	DegradeDisabled bool
 
 	// Chaos, when set, wraps every rank's transport with fault injection
@@ -137,13 +136,9 @@ type job struct {
 
 	// quality is the contract the job was admitted at (what the plan
 	// renders); requested is what the caller asked for — they differ
-	// when admission degraded the request down the ladder. demote is
-	// non-nil for DegradeOK jobs: the frame watchdog flips it to switch
-	// the in-flight render to the approx cutoff instead of failing the
-	// world (the same flag rides in the plan's render options).
+	// when admission degraded the request to preview.
 	quality   string
 	requested string
-	demote    *atomic.Bool
 
 	// id is the distributed trace identity (from the request's trace
 	// context, or minted locally so flight entries and exemplars always
@@ -171,20 +166,6 @@ type reply struct {
 }
 
 func (j *job) finish(r reply) { j.once.Do(func() { j.done <- r }) }
-
-// delivered resolves what the job actually produced: the admitted
-// contract, demoted to approx when the watchdog tripped mid-render, and
-// the matching worst-case error bound. A demoted frame's bound carries
-// only the cutoff residual — its encode was never thinned.
-func (j *job) delivered() (quality string, bound float64) {
-	quality, bound = j.quality, j.plan.ErrorBound()
-	if j.demote != nil && j.demote.Load() &&
-		harness.QualityRank(quality) > harness.QualityRank(QualityApprox) {
-		quality = QualityApprox
-		bound = harness.ApproxErrorBound(j.plan.Cfg.P, render.ApproxCutoff, 0)
-	}
-	return quality, bound
-}
 
 // rendered is the handoff between a rank's render and composite stages.
 type rendered struct {
@@ -491,12 +472,14 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
 	}
 	if s.cfg.DegradeDisabled {
-		// req is a copy, so clearing the flag here blinds every
-		// downstream consumer (watchdog demotion in buildJob, the
-		// admission ladder below) in one place.
+		// req is a copy, so clearing the flag here blinds the
+		// admission step below.
 		req.DegradeOK = false
 	}
-	j, resp := s.admit(req, requested, time.Now().Add(req.Deadline(s.cfg.DefaultDeadline)))
+	// Arrival is stamped once: the deadline and every reported latency
+	// are anchored to it, however many times admission rebuilds the job.
+	arrived := time.Now()
+	j, resp := s.admit(req, requested, arrived, arrived.Add(req.Deadline(s.cfg.DefaultDeadline)))
 	if resp != nil {
 		return resp, nil
 	}
@@ -506,11 +489,9 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 		return s.reject(j, req, rep.code, rep.err.Error()), nil
 	}
 	total := time.Since(j.admitted)
-	delivered, bound := j.delivered()
-	degraded := harness.QualityRank(delivered) < harness.QualityRank(j.requested)
 	s.met.frames.Add(1, j.method)
 	s.met.latency.Observe(total.Seconds(), uint64(j.id))
-	s.met.quality.Add(1, delivered)
+	s.met.quality.Add(1, j.quality)
 	s.observeFlight(j, req, "ok")
 	resp = &Response{
 		OK: true,
@@ -519,14 +500,13 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 		// holds exactly Width*Height bytes either way.
 		Width: j.plan.Cfg.Width, Height: j.plan.Cfg.Height,
 		Stats: FrameStats{
-			QueueMS:    float64(j.dispatched.Sub(j.admitted)) / 1e6,
-			RenderMS:   float64(j.renderNS.Load()) / 1e6,
-			TotalMS:    float64(total) / 1e6,
-			WireBytes:  j.wireBytes.Load(),
-			Quality:    delivered,
-			Degraded:   degraded,
-			ErrorBound: bound,
-			TraceID:    j.id.String(),
+			QueueMS:   float64(j.dispatched.Sub(j.admitted)) / 1e6,
+			RenderMS:  float64(j.renderNS.Load()) / 1e6,
+			TotalMS:   float64(total) / 1e6,
+			WireBytes: j.wireBytes.Load(),
+			Quality:   j.quality,
+			Degraded:  j.quality != j.requested,
+			TraceID:   j.id.String(),
 		},
 	}
 	if j.sampled {
@@ -577,9 +557,11 @@ func (s *Server) enqueue(j *job) (code, msg string) {
 // buildJob resolves one request at one quality contract into a
 // ready-to-enqueue job. Preview contracts render at harness.PreviewDims
 // — a quarter of the rays — and carry the reduced geometry in the
-// reply; DegradeOK jobs get the demote flag the frame watchdog flips.
-// The returned *Response is the typed-error reply (nil on success).
-func (s *Server) buildJob(req Request, quality, requested string, deadlineAt time.Time) (*job, *Response) {
+// reply. arrived is when the request reached submit: a job rebuilt at a
+// lower contract keeps it, so its reported latencies cover the first
+// build and queue offer too. The returned *Response is the typed-error
+// reply (nil on success).
+func (s *Server) buildJob(req Request, quality, requested string, arrived, deadlineAt time.Time) (*job, *Response) {
 	w, h := req.Width, req.Height
 	if quality == QualityPreview {
 		w, h = harness.PreviewDims(w, h)
@@ -601,11 +583,6 @@ func (s *Server) buildJob(req Request, quality, requested string, deadlineAt tim
 		// NewPlan), so all ranks of this frame run the same compositor
 		// and corrections accumulate across requests.
 		cfg.Selector = s.sel
-	}
-	var demote *atomic.Bool
-	if req.DegradeOK {
-		demote = new(atomic.Bool)
-		cfg.RenderOpts.Demote = demote
 	}
 	err := cfg.Check()
 	var plan *harness.Plan
@@ -634,8 +611,7 @@ func (s *Server) buildJob(req Request, quality, requested string, deadlineAt tim
 		method:    plan.Cfg.Method,
 		quality:   quality,
 		requested: requested,
-		demote:    demote,
-		admitted:  time.Now(),
+		admitted:  arrived,
 		deadline:  deadlineAt,
 		id:        id,
 		sampled:   sampled,
@@ -655,14 +631,13 @@ const degradePoll = 2 * time.Millisecond
 
 // admit builds the request's job and offers it to the admission queue.
 // A full queue bounces the request with CodeOverloaded — unless it
-// opted into degraded delivery (DegradeOK): then each further attempt
-// steps the contract one rung down the full→approx→preview ladder
-// (rebuilding the job cheaper), polling at the preview floor, and the
-// only exits are a queue slot, the request deadline, shutdown, or a
-// build error. On success the caller waits on the returned job.
-func (s *Server) admit(req Request, requested string, deadlineAt time.Time) (*job, *Response) {
-	quality := requested
-	j, resp := s.buildJob(req, quality, requested, deadlineAt)
+// opted into degraded delivery (DegradeOK): then a full request is
+// rebuilt as a preview and re-offered at once, and a preview polls for
+// a slot; the only exits are a queue slot, the request deadline,
+// shutdown, or a build error. On success the caller waits on the
+// returned job.
+func (s *Server) admit(req Request, requested string, arrived, deadlineAt time.Time) (*job, *Response) {
+	j, resp := s.buildJob(req, requested, requested, arrived, deadlineAt)
 	for polled := false; resp == nil; polled = true {
 		code, msg := s.enqueue(j)
 		switch {
@@ -681,10 +656,9 @@ func (s *Server) admit(req Request, requested string, deadlineAt time.Time) (*jo
 				}
 			}
 		}
-		if next, ok := harness.DegradeQuality(quality); ok {
-			quality = next
-			s.met.degrades.Add(1, "admission", quality)
-			j, resp = s.buildJob(req, quality, requested, deadlineAt)
+		if j.quality != QualityPreview {
+			s.met.degrades.Add(1, "admission", QualityPreview)
+			j, resp = s.buildJob(req, QualityPreview, requested, arrived, deadlineAt)
 		}
 	}
 	return nil, resp

@@ -134,32 +134,18 @@ func (run *worldRun) takeInflight() []*job {
 	return jobs
 }
 
-// expired scans the in-flight jobs against now. A DegradeOK job blowing
-// its watchdog deadline for the first time is demoted instead of
-// counted: its Demote flag flips — switching the in-flight render's
-// remaining tiles to the approx cutoff — and its watchdog clock
-// restarts with a doubled window (the frame was already slow and only
-// what remains gets cheaper). Returns the number of jobs demoted this
-// tick and the worst overrun among non-demotable expirations; worst > 0
-// means the incarnation is wedged and must fail.
-func (run *worldRun) expired(now time.Time, frameTimeout time.Duration) (demoted int, worst time.Duration) {
+// expired returns the worst overrun among in-flight jobs past their
+// watchdog deadline at now; worst > 0 means the incarnation is wedged
+// and must fail.
+func (run *worldRun) expired(now time.Time) (worst time.Duration) {
 	run.mu.Lock()
 	defer run.mu.Unlock()
-	for j, dl := range run.inflight {
-		over := now.Sub(dl)
-		if over <= 0 {
-			continue
-		}
-		if j.demote != nil && j.demote.CompareAndSwap(false, true) {
-			run.inflight[j] = now.Add(2 * frameTimeout)
-			demoted++
-			continue
-		}
-		if over > worst {
+	for _, dl := range run.inflight {
+		if over := now.Sub(dl); over > worst {
 			worst = over
 		}
 	}
-	return demoted, worst
+	return worst
 }
 
 // watchdog fails the incarnation when an in-flight frame makes no
@@ -183,11 +169,7 @@ func (s *Server) watchdog(run *worldRun) {
 		case <-run.failed:
 			return
 		case now := <-ticker.C:
-			demoted, over := run.expired(now, s.frameTimeout())
-			if demoted > 0 {
-				s.met.degrades.Add(int64(demoted), "watchdog", QualityApprox)
-			}
-			if over > 0 {
+			if over := run.expired(now); over > 0 {
 				run.fail(s, fmt.Errorf("%w: frame %v past its %v deadline",
 					errWedged, over+s.frameTimeout(), s.frameTimeout()))
 				return

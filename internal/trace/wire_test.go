@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func recWithSpans(t *testing.T, p, perRank int) *Recorder {
+func recWithSpans(t testing.TB, p, perRank int) *Recorder {
 	t.Helper()
 	rec := NewRecorder(p)
 	for i := 0; i < p; i++ {
