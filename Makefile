@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-module chaos bench bench-json bench-autotune bench-render bench-fleet bench-compose bench-quality
+.PHONY: check vet build test race bench-module chaos bench bench-json bench-render bench-fleet bench-compose bench-quality
 
 # check is the pre-commit gate: static analysis, a full build, the full
 # test suite, the race detector over every package, and the benchmark
@@ -68,13 +68,6 @@ bench-fleet:
 bench-quality:
 	@$(GO) run ./cmd/servebench -quality sweep -out BENCH_quality.json || \
 		{ echo "bench-quality: FAILED -- the quality sweep did not complete or preview lost its 2x p99 margin over full (see error above); BENCH_quality.json not updated" >&2; exit 1; }
-
-# bench-autotune compares Method auto against every fixed compositing
-# method over a mixed dense->sparse animation (quick-calibrating the
-# host first) and writes BENCH_autotune.json.
-bench-autotune:
-	@$(GO) run ./cmd/composebench -autobench -o BENCH_autotune.json || \
-		{ echo "bench-autotune: FAILED -- autobench did not complete (see error above); BENCH_autotune.json not updated" >&2; exit 1; }
 
 # bench-compose measures every registered compositing method's wall time
 # over a dense and a sparse workload (including ds/dfb at non-power-of-

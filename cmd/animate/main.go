@@ -14,8 +14,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"sortlast/internal/autotune"
-	"sortlast/internal/costmodel"
 	"sortlast/internal/harness"
 	"sortlast/internal/report"
 )
@@ -23,8 +21,7 @@ import (
 var (
 	dataset = flag.String("dataset", "engine_high", "built-in dataset")
 	p       = flag.Int("p", 8, "number of simulated processors")
-	method  = flag.String("method", "bsbrc", "compositing method, or auto for per-frame adaptive selection")
-	profile = flag.String("profile", "", "machine profile JSON from cmd/calibrate driving -method auto (default: the paper's SP2 preset)")
+	method  = flag.String("method", "bsbrc", "compositing method")
 	size    = flag.Int("size", 384, "image size (square)")
 	frames  = flag.Int("frames", 12, "frames in the orbit")
 	tiltDeg = flag.Float64("tilt", 20, "constant tilt about x (degrees)")
@@ -50,23 +47,6 @@ func run() error {
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
-	// For -method auto, one selector persists across the orbit: frame 1
-	// seeds from a pre-scan, later frames predict from the previous
-	// frame's measured sparsity, so the method can follow the viewpoint.
-	var sel *autotune.Selector
-	if autotune.IsAuto(*method) {
-		params := costmodel.SP2()
-		if *profile != "" {
-			prof, err := autotune.LoadProfile(*profile)
-			if err != nil {
-				return err
-			}
-			if params, err = prof.Params(autotune.TransportMP); err != nil {
-				return err
-			}
-		}
-		sel = autotune.NewSelector(params, autotune.TransportMP)
-	}
 	var rows []harness.Row
 	for f := 0; f < *frames; f++ {
 		roty := 360 * float64(f) / float64(*frames)
@@ -75,7 +55,6 @@ func run() error {
 			Width:   *size, Height: *size,
 			P: *p, Method: *method,
 			RotX: *tiltDeg, RotY: roty,
-			Selector: sel,
 		})
 		if err != nil {
 			return fmt.Errorf("frame %d: %w", f, err)
@@ -85,12 +64,8 @@ func run() error {
 			return err
 		}
 		rows = append(rows, *row)
-		label := ""
-		if row.Auto {
-			label = fmt.Sprintf(" [auto→%s]", row.Method)
-		}
-		fmt.Printf("frame %3d (rotY %5.1f): composite %6.2f ms modeled, M_max %7d B, %d empty rects%s\n",
-			f, roty, row.TotalMS, row.MMax, row.EmptyRects, label)
+		fmt.Printf("frame %3d (rotY %5.1f): composite %6.2f ms modeled, M_max %7d B, %d empty rects\n",
+			f, roty, row.TotalMS, row.MMax, row.EmptyRects)
 	}
 	csvPath := filepath.Join(*outdir, "stats.csv")
 	if err := os.WriteFile(csvPath, []byte(report.CSV(rows)), 0o644); err != nil {

@@ -1,17 +1,14 @@
 // Command composebench regenerates the paper's evaluation (§4) from the
 // command line: Table 1 (384x384), Table 2 (768x768), Figures 8-11 (the
-// per-dataset compositing-time series), the Eq. 9 M_max comparison, and
-// the autotune benchmark (auto vs every fixed method over a mixed
-// sparse/dense animation).
+// per-dataset compositing-time series) and the Eq. 9 M_max comparison.
 //
 // Examples:
 //
 //	composebench -table 1
-//	composebench -table 1 -method auto,bsbrc
+//	composebench -table 1 -method bsbr,bsbrc
 //	composebench -figure 11 -maxp 32
 //	composebench -mmax -dataset cube
 //	composebench -all -csv
-//	composebench -autobench -o BENCH_autotune.json
 //	composebench -compose -o BENCH_compose.json
 //	composebench -table 1 -method ds,dfb -plist 3,6 -dataset cube
 package main
@@ -33,18 +30,16 @@ var (
 	figure    = flag.Int("figure", 0, "regenerate Figure 8, 9, 10 or 11")
 	mmax      = flag.Bool("mmax", false, "regenerate the Eq. 9 M_max comparison")
 	all       = flag.Bool("all", false, "regenerate every table and figure")
-	autobench = flag.Bool("autobench", false, "compare Method auto against each fixed method over a mixed sparse/dense animation; writes JSON to -o")
 	composeFl = flag.Bool("compose", false, "measure every registered method's compositing wall over a dense and a sparse workload, including ds/dfb at non-power-of-two P; writes JSON to -o")
 	dataset   = flag.String("dataset", "", "restrict to one dataset (engine_low, engine_high, head, cube)")
-	methodsFl = flag.String("method", "", "comma-separated methods overriding each sweep's method set (core methods or auto)")
+	methodsFl = flag.String("method", "", "comma-separated methods overriding each sweep's method set")
 	maxP      = flag.Int("maxp", 64, "largest processor count in the sweep")
 	plist     = flag.String("plist", "", "comma-separated explicit processor counts overriding the power-of-two sweep (any-P methods accept non-powers of two)")
 	tileFl    = flag.Int("tile", 0, "dfb tile edge in pixels (0: core.DefaultTile)")
 	rotX      = flag.Float64("rotx", 20, "viewpoint rotation about x (degrees)")
 	rotY      = flag.Float64("roty", 30, "viewpoint rotation about y (degrees)")
 	csv       = flag.Bool("csv", false, "emit CSV instead of formatted tables")
-	profileFl = flag.String("profile", "", "machine profile JSON from cmd/calibrate driving auto selection (default: the paper's SP2 preset)")
-	outFile   = flag.String("o", "BENCH_autotune.json", "output path of the -autobench report")
+	outFile   = flag.String("o", "BENCH_compose.json", "output path of the -compose report")
 	traceOut  = flag.String("trace", "", "write a Chrome/Perfetto span trace of the last sweep cell to this JSON file")
 )
 
@@ -114,11 +109,6 @@ func sweep(size int, methods []string, ds []string) ([]harness.Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/P%d: %w", d, m, p, err)
 				}
-				if row.Auto {
-					// Fold every auto cell into one table column regardless
-					// of which concrete method the selector resolved to.
-					row.Method = "AUTO"
-				}
 				rows = append(rows, *row)
 				fmt.Fprintf(os.Stderr, ".")
 			}
@@ -153,12 +143,6 @@ func run() error {
 		return strings.Split(*methodsFl, ",")
 	}
 
-	if *autobench {
-		did = true
-		if err := runAutobench(); err != nil {
-			return err
-		}
-	}
 	if *composeFl {
 		did = true
 		if err := runComposeGrid(); err != nil {
@@ -227,7 +211,7 @@ func run() error {
 	}
 	if !did {
 		flag.Usage()
-		return fmt.Errorf("nothing to do: pass -table, -figure, -mmax, -autobench, -compose or -all")
+		return fmt.Errorf("nothing to do: pass -table, -figure, -mmax, -compose or -all")
 	}
 	if *traceOut != "" {
 		if lastTrace == nil {

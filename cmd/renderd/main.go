@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"sortlast/internal/autotune"
 	"sortlast/internal/server"
 )
 
@@ -42,7 +41,6 @@ var (
 	deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline; a frame stuck longer fails the rank world, which is rebuilt (0: 60s)")
 	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
-	profilePath = flag.String("profile", "", "machine profile JSON from cmd/calibrate, driving Method \"auto\" selection (default: the paper's SP2 preset)")
 	noDegrade   = flag.Bool("no-degrade", false, "ignore DegradeOK on requests: a saturated queue rejects with a typed overload error, pinning full fidelity fleet-wide")
 	drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGINT/SIGTERM")
 )
@@ -60,13 +58,6 @@ func run() error {
 	if *addrs != "" {
 		worldAddrs = strings.Split(*addrs, ",")
 	}
-	var prof *autotune.Profile
-	if *profilePath != "" {
-		var err error
-		if prof, err = autotune.LoadProfile(*profilePath); err != nil {
-			return err
-		}
-	}
 	srv, err := server.Start(server.Config{
 		Addr:            *listen,
 		HTTPAddr:        *metricsAddr,
@@ -78,7 +69,6 @@ func run() error {
 		DefaultDeadline: *deadline,
 		FrameTimeout:    *frameTO,
 		Workers:         *workers,
-		Profile:         prof,
 		DisableTracing:  *noTrace,
 		FlightSize:      *flightSize,
 		DegradeDisabled: *noDegrade,
@@ -89,7 +79,7 @@ func run() error {
 	fmt.Printf("renderd: serving frames on %s (world=%s, P=%d, queue=%d, inflight=%d)\n",
 		srv.Addr(), *world, *p, *queue, *inflight)
 	if a := srv.HTTPAddr(); a != nil {
-		fmt.Printf("renderd: /healthz, /metrics, /debug/pprof/, /debug/trace/last, /debug/flight and /debug/autotune on http://%s\n", a)
+		fmt.Printf("renderd: /healthz, /metrics, /debug/pprof/, /debug/trace/last and /debug/flight on http://%s\n", a)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"sortlast/internal/autotune"
 	"sortlast/internal/fleet"
 	"sortlast/internal/server"
 )
@@ -47,7 +46,6 @@ var (
 	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
 	deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline per replica (0: 60s)")
-	profilePath = flag.String("profile", "", "machine profile JSON from cmd/calibrate, driving Method \"auto\" selection in each replica")
 	cacheBytes  = flag.Int64("cache-bytes", 0, "frame cache byte budget (0: 64 MiB)")
 	noCache     = flag.Bool("no-cache", false, "disable the frame cache")
 	quant       = flag.Float64("quant", 0, "camera quantization step in degrees for cache keys (0: 0.25)")
@@ -93,13 +91,6 @@ func perReplicaP(spec string, n int) ([]int, error) {
 // replicaConfigs builds the replica set the flags describe: -attach
 // addresses, or -replicas in-process renderd configurations.
 func replicaConfigs() ([]fleet.ReplicaConfig, error) {
-	var prof *autotune.Profile
-	if *profilePath != "" {
-		var err error
-		if prof, err = autotune.LoadProfile(*profilePath); err != nil {
-			return nil, err
-		}
-	}
 	var rcs []fleet.ReplicaConfig
 	if *attach != "" {
 		for _, a := range strings.Split(*attach, ",") {
@@ -128,7 +119,6 @@ func replicaConfigs() ([]fleet.ReplicaConfig, error) {
 			Workers:         *workers,
 			DefaultDeadline: *deadline,
 			FrameTimeout:    *frameTO,
-			Profile:         prof,
 			// An in-process replica has no sidecar, so with gateway
 			// tracing off nothing could read what its recorder keeps.
 			DisableTracing: *noTrace,

@@ -319,7 +319,14 @@ func roundTrip(ctx context.Context, conn net.Conn, req server.Request) (*Frame, 
 	if !resp.OK {
 		return nil, &Error{Code: resp.Code, Msg: resp.Error}
 	}
-	gray, err := server.ReadFrame(conn, server.MaxReplyFrame)
+	// A served frame never exceeds the requested geometry (preview
+	// shrinks, nothing grows) and no request failing Check is served, so
+	// the header bounds the pixel frame before any of it is allocated.
+	if resp.Width <= 0 || resp.Width > req.Width || resp.Height <= 0 || resp.Height > req.Height || req.Check() != nil {
+		return nil, fmt.Errorf("renderd: reply declares a %dx%d frame for a %dx%d request",
+			resp.Width, resp.Height, req.Width, req.Height)
+	}
+	gray, err := server.ReadFrame(conn, resp.Width*resp.Height)
 	if err != nil {
 		return nil, fmt.Errorf("renderd: read pixels: %w", err)
 	}

@@ -2,8 +2,10 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,7 +167,7 @@ func TestCheckoutDropsDeadIdleConns(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := c.Render(ctx, server.Request{}); err != nil {
+	if _, err := c.Render(ctx, server.Request{Width: 1, Height: 1}); err != nil {
 		t.Fatalf("first Render: %v", err)
 	}
 
@@ -183,7 +185,7 @@ drain:
 	// than racing it.
 	time.Sleep(20 * time.Millisecond)
 
-	if _, err := c.Render(ctx, server.Request{}); err != nil {
+	if _, err := c.Render(ctx, server.Request{Width: 1, Height: 1}); err != nil {
 		t.Fatalf("Render after server restart: %v (dead idle conn not dropped at checkout)", err)
 	}
 	if n := accepted.Load(); n != 2 {
@@ -309,11 +311,69 @@ func TestDeadlinePropagation(t *testing.T) {
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
-	if _, err := c.Render(ctx2, server.Request{DeadlineMS: 60000}); err != nil {
+	if _, err := c.Render(ctx2, server.Request{Width: 1, Height: 1, DeadlineMS: 60000}); err != nil {
 		t.Fatal(err)
 	}
 	ms := <-deadlines
 	if ms < 1000 || ms > 30000 {
 		t.Errorf("30s budget with a 60s request deadline shipped DeadlineMS=%d, want the sooner context budget", ms)
+	}
+}
+
+// The reply header bounds the pixel frame: a peer that declares more
+// pixels than the request asked for, or follows an honest header with
+// an oversized length prefix, is refused before the client allocates
+// for it. (The old code sized the buffer from the 4-byte prefix alone,
+// up to server.MaxReplyFrame, and compared dimensions afterwards.)
+func TestReplyHeaderBoundsPixelFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		req        server.Request
+		w, h       int
+		prefix     uint32
+		prefixRead bool // whether the client may consume the pixel frame's prefix
+	}{
+		{"oversized length prefix", server.Request{Width: 64, Height: 64}, 1, 1, 200 << 20, true},
+		{"header larger than request", server.Request{Width: 64, Height: 64}, 4096, 4096, 4096 * 4096, false},
+		{"non-positive request", server.Request{}, 1, 1, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, srv := net.Pipe()
+			prefixErr := make(chan error, 1)
+			go func() {
+				defer srv.Close()
+				var req server.Request
+				if err := server.ReadJSON(srv, server.MaxRequestFrame, &req); err != nil {
+					prefixErr <- err
+					return
+				}
+				server.WriteJSON(srv, server.Response{OK: true, Width: tc.w, Height: tc.h})
+				var hdr [4]byte
+				binary.LittleEndian.PutUint32(hdr[:], tc.prefix)
+				_, err := srv.Write(hdr[:])
+				prefixErr <- err
+			}()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := roundTrip(ctx, cl, tc.req)
+			runtime.ReadMemStats(&after)
+			cl.Close()
+
+			var typed *Error
+			if err == nil || errors.As(err, &typed) {
+				t.Fatalf("roundTrip = %v, want a transport error (the stream is out of sync, the connection must not be pooled)", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("client allocated %d bytes for a reply it refused", grew)
+			}
+			// net.Pipe is synchronous: the peer's prefix write succeeds
+			// only if the client read it.
+			if perr := <-prefixErr; (perr == nil) != tc.prefixRead {
+				t.Errorf("peer's pixel-frame prefix write = %v, want read by client: %v", perr, tc.prefixRead)
+			}
+		})
 	}
 }

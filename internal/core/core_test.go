@@ -189,15 +189,11 @@ func requireIdentical(t *testing.T, label string, got, want *frame.Image) {
 // a failure message alone says how to reproduce it.
 const blobSeed = 19990921
 
-// blobScenes returns one scene per camera over a single seeded volume of
-// overlapping random blobs: fixed axis-aligned and grazing views (where
-// footprints degenerate to slivers and depth order flips between
-// neighbouring boxes) followed by n cameras drawn uniformly.
-func blobScenes(t *testing.T, n int) map[string]*scene {
-	t.Helper()
-	rng := rand.New(rand.NewSource(blobSeed))
+// blobVolume draws one volume of overlapping random blobs — how many,
+// where, how large and how dense all come from rng.
+func blobVolume(rng *rand.Rand) *volume.Volume {
 	vol := volume.New(32, 28, 18)
-	for i := 0; i < 9; i++ {
+	for i, n := 0, 4+rng.Intn(9); i < n; i++ {
 		cx, cy, cz := rng.Float64()*32, rng.Float64()*28, rng.Float64()*18
 		r, val := 2+rng.Float64()*6, uint8(60+rng.Intn(196))
 		lo := [3]int{int(cx - r), int(cy - r), int(cz - r)}
@@ -214,28 +210,46 @@ func blobScenes(t *testing.T, n int) map[string]*scene {
 			}
 		}
 	}
-	cams := [][2]float64{{0, 0}, {90, 0}, {0, -90}, {180, 90}, {0, 89.75}, {-89.75, 45}}
-	for i := 0; i < n; i++ {
-		cams = append(cams, [2]float64{rng.Float64()*360 - 180, rng.Float64()*360 - 180})
-	}
-	scenes := make(map[string]*scene, len(cams))
-	for _, c := range cams {
-		name := fmt.Sprintf("blobs(seed %d) rot=(%.4f,%.4f)", blobSeed, c[0], c[1])
-		sc := makeScene(t, vol, transfer.Ramp("blobs", 50, 255, 0.35), 48, 40, c[0], c[1])
-		if sc.serial.CountNonBlank(sc.serial.Full()) == 0 {
-			t.Fatalf("%s: serial render is blank; the scene tests nothing", name)
+	return vol
+}
+
+// blobScenes draws three volumes from blobSeed and returns one scene per
+// (volume, camera): n cameras drawn uniformly for each volume, and on
+// the first volume also the fixed axis-aligned and grazing views (where
+// footprints degenerate to slivers and depth order flips between
+// neighbouring boxes).
+func blobScenes(t *testing.T, n int) map[string]*scene {
+	t.Helper()
+	rng := rand.New(rand.NewSource(blobSeed))
+	scenes := make(map[string]*scene)
+	for v := 0; v < 3; v++ {
+		vol := blobVolume(rng)
+		var cams [][2]float64
+		if v == 0 {
+			cams = [][2]float64{{0, 0}, {90, 0}, {0, -90}, {180, 90}, {0, 89.75}, {-89.75, 45}}
 		}
-		scenes[name] = sc
+		for i := 0; i < n; i++ {
+			cams = append(cams, [2]float64{rng.Float64()*360 - 180, rng.Float64()*360 - 180})
+		}
+		for _, c := range cams {
+			name := fmt.Sprintf("blobs(seed %d, volume %d) rot=(%.4f,%.4f)", blobSeed, v, c[0], c[1])
+			sc := makeScene(t, vol, transfer.Ramp("blobs", 50, 255, 0.35), 48, 40, c[0], c[1])
+			if sc.serial.CountNonBlank(sc.serial.Full()) == 0 {
+				t.Fatalf("%s: serial render is blank; the scene tests nothing", name)
+			}
+			scenes[name] = sc
+		}
 	}
 	return scenes
 }
 
 // Every compositor must reproduce the serial rendering (the master
 // integration property), across datasets, rotations — the paper's four
-// fixed views plus seeded random cameras over a seeded random volume —
-// and every rank count the method declares legal — powers of two for
-// all, the folded and the natively any-P counts for the methods that
-// serve them — in process, and once more over loopback TCP.
+// fixed views plus seeded random cameras over three seeded random
+// volumes — and every rank count the method declares legal — powers of
+// two for all, the folded and the natively any-P counts for the methods
+// that serve them — in process, and the seeded family once more over
+// loopback TCP.
 func TestAllMethodsMatchSerial(t *testing.T) {
 	scenes := map[string]*scene{
 		"engine_low":  makeScene(t, volume.EngineBlock(32, 32, 14), transfer.EngineLow(), 48, 48, 0, 0),
@@ -243,7 +257,8 @@ func TestAllMethodsMatchSerial(t *testing.T) {
 		"head":        makeScene(t, volume.HeadPhantom(32, 32, 15), transfer.Head(), 48, 48, 10, -30),
 		"cube":        makeScene(t, volume.SolidCube(32, 32, 14), transfer.Cube(), 48, 48, 45, 45),
 	}
-	for name, sc := range blobScenes(t, 8) {
+	blobs := blobScenes(t, 3)
+	for name, sc := range blobs {
 		scenes[name] = sc
 	}
 	check := func(name string, sc *scene, run world, ps []int) {
@@ -265,6 +280,9 @@ func TestAllMethodsMatchSerial(t *testing.T) {
 		check(name, sc, inProcess, []int{1, 2, 3, 4, 6, 8})
 	}
 	check("head over tcp", scenes["head"], loopback, []int{4, 6})
+	for name, sc := range blobs {
+		check(name+" over tcp", sc, loopback, []int{4, 6})
+	}
 }
 
 // The four paper methods are communication optimizations of the same

@@ -7,9 +7,9 @@ import (
 )
 
 // Caps are a compositing method's capability flags. Admission (which
-// rank counts a method serves), the autotune selector (which methods the
-// model can rank), and the benches all read the same flags, so adding a
-// method means one registry line instead of editing parallel lists.
+// rank counts a method serves) and the benches read the same flags, so
+// adding a method means one registry line instead of editing parallel
+// lists.
 type Caps struct {
 	// Paper marks one of the four methods of the paper's evaluation.
 	Paper bool
@@ -19,9 +19,6 @@ type Caps struct {
 	// NativeAnyP marks a method that runs at any rank count without the
 	// fold (the owner-routed ds and dfb).
 	NativeAnyP bool
-	// ModelBacked marks a method autotune.Predict has a closed form for;
-	// these are the "auto" candidates.
-	ModelBacked bool
 	// WireEncoded marks a method whose messages carry sparse encoded
 	// payloads rather than dense pixel blocks.
 	WireEncoded bool
@@ -49,13 +46,13 @@ type builder func(granularity, tile int, lay partition.Layout) Compositor
 // encodings as binary-swap variants (§2/§3.3 ablations), then the
 // owner-routed pair that runs natively at any rank count.
 var registry = []Spec{
-	{Name: "bs", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true},
+	{Name: "bs", Caps: Caps{Paper: true, Foldable: true},
 		build: swap("BS", raw{})},
-	{Name: "bsbr", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true},
+	{Name: "bsbr", Caps: Caps{Paper: true, Foldable: true},
 		build: swap("BSBR", rectRaw{})},
-	{Name: "bslc", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true, WireEncoded: true},
+	{Name: "bslc", Caps: Caps{Paper: true, Foldable: true, WireEncoded: true},
 		build: swap("BSLC", intervalRLE{})},
-	{Name: "bsbrc", Caps: Caps{Paper: true, Foldable: true, ModelBacked: true, WireEncoded: true},
+	{Name: "bsbrc", Caps: Caps{Paper: true, Foldable: true, WireEncoded: true},
 		build: swap("BSBRC", rectRLE{})},
 	{Name: "direct",
 		build: owners("DirectSend", tagDirect, rectRaw{}, false)},
@@ -67,11 +64,11 @@ var registry = []Spec{
 		build: swap("BSDPF", forwarded{})},
 	{Name: "bsvc", Caps: Caps{Foldable: true, WireEncoded: true},
 		build: swap("BSVC", valueRuns{})},
-	{Name: "bsbrlc", Caps: Caps{Foldable: true, ModelBacked: true, WireEncoded: true},
+	{Name: "bsbrlc", Caps: Caps{Foldable: true, WireEncoded: true},
 		build: swap("BSBRLC", intervalRLE{rect: true})},
-	{Name: "ds", Caps: Caps{NativeAnyP: true, ModelBacked: true, WireEncoded: true},
+	{Name: "ds", Caps: Caps{NativeAnyP: true, WireEncoded: true},
 		build: owners("DS", tagDS, rectRLE{}, false)},
-	{Name: "dfb", Caps: Caps{NativeAnyP: true, ModelBacked: true, WireEncoded: true},
+	{Name: "dfb", Caps: Caps{NativeAnyP: true, WireEncoded: true},
 		build: owners("DFB", tagDFB, rectRLE{batched: true}, true)},
 }
 
@@ -166,10 +163,6 @@ func Names() []string {
 
 // PaperMethods lists the four methods of the paper's evaluation.
 func PaperMethods() []string { return namesWhere(func(c Caps) bool { return c.Paper }) }
-
-// ModelBacked lists the methods the cost model has closed forms for —
-// the candidate set of autotune's per-frame argmin.
-func ModelBacked() []string { return namesWhere(func(c Caps) bool { return c.ModelBacked }) }
 
 // ServesAnyP reports whether the named method runs at non-power-of-two
 // rank counts; false for unknown names.

@@ -23,9 +23,6 @@ func TestRegistryLists(t *testing.T) {
 			t.Errorf("built-in %q not registered", name)
 		}
 	}
-	if got, want := ModelBacked(), []string{"bs", "bsbr", "bslc", "bsbrc", "bsbrlc", "ds", "dfb"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ModelBacked() = %v, want %v", got, want)
-	}
 	if got, want := AnyPMethods(), []string{"bs", "bsbr", "bslc", "bsbrc", "bsdpf", "bsvc", "bsbrlc", "ds", "dfb"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("AnyPMethods() = %v, want %v", got, want)
 	}
@@ -35,9 +32,6 @@ func TestRegistryLists(t *testing.T) {
 			t.Errorf("duplicate spec %q", s.Name)
 		}
 		names[s.Name] = true
-		if s.Caps.Paper && !s.Caps.ModelBacked {
-			t.Errorf("%q: paper methods must be model-backed", s.Name)
-		}
 		if s.Caps.Foldable && s.Caps.NativeAnyP {
 			t.Errorf("%q: foldable and natively any-P are exclusive", s.Name)
 		}

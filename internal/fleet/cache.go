@@ -57,9 +57,8 @@ func quantizeDeg(deg, step float64) int {
 
 // quantKey builds the cache/affinity key for a request. The empty
 // method is normalized to the server default so "bsbrc" and "" share an
-// entry; "auto" keys as itself (all methods composite byte-identical
-// images, so sharing across the selector's choices would also be
-// sound — the split is kept so invalidation can be method-scoped).
+// entry. Methods key apart although all of them composite
+// byte-identical images, so invalidation can be method-scoped.
 func quantKey(req server.Request, step float64) cacheKey {
 	method := req.Method
 	if method == "" {
@@ -90,9 +89,6 @@ type cacheEntry struct {
 	key           cacheKey
 	width, height int
 	gray          []byte
-	// quality echoes the delivered contract of the reply that populated
-	// the entry, so a hit reports it like a render.
-	quality string
 }
 
 // entryOverhead approximates the bookkeeping bytes per entry charged

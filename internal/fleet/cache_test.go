@@ -219,7 +219,7 @@ func qualityKey(quality string, rot float64) cacheKey {
 // a different geometry.
 func TestCacheQualityKeying(t *testing.T) {
 	c := newFrameCache(1 << 20)
-	full := &cacheEntry{key: qualityKey("", 0), quality: server.QualityFull, gray: make([]byte, 64)}
+	full := &cacheEntry{key: qualityKey("", 0), gray: make([]byte, 64)}
 	c.put(full, c.generation())
 
 	// "" and "full" share the key.
@@ -237,7 +237,7 @@ func TestCacheQualityKeying(t *testing.T) {
 
 	// The reverse direction: with only a preview entry cached, a full
 	// request misses and the preview request hits its own entry.
-	preview := &cacheEntry{key: qualityKey(server.QualityPreview, 10), quality: server.QualityPreview, gray: make([]byte, 64)}
+	preview := &cacheEntry{key: qualityKey(server.QualityPreview, 10), gray: make([]byte, 64)}
 	c.put(preview, c.generation())
 	if _, ok := c.get(qualityKey("", 10)); ok {
 		t.Fatal("a full request was served a preview entry")
@@ -252,7 +252,7 @@ func TestCacheQualityKeying(t *testing.T) {
 func TestCacheInvalidateSweepsQualityVariants(t *testing.T) {
 	c := newFrameCache(1 << 20)
 	for _, q := range []string{"", server.QualityPreview} {
-		e := &cacheEntry{key: qualityKey(q, 0), quality: q, gray: make([]byte, 16)}
+		e := &cacheEntry{key: qualityKey(q, 0), gray: make([]byte, 16)}
 		c.put(e, c.generation())
 	}
 	if c.entries() != 2 {

@@ -1,9 +1,8 @@
 // Package fleet is the horizontal-capacity tier above renderd: a
 // gateway that owns N world replicas (each a supervised internal/server
-// world with its own P, transport and autotune configuration, or an
-// externally running renderd it attaches to) and speaks the same
-// length-prefixed frame protocol to clients, so internal/client works
-// unchanged against a gateway.
+// world with its own P and transport, or an externally running renderd
+// it attaches to) and speaks the same length-prefixed frame protocol to
+// clients, so internal/client works unchanged against a gateway.
 //
 // Three mechanisms turn one-world serving into a fleet:
 //
@@ -261,7 +260,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 			g.met.cache.Add(1, "hit")
 			return g.reply(rt, req, time.Since(t0), &server.Response{
 				OK: true, Width: e.width, Height: e.height,
-				Stats: server.FrameStats{Cached: true, Quality: e.quality},
+				Stats: server.FrameStats{Cached: true, Quality: e.key.quality},
 			}), e.gray
 		}
 		g.met.cache.Add(1, "miss")
@@ -288,7 +287,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		if q, err := server.NormalizeQuality(f.Stats.Quality); err == nil {
 			ckey.quality = q
 		}
-		e := &cacheEntry{key: ckey, width: f.Width, height: f.Height, gray: f.Gray, quality: ckey.quality}
+		e := &cacheEntry{key: ckey, width: f.Width, height: f.Height, gray: f.Gray}
 		g.cacheMu.Lock()
 		evicted := g.cache.put(e, gen)
 		g.cacheMu.Unlock()

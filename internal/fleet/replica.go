@@ -13,9 +13,9 @@ import (
 
 // ReplicaConfig describes one world replica the gateway owns or fronts.
 // Exactly one of Server and Addr must be set: a non-nil Server starts
-// an in-process renderd (its own supervised world, P, transport and
-// autotune config — replicas may be heterogeneous), while Addr attaches
-// to a renderd already running elsewhere.
+// an in-process renderd (its own supervised world, P and transport —
+// replicas may be heterogeneous), while Addr attaches to a renderd
+// already running elsewhere.
 type ReplicaConfig struct {
 	// Server configures an in-process replica. Its Addr defaults to a
 	// loopback ephemeral port; the gateway dials it like any backend, so

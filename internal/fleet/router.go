@@ -13,10 +13,10 @@ import (
 // heterogeneous replicas better than round-robin), plus a large penalty
 // for replicas that recently failed a dispatch or whose world is being
 // rebuilt, minus a small camera-affinity bonus so repeat cameras keep
-// landing on the replica whose volume, scratch arenas and autotune
-// state are warm for them. The bonus decays with a half-life and is
-// capped below one outstanding request, so affinity breaks ties but
-// never outweighs real load imbalance.
+// landing on the replica whose volume and scratch arenas are warm for
+// them. The bonus decays with a half-life and is capped below one
+// outstanding request, so affinity breaks ties but never outweighs real
+// load imbalance.
 
 const (
 	// affinityBonus is the largest score reduction camera affinity can

@@ -21,6 +21,9 @@ func TestConfigCheck(t *testing.T) {
 		{"negative height", func(c *Config) { c.Height = -1 }, "image size"},
 		{"zero P", func(c *Config) { c.P = 0 }, "P = 0"},
 		{"unknown method", func(c *Config) { c.Method = "nope" }, "nope"},
+		// The retired per-frame selector's name is an unknown method like
+		// any other, also where it used to be exempt from the any-P rule.
+		{"retired method name", func(c *Config) { c.P = 6; c.Method = `auto` }, "unknown compositor"},
 		{"non-pow2 binary swap ok", func(c *Config) { c.P = 6 }, ""},
 		{"non-pow2 direct send", func(c *Config) { c.P = 6; c.Method = "direct" }, "power-of-two"},
 		{"non-pow2 ds ok", func(c *Config) { c.P = 6; c.Method = "ds" }, ""},

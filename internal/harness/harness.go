@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"sortlast/internal/autotune"
 	"sortlast/internal/core"
 	"sortlast/internal/costmodel"
 	"sortlast/internal/frame"
@@ -35,7 +34,7 @@ type volumeSource interface {
 }
 
 // Config describes one experiment: dataset x method x P x image size x
-// viewpoint, plus model parameters.
+// viewpoint.
 type Config struct {
 	// Dataset is one of the paper's four workloads: engine_low,
 	// engine_high, head, cube. Volume/TF override it when set.
@@ -46,9 +45,7 @@ type Config struct {
 	Width, Height int
 	P             int
 	// Method is a core registry name (bs, bsbr, bslc, bsbrc, ds, dfb,
-	// ...) or "auto": the cost model picks the cheapest model-backed
-	// method per frame from the frame's sparsity features (see
-	// internal/autotune).
+	// ...).
 	Method string
 
 	// RotX and RotY rotate the viewpoint (degrees), the paper's §3.2
@@ -61,16 +58,6 @@ type Config struct {
 	// Width/Height themselves — the harness renders exactly the
 	// geometry it is given.
 	Quality string
-
-	// Params are the cost-model constants; zero value means the SP2
-	// preset.
-	Params costmodel.Params
-
-	// Selector carries adaptive-selection state across frames when
-	// Method is "auto". nil means each run selects from a fresh
-	// pre-scan; animations and serving tiers share one selector so the
-	// previous frame's counters and EWMA corrections inform the next.
-	Selector *autotune.Selector
 
 	// RenderOpts tune the ray caster (zero value: defaults).
 	RenderOpts render.Options
@@ -150,10 +137,6 @@ type Row struct {
 	// ValidateDiff is the max per-channel difference from the sequential
 	// reference when Config.Validate is set (else 0).
 	ValidateDiff float64
-
-	// Auto records that Method was chosen by the adaptive selector
-	// (the config requested "auto").
-	Auto bool
 }
 
 // datasetCache avoids regenerating the procedural volumes for every
@@ -220,13 +203,6 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 		return nil, nil, fmt.Errorf("harness: P = %d", cfg.P)
 	}
 	return vol, tf, nil
-}
-
-func (cfg *Config) params() costmodel.Params {
-	if cfg.Params == (costmodel.Params{}) {
-		return costmodel.SP2()
-	}
-	return cfg.Params
 }
 
 // Pow2MethodError reports a method that cannot serve the requested
@@ -376,7 +352,7 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 		return nil, nil, nil, err
 	}
 
-	p := cfg.params()
+	p := costmodel.SP2()
 	cost := p.World(rankStats)
 	makespan := p.Makespan(rankStats)
 	row := &Row{
@@ -415,10 +391,6 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 	row.RenderMS = ms(maxRender)
 	row.WallMS = ms(maxComposite)
 	row.ValidateDiff = validateDiff
-	row.Auto = plan.Choice != nil
-	// Close the adaptive loop: this frame's counters and measured
-	// compositing wall become the selector's inputs for the next frame.
-	plan.ObserveFrame(rankStats, maxComposite)
 	if final != nil {
 		row.NonBlank = final.CountNonBlank(final.Full())
 	}

@@ -2,16 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
-	"sortlast/internal/autotune"
 	"sortlast/internal/core"
 	"sortlast/internal/frame"
 	"sortlast/internal/mesh"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
-	"sortlast/internal/stats"
 	"sortlast/internal/trace"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
@@ -34,20 +31,9 @@ type Plan struct {
 	// the sequential validation reference both read it.
 	Lay partition.Layout
 	Cam *render.Camera
-
-	// Selector and Choice are set when the config requested Method
-	// "auto": Choice is the per-frame selection decision (Cfg.Method
-	// holds the resolved concrete method) and Selector is the stateful
-	// tuner the run's measurements feed back into.
-	Selector *autotune.Selector
-	Choice   *autotune.Choice
 }
 
-// NewPlan resolves cfg into an executable per-frame plan. Method "auto"
-// is resolved here, before the world starts, so every rank runs the
-// same concrete compositor with no cross-rank coordination: the
-// selector's stored features (previous frame) drive the choice, or a
-// low-resolution pre-scan seeds them on the first frame.
+// NewPlan resolves cfg into an executable per-frame plan.
 func NewPlan(cfg Config) (*Plan, error) {
 	vol, tf, err := cfg.resolve()
 	if err != nil {
@@ -57,28 +43,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 		return nil, err
 	} else {
 		cfg.Quality = q
-	}
-	var sel *autotune.Selector
-	var choice *autotune.Choice
-	if autotune.IsAuto(cfg.Method) {
-		sel = cfg.Selector
-		if sel == nil {
-			sel = autotune.NewSelector(cfg.params(), autotune.TransportMP)
-		}
-		ch, ok, err := sel.ChooseForQuality(cfg.Width, cfg.Height, cfg.P, cfg.Quality)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			f := autotune.Prescan(vol, tf, cfg.Width, cfg.Height, cfg.P, cfg.RotX, cfg.RotY)
-			f.Quality = cfg.Quality
-			sel.Seed(f)
-			if ch, err = sel.Choose(f); err != nil {
-				return nil, err
-			}
-		}
-		cfg.Method = ch.Method
-		choice = &ch
 	}
 	comp, dec, lay, err := cfg.newCompositor(vol)
 	if err != nil {
@@ -94,23 +58,8 @@ func NewPlan(cfg Config) (*Plan, error) {
 	return &Plan{
 		Cfg: cfg, Vol: vol, TF: tf,
 		Comp: comp, Dec: dec, Lay: lay,
-		Cam:      render.NewCamera(cfg.Width, cfg.Height, vol.Bounds(), cfg.RotX, cfg.RotY),
-		Selector: sel,
-		Choice:   choice,
+		Cam: render.NewCamera(cfg.Width, cfg.Height, vol.Bounds(), cfg.RotX, cfg.RotY),
 	}, nil
-}
-
-// ObserveFrame feeds one completed frame back into the plan's selector:
-// the exact per-rank counters become the next frame's feature vector,
-// and the measured compositing wall time (slowest rank, communication
-// waits included) corrects the chosen method's EWMA factor. A no-op for
-// fixed-method plans.
-func (p *Plan) ObserveFrame(ranks []*stats.Rank, compositeWall time.Duration) {
-	if p.Selector == nil || p.Choice == nil {
-		return
-	}
-	p.Selector.UpdateFromStats(p.Cfg.Width, p.Cfg.Height, p.Cfg.P, p.Cfg.Method, ranks)
-	p.Selector.Observe(p.Choice.Method, p.Choice.Features, compositeWall)
 }
 
 // Box returns the subvolume assigned to rank me (the fold plan's box for
@@ -228,18 +177,14 @@ func (cfg *Config) Check() error {
 	if cfg.P <= 0 {
 		return fmt.Errorf("harness: P = %d must be positive", cfg.P)
 	}
-	// "auto" resolves at plan time to one of the selector's candidates,
-	// all of which serve any rank count (fold or natively).
-	if !autotune.IsAuto(cfg.Method) {
-		if _, err := core.New(cfg.Method); err != nil {
-			return err
-		}
+	if _, err := core.New(cfg.Method); err != nil {
+		return err
 	}
 	if !IsPow2(cfg.P) {
 		if cfg.BalanceRender {
 			return fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
 		}
-		if !autotune.IsAuto(cfg.Method) && !core.ServesAnyP(cfg.Method) {
+		if !core.ServesAnyP(cfg.Method) {
 			return &Pow2MethodError{Method: cfg.Method, P: cfg.P}
 		}
 	}

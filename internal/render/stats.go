@@ -33,8 +33,7 @@ type StatsSnapshot struct {
 }
 
 // SkipFraction returns the share of candidate samples the macro-cell
-// grid skipped — the renderer-side sparsity signal autotune's Features
-// carry.
+// grid skipped.
 func (s StatsSnapshot) SkipFraction() float64 {
 	total := s.Samples + s.SamplesSkipped
 	if total == 0 {

@@ -37,8 +37,6 @@ func goldenMetrics(full bool) *metrics {
 	m.frameDone("bs", 3*time.Second, 0x1)
 	m.frameDone("dfb", 800*time.Microsecond, 0xfeedfacecafebeef)
 	m.frameDone("ds", time.Minute, 0xffff)
-	m.selected.Add(2, "bsbrc")
-	m.selected.Add(1, "dfb")
 	for i, code := range errorCodes {
 		m.errors.Add(int64(i+1), code)
 	}
@@ -70,7 +68,8 @@ func goldenScrapes(m *metrics) (classic, openMetrics string) {
 // # EOF trailer — for the classic and the OpenMetrics scrape. The files
 // were generated from the hand-written exposition at b8c02f6, before
 // internal/obs existed (since then only the three sample lines of the
-// deleted approx contract have left them); pass -update only when a
+// deleted approx contract and the nine lines of the deleted selector's
+// per-method counter family have left them); pass -update only when a
 // metric is meant to change.
 func TestGoldenExposition(t *testing.T) {
 	for _, sc := range []struct {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sortlast/internal/autotune"
 	"sortlast/internal/core"
 	"sortlast/internal/obs"
 	"sortlast/internal/render"
@@ -45,7 +44,6 @@ type metrics struct {
 	reg *obs.Registry
 
 	frames   *obs.Counter // completed frames per method
-	selected *obs.Counter // auto-selected frames per chosen method
 	errors   *obs.Counter // rejected/failed requests per code
 	quality  *obs.Counter // served frames per delivered quality
 	degrades *obs.Counter // degrade events per (path, to) pair
@@ -67,7 +65,6 @@ func newMetrics(queueDepth, inflight func() int, flight *trace.Flight, renderSta
 	r := new(obs.Registry)
 	m := &metrics{reg: r}
 	m.frames = r.Counter("renderd_frames_total", "Frames served, by compositing method.", obs.Label("method", core.Names()...))
-	m.selected = r.Counter("renderd_method_selected_total", "Method-auto frames, by the method the selector chose.", obs.Label("method", autotune.Candidates()...))
 	m.errors = r.Counter("renderd_request_errors_total", "Requests answered with a typed error, by code.", obs.Label("code", errorCodes...))
 	m.quality = r.Counter("renderd_quality_delivered_total", "Frames served, by delivered quality contract.", obs.Label("quality", qualityNames...))
 	m.degrades = r.Counter("renderd_degraded_total", "Requests stepped below their asked quality contract, by degrade path and the contract landed on.", degradePaths)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sortlast/internal/client"
+	"sortlast/internal/core"
 	"sortlast/internal/fleet"
 	"sortlast/internal/harness"
 	"sortlast/internal/server"
@@ -184,15 +185,19 @@ func TestDegradeUnderOverload(t *testing.T) {
 	}
 }
 
-// retiredQuality is the lossy contract this tree used to accept between
-// full and preview; clients built against it may still send the name.
-const retiredQuality = `approx`
+// Names this tree used to accept and clients built against it may still
+// send: the lossy quality contract between full and preview, and the
+// method that asked the server to pick a compositor per frame.
+const (
+	retiredQuality = `approx`
+	retiredMethod  = `auto`
+)
 
-// TestRetiredQualityIsBadRequest pins what such a client gets: a typed
-// bad_request naming the two contracts that exist, from renderd
-// directly and through the gateway — which lets the unknown name miss
-// the cache and relays the replica's answer without retrying it on the
-// other replica or caching anything.
+// TestRetiredQualityIsBadRequest pins what such a client gets for each
+// retired name: a typed bad_request listing the names that exist, from
+// renderd directly and through the gateway — which lets the unknown
+// name miss the cache and relays the replica's answer without retrying
+// it on the other replica or caching anything.
 func TestRetiredQualityIsBadRequest(t *testing.T) {
 	mk := func() *server.Config {
 		return &server.Config{P: 2, QueueDepth: 8, MaxInFlight: 1, DefaultDeadline: time.Minute}
@@ -211,22 +216,38 @@ func TestRetiredQualityIsBadRequest(t *testing.T) {
 		gw.Shutdown(context.Background())
 	}()
 
-	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32, Quality: retiredQuality}
-	for _, tier := range []struct {
+	byQuality := server.Request{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32, Quality: retiredQuality}
+	byMethod := server.Request{Dataset: "cube", Method: retiredMethod, Width: 32, Height: 32}
+	retired := []struct {
+		name string
+		req  server.Request
+		want []string // the message names the retired name once and everything that exists
+	}{
+		{retiredQuality, byQuality, []string{server.QualityFull, server.QualityPreview}},
+		{retiredMethod, byMethod, []string{"have " + strings.Join(core.Names(), ", ")}},
+	}
+	tiers := []struct {
 		name string
 		cl   *client.Client
-	}{{"renderd", direct}, {"gateway", via}} {
-		for _, degradeOK := range []bool{false, true} {
-			req.DegradeOK = degradeOK
-			_, err := renderOnce(t, tier.cl, req)
-			var ce *client.Error
-			if !errors.As(err, &ce) || ce.Code != server.CodeBadRequest {
-				t.Errorf("%s degrade_ok=%v: err = %v, want a typed bad_request", tier.name, degradeOK, err)
-				continue
-			}
-			for _, want := range []string{retiredQuality, server.QualityFull, server.QualityPreview} {
-				if !strings.Contains(ce.Msg, want) {
-					t.Errorf("%s: message %q does not name %q", tier.name, ce.Msg, want)
+	}{{"renderd", direct}, {"gateway", via}}
+	for _, rt := range retired {
+		for _, tier := range tiers {
+			for _, degradeOK := range []bool{false, true} {
+				req := rt.req
+				req.DegradeOK = degradeOK
+				_, err := renderOnce(t, tier.cl, req)
+				var ce *client.Error
+				if !errors.As(err, &ce) || ce.Code != server.CodeBadRequest {
+					t.Errorf("%s %s degrade_ok=%v: err = %v, want a typed bad_request", rt.name, tier.name, degradeOK, err)
+					continue
+				}
+				if n := strings.Count(ce.Msg, rt.name); n != 1 {
+					t.Errorf("%s %s: message %q names the retired name %d times, want once (the echo, not an offer)", rt.name, tier.name, ce.Msg, n)
+				}
+				for _, want := range rt.want {
+					if !strings.Contains(ce.Msg, want) {
+						t.Errorf("%s %s: message %q does not name %q", rt.name, tier.name, ce.Msg, want)
+					}
 				}
 			}
 		}
@@ -234,9 +255,10 @@ func TestRetiredQualityIsBadRequest(t *testing.T) {
 	if n := srv.WorldRestarts(); n != 0 {
 		t.Errorf("renderd restarted its world %d times over a bad request", n)
 	}
+	sent := int64(2 * len(retired)) // per retired name: DegradeOK off and on through the gateway
 	st := gw.Stats()
-	if st.CacheHits != 0 || st.CacheMisses != 2 || st.CacheEntries != 0 || st.Retries != 0 || st.Errors != 2 {
-		t.Errorf("gateway stats after two retired-contract requests: %+v; want 2 misses, 2 errors, nothing cached or retried", st)
+	if st.CacheHits != 0 || st.CacheMisses != sent || st.CacheEntries != 0 || st.Retries != 0 || st.Errors != sent {
+		t.Errorf("gateway stats after %d retired-name requests: %+v; want every one a miss and an error, nothing cached or retried", sent, st)
 	}
 }
 

@@ -24,7 +24,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -33,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sortlast/internal/autotune"
 	"sortlast/internal/faultinject"
 	"sortlast/internal/frame"
 	"sortlast/internal/harness"
@@ -88,11 +86,6 @@ type Config struct {
 	// (drops, delays, resets, rank crashes, stalls) for chaos testing;
 	// see internal/faultinject. Nil (the default) injects nothing.
 	Chaos *faultinject.Injector
-
-	// Profile supplies calibrated cost-model constants for Method "auto"
-	// requests (see cmd/calibrate). It must cover the World transport.
-	// Nil falls back to the paper's SP2 preset.
-	Profile *autotune.Profile
 
 	// DisableTracing turns off the per-frame span recorder. By default
 	// every frame records per-rank spans (a few hundred appends per
@@ -178,11 +171,6 @@ type Server struct {
 	cfg Config
 	met *metrics
 
-	// sel is the shared autotune selector serving Method "auto"
-	// requests: one per server so EWMA corrections and frame-derived
-	// features accumulate across requests and connections.
-	sel *autotune.Selector
-
 	queue  chan *job
 	tokens chan struct{} // in-flight bound
 	stop   chan struct{}
@@ -264,20 +252,7 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight < 1 || cfg.QueueDepth < 1 {
 		return nil, fmt.Errorf("server: MaxInFlight and QueueDepth must be positive")
 	}
-	prof := cfg.Profile
-	if prof == nil {
-		prof = autotune.DefaultProfile()
-	}
-	transport := cfg.World
-	if transport == "" {
-		transport = autotune.TransportMP
-	}
-	params, err := prof.Params(transport)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		sel:     autotune.NewSelector(params, transport),
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),
 		tokens:  make(chan struct{}, cfg.MaxInFlight),
@@ -303,7 +278,6 @@ func Start(cfg Config) (*Server, error) {
 	s.sidecar, err = obs.StartSidecar(cfg.HTTPAddr, s.met.reg, s.handleHealthz, s.flight)
 	if err == nil {
 		s.sidecar.HandleFunc("/debug/trace/last", s.handleTraceLast)
-		s.sidecar.HandleFunc("/debug/autotune", s.handleAutotune)
 		s.lis, err = Listen(cfg.Addr, s.submit)
 	}
 	if err != nil {
@@ -335,17 +309,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
-}
-
-// handleAutotune serves the autotune selector's introspection snapshot:
-// the cost-model parameters, the standing feature vector, the latest
-// full prediction ranking, the per-method EWMA correction factors and
-// selection counts.
-func (s *Server) handleAutotune(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.sel.Snapshot())
 }
 
 // handleTraceLast serves the most recently completed frame's span trace
@@ -396,9 +359,7 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 		// attached per frame; the nil store afterwards keeps a finished
 		// job's recorder from collecting a later frame's spans.
 		c.SetTracer(j.rec.Rank(me))
-		cstart := time.Now()
 		res, err := j.plan.CompositeRank(c, rj.img)
-		compositeWall := time.Since(cstart)
 		if err == nil {
 			img, err = j.plan.GatherRank(c, res)
 		}
@@ -433,21 +394,6 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 				s.lastTrace.Store(j.rec)
 			}
 			j.finish(reply{img: img})
-			if j.plan.Choice != nil {
-				// Feedback after the reply is on its way, so it never
-				// adds to request latency: the measured composite wall
-				// (slowest rank when traced, rank 0 otherwise — binary
-				// swap synchronizes, so rank 0's wall includes waits)
-				// corrects the chosen method's EWMA factor, and the
-				// gathered frame's exact sparsity becomes the feature
-				// vector the next "auto" request predicts from.
-				measured := compositeWall
-				if j.rec != nil {
-					measured = j.rec.MaxTotal(trace.SpanCompositing)
-				}
-				j.plan.Selector.Observe(j.plan.Choice.Method, j.plan.Choice.Features, measured)
-				j.plan.Selector.Seed(autotune.ScanFeatures(img, j.plan.Cfg.P))
-			}
 		}
 	}
 }
@@ -578,12 +524,6 @@ func (s *Server) buildJob(req Request, quality, requested string, arrived, deadl
 	if cfg.Method == "" {
 		cfg.Method = DefaultMethod
 	}
-	if autotune.IsAuto(cfg.Method) {
-		// The server-wide selector resolves "auto" at plan time (inside
-		// NewPlan), so all ranks of this frame run the same compositor
-		// and corrections accumulate across requests.
-		cfg.Selector = s.sel
-	}
 	err := cfg.Check()
 	var plan *harness.Plan
 	if err == nil {
@@ -591,11 +531,6 @@ func (s *Server) buildJob(req Request, quality, requested string, arrived, deadl
 	}
 	if err != nil {
 		return nil, s.reject(nil, req, CodeBadRequest, err.Error())
-	}
-	if plan.Choice != nil {
-		// Method "auto": cfg still says "auto" but the plan resolved it;
-		// count what the selector picked.
-		s.met.selected.Add(1, plan.Cfg.Method)
 	}
 	// Trace identity: adopt the caller's context, or mint a local ID so
 	// flight entries and exemplars stay correlatable even for untraced

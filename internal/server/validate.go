@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sortlast/internal/autotune"
 	"sortlast/internal/core"
 )
 
@@ -22,18 +21,12 @@ func (e *UnknownMethodError) Error() string {
 		e.Method, strings.Join(e.Known, ", "))
 }
 
-// KnownMethods lists the method names the server accepts: the core
-// compositor registry plus "auto" (adaptive per-frame selection).
-func KnownMethods() []string {
-	return append(core.Names(), autotune.MethodAuto)
-}
-
 // ValidateMethod checks a request's method name. Empty is valid (the
-// server default applies); anything else must be a registered compositor
-// or "auto". The error, when non-nil, is an *UnknownMethodError.
+// server default applies); anything else must be a registered
+// compositor. The error, when non-nil, is an *UnknownMethodError.
 func ValidateMethod(method string) error {
-	if method == "" || autotune.IsAuto(method) || core.Known(method) {
+	if method == "" || core.Known(method) {
 		return nil
 	}
-	return &UnknownMethodError{Method: method, Known: KnownMethods()}
+	return &UnknownMethodError{Method: method, Known: core.Names()}
 }
