@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-module chaos bench bench-json bench-render bench-fleet bench-compose bench-quality
+.PHONY: check vet build test race bench-module fuzz-smoke chaos bench bench-json bench-render bench-fleet bench-compose bench-quality
 
 # check is the pre-commit gate: static analysis, a full build, the full
 # test suite, the race detector over every package, and the benchmark
@@ -26,15 +26,25 @@ race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# fuzz-smoke gives each parser of bytes that crossed a rank-to-rank
+# socket ten seconds of coverage-guided fuzzing from its real seeds: the
+# region decoders and gather messages, the TCP frame reader, the connect
+# handshake. A crasher is written to the package's testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRegionDecode$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mpnet
+	$(GO) test -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime 10s ./internal/mpnet
+
 # chaos drives an in-process renderd through injected connection resets
 # with a retrying client: the run fails only if a configuration cannot
 # serve a single frame through the world restarts.
 chaos:
 	$(GO) run ./cmd/servebench -chaos -frames 16 -size 96 -out -
 
-# bench runs the compositing allocation benchmarks used in EXPERIMENTS.md.
+# bench runs the allocation benchmarks used in EXPERIMENTS.md: the
+# compositing phase alone, and the compositing phase plus the gather.
 bench:
-	$(GO) test -run xxx -bench BenchmarkCompositeAllocs -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkCompositeAllocs|BenchmarkGatherAllocs' -benchmem .
 
 # bench-json measures the serving tier (frames/sec, p50/p99 latency at
 # P=4 and P=8) and writes BENCH_serve.json. Fails loudly when the

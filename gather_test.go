@@ -1,0 +1,231 @@
+package sortlast
+
+import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
+	"testing"
+
+	"sortlast/internal/core"
+	"sortlast/internal/frame"
+	"sortlast/internal/mp"
+	"sortlast/internal/partition"
+	"sortlast/internal/render"
+	"sortlast/internal/transfer"
+	"sortlast/internal/volume"
+)
+
+// fogEnv is the dense end of the sparsity axis, which no built-in
+// dataset reaches: every voxel lightly opaque, so every subimage fills
+// its footprint and a run-length codec has next to nothing to skip.
+func fogEnv(tb testing.TB, size, p int) *benchEnv {
+	tb.Helper()
+	vol := volume.New(64, 64, 28)
+	rng := rand.New(rand.NewSource(18))
+	for i := range vol.Data {
+		vol.Data[i] = 96 + uint8(rng.Intn(64))
+	}
+	dec, err := partition.Decompose(vol.Bounds(), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cam := render.NewCamera(size, size, vol.Bounds(), paperRotX, paperRotY)
+	env := &benchEnv{p: p, dec: dec, cam: cam, imgs: make([]*frame.Image, p)}
+	for r := range env.imgs {
+		env.imgs[r] = render.Raycast(vol, dec.Box(r), cam, transfer.Ramp("fog", 0, 255, 0.05), render.Options{})
+	}
+	return env
+}
+
+// compositeAndGather runs one frame of method over env and returns every
+// rank's result (counters filled by both phases).
+func compositeAndGather(tb testing.TB, env *benchEnv, method string) []*core.Result {
+	tb.Helper()
+	comp, err := core.New(method)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results, err := mp.RunCollect(env.p, benchWorldOpts(), func(c mp.Comm) (*core.Result, error) {
+		res, err := comp.Composite(c, env.dec, env.cam.Dir, env.imgs[c.Rank()].Clone())
+		if err != nil {
+			return nil, err
+		}
+		_, err = core.GatherImage(c, 0, res)
+		return res, err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results
+}
+
+// ownedRegions counts the regions an ownership travels as.
+func ownedRegions(own core.Ownership) int {
+	if set, ok := own.(core.RectSetOwn); ok {
+		return len(set.Rs)
+	}
+	return 1
+}
+
+// The gather ships what the codecs leave of the owned regions, not the
+// regions: on the paper's sparse scene at least five times fewer bytes
+// than the dense Area() x 16 it replaced, and on fog — where there is
+// nothing to skip — never more than dense plus a header per region.
+func TestGatherBytes(t *testing.T) {
+	sparse := getEnv(t, "engine_high", 384, 8, paperRotX, paperRotY)
+	fog := fogEnv(t, 192, 8)
+	for _, method := range []string{"bsbrc", "dfb"} {
+		for name, env := range map[string]*benchEnv{"engine_high": sparse, "fog": fog} {
+			var sent, dense, regions int
+			for r, res := range compositeAndGather(t, env, method) {
+				if r == 0 {
+					continue // the root's pixels never touch the wire
+				}
+				sent += res.Stats.Gather.BytesSent
+				dense += res.Own.Area() * frame.PixelBytes
+				regions += ownedRegions(res.Own)
+			}
+			t.Logf("%s %s: gather payload %d B, dense %d B (%.1f%%), %d regions",
+				method, name, sent, dense, 100*float64(sent)/float64(dense), regions)
+			if name == "fog" {
+				if sent > dense+64*regions {
+					t.Errorf("%s %s: the codec costs bytes: %d sent, dense is %d over %d regions",
+						method, name, sent, dense, regions)
+				}
+			} else if 5*sent > dense {
+				t.Errorf("%s %s: gather payload %d B is more than a fifth of dense (%d B)",
+					method, name, sent, dense)
+			}
+		}
+	}
+}
+
+// largeAllocs returns the number of heap allocations of at least 1 KiB
+// the process has made so far.
+func largeAllocs() uint64 {
+	// Small-object counts reach the metric when a P's allocation cache is
+	// flushed; ReadMemStats flushes them all.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	metrics.Read(s)
+	h := s[0].Value.Float64Histogram()
+	var n uint64
+	for i, c := range h.Counts {
+		if h.Buckets[i] >= 1024 {
+			n += c
+		}
+	}
+	return n
+}
+
+// On a standing world, after warm-up, a gather allocates one thing of
+// any size: the root's pixel storage. The senders encode into arena
+// scratch, the transport copies into released receive buffers, and the
+// root grows its image once.
+func TestGatherAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	env := getEnv(t, "engine_high", 384, 8, paperRotX, paperRotY)
+	for _, method := range []string{"bsbrc", "dfb"} {
+		comp, err := core.New(method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mp.NewWorld(env.p, benchWorldOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make([]chan struct{}, env.p)
+		done := make(chan error, env.p)
+		for r := range start {
+			start[r] = make(chan struct{})
+			c, err := w.Comm(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func(r int, c mp.Comm) {
+				res, err := comp.Composite(c, env.dec, env.cam.Dir, env.imgs[r].Clone())
+				done <- err
+				for range start[r] {
+					_, err := core.GatherImage(c, 0, res)
+					done <- err
+				}
+			}(r, c)
+		}
+		wait := func() {
+			for range start {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wait() // composited
+		gather := func() {
+			for _, ch := range start {
+				ch <- struct{}{}
+			}
+			wait()
+		}
+		// One P, as testing.AllocsPerRun arranges, so a released buffer
+		// is in the pool the next receive looks in; no collection, so
+		// the pool is not emptied halfway.
+		procs := runtime.GOMAXPROCS(1)
+		gc := debug.SetGCPercent(-1)
+		for i := 0; i < 3; i++ {
+			gather() // arenas sized, receive buffers pooled
+		}
+		const runs = 20
+		largeAllocs() // the first read allocates the runtime's metric tables
+		before := largeAllocs()
+		perGather := testing.AllocsPerRun(runs, gather)
+		large := largeAllocs() - before
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+		for _, ch := range start {
+			close(ch)
+		}
+		t.Logf("%s: %.0f allocations per gather across %d ranks, %d of them >= 1 KiB over %d gathers",
+			method, perGather, env.p, large, runs+1)
+		if large != runs+1 { // AllocsPerRun warms up with one extra call
+			t.Errorf("%s: %d allocations >= 1 KiB in %d gathers, want one each (the root's pixel storage)",
+				method, large, runs+1)
+		}
+	}
+}
+
+// BenchmarkGatherAllocs is BenchmarkCompositeAllocs with the final
+// gather after every composite — the whole frame after rendering, as the
+// standing worlds of renderd and bench/ run it. Run with -benchmem.
+func BenchmarkGatherAllocs(b *testing.B) {
+	for _, m := range []string{"bs", "bsbr", "bslc", "bsbrc", "dfb"} {
+		b.Run(m, func(b *testing.B) {
+			env := getEnv(b, "engine_high", 384, 8, paperRotX, paperRotY)
+			comp, err := core.New(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			err = mp.Run(env.p, benchWorldOpts(), func(c mp.Comm) error {
+				var img frame.Image
+				for i := 0; i < b.N; i++ {
+					img.CopyFrom(env.imgs[c.Rank()])
+					res, err := comp.Composite(c, env.dec, env.cam.Dir, &img)
+					if err != nil {
+						return err
+					}
+					if _, err := core.GatherImage(c, 0, res); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -213,6 +213,67 @@ func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, 
 	return r, rest, nil
 }
 
+// batch frames several codec regions as one message: [u32 count] then,
+// per region that carries foreground, [u32 key][codec region]. The
+// regions a message may carry are keys first, first+step, … below n —
+// an owner's tiles on the route round, a rank's owned rectangles in the
+// gather — and rect maps a key to its pixels.
+type batch struct {
+	first, step, n int
+	rect           func(key int) frame.Rect
+}
+
+// encode appends the message for the batch's regions of img to buf.
+func (b batch) encode(buf []byte, c regionCodec, ar *arena, img *frame.Image, br frame.Rect,
+	s *stats.Stage) []byte {
+	off := len(buf)
+	buf = append(buf, 0, 0, 0, 0)
+	count := 0
+	for k := b.first; k < b.n; k += b.step {
+		entry := c.encode(appendU32(buf, uint32(k)), ar, img, region{rect: b.rect(k)}, br, s)
+		if len(entry) == len(buf)+4 {
+			continue // no foreground in this region: nothing shipped
+		}
+		buf = entry
+		count++
+	}
+	binary.LittleEndian.PutUint32(buf[off:], uint32(count))
+	if count == 0 {
+		s.SendRectEmpty = true
+	}
+	return buf
+}
+
+// decode validates one message and hands each entry's region and bytes
+// to entry, which returns the bytes after the entry.
+func (b batch) decode(recv []byte, s *stats.Stage,
+	entry func(keep region, body []byte) (rest []byte, err error)) error {
+	count, recv, err := readU32(recv)
+	if err != nil {
+		return err
+	}
+	if count == 0 {
+		s.RecvRectEmpty = true
+	}
+	for i := 0; i < int(count); i++ {
+		var key uint32
+		if key, recv, err = readU32(recv); err != nil {
+			return err
+		}
+		k := int(key)
+		if k < b.first || k >= b.n || (k-b.first)%b.step != 0 {
+			return fmt.Errorf("region %d is not mine", key)
+		}
+		if recv, err = entry(region{rect: b.rect(k)}, recv); err != nil {
+			return err
+		}
+	}
+	if len(recv) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(recv))
+	}
+	return nil
+}
+
 // forwarded is direct pixel forwarding (Lee, §2): a count, then each
 // non-blank pixel with explicit x and y coordinates, 20 bytes per pixel.
 // The paper prefers run-length codes because they carry less position
@@ -383,11 +444,11 @@ func (c intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bo
 	}
 	s.RecvPixels += keepLen
 	w := img.Full().Dx()
-	growToIntervals(img, w, keep.iv)
+	img.Grow(intervalRows(w, keep.iv))
 	n := 0
 	cur := intervalCursor{iv: keep.iv}
 	// The walk visits ascending positions; grab each scanline once
-	// (growToIntervals guaranteed full-width storage for every touched
+	// (the Grow above guaranteed full-width storage for every touched
 	// row).
 	rowY := -1
 	var row []frame.Pixel
@@ -424,25 +485,33 @@ type runSink interface {
 func encodeIntervals(img *frame.Image, w int, iv []Interval, clip frame.Rect, enc runSink) int {
 	bounds := clip.Intersect(img.Bounds())
 	scanned := 0
+	rowSegments(w, iv, func(y, x0, x1 int) {
+		if y >= clip.Y0 && y < clip.Y1 {
+			scanned += max(0, min(x1, clip.X1)-max(x0, clip.X0))
+		}
+		sx0, sx1 := max(x0, bounds.X0), min(x1, bounds.X1)
+		if y < bounds.Y0 || y >= bounds.Y1 || sx0 >= sx1 {
+			enc.Blank(x1 - x0)
+			return
+		}
+		enc.Blank(sx0 - x0)
+		enc.Pixels(img.Row(y, sx0, sx1))
+		enc.Blank(x1 - sx1)
+	})
+	return scanned
+}
+
+// rowSegments calls fn, in sequence order, for every piece [x0, x1) of a
+// scanline y that the interval set covers over a frame of width w.
+func rowSegments(w int, iv []Interval, fn func(y, x0, x1 int)) {
 	for _, v := range iv {
 		for i := v.Lo; i < v.Hi; {
 			y, x0 := i/w, i%w
 			x1 := min(w, v.Hi-y*w) // end of this row segment, clipped to the interval
 			i += x1 - x0
-			if y >= clip.Y0 && y < clip.Y1 {
-				scanned += max(0, min(x1, clip.X1)-max(x0, clip.X0))
-			}
-			sx0, sx1 := max(x0, bounds.X0), min(x1, bounds.X1)
-			if y < bounds.Y0 || y >= bounds.Y1 || sx0 >= sx1 {
-				enc.Blank(x1 - x0)
-				continue
-			}
-			enc.Blank(sx0 - x0)
-			enc.Pixels(img.Row(y, sx0, sx1))
-			enc.Blank(x1 - sx1)
+			fn(y, x0, x1)
 		}
 	}
-	return scanned
 }
 
 func intervalsLen(iv []Interval) int {
@@ -453,18 +522,17 @@ func intervalsLen(iv []Interval) int {
 	return n
 }
 
-// growToIntervals pre-grows the image to the bounding box of the interval
-// set so per-pixel compositing does not repeatedly reallocate.
-func growToIntervals(img *frame.Image, w int, iv []Interval) {
-	if len(iv) == 0 {
-		return
-	}
+// intervalRows returns the full-width scanlines the interval set touches
+// — the rectangle the interval decoder grows its image to, so that
+// per-pixel compositing does not repeatedly reallocate.
+func intervalRows(w int, iv []Interval) frame.Rect {
 	r := frame.ZR
 	for _, v := range iv {
-		y0, y1 := v.Lo/w, (v.Hi-1)/w
-		r = r.Union(frame.Rect{X0: 0, Y0: y0, X1: w, Y1: y1 + 1})
+		if v.Len() > 0 {
+			r = r.Union(frame.Rect{X0: 0, Y0: v.Lo / w, X1: w, Y1: (v.Hi-1)/w + 1})
+		}
 	}
-	img.Grow(r)
+	return r
 }
 
 // intervalCursor maps sequence positions to linear indices for

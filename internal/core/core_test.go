@@ -120,8 +120,9 @@ func loopback(p int, fn func(c mp.Comm) error) error {
 }
 
 // runImages composites the given per-rank subimages (cloned, so callers
-// can reuse them) and returns the image gathered at rank 0 and the
-// per-rank stats.
+// can reuse them) and returns the image gathered at rank 0 — checked
+// byte for byte against the dense reference gather — and the per-rank
+// stats.
 func runImages(t testing.TB, run world, comp Compositor, dec *partition.Decomposition,
 	viewDir [3]float64, imgs []*frame.Image) (*frame.Image, []*stats.Rank) {
 	t.Helper()
@@ -134,7 +135,7 @@ func runImages(t testing.TB, run world, comp Compositor, dec *partition.Decompos
 			return err
 		}
 		ranksStats[c.Rank()] = res.Stats
-		out, err := GatherImage(c, 0, res)
+		out, err := gatherBoth(c, res)
 		if c.Rank() == 0 {
 			final = out
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"sortlast/internal/frame"
@@ -9,7 +10,7 @@ import (
 
 // FuzzParseOwnership feeds arbitrary bytes to the ownership parser used
 // by the final gather: no panic, and accepted descriptors must have a
-// coherent area and survive a pack/unpack cycle.
+// coherent area and a gather form that carries a blank frame.
 func FuzzParseOwnership(f *testing.F) {
 	f.Add(RectOwn{R: frame.XYWH(1, 2, 3, 4)}.AppendWire(nil))
 	f.Add(IntervalOwn{W: 8, Iv: []Interval{{0, 5}, {9, 12}}}.AppendWire(nil))
@@ -32,24 +33,33 @@ func FuzzParseOwnership(f *testing.F) {
 		if own.Validate(img.Full()) != nil {
 			return
 		}
-		px := own.Pack(img)
-		if len(px) != area {
-			t.Fatalf("packed %d pixels for area %d", len(px), area)
+		g, err := formOf(own, img.Full())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent stats.Stage
+		body := g.encode(nil, new(arena), img, g.bound(img), &sent)
+		if sent.SentPixels != 0 {
+			t.Fatalf("a blank frame shipped %d pixels", sent.SentPixels)
+		}
+		if err := g.store(img, body, new(stats.Stage)); err != nil {
+			t.Fatalf("own encoding of a blank frame rejected: %v", err)
 		}
 	})
 }
 
 // decodeCase is one wire-format parser under fuzz: how to make a real
-// payload for it, how to feed it bytes, and which pixels it may touch.
+// payload for it, and how to feed it bytes — decode runs the parser with
+// img as the receiver's image and returns which pixels it may touch.
 type decodeCase struct {
 	name   string
 	seed   func(src *frame.Image) []byte
-	decode func(img *frame.Image, data []byte, front bool)
-	kept   func(x, y int) bool
+	decode func(t *testing.T, img *frame.Image, data []byte, front bool) (kept func(x, y int) bool)
 }
 
-// decodeCases lists every region codec's decoder plus dfb's batch
-// framing around the batched codec.
+// decodeCases lists every region codec's decoder, dfb's batch framing
+// around the batched codec, and the gather message of each ownership
+// kind.
 func decodeCases() []decodeCase {
 	var cases []decodeCase
 	for _, tc := range codecCases {
@@ -61,44 +71,81 @@ func decodeCases() []decodeCase {
 				br, _ := src.BoundingRect(src.Full())
 				return tc.codec.encode(nil, new(arena), src, g, br, new(stats.Stage))
 			},
-			decode: func(img *frame.Image, data []byte, front bool) {
+			decode: func(_ *testing.T, img *frame.Image, data []byte, front bool) func(x, y int) bool {
 				tc.codec.decode(img, g, data, front, new(stats.Stage))
+				return func(x, y int) bool { return inRegion(g, goldenW, x, y) }
 			},
-			kept: func(x, y int) bool { return inRegion(g, goldenW, x, y) },
 		})
 	}
 	const p, me = 4, 1
+	full := frame.XYWH(0, 0, goldenW, goldenH)
 	dfb := &ownerMerge{name: "DFB", codec: rectRLE{batched: true}, tile: 16}
-	til, err := newTiling(frame.XYWH(0, 0, goldenW, goldenH), dfb.tile, p)
+	til, err := newTiling(full, dfb.tile, p)
 	if err != nil {
 		panic(err)
 	}
-	return append(cases, decodeCase{
+	cases = append(cases, decodeCase{
 		name: "dfb-batch",
 		seed: func(src *frame.Image) []byte {
 			br, _ := src.BoundingRect(src.Full())
 			return dfb.encodeFor(new(arena), src, til, me, br, new(stats.Stage))
 		},
-		decode: func(img *frame.Image, data []byte, _ bool) {
+		decode: func(_ *testing.T, img *frame.Image, data []byte, _ bool) func(x, y int) bool {
 			dfb.mergeFrom(img, til, me, data, new(stats.Stage))
-		},
-		kept: func(x, y int) bool {
-			for t := me; t < til.n; t += p {
-				if til.rect(t).Contains(x, y) {
-					return true
+			return func(x, y int) bool {
+				for t := me; t < til.n; t += p {
+					if til.rect(t).Contains(x, y) {
+						return true
+					}
 				}
+				return false
 			}
-			return false
 		},
 	})
+	// The gather: the descriptor comes off the wire too, so what may be
+	// touched is whatever the parsed descriptor owns — nothing at all
+	// unless it validates against the frame.
+	for _, own := range gatherOwnerships(full) {
+		own := own
+		cases = append(cases, decodeCase{
+			name: fmt.Sprintf("gather-%T", own),
+			seed: func(src *frame.Image) []byte {
+				f, err := formOf(own, full)
+				if err != nil {
+					panic(err)
+				}
+				return f.encode(own.AppendWire(nil), new(arena), src, f.bound(src), new(stats.Stage))
+			},
+			decode: func(t *testing.T, img *frame.Image, data []byte, _ bool) func(x, y int) bool {
+				var owned [goldenW * goldenH]bool
+				kept := func(x, y int) bool { return owned[y*goldenW+x] }
+				f, body, err := parsePart(data, full)
+				if err != nil {
+					return kept
+				}
+				if got, _, err := ParseOwnership(data); err == nil && got.Validate(full) == nil {
+					eachOwned(got, func(x, y int) { owned[y*goldenW+x] = true })
+				}
+				img.GrowExact(f.span(body))
+				if f.store(img, body, new(stats.Stage)) == nil {
+					if f.store(img.Clone(), append(body[:len(body):len(body)], 0), new(stats.Stage)) == nil {
+						t.Errorf("%T: a trailing byte after an accepted gather message was accepted", own)
+					}
+				}
+				return kept
+			},
+		})
+	}
+	return cases
 }
 
 // FuzzRegionDecode feeds arbitrary bytes to every region codec's decoder
 // — the one parser each wire format has, whichever schedule carries it
 // (swap halves, fold pre-stage, ds regions, dfb batch entries, pipeline
-// partials) — and to dfb's batch framing. Seeds are real payloads built
-// from the golden scenes. A decoder must never panic and never write
-// outside the region it was told to keep, accepted or not.
+// partials, gather parts) — to dfb's batch framing and to the gather's
+// descriptor-then-regions message. Seeds are real payloads built from
+// the golden scenes. A decoder must never panic and never write outside
+// the region it was told to keep, accepted or not.
 func FuzzRegionDecode(f *testing.F) {
 	cases := decodeCases()
 	for ci, dc := range cases {
@@ -113,10 +160,10 @@ func FuzzRegionDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		dc := cases[int(which&0x7F)%len(cases)]
 		img := before.Clone()
-		dc.decode(img, data, which&0x80 != 0)
+		kept := dc.decode(t, img, data, which&0x80 != 0)
 		for y := 0; y < goldenH; y++ {
 			for x := 0; x < goldenW; x++ {
-				if !dc.kept(x, y) && img.At(x, y) != before.At(x, y) {
+				if !kept(x, y) && img.At(x, y) != before.At(x, y) {
 					t.Fatalf("%s: pixel (%d,%d) outside the kept region changed: %v -> %v",
 						dc.name, x, y, before.At(x, y), img.At(x, y))
 				}

@@ -1,0 +1,219 @@
+package core
+
+import (
+	"fmt"
+
+	"sortlast/internal/frame"
+	"sortlast/internal/mp"
+	"sortlast/internal/rle"
+	"sortlast/internal/stats"
+	"sortlast/internal/trace"
+)
+
+// gatherForm is how one rank's owned pixels travel in the final gather.
+// The gather is one more route round over the region codecs the
+// schedules already use, chosen by ownership kind: a rectangle is one
+// rectRLE region, a rectangle set a batch of them keyed by position in
+// the set (a rectangle without foreground is not shipped), an interval
+// set one intervalRLE region.
+type gatherForm struct {
+	codec   regionCodec
+	regions []region
+	batched bool
+}
+
+func formOf(own Ownership, full frame.Rect) (gatherForm, error) {
+	switch own := own.(type) {
+	case RectOwn:
+		return gatherForm{codec: rectRLE{}, regions: []region{{rect: own.R}}}, nil
+	case RectSetOwn:
+		regions := make([]region, len(own.Rs))
+		for i, r := range own.Rs {
+			regions[i].rect = r
+		}
+		return gatherForm{codec: rectRLE{batched: true}, regions: regions, batched: true}, nil
+	case IntervalOwn:
+		return gatherForm{codec: intervalRLE{}, regions: []region{{rect: full, iv: own.Iv}}}, nil
+	}
+	return gatherForm{}, fmt.Errorf("core: ownership %T has no gather form", own)
+}
+
+func (f gatherForm) batch() batch {
+	return batch{step: 1, n: len(f.regions), rect: func(i int) frame.Rect { return f.regions[i].rect }}
+}
+
+// bound returns the bounding rectangle of the owned foreground of img,
+// found by one scan of the owned regions: the rectangle codecs put it on
+// the wire, and the root sizes its image from it, so it pays to be
+// tight. An interval set is bounded by the scanlines it touches.
+func (f gatherForm) bound(img *frame.Image) frame.Rect {
+	var br frame.Rect
+	for _, r := range f.regions {
+		if r.iv != nil {
+			br = br.Union(intervalRows(r.rect.Dx(), r.iv).Intersect(img.Bounds()))
+			continue
+		}
+		b, _ := img.BoundingRect(r.rect)
+		br = br.Union(b)
+	}
+	return br
+}
+
+// encode appends the owned pixels of img, which lie inside br, to buf.
+func (f gatherForm) encode(buf []byte, ar *arena, img *frame.Image, br frame.Rect, s *stats.Stage) []byte {
+	if f.batched {
+		return f.batch().encode(buf, f.codec, ar, img, br, s)
+	}
+	return f.codec.encode(buf, ar, img, f.regions[0], br, s)
+}
+
+// decode parses what encode wrote, handing each region on the wire to
+// entry, and rejects trailing bytes.
+func (f gatherForm) decode(body []byte, s *stats.Stage,
+	entry func(keep region, body []byte) (rest []byte, err error)) error {
+	if f.batched {
+		return f.batch().decode(body, s, entry)
+	}
+	rest, err := entry(f.regions[0], body)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	return err
+}
+
+// span returns the rectangle decoding body will grow the root's image
+// to: the union of the rectangle headers on the wire, or the scanlines
+// of an interval set. A malformed body yields some smaller rectangle;
+// decode reports the error.
+func (f gatherForm) span(body []byte) frame.Rect {
+	var span frame.Rect
+	var scratch stats.Stage
+	f.decode(body, &scratch, func(keep region, body []byte) ([]byte, error) {
+		if keep.iv != nil {
+			span = intervalRows(keep.rect.Dx(), keep.iv)
+			return nil, nil
+		}
+		r, body, err := readRect(body, keep.rect)
+		if err != nil || r.Empty() {
+			return body, err
+		}
+		span = span.Union(r)
+		_, rest, err := rle.ParseWire(body)
+		return rest, err
+	})
+	return span
+}
+
+// store decodes body into final: the sender's owned pixels, and nothing
+// outside its owned regions whatever body holds.
+func (f gatherForm) store(final *frame.Image, body []byte, s *stats.Stage) error {
+	return f.decode(body, s, func(keep region, body []byte) ([]byte, error) {
+		_, rest, err := f.codec.decode(final, keep, body, false, s)
+		return rest, err
+	})
+}
+
+// parsePart splits one rank's gather message into the form its
+// descriptor names — validated against the frame — and the encoded
+// pixels that follow.
+func parsePart(part []byte, full frame.Rect) (gatherForm, []byte, error) {
+	own, body, err := ParseOwnership(part)
+	if err == nil {
+		err = own.Validate(full)
+	}
+	if err != nil {
+		return gatherForm{}, nil, err
+	}
+	f, err := formOf(own, full)
+	return f, body, err
+}
+
+// GatherImage assembles the distributed final image at root from every
+// rank's composited result; the image is the caller's, and non-root
+// ranks receive nil. Each rank's message is its ownership descriptor
+// followed by its owned pixels in the descriptor's gatherForm, so the
+// root needs no knowledge of the compositor that produced the
+// distribution. The root allocates the image once, to the rectangle the
+// received headers and its own pixels span, and decodes with the
+// codecs' own decoders — compositing into a blank pixel is a store,
+// Over(blank, p) == p bit for bit. The exchange is counted in
+// res.Stats.Gather.
+func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
+	img := res.Image
+	full := img.Full()
+	st := &res.Stats.Gather
+	*st = stats.Stage{Label: trace.StageGather}
+	tr := c.Tracer()
+	c.SetStage(st.Label)
+	gm := tr.Begin()
+	defer func() {
+		tr.End(gm, trace.SpanGather, st.Label)
+		c.SetStage("")
+	}()
+	mine, err := formOf(res.Own, full)
+	if err != nil {
+		return nil, err
+	}
+
+	if c.Rank() != root {
+		ar := getArena()
+		defer putArena(ar)
+		em := tr.Begin()
+		payload := mine.encode(res.Own.AppendWire(ar.codec.Grab(0)), ar, img, mine.bound(img), st)
+		tr.End(em, trace.SpanEncode, st.Label)
+		_, err := c.Gather(root, payload)
+		ar.codec.Retain(payload)
+		st.BytesSent, st.MsgsSent = len(payload), 1
+		return nil, err
+	}
+
+	// The root's own pixels go straight from its image: no encode, and
+	// nothing for the collective to copy.
+	parts, err := c.Gather(root, nil)
+	if err != nil {
+		return nil, err
+	}
+	// Every descriptor is parsed and validated, and the final image
+	// allocated, before a pixel is stored.
+	own := mine.bound(img)
+	span := own
+	forms := make([]gatherForm, len(parts))
+	bodies := make([][]byte, len(parts))
+	for r, part := range parts {
+		if r == root {
+			continue
+		}
+		if forms[r], bodies[r], err = parsePart(part, full); err != nil {
+			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
+		}
+		span = span.Union(forms[r].span(bodies[r]))
+	}
+	final := frame.NewImage(full.Dx(), full.Dy())
+	final.GrowExact(span)
+
+	cm := tr.Begin()
+	for _, r := range mine.regions {
+		if r.iv == nil {
+			st.Composited += final.CompositeImage(img, r.rect.Intersect(own), false)
+			continue
+		}
+		rowSegments(full.Dx(), r.iv, func(y, x0, x1 int) {
+			seg := frame.Rect{X0: x0, Y0: y, X1: x1, Y1: y + 1}.Intersect(own)
+			st.Composited += final.CompositeImage(img, seg, false)
+		})
+	}
+	for r, part := range parts {
+		if r == root {
+			continue
+		}
+		st.MsgsRecv++
+		st.BytesRecv += len(part)
+		err := forms[r].store(final, bodies[r], st)
+		mp.Release(part) // the codec is done with the bytes
+		if err != nil {
+			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
+		}
+	}
+	tr.End(cm, trace.SpanComposite, st.Label)
+	return final, nil
+}

@@ -22,11 +22,13 @@ import (
 // The golden wire transcript pins what every registered method puts on
 // the wire and what it counts: for each method, rank count and scene,
 // the SHA-256 of each rank's ordered (dst, tag, payload) stream, every
-// stats.Stage counter, and the SHA-256 of the gathered image. The table
-// in testdata/ was generated from the per-method Composite bodies that
-// preceded the schedule x codec drivers, so a codec or driver change
-// that moves one byte or one counter fails here. Regenerate (only when
-// a wire format is meant to change) with:
+// stats.Stage counter, and the SHA-256 of the gathered image; then, in
+// a block of rows after all of those, what the gather that produced
+// that image moved. The compositing rows of the table in testdata/ were
+// generated from the per-method Composite bodies that preceded the
+// schedule x codec drivers, so a codec or driver change that moves one
+// byte or one counter fails here. Regenerate (only when a wire format is
+// meant to change) with:
 // go test ./internal/core -run TestGoldenTranscript -update
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_transcript.txt")
@@ -80,8 +82,8 @@ func (t *recordingTransport) digest() string {
 }
 
 // transcript runs one method over one scene and returns a line per rank
-// plus one for the gathered image.
-func transcript(t *testing.T, name string, p, scene int) []string {
+// plus one for the gathered image, and separately the gather's own row.
+func transcript(t *testing.T, name string, p, scene int) (lines []string, gather string) {
 	t.Helper()
 	comp, dec, lay := methodWorld(t, name, goldenRoot(), p, 0)
 	imgs := goldenImages(scene, p)
@@ -131,14 +133,28 @@ func transcript(t *testing.T, name string, p, scene int) []string {
 		t.Fatalf("%s P=%d %s: final image differs from the sequential reference by %g",
 			name, p, goldenScenes[scene].name, d)
 	}
-	lines := make([]string, p+1)
+	lines = make([]string, p+1)
+	var sent stats.Stage // what the non-root ranks put on the wire
 	for r := 0; r < p; r++ {
+		g := ranks[r].Gather
+		sent.BytesSent += g.BytesSent
+		sent.MsgsSent += g.MsgsSent
+		sent.Codes += g.Codes
+		sent.SentPixels += g.SentPixels
 		lines[r] = fmt.Sprintf("%s %s P=%d r=%d wire=%s %s", goldenScenes[scene].name, name, p, r,
 			recs[r].digest(), statsLine(t, name, ranks[r]))
 	}
-	lines[p] = fmt.Sprintf("%s %s P=%d image=%x", goldenScenes[scene].name, name, p,
-		sha256.Sum256(frame.EncodeRegion(final, final.Full(), nil)))
-	return lines
+	image := sha256.Sum256(frame.EncodeRegion(final, final.Full(), nil))
+	lines[p] = fmt.Sprintf("%s %s P=%d image=%x", goldenScenes[scene].name, name, p, image)
+	root := ranks[0].Gather
+	if root.BytesRecv != sent.BytesSent || root.MsgsRecv != sent.MsgsSent {
+		t.Fatalf("%s P=%d %s: gather root received %d B / %d messages, ranks sent %d B / %d",
+			name, p, goldenScenes[scene].name, root.BytesRecv, root.MsgsRecv, sent.BytesSent, sent.MsgsSent)
+	}
+	gather = fmt.Sprintf("%s %s P=%d gather bytes=%d msgs=%d codes=%d sent=%d stored=%d image=%x",
+		goldenScenes[scene].name, name, p, root.BytesRecv, root.MsgsRecv, sent.Codes, sent.SentPixels,
+		root.Composited, image)
+	return lines, gather
 }
 
 // statsLine renders every pinned counter of one rank.
@@ -210,7 +226,7 @@ func mergeDirectStages(t *testing.T, stages []stats.Stage) []stats.Stage {
 }
 
 func TestGoldenTranscript(t *testing.T) {
-	var got []string
+	var got, gathers []string
 	for scene := range goldenScenes {
 		for _, spec := range Specs() {
 			ps := []int{4, 8}
@@ -218,10 +234,13 @@ func TestGoldenTranscript(t *testing.T) {
 				ps = append(ps, 3, 6)
 			}
 			for _, p := range ps {
-				got = append(got, transcript(t, spec.Name, p, scene)...)
+				lines, gather := transcript(t, spec.Name, p, scene)
+				got = append(got, lines...)
+				gathers = append(gathers, gather)
 			}
 		}
 	}
+	got = append(got, gathers...)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

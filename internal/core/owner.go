@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"sortlast/internal/frame"
@@ -181,6 +180,7 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 		timer.Start()
 		err = m.mergeFrom(out, til, me, recv, merge)
 		timer.Stop()
+		mp.Release(recv) // the codec is done with the bytes
 		if err != nil {
 			return nil, fmt.Errorf("%s: from %d: %w", m.name, src, err)
 		}
@@ -200,6 +200,11 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 	return &Result{Image: out, Own: RectSetOwn{Rs: rs}, Stats: st}, nil
 }
 
+// owned returns the batch of tiles rank r owns.
+func (t tiling) owned(r int) batch {
+	return batch{first: r, step: t.p, n: t.n, rect: t.rect}
+}
+
 // encodeFor builds the message for owner dst in arena scratch.
 func (m *ownerMerge) encodeFor(ar *arena, img *frame.Image, til tiling, dst int,
 	br frame.Rect, route *stats.Stage) []byte {
@@ -207,21 +212,7 @@ func (m *ownerMerge) encodeFor(ar *arena, img *frame.Image, til tiling, dst int,
 	if m.tile == 0 {
 		return m.codec.encode(buf, ar, img, region{rect: til.rect(dst)}, br, route)
 	}
-	buf = append(buf, 0, 0, 0, 0)
-	count := 0
-	for t := dst; t < til.n; t += til.p {
-		entry := m.codec.encode(appendU32(buf, uint32(t)), ar, img, region{rect: til.rect(t)}, br, route)
-		if len(entry) == len(buf)+4 {
-			continue // no foreground in this tile: nothing shipped
-		}
-		buf = entry
-		count++
-	}
-	binary.LittleEndian.PutUint32(buf, uint32(count))
-	if count == 0 {
-		route.SendRectEmpty = true
-	}
-	return buf
+	return til.owned(dst).encode(buf, m.codec, ar, img, br, route)
 }
 
 // mergeFrom validates one received message and composites its regions
@@ -232,27 +223,8 @@ func (m *ownerMerge) mergeFrom(out *frame.Image, til tiling, me int, recv []byte
 		_, err := decodeWhole(m.codec, out, region{rect: til.rect(me)}, recv, false, merge)
 		return err
 	}
-	count, recv, err := readU32(recv)
-	if err != nil {
-		return err
-	}
-	if count == 0 {
-		merge.RecvRectEmpty = true
-	}
-	for i := 0; i < int(count); i++ {
-		var t uint32
-		if t, recv, err = readU32(recv); err != nil {
-			return err
-		}
-		if t >= uint32(til.n) || int(t)%til.p != me {
-			return fmt.Errorf("tile %d is not mine", t)
-		}
-		if _, recv, err = m.codec.decode(out, region{rect: til.rect(int(t))}, recv, false, merge); err != nil {
-			return err
-		}
-	}
-	if len(recv) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(recv))
-	}
-	return nil
+	return til.owned(me).decode(recv, merge, func(keep region, body []byte) ([]byte, error) {
+		_, rest, err := m.codec.decode(out, keep, body, false, merge)
+		return rest, err
+	})
 }

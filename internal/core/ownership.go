@@ -5,26 +5,16 @@ import (
 	"fmt"
 
 	"sortlast/internal/frame"
-	"sortlast/internal/mp"
 )
 
 // Ownership describes which pixels of the full frame a rank holds after
-// compositing, and how to move them. Rect ownership comes out of the
+// compositing; the final gather (gather.go) picks the region codec they
+// travel in from its kind. Rect ownership comes out of the
 // block-split methods (BS, BSBR, BSBRC, direct-send, pipeline, tree);
 // interval ownership comes out of BSLC's interleaved split.
 type Ownership interface {
 	// Area returns the number of owned pixels.
 	Area() int
-	// Pack collects the owned pixels from img in canonical order.
-	Pack(img *frame.Image) []frame.Pixel
-	// Unpack stores packed pixels into img in the same order.
-	Unpack(img *frame.Image, px []frame.Pixel) error
-	// AppendPixels appends the owned pixels' wire bytes in the same
-	// canonical order as Pack, without materializing a pixel slice.
-	AppendPixels(img *frame.Image, buf []byte) []byte
-	// StoreWire writes Area()*frame.PixelBytes wire bytes into img in
-	// the same order, the fused equivalent of Unpack(UnpackPixels(...)).
-	StoreWire(img *frame.Image, wire []byte) error
 	// AppendWire serializes the descriptor (self-describing, for the
 	// final gather).
 	AppendWire(buf []byte) []byte
@@ -48,39 +38,9 @@ type RectOwn struct {
 // Area implements Ownership.
 func (o RectOwn) Area() int { return o.R.Area() }
 
-// Pack implements Ownership.
-func (o RectOwn) Pack(img *frame.Image) []frame.Pixel { return img.PackRegion(o.R) }
-
-// Unpack implements Ownership.
-func (o RectOwn) Unpack(img *frame.Image, px []frame.Pixel) error {
-	if len(px) != o.R.Area() {
-		return fmt.Errorf("core: %d pixels for rect %v (want %d)", len(px), o.R, o.R.Area())
-	}
-	img.StoreRegion(o.R, px)
-	return nil
-}
-
-// AppendPixels implements Ownership.
-func (o RectOwn) AppendPixels(img *frame.Image, buf []byte) []byte {
-	return frame.EncodeRegion(img, o.R, buf)
-}
-
-// StoreWire implements Ownership.
-func (o RectOwn) StoreWire(img *frame.Image, wire []byte) error {
-	if len(wire) != o.R.Area()*frame.PixelBytes {
-		return fmt.Errorf("core: %d wire bytes for rect %v (want %d)",
-			len(wire), o.R, o.R.Area()*frame.PixelBytes)
-	}
-	img.StoreWire(o.R, wire)
-	return nil
-}
-
 // AppendWire implements Ownership.
 func (o RectOwn) AppendWire(buf []byte) []byte {
-	buf = append(buf, ownKindRect)
-	var rb [frame.RectBytes]byte
-	frame.PutRect(rb[:], o.R)
-	return append(buf, rb[:]...)
+	return appendRect(append(buf, ownKindRect), o.R)
 }
 
 // Validate implements Ownership.
@@ -108,57 +68,12 @@ func (o RectSetOwn) Area() int {
 	return n
 }
 
-// Pack implements Ownership.
-func (o RectSetOwn) Pack(img *frame.Image) []frame.Pixel {
-	out := make([]frame.Pixel, 0, o.Area())
-	for _, r := range o.Rs {
-		out = append(out, img.PackRegion(r)...)
-	}
-	return out
-}
-
-// Unpack implements Ownership.
-func (o RectSetOwn) Unpack(img *frame.Image, px []frame.Pixel) error {
-	if len(px) != o.Area() {
-		return fmt.Errorf("core: %d pixels for rect set of %d", len(px), o.Area())
-	}
-	for _, r := range o.Rs {
-		img.StoreRegion(r, px[:r.Area()])
-		px = px[r.Area():]
-	}
-	return nil
-}
-
-// AppendPixels implements Ownership.
-func (o RectSetOwn) AppendPixels(img *frame.Image, buf []byte) []byte {
-	for _, r := range o.Rs {
-		buf = frame.EncodeRegion(img, r, buf)
-	}
-	return buf
-}
-
-// StoreWire implements Ownership.
-func (o RectSetOwn) StoreWire(img *frame.Image, wire []byte) error {
-	if len(wire) != o.Area()*frame.PixelBytes {
-		return fmt.Errorf("core: %d wire bytes for rect set of %d pixels",
-			len(wire), o.Area())
-	}
-	for _, r := range o.Rs {
-		n := r.Area() * frame.PixelBytes
-		img.StoreWire(r, wire[:n])
-		wire = wire[n:]
-	}
-	return nil
-}
-
 // AppendWire implements Ownership.
 func (o RectSetOwn) AppendWire(buf []byte) []byte {
 	buf = append(buf, ownKindRectSet)
 	buf = appendU32(buf, uint32(len(o.Rs)))
 	for _, r := range o.Rs {
-		var rb [frame.RectBytes]byte
-		frame.PutRect(rb[:], r)
-		buf = append(buf, rb[:]...)
+		buf = appendRect(buf, r)
 	}
 	return buf
 }
@@ -198,64 +113,6 @@ func (o IntervalOwn) Area() int {
 		n += iv.Len()
 	}
 	return n
-}
-
-// Pack implements Ownership.
-func (o IntervalOwn) Pack(img *frame.Image) []frame.Pixel {
-	out := make([]frame.Pixel, 0, o.Area())
-	for _, iv := range o.Iv {
-		for i := iv.Lo; i < iv.Hi; i++ {
-			out = append(out, img.At(i%o.W, i/o.W))
-		}
-	}
-	return out
-}
-
-// Unpack implements Ownership.
-func (o IntervalOwn) Unpack(img *frame.Image, px []frame.Pixel) error {
-	if len(px) != o.Area() {
-		return fmt.Errorf("core: %d pixels for interval set of %d", len(px), o.Area())
-	}
-	k := 0
-	for _, iv := range o.Iv {
-		for i := iv.Lo; i < iv.Hi; i++ {
-			if !px[k].Blank() {
-				img.Set(i%o.W, i/o.W, px[k])
-			}
-			k++
-		}
-	}
-	return nil
-}
-
-// AppendPixels implements Ownership.
-func (o IntervalOwn) AppendPixels(img *frame.Image, buf []byte) []byte {
-	var px [frame.PixelBytes]byte
-	for _, iv := range o.Iv {
-		for i := iv.Lo; i < iv.Hi; i++ {
-			frame.PutPixel(px[:], img.At(i%o.W, i/o.W))
-			buf = append(buf, px[:]...)
-		}
-	}
-	return buf
-}
-
-// StoreWire implements Ownership.
-func (o IntervalOwn) StoreWire(img *frame.Image, wire []byte) error {
-	if len(wire) != o.Area()*frame.PixelBytes {
-		return fmt.Errorf("core: %d wire bytes for interval set of %d pixels",
-			len(wire), o.Area())
-	}
-	k := 0
-	for _, iv := range o.Iv {
-		for i := iv.Lo; i < iv.Hi; i++ {
-			if p := frame.GetPixel(wire[k*frame.PixelBytes:]); !p.Blank() {
-				img.Set(i%o.W, i/o.W, p)
-			}
-			k++
-		}
-	}
-	return nil
 }
 
 // AppendWire implements Ownership.
@@ -335,40 +192,6 @@ func ParseOwnership(buf []byte) (Ownership, []byte, error) {
 	default:
 		return nil, nil, fmt.Errorf("core: unknown ownership kind %d", kind)
 	}
-}
-
-// GatherImage assembles the distributed final image at root from every
-// rank's composited result. Non-root ranks receive nil. The payload is
-// self-describing (ownership descriptor + packed pixels), so the root
-// needs no knowledge of the compositor that produced the distribution.
-func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
-	payload := res.Own.AppendWire(nil)
-	payload = res.Own.AppendPixels(res.Image, payload)
-	parts, err := c.Gather(root, payload)
-	if err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		return nil, nil
-	}
-	final := frame.NewImage(res.Image.Full().Dx(), res.Image.Full().Dy())
-	for r, part := range parts {
-		own, rest, err := ParseOwnership(part)
-		if err != nil {
-			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
-		}
-		if err := own.Validate(res.Image.Full()); err != nil {
-			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
-		}
-		if len(rest) != own.Area()*frame.PixelBytes {
-			return nil, fmt.Errorf("core: gather from rank %d: %d payload bytes for %d pixels",
-				r, len(rest), own.Area())
-		}
-		if err := own.StoreWire(final, rest); err != nil {
-			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
-		}
-	}
-	return final, nil
 }
 
 func appendU32(buf []byte, v uint32) []byte {

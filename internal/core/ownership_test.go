@@ -7,26 +7,50 @@ import (
 	"testing/quick"
 
 	"sortlast/internal/frame"
+	"sortlast/internal/stats"
 )
+
+// gatherRoundTrip sends own's pixels of img through the gather's wire
+// form — descriptor, then the pixels in the codec of the ownership kind
+// — and stores them into a blank frame, as GatherImage's root does.
+func gatherRoundTrip(t *testing.T, own Ownership, img *frame.Image) (*frame.Image, []byte) {
+	t.Helper()
+	full := img.Full()
+	f, err := formOf(own, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := f.encode(own.AppendWire(nil), new(arena), img, f.bound(img), new(stats.Stage))
+	g, body, err := parsePart(part, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := frame.NewImage(full.Dx(), full.Dy())
+	dst.GrowExact(g.span(body))
+	if err := g.store(dst, body, new(stats.Stage)); err != nil {
+		t.Fatal(err)
+	}
+	return dst, part
+}
 
 func TestRectOwnPackUnpack(t *testing.T) {
 	img := frame.NewImage(16, 16)
 	img.Set(5, 5, frame.Pixel{I: 0.5, A: 1})
 	img.Set(6, 7, frame.Pixel{I: 0.25, A: 0.5})
+	img.Set(1, 1, frame.Pixel{I: 1, A: 1}) // not owned: must not travel
 	own := RectOwn{R: frame.XYWH(4, 4, 8, 8)}
-	px := own.Pack(img)
-	if len(px) != own.Area() {
-		t.Fatalf("packed %d, want %d", len(px), own.Area())
-	}
-	dst := frame.NewImage(16, 16)
-	if err := own.Unpack(dst, px); err != nil {
-		t.Fatal(err)
-	}
+	dst, part := gatherRoundTrip(t, own, img)
 	if dst.At(5, 5) != img.At(5, 5) || dst.At(6, 7) != img.At(6, 7) {
-		t.Error("pixels lost in pack/unpack")
+		t.Error("pixels lost in the gather round trip")
 	}
-	if err := own.Unpack(dst, px[:3]); err == nil {
-		t.Error("size mismatch must error")
+	if !dst.At(1, 1).Blank() {
+		t.Error("a pixel outside the owned rectangle travelled")
+	}
+	if dense := own.Area() * frame.PixelBytes; len(part) >= dense {
+		t.Errorf("2 pixels of %d cost %d bytes, dense is %d", own.Area(), len(part), dense)
+	}
+	if !own.R.ContainsRect(dst.Bounds()) {
+		t.Errorf("stored bounds %v escape the owned rectangle %v", dst.Bounds(), own.R)
 	}
 }
 
@@ -34,20 +58,17 @@ func TestIntervalOwnPackUnpack(t *testing.T) {
 	img := frame.NewImage(8, 8)
 	img.Set(3, 0, frame.Pixel{I: 1, A: 1})   // linear 3
 	img.Set(1, 2, frame.Pixel{I: 0.5, A: 1}) // linear 17
+	img.Set(7, 0, frame.Pixel{I: 1, A: 1})   // linear 7: not owned
 	own := IntervalOwn{W: 8, Iv: []Interval{{0, 5}, {16, 20}}}
 	if own.Area() != 9 {
 		t.Fatalf("area = %d", own.Area())
 	}
-	px := own.Pack(img)
-	if !px[3].Blank() == false {
-		t.Error("linear index 3 must be packed at position 3")
-	}
-	dst := frame.NewImage(8, 8)
-	if err := own.Unpack(dst, px); err != nil {
-		t.Fatal(err)
-	}
+	dst, _ := gatherRoundTrip(t, own, img)
 	if dst.At(3, 0) != img.At(3, 0) || dst.At(1, 2) != img.At(1, 2) {
 		t.Error("interval pixels lost")
+	}
+	if !dst.At(7, 0).Blank() {
+		t.Error("a pixel outside the owned intervals travelled")
 	}
 }
 

@@ -20,36 +20,26 @@ func TestRectSetOwnPackUnpack(t *testing.T) {
 	if own.Area() != 3*256 {
 		t.Fatalf("area = %d", own.Area())
 	}
-	px := own.Pack(img)
-	if len(px) != own.Area() {
-		t.Fatalf("packed %d, want %d", len(px), own.Area())
+	// A rectangle without foreground is not shipped at all.
+	_, part := gatherRoundTrip(t, own, img)
+	blank := RectSetOwn{Rs: append([]frame.Rect{frame.XYWH(16, 16, 16, 16)}, own.Rs...)}
+	_, withBlank := gatherRoundTrip(t, blank, img)
+	if extra := len(withBlank) - len(part); extra != frame.RectBytes {
+		t.Errorf("a blank owned rectangle added %d bytes, want only its descriptor entry (%d)",
+			extra, frame.RectBytes)
 	}
-	dst := frame.NewImage(32, 32)
-	if err := own.Unpack(dst, px); err != nil {
-		t.Fatal(err)
+	if dense := own.Area() * frame.PixelBytes; len(part) >= dense/10 {
+		t.Errorf("3 pixels of %d cost %d bytes, dense is %d", own.Area(), len(part), dense)
 	}
+	img.Set(20, 20, frame.Pixel{I: 1, A: 1}) // in no owned rectangle
+	dst, _ := gatherRoundTrip(t, own, img)
 	for _, at := range [][2]int{{2, 2}, {17, 3}, {5, 20}} {
 		if dst.At(at[0], at[1]) != img.At(at[0], at[1]) {
-			t.Errorf("pixel %v lost in pack/unpack", at)
+			t.Errorf("pixel %v lost in the gather round trip", at)
 		}
 	}
-	if err := own.Unpack(dst, px[:10]); err == nil {
-		t.Error("size mismatch must error")
-	}
-	// Wire-pixel path must agree with the pixel path.
-	wire := own.AppendPixels(img, nil)
-	if len(wire) != own.Area()*frame.PixelBytes {
-		t.Fatalf("wire %d bytes, want %d", len(wire), own.Area()*frame.PixelBytes)
-	}
-	dst2 := frame.NewImage(32, 32)
-	if err := own.StoreWire(dst2, wire); err != nil {
-		t.Fatal(err)
-	}
-	if dst2.At(17, 3) != img.At(17, 3) {
-		t.Error("wire round trip lost a pixel")
-	}
-	if err := own.StoreWire(dst2, wire[:10]); err == nil {
-		t.Error("short wire must error")
+	if !dst.At(20, 20).Blank() {
+		t.Error("a pixel outside the owned rectangles travelled")
 	}
 }
 

@@ -90,6 +90,7 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 		if !s.RecvRectEmpty { // an empty rectangle has no composite slice
 			tr.End(cm, trace.SpanComposite, s.Label)
 		}
+		mp.Release(recv) // the codec is done with the bytes
 		if err != nil {
 			return nil, fmt.Errorf("%s: stage %d: %w", m.name, stage, err)
 		}

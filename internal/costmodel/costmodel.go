@@ -77,6 +77,19 @@ func (p Params) Stage(method string, s *stats.Stage) Cost {
 	return Cost{Comp: p.stageComp(method, s), Comm: p.stageComm(s)}
 }
 
+// Gather evaluates the term the paper's equations stop short of, over a
+// rank's stats.Rank.Gather counters: the final gather as one more route
+// round. A sending rank pays T_encode for the owned pixels it scans; the
+// root pays one Ts per sending rank, Tc per encoded byte received, and
+// To per pixel it stores. Rank and World leave the term out, so the
+// paper's tables keep comparing compositing with compositing.
+func (p Params) Gather(s *stats.Stage) Cost {
+	return Cost{
+		Comp: time.Duration(s.Encoded)*p.Tencode + time.Duration(s.Composited)*p.To,
+		Comm: p.stageComm(s),
+	}
+}
+
 func (p Params) stageComp(method string, s *stats.Stage) time.Duration {
 	var d time.Duration
 	d += time.Duration(s.Encoded) * p.Tencode

@@ -130,3 +130,27 @@ func TestCostString(t *testing.T) {
 		t.Error("String must be non-empty")
 	}
 }
+
+// The gather term is method-independent, and Rank leaves it out: the
+// paper's tables stop at the last compositing stage.
+func TestGatherTerm(t *testing.T) {
+	for _, method := range []string{"BS", "BSBRC", "DFB"} {
+		r := &stats.Rank{Method: method}
+		r.StageAt(1).MsgsRecv = 1
+		without := params().Rank(r)
+		r.Gather = stats.Stage{
+			Encoded: 3000, Composited: 700, RecvPixels: 5000,
+			MsgsRecv: 7, BytesRecv: 40000, MsgsSent: 1, BytesSent: 9000,
+		}
+		if got := params().Rank(r); got != without {
+			t.Errorf("%s: the gather moved the compositing cost %v -> %v", method, without, got)
+		}
+		c := params().Gather(&r.Gather)
+		if want := 3000*100*time.Nanosecond + 700*time.Microsecond; c.Comp != want {
+			t.Errorf("%s: gather comp = %v, want %v (T_encode x scanned + To x stored)", method, c.Comp, want)
+		}
+		if want := 7*100*time.Microsecond + 40000*10*time.Nanosecond; c.Comm != want {
+			t.Errorf("%s: gather comm = %v, want %v (Ts per sender + Tc x bytes)", method, c.Comm, want)
+		}
+	}
+}

@@ -127,17 +127,12 @@ func (p *Plan) CompositeRank(c mp.Comm, img *frame.Image) (*core.Result, error) 
 }
 
 // GatherRank assembles the distributed final image at rank 0 from this
-// rank's compositing result; non-root ranks receive nil. Comm spans
-// issued during the gather are labeled with the "gather" stage so the
-// reports can separate them from binary-swap exchange waits.
+// rank's compositing result; non-root ranks receive nil. The gather
+// records its own "gather" span and labels its comm spans with the
+// "gather" stage, so the reports can separate them from binary-swap
+// exchange waits.
 func (p *Plan) GatherRank(c mp.Comm, res *core.Result) (*frame.Image, error) {
-	tr := c.Tracer()
-	c.SetStage(trace.StageGather)
-	m := tr.Begin()
-	img, err := core.GatherImage(c, 0, res)
-	tr.End(m, trace.SpanGather, trace.StageGather)
-	c.SetStage("")
-	return img, err
+	return core.GatherImage(c, 0, res)
 }
 
 // Datasets lists the built-in workload names accepted by Config.Dataset.

@@ -37,7 +37,11 @@ type Comm interface {
 	Send(to, tag int, payload []byte) error
 	// Recv blocks until a message from rank `from` under `tag` arrives
 	// and returns its payload. Messages from the same (source, tag)
-	// channel arrive in send order.
+	// channel arrive in send order. The caller owns the returned slice:
+	// nothing else references it, and once the bytes are consumed the
+	// caller may hand it back with Release — at most once, and without
+	// touching it afterwards. Not releasing is always correct. The same
+	// holds for the slice Sendrecv returns.
 	Recv(from, tag int) ([]byte, error)
 	// Sendrecv exchanges messages with a peer: it sends payload under
 	// tag and returns the message received from the same peer under the
@@ -51,7 +55,9 @@ type Comm interface {
 	// Non-root callers pass nil.
 	Bcast(root int, payload []byte) ([]byte, error)
 	// Gather collects every rank's payload at root, indexed by rank.
-	// Non-root callers receive nil.
+	// Non-root callers receive nil. The root owns each returned part
+	// under Recv's buffer contract (its own part is a copy of payload,
+	// nil for a nil payload) and may Release them one by one.
 	Gather(root int, payload []byte) ([][]byte, error)
 	// Scatter distributes payloads[i] to rank i from root and returns
 	// this rank's slice. Non-root callers pass nil.

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"time"
 )
@@ -211,10 +212,47 @@ func (b *Mailbox) FailSource(src int) {
 	b.cond.Broadcast()
 }
 
-// Put copies payload and enqueues it on the (src, tag) channel.
+// Put copies payload into a pooled receive buffer and enqueues it on the
+// (src, tag) channel.
 func (b *Mailbox) Put(src, tag int, payload []byte) {
-	cp := make([]byte, len(payload))
+	cp := grab(len(payload))
 	copy(cp, payload)
+	b.enqueue(src, tag, cp)
+}
+
+// readStep bounds how much PutFrom allocates ahead of the bytes that
+// have actually arrived.
+const readStep = 1 << 20
+
+// PutFrom reads an n-byte payload from r straight into a pooled receive
+// buffer and enqueues it on the (src, tag) channel — the mailbox takes
+// the buffer the transport filled instead of copying it. The length n
+// comes from a peer-written header, so the buffer grows as bytes arrive
+// (readStep first, then doubling): a header alone cannot make the rank
+// allocate more than it has been sent plus one step. On a read error
+// nothing is enqueued.
+func (b *Mailbox) PutFrom(src, tag int, r io.Reader, n int) error {
+	buf := grab(min(n, readStep))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			Release(buf)
+			return err
+		}
+		if got = len(buf); got == n {
+			break
+		}
+		next := grab(min(n, 2*got))
+		copy(next, buf)
+		Release(buf)
+		buf = next
+	}
+	b.enqueue(src, tag, buf)
+	return nil
+}
+
+// enqueue appends msg, which the mailbox now owns, to the (src, tag)
+// channel.
+func (b *Mailbox) enqueue(src, tag int, msg []byte) {
 	b.mu.Lock()
 	k := msgKey{src, tag}
 	q := b.queues[k]
@@ -226,7 +264,7 @@ func (b *Mailbox) Put(src, tag int, payload []byte) {
 		q.msgs = q.msgs[:0]
 		q.head = 0
 	}
-	q.msgs = append(q.msgs, cp)
+	q.msgs = append(q.msgs, msg)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }

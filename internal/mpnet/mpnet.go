@@ -141,15 +141,10 @@ func Connect(cfg Config) (*Node, error) {
 					acceptErr = fmt.Errorf("mpnet: rank %d accept: %w", cfg.Rank, err)
 					return
 				}
-				peer, err := readHandshake(conn)
+				peer, err := readHandshake(conn, cfg.Rank, tr.conns)
 				if err != nil {
 					conn.Close()
 					acceptErr = err
-					return
-				}
-				if peer <= cfg.Rank || peer >= size || tr.conns[peer] != nil {
-					conn.Close()
-					acceptErr = fmt.Errorf("mpnet: rank %d: bad handshake from rank %d", cfg.Rank, peer)
 					return
 				}
 				tr.conns[peer] = newPeerConn(conn)
@@ -245,15 +240,22 @@ func writeHandshake(conn net.Conn, rank int) error {
 	return err
 }
 
-func readHandshake(conn net.Conn) (int, error) {
+// readHandshake reads a dialing peer's handshake from r and returns its
+// rank, which must be one this rank accepts from — higher than its own,
+// inside the world — and not connected yet.
+func readHandshake(r io.Reader, rank int, conns []*peerConn) (int, error) {
 	var buf [8]byte
-	if _, err := io.ReadFull(conn, buf[:]); err != nil {
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return 0, fmt.Errorf("mpnet: handshake read: %w", err)
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != handshakeMagic {
 		return 0, fmt.Errorf("mpnet: bad handshake magic")
 	}
-	return int(binary.LittleEndian.Uint32(buf[4:8])), nil
+	peer := int(binary.LittleEndian.Uint32(buf[4:8]))
+	if peer <= rank || peer >= len(conns) || conns[peer] != nil {
+		return 0, fmt.Errorf("mpnet: rank %d: bad handshake from rank %d", rank, peer)
+	}
+	return peer, nil
 }
 
 // tcpTransport implements mp.Transport over a connection mesh.
@@ -312,28 +314,29 @@ func (t *tcpTransport) Recv(from, tag int, timeout time.Duration) ([]byte, error
 }
 
 func (t *tcpTransport) readLoop(peer int, pc *peerConn) {
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(pc.conn, hdr[:]); err != nil {
-			// Peer gone (or local close): already-delivered messages
-			// stay readable, but receives that would block on this peer
-			// fail promptly instead of timing out.
-			t.box.FailSource(peer)
-			return
-		}
-		tag := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		n := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxFrame {
-			t.box.FailSource(peer)
-			return
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(pc.conn, payload); err != nil {
-			t.box.FailSource(peer)
-			return
-		}
-		t.box.Put(peer, tag, payload)
+	for readFrame(pc.conn, t.box, peer) == nil {
 	}
+	// Peer gone (or local close), or a frame no peer of this world
+	// sends: already-delivered messages stay readable, but receives
+	// that would block on this peer fail promptly instead of timing out.
+	t.box.FailSource(peer)
+}
+
+// readFrame reads one [tag u32][len u32][payload] frame from r and
+// delivers it to box as a message from peer. The mailbox reads the
+// payload into a buffer it then owns, growing it as bytes arrive, so
+// the length field alone allocates at most one read step.
+func readFrame(r io.Reader, box *mp.Mailbox, peer int) error {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return err
+	}
+	tag := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	n := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > maxFrame {
+		return fmt.Errorf("mpnet: frame of %d bytes from rank %d exceeds limit", n, peer)
+	}
+	return box.PutFrom(peer, tag, r, int(n))
 }
 
 func (t *tcpTransport) close() {

@@ -24,7 +24,9 @@ const divergePoints = 15.0
 // composite) beside the modeled T_comp/T_comm, plus each side's share of
 // the rank total, flagging stages whose shares diverge by more than 15
 // points — the stages where the SP2 model and this host disagree about
-// where the time goes.
+// where the time goes. The gather is the row after the last stage, with
+// its own modeled term (costmodel.Params.Gather) and no share: it is not
+// part of the compositing totals.
 func MeasuredVsModeled(rec *trace.Recorder, ranks []*stats.Rank, params costmodel.Params) string {
 	if rec == nil || rec.Size() == 0 {
 		return "measured-vs-modeled: no trace recorded\n"
@@ -101,6 +103,17 @@ func MeasuredVsModeled(rec *trace.Recorder, ranks []*stats.Rank, params costmode
 			}
 			sb.WriteByte('\n')
 		}
+		// The gather follows the last compositing stage: the row the
+		// paper's tables leave out. It stays outside both totals, so
+		// the shares above keep comparing compositing with compositing.
+		g := &r.Gather
+		model := params.Gather(g)
+		fmt.Fprintf(&sb, "  %-8s %10s %8s %8s %8s | %10s %10s |\n",
+			trace.StageGather, fmtMS(sum(trace.SpanGather, trace.StageGather)),
+			fmtMS(sum(trace.SpanEncode, trace.StageGather)),
+			fmtMS(sum(trace.SpanSendWait, trace.StageGather)+sum(trace.SpanRecvWait, trace.StageGather)),
+			fmtMS(sum(trace.SpanComposite, trace.StageGather)),
+			fmtMS(model.Comp), fmtMS(model.Comm))
 	}
 	return sb.String()
 }

@@ -50,6 +50,21 @@ func TestMeasuredVsModeled(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
+	// The gather is the row after the last compositing stage, on every
+	// rank, with the modeled term beside the measured span.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "rank ") || strings.HasPrefix(line, "rank 0") {
+			continue
+		}
+		if prev := strings.Fields(lines[i-1]); prev[0] != trace.StageGather {
+			t.Errorf("row before %q is %q, want the gather row", line, lines[i-1])
+		}
+	}
+	last := strings.Fields(lines[len(lines)-1])
+	if last[0] != trace.StageGather || !strings.HasSuffix(last[1], "ms") {
+		t.Errorf("last row %q is not a measured gather row", lines[len(lines)-1])
+	}
 }
 
 func TestMeasuredVsModeledNoTrace(t *testing.T) {

@@ -58,6 +58,12 @@ type Rank struct {
 	// zero value when the rank count is a power of two.
 	Fold   Stage
 	Stages []Stage
+	// Gather counts the final gather that follows compositing, labelled
+	// trace.StageGather: the rank's encoded owned pixels as sent, and at
+	// the root everything received and stored. It is kept out of Stages
+	// so the paper's per-stage tables and M_max stay the compositing
+	// phase's alone.
+	Gather Stage
 
 	// CompWall is the measured wall-clock time spent in compositing
 	// computation (excluding communication waits).
