@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-module fuzz-smoke chaos bench bench-json bench-render bench-fleet bench-compose bench-quality
+.PHONY: check vet build test race bench-module fuzz-smoke chaos bench bench-json bench-render bench-fleet bench-quality
 
 # check is the pre-commit gate: static analysis, a full build, the full
 # test suite, the race detector over every package, and the benchmark
@@ -78,12 +78,3 @@ bench-fleet:
 bench-quality:
 	@$(GO) run ./cmd/servebench -quality sweep -out BENCH_quality.json || \
 		{ echo "bench-quality: FAILED -- the quality sweep did not complete or preview lost its 2x p99 margin over full (see error above); BENCH_quality.json not updated" >&2; exit 1; }
-
-# bench-compose measures every registered compositing method's wall time
-# over a dense and a sparse workload (including ds/dfb at non-power-of-
-# two P) and writes BENCH_compose.json. The run itself asserts the
-# tile-routed reduction beats binary swap on the sparse workload at
-# P=16, so a routing regression fails loudly.
-bench-compose:
-	@$(GO) run ./cmd/composebench -compose -o BENCH_compose.json || \
-		{ echo "bench-compose: FAILED -- the compose grid did not complete or dfb lost to bs on the sparse P=16 workload (see error above); BENCH_compose.json not updated" >&2; exit 1; }

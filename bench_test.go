@@ -380,13 +380,13 @@ func BenchmarkCompositeAllocsTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselines compares the related-work compositors of §2 against
-// BSBRC under identical conditions.
+// BenchmarkBaselines compares §2's direct send against BSBRC under
+// identical conditions.
 func BenchmarkBaselines(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-scale sweep")
 	}
-	for _, m := range []string{"bsbrc", "direct", "pipeline", "bintree"} {
+	for _, m := range []string{"bsbrc", "direct"} {
 		b.Run(m, func(b *testing.B) {
 			benchCell(b, "engine_high", m, 16, 384)
 		})
@@ -409,28 +409,6 @@ func BenchmarkAblationInterleave(b *testing.B) {
 			}
 			b.StopTimer()
 			reportModel(b, rs)
-		})
-	}
-}
-
-// BenchmarkAblationRLEKind measures §3.3's claim that value-based RLE
-// (Ahrens–Painter, used by the binary-tree baseline) degenerates on
-// float-valued volume pixels while background/foreground RLE (BSBRC)
-// does not: compare M_max of the two encodings on the same scene.
-func BenchmarkAblationRLEKind(b *testing.B) {
-	if testing.Short() {
-		b.Skip("paper-scale sweep")
-	}
-	for _, m := range []string{"bsbrc", "bintree"} {
-		b.Run(m, func(b *testing.B) {
-			env := getEnv(b, "engine_low", 384, 8, paperRotX, paperRotY)
-			var rs []*stats.Rank
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rs = compositeOnce(b, env, m, 0)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(stats.MaxMessageBytes(rs))/1024, "Mmax_KB")
 		})
 	}
 }
@@ -486,16 +464,14 @@ func BenchmarkAblationRenderBalance(b *testing.B) {
 
 // BenchmarkAblationEncodings compares the sparse-pixel encodings the
 // paper discusses, as binary-swap variants on the same scene: bounding
-// rectangle + bg/fg codes (BSBRC), interleaved bg/fg codes (BSLC), the
-// rectangle-accelerated interleave combining both (BSBRLC, the §5
-// "more efficient encoding schemes" extension), explicit coordinates
-// (BSDPF, 20 B per non-blank pixel), and value runs (BSVC, degenerate
-// on float pixels). M_max and the encoder-scan volume tell the story.
+// rectangle + bg/fg codes (BSBRC), interleaved bg/fg codes (BSLC) and
+// explicit coordinates (BSDPF, 20 B per non-blank pixel). M_max and the
+// encoder-scan volume tell the story.
 func BenchmarkAblationEncodings(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-scale sweep")
 	}
-	for _, m := range []string{"bsbrc", "bslc", "bsbrlc", "bsdpf", "bsvc"} {
+	for _, m := range []string{"bsbrc", "bslc", "bsdpf"} {
 		b.Run(m, func(b *testing.B) {
 			env := getEnv(b, "engine_low", 384, 8, paperRotX, paperRotY)
 			var rs []*stats.Rank
@@ -516,10 +492,9 @@ func BenchmarkAblationEncodings(b *testing.B) {
 	}
 }
 
-// BenchmarkSurfaceCompositing runs the compositing methods on
-// surface-rendered (opaque, flat-shaded) subimages — the sort-last
-// polygon-rendering regime of the paper's §2 related work — including
-// the value-coding variant that regime favors.
+// BenchmarkSurfaceCompositing runs the paper's two run-length methods
+// on surface-rendered (opaque, flat-shaded) subimages — the sort-last
+// polygon-rendering regime of the paper's §2 related work.
 func BenchmarkSurfaceCompositing(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-scale sweep")
@@ -539,7 +514,7 @@ func BenchmarkSurfaceCompositing(b *testing.B) {
 		m := mesh.Extract(vol, mesh.CellsFor(dec.Box(r), vol.Bounds()), 160)
 		env.imgs[r] = render.Rasterize(m, cam, render.RasterOptions{Flat: true, Levels: 12})
 	}
-	for _, method := range []string{"bsbrc", "bsvc", "bslc"} {
+	for _, method := range []string{"bsbrc", "bslc"} {
 		b.Run(method, func(b *testing.B) {
 			var rs []*stats.Rank
 			b.ResetTimer()

@@ -31,7 +31,7 @@ var (
 	dataset = flag.String("dataset", "cube", "built-in dataset")
 	in      = flag.String("in", "", "volume file instead of a built-in dataset")
 	tfName  = flag.String("tf", "", "transfer preset when using -in")
-	method  = flag.String("method", "bsbrc", "compositing method (bs, bsbr, bslc, bsbrc, ds, dfb, ...)")
+	method  = flag.String("method", "bsbrc", "compositing method (bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb); each runs at any rank count")
 	size    = flag.Int("size", 384, "image size (square)")
 	rotX    = flag.Float64("rotx", 0, "rotation about x (degrees)")
 	rotY    = flag.Float64("roty", 0, "rotation about y (degrees)")
@@ -102,9 +102,7 @@ func run(list []string) error {
 		}
 	}
 	// The plan is the one the in-process harness runs: kd decomposition
-	// at power-of-two world sizes, the fold plan otherwise (a method that
-	// cannot serve the world size fails here with harness.Pow2MethodError,
-	// before any socket opens).
+	// at power-of-two world sizes, the fold plan otherwise.
 	plan, err := harness.NewPlan(cfg)
 	if err != nil {
 		return err

@@ -65,58 +65,56 @@ func spawn(t *testing.T, p int, args ...string) ([]string, []error) {
 	return text, errs
 }
 
-// TestRanksMatchHarness runs the command as a real TCP world at a
-// power-of-two and a folded rank count and compares rank 0's PGM with
-// the in-process harness run of the same configuration, byte for byte.
+// matchHarness runs the command as a real TCP world of p processes and
+// compares rank 0's PGM, byte for byte, with the in-process harness run
+// of the same configuration — itself validated against the sequential
+// compositing oracle.
+func matchHarness(t *testing.T, p int, method string) {
+	t.Helper()
+	dir := t.TempDir()
+	got := filepath.Join(dir, "cluster.pgm")
+	text, errs := spawn(t, p, "-dataset", "cube", "-method", method,
+		"-size", "96", "-rotx", "20", "-roty", "35", "-out", got)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v\n%s", r, err, text[r])
+		}
+	}
+
+	_, img, err := harness.RunWithImage(harness.Config{
+		Dataset: "cube", Method: method, P: p,
+		Width: 96, Height: 96, RotX: 20, RotY: 35,
+		Validate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(dir, "harness.pgm")
+	if err := img.WritePGMFile(want); err != nil {
+		t.Fatal(err)
+	}
+	gb, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Errorf("rank 0's PGM (%d bytes) differs from the harness run (%d bytes)", len(gb), len(wb))
+	}
+}
+
+// TestRanksMatchHarness runs dfb at a power-of-two and an odd rank
+// count.
 func TestRanksMatchHarness(t *testing.T) {
 	for _, p := range []int{2, 3} {
-		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			dir := t.TempDir()
-			got := filepath.Join(dir, "cluster.pgm")
-			text, errs := spawn(t, p, "-dataset", "cube", "-method", "dfb",
-				"-size", "96", "-rotx", "20", "-roty", "35", "-out", got)
-			for r, err := range errs {
-				if err != nil {
-					t.Fatalf("rank %d: %v\n%s", r, err, text[r])
-				}
-			}
-
-			_, img, err := harness.RunWithImage(harness.Config{
-				Dataset: "cube", Method: "dfb", P: p,
-				Width: 96, Height: 96, RotX: 20, RotY: 35,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := filepath.Join(dir, "harness.pgm")
-			if err := img.WritePGMFile(want); err != nil {
-				t.Fatal(err)
-			}
-			gb, err := os.ReadFile(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, err := os.ReadFile(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb, wb) {
-				t.Errorf("rank 0's PGM (%d bytes) differs from the harness run (%d bytes)", len(gb), len(wb))
-			}
-		})
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) { matchHarness(t, p, "dfb") })
 	}
 }
 
-// A method that cannot serve a non-power-of-two world is refused by
-// every rank before it opens a socket, naming the any-P alternatives.
-func TestPow2MethodRefusedAtOddWorld(t *testing.T) {
-	text, errs := spawn(t, 3, "-dataset", "cube", "-method", "bintree", "-size", "32")
-	for r, err := range errs {
-		if err == nil {
-			t.Errorf("rank %d exited 0 running bintree at P=3", r)
-		}
-		if !strings.Contains(text[r], "power-of-two") || !strings.Contains(text[r], "dfb") {
-			t.Errorf("rank %d: message does not explain the refusal: %q", r, text[r])
-		}
-	}
-}
+// Direct send — refused at odd world sizes until it took the fold plan
+// as rank geometry — runs as three OS processes and exits 0 with the
+// oracle's image.
+func TestDirectServesOddWorld(t *testing.T) { matchHarness(t, 3, "direct") }

@@ -9,8 +9,7 @@
 //	composebench -figure 11 -maxp 32
 //	composebench -mmax -dataset cube
 //	composebench -all -csv
-//	composebench -compose -o BENCH_compose.json
-//	composebench -table 1 -method ds,dfb -plist 3,6 -dataset cube
+//	composebench -table 1 -method direct,ds,dfb,bsbrc -plist 3,6 -dataset cube
 package main
 
 import (
@@ -30,16 +29,14 @@ var (
 	figure    = flag.Int("figure", 0, "regenerate Figure 8, 9, 10 or 11")
 	mmax      = flag.Bool("mmax", false, "regenerate the Eq. 9 M_max comparison")
 	all       = flag.Bool("all", false, "regenerate every table and figure")
-	composeFl = flag.Bool("compose", false, "measure every registered method's compositing wall over a dense and a sparse workload, including ds/dfb at non-power-of-two P; writes JSON to -o")
 	dataset   = flag.String("dataset", "", "restrict to one dataset (engine_low, engine_high, head, cube)")
 	methodsFl = flag.String("method", "", "comma-separated methods overriding each sweep's method set")
 	maxP      = flag.Int("maxp", 64, "largest processor count in the sweep")
-	plist     = flag.String("plist", "", "comma-separated explicit processor counts overriding the power-of-two sweep (any-P methods accept non-powers of two)")
+	plist     = flag.String("plist", "", "comma-separated explicit processor counts overriding the power-of-two sweep")
 	tileFl    = flag.Int("tile", 0, "dfb tile edge in pixels (0: core.DefaultTile)")
 	rotX      = flag.Float64("rotx", 20, "viewpoint rotation about x (degrees)")
 	rotY      = flag.Float64("roty", 30, "viewpoint rotation about y (degrees)")
 	csv       = flag.Bool("csv", false, "emit CSV instead of formatted tables")
-	outFile   = flag.String("o", "BENCH_compose.json", "output path of the -compose report")
 	traceOut  = flag.String("trace", "", "write a Chrome/Perfetto span trace of the last sweep cell to this JSON file")
 )
 
@@ -109,6 +106,9 @@ func sweep(size int, methods []string, ds []string) ([]harness.Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s/P%d: %w", d, m, p, err)
 				}
+				// Key the cell by the requested name: the compositor's own
+				// display name differs for direct and for folded runs.
+				row.Method = strings.ToUpper(m)
 				rows = append(rows, *row)
 				fmt.Fprintf(os.Stderr, ".")
 			}
@@ -143,12 +143,6 @@ func run() error {
 		return strings.Split(*methodsFl, ",")
 	}
 
-	if *composeFl {
-		did = true
-		if err := runComposeGrid(); err != nil {
-			return err
-		}
-	}
 	if *all || *table == 1 {
 		did = true
 		methods := pick([]string{"bs", "bsbr", "bslc", "bsbrc"})
@@ -211,7 +205,7 @@ func run() error {
 	}
 	if !did {
 		flag.Usage()
-		return fmt.Errorf("nothing to do: pass -table, -figure, -mmax, -compose or -all")
+		return fmt.Errorf("nothing to do: pass -table, -figure, -mmax or -all")
 	}
 	if *traceOut != "" {
 		if lastTrace == nil {

@@ -17,7 +17,6 @@ import (
 	"sortlast/internal/frame"
 	"sortlast/internal/harness"
 	"sortlast/internal/render"
-	"sortlast/internal/rle"
 )
 
 func main() {
@@ -63,10 +62,12 @@ func main() {
 }
 
 func valueRunsPerPixel(img *frame.Image) float64 {
-	runs := rle.EncodeValues(img.PackRegion(img.Full()))
+	// A value run starts wherever a pixel differs from its row-major
+	// predecessor.
+	px := img.PackRegion(img.Full())
 	nonBlankRuns := 0
-	for _, r := range runs {
-		if !r.Value.Blank() {
+	for i, p := range px {
+		if !p.Blank() && (i == 0 || p != px[i-1]) {
 			nonBlankRuns++
 		}
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // arena bundles the per-rank scratch a schedule and its codec reuse
-// across stages: a wire-buffer codec, a reusable background/foreground
-// encoding with its SeqEncoder and Builder front ends, and a value-run
-// slice. Stage exchange regions shrink monotonically, so the storage
-// sized by stage 1 serves every later stage without reallocating;
+// across stages: a wire-buffer codec and a reusable background/foreground
+// encoding with its SeqEncoder front end. Stage exchange regions shrink
+// monotonically, so the storage sized by stage 1 serves every later
+// stage without reallocating;
 // mp.Comm.Send copies payloads, which makes handing the same buffer to
 // consecutive sends safe. Each Composite call checks an arena out of a
 // shared pool for its exclusive use — concurrent ranks never share
@@ -21,8 +21,6 @@ type arena struct {
 	codec frame.Codec
 	enc   rle.Encoding
 	se    rle.SeqEncoder
-	b     rle.Builder
-	runs  []rle.Run
 	// iv double-buffers interval scratch for the interleaved split: each
 	// stage splits the previous stage's kept set, which aliases one of
 	// these slices, so the split alternates between the two pairs —

@@ -332,115 +332,26 @@ func (forwarded) decode(img *frame.Image, keep region, recv []byte, front bool, 
 	return frame.ZR, body[n*dpfPixelBytes:], nil
 }
 
-// valueRuns is Ahrens–Painter value coding (§2): runs of identical
-// pixels carry a count field. For float-valued volume pixels adjacent
-// values almost never repeat, so it degenerates to one 18-byte run per
-// pixel (§3.3) — which is why the paper's codecs encode blank/non-blank
-// state instead.
-type valueRuns struct{}
-
-func (valueRuns) bounded() bool { return false }
-
-func (valueRuns) encode(buf []byte, ar *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
-	ar.runs = rle.EncodeValuesRect(img, send.rect, ar.runs)
-	s.Encoded += send.rect.Area()
-	s.Codes += len(ar.runs)
-	return rle.PackRuns(ar.runs, buf)
-}
-
-func (valueRuns) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
-	runs, rest, err := rle.UnpackRuns(recv)
-	if err != nil {
-		return frame.ZR, nil, err
-	}
-	if rle.RunsLen(runs) != keep.rect.Area() {
-		return frame.ZR, nil, fmt.Errorf("runs cover %d pixels, kept half has %d",
-			rle.RunsLen(runs), keep.rect.Area())
-	}
-	s.RecvPixels += keep.rect.Area()
-	s.Composited += compositeRunsRect(img, keep.rect, runs, front)
-	return frame.ZR, rest, nil
-}
-
-// compositeRunsRect composites value-encoded runs covering region (in
-// row-major order) directly into img, skipping blank runs arithmetically
-// — the fused equivalent of CompositeRegion(region, DecodeValues(runs),
-// front). It returns the number of over operations.
-func compositeRunsRect(img *frame.Image, region frame.Rect, runs []rle.Run, front bool) int {
-	img.Grow(region)
-	w := region.Dx()
-	ops := 0
-	idx := 0
-	rowY := -1
-	var row []frame.Pixel
-	for _, r := range runs {
-		n := int(r.Count)
-		if r.Value.Blank() {
-			idx += n
-			continue
-		}
-		for k := 0; k < n; k++ {
-			i := idx + k
-			if y := region.Y0 + i/w; y != rowY {
-				rowY = y
-				row = img.Row(y, region.X0, region.X1)
-			}
-			if front {
-				frame.OverInto(r.Value, &row[i%w])
-			} else {
-				row[i%w] = frame.Over(row[i%w], r.Value)
-			}
-			ops++
-		}
-		idx += n
-	}
-	return ops
-}
-
 // intervalRLE is the load-balanced format (§3.3): the pixels of an
 // interleaved interval set, in sequence order, as background/foreground
-// run-length codes plus the non-blank pixels. With rect set (§5's "more
-// efficient encoding schemes", BSBRLC) the message also carries the
-// sender's whole bounding rectangle, and the encoder scans only inside
-// it: everything outside becomes run-length codes without a pixel being
-// touched, shrinking Eq. (5)'s T_encode x A/2^k term toward BSBRC's
-// T_encode x A_send while keeping the balanced M_max.
-type intervalRLE struct{ rect bool }
+// run-length codes plus the non-blank pixels.
+type intervalRLE struct{}
 
-func (c intervalRLE) bounded() bool { return c.rect }
+func (intervalRLE) bounded() bool { return false }
 
-func (c intervalRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, br frame.Rect, s *stats.Stage) []byte {
-	w := img.Full().Dx()
-	if !c.rect {
-		ar.se.Start(&ar.enc)
-		encodeIntervals(img, w, send.iv, img.Bounds(), &ar.se)
-		ar.se.Finish()
-		s.Encoded += intervalsLen(send.iv) // every pixel of the sent set counts as scanned
-		return packCounted(&ar.enc, buf, s)
-	}
-	// The two run builders trim trailing runs differently (see
-	// rle.SeqEncoder) and each format's bytes are pinned, so each keeps
-	// the builder it shipped with.
-	ar.b.Reset()
-	s.Encoded += encodeIntervals(img, w, send.iv, br, &ar.b) // only in-rectangle pixels are touched
-	s.SendRectEmpty = s.SendRectEmpty || br.Empty()
-	enc := ar.b.Done()
-	return packCounted(&enc, appendRect(buf, br), s)
+func (intervalRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
+	ar.se.Start(&ar.enc)
+	encodeIntervals(img, img.Full().Dx(), send.iv, &ar.se)
+	ar.se.Finish()
+	s.Encoded += intervalsLen(send.iv) // every pixel of the sent set counts as scanned
+	return packCounted(&ar.enc, buf, s)
 }
 
-func (c intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
-	var got frame.Rect
-	if c.rect {
-		var err error
-		if got, recv, err = readRect(recv, keep.rect); err != nil {
-			return got, nil, err
-		}
-		s.RecvRectEmpty = s.RecvRectEmpty || got.Empty()
-	}
+func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
 	keepLen := intervalsLen(keep.iv)
 	e, rest, err := parseRLE(recv, keepLen)
 	if err != nil {
-		return got, nil, err
+		return frame.ZR, nil, err
 	}
 	s.RecvPixels += keepLen
 	w := img.Full().Dx()
@@ -466,29 +377,15 @@ func (c intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bo
 		n++
 	})
 	s.Composited += n
-	return got, rest, nil
-}
-
-// runSink is the incremental encoder surface rle.SeqEncoder and
-// rle.Builder share.
-type runSink interface {
-	Blank(n int)
-	Pixels(px []frame.Pixel)
+	return frame.ZR, rest, nil
 }
 
 // encodeIntervals feeds the pixels of the interval set, in sequence
-// order, to enc. Only pixels inside clip can be foreground: everything
-// outside it, and everything the image has no storage for, goes in as
-// arithmetic blank runs instead of materialized blank pixels. It
-// returns the number of pixels inside clip — what the encoder is
-// charged for scanning.
-func encodeIntervals(img *frame.Image, w int, iv []Interval, clip frame.Rect, enc runSink) int {
-	bounds := clip.Intersect(img.Bounds())
-	scanned := 0
+// order, to enc. Everything the image has no storage for goes in as
+// arithmetic blank runs instead of materialized blank pixels.
+func encodeIntervals(img *frame.Image, w int, iv []Interval, enc *rle.SeqEncoder) {
+	bounds := img.Bounds()
 	rowSegments(w, iv, func(y, x0, x1 int) {
-		if y >= clip.Y0 && y < clip.Y1 {
-			scanned += max(0, min(x1, clip.X1)-max(x0, clip.X0))
-		}
 		sx0, sx1 := max(x0, bounds.X0), min(x1, bounds.X1)
 		if y < bounds.Y0 || y >= bounds.Y1 || sx0 >= sx1 {
 			enc.Blank(x1 - x0)
@@ -498,7 +395,6 @@ func encodeIntervals(img *frame.Image, w int, iv []Interval, clip frame.Rect, en
 		enc.Pixels(img.Row(y, sx0, sx1))
 		enc.Blank(x1 - sx1)
 	})
-	return scanned
 }
 
 // rowSegments calls fn, in sequence order, for every piece [x0, x1) of a

@@ -26,9 +26,23 @@ var codecCases = []struct {
 	{"rectRLE", rectRLE{}, false},
 	{"rectRLE-batched", rectRLE{batched: true}, false},
 	{"forwarded", forwarded{}, false},
-	{"valueRuns", valueRuns{}, false},
 	{"intervalRLE", intervalRLE{}, true},
-	{"intervalRLE-rect", intervalRLE{rect: true}, true},
+}
+
+// sparseImage fills a w x h frame with random non-blank pixels at the
+// given density.
+func sparseImage(seed int64, w, h int, density float64) *frame.Image {
+	r := rand.New(rand.NewSource(seed))
+	im := frame.NewImage(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if r.Float64() < density {
+				a := 0.2 + 0.8*r.Float64()
+				im.Set(x, y, frame.Pixel{I: a * r.Float64(), A: a})
+			}
+		}
+	}
+	return im
 }
 
 // codecRegion is the region the codec tests exchange over a w x h frame:
@@ -145,10 +159,7 @@ func packIntervals(img *frame.Image, w int, iv []Interval) []frame.Pixel {
 }
 
 // encodeIntervals must produce exactly the encoding of the dense
-// sequence through either run builder — with the bounding rectangle as
-// the clip (scanning only the in-rectangle parts) and with the image
-// bounds as the clip — including on an image that stores only part of
-// the frame.
+// sequence, including on an image that stores only part of the frame.
 func TestEncodeIntervalsMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
@@ -178,60 +189,16 @@ func TestEncodeIntervalsMatchesDense(t *testing.T) {
 			pos += skip + n
 		}
 		want := rle.Encode(packIntervals(img, w, iv))
-		same := func(label string, enc rle.Encoding) {
-			if enc.Total != want.Total || !reflect.DeepEqual(enc.Codes, want.Codes) ||
-				!reflect.DeepEqual(enc.NonBlank, want.NonBlank) {
-				t.Fatalf("trial %d: %s encoding differs from dense\n got %v\nwant %v",
-					trial, label, enc.Codes, want.Codes)
-			}
-		}
-		var b rle.Builder
-		// A clip wider than the stored bounds still only reads storage.
-		scanned := encodeIntervals(img, w, iv, br.Union(frame.XYWH(0, 0, 2, 2)), &b)
-		same("rect-clipped", b.Done())
-		if scanned > intervalsLen(iv) {
-			t.Fatalf("scanned %d > set size %d", scanned, intervalsLen(iv))
-		}
 		var e rle.Encoding
 		var se rle.SeqEncoder
 		se.Start(&e)
-		encodeIntervals(img, w, iv, img.Bounds(), &se)
+		encodeIntervals(img, w, iv, &se)
 		se.Finish()
-		same("bounds-clipped", e)
-	}
-}
-
-// The rectangle must slash the encoder's scan volume on sparse scenes
-// while leaving the balanced message sizes of BSLC intact — the design
-// goal of the combined method.
-func TestBSBRLCScansLessThanBSLC(t *testing.T) {
-	sc := makeScene(t, volume.EngineBlock(48, 48, 20), transfer.EngineHigh(), 96, 96, 20, 30)
-	const p = 8
-	dec, err := partition.Decompose(sc.vol.Bounds(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanOf := func(rs []*stats.Rank) int {
-		n := 0
-		for _, r := range rs {
-			for _, s := range r.Stages {
-				n += s.Encoded
-			}
+		if e.Total != want.Total || !reflect.DeepEqual(e.Codes, want.Codes) ||
+			!reflect.DeepEqual(e.NonBlank, want.NonBlank) {
+			t.Fatalf("trial %d: encoding differs from dense\n got %v\nwant %v",
+				trial, e.Codes, want.Codes)
 		}
-		return n
-	}
-	_, bslc := runComposite(t, sc, mustNew(t, "bslc"), dec, p)
-	_, combined := runComposite(t, sc, mustNew(t, "bsbrlc"), dec, p)
-	if s, c := scanOf(bslc), scanOf(combined); c*4 > s {
-		t.Errorf("BSBRLC scans %d px, BSLC %d — expected at least 4x reduction on a sparse scene", c, s)
-	}
-	mmaxB := stats.MaxMessageBytes(bslc)
-	mmaxC := stats.MaxMessageBytes(combined)
-	// Same interleave, same pixels: M_max should match up to the 8-byte
-	// rectangle header per stage.
-	slack := frame.RectBytes * dec.Stages()
-	if mmaxC > mmaxB+slack || mmaxB > mmaxC+slack {
-		t.Errorf("M_max diverged: BSLC %d, BSBRLC %d", mmaxB, mmaxC)
 	}
 }
 
@@ -295,9 +262,8 @@ func TestForwardedWireCost(t *testing.T) {
 }
 
 // On a sparse scene the paper's ordering of encodings must show up in
-// M_max: value-coding (18 B/run, degenerate) > direct forwarding (20 B
-// per non-blank, but only non-blanks) comparable, and both above BSBRC's
-// rect + 2-byte codes.
+// M_max: direct forwarding (20 B per non-blank pixel, but only
+// non-blanks) sits below raw BS and above BSBRC's rect + 2-byte codes.
 func TestVariantEncodingCostOrdering(t *testing.T) {
 	sc := makeScene(t, volume.EngineBlock(48, 48, 96), transfer.EngineLow(), 96, 96, 20, 30)
 	const p = 8
@@ -306,16 +272,12 @@ func TestVariantEncodingCostOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	mmax := map[string]int{}
-	for _, name := range []string{"bsbrc", "bsdpf", "bsvc", "bs"} {
+	for _, name := range []string{"bsbrc", "bsdpf", "bs"} {
 		_, rs := runComposite(t, sc, mustNew(t, name), dec, p)
 		mmax[name] = stats.MaxMessageBytes(rs)
 	}
 	if mmax["bsbrc"] >= mmax["bsdpf"] {
 		t.Errorf("BSBRC M_max %d not below BSDPF %d", mmax["bsbrc"], mmax["bsdpf"])
-	}
-	if mmax["bsvc"] >= mmax["bs"] {
-		t.Errorf("BSVC M_max %d not below raw BS %d (value runs still skip blanks)",
-			mmax["bsvc"], mmax["bs"])
 	}
 	if mmax["bsdpf"] >= mmax["bs"] {
 		t.Errorf("BSDPF M_max %d not below raw BS %d", mmax["bsdpf"], mmax["bs"])

@@ -74,9 +74,6 @@ func methodWorld(t testing.TB, name string, bounds volume.Box, p, tile int) (Com
 	return comp, plan.Dec, plan
 }
 
-// legalAt reports whether the method serves p ranks.
-func legalAt(s Spec, p int) bool { return p&(p-1) == 0 || s.Caps.ServesAnyP() }
-
 // world runs fn on every rank of a p-rank world and returns the first
 // error.
 type world func(p int, fn func(c mp.Comm) error) error
@@ -247,10 +244,9 @@ func blobScenes(t *testing.T, n int) map[string]*scene {
 // Every compositor must reproduce the serial rendering (the master
 // integration property), across datasets, rotations — the paper's four
 // fixed views plus seeded random cameras over three seeded random
-// volumes — and every rank count the method declares legal — powers of
-// two for all, the folded and the natively any-P counts for the methods
-// that serve them — in process, and the seeded family once more over
-// loopback TCP.
+// volumes — and rank counts — powers of two, and non-powers of two
+// folded or over the fold plan's geometry — in process, and the seeded
+// family once more over loopback TCP. No method is skipped at any P.
 func TestAllMethodsMatchSerial(t *testing.T) {
 	scenes := map[string]*scene{
 		"engine_low":  makeScene(t, volume.EngineBlock(32, 32, 14), transfer.EngineLow(), 48, 48, 0, 0),
@@ -265,9 +261,6 @@ func TestAllMethodsMatchSerial(t *testing.T) {
 	check := func(name string, sc *scene, run world, ps []int) {
 		for _, p := range ps {
 			for _, spec := range Specs() {
-				if !legalAt(spec, p) {
-					continue
-				}
 				comp, dec, lay := methodWorld(t, spec.Name, sc.vol.Bounds(), p, 0)
 				final, _ := runImages(t, run, comp, dec, sc.cam.Dir, renderRanks(sc, lay))
 				if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {

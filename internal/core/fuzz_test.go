@@ -141,8 +141,8 @@ func decodeCases() []decodeCase {
 
 // FuzzRegionDecode feeds arbitrary bytes to every region codec's decoder
 // — the one parser each wire format has, whichever schedule carries it
-// (swap halves, fold pre-stage, ds regions, dfb batch entries, pipeline
-// partials, gather parts) — to dfb's batch framing and to the gather's
+// (swap halves, fold pre-stage, ds regions, dfb batch entries, gather
+// parts) — to dfb's batch framing and to the gather's
 // descriptor-then-regions message. Seeds are real payloads built from
 // the golden scenes. A decoder must never panic and never write outside
 // the region it was told to keep, accepted or not.

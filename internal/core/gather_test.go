@@ -162,9 +162,6 @@ func TestGatherStageCounters(t *testing.T) {
 	viewDir := [3]float64{0.3, -0.5, 0.81}
 	for _, spec := range Specs() {
 		for _, p := range []int{4, 6} {
-			if !legalAt(spec, p) {
-				continue
-			}
 			imgs := goldenImages(0, p)
 			comp, dec, _ := methodWorld(t, spec.Name, goldenRoot(), p, 16)
 			_, rs := runImages(t, inProcess, comp, dec, viewDir, imgs)

@@ -229,11 +229,7 @@ func TestGoldenTranscript(t *testing.T) {
 	var got, gathers []string
 	for scene := range goldenScenes {
 		for _, spec := range Specs() {
-			ps := []int{4, 8}
-			if spec.Caps.ServesAnyP() {
-				ps = append(ps, 3, 6)
-			}
-			for _, p := range ps {
+			for _, p := range []int{4, 8, 3, 6} {
 				lines, gather := transcript(t, spec.Name, p, scene)
 				got = append(got, lines...)
 				gathers = append(gathers, gather)

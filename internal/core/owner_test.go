@@ -58,9 +58,8 @@ func randImages(rng *rand.Rand, p, w, h int, density float64) []*frame.Image {
 var ownerMethods = []string{"direct", "ds", "dfb"}
 
 // The owner-merge methods must reproduce the sequential depth-order
-// reference byte for byte, at power-of-two and — where the method
-// serves them — non-power-of-two rank counts, on dense and sparse
-// frames.
+// reference byte for byte, at power-of-two and non-power-of-two rank
+// counts, on dense and sparse frames.
 func TestOwnerMergeMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 6, 8, 16} {
 		for name, density := range map[string]float64{"dense": 1, "sparse": 0.08} {
@@ -68,9 +67,6 @@ func TestOwnerMergeMatchesSequential(t *testing.T) {
 			imgs := randImages(rng, p, 48, 48, density)
 			viewDir := [3]float64{0.3, -0.5, 0.81}
 			for _, method := range ownerMethods {
-				if spec, _ := Lookup(method); !legalAt(spec, p) {
-					continue
-				}
 				comp, dec, lay := methodWorld(t, method, testRoot(), p, 16)
 				ref := CompositeSequentialLayout(imgs, lay, viewDir)
 				got, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
@@ -112,9 +108,6 @@ func TestOwnerMergeRandomized(t *testing.T) {
 		viewDir := [3]float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1, 0.1 + rng.Float64()}
 		imgs := randImages(rng, p, w, h, rng.Float64())
 		for _, method := range ownerMethods {
-			if spec, _ := Lookup(method); !legalAt(spec, p) {
-				continue
-			}
 			comp, dec, lay := methodWorld(t, method, testRoot(), p, tile)
 			ref := CompositeSequentialLayout(imgs, lay, viewDir)
 			got, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
@@ -161,10 +154,7 @@ func TestLayoutSizeMismatch(t *testing.T) {
 // route entry — breaks the split.
 func TestOwnerMergeStageSplit(t *testing.T) {
 	for _, method := range ownerMethods {
-		p := 3
-		if spec, _ := Lookup(method); !legalAt(spec, p) {
-			p = 4
-		}
+		const p = 3
 		imgs := randImages(rand.New(rand.NewSource(11)), p, 48, 48, 1)
 		comp, dec, _ := methodWorld(t, method, testRoot(), p, 16)
 		_, perRank := runImages(t, inProcess, comp, dec, [3]float64{0.3, -0.5, 0.81}, imgs)

@@ -6,27 +6,15 @@ import (
 	"sortlast/internal/partition"
 )
 
-// Caps are a compositing method's capability flags. Admission (which
-// rank counts a method serves) and the benches read the same flags, so
-// adding a method means one registry line instead of editing parallel
-// lists.
+// Caps are a compositing method's capability flags.
 type Caps struct {
 	// Paper marks one of the four methods of the paper's evaluation.
 	Paper bool
 	// Foldable marks a power-of-two binary-swap method that extends to
-	// any rank count through the core.Folded pre-stage.
+	// any rank count through the core.Folded pre-stage; the owner-routed
+	// methods run at any rank count as they are.
 	Foldable bool
-	// NativeAnyP marks a method that runs at any rank count without the
-	// fold (the owner-routed ds and dfb).
-	NativeAnyP bool
-	// WireEncoded marks a method whose messages carry sparse encoded
-	// payloads rather than dense pixel blocks.
-	WireEncoded bool
 }
-
-// ServesAnyP reports whether the method runs at non-power-of-two rank
-// counts (natively or through the fold).
-func (c Caps) ServesAnyP() bool { return c.NativeAnyP || c.Foldable }
 
 // Spec is one registered compositing method: a name, its capability
 // flags, and the schedule x codec pair that implements it.
@@ -42,33 +30,24 @@ type Spec struct {
 type builder func(granularity, tile int, lay partition.Layout) Compositor
 
 // registry lists the methods in the order the paper discusses them: the
-// four evaluated methods, the related-work baselines, the related-work
-// encodings as binary-swap variants (§2/§3.3 ablations), then the
-// owner-routed pair that runs natively at any rank count.
+// four evaluated methods, the related-work direct send and direct pixel
+// forwarding (§2), then the owner-routed pair over encoded regions.
 var registry = []Spec{
 	{Name: "bs", Caps: Caps{Paper: true, Foldable: true},
 		build: swap("BS", raw{})},
 	{Name: "bsbr", Caps: Caps{Paper: true, Foldable: true},
 		build: swap("BSBR", rectRaw{})},
-	{Name: "bslc", Caps: Caps{Paper: true, Foldable: true, WireEncoded: true},
+	{Name: "bslc", Caps: Caps{Paper: true, Foldable: true},
 		build: swap("BSLC", intervalRLE{})},
-	{Name: "bsbrc", Caps: Caps{Paper: true, Foldable: true, WireEncoded: true},
+	{Name: "bsbrc", Caps: Caps{Paper: true, Foldable: true},
 		build: swap("BSBRC", rectRLE{})},
 	{Name: "direct",
 		build: owners("DirectSend", tagDirect, rectRaw{}, false)},
-	{Name: "pipeline",
-		build: fixed(Pipeline{})},
-	{Name: "bintree", Caps: Caps{WireEncoded: true},
-		build: fixed(BinaryTree{})},
 	{Name: "bsdpf", Caps: Caps{Foldable: true},
 		build: swap("BSDPF", forwarded{})},
-	{Name: "bsvc", Caps: Caps{Foldable: true, WireEncoded: true},
-		build: swap("BSVC", valueRuns{})},
-	{Name: "bsbrlc", Caps: Caps{Foldable: true, WireEncoded: true},
-		build: swap("BSBRLC", intervalRLE{rect: true})},
-	{Name: "ds", Caps: Caps{NativeAnyP: true, WireEncoded: true},
+	{Name: "ds",
 		build: owners("DS", tagDS, rectRLE{}, false)},
-	{Name: "dfb", Caps: Caps{NativeAnyP: true, WireEncoded: true},
+	{Name: "dfb",
 		build: owners("DFB", tagDFB, rectRLE{batched: true}, true)},
 }
 
@@ -94,11 +73,6 @@ func owners(name string, tag int, codec regionCodec, tiled bool) builder {
 	}
 }
 
-// fixed is a registry line for a schedule without knobs.
-func fixed(c Compositor) builder {
-	return func(int, int, partition.Layout) Compositor { return c }
-}
-
 // Lookup returns the named method's spec.
 func Lookup(name string) (Spec, bool) {
 	for _, s := range registry {
@@ -122,7 +96,7 @@ func Specs() []Spec {
 // DefaultTile); methods without the knob ignore it. A nil plan builds
 // the method for a power-of-two world described by the decomposition
 // passed to Composite. A fold plan adapts it to the plan's rank count:
-// foldable methods are wrapped in the Folded pre-stage, natively any-P
+// foldable methods are wrapped in the Folded pre-stage, the owner-routed
 // methods take the plan as pure rank geometry (no fold messages); either
 // way Composite must then be given plan.Dec.
 func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compositor, error) {
@@ -132,12 +106,10 @@ func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compos
 		return nil, fmt.Errorf("core: unknown compositor %q", name)
 	case plan == nil:
 		return s.build(granularity, tile, nil), nil
-	case s.Caps.NativeAnyP:
-		return s.build(granularity, tile, plan), nil
 	case s.Caps.Foldable:
 		return &Folded{Plan: plan, Inner: s.build(granularity, tile, nil)}, nil
 	}
-	return nil, fmt.Errorf("core: compositor %q needs a power-of-two rank count", name)
+	return s.build(granularity, tile, plan), nil
 }
 
 // New returns the named compositor with default settings; Names lists
@@ -162,26 +134,10 @@ func Names() []string {
 }
 
 // PaperMethods lists the four methods of the paper's evaluation.
-func PaperMethods() []string { return namesWhere(func(c Caps) bool { return c.Paper }) }
-
-// ServesAnyP reports whether the named method runs at non-power-of-two
-// rank counts; false for unknown names.
-func ServesAnyP(name string) bool {
-	s, ok := Lookup(name)
-	return ok && s.Caps.ServesAnyP()
-}
-
-// Pow2OnlyMethods lists the registered methods restricted to
-// power-of-two rank counts, for admission errors that name them.
-func Pow2OnlyMethods() []string { return namesWhere(func(c Caps) bool { return !c.ServesAnyP() }) }
-
-// AnyPMethods lists the registered methods serving any rank count.
-func AnyPMethods() []string { return namesWhere(Caps.ServesAnyP) }
-
-func namesWhere(pred func(Caps) bool) []string {
+func PaperMethods() []string {
 	var out []string
 	for _, s := range registry {
-		if pred(s.Caps) {
+		if s.Caps.Paper {
 			out = append(out, s.Name)
 		}
 	}

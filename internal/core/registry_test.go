@@ -14,7 +14,7 @@ func TestRegistryLists(t *testing.T) {
 	if len(PaperMethods()) != 4 {
 		t.Fatalf("paper methods: %v", PaperMethods())
 	}
-	want := []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "pipeline", "bintree", "bsdpf", "bsvc", "bsbrlc", "ds", "dfb"}
+	want := []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "bsdpf", "ds", "dfb"}
 	if !reflect.DeepEqual(Names(), want) {
 		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
@@ -23,18 +23,12 @@ func TestRegistryLists(t *testing.T) {
 			t.Errorf("built-in %q not registered", name)
 		}
 	}
-	if got, want := AnyPMethods(), []string{"bs", "bsbr", "bslc", "bsbrc", "bsdpf", "bsvc", "bsbrlc", "ds", "dfb"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("AnyPMethods() = %v, want %v", got, want)
-	}
 	names := map[string]bool{}
 	for _, s := range Specs() {
 		if names[s.Name] {
 			t.Errorf("duplicate spec %q", s.Name)
 		}
 		names[s.Name] = true
-		if s.Caps.Foldable && s.Caps.NativeAnyP {
-			t.Errorf("%q: foldable and natively any-P are exclusive", s.Name)
-		}
 		c, err := New(s.Name)
 		if err != nil {
 			t.Fatalf("New(%q): %v", s.Name, err)
@@ -43,20 +37,10 @@ func TestRegistryLists(t *testing.T) {
 			t.Errorf("New(%q) has no display name", s.Name)
 		}
 	}
-	// Pow2-only and any-P partition the registry.
-	if len(Pow2OnlyMethods())+len(AnyPMethods()) != len(Names()) {
-		t.Errorf("pow2-only %v + any-P %v != all %v",
-			Pow2OnlyMethods(), AnyPMethods(), Names())
-	}
-	for _, name := range Pow2OnlyMethods() {
-		if ServesAnyP(name) {
-			t.Errorf("%q both pow2-only and any-P", name)
-		}
-	}
 }
 
 func TestRegistryUnknown(t *testing.T) {
-	if Known("nope") || ServesAnyP("nope") {
+	if Known("nope") {
 		t.Error("unknown name recognized")
 	}
 	if _, err := New("nope"); err == nil {
@@ -67,9 +51,8 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 }
 
-// Build adapts a method to a fold plan by its capability: foldable
-// methods get the fold pre-stage, natively any-P methods take the plan
-// as geometry, and power-of-two-only methods refuse it.
+// Build adapts every method to a fold plan: foldable methods get the
+// fold pre-stage, the owner-routed methods take the plan as geometry.
 func TestBuildOverFoldPlan(t *testing.T) {
 	plan, err := partition.PlanFold(volume.Box{Hi: [3]int{32, 32, 32}}, 6)
 	if err != nil {
@@ -77,17 +60,12 @@ func TestBuildOverFoldPlan(t *testing.T) {
 	}
 	for _, s := range Specs() {
 		comp, err := Build(s.Name, 0, 0, plan)
-		switch {
-		case !s.Caps.ServesAnyP():
-			if err == nil {
-				t.Errorf("%s: power-of-two-only method accepted a fold plan", s.Name)
-			}
-		case err != nil:
+		if err != nil {
 			t.Errorf("%s: %v", s.Name, err)
-		default:
-			if _, folded := comp.(*Folded); folded != s.Caps.Foldable {
-				t.Errorf("%s: folded = %v, want %v", s.Name, folded, s.Caps.Foldable)
-			}
+			continue
+		}
+		if _, folded := comp.(*Folded); folded != s.Caps.Foldable {
+			t.Errorf("%s: folded = %v, want %v", s.Name, folded, s.Caps.Foldable)
 		}
 	}
 	if _, err := Build("nope", 0, 0, plan); err == nil {

@@ -10,8 +10,8 @@ import (
 
 // Random sparse subimages (not rendered ones — arbitrary content): every
 // compositor must match the sequential depth-order reference at every
-// rank count it serves, folded and natively any-P ones included. This
-// catches ordering bugs that structured scenes can mask.
+// rank count, folded and owner-routed ones included. This catches
+// ordering bugs that structured scenes can mask.
 func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 	root := volume.Box{Hi: [3]int{64, 64, 64}}
 	r := rand.New(rand.NewSource(99))
@@ -23,9 +23,6 @@ func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 				imgs[i] = sparseImage(int64(trial*100+i), 48, 48, 0.15+0.5*r.Float64())
 			}
 			for _, spec := range Specs() {
-				if !legalAt(spec, p) {
-					continue
-				}
 				comp, dec, lay := methodWorld(t, spec.Name, root, p, 0)
 				ref := CompositeSequentialLayout(imgs, lay, viewDir)
 				final, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)

@@ -21,7 +21,9 @@ import (
 	"sortlast/internal/server"
 )
 
-// referenceGray renders the request through the one-shot harness path.
+// referenceGray renders the request through the one-shot harness path,
+// which checks the frame against the sequential compositing oracle
+// before it becomes the reference.
 func referenceGray(t *testing.T, req server.Request, p int) []byte {
 	t.Helper()
 	_, img, err := harness.RunWithImage(harness.Config{
@@ -29,6 +31,7 @@ func referenceGray(t *testing.T, req server.Request, p int) []byte {
 		Width: req.Width, Height: req.Height,
 		P:    p,
 		RotX: req.RotX, RotY: req.RotY,
+		Validate:   true,
 		RenderOpts: render.Options{Shaded: req.Shaded},
 	})
 	if err != nil {

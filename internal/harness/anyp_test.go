@@ -1,12 +1,9 @@
 package harness
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
-// The tile-routed methods run natively at any P and must reproduce the
-// sequential composite bit-for-bit, dense or sparse, pow-2 or not.
+// The tile-routed methods accumulate in global depth order at any P and
+// must reproduce the sequential composite bit-for-bit, pow-2 or not.
 func TestTileRoutedValidateAnyP(t *testing.T) {
 	for _, m := range []string{"ds", "dfb"} {
 		for _, p := range []int{2, 3, 4, 6, 8, 16} {
@@ -68,21 +65,6 @@ func TestTileRoutedTileKnob(t *testing.T) {
 		}
 		if row.ValidateDiff != 0 {
 			t.Errorf("tile=%d: diff %g from sequential", tile, row.ValidateDiff)
-		}
-	}
-}
-
-// Methods that cannot serve a non-power-of-two world must fail admission
-// with the typed error so the serving tier can name alternatives.
-func TestPow2MethodErrorTyped(t *testing.T) {
-	cfg := smallCfg("direct", 6)
-	for _, err := range []error{cfg.Check(), func() error { _, e := Run(cfg); return e }()} {
-		var pe *Pow2MethodError
-		if !errors.As(err, &pe) {
-			t.Fatalf("error %v is not a *Pow2MethodError", err)
-		}
-		if pe.Method != "direct" || pe.P != 6 {
-			t.Errorf("typed error fields: %+v", pe)
 		}
 	}
 }

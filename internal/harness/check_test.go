@@ -21,11 +21,14 @@ func TestConfigCheck(t *testing.T) {
 		{"negative height", func(c *Config) { c.Height = -1 }, "image size"},
 		{"zero P", func(c *Config) { c.P = 0 }, "P = 0"},
 		{"unknown method", func(c *Config) { c.Method = "nope" }, "nope"},
-		// The retired per-frame selector's name is an unknown method like
-		// any other, also where it used to be exempt from the any-P rule.
+		// The names of retired methods are unknown methods like any other.
 		{"retired method name", func(c *Config) { c.P = 6; c.Method = `auto` }, "unknown compositor"},
+		{"retired pipeline", func(c *Config) { c.Method = "pipeline" }, "unknown compositor"},
+		{"retired bintree", func(c *Config) { c.Method = "bintree" }, "unknown compositor"},
+		{"retired bsvc", func(c *Config) { c.Method = "bsvc" }, "unknown compositor"},
+		{"retired bsbrlc", func(c *Config) { c.Method = "bsbrlc" }, "unknown compositor"},
 		{"non-pow2 binary swap ok", func(c *Config) { c.P = 6 }, ""},
-		{"non-pow2 direct send", func(c *Config) { c.P = 6; c.Method = "direct" }, "power-of-two"},
+		{"non-pow2 direct send", func(c *Config) { c.P = 6; c.Method = "direct" }, ""},
 		{"non-pow2 ds ok", func(c *Config) { c.P = 6; c.Method = "ds" }, ""},
 		{"non-pow2 dfb ok", func(c *Config) { c.P = 6; c.Method = "dfb" }, ""},
 		{"non-pow2 balanced render", func(c *Config) { c.P = 6; c.BalanceRender = true }, "power-of-two"},

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 	"time"
 
@@ -44,8 +43,8 @@ type Config struct {
 
 	Width, Height int
 	P             int
-	// Method is a core registry name (bs, bsbr, bslc, bsbrc, ds, dfb,
-	// ...).
+	// Method is a core registry name: bs, bsbr, bslc, bsbrc, direct,
+	// bsdpf, ds or dfb. Every method runs at every P ≥ 1.
 	Method string
 
 	// RotX and RotY rotate the viewpoint (degrees), the paper's §3.2
@@ -205,22 +204,9 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 	return vol, tf, nil
 }
 
-// Pow2MethodError reports a method that cannot serve the requested
-// non-power-of-two rank count. Admission layers (renderd) detect it with
-// errors.As so the rejection can name the any-P alternatives.
-type Pow2MethodError struct {
-	Method string
-	P      int
-}
-
-func (e *Pow2MethodError) Error() string {
-	return fmt.Sprintf("harness: method %q requires a power-of-two P, got %d (any-P methods: %s)",
-		e.Method, e.P, strings.Join(core.AnyPMethods(), ", "))
-}
-
 // newCompositor builds the configured compositor plus the rank geometry
 // it runs over. At non-power-of-two P, core.Build wraps foldable
-// binary-swap methods in the fold pre-stage and hands natively any-P
+// binary-swap methods in the fold pre-stage and hands the owner-routed
 // methods the fold plan as pure geometry — per-rank boxes and a global
 // depth order, no fold messages.
 func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partition.Decomposition, partition.Layout, error) {
@@ -244,9 +230,6 @@ func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partitio
 	}
 	if cfg.BalanceRender {
 		return nil, nil, nil, fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
-	}
-	if !core.ServesAnyP(cfg.Method) {
-		return nil, nil, nil, &Pow2MethodError{Method: cfg.Method, P: cfg.P}
 	}
 	plan, err := partition.PlanFold(bounds, cfg.P)
 	if err != nil {

@@ -3,8 +3,8 @@ package harness
 import (
 	"testing"
 
+	"sortlast/internal/core"
 	"sortlast/internal/frame"
-	"sortlast/internal/rle"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
 )
@@ -22,7 +22,7 @@ func smallCfg(method string, p int) Config {
 }
 
 func TestRunAllMethods(t *testing.T) {
-	for _, m := range []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "pipeline", "bintree", "bsdpf", "bsvc"} {
+	for _, m := range core.Names() {
 		row, err := Run(smallCfg(m, 4))
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -71,10 +71,6 @@ func TestRunNonPowerOfTwoFolds(t *testing.T) {
 		if row.NonBlank == 0 {
 			t.Errorf("P=%d: blank final image", p)
 		}
-	}
-	// Baselines cannot fold.
-	if _, err := Run(smallCfg("direct", 3)); err == nil {
-		t.Error("direct at P=3 must error")
 	}
 }
 
@@ -209,29 +205,27 @@ func TestBalanceRenderRequiresPow2(t *testing.T) {
 	}
 }
 
+// Every registered method validates against the sequential reference at
+// every rank count, folded or owner-routed.
 func TestValidateModeAllMethods(t *testing.T) {
-	for _, m := range []string{"bs", "bsbrc", "bslc", "direct", "pipeline", "bintree"} {
-		cfg := smallCfg(m, 4)
-		cfg.Validate = true
-		cfg.RenderOpts.EarlyTermination = -1
-		row, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
+	for _, m := range core.Names() {
+		for _, p := range []int{4, 3, 5, 6, 7, 12} {
+			cfg := smallCfg(m, p)
+			cfg.Validate = true
+			cfg.RenderOpts.EarlyTermination = -1
+			row, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", m, p, err)
+			}
+			if row.ValidateDiff > 1e-9 {
+				t.Errorf("%s P=%d: validate diff %g", m, p, row.ValidateDiff)
+			}
 		}
-		if row.ValidateDiff > 1e-9 {
-			t.Errorf("%s: validate diff %g", m, row.ValidateDiff)
-		}
-	}
-	// Validation must also cover the fold path.
-	cfg := smallCfg("bsbrc", 5)
-	cfg.Validate = true
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("folded validate: %v", err)
 	}
 }
 
 func TestSurfaceModeAllMethods(t *testing.T) {
-	for _, m := range []string{"bs", "bsbrc", "bslc", "bsvc", "direct", "bintree"} {
+	for _, m := range core.Names() {
 		cfg := smallCfg(m, 4)
 		cfg.Surface = true
 		cfg.IsoLevel = 150
@@ -281,10 +275,12 @@ func TestValueRLEHelpsOnSurfaces(t *testing.T) {
 		return img
 	}
 	ratio := func(img *frame.Image) float64 {
-		runs := rle.EncodeValues(img.PackRegion(img.Full()))
+		// A value run starts wherever a pixel differs from its
+		// row-major predecessor.
+		px := img.PackRegion(img.Full())
 		nonBlankRuns := 0
-		for _, r := range runs {
-			if !r.Value.Blank() {
+		for i, p := range px {
+			if !p.Blank() && (i == 0 || p != px[i-1]) {
 				nonBlankRuns++
 			}
 		}

@@ -175,13 +175,8 @@ func (cfg *Config) Check() error {
 	if _, err := core.New(cfg.Method); err != nil {
 		return err
 	}
-	if !IsPow2(cfg.P) {
-		if cfg.BalanceRender {
-			return fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
-		}
-		if !core.ServesAnyP(cfg.Method) {
-			return &Pow2MethodError{Method: cfg.Method, P: cfg.P}
-		}
+	if cfg.BalanceRender && !IsPow2(cfg.P) {
+		return fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
 	}
 	return nil
 }

@@ -165,6 +165,7 @@ type Mailbox struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	queues  map[msgKey]*msgQueue
+	opened  map[int]int // queues per source
 	closed  bool
 	deadSrc map[int]bool
 
@@ -195,6 +196,7 @@ func NewMailbox() *Mailbox {
 
 func (b *Mailbox) init() {
 	b.queues = make(map[msgKey]*msgQueue)
+	b.opened = make(map[int]int)
 	b.cond.L = &b.mu
 }
 
@@ -224,14 +226,36 @@ func (b *Mailbox) Put(src, tag int, payload []byte) {
 // have actually arrived.
 const readStep = 1 << 20
 
+// maxQueuesPerSource caps the (source, tag) channels a peer may open
+// through PutFrom. Queues are never removed, and a world needs few per
+// source — the compositing tags, the collective bases, log P barrier
+// rounds — so a peer past the cap is inventing tags nothing will drain.
+const maxQueuesPerSource = 64
+
+// QueueLimitError reports a frame whose tag would open one channel more
+// than maxQueuesPerSource from its source.
+type QueueLimitError struct{ Src, Tag int }
+
+func (e *QueueLimitError) Error() string {
+	return fmt.Sprintf("mp: tag %d from rank %d would open more than %d message queues",
+		e.Tag, e.Src, maxQueuesPerSource)
+}
+
 // PutFrom reads an n-byte payload from r straight into a pooled receive
 // buffer and enqueues it on the (src, tag) channel — the mailbox takes
 // the buffer the transport filled instead of copying it. The length n
 // comes from a peer-written header, so the buffer grows as bytes arrive
 // (readStep first, then doubling): a header alone cannot make the rank
 // allocate more than it has been sent plus one step. On a read error
-// nothing is enqueued.
+// nothing is enqueued; a tag past the source's queue cap is refused with
+// a *QueueLimitError before anything is read.
 func (b *Mailbox) PutFrom(src, tag int, r io.Reader, n int) error {
+	b.mu.Lock()
+	full := b.queues[msgKey{src, tag}] == nil && b.opened[src] >= maxQueuesPerSource
+	b.mu.Unlock()
+	if full {
+		return &QueueLimitError{Src: src, Tag: tag}
+	}
 	buf := grab(min(n, readStep))
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
@@ -259,6 +283,7 @@ func (b *Mailbox) enqueue(src, tag int, msg []byte) {
 	if q == nil {
 		q = &msgQueue{}
 		b.queues[k] = q
+		b.opened[src]++
 	}
 	if q.head == len(q.msgs) {
 		q.msgs = q.msgs[:0]

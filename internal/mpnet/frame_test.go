@@ -3,6 +3,7 @@ package mpnet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -67,6 +68,65 @@ func TestHeaderCannotForceAllocation(t *testing.T) {
 	}
 }
 
+// queueCap mirrors mp's cap on the (source, tag) queues one peer may
+// open.
+const queueCap = 64
+
+// A peer must not be able to grow the rank's heap by inventing tags:
+// 10^5 empty frames under distinct tags open queueCap queues, then the
+// read loop refuses the stream with the typed error and fails the
+// source.
+func TestDistinctTagsCannotOpenUnboundedQueues(t *testing.T) {
+	var stream []byte
+	for tag := uint32(0); tag < 100_000; tag++ {
+		stream = appendFrame(stream, tag, nil, -1)
+	}
+	var limit *mp.QueueLimitError
+	box, r := mp.NewMailbox(), bytes.NewReader(stream)
+	var err error
+	for err == nil {
+		err = readFrame(r, box, 1)
+	}
+	if !errors.As(err, &limit) || limit.Src != 1 || limit.Tag != queueCap {
+		t.Fatalf("frame %d of the stream: %v, want a QueueLimitError for source 1, tag %d", queueCap, err, queueCap)
+	}
+
+	ours, theirs := net.Pipe()
+	defer ours.Close()
+	tr := &tcpTransport{rank: 0, size: 2, conns: make([]*peerConn, 2), box: mp.NewMailbox()}
+	tr.conns[1] = newPeerConn(ours)
+	go func() {
+		theirs.Write(stream) // fails once the read loop is gone and ours closes
+		theirs.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tr.readLoop(1, tr.conns[1])
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("read loop still accepting frames under new tags")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 256<<10 {
+		t.Errorf("%d bytes of empty frames allocated %d bytes", len(stream), grew)
+	}
+	if _, err := tr.Recv(1, queueCap-1, 10*time.Second); err != nil {
+		t.Errorf("a frame delivered before the cap is gone: %v", err)
+	}
+	start := time.Now()
+	if _, err := tr.Recv(1, queueCap, 10*time.Second); err == nil {
+		t.Error("a frame past the cap was delivered")
+	}
+	if time.Since(start) > time.Second {
+		t.Error("receive from the failed source waited instead of failing promptly")
+	}
+}
+
 // loopbackFrames returns the bytes rank 1 put on its socket to rank 0
 // in a real two-rank exchange: seeds for the frame and handshake fuzzers.
 func loopbackFrames(t testing.TB) (handshake, frames []byte) {
@@ -106,10 +166,14 @@ func loopbackFrames(t testing.TB) (handshake, frames []byte) {
 // referenceFrames parses data the obvious way: the frames readFrame must
 // deliver before it stops.
 func referenceFrames(data []byte) (tags []int, payloads [][]byte) {
+	seen := map[uint32]bool{}
 	for len(data) >= 8 {
 		tag := binary.LittleEndian.Uint32(data)
 		n := binary.LittleEndian.Uint32(data[4:])
 		if n > maxFrame || uint64(len(data)-8) < uint64(n) {
+			break
+		}
+		if seen[tag] = true; len(seen) > queueCap {
 			break
 		}
 		tags = append(tags, int(tag))
@@ -121,9 +185,10 @@ func referenceFrames(data []byte) (tags []int, payloads [][]byte) {
 
 // FuzzReadFrame feeds arbitrary bytes to the socket frame parser:
 // truncated headers, lengths past maxFrame, short payloads, frames back
-// to back. It never panics, delivers exactly the well-formed prefix in
-// order, and allocates in proportion to the bytes supplied plus one
-// read step, whatever the length fields claim.
+// to back, more distinct tags than a source may open. It never panics,
+// delivers exactly the well-formed prefix in order, and allocates in
+// proportion to the bytes supplied plus one read step, whatever the
+// length fields claim.
 func FuzzReadFrame(f *testing.F) {
 	_, frames := loopbackFrames(f)
 	f.Add(frames)
@@ -133,6 +198,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(appendFrame(nil, 1, []byte("short"), 200<<20))
 	f.Add(appendFrame(appendFrame(nil, 0, nil, -1), 0xFFFFFFFF, []byte{1}, -1))
 	f.Add([]byte{})
+	var distinct []byte // one tag more than a source may open, then a repeat
+	for tag := uint32(0); tag <= queueCap; tag++ {
+		distinct = appendFrame(distinct, tag, []byte{byte(tag)}, -1)
+	}
+	f.Add(appendFrame(distinct, 0, nil, -1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		box := mp.NewMailbox()
 		var before, after runtime.MemStats

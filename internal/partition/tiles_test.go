@@ -117,8 +117,7 @@ func TestTilingMoreRanksThanTiles(t *testing.T) {
 	}
 }
 
-// The power-of-two rejection must be a typed error so admission layers
-// can answer it with the any-P alternatives.
+// The power-of-two rejection must be a typed error.
 func TestDecomposeTypedPow2Error(t *testing.T) {
 	root := volume.Box{Hi: [3]int{64, 64, 64}}
 	for _, p := range []int{3, 6, 12} {

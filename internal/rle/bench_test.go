@@ -44,23 +44,3 @@ func BenchmarkWalk(b *testing.B) {
 		_ = e.Walk(func(int, frame.Pixel) { n++ })
 	}
 }
-
-func BenchmarkEncodeValues(b *testing.B) {
-	pixels := benchPixels(0.3, 384*192)
-	b.SetBytes(int64(len(pixels) * frame.PixelBytes))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeValues(pixels)
-	}
-}
-
-func BenchmarkCompositeRuns(b *testing.B) {
-	front := EncodeValues(benchPixels(0.2, 384*192))
-	back := EncodeValues(benchPixels(0.2, 384*192))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompositeRuns(front, back); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -32,24 +32,6 @@ func FuzzUnpack(f *testing.F) {
 	})
 }
 
-// FuzzUnpackRuns does the same for the value-run parser.
-func FuzzUnpackRuns(f *testing.F) {
-	runs := EncodeValues([]frame.Pixel{{}, {}, {I: 1, A: 1}})
-	f.Add(PackRuns(runs, nil))
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, _, err := UnpackRuns(data)
-		if err != nil {
-			return
-		}
-		if RunsLen(got) < 0 {
-			t.Fatal("negative run length")
-		}
-		DecodeValues(got) // must not panic
-	})
-}
-
 // FuzzEncodeRoundTrip checks the encoder against arbitrary blank masks.
 func FuzzEncodeRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 1})

@@ -1,18 +1,12 @@
-// Package rle implements the two run-length encodings discussed by the
-// paper.
+// Package rle implements the paper's run-length encoding: the
+// background/foreground scheme of §3.3. A pixel sequence is described by
+// alternating run lengths of blank and non-blank pixels, starting with a
+// blank run, each length a 2-byte code; the non-blank pixel payload
+// travels separately. This is what BSLC and BSBRC ship over the wire.
 //
-// The primary codec (Encode/Decode) is the background/foreground scheme
-// of §3.3: a pixel sequence is described by alternating run lengths of
-// blank and non-blank pixels, starting with a blank run, each length a
-// 2-byte code; the non-blank pixel payload travels separately. This is
-// what BSLC and BSBRC ship over the wire.
-//
-// The secondary codec (EncodeValues/DecodeValues and CompositeRuns) is
-// the value-based scheme of Ahrens and Painter used by the binary-tree
-// baseline, where runs of identical pixels carry an explicit count. The
-// paper argues (§3.3) that for floating-point volume pixels this scheme
-// degenerates to one run per pixel; the ablation benchmark measures that
-// claim.
+// The paper argues (§3.3) that the alternative, Ahrens and Painter's
+// runs of identical pixel values, degenerates to one run per pixel on
+// floating-point volume pixels; examples/surface counts that.
 package rle
 
 import (

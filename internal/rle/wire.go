@@ -17,11 +17,8 @@ import (
 // SeqEncoder incrementally encodes a pixel sequence with exactly the
 // semantics of Encode — the same maximal-run state machine and the same
 // trailing-run trimming — so fused callers produce bit-identical codes
-// to Encode over the materialized sequence. It differs from Builder,
-// whose Done always leaves trailing blank runs implicit; the two match
-// their respective seed call sites and are not interchangeable.
-// Known-blank stretches are added arithmetically via Blank, at zero
-// per-pixel cost.
+// to Encode over the materialized sequence. Known-blank stretches are
+// added arithmetically via Blank, at zero per-pixel cost.
 type SeqEncoder struct {
 	e          *Encoding
 	run        int

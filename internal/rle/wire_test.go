@@ -191,51 +191,3 @@ func TestParseWireRejectsCorrupt(t *testing.T) {
 		t.Fatal("Unpack accepted over-covering runs")
 	}
 }
-
-func TestBuilderReset(t *testing.T) {
-	var b Builder
-	b.Blank(3)
-	b.Pixels(randSparsePixels(rand.New(rand.NewSource(4)), 20, 0.7))
-	b.Done()
-
-	b.Reset()
-	in := randSparsePixels(rand.New(rand.NewSource(5)), 15, 0.4)
-	b.Blank(2)
-	b.Pixels(in)
-	got := b.Done()
-
-	var fresh Builder
-	fresh.Blank(2)
-	fresh.Pixels(in)
-	want := fresh.Done()
-	if got.Total != want.Total ||
-		!reflect.DeepEqual(append([]uint16{}, got.Codes...), append([]uint16{}, want.Codes...)) ||
-		!reflect.DeepEqual(append([]frame.Pixel{}, got.NonBlank...), append([]frame.Pixel{}, want.NonBlank...)) {
-		t.Fatalf("after Reset: %+v, want %+v", got, want)
-	}
-	if b.Scanned() != fresh.Scanned() {
-		t.Fatalf("scanned = %d, want %d", b.Scanned(), fresh.Scanned())
-	}
-}
-
-func TestEncodeValuesRectMatchesEncodeValues(t *testing.T) {
-	for _, tc := range rectCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			im := sparseImage(6, 32, 32, tc.bounds)
-			want := EncodeValues(im.PackRegion(tc.region))
-			got := EncodeValuesRect(im, tc.region, nil)
-			if !reflect.DeepEqual(append([]Run{}, got...), append([]Run{}, want...)) {
-				t.Fatalf("EncodeValuesRect = %v, want %v", got, want)
-			}
-		})
-	}
-	// Blank run longer than 65535 pixels must split at the same points.
-	im := frame.NewImage(300, 300)
-	im.Set(150, 150, px(0.5, 0.5))
-	region := frame.XYWH(0, 0, 300, 300)
-	want := EncodeValues(im.PackRegion(region))
-	got := EncodeValuesRect(im, region, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("long-run split: %d runs, want %d", len(got), len(want))
-	}
-}

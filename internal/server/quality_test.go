@@ -186,12 +186,12 @@ func TestDegradeUnderOverload(t *testing.T) {
 }
 
 // Names this tree used to accept and clients built against it may still
-// send: the lossy quality contract between full and preview, and the
-// method that asked the server to pick a compositor per frame.
-const (
-	retiredQuality = `approx`
-	retiredMethod  = `auto`
-)
+// send: the lossy quality contract between full and preview, the method
+// that asked the server to pick a compositor per frame, and the four
+// compositors the method census retired.
+const retiredQuality = `approx`
+
+var retiredMethods = []string{`auto`, `pipeline`, `bintree`, `bsvc`, `bsbrlc`}
 
 // TestRetiredQualityIsBadRequest pins what such a client gets for each
 // retired name: a typed bad_request listing the names that exist, from
@@ -217,14 +217,17 @@ func TestRetiredQualityIsBadRequest(t *testing.T) {
 	}()
 
 	byQuality := server.Request{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32, Quality: retiredQuality}
-	byMethod := server.Request{Dataset: "cube", Method: retiredMethod, Width: 32, Height: 32}
-	retired := []struct {
+	type retiredName struct {
 		name string
 		req  server.Request
 		want []string // the message names the retired name once and everything that exists
-	}{
+	}
+	retired := []retiredName{
 		{retiredQuality, byQuality, []string{server.QualityFull, server.QualityPreview}},
-		{retiredMethod, byMethod, []string{"have " + strings.Join(core.Names(), ", ")}},
+	}
+	for _, m := range retiredMethods {
+		byMethod := server.Request{Dataset: "cube", Method: m, Width: 32, Height: 32}
+		retired = append(retired, retiredName{m, byMethod, []string{"have " + strings.Join(core.Names(), ", ")}})
 	}
 	tiers := []struct {
 		name string

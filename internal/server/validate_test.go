@@ -17,7 +17,7 @@ func TestValidateMethod(t *testing.T) {
 			t.Errorf("ValidateMethod(%q) = %v, want nil (empty means the server default)", m, err)
 		}
 	}
-	for _, m := range []string{"bsbrq", retiredMethod} {
+	for _, m := range append([]string{"bsbrq"}, retiredMethods...) {
 		var typed *server.UnknownMethodError
 		if err := server.ValidateMethod(m); !errors.As(err, &typed) {
 			t.Fatalf("ValidateMethod(%q) = %T %v, want *UnknownMethodError", m, err, err)
@@ -32,7 +32,7 @@ func TestValidateMethod(t *testing.T) {
 // bad-request code, before any rank does work.
 func TestUnknownMethodRejectedAtAdmission(t *testing.T) {
 	srv, cl := startServer(t, server.Config{P: 2})
-	for _, m := range []string{"bsqrc", retiredMethod} {
+	for _, m := range append([]string{"bsqrc"}, retiredMethods...) {
 		_, err := cl.Render(context.Background(),
 			server.Request{Dataset: "cube", Method: m, Width: 32, Height: 32})
 		if !errors.Is(err, client.ErrBadRequest) {

@@ -9,9 +9,9 @@
 // distributed-memory machine (one goroutine per processor, message
 // passing only) and reports the compositing-cost quantities the paper
 // studies. The compositing methods are the paper's BS, BSBR, BSLC and
-// BSBRC plus the direct-send, parallel-pipeline and binary-tree
-// baselines; see internal/core for the algorithms and DESIGN.md for the
-// system inventory.
+// BSBRC, the related work's direct send and direct pixel forwarding,
+// and the owner-routed ds and dfb; see internal/core for the algorithms
+// and DESIGN.md for the system inventory.
 package sortlast
 
 import (
@@ -31,7 +31,8 @@ import (
 // engine_low dataset on 8 processors with BSBRC at 384x384.
 type Options struct {
 	// Processors is the number of simulated ranks; any count >= 1 works
-	// (non-powers-of-two use the fold extension). Default 8.
+	// with every method (at non-powers-of-two binary swap runs behind
+	// the fold pre-stage). Default 8.
 	Processors int
 	// Method is the compositing method; see Methods for the list.
 	// Default bsbrc, the paper's best.
@@ -118,10 +119,11 @@ func Datasets() []string {
 	return []string{"engine_low", "engine_high", "head", "cube"}
 }
 
-// Methods lists the available compositing methods in registration
-// order: the paper's four, the baselines, the related-work encodings as
-// swap variants, then the tile-routed subsystem (ds, dfb). The facade
-// links the harness, so every registered method is available here.
+// Methods lists the eight compositing methods in registration order:
+// the paper's four (bs, bsbr, bslc, bsbrc), the related work's direct
+// send and direct pixel forwarding (direct, bsdpf), then the owner-routed
+// pair over encoded regions (ds, dfb). Every one runs at every
+// Processors >= 1.
 func Methods() []string {
 	return core.Names()
 }

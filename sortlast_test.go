@@ -104,7 +104,7 @@ func TestImagePGM(t *testing.T) {
 }
 
 func TestListings(t *testing.T) {
-	if len(Datasets()) != 4 || len(Methods()) != 12 {
+	if len(Datasets()) != 4 || len(Methods()) != 8 {
 		t.Error("listings changed unexpectedly")
 	}
 	have := map[string]bool{}
