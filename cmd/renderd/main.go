@@ -9,10 +9,10 @@
 //	curl -s http://127.0.0.1:7172/debug/trace/last > frame.json  # Perfetto
 //	curl -s http://127.0.0.1:7172/debug/flight                   # recent slow/failed frames
 //
-// Requests are made with the internal/client library (see
-// cmd/servebench for a load-driving example). SIGINT/SIGTERM drain the
-// server gracefully: queued requests are answered with a typed
-// shutting-down error, in-flight frames finish and are delivered.
+// Requests are made with the internal/client library (bench/serve_mix.go
+// drives load through it). SIGINT/SIGTERM drain the server gracefully:
+// queued requests are answered with a typed shutting-down error,
+// in-flight frames finish and are delivered.
 package main
 
 import (

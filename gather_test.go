@@ -46,13 +46,15 @@ func compositeAndGather(tb testing.TB, env *benchEnv, method string) []*core.Res
 	if err != nil {
 		tb.Fatal(err)
 	}
-	results, err := mp.RunCollect(env.p, benchWorldOpts(), func(c mp.Comm) (*core.Result, error) {
+	results := make([]*core.Result, env.p)
+	err = mp.Run(env.p, benchWorldOpts(), func(c mp.Comm) error {
 		res, err := comp.Composite(c, env.dec, env.cam.Dir, env.imgs[c.Rank()].Clone())
 		if err != nil {
-			return nil, err
+			return err
 		}
+		results[c.Rank()] = res
 		_, err = core.GatherImage(c, 0, res)
-		return res, err
+		return err
 	})
 	if err != nil {
 		tb.Fatal(err)

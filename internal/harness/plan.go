@@ -67,31 +67,22 @@ func NewPlan(cfg Config) (*Plan, error) {
 func (p *Plan) Box(me int) volume.Box { return p.Lay.Box(me) }
 
 // RenderRank runs the rendering phase for rank me from the shared
-// volume and returns its subimage. Callers that distributed subvolumes
-// through the message layer use RenderRankFrom instead.
+// volume and returns its subimage.
 func (p *Plan) RenderRank(me int) *frame.Image {
 	return p.renderFrom(p.Vol, me, nil, nil)
 }
 
-// RenderRankTraced is RenderRank recording a "render" span (with a
-// nested "raycast" span on the volume path) on the rank's track.
-func (p *Plan) RenderRankTraced(me int, tr *trace.Rank) *frame.Image {
-	return p.renderFrom(p.Vol, me, tr, nil)
-}
-
-// RenderRankObserved is RenderRankTraced additionally accumulating the
-// ray caster's work counters (rays, samples, macro-cell skips) into rs.
-// rs may be shared across ranks and frames; nil collects nothing.
+// RenderRankObserved is RenderRank recording a "render" span (with a
+// nested "raycast" span on the volume path) on the rank's track tr and
+// accumulating the ray caster's work counters (rays, samples,
+// macro-cell skips) into rs. rs may be shared across ranks and frames;
+// nil collects nothing.
 func (p *Plan) RenderRankObserved(me int, tr *trace.Rank, rs *render.Stats) *frame.Image {
 	return p.renderFrom(p.Vol, me, tr, rs)
 }
 
-// RenderRankFrom renders rank me's subimage from src, which must cover
-// the rank's box (plus ghost cells when shading).
-func (p *Plan) RenderRankFrom(src volumeSource, me int) *frame.Image {
-	return p.renderFrom(src, me, nil, nil)
-}
-
+// renderFrom renders rank me's subimage from src, which must cover the
+// rank's box (plus ghost cells when shading).
 func (p *Plan) renderFrom(src volumeSource, me int, tr *trace.Rank, rs *render.Stats) *frame.Image {
 	m := tr.Begin()
 	defer tr.End(m, trace.SpanRender, "")

@@ -76,7 +76,7 @@ func BenchmarkWorldSetup(b *testing.B) {
 
 // BenchmarkSendrecvAllocs measures the per-message allocation cost of the
 // binary-swap exchange pattern over a persistent world: the required
-// payload copy plus queue/log bookkeeping, with mailbox storage and the
+// payload copy plus queue bookkeeping, with mailbox storage and the
 // deadline watchdog reused across rounds.
 func BenchmarkSendrecvAllocs(b *testing.B) {
 	const p = 8

@@ -19,7 +19,7 @@ import (
 
 const (
 	// minPooled is the smallest pooled capacity: a message below it
-	// (rectangle headers, barrier tokens, reduce operands) costs less to
+	// (rectangle headers, barrier tokens) costs less to
 	// allocate than to pool.
 	minPooled = 1 << minPooledLog
 	// maxPooled is the largest: 64 MiB is a 2048x2048 frame at 16

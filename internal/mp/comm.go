@@ -3,12 +3,12 @@
 // "no standard MPI; must hand-roll message passing").
 //
 // A Comm gives a rank tagged point-to-point messaging plus the handful of
-// collectives the sort-last pipeline needs (barrier, broadcast, gather,
-// scatter, reduce). The in-process transport (World) runs each rank as a
-// goroutine with strictly private memory: the only way data moves between
-// ranks is by value through messages, which preserves the
-// distributed-memory character of the algorithms. A TCP transport with
-// identical semantics lives in internal/mpnet.
+// collectives the sort-last pipeline needs (barrier, gather, scatter).
+// The in-process transport (World) runs each rank as a goroutine with
+// strictly private memory: the only way data moves between ranks is by
+// value through messages, which preserves the distributed-memory
+// character of the algorithms. A TCP transport with identical semantics
+// lives in internal/mpnet.
 //
 // Sends are buffered (they never block), receives match on (source, tag)
 // and are FIFO per channel — the same ordering guarantees MPI gives for a
@@ -51,9 +51,6 @@ type Comm interface {
 
 	// Barrier blocks until every rank has entered the barrier.
 	Barrier() error
-	// Bcast distributes root's payload to every rank and returns it.
-	// Non-root callers pass nil.
-	Bcast(root int, payload []byte) ([]byte, error)
 	// Gather collects every rank's payload at root, indexed by rank.
 	// Non-root callers receive nil. The root owns each returned part
 	// under Recv's buffer contract (its own part is a copy of payload,
@@ -62,16 +59,10 @@ type Comm interface {
 	// Scatter distributes payloads[i] to rank i from root and returns
 	// this rank's slice. Non-root callers pass nil.
 	Scatter(root int, payloads [][]byte) ([]byte, error)
-	// Reduce combines one float64 per rank with op at root; other ranks
-	// receive 0. AllReduce returns the combined value everywhere.
-	Reduce(root int, value float64, op ReduceOp) (float64, error)
-	AllReduce(value float64, op ReduceOp) (float64, error)
 
-	// SetStage labels subsequent message-log entries; the experiment
-	// harness uses it to attribute traffic to compositing stages.
+	// SetStage labels the send-wait/recv-wait spans of subsequent
+	// messages, so a trace attributes comm time to compositing stages.
 	SetStage(stage string)
-	// Log returns this rank's message log for cost accounting.
-	Log() *MsgLog
 
 	// SetTracer attaches a span recorder: subsequent Send/Recv calls
 	// (including those inside collectives) record send-wait/recv-wait
@@ -92,56 +83,9 @@ const TagLimit = 1 << 20
 // channel keeps successive collectives of the same kind correctly paired.
 const (
 	tagBarrier = TagLimit + (1+iota)<<20
-	tagBcast
 	tagGather
 	tagScatter
-	tagReduce
-	tagAllReduce
 )
-
-// ReduceOp combines two float64 values in a Reduce/AllReduce.
-type ReduceOp int
-
-// Supported reduction operators.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-// Apply combines a and b under op.
-func (op ReduceOp) Apply(a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		panic(fmt.Sprintf("mp: unknown reduce op %d", op))
-	}
-}
-
-// String implements fmt.Stringer.
-func (op ReduceOp) String() string {
-	switch op {
-	case OpSum:
-		return "sum"
-	case OpMax:
-		return "max"
-	case OpMin:
-		return "min"
-	default:
-		return fmt.Sprintf("ReduceOp(%d)", int(op))
-	}
-}
 
 // ErrTimeout is returned by Recv when no matching message arrives within
 // the world's receive timeout — in a correct program this means deadlock,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,31 +193,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcastAllRootsAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7, 8, 16} {
-		for root := 0; root < p; root++ {
-			payload := []byte(fmt.Sprintf("root=%d data", root))
-			err := Run(p, testOpts(), func(c Comm) error {
-				var in []byte
-				if c.Rank() == root {
-					in = payload
-				}
-				out, err := c.Bcast(root, in)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(out, payload) {
-					return fmt.Errorf("rank %d got %q", c.Rank(), out)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("P=%d root=%d: %v", p, root, err)
-			}
-		}
-	}
-}
-
 func TestGatherOrdersByRank(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8} {
 		for root := 0; root < p; root += 3 {
@@ -274,66 +248,6 @@ func TestScatterDistributes(t *testing.T) {
 	}
 }
 
-func TestReduceOps(t *testing.T) {
-	cases := []struct {
-		op   ReduceOp
-		want func(p int) float64
-	}{
-		{OpSum, func(p int) float64 { return float64(p*(p-1)) / 2 }},
-		{OpMax, func(p int) float64 { return float64(p - 1) }},
-		{OpMin, func(p int) float64 { return 0 }},
-	}
-	for _, p := range []int{1, 2, 3, 8, 13} {
-		for _, tc := range cases {
-			err := Run(p, testOpts(), func(c Comm) error {
-				got, err := c.Reduce(0, float64(c.Rank()), tc.op)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 && got != tc.want(p) {
-					return fmt.Errorf("%v over %d ranks = %v, want %v", tc.op, p, got, tc.want(p))
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("P=%d op=%v: %v", p, tc.op, err)
-			}
-		}
-	}
-}
-
-func TestAllReduceEverywhere(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 16} {
-		err := Run(p, testOpts(), func(c Comm) error {
-			got, err := c.AllReduce(float64(c.Rank()+1), OpMax)
-			if err != nil {
-				return err
-			}
-			if got != float64(p) {
-				return fmt.Errorf("rank %d got %v, want %v", c.Rank(), got, float64(p))
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-	}
-}
-
-func TestRunCollect(t *testing.T) {
-	vals, err := RunCollect(4, testOpts(), func(c Comm) (int, error) {
-		return c.Rank() * c.Rank(), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, v := range vals {
-		if v != r*r {
-			t.Errorf("slot %d = %d", r, v)
-		}
-	}
-}
-
 func TestRunPropagatesError(t *testing.T) {
 	sentinel := errors.New("rank failure")
 	err := Run(3, testOpts(), func(c Comm) error {
@@ -363,107 +277,6 @@ func TestRunRepanicsOnRankPanic(t *testing.T) {
 	})
 }
 
-func TestMessageLogCountsAlgorithmTrafficOnly(t *testing.T) {
-	logsBytes := make([]int, 2)
-	logsMsgs := make([]int, 2)
-	err := Run(2, testOpts(), func(c Comm) error {
-		c.SetStage("stage1")
-		if _, err := c.Sendrecv(c.Rank()^1, 0, make([]byte, 100)); err != nil {
-			return err
-		}
-		// Collectives must not pollute the log.
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if _, err := c.AllReduce(1, OpSum); err != nil {
-			return err
-		}
-		c.SetStage("stage2")
-		if _, err := c.Sendrecv(c.Rank()^1, 0, make([]byte, 40)); err != nil {
-			return err
-		}
-		logsBytes[c.Rank()] = c.Log().BytesReceived("")
-		logsMsgs[c.Rank()] = c.Log().MsgsReceived("")
-		if got := c.Log().BytesReceived("stage2"); got != 40 {
-			return fmt.Errorf("stage2 bytes = %d, want 40", got)
-		}
-		if got := c.Log().BytesSent("stage1"); got != 100 {
-			return fmt.Errorf("stage1 sent = %d, want 100", got)
-		}
-		stages := c.Log().Stages()
-		if len(stages) != 2 || stages[0] != "stage1" || stages[1] != "stage2" {
-			return fmt.Errorf("stages = %v", stages)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		if logsBytes[r] != 140 {
-			t.Errorf("rank %d logged %d bytes, want 140", r, logsBytes[r])
-		}
-		if logsMsgs[r] != 2 {
-			t.Errorf("rank %d logged %d msgs, want 2", r, logsMsgs[r])
-		}
-	}
-}
-
-// Conservation: across all ranks, bytes sent equals bytes received when
-// every message is consumed.
-func TestLogConservationProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	const p = 8
-	// Precompute a random traffic matrix.
-	var plan [p][p]int
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if i != j {
-				plan[i][j] = r.Intn(500)
-			}
-		}
-	}
-	sent := make([]int, p)
-	recvd := make([]int, p)
-	err := Run(p, testOpts(), func(c Comm) error {
-		me := c.Rank()
-		for dst := 0; dst < p; dst++ {
-			if dst == me {
-				continue
-			}
-			if err := c.Send(dst, 1, make([]byte, plan[me][dst])); err != nil {
-				return err
-			}
-		}
-		for src := 0; src < p; src++ {
-			if src == me {
-				continue
-			}
-			msg, err := c.Recv(src, 1)
-			if err != nil {
-				return err
-			}
-			if len(msg) != plan[src][me] {
-				return fmt.Errorf("from %d: %d bytes, want %d", src, len(msg), plan[src][me])
-			}
-		}
-		sent[me] = c.Log().BytesSent("")
-		recvd[me] = c.Log().BytesReceived("")
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalSent, totalRecvd := 0, 0
-	for i := 0; i < p; i++ {
-		totalSent += sent[i]
-		totalRecvd += recvd[i]
-	}
-	if totalSent != totalRecvd {
-		t.Errorf("sent %d != received %d", totalSent, totalRecvd)
-	}
-}
-
 func TestWorldSizeValidation(t *testing.T) {
 	if _, err := NewWorld(0, Options{}); err == nil {
 		t.Error("zero-size world must fail")
@@ -477,13 +290,5 @@ func TestWorldSizeValidation(t *testing.T) {
 	}
 	if _, err := w.Comm(2); err == nil {
 		t.Error("out-of-range comm must fail")
-	}
-}
-
-func TestReduceOpString(t *testing.T) {
-	for _, op := range []ReduceOp{OpSum, OpMax, OpMin} {
-		if op.String() == "" {
-			t.Error("empty op name")
-		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Transport moves raw tagged messages between ranks. The in-process
 // channel transport lives in this package; a TCP transport lives in
 // internal/mpnet. FromTransport wraps any Transport with the Comm
-// semantics (logging, collectives, validation), so transports stay dumb
+// semantics (collectives, validation, tracing), so transports stay dumb
 // byte movers.
 //
 // Contract: Send never blocks indefinitely (buffered or async), copies or
@@ -38,12 +38,10 @@ func FromTransport(rank, size int, tr Transport, opts Options) (Comm, error) {
 }
 
 // rawComm is the narrow surface the collective algorithms need; raw
-// sends and receives bypass user-tag validation and are marked internal
-// in the log by the collectives themselves.
+// sends and receives bypass user-tag validation.
 type rawComm interface {
 	Rank() int
 	Size() int
-	Log() *MsgLog
 	sendRaw(to, tag int, payload []byte) error
 	recvRaw(from, tag int) ([]byte, error)
 }
@@ -55,14 +53,12 @@ type comm struct {
 	tr     Transport
 	opts   Options
 	stage  string
-	log    MsgLog
 	tracer *trace.Rank
 }
 
 func (c *comm) Rank() int                { return c.rank }
 func (c *comm) Size() int                { return c.size }
 func (c *comm) SetStage(stage string)    { c.stage = stage }
-func (c *comm) Log() *MsgLog             { return &c.log }
 func (c *comm) SetTracer(tr *trace.Rank) { c.tracer = tr }
 func (c *comm) Tracer() *trace.Rank      { return c.tracer }
 
@@ -77,7 +73,6 @@ func (c *comm) Send(to, tag int, payload []byte) error {
 }
 
 func (c *comm) sendRaw(to, tag int, payload []byte) error {
-	c.log.record(DirSend, to, tag, len(payload), c.stage)
 	m := c.tracer.Begin()
 	err := c.tr.Send(to, tag, payload)
 	c.tracer.End(m, trace.SpanSendWait, c.stage)
@@ -98,11 +93,7 @@ func (c *comm) recvRaw(from, tag int) ([]byte, error) {
 	m := c.tracer.Begin()
 	msg, err := c.tr.Recv(from, tag, c.opts.recvTimeout())
 	c.tracer.End(m, trace.SpanRecvWait, c.stage)
-	if err != nil {
-		return nil, err
-	}
-	c.log.record(DirRecv, from, tag, len(msg), c.stage)
-	return msg, nil
+	return msg, err
 }
 
 func (c *comm) Sendrecv(peer, tag int, payload []byte) ([]byte, error) {
@@ -113,18 +104,9 @@ func (c *comm) Sendrecv(peer, tag int, payload []byte) ([]byte, error) {
 }
 
 func (c *comm) Barrier() error { return barrier(c) }
-func (c *comm) Bcast(root int, payload []byte) ([]byte, error) {
-	return bcast(c, root, payload)
-}
 func (c *comm) Gather(root int, payload []byte) ([][]byte, error) {
 	return gather(c, root, payload)
 }
 func (c *comm) Scatter(root int, payloads [][]byte) ([]byte, error) {
 	return scatter(c, root, payloads)
-}
-func (c *comm) Reduce(root int, value float64, op ReduceOp) (float64, error) {
-	return reduce(c, root, value, op)
-}
-func (c *comm) AllReduce(value float64, op ReduceOp) (float64, error) {
-	return allReduce(c, value, op)
 }

@@ -142,18 +142,6 @@ func runRanks(p int, comm func(int) (Comm, error), closeAll func(), fn func(c Co
 	return nil
 }
 
-// RunCollect is Run plus a per-rank result slot: fn's return value for
-// rank r lands in the returned slice at index r.
-func RunCollect[T any](p int, opts Options, fn func(c Comm) (T, error)) ([]T, error) {
-	out := make([]T, p)
-	err := Run(p, opts, func(c Comm) error {
-		v, err := fn(c)
-		out[c.Rank()] = v
-		return err
-	})
-	return out, err
-}
-
 type msgKey struct {
 	src, tag int
 }

@@ -107,13 +107,3 @@ func BenchmarkRaycastSparseReference(b *testing.B) { sparseScenario().run(b, tru
 func BenchmarkRaycastShadedHeadReference(b *testing.B) {
 	shadedScenario().run(b, true)
 }
-
-func BenchmarkSplatSerial(b *testing.B) {
-	vol := volume.EngineBlock(128, 128, 55)
-	tf := transfer.EngineHigh()
-	cam := NewCamera(192, 192, vol.Bounds(), 20, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Splat(vol, vol.Bounds(), cam, tf, Options{})
-	}
-}

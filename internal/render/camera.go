@@ -3,9 +3,7 @@
 // orthographic ray caster whose sample positions are globally aligned:
 // every rank samples the same world-space points along a ray regardless
 // of which box it owns, so compositing the per-box segment images in
-// depth order reproduces the serial rendering of the whole volume. A
-// splatting renderer (the paper's §5 future work) is provided as an
-// alternative back end.
+// depth order reproduces the serial rendering of the whole volume.
 package render
 
 import (

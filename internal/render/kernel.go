@@ -24,7 +24,8 @@ const skipSafety = 0.25
 // cache on the volume) and removes the reference kernel's per-sample
 // math.Pow, interface dispatch and box.Contains. Every shortcut is
 // bit-exact — the identity argument lives in DESIGN.md §11 and is
-// enforced against RaycastReference by tests and cmd/renderbench.
+// enforced against RaycastReference by TestRaycastMatchesReference and
+// TestRaycastRandomizedIdentity.
 type kernel struct {
 	box volume.Box
 	cam *Camera

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sortlast/internal/client"
+	"sortlast/internal/core"
 	"sortlast/internal/harness"
 	"sortlast/internal/render"
 	"sortlast/internal/server"
@@ -195,4 +196,37 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Errorf("shutdown: %v", err)
 	}
 	waitNoLeaks(t, before)
+}
+
+// TestServedWireBytesMatchOneShot pins what a reply's WireBytes is: the
+// compositing bytes every rank received for that frame (fold and
+// stages, not the gather) — the sum of the same configuration's per-rank
+// counters from a one-shot harness run, for every method, at a
+// power-of-two and a folded rank count.
+func TestServedWireBytesMatchOneShot(t *testing.T) {
+	for _, p := range []int{3, 4} {
+		_, cl := startServer(t, server.Config{P: p, DefaultDeadline: time.Minute})
+		for _, method := range core.Names() {
+			req := server.Request{Dataset: "cube", Method: method, Width: 64, Height: 64, RotY: 30}
+			_, ranks, err := harness.RunDetailed(harness.Config{
+				Dataset: req.Dataset, Method: req.Method, Width: req.Width, Height: req.Height,
+				P: p, RotY: req.RotY,
+			})
+			if err != nil {
+				t.Fatalf("one-shot %s P=%d: %v", method, p, err)
+			}
+			var want int64
+			for _, rk := range ranks {
+				want += int64(rk.BytesReceived())
+			}
+			f, err := renderOnce(t, cl, req)
+			if err != nil {
+				t.Fatalf("served %s P=%d: %v", method, p, err)
+			}
+			if f.Stats.WireBytes != want || want == 0 {
+				t.Errorf("%s P=%d: reply reports %d wire bytes, the one-shot run's ranks received %d",
+					method, p, f.Stats.WireBytes, want)
+			}
+		}
+	}
 }

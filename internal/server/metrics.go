@@ -72,7 +72,7 @@ func newMetrics(queueDepth, inflight func() int, flight *trace.Flight, renderSta
 	m.spansDropped = r.Counter("renderd_trace_spans_dropped_total", "Spans discarded because a rank's recorder reached its span cap; the frame's trace is flagged truncated.", obs.None)
 	obs.GaugeFunc(r, "renderd_queue_depth", "Requests admitted and waiting for dispatch.", obs.None, func(int) int { return queueDepth() })
 	obs.GaugeFunc(r, "renderd_inflight_frames", "Frames dispatched into the rank pool and not yet replied.", obs.None, func(int) int { return inflight() })
-	m.wire = r.Counter("renderd_wire_bytes_total", "Compositing payload bytes received across all ranks (mp message log).", obs.None)
+	m.wire = r.Counter("renderd_wire_bytes_total", "Compositing payload bytes received across all ranks.", obs.None)
 	if flight != nil {
 		obs.GaugeFunc(r, "renderd_flight_entries", "Frames retained by the flight recorder (tail-sampled: errors, hedges, >= p99).", obs.None, func(int) int { return flight.Len() })
 	}

@@ -36,13 +36,14 @@ func upscaleRef(gray []byte, sw, sh, w, h int) []byte {
 // TestQualityContract pins both quality contracts end to end against
 // one resident world: full is byte-identical to the seed behavior (with
 // and without the explicit name, and with DegradeOK set under no
-// contention), preview renders quarter resolution and the client
-// upscales it to the requested geometry, and an unknown name is a bad
-// request.
+// contention), preview renders quarter resolution — at most 30 % of the
+// full frame's ray samples, which is what it buys in latency — and the
+// client upscales it to the requested geometry, and an unknown name is a
+// bad request.
 func TestQualityContract(t *testing.T) {
 	const p, w, h = 4, 64, 64
 	srv, err := server.Start(server.Config{
-		Addr: "127.0.0.1:0", P: p,
+		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", P: p,
 		QueueDepth: 8, MaxInFlight: 2, DefaultDeadline: time.Minute,
 	})
 	if err != nil {
@@ -54,20 +55,36 @@ func TestQualityContract(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
+	// samples reads the ray samples evaluated so far off the sidecar.
+	samples := func() int {
+		_, body := httpGet(t, "http://"+srv.HTTPAddr().String()+"/metrics")
+		const series = `renderd_render_samples_total{outcome="evaluated"} `
+		i := bytes.Index(body, []byte(series))
+		if i < 0 {
+			t.Fatalf("metrics missing %s", series)
+		}
+		var n int
+		fmt.Sscanf(string(body[i+len(series):]), "%d", &n)
+		return n
+	}
+
 	base := server.Request{Dataset: "cube", Method: "bsbrc", Width: w, Height: h, RotY: 30}
 	ref := referenceGray(t, base, p, 0)
 
 	// Full contract: "" and "full" and DegradeOK-without-contention all
 	// return the exact seed bytes and report full quality.
+	var fullSamples int
 	for _, req := range []server.Request{
 		base,
 		{Dataset: "cube", Method: "bsbrc", Width: w, Height: h, RotY: 30, Quality: "full"},
 		{Dataset: "cube", Method: "bsbrc", Width: w, Height: h, RotY: 30, DegradeOK: true},
 	} {
+		before := samples()
 		f, err := cl.Render(ctx, req)
 		if err != nil {
 			t.Fatalf("render %+v: %v", req, err)
 		}
+		fullSamples = samples() - before
 		if !bytes.Equal(f.Gray, ref) {
 			t.Errorf("quality=%q degrade_ok=%v: image differs from the seed render", req.Quality, req.DegradeOK)
 		}
@@ -82,9 +99,13 @@ func TestQualityContract(t *testing.T) {
 	small := referenceGray(t, server.Request{Dataset: "cube", Method: "bsbrc", Width: pw, Height: ph, RotY: 30}, p, 0)
 	prev := base
 	prev.Quality = server.QualityPreview
+	before := samples()
 	fp, err := cl.Render(ctx, prev)
 	if err != nil {
 		t.Fatalf("preview render: %v", err)
+	}
+	if got := samples() - before; got == 0 || 10*got > 3*fullSamples {
+		t.Errorf("preview evaluated %d ray samples, full %d: want more than none and at most 30 %%", got, fullSamples)
 	}
 	if fp.Width != w || fp.Height != h {
 		t.Fatalf("preview reply is %dx%d after upscale, want %dx%d", fp.Width, fp.Height, w, h)

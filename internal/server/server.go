@@ -361,16 +361,16 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 		c.SetTracer(j.rec.Rank(me))
 		res, err := j.plan.CompositeRank(c, rj.img)
 		if err == nil {
+			// Bytes-on-wire for this frame: what this rank's compositing
+			// received (fold and stages). Counted before the gather, so
+			// every rank's share is in by the time rank 0 has the image
+			// and answers the job.
+			recv := int64(res.Stats.BytesReceived())
+			s.met.wire.Add(recv)
+			j.wireBytes.Add(recv)
 			img, err = j.plan.GatherRank(c, res)
 		}
 		c.SetTracer(nil)
-		// Bytes-on-wire for this frame, from the rank's message log; the
-		// log is reset per frame so a long-lived comm does not accumulate
-		// entries without bound.
-		recv := int64(c.Log().BytesReceived(""))
-		c.Log().Reset()
-		s.met.wire.Add(recv)
-		j.wireBytes.Add(recv)
 
 		if err != nil {
 			// Any pipeline error kills this world incarnation: half a

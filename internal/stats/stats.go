@@ -15,9 +15,9 @@ import (
 // Stage holds the counters of one compositing stage on one rank.
 type Stage struct {
 	Stage int // 1-based compositing stage
-	// Label names the stage in the message log and on its trace spans:
-	// "stageK" unless the schedule that ran the stage renames it (the
-	// owner-merge schedules' "route" and "merge" rounds).
+	// Label names the stage on its trace spans: "stageK" unless the
+	// schedule that ran the stage renames it (the owner-merge schedules'
+	// "route" and "merge" rounds).
 	Label string
 
 	// RecvPixels counts pixels delivered to the compositing loop as a
