@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-module fuzz-smoke bench
+.PHONY: check vet build test race bench-module fuzz-smoke bench lines
 
 # check is the pre-commit gate: static analysis, a full build, the full
 # test suite, the race detector over every package, and the benchmark
@@ -39,3 +39,15 @@ fuzz-smoke:
 # compositing phase alone, and the compositing phase plus the gather.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkCompositeAllocs|BenchmarkGatherAllocs' -benchmem .
+
+# lines is the size figure EXPERIMENTS.md's census tables and ROADMAP
+# quote: non-test .go outside bench/, blank and comment-only lines
+# dropped, per top-level directory ("." is the root package) and in
+# total. Not part of check.
+lines:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
+	for d in */; do \
+		[ "$$d" = bench/ ] || printf '%-10s %6d\n' "$${d%/}" "$$(count "$$d")"; \
+	done; \
+	printf '%-10s %6d\n' . "$$(count . -maxdepth 1)"; \
+	printf '%-10s %6d\n' total "$$(count . -path ./bench -prune -o)"

@@ -34,7 +34,6 @@ import (
 	"sortlast/internal/costmodel"
 	"sortlast/internal/frame"
 	"sortlast/internal/harness"
-	"sortlast/internal/mesh"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
@@ -488,41 +487,6 @@ func BenchmarkAblationEncodings(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(scanned)/float64(env.p)/1000, "enc_scan_kpx_per_rank")
-		})
-	}
-}
-
-// BenchmarkSurfaceCompositing runs the paper's two run-length methods
-// on surface-rendered (opaque, flat-shaded) subimages — the sort-last
-// polygon-rendering regime of the paper's §2 related work.
-func BenchmarkSurfaceCompositing(b *testing.B) {
-	if testing.Short() {
-		b.Skip("paper-scale sweep")
-	}
-	vol, _, err := harness.Dataset("head")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const p = 16
-	dec, err := partition.Decompose(vol.Bounds(), p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cam := render.NewCamera(384, 384, vol.Bounds(), paperRotX, paperRotY)
-	env := &benchEnv{p: p, dec: dec, cam: cam, imgs: make([]*frame.Image, p)}
-	for r := 0; r < p; r++ {
-		m := mesh.Extract(vol, mesh.CellsFor(dec.Box(r), vol.Bounds()), 160)
-		env.imgs[r] = render.Rasterize(m, cam, render.RasterOptions{Flat: true, Levels: 12})
-	}
-	for _, method := range []string{"bsbrc", "bslc"} {
-		b.Run(method, func(b *testing.B) {
-			var rs []*stats.Rank
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rs = compositeOnce(b, env, method, 0)
-			}
-			b.StopTimer()
-			reportModel(b, rs)
 		})
 	}
 }

@@ -7,7 +7,8 @@
 //	clusternode -rank 1 -addrs 127.0.0.1:7000,127.0.0.1:7001 -dataset cube
 //
 // The procedural datasets are deterministic, so every process generates
-// an identical volume; -in loads a shared volume file instead.
+// an identical volume: the partitioning phase is a box assignment, no
+// voxels cross the sockets.
 package main
 
 import (
@@ -21,16 +22,12 @@ import (
 	"sortlast/internal/harness"
 	"sortlast/internal/mp"
 	"sortlast/internal/mpnet"
-	"sortlast/internal/transfer"
-	"sortlast/internal/volume"
 )
 
 var (
 	rank    = flag.Int("rank", -1, "this process's rank (required)")
 	addrs   = flag.String("addrs", "", "comma-separated listen addresses, one per rank (required)")
 	dataset = flag.String("dataset", "cube", "built-in dataset")
-	in      = flag.String("in", "", "volume file instead of a built-in dataset")
-	tfName  = flag.String("tf", "", "transfer preset when using -in")
 	method  = flag.String("method", "bsbrc", "compositing method (bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb); each runs at any rank count")
 	size    = flag.Int("size", 384, "image size (square)")
 	rotX    = flag.Float64("rotx", 0, "rotation about x (degrees)")
@@ -71,7 +68,7 @@ func validateFlags() ([]string, error) {
 	if _, err := core.New(*method); err != nil {
 		return nil, fmt.Errorf("unknown -method %q (have %v)", *method, core.Names())
 	}
-	if *in == "" && !harness.KnownDataset(*dataset) {
+	if !harness.KnownDataset(*dataset) {
 		return nil, fmt.Errorf("unknown -dataset %q (have %v)", *dataset, harness.Datasets())
 	}
 	if *size <= 0 {
@@ -88,18 +85,6 @@ func run(list []string) error {
 		Dataset: *dataset, Method: *method, P: len(list),
 		Width: *size, Height: *size,
 		RotX: *rotX, RotY: *rotY,
-	}
-	if *in != "" {
-		vol, err := volume.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		cfg.Volume = vol
-		if *tfName == "" || *tfName == "linear" {
-			cfg.TF = transfer.Ramp("linear", 0, 255, 0.3)
-		} else if cfg.TF, err = transfer.Preset(*tfName); err != nil {
-			return err
-		}
 	}
 	// The plan is the one the in-process harness runs: kd decomposition
 	// at power-of-two world sizes, the fold plan otherwise.

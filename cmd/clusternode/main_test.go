@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -118,3 +119,19 @@ func TestRanksMatchHarness(t *testing.T) {
 // as rank geometry — runs as three OS processes and exits 0 with the
 // oracle's image.
 func TestDirectServesOddWorld(t *testing.T) { matchHarness(t, 3, "direct") }
+
+// The volume-file door is gone (every process regenerates the dataset):
+// -in is an unknown flag, which the flag package answers with exit 2 and
+// the usage text listing what exists.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	text, errs := spawn(t, 1, "-in", "x")
+	var exit *exec.ExitError
+	if !errors.As(errs[0], &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-in x: err = %v, want exit status 2\n%s", errs[0], text[0])
+	}
+	for _, want := range []string{"flag provided but not defined: -in", "-dataset"} {
+		if !strings.Contains(text[0], want) {
+			t.Errorf("-in x: output lacks %q:\n%s", want, text[0])
+		}
+	}
+}

@@ -1,8 +1,8 @@
-// Command rendervol renders a volume to a PGM image through the full
-// sort-last pipeline (or serially with -p 1).
+// Command rendervol renders a built-in dataset to a PGM image through
+// the full sort-last pipeline (or serially with -p 1).
 //
 //	rendervol -dataset head -p 8 -size 384 -out head.pgm
-//	rendervol -in engine.slsv -tf engine_high -p 16 -rotx 30 -out e.pgm
+//	rendervol -dataset engine_high -p 16 -rotx 30 -out e.pgm
 package main
 
 import (
@@ -15,14 +15,10 @@ import (
 	"sortlast/internal/render"
 	"sortlast/internal/report"
 	"sortlast/internal/trace"
-	"sortlast/internal/transfer"
-	"sortlast/internal/volume"
 )
 
 var (
-	dataset  = flag.String("dataset", "", "built-in dataset (engine_low, engine_high, head, cube)")
-	in       = flag.String("in", "", "volume file to render instead of a built-in dataset")
-	tfName   = flag.String("tf", "", "transfer preset for -in (engine_low, engine_high, head, cube, linear)")
+	dataset  = flag.String("dataset", "", "built-in dataset (engine_low, engine_high, head, cube; required)")
 	p        = flag.Int("p", 8, "number of simulated processors")
 	method   = flag.String("method", "bsbrc", "compositing method")
 	size     = flag.Int("size", 384, "output image size (square)")
@@ -33,9 +29,6 @@ var (
 	stats    = flag.Bool("stats", true, "print the compositing-cost summary")
 	validate = flag.Bool("validate", false, "check the parallel result against a sequential reference")
 	balance  = flag.Bool("balance", false, "load-balance the rendering partition by estimated work")
-	surface  = flag.Bool("surface", false, "surface rendering: isosurface extraction + rasterization")
-	iso      = flag.Int("iso", 128, "iso level for -surface (0-255)")
-	flat     = flag.Bool("flat", false, "flat (quantized) shading for -surface")
 	traceOut = flag.String("trace", "", "write a Chrome/Perfetto span trace of the run to this JSON file and print the measured-vs-modeled stage report")
 )
 
@@ -48,49 +41,18 @@ func main() {
 }
 
 func run() error {
-	if *out == "" {
+	if *out == "" || *dataset == "" {
 		flag.Usage()
-		return fmt.Errorf("-out is required")
+		return fmt.Errorf("-dataset and -out are required")
 	}
 	cfg := harness.Config{
-		Width: *size, Height: *size,
+		Dataset: *dataset,
+		Width:   *size, Height: *size,
 		P: *p, Method: *method,
 		RotX: *rotX, RotY: *rotY,
 		RenderOpts:    render.Options{Shaded: *shaded},
 		Validate:      *validate,
 		BalanceRender: *balance,
-		Surface:       *surface,
-		IsoLevel:      uint8(*iso),
-		RasterOpts:    render.RasterOptions{Flat: *flat},
-	}
-	switch {
-	case *in != "":
-		v, err := volume.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		name := *tfName
-		if name == "" {
-			name = "linear"
-		}
-		var tf *transfer.Func
-		if name == "linear" {
-			tf = transfer.Ramp("linear", 0, 255, 0.3)
-		} else {
-			f, err := transfer.Preset(name)
-			if err != nil {
-				return err
-			}
-			tf = f
-		}
-		cfg.Dataset = name
-		cfg.Volume = v
-		cfg.TF = tf
-	case *dataset != "":
-		cfg.Dataset = *dataset
-	default:
-		flag.Usage()
-		return fmt.Errorf("pass -dataset or -in")
 	}
 
 	var rec *trace.Recorder

@@ -1,0 +1,41 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// asCommandEnv makes the test binary behave as the rendervol command, so
+// the test can observe its exit status without building a second binary.
+const asCommandEnv = "RENDERVOL_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asCommandEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// The surface path and the volume-file door are gone: their flags are
+// unknown flags, which the flag package answers with exit 2 and the
+// usage text listing what exists.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-surface"}, {"-in", "x"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), asCommandEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		for _, want := range []string{"flag provided but not defined: " + args[0], "-dataset"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%v: output lacks %q:\n%s", args, want, out)
+			}
+		}
+	}
+}

@@ -2,8 +2,9 @@
 // midpoint partitioning leaves some ranks nearly idle during rendering.
 // This example compares the uniform and work-median decompositions of
 // the engine dataset — per-rank estimated work, measured render time,
-// and the compositing timeline — and verifies the balanced partition
-// still composites correctly.
+// and the exact per-rank ray-sample imbalance (slowest rank's samples ÷
+// the mean) — and verifies the balanced partition still composites
+// correctly.
 //
 //	go run ./examples/loadbalance
 package main
@@ -12,10 +13,8 @@ import (
 	"fmt"
 	"log"
 
-	"sortlast/internal/costmodel"
 	"sortlast/internal/harness"
 	"sortlast/internal/partition"
-	"sortlast/internal/report"
 	"sortlast/internal/volume"
 )
 
@@ -71,6 +70,12 @@ func main() {
 		}
 		fmt.Printf("\n%s partition: render %.1f ms (slowest rank), composite %.2f ms modeled, validated (diff %.1g)\n",
 			label, row.RenderMS, row.TotalMS, row.ValidateDiff)
-		fmt.Print(report.Timeline(rs, costmodel.SP2(), 48))
+		maxSamples, sum := 0, 0
+		for _, r := range rs {
+			sum += r.Render.Samples
+			maxSamples = max(maxSamples, r.Render.Samples)
+		}
+		fmt.Printf("  ray samples per rank: max %d ÷ mean %.0f = %.3f\n",
+			maxSamples, float64(sum)/p, float64(maxSamples)*p/float64(sum))
 	}
 }

@@ -69,6 +69,25 @@ func TestFleetTracedHedgedRequest(t *testing.T) {
 		}
 	}
 
+	// The gateway hands a reply to the client before the dispatch that
+	// produced it decrements its replica's outstanding count, so the last
+	// warm-up reply can be in hand while replica 0 still reads 1 — and
+	// the sampled request would then be routed to idle replica 1 and never
+	// hedge. Wait until every replica is idle before wedging one.
+	idle := func() bool {
+		for _, r := range g.Stats().Replicas {
+			if r.Outstanding != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !idle(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replicas still have outstanding dispatches 10 s after the last warm-up reply")
+		}
+	}
+
 	// Wedge replica 0's world and send one sampled request. The hedge
 	// must rescue it; the reply carries the merged trace.
 	inj.Stall(1, 30*time.Second)

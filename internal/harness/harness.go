@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"sortlast/internal/core"
 	"sortlast/internal/costmodel"
 	"sortlast/internal/frame"
-	"sortlast/internal/mesh"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
@@ -24,13 +22,6 @@ import (
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
 )
-
-// volumeSource is what the rendering phase needs from volume data: both
-// the full volume and a ghosted subvolume provide it.
-type volumeSource interface {
-	render.Sampler
-	mesh.Source
-}
 
 // Config describes one experiment: dataset x method x P x image size x
 // viewpoint.
@@ -61,25 +52,11 @@ type Config struct {
 	// RenderOpts tune the ray caster (zero value: defaults).
 	RenderOpts render.Options
 
-	// Surface switches the rendering phase from ray casting to the
-	// surface path (paper §1): marching-tetrahedra isosurface extraction
-	// at IsoLevel followed by z-buffered rasterization. Surface images
-	// are opaque (alpha 1), so the same compositors apply unchanged.
-	Surface    bool
-	IsoLevel   uint8 // default 128
-	RasterOpts render.RasterOptions
-
 	// Granularity is BSLC's interleave section size (0: one scanline).
 	Granularity int
 
 	// Tile is the dfb tile edge in pixels (0: core.DefaultTile).
 	Tile int
-
-	// DistributeVolume exercises the partitioning phase: rank 0 extracts
-	// subvolumes with ghost cells and scatters them, and each rank
-	// renders only from its own subvolume. Off by default because the
-	// in-process transport can share the immutable volume.
-	DistributeVolume bool
 
 	// BalanceRender splits the volume at estimated-work medians instead
 	// of spatial midpoints (the paper's §5 rendering-phase load
@@ -125,8 +102,7 @@ type Row struct {
 	RenderMS float64 // measured rendering wall, max over ranks
 
 	// RenderSkipFrac is the fraction of candidate ray samples the
-	// macro-cell empty-space skipping removed, aggregated over ranks
-	// (0 for surface runs).
+	// macro-cell empty-space skipping removed, aggregated over ranks.
 	RenderSkipFrac float64
 
 	MMax       int // maximum received message size (bytes)
@@ -142,16 +118,44 @@ type Row struct {
 // experiment; they are immutable once built.
 var datasetCache sync.Map // map[string]*volume.Volume
 
+// datasets is the one table of built-in workloads: the paper's four
+// names in table order, each with the procedural volume it renders (the
+// two engine workloads classify the same volume differently).
+var datasets = []struct{ name, base string }{
+	{"engine_low", volume.DatasetEngine},
+	{"engine_high", volume.DatasetEngine},
+	{"head", volume.DatasetHead},
+	{"cube", volume.DatasetCube},
+}
+
+// Datasets lists the built-in workload names accepted by Config.Dataset.
+func Datasets() []string {
+	names := make([]string, len(datasets))
+	for i, d := range datasets {
+		names[i] = d.name
+	}
+	return names
+}
+
+// datasetBase returns which procedural volume the named workload renders.
+func datasetBase(name string) (string, bool) {
+	for _, d := range datasets {
+		if d.name == name {
+			return d.base, true
+		}
+	}
+	return "", false
+}
+
+// KnownDataset reports whether name is a built-in workload.
+func KnownDataset(name string) bool {
+	_, ok := datasetBase(name)
+	return ok
+}
+
 func datasetVolume(name string) (*volume.Volume, error) {
-	base := ""
-	switch name {
-	case "engine_low", "engine_high":
-		base = volume.DatasetEngine
-	case "head":
-		base = volume.DatasetHead
-	case "cube":
-		base = volume.DatasetCube
-	default:
+	base, ok := datasetBase(name)
+	if !ok {
 		return nil, fmt.Errorf("harness: unknown dataset %q", name)
 	}
 	if v, ok := datasetCache.Load(base); ok {
@@ -284,17 +288,8 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 		me := c.Rank()
 		c.SetTracer(cfg.Trace.Rank(me))
 
-		var src volumeSource = plan.Vol
-		if cfg.DistributeVolume {
-			sub, err := distribute(c, plan.Vol, plan.Box, cfg.RenderOpts.Shaded)
-			if err != nil {
-				return err
-			}
-			src = sub
-		}
-
 		start := time.Now()
-		img := plan.renderFrom(src, me, c.Tracer(), &renderStats[me])
+		img := plan.RenderRankObserved(me, c.Tracer(), &renderStats[me])
 		renderWall[me] = time.Since(start)
 
 		var pristine *frame.Image
@@ -423,37 +418,6 @@ func validateAgainstSequential(c mp.Comm, lay partition.Layout, viewDir [3]float
 		return d, fmt.Errorf("harness: parallel result differs from sequential reference by %g", d)
 	}
 	return d, nil
-}
-
-// distribute implements the partitioning phase: rank 0 extracts every
-// rank's subvolume (with enough ghost cells for the render options) and
-// scatters them; each rank deserializes its own.
-func distribute(c mp.Comm, vol *volume.Volume, boxOf func(int) volume.Box,
-	shaded bool) (*volume.Subvolume, error) {
-	ghost := 1
-	if shaded {
-		ghost = 2
-	}
-	var payloads [][]byte
-	if c.Rank() == 0 {
-		payloads = make([][]byte, c.Size())
-		for r := 0; r < c.Size(); r++ {
-			sub, err := volume.Extract(vol, boxOf(r), ghost)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := sub.Serialize(&buf); err != nil {
-				return nil, err
-			}
-			payloads[r] = buf.Bytes()
-		}
-	}
-	mine, err := c.Scatter(0, payloads)
-	if err != nil {
-		return nil, err
-	}
-	return volume.ReadSubvolume(bytes.NewReader(mine))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sortlast/internal/core"
-	"sortlast/internal/frame"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
 )
@@ -71,25 +70,6 @@ func TestRunNonPowerOfTwoFolds(t *testing.T) {
 		if row.NonBlank == 0 {
 			t.Errorf("P=%d: blank final image", p)
 		}
-	}
-}
-
-func TestRunDistributeVolume(t *testing.T) {
-	cfg := smallCfg("bsbrc", 4)
-	cfg.RenderOpts.EarlyTermination = -1
-	_, ref, err := RunWithImage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DistributeVolume = true
-	_, img, err := RunWithImage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ghost-cell sampling translates coordinates in float arithmetic, so
-	// agreement is to within accumulated ulps, not bit-exact.
-	if d := ref.MaxAbsDiff(img, ref.Full()); d > 1e-9 {
-		t.Errorf("distributed-volume image differs by %g", d)
 	}
 }
 
@@ -224,80 +204,32 @@ func TestValidateModeAllMethods(t *testing.T) {
 	}
 }
 
-func TestSurfaceModeAllMethods(t *testing.T) {
-	for _, m := range core.Names() {
-		cfg := smallCfg(m, 4)
-		cfg.Surface = true
-		cfg.IsoLevel = 150
-		cfg.Validate = true
-		row, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if row.NonBlank == 0 {
-			t.Errorf("%s: blank surface image", m)
-		}
-	}
-}
-
-func TestSurfaceModeWithDistributeAndFold(t *testing.T) {
-	cfg := smallCfg("bsbrc", 4)
-	cfg.Surface = true
-	cfg.DistributeVolume = true
-	cfg.Validate = true
-	if _, err := Run(cfg); err != nil {
+// §3.3's claim about volume images: float pixels almost never repeat,
+// so a value-run encoding degenerates to about one run per non-blank
+// pixel — why the paper run-length encodes the background/foreground
+// mask instead (and why PR 19 deleted the value-run codec).
+func TestValueRunsDegenerateOnVolumeImages(t *testing.T) {
+	cfg := smallCfg("bs", 2)
+	cfg.Width, cfg.Height = 128, 128
+	_, img, err := RunWithImage(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = smallCfg("bsbrc", 5) // non-power-of-two
-	cfg.Surface = true
-	cfg.Validate = true
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Value-RLE shines on flat-shaded surface images (Ahrens–Painter's
-// regime) in a way it cannot on float volume images — the §3.3 argument
-// completed in both directions. Compare runs-per-non-blank-pixel of the
-// value encoding on the two image kinds.
-func TestValueRLEHelpsOnSurfaces(t *testing.T) {
-	mk := func(surface bool) *frame.Image {
-		cfg := smallCfg("bs", 2)
-		cfg.Width, cfg.Height = 128, 128
-		cfg.Surface = surface
-		cfg.IsoLevel = 150
-		cfg.RasterOpts.Flat = true
-		cfg.RasterOpts.Levels = 4
-		_, img, err := RunWithImage(cfg)
-		if err != nil {
-			t.Fatal(err)
+	// A value run starts wherever a pixel differs from its row-major
+	// predecessor.
+	px := img.PackRegion(img.Full())
+	nonBlankRuns := 0
+	for i, p := range px {
+		if !p.Blank() && (i == 0 || p != px[i-1]) {
+			nonBlankRuns++
 		}
-		return img
 	}
-	ratio := func(img *frame.Image) float64 {
-		// A value run starts wherever a pixel differs from its
-		// row-major predecessor.
-		px := img.PackRegion(img.Full())
-		nonBlankRuns := 0
-		for i, p := range px {
-			if !p.Blank() && (i == 0 || p != px[i-1]) {
-				nonBlankRuns++
-			}
-		}
-		nb := img.CountNonBlank(img.Full())
-		if nb == 0 {
-			t.Fatal("blank image")
-		}
-		return float64(nonBlankRuns) / float64(nb)
+	nb := img.CountNonBlank(img.Full())
+	if nb == 0 {
+		t.Fatal("blank image")
 	}
-	surfRatio := ratio(mk(true)) // flat shades repeat: runs < pixels
-	volRatio := ratio(mk(false)) // noisy float pixels rarely repeat: ~1 run/px
-	if volRatio < 0.9 {
+	if volRatio := float64(nonBlankRuns) / float64(nb); volRatio < 0.9 {
 		t.Errorf("volume image value-runs/px = %.3f; expected near-degenerate (~1)", volRatio)
-	}
-	if surfRatio >= 0.75*volRatio {
-		t.Errorf("value-RLE runs/px on surfaces %.3f not well below volume images %.3f",
-			surfRatio, volRatio)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"sortlast/internal/core"
 	"sortlast/internal/frame"
-	"sortlast/internal/mesh"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
@@ -48,13 +47,11 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.Surface {
-		// Warm the volume's macro-cell grid during setup so the rank
-		// goroutines never serialize on its sync.Once inside the first
-		// frame (the grid is cached on the volume, shared across plans
-		// through the dataset cache).
-		vol.MacroCells()
-	}
+	// Warm the volume's macro-cell grid during setup so the rank
+	// goroutines never serialize on its sync.Once inside the first frame
+	// (the grid is cached on the volume, shared across plans through the
+	// dataset cache).
+	vol.MacroCells()
 	return &Plan{
 		Cfg: cfg, Vol: vol, TF: tf,
 		Comp: comp, Dec: dec, Lay: lay,
@@ -66,39 +63,23 @@ func NewPlan(cfg Config) (*Plan, error) {
 // non-power-of-two worlds).
 func (p *Plan) Box(me int) volume.Box { return p.Lay.Box(me) }
 
-// RenderRank runs the rendering phase for rank me from the shared
-// volume and returns its subimage.
+// RenderRank runs the rendering phase for rank me: it ray-casts the
+// rank's box of the shared volume and returns the subimage.
 func (p *Plan) RenderRank(me int) *frame.Image {
-	return p.renderFrom(p.Vol, me, nil, nil)
+	return p.RenderRankObserved(me, nil, nil)
 }
 
 // RenderRankObserved is RenderRank recording a "render" span (with a
-// nested "raycast" span on the volume path) on the rank's track tr and
-// accumulating the ray caster's work counters (rays, samples,
-// macro-cell skips) into rs. rs may be shared across ranks and frames;
-// nil collects nothing.
+// nested "raycast" span) on the rank's track tr and accumulating the
+// ray caster's work counters (rays, samples, macro-cell skips) into rs.
+// rs may be shared across ranks and frames; nil collects nothing.
 func (p *Plan) RenderRankObserved(me int, tr *trace.Rank, rs *render.Stats) *frame.Image {
-	return p.renderFrom(p.Vol, me, tr, rs)
-}
-
-// renderFrom renders rank me's subimage from src, which must cover the
-// rank's box (plus ghost cells when shading).
-func (p *Plan) renderFrom(src volumeSource, me int, tr *trace.Rank, rs *render.Stats) *frame.Image {
 	m := tr.Begin()
 	defer tr.End(m, trace.SpanRender, "")
-	box := p.Lay.Box(me)
-	if p.Cfg.Surface {
-		iso := p.Cfg.IsoLevel
-		if iso == 0 {
-			iso = 128
-		}
-		surf := mesh.Extract(src, mesh.CellsFor(box, p.Vol.Bounds()), iso)
-		return render.Rasterize(surf, p.Cam, p.Cfg.RasterOpts)
-	}
 	opts := p.Cfg.RenderOpts
 	opts.Trace = tr
 	opts.Stats = rs
-	return render.Raycast(src, box, p.Cam, p.TF, opts)
+	return render.Raycast(p.Vol, p.Lay.Box(me), p.Cam, p.TF, opts)
 }
 
 // CompositeRank runs the compositing phase for one rank over a standing
@@ -124,20 +105,6 @@ func (p *Plan) CompositeRank(c mp.Comm, img *frame.Image) (*core.Result, error) 
 // exchange waits.
 func (p *Plan) GatherRank(c mp.Comm, res *core.Result) (*frame.Image, error) {
 	return core.GatherImage(c, 0, res)
-}
-
-// Datasets lists the built-in workload names accepted by Config.Dataset.
-func Datasets() []string {
-	return []string{"engine_low", "engine_high", "head", "cube"}
-}
-
-// KnownDataset reports whether name is a built-in workload.
-func KnownDataset(name string) bool {
-	switch name {
-	case "engine_low", "engine_high", "head", "cube":
-		return true
-	}
-	return false
 }
 
 // Check validates a Config without generating volumes or building a

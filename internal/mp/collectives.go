@@ -53,26 +53,3 @@ func gather(c rawComm, root int, payload []byte) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// scatter distributes payloads[i] to rank i from root.
-func scatter(c rawComm, root int, payloads [][]byte) ([]byte, error) {
-	p := c.Size()
-	if err := checkPeer(root, p); err != nil {
-		return nil, err
-	}
-	if c.Rank() != root {
-		return c.recvRaw(root, tagScatter)
-	}
-	if len(payloads) != p {
-		return nil, fmt.Errorf("mp: scatter needs %d payloads, got %d", p, len(payloads))
-	}
-	for r := 0; r < p; r++ {
-		if r == root {
-			continue
-		}
-		if err := c.sendRaw(r, tagScatter, payloads[r]); err != nil {
-			return nil, err
-		}
-	}
-	return append([]byte(nil), payloads[root]...), nil
-}

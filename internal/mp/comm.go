@@ -3,7 +3,7 @@
 // "no standard MPI; must hand-roll message passing").
 //
 // A Comm gives a rank tagged point-to-point messaging plus the handful of
-// collectives the sort-last pipeline needs (barrier, gather, scatter).
+// collectives the sort-last pipeline needs (barrier, gather).
 // The in-process transport (World) runs each rank as a goroutine with
 // strictly private memory: the only way data moves between ranks is by
 // value through messages, which preserves the distributed-memory
@@ -56,9 +56,6 @@ type Comm interface {
 	// under Recv's buffer contract (its own part is a copy of payload,
 	// nil for a nil payload) and may Release them one by one.
 	Gather(root int, payload []byte) ([][]byte, error)
-	// Scatter distributes payloads[i] to rank i from root and returns
-	// this rank's slice. Non-root callers pass nil.
-	Scatter(root int, payloads [][]byte) ([]byte, error)
 
 	// SetStage labels the send-wait/recv-wait spans of subsequent
 	// messages, so a trace attributes comm time to compositing stages.
@@ -84,7 +81,6 @@ const TagLimit = 1 << 20
 const (
 	tagBarrier = TagLimit + (1+iota)<<20
 	tagGather
-	tagScatter
 )
 
 // ErrTimeout is returned by Recv when no matching message arrives within

@@ -223,31 +223,6 @@ func TestGatherOrdersByRank(t *testing.T) {
 	}
 }
 
-func TestScatterDistributes(t *testing.T) {
-	const p = 6
-	root := 2
-	err := Run(p, testOpts(), func(c Comm) error {
-		var in [][]byte
-		if c.Rank() == root {
-			in = make([][]byte, p)
-			for i := range in {
-				in[i] = []byte{byte(i * 10)}
-			}
-		}
-		out, err := c.Scatter(root, in)
-		if err != nil {
-			return err
-		}
-		if len(out) != 1 || out[0] != byte(c.Rank()*10) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunPropagatesError(t *testing.T) {
 	sentinel := errors.New("rank failure")
 	err := Run(3, testOpts(), func(c Comm) error {

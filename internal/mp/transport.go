@@ -107,6 +107,3 @@ func (c *comm) Barrier() error { return barrier(c) }
 func (c *comm) Gather(root int, payload []byte) ([][]byte, error) {
 	return gather(c, root, payload)
 }
-func (c *comm) Scatter(root int, payloads [][]byte) ([]byte, error) {
-	return scatter(c, root, payloads)
-}

@@ -18,19 +18,16 @@ import (
 const skipSafety = 0.25
 
 // kernel is one Raycast invocation's precomputed state: transfer tables
-// and their derived skip/correction tables, the concrete-type sampling
-// fast path, and the volume's macro-cell grid. Building it costs
-// microseconds (plus the once-per-volume grid build, amortized by the
-// cache on the volume) and removes the reference kernel's per-sample
-// math.Pow, interface dispatch and box.Contains. Every shortcut is
-// bit-exact — the identity argument lives in DESIGN.md §11 and is
-// enforced against RaycastReference by TestRaycastMatchesReference and
-// TestRaycastRandomizedIdentity.
+// and their derived skip/correction tables, the volume's voxels and its
+// macro-cell grid. Building it costs microseconds (plus the
+// once-per-volume grid build, amortized by the cache on the volume) and
+// removes the reference kernel's per-sample math.Pow, method calls and
+// box.Contains. Every shortcut is bit-exact — the identity argument
+// lives in DESIGN.md §11 and is enforced against RaycastReference by
+// TestRaycastMatchesReference and TestRaycastRandomizedIdentity.
 type kernel struct {
 	box volume.Box
 	cam *Camera
-	s   Sampler
-	tf  *transfer.Func
 
 	dt      float64
 	dtIsOne bool
@@ -39,16 +36,10 @@ type kernel struct {
 	light   [3]float64
 	ambient float64
 
-	// Concrete fast path; vol == nil falls back to the Sampler interface.
 	vol        *volume.Volume
 	data       []uint8
 	nx, ny, nz int
-	sub        bool       // s is a *volume.Subvolume
-	subLo      [3]float64 // float64(Subvolume.Box.Lo[a])
-	subGhost   float64    // float64(Subvolume.Ghost)
-
-	grid    *volume.MacroGrid
-	gridOrg [3]float64 // world position of the backing grid's voxel (0,0,0)
+	grid       *volume.MacroGrid
 
 	opac, inten *[256]float64
 	corr        [256]float64 // 1 − (1−Opacity[j])^dt; exact where the table is flat
@@ -56,9 +47,11 @@ type kernel struct {
 	nzBelow     [257]int32   // count of non-zero Opacity entries with index < j
 }
 
-func newKernel(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *kernel {
+func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *kernel {
 	k := &kernel{
-		box: box, cam: cam, s: s, tf: tf,
+		box: box, cam: cam,
+		vol: vol, data: vol.Data, nx: vol.NX, ny: vol.NY, nz: vol.NZ,
+		grid:    vol.MacroCells(),
 		dt:      opt.step(),
 		cutoff:  opt.cutoff(),
 		shaded:  opt.Shaded,
@@ -70,26 +63,6 @@ func newKernel(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Op
 	k.dtIsOne = k.dt == 1
 	if k.light == ([3]float64{}) {
 		k.light = [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]}
-	}
-	switch src := s.(type) {
-	case *volume.Volume:
-		k.vol = src
-		k.grid = src.MacroCells()
-		// gridOrg stays (0,0,0): world == voxel coordinates.
-	case *volume.Subvolume:
-		inner, lo, ghost := src.Inner()
-		k.vol = inner
-		k.sub = true
-		k.subLo = [3]float64{float64(lo[0]), float64(lo[1]), float64(lo[2])}
-		k.subGhost = float64(ghost)
-		k.grid = src.MacroCells()
-		k.gridOrg = [3]float64{
-			float64(lo[0] - ghost), float64(lo[1] - ghost), float64(lo[2] - ghost),
-		}
-	}
-	if k.vol != nil {
-		k.data = k.vol.Data
-		k.nx, k.ny, k.nz = k.vol.NX, k.vol.NY, k.vol.NZ
 	}
 	var nz int32
 	for j := 0; j < 256; j++ {
@@ -179,10 +152,6 @@ func (k *kernel) castRay(px, py int, st *tileStats) frame.Pixel {
 	}
 	st.rays++
 
-	if k.grid == nil {
-		k.processRun(origin, kA, kB, &acc, st)
-		return acc
-	}
 	k.traverse(origin, kA, kB, &acc, st)
 	return acc
 }
@@ -206,17 +175,17 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 	var step [3]int
 	for a := 0; a < 3; a++ {
 		p := origin[a] + tA*d[a]
-		c[a] = int(math.Floor((p - k.gridOrg[a]) / volume.MacroCell))
+		c[a] = int(math.Floor(p / volume.MacroCell))
 		switch {
 		case d[a] > 0:
 			step[a] = 1
 			tDelta[a] = volume.MacroCell / d[a]
-			bound := k.gridOrg[a] + float64((c[a]+1)*volume.MacroCell)
+			bound := float64((c[a] + 1) * volume.MacroCell)
 			tNext[a] = tA + (bound-p)/d[a]
 		case d[a] < 0:
 			step[a] = -1
 			tDelta[a] = -volume.MacroCell / d[a]
-			bound := k.gridOrg[a] + float64(c[a]*volume.MacroCell)
+			bound := float64(c[a] * volume.MacroCell)
 			tNext[a] = tA + (bound-p)/d[a]
 		default:
 			tNext[a] = math.Inf(1)
@@ -301,46 +270,30 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 // reference kernel's.
 func (k *kernel) processRun(origin [3]float64, k0, k1 int, acc *frame.Pixel, st *tileStats) bool {
 	d := k.cam.Dir
-	fast := k.vol != nil
 	for kk := k0; kk <= k1; kk++ {
 		t := (float64(kk) + 0.5) * k.dt
 		x := origin[0] + t*d[0]
 		y := origin[1] + t*d[1]
 		z := origin[2] + t*d[2]
 		st.samples++
-		var done bool
-		if fast {
-			done = k.accumulateFast(x, y, z, acc)
-		} else {
-			done = k.accumulateGeneric(x, y, z, acc)
-		}
-		if done {
+		if k.accumulate(x, y, z, acc) {
 			return true
 		}
 	}
 	return false
 }
 
-// accumulateFast classifies, shades and composites one sample through
-// the concrete-type path. Each shortcut reproduces the reference
-// arithmetic bit for bit:
+// accumulate classifies, shades and composites one sample. Each
+// shortcut reproduces the reference arithmetic bit for bit:
 //
 //   - the transfer lookup inlines transfer.Func.Classify;
 //   - where the opacity table is flat across the interpolation span,
 //     the lerp returns the table entry exactly, so the precomputed
 //     correction corr[i] applies; for dt == 1, math.Pow(x, 1) == x
 //     collapses the correction to 1−(1−op); only a varying table entry
-//     under dt ≠ 1 still pays math.Pow;
-//   - subvolume coordinates map with the same two rounded operations,
-//     in the same order, as Subvolume.Sample.
-func (k *kernel) accumulateFast(x, y, z float64, acc *frame.Pixel) bool {
-	lx, ly, lz := x, y, z
-	if k.sub {
-		lx = x - k.subLo[0] + k.subGhost
-		ly = y - k.subLo[1] + k.subGhost
-		lz = z - k.subLo[2] + k.subGhost
-	}
-	v := k.sampleLocal(lx, ly, lz)
+//     under dt ≠ 1 still pays math.Pow.
+func (k *kernel) accumulate(x, y, z float64, acc *frame.Pixel) bool {
+	v := k.sample(x, y, z)
 
 	var op, in, a float64
 	switch {
@@ -372,7 +325,7 @@ func (k *kernel) accumulateFast(x, y, z float64, acc *frame.Pixel) bool {
 		return false
 	}
 	if k.shaded {
-		in *= k.shadeLocal(lx, ly, lz)
+		in *= k.shade(x, y, z)
 	}
 	w := (1 - acc.A) * a
 	acc.I += w * in
@@ -380,34 +333,10 @@ func (k *kernel) accumulateFast(x, y, z float64, acc *frame.Pixel) bool {
 	return acc.A >= k.cutoff
 }
 
-// accumulateGeneric is the Sampler-interface fallback for custom
-// sampler implementations; same structure, no table shortcuts beyond
-// the dt == 1 Pow elision (which is sampler-independent).
-func (k *kernel) accumulateGeneric(x, y, z float64, acc *frame.Pixel) bool {
-	v := k.s.Sample(x, y, z)
-	op, in := k.tf.Classify(v)
-	if op <= 0 {
-		return false
-	}
-	if k.shaded {
-		in *= shade(k.s, x, y, z, k.light, k.ambient)
-	}
-	var a float64
-	if k.dtIsOne {
-		a = 1 - (1 - op)
-	} else {
-		a = 1 - math.Pow(1-op, k.dt)
-	}
-	w := (1 - acc.A) * a
-	acc.I += w * in
-	acc.A += w
-	return acc.A >= k.cutoff
-}
-
-// sampleLocal reproduces volume.Volume.Sample bit for bit: direct
-// strided loads in the interior, an At-based fallback at the boundary
-// (where the reference zero-extends), and the identical lerp chain.
-func (k *kernel) sampleLocal(x, y, z float64) float64 {
+// sample reproduces volume.Volume.Sample bit for bit: direct strided
+// loads in the interior, an At-based fallback at the boundary (where
+// the reference zero-extends), and the identical lerp chain.
+func (k *kernel) sample(x, y, z float64) float64 {
 	x -= 0.5
 	y -= 0.5
 	z -= 0.5
@@ -447,15 +376,14 @@ func (k *kernel) sampleLocal(x, y, z float64) float64 {
 	return (c0 + fz*(c1-c0)) / 255
 }
 
-// shadeLocal reproduces shade() over the concrete path. The gradient is
-// taken in already-mapped local coordinates — matching Subvolume.
-// Gradient, which maps the position once and then offsets by ±h locally
-// (mapping each offset position separately would round differently).
-func (k *kernel) shadeLocal(lx, ly, lz float64) float64 {
+// shade reproduces the package-level shade — Volume.Gradient's central
+// differences, then the Lambertian factor — over k.sample's direct
+// loads.
+func (k *kernel) shade(x, y, z float64) float64 {
 	const h = 1.0
-	gx := (k.sampleLocal(lx+h, ly, lz) - k.sampleLocal(lx-h, ly, lz)) / (2 * h)
-	gy := (k.sampleLocal(lx, ly+h, lz) - k.sampleLocal(lx, ly-h, lz)) / (2 * h)
-	gz := (k.sampleLocal(lx, ly, lz+h) - k.sampleLocal(lx, ly, lz-h)) / (2 * h)
+	gx := (k.sample(x+h, y, z) - k.sample(x-h, y, z)) / (2 * h)
+	gy := (k.sample(x, y+h, z) - k.sample(x, y-h, z)) / (2 * h)
+	gz := (k.sample(x, y, z+h) - k.sample(x, y, z-h)) / (2 * h)
 	n := math.Sqrt(gx*gx + gy*gy + gz*gz)
 	if n < 1e-9 {
 		return 1 // flat region: unshaded

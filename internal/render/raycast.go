@@ -12,16 +12,6 @@ import (
 	"sortlast/internal/volume"
 )
 
-// Sampler supplies scalar samples and gradients in global coordinates.
-// Both *volume.Volume and *volume.Subvolume satisfy it. Those two
-// concrete types additionally get the accelerated kernel (macro-cell
-// empty-space skipping, direct trilinear loads); other implementations
-// render through the interface with the same output semantics.
-type Sampler interface {
-	Sample(x, y, z float64) float64
-	Gradient(x, y, z float64) [3]float64
-}
-
 // Options tune the ray caster.
 type Options struct {
 	// Step is the sample spacing along rays in voxel units. Zero means 1.
@@ -31,8 +21,7 @@ type Options struct {
 	// (needed when an exact match with segment-composited rendering is
 	// required).
 	EarlyTermination float64
-	// Shaded enables Lambertian shading from the scalar gradient. The
-	// sampler then needs ghost >= 2 at box boundaries.
+	// Shaded enables Lambertian shading from the scalar gradient.
 	Shaded bool
 	// Light is the direction toward the light source for shading;
 	// zero means head-on lighting (the view direction).
@@ -121,7 +110,7 @@ const (
 // correction — but its output is bit-identical to RaycastReference for
 // every method, shading and worker-count combination (DESIGN.md §11
 // explains why; the identity tests enforce it).
-func Raycast(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
+func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
 	img := frame.NewImage(cam.W, cam.H)
 	foot := cam.Footprint(box)
 	if foot.Empty() {
@@ -135,7 +124,7 @@ func Raycast(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Opti
 	// (amortized by the cache on the volume); it gets its own span
 	// because the first frame of a dataset pays it.
 	gm := opt.Trace.Begin()
-	k := newKernel(s, box, cam, tf, opt)
+	k := newKernel(vol, box, cam, tf, opt)
 	opt.Trace.End(gm, trace.SpanGridBuild, "")
 
 	tilesX := (foot.Dx() + tileW - 1) / tileW
@@ -194,7 +183,7 @@ func Raycast(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Opti
 }
 
 // shade returns a Lambertian brightness factor from the local gradient.
-func shade(s Sampler, x, y, z float64, light [3]float64, ambient float64) float64 {
+func shade(s *volume.Volume, x, y, z float64, light [3]float64, ambient float64) float64 {
 	g := s.Gradient(x, y, z)
 	n := math.Sqrt(g[0]*g[0] + g[1]*g[1] + g[2]*g[2])
 	if n < 1e-9 {

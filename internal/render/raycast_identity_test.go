@@ -34,7 +34,7 @@ func requireIdentical(t *testing.T, label string, got, want *frame.Image) {
 // TestRaycastMatchesReference is the acceptance gate of the accelerated
 // kernel: byte-identical output to the pre-acceleration kernel across
 // the paper's workload spectrum × shading × worker counts × partitioned
-// boxes × the subvolume (ghosted) path.
+// boxes.
 func TestRaycastMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -62,8 +62,8 @@ func TestRaycastMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Partitioned boxes and the subvolume path, as the harness drives
-	// them (shared volume per box; extracted subvolume with ghost).
+	// Partitioned boxes, as the harness drives them (one shared volume,
+	// one box per rank).
 	v := volume.EngineBlock(48, 48, 20)
 	tf := transfer.EngineLow()
 	cam := NewCamera(64, 64, v.Bounds(), 20, 35)
@@ -72,28 +72,12 @@ func TestRaycastMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shaded := range []bool{false, true} {
-		ghost := 1
-		if shaded {
-			ghost = 2
-		}
 		for r := 0; r < 4; r++ {
 			box := dec.Box(r)
 			opt := Options{Shaded: shaded, Workers: 4}
 			want := RaycastReference(v, box, cam, tf, opt)
 			got := Raycast(v, box, cam, tf, opt)
 			requireIdentical(t, fmt.Sprintf("rank %d shaded=%v shared", r, shaded), got, want)
-
-			// The subvolume path compares against the reference kernel
-			// over the SAME sampler: Subvolume.Sample can differ from
-			// Volume.Sample in the last ulp (a pre-existing property of
-			// the extraction), and the acceleration must not add to it.
-			sub, err := volume.Extract(v, box, ghost)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSub := RaycastReference(sub, box, cam, tf, opt)
-			gotSub := Raycast(sub, box, cam, tf, opt)
-			requireIdentical(t, fmt.Sprintf("rank %d shaded=%v subvolume", r, shaded), gotSub, wantSub)
 		}
 	}
 
@@ -233,22 +217,12 @@ func TestRaycastRandomizedIdentity(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			opt.EarlyTermination = -1
 		}
-		var s Sampler = v
-		srcName := "volume"
-		if rng.Intn(2) == 0 {
-			sub, err := volume.Extract(v, box, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s = sub
-			srcName = "subvolume"
-		}
-		label := fmt.Sprintf("iter %d (%s box=%v opts=%+v)", i, srcName, box, opt)
-		want := RaycastReference(s, box, cam, tf, opt)
-		got := Raycast(s, box, cam, tf, opt)
+		label := fmt.Sprintf("iter %d (box=%v opts=%+v)", i, box, opt)
+		want := RaycastReference(v, box, cam, tf, opt)
+		got := Raycast(v, box, cam, tf, opt)
 		requireIdentical(t, label, got, want)
 		opt.Workers = 3
-		requireIdentical(t, label+" workers=3", Raycast(s, box, cam, tf, opt), want)
+		requireIdentical(t, label+" workers=3", Raycast(v, box, cam, tf, opt), want)
 	}
 }
 
@@ -263,15 +237,6 @@ func TestAmbientSentinel(t *testing.T) {
 	} {
 		if got := (Options{Ambient: tc.in}).ambient(); got != tc.want {
 			t.Errorf("Options{Ambient: %g}.ambient() = %g, want %g", tc.in, got, tc.want)
-		}
-	}
-	for _, tc := range []struct {
-		in, want float64
-	}{
-		{0, 0.25}, {-1, 0}, {0.5, 0.5},
-	} {
-		if got := (RasterOptions{Ambient: tc.in}).ambient(); got != tc.want {
-			t.Errorf("RasterOptions{Ambient: %g}.ambient() = %g, want %g", tc.in, got, tc.want)
 		}
 	}
 

@@ -44,8 +44,8 @@ func TestRaycastParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRaycastParallelSubvolumes runs the per-rank configuration — extracted
-// subvolumes with ghost cells, one image per box — under parallel workers,
+// TestRaycastParallelSubvolumes runs the per-rank configuration — the
+// shared volume, one image per rank's box — under parallel workers,
 // matching how the harness invokes the renderer.
 func TestRaycastParallelSubvolumes(t *testing.T) {
 	v := volume.EngineBlock(40, 40, 18)
@@ -56,12 +56,8 @@ func TestRaycastParallelSubvolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 8; r++ {
-		sub, err := volume.Extract(v, dec.Box(r), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := Raycast(sub, dec.Box(r), cam, tf, Options{Workers: 1})
-		par := Raycast(sub, dec.Box(r), cam, tf, Options{Workers: 4})
+		serial := Raycast(v, dec.Box(r), cam, tf, Options{Workers: 1})
+		par := Raycast(v, dec.Box(r), cam, tf, Options{Workers: 4})
 		if par.Bounds() != serial.Bounds() {
 			t.Fatalf("rank %d: bounds %v, want %v", r, par.Bounds(), serial.Bounds())
 		}

@@ -10,15 +10,15 @@ import (
 
 // RaycastReference is the pre-acceleration ray caster, kept verbatim as
 // the determinism oracle: a serial loop over every candidate sample
-// index with a per-sample box.Contains check, interface-dispatched
-// sampling and per-sample math.Pow opacity correction. The accelerated
-// Raycast must produce byte-identical images — asserted by the identity
-// tests in this package and by the oracle gate of every bench/run.sh
-// run; DESIGN.md §11 gives the argument for why macro-cell skipping
-// cannot change a bit. Workers, Trace and Stats options are ignored: the
-// oracle is the mathematical definition of a frame, not a production
-// path.
-func RaycastReference(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
+// index with a per-sample box.Contains check, Volume.Sample's
+// bounds-checked loads and per-sample math.Pow opacity correction. The
+// accelerated Raycast must produce byte-identical images — asserted by
+// the identity tests in this package and by the oracle gate of every
+// bench/run.sh run; DESIGN.md §11 gives the argument for why macro-cell
+// skipping cannot change a bit. Workers, Trace and Stats options are
+// ignored: the oracle is the mathematical definition of a frame, not a
+// production path.
+func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
 	img := frame.NewImage(cam.W, cam.H)
 	foot := cam.Footprint(box)
 	if foot.Empty() {

@@ -157,37 +157,6 @@ func TestPartitionedRenderMatchesSerial(t *testing.T) {
 	}
 }
 
-// Partitioned rendering through extracted subvolumes (ghost cells, as the
-// real partitioning phase ships them) must also match the serial image.
-func TestSubvolumeRenderMatchesSerial(t *testing.T) {
-	v := volume.EngineBlock(40, 40, 18)
-	tf := transfer.EngineHigh()
-	opt := Options{EarlyTermination: -1}
-	cam := NewCamera(64, 64, v.Bounds(), 20, 30)
-	serial := Raycast(v, v.Bounds(), cam, tf, opt)
-
-	dec, err := partition.Decompose(v.Bounds(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	composed := frame.NewImage(64, 64)
-	for _, r := range dec.DepthOrder(cam.Dir) {
-		sub, err := volume.Extract(v, dec.Box(r), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := Raycast(sub, dec.Box(r), cam, tf, opt)
-		b := img.Bounds()
-		if b.Empty() {
-			continue
-		}
-		composed.CompositeRegion(b, img.PackRegion(b), false)
-	}
-	if d := serial.MaxAbsDiff(composed, serial.Full()); d > 1e-9 {
-		t.Errorf("subvolume-rendered composition differs from serial by %g", d)
-	}
-}
-
 func TestEarlyTerminationCloseToExact(t *testing.T) {
 	v := volume.HeadPhantom(40, 40, 20)
 	cam := NewCamera(64, 64, v.Bounds(), 10, 20)

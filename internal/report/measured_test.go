@@ -10,16 +10,20 @@ import (
 	"sortlast/internal/trace"
 )
 
-// TestTimelineNilAndEmptySlices pins the degenerate inputs: a nil
-// slice, an empty slice, and a slice of only nil ranks must all render
-// the placeholder instead of panicking.
-func TestTimelineNilAndEmptySlices(t *testing.T) {
-	for _, ranks := range [][]*stats.Rank{nil, {}, {nil, nil, nil}} {
-		out := Timeline(ranks, costmodel.SP2(), 40)
-		if !strings.Contains(out, "no ranks") {
-			t.Errorf("Timeline(%v) = %q, want no-ranks placeholder", ranks, out)
-		}
-	}
+func sampleRanks() []*stats.Rank {
+	a := &stats.Rank{RankID: 0, Method: "BSBRC"}
+	s := a.StageAt(1)
+	s.RecvPixels = 1000
+	s.Composited = 800
+	s.BytesRecv = 16000
+	s.MsgsRecv = 1
+	b := &stats.Rank{RankID: 1, Method: "BSBRC"}
+	s2 := b.StageAt(1)
+	s2.Composited = 100
+	s2.BytesRecv = 8
+	s2.MsgsRecv = 1
+	s2.RecvRectEmpty = true
+	return []*stats.Rank{a, b, nil}
 }
 
 func tracedSample() (*trace.Recorder, []*stats.Rank) {

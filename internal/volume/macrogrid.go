@@ -54,19 +54,6 @@ func (v *Volume) MacroCells() *MacroGrid {
 	return v.macro
 }
 
-// MacroCells returns the grid of the subvolume's backing storage (box
-// plus ghost layers), in the local coordinates exposed by Inner.
-func (s *Subvolume) MacroCells() *MacroGrid { return s.grid.MacroCells() }
-
-// Inner exposes the subvolume's backing storage for the accelerated
-// render path: the stored grid, the owned box's low corner, and the
-// ghost width. A global position maps to grid-local coordinates as
-// (x − lo) + ghost per axis — two floating-point operations in that
-// order, which callers needing bit-identity with Sample must replicate.
-func (s *Subvolume) Inner() (grid *Volume, lo [3]int, ghost int) {
-	return s.grid, s.Box.Lo, s.Ghost
-}
-
 func buildMacroGrid(v *Volume) *MacroGrid {
 	g := &MacroGrid{
 		CX: (v.NX + MacroCell - 1) >> MacroShift,

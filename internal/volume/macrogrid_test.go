@@ -115,28 +115,3 @@ func TestMacroCellsCached(t *testing.T) {
 		}
 	}
 }
-
-func TestSubvolumeInner(t *testing.T) {
-	v := EngineBlock(32, 32, 16)
-	box := Box{Lo: [3]int{8, 4, 2}, Hi: [3]int{24, 20, 14}}
-	sub, err := Extract(v, box, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, lo, ghost := sub.Inner()
-	if lo != box.Lo || ghost != 2 {
-		t.Fatalf("Inner lo=%v ghost=%d, want %v ghost=2", lo, ghost, box.Lo)
-	}
-	if grid.NX != box.Dx()+4 || grid.NY != box.Dy()+4 || grid.NZ != box.Dz()+4 {
-		t.Fatalf("inner grid %dx%dx%d does not match box %v ghost 2", grid.NX, grid.NY, grid.NZ, box)
-	}
-	// The documented mapping (x − lo) + ghost must reproduce Sample.
-	x, y, z := 12.3, 7.9, 5.5
-	got := grid.Sample(x-float64(lo[0])+2, y-float64(lo[1])+2, z-float64(lo[2])+2)
-	if want := sub.Sample(x, y, z); got != want {
-		t.Fatalf("mapped Sample = %v, want %v", got, want)
-	}
-	if sub.MacroCells() != grid.MacroCells() {
-		t.Fatal("Subvolume.MacroCells is not the inner grid's cache")
-	}
-}

@@ -1,7 +1,7 @@
 // Package volume provides the volumetric data substrate: a uint8 scalar
-// grid with trilinear sampling, voxel-space boxes, raw-file I/O, and
-// procedural generators reproducing the screen-space character of the
-// paper's four CT test samples (Engine_low, Engine_high, Head, Cube).
+// grid with trilinear sampling, voxel-space boxes, and procedural
+// generators reproducing the screen-space character of the paper's four
+// CT test samples (Engine_low, Engine_high, Head, Cube).
 package volume
 
 import (

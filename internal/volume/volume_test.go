@@ -1,7 +1,6 @@
 package volume
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -206,71 +205,6 @@ func TestSphere(t *testing.T) {
 	}
 	if v.At(0, 0, 0) != 0 {
 		t.Error("sphere corner empty")
-	}
-}
-
-func TestIORoundTrip(t *testing.T) {
-	v := EngineBlock(32, 32, 14)
-	var buf bytes.Buffer
-	if err := v.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NX != v.NX || got.NY != v.NY || got.NZ != v.NZ {
-		t.Fatal("dims mismatch")
-	}
-	if !bytes.Equal(got.Data, v.Data) {
-		t.Error("data mismatch after round trip")
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a volume at all"))); err == nil {
-		t.Error("bad magic must be rejected")
-	}
-	var buf bytes.Buffer
-	v := New(4, 4, 4)
-	if err := v.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:20]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body must be rejected")
-	}
-}
-
-func TestReadRawDims(t *testing.T) {
-	data := make([]byte, 2*3*4)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	v, err := ReadRawDims(bytes.NewReader(data), 2, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.At(1, 2, 3) != byte(v.Index(1, 2, 3)) {
-		t.Error("raw layout mismatch")
-	}
-	if _, err := ReadRawDims(bytes.NewReader(data[:5]), 2, 3, 4); err == nil {
-		t.Error("short raw input must be rejected")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/vol.slsv"
-	v := SolidCube(16, 16, 16)
-	if err := v.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Data, v.Data) {
-		t.Error("file round trip mismatch")
 	}
 }
 

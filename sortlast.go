@@ -48,10 +48,6 @@ type Options struct {
 	// GOMAXPROCS; 1 renders each rank's subimage serially. The rendered
 	// image is bit-identical for any value.
 	Workers int
-	// DistributeVolume ships subvolumes (with ghost cells) through the
-	// message-passing layer instead of sharing memory, exercising the
-	// partitioning phase faithfully.
-	DistributeVolume bool
 }
 
 func (o Options) fill() Options {
@@ -115,9 +111,7 @@ type Result struct {
 
 // Datasets lists the built-in workloads, mirroring the paper's four test
 // samples.
-func Datasets() []string {
-	return []string{"engine_low", "engine_high", "head", "cube"}
-}
+func Datasets() []string { return harness.Datasets() }
 
 // Methods lists the eight compositing methods in registration order:
 // the paper's four (bs, bsbr, bslc, bsbrc), the related work's direct
@@ -137,8 +131,7 @@ func Render(dataset string, opt Options) (*Result, error) {
 		P:      opt.Processors,
 		Method: opt.Method,
 		RotX:   opt.RotX, RotY: opt.RotY,
-		RenderOpts:       render.Options{Shaded: opt.Shaded, Workers: opt.Workers},
-		DistributeVolume: opt.DistributeVolume,
+		RenderOpts: render.Options{Shaded: opt.Shaded, Workers: opt.Workers},
 	}
 	return finish(harness.RunWithImage(cfg))
 }
@@ -171,8 +164,7 @@ func RenderRaw(data []uint8, nx, ny, nz int, tfName string, opt Options) (*Resul
 		P:      opt.Processors,
 		Method: opt.Method,
 		RotX:   opt.RotX, RotY: opt.RotY,
-		RenderOpts:       render.Options{Shaded: opt.Shaded, Workers: opt.Workers},
-		DistributeVolume: opt.DistributeVolume,
+		RenderOpts: render.Options{Shaded: opt.Shaded, Workers: opt.Workers},
 	}
 	return finish(harness.RunWithImage(cfg))
 }
