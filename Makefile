@@ -36,7 +36,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime 10s ./internal/mpnet
 
 # bench runs the allocation benchmarks used in EXPERIMENTS.md: the
-# compositing phase alone, and the compositing phase plus the gather.
+# compositing phase alone, and the compositing phase plus the gather,
+# for every registered method.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkCompositeAllocs|BenchmarkGatherAllocs' -benchmem .
 

@@ -308,7 +308,7 @@ func BenchmarkNonPowerOfTwo(b *testing.B) {
 // the per-iteration subimage clones that restore the pre-composite state.
 // Run with -benchmem.
 func BenchmarkCompositeAllocs(b *testing.B) {
-	for _, m := range []string{"bs", "bsbr", "bslc", "bsbrc"} {
+	for _, m := range core.Names() {
 		b.Run(m, func(b *testing.B) {
 			env := getEnv(b, "engine_high", 384, 8, paperRotX, paperRotY)
 			comp, err := core.New(m)

@@ -198,11 +198,68 @@ func TestGatherAllocs(t *testing.T) {
 	}
 }
 
+// A dfb frame on a standing world allocates what the owners hold and
+// the root's image — at most a frame of accumulators and a frame of
+// final image, 4.5 MiB at 384x384 — not a frame-sized accumulator per
+// rank: on dense subimages, where every tile under the volume is
+// reached, composite plus gather stay under 8 MiB a frame (33.7 MiB
+// when every rank merged into one image that regrew).
+func TestDFBFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	env := fogEnv(t, 384, 8)
+	comp, err := core.New("dfb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, frames, limit = 3, 10, 8 << 20
+	var before, after runtime.MemStats
+	err = mp.Run(env.p, benchWorldOpts(), func(c mp.Comm) error {
+		// read samples the process between frames: every rank is in the
+		// barrier pair while rank 0 looks.
+		read := func(m *runtime.MemStats) error {
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(m)
+			}
+			return c.Barrier()
+		}
+		var img frame.Image
+		for i := 0; i < warm+frames; i++ {
+			if i == warm {
+				if err := read(&before); err != nil {
+					return err
+				}
+			}
+			img.CopyFrom(env.imgs[c.Rank()])
+			res, err := comp.Composite(c, env.dec, env.cam.Dir, &img)
+			if err != nil {
+				return err
+			}
+			if _, err := core.GatherImage(c, 0, res); err != nil {
+				return err
+			}
+		}
+		return read(&after)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / frames
+	t.Logf("dfb, P=%d, 384x384 fog: %d KiB allocated per frame", env.p, perFrame>>10)
+	if perFrame > limit {
+		t.Errorf("%d B allocated per frame, limit %d", perFrame, limit)
+	}
+}
+
 // BenchmarkGatherAllocs is BenchmarkCompositeAllocs with the final
 // gather after every composite — the whole frame after rendering, as the
 // standing worlds of renderd and bench/ run it. Run with -benchmem.
 func BenchmarkGatherAllocs(b *testing.B) {
-	for _, m := range []string{"bs", "bsbr", "bslc", "bsbrc", "dfb"} {
+	for _, m := range core.Names() {
 		b.Run(m, func(b *testing.B) {
 			env := getEnv(b, "engine_high", 384, 8, paperRotX, paperRotY)
 			comp, err := core.New(m)

@@ -42,10 +42,15 @@ type regionCodec interface {
 func decodeWhole(c regionCodec, img *frame.Image, keep region, recv []byte, front bool,
 	s *stats.Stage) (frame.Rect, error) {
 	got, rest, err := c.decode(img, keep, recv, front, s)
+	return got, whole(rest, err)
+}
+
+// whole rejects the bytes a message has left after its last region.
+func whole(rest []byte, err error) error {
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%d trailing bytes", len(rest))
 	}
-	return got, err
+	return err
 }
 
 func appendRect(buf []byte, r frame.Rect) []byte {
@@ -223,14 +228,15 @@ type batch struct {
 	rect           func(key int) frame.Rect
 }
 
-// encode appends the message for the batch's regions of img to buf.
-func (b batch) encode(buf []byte, c regionCodec, ar *arena, img *frame.Image, br frame.Rect,
-	s *stats.Stage) []byte {
+// encode appends the message for the batch's regions to buf; img maps a
+// key to the image holding that region's pixels.
+func (b batch) encode(buf []byte, c regionCodec, ar *arena, img func(key int) *frame.Image,
+	br frame.Rect, s *stats.Stage) []byte {
 	off := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
 	count := 0
 	for k := b.first; k < b.n; k += b.step {
-		entry := c.encode(appendU32(buf, uint32(k)), ar, img, region{rect: b.rect(k)}, br, s)
+		entry := c.encode(appendU32(buf, uint32(k)), ar, img(k), region{rect: b.rect(k)}, br, s)
 		if len(entry) == len(buf)+4 {
 			continue // no foreground in this region: nothing shipped
 		}
@@ -244,10 +250,11 @@ func (b batch) encode(buf []byte, c regionCodec, ar *arena, img *frame.Image, br
 	return buf
 }
 
-// decode validates one message and hands each entry's region and bytes
-// to entry, which returns the bytes after the entry.
+// decode validates one message and hands each entry's key — checked to
+// be one of the batch's — region and bytes to entry, which returns the
+// bytes after the entry.
 func (b batch) decode(recv []byte, s *stats.Stage,
-	entry func(keep region, body []byte) (rest []byte, err error)) error {
+	entry func(key int, keep region, body []byte) (rest []byte, err error)) error {
 	count, recv, err := readU32(recv)
 	if err != nil {
 		return err
@@ -264,14 +271,11 @@ func (b batch) decode(recv []byte, s *stats.Stage,
 		if k < b.first || k >= b.n || (k-b.first)%b.step != 0 {
 			return fmt.Errorf("region %d is not mine", key)
 		}
-		if recv, err = entry(region{rect: b.rect(k)}, recv); err != nil {
+		if recv, err = entry(k, region{rect: b.rect(k)}, recv); err != nil {
 			return err
 		}
 	}
-	if len(recv) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(recv))
-	}
-	return nil
+	return whole(recv, nil)
 }
 
 // forwarded is direct pixel forwarding (Lee, §2): a count, then each

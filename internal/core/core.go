@@ -36,7 +36,7 @@ const (
 
 // Compositor merges the per-rank subimages into a distributed final
 // image. Composite runs on every rank; on return, the rank's portion of
-// the final image is described by Result.Own and stored in Result.Image.
+// the final image is described by Result.Own and stored in Result.Parts.
 type Compositor interface {
 	Name() string
 	Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
@@ -45,9 +45,14 @@ type Compositor interface {
 
 // Result is one rank's outcome of the compositing phase.
 type Result struct {
-	// Image holds the composited pixels over the owned portion. It may
-	// alias the input subimage.
-	Image *frame.Image
+	// Full is the full-frame rectangle.
+	Full frame.Rect
+	// Parts holds the composited pixels: Parts[i] is the image behind
+	// owned region i, in the order the gather ships Own's regions — one
+	// image for rectangle and interval ownership (it may alias the
+	// input subimage), one per rectangle of a rectangle set. A part has
+	// pixel storage only where something was composited into it.
+	Parts []*frame.Image
 	// Own describes which pixels of the full frame this rank owns.
 	Own Ownership
 	// Stats carries the counted quantities of the paper's cost model.

@@ -67,7 +67,7 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		st.Fold.BytesSent = len(payload)
 		st.CompWall = timer.Total()
 		// Folded ranks own nothing; they still join the final gather.
-		return &Result{Image: img, Own: RectOwn{}, Stats: st}, nil
+		return &Result{Full: full, Parts: []*frame.Image{img}, Own: RectOwn{}, Stats: st}, nil
 	}
 
 	var fold stats.Stage

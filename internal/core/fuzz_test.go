@@ -38,7 +38,8 @@ func FuzzParseOwnership(f *testing.F) {
 			t.Fatal(err)
 		}
 		var sent stats.Stage
-		body := g.encode(nil, new(arena), img, g.bound(img), &sent)
+		parts := sameParts(g, img)
+		body := g.encode(nil, new(arena), parts, g.bound(parts), &sent)
 		if sent.SentPixels != 0 {
 			t.Fatalf("a blank frame shipped %d pixels", sent.SentPixels)
 		}
@@ -90,16 +91,28 @@ func decodeCases() []decodeCase {
 			br, _ := src.BoundingRect(src.Full())
 			return dfb.encodeFor(new(arena), src, til, me, br, new(stats.Stage))
 		},
-		decode: func(_ *testing.T, img *frame.Image, data []byte, _ bool) func(x, y int) bool {
-			dfb.mergeFrom(img, til, me, data, new(stats.Stage))
-			return func(x, y int) bool {
-				for t := me; t < til.n; t += p {
-					if til.rect(t).Contains(x, y) {
-						return true
+		// One accumulator per owned tile, each starting out as the
+		// receiver's pixels: whatever the batch says, entry i may write
+		// tile i of accumulator i and nothing else, so img itself — never
+		// handed to the decoder — keeps no pixel.
+		decode: func(t *testing.T, img *frame.Image, data []byte, _ bool) func(x, y int) bool {
+			var acc []*frame.Image
+			for t := me; t < til.n; t += p {
+				acc = append(acc, img.Clone())
+			}
+			dfb.mergeFrom(acc, til, me, data, new(stats.Stage))
+			for i, a := range acc {
+				keep := til.rect(me + i*p)
+				for y := 0; y < goldenH; y++ {
+					for x := 0; x < goldenW; x++ {
+						if !keep.Contains(x, y) && a.At(x, y) != img.At(x, y) {
+							t.Fatalf("dfb-batch: pixel (%d,%d) of tile %v's accumulator changed: %v -> %v",
+								x, y, keep, img.At(x, y), a.At(x, y))
+						}
 					}
 				}
-				return false
 			}
+			return func(x, y int) bool { return false }
 		},
 	})
 	// The gather: the descriptor comes off the wire too, so what may be
@@ -114,7 +127,8 @@ func decodeCases() []decodeCase {
 				if err != nil {
 					panic(err)
 				}
-				return f.encode(own.AppendWire(nil), new(arena), src, f.bound(src), new(stats.Stage))
+				parts := sameParts(f, src)
+				return f.encode(own.AppendWire(nil), new(arena), parts, f.bound(parts), new(stats.Stage))
 			},
 			decode: func(t *testing.T, img *frame.Image, data []byte, _ bool) func(x, y int) bool {
 				var owned [goldenW * goldenH]bool
@@ -124,7 +138,7 @@ func decodeCases() []decodeCase {
 					return kept
 				}
 				if got, _, err := ParseOwnership(data); err == nil && got.Validate(full) == nil {
-					eachOwned(got, func(x, y int) { owned[y*goldenW+x] = true })
+					eachOwned(got, func(_, x, y int) { owned[y*goldenW+x] = true })
 				}
 				img.GrowExact(f.span(body))
 				if f.store(img, body, new(stats.Stage)) == nil {

@@ -42,43 +42,41 @@ func (f gatherForm) batch() batch {
 	return batch{step: 1, n: len(f.regions), rect: func(i int) frame.Rect { return f.regions[i].rect }}
 }
 
-// bound returns the bounding rectangle of the owned foreground of img,
-// found by one scan of the owned regions: the rectangle codecs put it on
-// the wire, and the root sizes its image from it, so it pays to be
-// tight. An interval set is bounded by the scanlines it touches.
-func (f gatherForm) bound(img *frame.Image) frame.Rect {
+// bound returns the bounding rectangle of the owned foreground —
+// parts[i] holds region i — found by one scan of the owned regions: the
+// rectangle codecs put it on the wire, and the root sizes its image from
+// it, so it pays to be tight. An interval set is bounded by the
+// scanlines it touches.
+func (f gatherForm) bound(parts []*frame.Image) frame.Rect {
 	var br frame.Rect
-	for _, r := range f.regions {
+	for i, r := range f.regions {
 		if r.iv != nil {
-			br = br.Union(intervalRows(r.rect.Dx(), r.iv).Intersect(img.Bounds()))
+			br = br.Union(intervalRows(r.rect.Dx(), r.iv).Intersect(parts[i].Bounds()))
 			continue
 		}
-		b, _ := img.BoundingRect(r.rect)
+		b, _ := parts[i].BoundingRect(r.rect)
 		br = br.Union(b)
 	}
 	return br
 }
 
-// encode appends the owned pixels of img, which lie inside br, to buf.
-func (f gatherForm) encode(buf []byte, ar *arena, img *frame.Image, br frame.Rect, s *stats.Stage) []byte {
+// encode appends the owned pixels, which lie inside br, to buf.
+func (f gatherForm) encode(buf []byte, ar *arena, parts []*frame.Image, br frame.Rect, s *stats.Stage) []byte {
 	if f.batched {
-		return f.batch().encode(buf, f.codec, ar, img, br, s)
+		return f.batch().encode(buf, f.codec, ar, func(i int) *frame.Image { return parts[i] }, br, s)
 	}
-	return f.codec.encode(buf, ar, img, f.regions[0], br, s)
+	return f.codec.encode(buf, ar, parts[0], f.regions[0], br, s)
 }
 
-// decode parses what encode wrote, handing each region on the wire to
-// entry, and rejects trailing bytes.
+// decode parses what encode wrote, handing each region on the wire
+// (and its index among the form's regions) to entry, and rejects
+// trailing bytes.
 func (f gatherForm) decode(body []byte, s *stats.Stage,
-	entry func(keep region, body []byte) (rest []byte, err error)) error {
+	entry func(i int, keep region, body []byte) (rest []byte, err error)) error {
 	if f.batched {
 		return f.batch().decode(body, s, entry)
 	}
-	rest, err := entry(f.regions[0], body)
-	if err == nil && len(rest) != 0 {
-		err = fmt.Errorf("%d trailing bytes", len(rest))
-	}
-	return err
+	return whole(entry(0, f.regions[0], body))
 }
 
 // span returns the rectangle decoding body will grow the root's image
@@ -88,7 +86,7 @@ func (f gatherForm) decode(body []byte, s *stats.Stage,
 func (f gatherForm) span(body []byte) frame.Rect {
 	var span frame.Rect
 	var scratch stats.Stage
-	f.decode(body, &scratch, func(keep region, body []byte) ([]byte, error) {
+	f.decode(body, &scratch, func(_ int, keep region, body []byte) ([]byte, error) {
 		if keep.iv != nil {
 			span = intervalRows(keep.rect.Dx(), keep.iv)
 			return nil, nil
@@ -107,7 +105,7 @@ func (f gatherForm) span(body []byte) frame.Rect {
 // store decodes body into final: the sender's owned pixels, and nothing
 // outside its owned regions whatever body holds.
 func (f gatherForm) store(final *frame.Image, body []byte, s *stats.Stage) error {
-	return f.decode(body, s, func(keep region, body []byte) ([]byte, error) {
+	return f.decode(body, s, func(_ int, keep region, body []byte) ([]byte, error) {
 		_, rest, err := f.codec.decode(final, keep, body, false, s)
 		return rest, err
 	})
@@ -139,8 +137,7 @@ func parsePart(part []byte, full frame.Rect) (gatherForm, []byte, error) {
 // Over(blank, p) == p bit for bit. The exchange is counted in
 // res.Stats.Gather.
 func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
-	img := res.Image
-	full := img.Full()
+	full := res.Full
 	st := &res.Stats.Gather
 	*st = stats.Stage{Label: trace.StageGather}
 	tr := c.Tracer()
@@ -159,7 +156,7 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 		ar := getArena()
 		defer putArena(ar)
 		em := tr.Begin()
-		payload := mine.encode(res.Own.AppendWire(ar.codec.Grab(0)), ar, img, mine.bound(img), st)
+		payload := mine.encode(res.Own.AppendWire(ar.codec.Grab(0)), ar, res.Parts, mine.bound(res.Parts), st)
 		tr.End(em, trace.SpanEncode, st.Label)
 		_, err := c.Gather(root, payload)
 		ar.codec.Retain(payload)
@@ -167,7 +164,7 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 		return nil, err
 	}
 
-	// The root's own pixels go straight from its image: no encode, and
+	// The root's own pixels go straight from its parts: no encode, and
 	// nothing for the collective to copy.
 	parts, err := c.Gather(root, nil)
 	if err != nil {
@@ -175,7 +172,7 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 	}
 	// Every descriptor is parsed and validated, and the final image
 	// allocated, before a pixel is stored.
-	own := mine.bound(img)
+	own := mine.bound(res.Parts)
 	span := own
 	forms := make([]gatherForm, len(parts))
 	bodies := make([][]byte, len(parts))
@@ -192,7 +189,8 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 	final.GrowExact(span)
 
 	cm := tr.Begin()
-	for _, r := range mine.regions {
+	for i, r := range mine.regions {
+		img := res.Parts[i]
 		if r.iv == nil {
 			st.Composited += final.CompositeImage(img, r.rect.Intersect(own), false)
 			continue

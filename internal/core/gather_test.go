@@ -12,29 +12,40 @@ import (
 )
 
 // eachOwned calls fn for every pixel own covers, in the descriptor's
-// canonical order.
-func eachOwned(own Ownership, fn func(x, y int)) {
-	rect := func(r frame.Rect) {
+// canonical order, with the position of the pixel's region among the
+// ones own travels as (Result.Parts' index).
+func eachOwned(own Ownership, fn func(i, x, y int)) {
+	rect := func(i int, r frame.Rect) {
 		for y := r.Y0; y < r.Y1; y++ {
 			for x := r.X0; x < r.X1; x++ {
-				fn(x, y)
+				fn(i, x, y)
 			}
 		}
 	}
 	switch own := own.(type) {
 	case RectOwn:
-		rect(own.R)
+		rect(0, own.R)
 	case RectSetOwn:
-		for _, r := range own.Rs {
-			rect(r)
+		for i, r := range own.Rs {
+			rect(i, r)
 		}
 	case IntervalOwn:
 		for _, v := range own.Iv {
 			for i := v.Lo; i < v.Hi; i++ {
-				fn(i%own.W, i/own.W)
+				fn(0, i%own.W, i/own.W)
 			}
 		}
 	}
+}
+
+// sameParts presents img as the image behind every region of f: a rank
+// whose owned regions all live in one image.
+func sameParts(f gatherForm, img *frame.Image) []*frame.Image {
+	parts := make([]*frame.Image, len(f.regions))
+	for i := range parts {
+		parts[i] = img
+	}
+	return parts
 }
 
 // denseGather is the gather GatherImage replaced, kept as the test
@@ -43,15 +54,15 @@ func eachOwned(own Ownership, fn func(x, y int)) {
 func denseGather(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 	payload := res.Own.AppendWire(nil)
 	var px [frame.PixelBytes]byte
-	eachOwned(res.Own, func(x, y int) {
-		frame.PutPixel(px[:], res.Image.At(x, y))
+	eachOwned(res.Own, func(i, x, y int) {
+		frame.PutPixel(px[:], res.Parts[i].At(x, y))
 		payload = append(payload, px[:]...)
 	})
 	parts, err := c.Gather(root, payload)
 	if err != nil || c.Rank() != root {
 		return nil, err
 	}
-	full := res.Image.Full()
+	full := res.Full
 	final := frame.NewImage(full.Dx(), full.Dy())
 	for r, part := range parts {
 		own, rest, err := ParseOwnership(part)
@@ -64,7 +75,7 @@ func denseGather(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dense gather from rank %d: %w", r, err)
 		}
-		eachOwned(own, func(x, y int) {
+		eachOwned(own, func(_, x, y int) {
 			if p := frame.GetPixel(rest); !p.Blank() {
 				final.Set(x, y, p)
 			}
@@ -216,7 +227,8 @@ func TestGatherRejectsMalformedParts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		good := f.encode(own.AppendWire(nil), new(arena), src, f.bound(src), new(stats.Stage))
+		parts := sameParts(f, src)
+		good := f.encode(own.AppendWire(nil), new(arena), parts, f.bound(parts), new(stats.Stage))
 		bad[fmt.Sprintf("%T, trailing byte", own)] = append(append([]byte(nil), good...), 0)
 		bad[fmt.Sprintf("%T, truncated", own)] = good[:len(good)-1]
 		bad[fmt.Sprintf("%T, descriptor only", own)] = own.AppendWire(nil)
@@ -227,7 +239,8 @@ func TestGatherRejectsMalformedParts(t *testing.T) {
 				_, err := c.Gather(0, part)
 				return err
 			}
-			res := &Result{Image: frame.NewImage(goldenW, goldenH), Own: RectOwn{}, Stats: new(stats.Rank)}
+			res := &Result{Full: full, Parts: []*frame.Image{frame.NewImage(goldenW, goldenH)},
+				Own: RectOwn{}, Stats: new(stats.Rank)}
 			_, err := GatherImage(c, 0, res)
 			if err == nil {
 				return fmt.Errorf("accepted")

@@ -40,6 +40,16 @@ const DefaultTile = 64
 // foreground: [u32 count] then per region [u32 tile][codec region]
 // (dfb). Tile ownership depends only on the grid and P, so a sparse
 // frame ships only the tiles it touches.
+//
+// An owner holds exactly what it owns: one accumulator per owned strip
+// or tile, sized to that rectangle once — by the first contribution to
+// reach it, the rank's own pixels or a received entry — and never
+// regrown; a tile nothing reaches has no pixel storage. dfb's tiles are
+// dealt round-robin, so a single accumulator would stretch over almost
+// the whole frame on every rank; per tile, frame.Image's "storage
+// limited to Bounds keeps 64-rank runs affordable" holds for dfb as it
+// does for the swap schedule. The accumulators leave as the Result's
+// Parts; nothing is kept between frames.
 type ownerMerge struct {
 	name  string // display name and stats.Rank.Method
 	tag   int
@@ -155,17 +165,26 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 	// reports sum — the counterpart of the swap schedule's stageK spans.
 	tr.End(em, route.Label, route.Label)
 
-	// out accumulates front contributions first, so each new region goes
-	// behind what is already composited.
-	out := frame.NewImage(full.Dx(), full.Dy())
+	// acc[i] accumulates owned region i — the strip, or tile me+i·P —
+	// front contributions first, so each new region goes behind what is
+	// already composited.
+	own := make([]frame.Rect, 0, (til.n-me+p-1)/p)
+	for t := me; t < til.n; t += p {
+		own = append(own, til.rect(t))
+	}
+	acc := make([]*frame.Image, len(own))
+	for i := range acc {
+		acc[i] = frame.NewImage(full.Dx(), full.Dy())
+	}
 	c.SetStage(merge.Label)
 	cm := tr.Begin()
 	for _, src := range lay.DepthOrder(viewDir) {
 		if src == me {
 			timer.Start()
-			for t := me; t < til.n; t += p {
-				if r := til.rect(t).Intersect(br); !r.Empty() {
-					merge.Composited += out.CompositeImage(img, r, false)
+			for i, tile := range own {
+				if r := tile.Intersect(br); !r.Empty() {
+					acc[i].GrowExact(tile)
+					merge.Composited += acc[i].CompositeImage(img, r, false)
 				}
 			}
 			timer.Stop()
@@ -178,7 +197,7 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 		merge.MsgsRecv++
 		merge.BytesRecv += len(recv)
 		timer.Start()
-		err = m.mergeFrom(out, til, me, recv, merge)
+		err = m.mergeFrom(acc, til, me, recv, merge)
 		timer.Stop()
 		mp.Release(recv) // the codec is done with the bytes
 		if err != nil {
@@ -190,14 +209,11 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 	c.SetStage("")
 	st.CompWall = timer.Total()
 
+	res := &Result{Full: full, Parts: acc, Own: RectSetOwn{Rs: own}, Stats: st}
 	if m.tile == 0 {
-		return &Result{Image: out, Own: RectOwn{R: til.rect(me)}, Stats: st}, nil
+		res.Own = RectOwn{R: own[0]}
 	}
-	rs := make([]frame.Rect, 0, (til.n-me+p-1)/p)
-	for t := me; t < til.n; t += p {
-		rs = append(rs, til.rect(t))
-	}
-	return &Result{Image: out, Own: RectSetOwn{Rs: rs}, Stats: st}, nil
+	return res, nil
 }
 
 // owned returns the batch of tiles rank r owns.
@@ -212,19 +228,30 @@ func (m *ownerMerge) encodeFor(ar *arena, img *frame.Image, til tiling, dst int,
 	if m.tile == 0 {
 		return m.codec.encode(buf, ar, img, region{rect: til.rect(dst)}, br, route)
 	}
-	return til.owned(dst).encode(buf, m.codec, ar, img, br, route)
+	return til.owned(dst).encode(buf, m.codec, ar, func(int) *frame.Image { return img }, br, route)
 }
 
 // mergeFrom validates one received message and composites its regions
-// into out, behind the pixels already accumulated.
-func (m *ownerMerge) mergeFrom(out *frame.Image, til tiling, me int, recv []byte,
+// into the accumulators, behind the pixels already there.
+func (m *ownerMerge) mergeFrom(acc []*frame.Image, til tiling, me int, recv []byte,
 	merge *stats.Stage) error {
-	if m.tile == 0 {
-		_, err := decodeWhole(m.codec, out, region{rect: til.rect(me)}, recv, false, merge)
-		return err
-	}
-	return til.owned(me).decode(recv, merge, func(keep region, body []byte) ([]byte, error) {
+	// The first entry to reach a region sizes its accumulator — only
+	// once the rectangle header the codec is about to re-read has passed
+	// its check, so forged bytes allocate nothing.
+	entry := func(key int, keep region, body []byte) ([]byte, error) {
+		r, _, err := readRect(body, keep.rect)
+		if err != nil {
+			return nil, err
+		}
+		out := acc[(key-me)/til.p]
+		if !r.Empty() {
+			out.GrowExact(keep.rect)
+		}
 		_, rest, err := m.codec.decode(out, keep, body, false, merge)
 		return rest, err
-	})
+	}
+	if m.tile == 0 {
+		return whole(entry(me, region{rect: til.rect(me)}, recv))
+	}
+	return til.owned(me).decode(recv, merge, entry)
 }

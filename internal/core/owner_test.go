@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -113,6 +114,72 @@ func TestOwnerMergeRandomized(t *testing.T) {
 			got, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
 			requireIdentical(t, comp.Name(), got, ref)
 		}
+	}
+}
+
+// An owner stores exactly what it owns: each part of its Result lies
+// inside its owned region — so a rank holds at most Own.Area() pixels,
+// whatever the regions' spread over the frame — and a region no rank's
+// bounding rectangle reached has no pixel storage at all.
+func TestOwnerMergeStoresOnlyWhatItOwns(t *testing.T) {
+	viewDir := [3]float64{0.3, -0.5, 0.81}
+	untouched := 0
+	for _, method := range ownerMethods {
+		tiles := []int{0}
+		if method == "dfb" {
+			tiles = []int{1, 16, 64, 1000}
+		}
+		for _, p := range []int{1, 3, 6, 8, 16} {
+			for _, tile := range tiles {
+				for name, density := range map[string]float64{"dense": 1, "sparse": 0.08} {
+					label := fmt.Sprintf("%s P=%d tile=%d %s", method, p, tile, name)
+					imgs := randImages(rand.New(rand.NewSource(int64(13*p+tile))), p, 48, 48, density)
+					bounds := make([]frame.Rect, p)
+					for r, img := range imgs {
+						bounds[r], _ = img.BoundingRect(img.Full())
+					}
+					comp, dec, _ := methodWorld(t, method, testRoot(), p, tile)
+					results := make([]*Result, p)
+					err := inProcess(p, func(c mp.Comm) (err error) {
+						results[c.Rank()], err = comp.Composite(c, dec, viewDir, imgs[c.Rank()].Clone())
+						return err
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for r, res := range results {
+						f, err := formOf(res.Own, res.Full)
+						if err != nil || len(res.Parts) != len(f.regions) {
+							t.Fatalf("%s rank %d: %d parts for %d regions (%v)", label, r, len(res.Parts), len(f.regions), err)
+						}
+						stored := 0
+						for i, reg := range f.regions {
+							got := res.Parts[i].Bounds()
+							stored += got.Area()
+							if !reg.rect.ContainsRect(got) {
+								t.Errorf("%s rank %d: region %v is stored over %v", label, r, reg.rect, got)
+							}
+							reached := false
+							for _, br := range bounds {
+								reached = reached || br.Overlaps(reg.rect)
+							}
+							if !reached {
+								untouched++
+								if !got.Empty() {
+									t.Errorf("%s rank %d: nothing reached region %v, yet it stores %v", label, r, reg.rect, got)
+								}
+							}
+						}
+						if stored > res.Own.Area() {
+							t.Errorf("%s rank %d: stores %d pixels, owns %d", label, r, stored, res.Own.Area())
+						}
+					}
+				}
+			}
+		}
+	}
+	if untouched == 0 {
+		t.Error("no case left an owned region untouched: the no-storage half tests nothing")
 	}
 }
 

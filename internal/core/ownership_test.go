@@ -20,7 +20,8 @@ func gatherRoundTrip(t *testing.T, own Ownership, img *frame.Image) (*frame.Imag
 	if err != nil {
 		t.Fatal(err)
 	}
-	part := f.encode(own.AppendWire(nil), new(arena), img, f.bound(img), new(stats.Stage))
+	parts := sameParts(f, img)
+	part := f.encode(own.AppendWire(nil), new(arena), parts, f.bound(parts), new(stats.Stage))
 	g, body, err := parsePart(part, full)
 	if err != nil {
 		t.Fatal(err)

@@ -105,9 +105,9 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 	if m.interleave {
 		// own.iv aliases pooled arena scratch; the Result outlives it.
 		owned := IntervalOwn{W: full.Dx(), Iv: append([]Interval(nil), own.iv...)}
-		return &Result{Image: img, Own: owned, Stats: st}, nil
+		return &Result{Full: full, Parts: []*frame.Image{img}, Own: owned, Stats: st}, nil
 	}
-	return &Result{Image: img, Own: RectOwn{R: own.rect}, Stats: st}, nil
+	return &Result{Full: full, Parts: []*frame.Image{img}, Own: RectOwn{R: own.rect}, Stats: st}, nil
 }
 
 // split divides the region owned going into a stage into the part this

@@ -8,8 +8,10 @@ import "fmt"
 // Every rank in the sort-last pipeline holds one Image. After rendering,
 // Bounds covers the screen footprint of the rank's subvolume; during
 // binary-swap compositing the owned region shrinks while received pixels
-// are composited in place. Keeping storage limited to Bounds keeps
-// 64-rank runs at 768x768 affordable.
+// are composited in place, and an owner-merge rank accumulates into one
+// further Image per strip or tile it owns, sized to that rectangle.
+// Keeping storage limited to Bounds keeps 64-rank runs at 768x768
+// affordable.
 type Image struct {
 	full   Rect
 	bounds Rect
@@ -131,7 +133,8 @@ const growPad = 8
 
 // GrowExact extends the logical bounds to cover r exactly like Grow but
 // without storage over-allocation, for callers that know the final
-// footprint up front and do not want the padding memory.
+// footprint up front and do not want the padding memory: the gather's
+// root, and the owner-merge accumulators (a tile's rectangle).
 func (im *Image) GrowExact(r Rect) {
 	r = r.Intersect(im.full)
 	if im.bounds.ContainsRect(r) {
@@ -220,37 +223,51 @@ func (im *Image) CopyFrom(src *Image) {
 // BoundingRect scans region (clipped to the frame) and returns the
 // smallest rectangle covering every non-blank pixel, ZR when all pixels
 // are blank. This is the O(A) scan the paper charges as T_bound in the
-// first compositing stage of BSBR/BSBRC (Eq. 3, 7). It returns the number
-// of pixels examined so callers can account the scan cost exactly.
+// first compositing stage of BSBR/BSBRC (Eq. 3, 7), and it returns that
+// charge — the pixels of the region — so callers can account the scan
+// cost exactly. The scan itself works inward from the region's edges and
+// stops at the rectangle: blank margins are read in full, a region that
+// is foreground edge to edge costs its perimeter.
 func (im *Image) BoundingRect(region Rect) (Rect, int) {
 	region = region.Intersect(im.full)
 	scan := region.Area()
-	region = region.Intersect(im.bounds)
-	if region.Empty() {
+	br := region.Intersect(im.bounds)
+	blankRow := func(y int) bool {
+		for _, p := range im.Row(y, br.X0, br.X1) {
+			if !p.Blank() {
+				return false
+			}
+		}
+		return true
+	}
+	for !br.Empty() && blankRow(br.Y0) {
+		br.Y0++
+	}
+	for !br.Empty() && blankRow(br.Y1-1) {
+		br.Y1--
+	}
+	if br.Empty() {
 		return ZR, scan
 	}
-	br := ZR
-	for y := region.Y0; y < region.Y1; y++ {
-		row := im.Row(y, region.X0, region.X1)
-		base := region.X0
-		for x, p := range row {
-			if p.Blank() {
-				continue
+	// Both end rows hold foreground. A row can only widen the columns
+	// [lo, hi) found so far with a pixel left of lo or right of hi.
+	lo, hi := br.X1, br.X0
+	for y := br.Y0; y < br.Y1; y++ {
+		row := im.Row(y, br.X0, br.X1)
+		for x := 0; x < lo-br.X0; x++ {
+			if !row[x].Blank() {
+				lo = br.X0 + x
+				break
 			}
-			px := base + x
-			if br.Empty() {
-				br = Rect{px, y, px + 1, y + 1}
-				continue
+		}
+		for x := len(row) - 1; x >= hi-br.X0; x-- {
+			if !row[x].Blank() {
+				hi = br.X0 + x + 1
+				break
 			}
-			if px < br.X0 {
-				br.X0 = px
-			}
-			if px >= br.X1 {
-				br.X1 = px + 1
-			}
-			br.Y1 = y + 1
 		}
 	}
+	br.X0, br.X1 = lo, hi
 	return br, scan
 }
 

@@ -94,27 +94,39 @@ func TestBoundingRect(t *testing.T) {
 }
 
 // The bounding rectangle is minimal: every edge touches a non-blank pixel,
-// and it covers all non-blank pixels. Checked against brute force.
+// and it covers all non-blank pixels. Checked against brute force, over
+// the frame and over a part of it, on a few scattered pixels (the scan
+// reads whole blank margins) and on near-full coverage (it stops at the
+// rectangle's edges).
 func TestBoundingRectMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		w, h := 1+r.Intn(40), 1+r.Intn(40)
 		im := NewImage(w, h)
 		n := r.Intn(20)
+		if trial%2 == 1 {
+			n = r.Intn(3 * w * h)
+		}
 		for i := 0; i < n; i++ {
 			im.Set(r.Intn(w), r.Intn(h), Pixel{I: 0.5, A: 0.5})
 		}
-		got, _ := im.BoundingRect(im.Full())
+		region := im.Full()
+		if trial%4 >= 2 {
+			x0, y0 := r.Intn(w), r.Intn(h)
+			region = Rect{x0, y0, x0 + 1 + r.Intn(w-x0), y0 + 1 + r.Intn(h-y0)}
+		}
+		got, scanned := im.BoundingRect(region)
 		want := ZR
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
+		for y := region.Y0; y < region.Y1; y++ {
+			for x := region.X0; x < region.X1; x++ {
 				if !im.At(x, y).Blank() {
 					want = want.Union(Rect{x, y, x + 1, y + 1})
 				}
 			}
 		}
-		if got != want {
-			t.Fatalf("trial %d: bounding rect %v, brute force %v", trial, got, want)
+		if got != want || scanned != region.Area() {
+			t.Fatalf("trial %d: bounding rect of %v = %v charging %d pixels, brute force %v",
+				trial, region, got, scanned, want)
 		}
 	}
 }
