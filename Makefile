@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-module fuzz-smoke bench lines
+.PHONY: check fmt vet build test race bench-module fuzz-smoke bench lines
 
-# check is the pre-commit gate: static analysis, a full build, the full
-# test suite, the race detector over every package, and the benchmark
-# module's own vet + tests.
-check: vet build test race bench-module
+# check is the pre-commit gate: formatting, static analysis, a full
+# build, the full test suite, the race detector over every package, and
+# the benchmark module's own vet + tests.
+check: fmt vet build test race bench-module
+
+# fmt fails on any file gofmt would rewrite (bench/ included) and names
+# it: drift go vet does not report.
+fmt:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...

@@ -39,7 +39,6 @@ import (
 	"sortlast/internal/render"
 	"sortlast/internal/stats"
 	"sortlast/internal/trace"
-	"sortlast/internal/volume"
 )
 
 var paperP = []int{2, 4, 8, 16, 32, 64}
@@ -408,55 +407,6 @@ func BenchmarkAblationInterleave(b *testing.B) {
 			}
 			b.StopTimer()
 			reportModel(b, rs)
-		})
-	}
-}
-
-// BenchmarkAblationRenderBalance measures the §5 rendering-phase
-// load-balancing extension: max/min estimated per-rank rendering work
-// under the uniform (midpoint) and weighted (work-median) partitions of
-// the engine volume.
-func BenchmarkAblationRenderBalance(b *testing.B) {
-	if testing.Short() {
-		b.Skip("paper-scale sweep")
-	}
-	vol, _, err := harness.Dataset("engine_high")
-	if err != nil {
-		b.Fatal(err)
-	}
-	est := volume.VoxelWork{Vol: vol, Threshold: 20}
-	const p = 16
-	for _, balanced := range []bool{false, true} {
-		name := "uniform"
-		if balanced {
-			name = "weighted"
-		}
-		b.Run(name, func(b *testing.B) {
-			var dec *partition.Decomposition
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if balanced {
-					dec, err = partition.DecomposeWeighted(vol.Bounds(), p, est)
-				} else {
-					dec, err = partition.Decompose(vol.Bounds(), p)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			min, max := ^uint64(0), uint64(0)
-			for r := 0; r < p; r++ {
-				w := est.BoxWork(dec.Box(r))
-				if w < min {
-					min = w
-				}
-				if w > max {
-					max = w
-				}
-			}
-			b.ReportMetric(float64(max)/float64(min), "work_imbalance")
 		})
 	}
 }

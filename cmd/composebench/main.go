@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sortlast/internal/core"
 	"sortlast/internal/harness"
 	"sortlast/internal/report"
 	"sortlast/internal/trace"
@@ -63,13 +64,17 @@ func datasets() []string {
 	if *dataset != "" {
 		return []string{*dataset}
 	}
-	return []string{"engine_low", "engine_high", "head", "cube"}
+	return harness.Datasets()
 }
 
 // sweepPs is the processor-count axis: -plist verbatim when given,
 // otherwise the power-of-two ladder up to -maxp.
 func sweepPs() ([]int, error) {
 	if *plist == "" {
+		if *maxP < 2 {
+			flag.Usage()
+			return nil, fmt.Errorf("-maxp %d: the power-of-two sweep starts at 2 (use -plist for other counts)", *maxP)
+		}
 		return harness.PowersOfTwo(*maxP), nil
 	}
 	var ps []int
@@ -83,12 +88,24 @@ func sweepPs() ([]int, error) {
 	return ps, nil
 }
 
-// sweep runs dataset x method x P at one image size.
-func sweep(size int, methods []string, ds []string) ([]harness.Row, error) {
-	ps, err := sweepPs()
-	if err != nil {
-		return nil, err
+// methodOverride is -method trimmed and checked against the registry,
+// nil when the flag is unset.
+func methodOverride() ([]string, error) {
+	if *methodsFl == "" {
+		return nil, nil
 	}
+	ms := strings.Split(*methodsFl, ",")
+	for i, m := range ms {
+		ms[i] = strings.TrimSpace(m)
+		if !core.Known(ms[i]) {
+			return nil, fmt.Errorf("-method: unknown compositor %q (have %s)", ms[i], strings.Join(core.Names(), ", "))
+		}
+	}
+	return ms, nil
+}
+
+// sweep runs dataset x method x P at one image size.
+func sweep(size int, methods, ds []string, ps []int) ([]harness.Row, error) {
 	var rows []harness.Row
 	for _, d := range ds {
 		for _, m := range methods {
@@ -127,6 +144,16 @@ func emit(rows []harness.Row, format func() string) {
 }
 
 func run() error {
+	// Both axes are checked before the first cell runs, so a typo fails
+	// here and not after the sweep of the names in front of it.
+	override, err := methodOverride()
+	if err != nil {
+		return err
+	}
+	ps, err := sweepPs()
+	if err != nil {
+		return err
+	}
 	did := false
 	display := func(ms []string) []string {
 		out := make([]string, len(ms))
@@ -137,16 +164,16 @@ func run() error {
 	}
 	// -method overrides the method set a table or figure sweeps.
 	pick := func(def []string) []string {
-		if *methodsFl == "" {
+		if override == nil {
 			return def
 		}
-		return strings.Split(*methodsFl, ",")
+		return override
 	}
 
 	if *all || *table == 1 {
 		did = true
 		methods := pick([]string{"bs", "bsbr", "bslc", "bsbrc"})
-		rows, err := sweep(384, methods, datasets())
+		rows, err := sweep(384, methods, datasets(), ps)
 		if err != nil {
 			return err
 		}
@@ -158,7 +185,7 @@ func run() error {
 	if *all || *table == 2 {
 		did = true
 		methods := pick([]string{"bsbr", "bslc", "bsbrc"})
-		rows, err := sweep(768, methods, datasets())
+		rows, err := sweep(768, methods, datasets(), ps)
 		if err != nil {
 			return err
 		}
@@ -180,7 +207,7 @@ func run() error {
 		}
 		did = true
 		methods := pick([]string{"bsbr", "bslc", "bsbrc"})
-		rows, err := sweep(384, methods, []string{ds})
+		rows, err := sweep(384, methods, []string{ds}, ps)
 		if err != nil {
 			return err
 		}
@@ -193,7 +220,7 @@ func run() error {
 		did = true
 		methods := pick([]string{"bs", "bsbr", "bslc", "bsbrc"})
 		for _, ds := range datasets() {
-			rows, err := sweep(384, methods, []string{ds})
+			rows, err := sweep(384, methods, []string{ds}, ps)
 			if err != nil {
 				return err
 			}

@@ -1,0 +1,77 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// asCommandEnv makes the test binary behave as the composebench command,
+// so the tests can observe its exit status and output.
+const asCommandEnv = "COMPOSEBENCH_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asCommandEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func runCommand(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asCommandEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return out.String(), errb.String(), exit
+}
+
+// A bad axis fails before the first cell: no table on stdout, and
+// stderr does not open with a cell's progress dot.
+func TestBadAxisFailsBeforeTheSweep(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-table", "1", "-method", "bs, nope"}, []string{`unknown compositor "nope"`, "have bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb"}},
+		{[]string{"-table", "1", "-maxp", "1"}, []string{"-maxp 1", "Usage of"}},
+		{[]string{"-table", "1", "-plist", "4,x"}, []string{`bad processor count "x"`}},
+	} {
+		stdout, stderr, exit := runCommand(t, tc.args...)
+		if exit != 1 || stdout != "" || strings.HasPrefix(stderr, ".") {
+			t.Errorf("%v: exit %d, stdout %q, stderr:\n%s", tc.args, exit, stdout, stderr)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(stderr, w) {
+				t.Errorf("%v: stderr lacks %q:\n%s", tc.args, w, stderr)
+			}
+		}
+	}
+}
+
+// -method is trimmed, and the CSV ends in the exact render imbalance: at
+// P=3 the unsplit core rank samples about twice what each folded half
+// does.
+func TestCSVShowsFoldImbalance(t *testing.T) {
+	stdout, stderr, exit := runCommand(t, "-table", "1", "-method", " bsbrc", "-plist", "3", "-dataset", "cube", "-csv")
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	if exit != 0 || len(lines) != 2 || !strings.HasSuffix(lines[0], ",render_imbalance") || !strings.HasPrefix(lines[1], "cube,BSBRC,3,") {
+		t.Fatalf("exit %d, stdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
+	}
+	last := lines[1][strings.LastIndex(lines[1], ",")+1:]
+	if v, err := strconv.ParseFloat(last, 64); err != nil || v < 1.3 || v > 1.6 {
+		t.Errorf("render_imbalance = %q, want about 1.5", last)
+	}
+}

@@ -28,7 +28,6 @@ var (
 	out      = flag.String("out", "", "output PGM file (required)")
 	stats    = flag.Bool("stats", true, "print the compositing-cost summary")
 	validate = flag.Bool("validate", false, "check the parallel result against a sequential reference")
-	balance  = flag.Bool("balance", false, "load-balance the rendering partition by estimated work")
 	traceOut = flag.String("trace", "", "write a Chrome/Perfetto span trace of the run to this JSON file and print the measured-vs-modeled stage report")
 )
 
@@ -50,9 +49,8 @@ func run() error {
 		Width:   *size, Height: *size,
 		P: *p, Method: *method,
 		RotX: *rotX, RotY: *rotY,
-		RenderOpts:    render.Options{Shaded: *shaded},
-		Validate:      *validate,
-		BalanceRender: *balance,
+		RenderOpts: render.Options{Shaded: *shaded},
+		Validate:   *validate,
 	}
 
 	var rec *trace.Recorder
@@ -68,9 +66,9 @@ func run() error {
 		return err
 	}
 	if *stats {
-		fmt.Printf("%s %s P=%d %dx%d: render %.1f ms, composite (modeled SP2) comp %.2f + comm %.2f = %.2f ms, M_max %d B\n",
+		fmt.Printf("%s %s P=%d %dx%d: render %.1f ms (sample imbalance %.3f), composite (modeled SP2) comp %.2f + comm %.2f = %.2f ms, M_max %d B\n",
 			row.Dataset, row.Method, row.P, row.Width, row.Height,
-			row.RenderMS, row.CompMS, row.CommMS, row.TotalMS, row.MMax)
+			row.RenderMS, row.RenderImbalance, row.CompMS, row.CommMS, row.TotalMS, row.MMax)
 	}
 	if rec != nil {
 		f, err := os.Create(*traceOut)

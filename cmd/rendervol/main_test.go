@@ -20,11 +20,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The surface path and the volume-file door are gone: their flags are
-// unknown flags, which the flag package answers with exit 2 and the
-// usage text listing what exists.
+// The surface path, the volume-file door and the weighted decomposition
+// are gone: their flags are unknown flags, which the flag package answers
+// with exit 2 and the usage text listing what exists.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-surface"}, {"-in", "x"}} {
+	for _, args := range [][]string{{"-surface"}, {"-in", "x"}, {"-balance"}} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), asCommandEnv+"=1")
 		out, err := cmd.CombinedOutput()

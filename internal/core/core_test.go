@@ -47,22 +47,11 @@ func mustNew(t testing.TB, name string) Compositor {
 }
 
 // methodWorld builds the named method and the geometry it runs over at
-// p ranks: the kd decomposition at powers of two; otherwise the fold
-// plan, with the method folded or handed the plan as its layout. tile
-// is the dfb tile edge (0: default).
+// p ranks the way the harness does: over the fold plan, which at a power
+// of two is the plain decomposition under the plain method. tile is the
+// dfb tile edge (0: default).
 func methodWorld(t testing.TB, name string, bounds volume.Box, p, tile int) (Compositor, *partition.Decomposition, partition.Layout) {
 	t.Helper()
-	if p&(p-1) == 0 {
-		dec, err := partition.Decompose(bounds, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comp, err := Build(name, 0, tile, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return comp, dec, dec
-	}
 	plan, err := partition.PlanFold(bounds, p)
 	if err != nil {
 		t.Fatal(err)
@@ -435,8 +424,12 @@ func TestFoldedMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if comp.Name() != mustNew(t, spec.Name).Name()+"+fold" {
-				t.Fatalf("%s over a fold plan is %q, want the folded method", spec.Name, comp.Name())
+			want := mustNew(t, spec.Name).Name()
+			if plan.Extras() > 0 {
+				want += "+fold"
+			}
+			if comp.Name() != want {
+				t.Fatalf("%s over a %d-rank fold plan is %q, want %q", spec.Name, p, comp.Name(), want)
 			}
 			final, rs := runImages(t, inProcess, comp, plan.Dec, sc.cam.Dir, renderRanks(sc, plan))
 			if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {

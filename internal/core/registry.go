@@ -93,18 +93,19 @@ func Specs() []Spec {
 // Build returns the named method configured and ready to run.
 // granularity is the interleave section size of the load-balanced
 // methods in pixels (0: one scanline) and tile the dfb tile edge (0:
-// DefaultTile); methods without the knob ignore it. A nil plan builds
-// the method for a power-of-two world described by the decomposition
-// passed to Composite. A fold plan adapts it to the plan's rank count:
-// foldable methods are wrapped in the Folded pre-stage, the owner-routed
-// methods take the plan as pure rank geometry (no fold messages); either
-// way Composite must then be given plan.Dec.
+// DefaultTile); methods without the knob ignore it. A nil plan, or one
+// with no folds, builds the method for a power-of-two world described by
+// the decomposition passed to Composite. A fold plan with extras adapts
+// it to the plan's rank count: foldable methods are wrapped in the
+// Folded pre-stage, the owner-routed methods take the plan as pure rank
+// geometry (no fold messages); either way Composite must then be given
+// plan.Dec.
 func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compositor, error) {
 	s, ok := Lookup(name)
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("core: unknown compositor %q", name)
-	case plan == nil:
+	case plan == nil || plan.Extras() == 0:
 		return s.build(granularity, tile, nil), nil
 	case s.Caps.Foldable:
 		return &Folded{Plan: plan, Inner: s.build(granularity, tile, nil)}, nil

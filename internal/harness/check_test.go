@@ -31,7 +31,6 @@ func TestConfigCheck(t *testing.T) {
 		{"non-pow2 direct send", func(c *Config) { c.P = 6; c.Method = "direct" }, ""},
 		{"non-pow2 ds ok", func(c *Config) { c.P = 6; c.Method = "ds" }, ""},
 		{"non-pow2 dfb ok", func(c *Config) { c.P = 6; c.Method = "dfb" }, ""},
-		{"non-pow2 balanced render", func(c *Config) { c.P = 6; c.BalanceRender = true }, "power-of-two"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ package harness
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -52,16 +51,8 @@ type Config struct {
 	// RenderOpts tune the ray caster (zero value: defaults).
 	RenderOpts render.Options
 
-	// Granularity is BSLC's interleave section size (0: one scanline).
-	Granularity int
-
 	// Tile is the dfb tile edge in pixels (0: core.DefaultTile).
 	Tile int
-
-	// BalanceRender splits the volume at estimated-work medians instead
-	// of spatial midpoints (the paper's §5 rendering-phase load
-	// balancing). Requires a power-of-two P.
-	BalanceRender bool
 
 	// Validate gathers the pristine subimages at rank 0 after
 	// compositing and compares the parallel result against the
@@ -104,6 +95,10 @@ type Row struct {
 	// RenderSkipFrac is the fraction of candidate ray samples the
 	// macro-cell empty-space skipping removed, aggregated over ranks.
 	RenderSkipFrac float64
+	// RenderImbalance is the busiest rank's ray samples ÷ the mean over
+	// ranks — an exact count, 1 when the partition is balanced for this
+	// view, 0 when no rank sampled.
+	RenderImbalance float64
 
 	MMax       int // maximum received message size (bytes)
 	EmptyRects int // empty receiving bounding rectangles, all ranks
@@ -208,41 +203,19 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 	return vol, tf, nil
 }
 
-// newCompositor builds the configured compositor plus the rank geometry
-// it runs over. At non-power-of-two P, core.Build wraps foldable
-// binary-swap methods in the fold pre-stage and hands the owner-routed
-// methods the fold plan as pure geometry — per-rank boxes and a global
-// depth order, no fold messages.
-func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partition.Decomposition, partition.Layout, error) {
-	bounds := vol.Bounds()
-	comp, err := core.Build(cfg.Method, cfg.Granularity, cfg.Tile, nil)
+// newCompositor builds the configured compositor over the fold plan of
+// cfg.P ranks, the one rank geometry: at a power of two the plan is the
+// plain decomposition and core.Build returns the plain method; otherwise
+// it wraps foldable binary-swap methods in the fold pre-stage and hands
+// the owner-routed methods the plan as pure geometry — per-rank boxes
+// and a global depth order, no fold messages.
+func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partition.FoldPlan, error) {
+	plan, err := partition.PlanFold(vol.Bounds(), cfg.P)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	if IsPow2(cfg.P) {
-		var dec *partition.Decomposition
-		if cfg.BalanceRender {
-			dec, err = partition.DecomposeWeighted(bounds, cfg.P,
-				volume.VoxelWork{Vol: vol, Threshold: 20})
-		} else {
-			dec, err = partition.Decompose(bounds, cfg.P)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return comp, dec, dec, nil
-	}
-	if cfg.BalanceRender {
-		return nil, nil, nil, fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
-	}
-	plan, err := partition.PlanFold(bounds, cfg.P)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if comp, err = core.Build(cfg.Method, cfg.Granularity, cfg.Tile, plan); err != nil {
-		return nil, nil, nil, err
-	}
-	return comp, plan.Dec, plan, nil
+	comp, err := core.Build(cfg.Method, 0, cfg.Tile, plan)
+	return comp, plan, err
 }
 
 // Run executes the experiment and returns its table row.
@@ -343,17 +316,21 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 		MakespanMS:     ms(makespan),
 		MMax:           stats.MaxMessageBytes(rankStats),
 	}
-	var skipNum, skipDen int
+	var skipNum, samples, maxSamples int
 	for me, r := range rankStats {
 		if r != nil {
 			row.EmptyRects += r.EmptyRecvRects()
 			r.Render = renderCounters(renderStats[me].Snapshot())
 			skipNum += r.Render.SamplesSkipped
-			skipDen += r.Render.Samples + r.Render.SamplesSkipped
+			samples += r.Render.Samples
+			maxSamples = max(maxSamples, r.Render.Samples)
 		}
 	}
-	if skipDen > 0 {
-		row.RenderSkipFrac = float64(skipNum) / float64(skipDen)
+	if skipNum+samples > 0 {
+		row.RenderSkipFrac = float64(skipNum) / float64(skipNum+samples)
+	}
+	if samples > 0 {
+		row.RenderImbalance = float64(maxSamples) * float64(cfg.P) / float64(samples)
 	}
 	var maxRender, maxComposite time.Duration
 	for _, d := range renderWall {
@@ -443,6 +420,3 @@ func PowersOfTwo(max int) []int {
 	}
 	return out
 }
-
-// IsPow2 reports whether p is a positive power of two.
-func IsPow2(p int) bool { return p > 0 && bits.OnesCount(uint(p)) == 1 }

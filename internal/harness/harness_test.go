@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sortlast/internal/core"
+	"sortlast/internal/partition"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
 )
@@ -73,6 +74,40 @@ func TestRunNonPowerOfTwoFolds(t *testing.T) {
 	}
 }
 
+// NewPlan builds every P through the fold plan: its boxes are the
+// plan's, and the fold pre-stage wraps exactly the binary-swap methods at
+// a P with extras — at a power of two the compositor is the plain method.
+func TestPlanBuildsEveryPThroughFold(t *testing.T) {
+	for p := 1; p <= 9; p++ {
+		for _, spec := range core.Specs() {
+			plan, err := NewPlan(smallCfg(spec.Name, p))
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", spec.Name, p, err)
+			}
+			fold, err := partition.PlanFold(plan.Vol.Bounds(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Lay.Size() != p || plan.Dec.Size() != fold.Core {
+				t.Errorf("%s P=%d: layout of %d ranks over a core of %d", spec.Name, p, plan.Lay.Size(), plan.Dec.Size())
+			}
+			for r := 0; r < p; r++ {
+				if plan.Lay.Box(r) != fold.Box(r) {
+					t.Errorf("%s P=%d: rank %d renders %v, fold plan says %v", spec.Name, p, r, plan.Lay.Box(r), fold.Box(r))
+				}
+			}
+			plain, _ := core.New(spec.Name)
+			want := plain.Name()
+			if spec.Caps.Foldable && p&(p-1) != 0 {
+				want += "+fold"
+			}
+			if got := plan.Comp.Name(); got != want {
+				t.Errorf("%s P=%d: compositor %q, want %q", spec.Name, p, got, want)
+			}
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	bad := []Config{
 		{Dataset: "nope", Width: 32, Height: 32, P: 2, Method: "bs"},
@@ -105,19 +140,7 @@ func TestDatasetCacheAndPresets(t *testing.T) {
 	}
 }
 
-func TestBSLCGranularityKnob(t *testing.T) {
-	cfg := smallCfg("bslc", 4)
-	cfg.Granularity = 16
-	row, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.NonBlank == 0 {
-		t.Error("blank image with custom granularity")
-	}
-}
-
-func TestPowersOfTwoAndIsPow2(t *testing.T) {
+func TestPowersOfTwo(t *testing.T) {
 	got := PowersOfTwo(64)
 	want := []int{2, 4, 8, 16, 32, 64}
 	if len(got) != len(want) {
@@ -127,9 +150,6 @@ func TestPowersOfTwoAndIsPow2(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("PowersOfTwo = %v", got)
 		}
-	}
-	if !IsPow2(8) || IsPow2(6) || IsPow2(0) {
-		t.Error("IsPow2 wrong")
 	}
 }
 
@@ -148,40 +168,6 @@ func TestRotationIncreasesOrKeepsEmptyRects(t *testing.T) {
 	}
 	if row.EmptyRects == 0 {
 		t.Error("cube at P=8 must produce empty receiving rectangles")
-	}
-}
-
-func TestBalanceRenderStillCorrect(t *testing.T) {
-	// A skewed volume: nearly all content in one corner.
-	vol := volume.New(32, 32, 16)
-	vol.Fill(volume.Box{Lo: [3]int{1, 1, 1}, Hi: [3]int{9, 9, 9}}, 150)
-	base := Config{
-		Dataset: "cube", Volume: vol, TF: transfer.Cube(),
-		Width: 64, Height: 64, P: 8, Method: "bsbrc",
-	}
-	base.RenderOpts.EarlyTermination = -1
-	_, ref, err := RunWithImage(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bal := base
-	bal.BalanceRender = true
-	_, img, err := RunWithImage(bal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Different partitions regroup floating-point accumulation, so the
-	// images agree to tolerance, not bitwise.
-	if d := ref.MaxAbsDiff(img, ref.Full()); d > 1e-9 {
-		t.Errorf("balanced-partition image differs by %g", d)
-	}
-}
-
-func TestBalanceRenderRequiresPow2(t *testing.T) {
-	cfg := smallCfg("bsbrc", 3)
-	cfg.BalanceRender = true
-	if _, err := Run(cfg); err == nil {
-		t.Error("BalanceRender at P=3 must error")
 	}
 }
 
@@ -253,6 +239,26 @@ func TestRunDetailedExposesRankStats(t *testing.T) {
 	}
 	if row.MakespanMS+1e-9 < row.CompMS {
 		t.Errorf("makespan %.3f below max comp %.3f", row.MakespanMS, row.CompMS)
+	}
+	// Row.RenderImbalance is max ÷ mean of the per-rank sample counts: a
+	// centred cube splits evenly over four ranks, and at P=3 the unsplit
+	// core rank renders twice what each half of the folded pair does.
+	cube := Config{
+		Dataset: "cube", Volume: volume.SolidCube(32, 32, 16), TF: transfer.Cube(),
+		Width: 64, Height: 64, Method: "bsbrc",
+	}
+	for _, tc := range []struct {
+		p      int
+		lo, hi float64
+	}{{4, 1, 1.05}, {3, 1.3, 3}} {
+		cube.P = tc.p
+		row, err := Run(cube)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.RenderImbalance < tc.lo || row.RenderImbalance > tc.hi {
+			t.Errorf("cube P=%d: render imbalance %.3f outside [%g, %g]", tc.p, row.RenderImbalance, tc.lo, tc.hi)
+		}
 	}
 }
 

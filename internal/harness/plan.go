@@ -25,9 +25,9 @@ type Plan struct {
 	TF   *transfer.Func
 	Comp core.Compositor
 	Dec  *partition.Decomposition
-	// Lay is the rank geometry the world actually runs over: the
-	// decomposition at power-of-two P, the fold plan otherwise. Box and
-	// the sequential validation reference both read it.
+	// Lay is the rank geometry the world runs over — the fold plan, whose
+	// core decomposition is Dec (the same boxes at a power-of-two P). Box
+	// and the sequential validation reference both read it.
 	Lay partition.Layout
 	Cam *render.Camera
 }
@@ -43,7 +43,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 	} else {
 		cfg.Quality = q
 	}
-	comp, dec, lay, err := cfg.newCompositor(vol)
+	comp, plan, err := cfg.newCompositor(vol)
 	if err != nil {
 		return nil, err
 	}
@@ -54,13 +54,12 @@ func NewPlan(cfg Config) (*Plan, error) {
 	vol.MacroCells()
 	return &Plan{
 		Cfg: cfg, Vol: vol, TF: tf,
-		Comp: comp, Dec: dec, Lay: lay,
+		Comp: comp, Dec: plan.Dec, Lay: plan,
 		Cam: render.NewCamera(cfg.Width, cfg.Height, vol.Bounds(), cfg.RotX, cfg.RotY),
 	}, nil
 }
 
-// Box returns the subvolume assigned to rank me (the fold plan's box for
-// non-power-of-two worlds).
+// Box returns the subvolume assigned to rank me.
 func (p *Plan) Box(me int) volume.Box { return p.Lay.Box(me) }
 
 // RenderRank runs the rendering phase for rank me: it ray-casts the
@@ -132,9 +131,6 @@ func (cfg *Config) Check() error {
 	}
 	if _, err := core.New(cfg.Method); err != nil {
 		return err
-	}
-	if cfg.BalanceRender && !IsPow2(cfg.P) {
-		return fmt.Errorf("harness: BalanceRender requires a power-of-two P, got %d", cfg.P)
 	}
 	return nil
 }

@@ -38,17 +38,6 @@ type Layout interface {
 	DepthOrder(viewDir [3]float64) []int
 }
 
-// PowerOfTwoError reports a rank count the kd decomposition cannot
-// serve. Admission layers unwrap it to tell the client *which* methods
-// need a power-of-two P instead of surfacing a generic failure.
-type PowerOfTwoError struct {
-	P int
-}
-
-func (e *PowerOfTwoError) Error() string {
-	return fmt.Sprintf("partition: rank count %d is not a positive power of two", e.P)
-}
-
 // Decomposition is a kd-tree partition of a root box over P = 2^Depth
 // ranks.
 type Decomposition struct {
@@ -64,7 +53,7 @@ type Decomposition struct {
 // possible — the shape that keeps screen footprints compact.
 func Decompose(root volume.Box, p int) (*Decomposition, error) {
 	if p <= 0 || p&(p-1) != 0 {
-		return nil, &PowerOfTwoError{P: p}
+		return nil, fmt.Errorf("partition: rank count %d is not a positive power of two", p)
 	}
 	if root.Empty() {
 		return nil, fmt.Errorf("partition: empty root box %v", root)

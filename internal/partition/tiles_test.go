@@ -1,12 +1,10 @@
 package partition
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
 	"sortlast/internal/frame"
-	"sortlast/internal/volume"
 )
 
 // The tile grid must partition the frame exactly: every pixel in exactly
@@ -113,22 +111,6 @@ func TestTilingMoreRanksThanTiles(t *testing.T) {
 	for r := 1; r < 5; r++ {
 		if got := til.OwnedBy(r); len(got) != 0 {
 			t.Fatalf("rank %d owns %v, want nothing", r, got)
-		}
-	}
-}
-
-// The power-of-two rejection must be a typed error.
-func TestDecomposeTypedPow2Error(t *testing.T) {
-	root := volume.Box{Hi: [3]int{64, 64, 64}}
-	for _, p := range []int{3, 6, 12} {
-		_, err := Decompose(root, p)
-		var pe *PowerOfTwoError
-		if !errors.As(err, &pe) || pe.P != p {
-			t.Fatalf("Decompose(%d) error %v, want *PowerOfTwoError", p, err)
-		}
-		_, err = DecomposeWeighted(root, p, nil)
-		if !errors.As(err, &pe) {
-			t.Fatalf("DecomposeWeighted(%d) error %v, want *PowerOfTwoError", p, err)
 		}
 	}
 }

@@ -143,12 +143,12 @@ func MMax(title string, rows []harness.Row, methods []string, dataset string) st
 func CSV(rows []harness.Row) string {
 	var sb strings.Builder
 	sb.WriteString("dataset,method,p,width,height,comp_ms,comm_ms,total_ms," +
-		"makespan_ms,measured_comp_ms,render_ms,mmax_bytes,empty_rects,nonblank\n")
+		"makespan_ms,measured_comp_ms,render_ms,mmax_bytes,empty_rects,nonblank,render_imbalance\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%s,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d,%d\n",
+		fmt.Fprintf(&sb, "%s,%s,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d,%d,%.3f\n",
 			r.Dataset, r.Method, r.P, r.Width, r.Height,
 			r.CompMS, r.CommMS, r.TotalMS, r.MakespanMS, r.MeasuredCompMS, r.RenderMS,
-			r.MMax, r.EmptyRects, r.NonBlank)
+			r.MMax, r.EmptyRects, r.NonBlank, r.RenderImbalance)
 	}
 	return sb.String()
 }

@@ -64,8 +64,13 @@ func TestCSV(t *testing.T) {
 	if len(lines) != 1+8 {
 		t.Fatalf("csv has %d lines", len(lines))
 	}
-	if !strings.HasPrefix(lines[0], "dataset,method,p,") {
+	if !strings.HasPrefix(lines[0], "dataset,method,p,") || !strings.HasSuffix(lines[0], ",nonblank,render_imbalance") {
 		t.Error("csv header wrong")
+	}
+	for _, l := range lines[1:] {
+		if strings.Count(l, ",") != strings.Count(lines[0], ",") {
+			t.Errorf("csv row has a different field count than the header: %s", l)
+		}
 	}
 	if !strings.Contains(lines[1], "engine_low,BS,2,384,384,") {
 		t.Errorf("csv row wrong: %s", lines[1])
