@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-module fuzz-smoke bench lines
+.PHONY: check check-norace fmt vet build test race bench-module fuzz-smoke bench lines
 
 # check is the pre-commit gate: formatting, static analysis, a full
 # build, the full test suite, the race detector over every package, and
 # the benchmark module's own vet + tests.
-check: fmt vet build test race bench-module
+check: check-norace race
+
+# check-norace is check without the race detector: what CI's check job
+# runs, because its race job already races every package on the same
+# commit.
+check-norace: fmt vet build test bench-module
 
 # fmt fails on any file gofmt would rewrite (bench/ included) and names
 # it: drift go vet does not report.

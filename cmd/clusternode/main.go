@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -129,5 +130,8 @@ func run(list []string) error {
 		}
 		fmt.Printf("rank 0: wrote %s\n", *out)
 	}
-	return c.Barrier() // quiesce before Close
+	// Quiesce (no peer still expects traffic from this rank), then close.
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	return node.Shutdown(ctx)
 }

@@ -242,7 +242,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		werr := trace.WritePerfetto(f, lastTrace)
+		werr := lastTrace.Wire("sortlast").WritePerfetto(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

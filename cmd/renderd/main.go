@@ -1,8 +1,8 @@
-// Command renderd runs the persistent frame service: a resident rank
-// pool that keeps volumes, transfer functions and compositing scratch
-// warm across requests and serves render requests over a
-// length-prefixed TCP protocol, with admission control, pipelined
-// frames and an HTTP observability sidecar.
+// Command renderd runs the persistent frame service: a resident
+// in-process rank pool that keeps volumes, transfer functions and
+// compositing scratch warm across requests and serves render requests
+// over a length-prefixed TCP protocol, with admission control,
+// pipelined frames and an HTTP observability sidecar.
 //
 //	renderd -listen 127.0.0.1:7171 -metrics-addr 127.0.0.1:7172 -p 8 &
 //	curl -s http://127.0.0.1:7172/metrics | grep renderd_frames_total
@@ -12,19 +12,18 @@
 // Requests are made with the internal/client library (bench/serve_mix.go
 // drives load through it). SIGINT/SIGTERM drain the server gracefully:
 // queued requests are answered with a typed shutting-down error,
-// in-flight frames finish and are delivered.
+// in-flight frames finish and are delivered. The ranks are goroutines
+// exchanging messages by value; for one OS process per rank over TCP
+// sockets, run cmd/clusternode.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"sortlast/internal/obs"
 	"sortlast/internal/server"
 )
 
@@ -32,16 +31,12 @@ var (
 	listen      = flag.String("listen", "127.0.0.1:7171", "frame-protocol listen address")
 	metricsAddr = flag.String("metrics-addr", "127.0.0.1:7172", "observability sidecar address serving /healthz, /metrics, /debug/pprof/ and /debug/trace/last; empty disables")
 	noTrace     = flag.Bool("no-trace", false, "disable the per-frame span recorder (also empties /debug/trace/last, /debug/flight and the phase histograms)")
-	flightSize  = flag.Int("flight", 0, "frame flight recorder capacity: the last N slow/failed frames retained with span trees at /debug/flight (0: 64)")
-	world       = flag.String("world", "mp", "resident rank pool kind: mp (in-process) or mpnet (TCP)")
-	addrs       = flag.String("world-addrs", "", "comma-separated mpnet rank addresses (default: loopback ephemeral)")
 	p           = flag.Int("p", 4, "resident ranks")
 	queue       = flag.Int("queue", 64, "admission queue depth (full queue rejects with a typed overload error)")
 	inflight    = flag.Int("inflight", 2, "max frames pipelined through the render/composite stages")
 	deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline; a frame stuck longer fails the rank world, which is rebuilt (0: 60s)")
 	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
-	noDegrade   = flag.Bool("no-degrade", false, "ignore DegradeOK on requests: a saturated queue rejects with a typed overload error, pinning full fidelity fleet-wide")
 	drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGINT/SIGTERM")
 )
 
@@ -54,15 +49,9 @@ func main() {
 }
 
 func run() error {
-	var worldAddrs []string
-	if *addrs != "" {
-		worldAddrs = strings.Split(*addrs, ",")
-	}
 	srv, err := server.Start(server.Config{
 		Addr:            *listen,
 		HTTPAddr:        *metricsAddr,
-		World:           *world,
-		WorldAddrs:      worldAddrs,
 		P:               *p,
 		QueueDepth:      *queue,
 		MaxInFlight:     *inflight,
@@ -70,23 +59,14 @@ func run() error {
 		FrameTimeout:    *frameTO,
 		Workers:         *workers,
 		DisableTracing:  *noTrace,
-		FlightSize:      *flightSize,
-		DegradeDisabled: *noDegrade,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("renderd: serving frames on %s (world=%s, P=%d, queue=%d, inflight=%d)\n",
-		srv.Addr(), *world, *p, *queue, *inflight)
+	fmt.Printf("renderd: serving frames on %s (P=%d, queue=%d, inflight=%d)\n",
+		srv.Addr(), *p, *queue, *inflight)
 	if a := srv.HTTPAddr(); a != nil {
 		fmt.Printf("renderd: /healthz, /metrics, /debug/pprof/, /debug/trace/last and /debug/flight on http://%s\n", a)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("renderd: draining...")
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	return obs.DrainOnSignal("renderd", *drain, srv.Shutdown)
 }

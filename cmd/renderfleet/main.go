@@ -1,10 +1,9 @@
 // Command renderfleet runs the fleet gateway: N supervised renderd
 // replicas behind one frame-protocol endpoint, with
-// least-outstanding-work routing (camera-affinity tie-break), hedged
-// dispatch at each replica's rolling p99, cross-replica retries, and a
-// camera-quantized frame cache. The gateway speaks the same
-// length-prefixed protocol as renderd, so internal/client works
-// unchanged against it.
+// least-outstanding-work routing, hedged dispatch at each replica's
+// rolling p99, cross-replica retries, and a camera-quantized frame
+// cache. The gateway speaks the same length-prefixed protocol as
+// renderd, so internal/client works unchanged against it.
 //
 //	renderfleet -listen 127.0.0.1:7261 -metrics-addr 127.0.0.1:7262 -replicas 2 -p 4 &
 //	curl -s http://127.0.0.1:7262/metrics | grep fleet_cache
@@ -20,17 +19,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"sortlast/internal/fleet"
+	"sortlast/internal/obs"
 	"sortlast/internal/server"
 )
 
@@ -40,19 +37,14 @@ var (
 	replicas    = flag.Int("replicas", 2, "in-process renderd replicas (ignored with -attach)")
 	attach      = flag.String("attach", "", "comma-separated addresses of externally-run renderd processes to route to instead of starting in-process replicas")
 	pList       = flag.String("p", "4", "resident ranks per replica: one value for all, or a comma-separated per-replica list")
-	world       = flag.String("world", "mp", "rank pool kind for in-process replicas: mp (in-process) or mpnet (TCP)")
 	queue       = flag.Int("queue", 64, "admission queue depth per replica")
 	inflight    = flag.Int("inflight", 2, "max frames pipelined per replica")
 	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
 	deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline per replica (0: 60s)")
-	cacheBytes  = flag.Int64("cache-bytes", 0, "frame cache byte budget (0: 64 MiB)")
-	noCache     = flag.Bool("no-cache", false, "disable the frame cache")
-	quant       = flag.Float64("quant", 0, "camera quantization step in degrees for cache keys (0: 0.25)")
+	cacheBytes  = flag.Int64("cache-bytes", 0, "frame cache byte budget (0: 64 MiB; negative disables the cache)")
 	hedgeMin    = flag.Duration("hedge-min", 0, "floor on the hedge trigger delay (0: 10ms)")
-	noHedge     = flag.Bool("no-hedge", false, "disable hedged dispatch")
 	noTrace     = flag.Bool("no-trace", false, "disable request tracing at the gateway (no trace propagation to replicas, no merged span trees, no /debug/flight)")
-	flightSize  = flag.Int("flight", 0, "flight recorder capacity: the last N slow/failed/hedged requests retained with merged span trees at /debug/flight (0: 64)")
 	drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGINT/SIGTERM")
 )
 
@@ -112,7 +104,6 @@ func replicaConfigs() ([]fleet.ReplicaConfig, error) {
 	}
 	for i := 0; i < *replicas; i++ {
 		rcs = append(rcs, fleet.ReplicaConfig{Server: &server.Config{
-			World:           *world,
 			P:               ps[i],
 			QueueDepth:      *queue,
 			MaxInFlight:     *inflight,
@@ -132,22 +123,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	cb := *cacheBytes
-	if *noCache {
-		cb = -1
-	}
 	g, err := fleet.Start(fleet.Config{
 		Addr:            *listen,
 		HTTPAddr:        *metricsAddr,
 		Replicas:        rcs,
-		CacheBytes:      cb,
-		QuantDeg:        *quant,
+		CacheBytes:      *cacheBytes,
 		HedgeMin:        *hedgeMin,
-		HedgeDisabled:   *noHedge,
 		DefaultDeadline: *deadline,
-		TracingDisabled: *noTrace,
-		FlightSize:      *flightSize,
+		DisableTracing:  *noTrace,
 	})
 	if err != nil {
 		return err
@@ -156,17 +139,10 @@ func run() error {
 	if *attach != "" {
 		mode = fmt.Sprintf("%d attached replicas", len(rcs))
 	}
-	fmt.Printf("renderfleet: serving frames on %s (%s, cache=%v, hedge=%v)\n",
-		g.Addr(), mode, !*noCache, !*noHedge)
+	fmt.Printf("renderfleet: serving frames on %s (%s, cache=%v)\n",
+		g.Addr(), mode, *cacheBytes >= 0)
 	if a := g.HTTPAddr(); a != nil {
 		fmt.Printf("renderfleet: /healthz, /metrics, /cache/invalidate, /debug/pprof/ and /debug/flight on http://%s\n", a)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("renderfleet: draining...")
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	return g.Shutdown(ctx)
+	return obs.DrainOnSignal("renderfleet", *drain, g.Shutdown)
 }

@@ -1,9 +1,48 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
+
+// asCommandEnv makes the test binary behave as the renderfleet command,
+// so the test can observe its exit status without building a second
+// binary.
+const asCommandEnv = "RENDERFLEET_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asCommandEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// Replica worlds are in-process, the quantization step, the flight ring
+// and hedging have one setting each, and the cache is disabled by its
+// byte budget: the flags that said otherwise are unknown flags, which
+// the flag package answers with exit 2 and the usage text listing what
+// exists.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-world", "mpnet"}, {"-quant", "1"}, {"-no-hedge"}, {"-no-cache"}, {"-flight", "8"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), asCommandEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		for _, want := range []string{"flag provided but not defined: " + args[0], "-cache-bytes"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%v: output lacks %q:\n%s", args, want, out)
+			}
+		}
+	}
+}
 
 // TestNoTraceReachesReplicas pins the -no-trace pass-through: the flag
 // used to switch off only the gateway's tracing, leaving every

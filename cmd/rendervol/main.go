@@ -75,7 +75,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		werr := trace.WritePerfetto(f, rec)
+		werr := rec.Wire("sortlast").WritePerfetto(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

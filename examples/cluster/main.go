@@ -6,28 +6,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
 	"sync"
 	"time"
 
-	"sortlast/internal/core"
 	"sortlast/internal/frame"
+	"sortlast/internal/harness"
 	"sortlast/internal/mp"
 	"sortlast/internal/mpnet"
-	"sortlast/internal/partition"
 	"sortlast/internal/render"
-	"sortlast/internal/transfer"
-	"sortlast/internal/volume"
 )
 
 func main() {
 	const p = 4
-	vol := volume.HeadPhantom(128, 128, 56)
-	tf := transfer.Head()
-	cam := render.NewCamera(256, 256, vol.Bounds(), 15, 30)
-	dec, err := partition.Decompose(vol.Bounds(), p)
+	plan, err := harness.NewPlan(harness.Config{
+		Dataset: "head", Method: "bsbrc", P: p,
+		Width: 256, Height: 256, RotX: 15, RotY: 30,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,6 +44,7 @@ func main() {
 	}
 	fmt.Println("ranks:", addrs)
 
+	const timeout = 30 * time.Second
 	var wg sync.WaitGroup
 	var final *frame.Image
 	errs := make([]error, p)
@@ -56,7 +55,7 @@ func main() {
 			errs[r] = func() error {
 				node, err := mpnet.Connect(mpnet.Config{
 					Rank: r, Addrs: addrs, Listener: listeners[r],
-					Opts: mp.Options{RecvTimeout: 30 * time.Second},
+					Opts: mp.Options{RecvTimeout: timeout},
 				})
 				if err != nil {
 					return err
@@ -64,25 +63,23 @@ func main() {
 				defer node.Close()
 				c := node.Comm()
 
-				img := render.Raycast(vol, dec.Box(r), cam, tf, render.Options{})
-				comp, err := core.New("bsbrc")
-				if err != nil {
-					return err
-				}
-				res, err := comp.Composite(c, dec, cam.Dir, img)
+				res, err := plan.CompositeRank(c, plan.RenderRank(r))
 				if err != nil {
 					return err
 				}
 				fmt.Printf("rank %d: composited %d px, received %d bytes over TCP\n",
 					r, res.Stats.TotalComposited(), res.Stats.BytesReceived())
-				out, err := core.GatherImage(c, 0, res)
+				out, err := plan.GatherRank(c, res)
 				if err != nil {
 					return err
 				}
 				if r == 0 {
 					final = out
 				}
-				return c.Barrier() // quiesce before Close
+				// Quiesce (no peer still expects traffic), then close.
+				ctx, cancel := context.WithTimeout(context.Background(), timeout)
+				defer cancel()
+				return node.Shutdown(ctx)
 			}()
 		}(r)
 	}
@@ -93,7 +90,7 @@ func main() {
 		}
 	}
 
-	serial := render.Raycast(vol, vol.Bounds(), cam, tf, render.Options{})
+	serial := render.Raycast(plan.Vol, plan.Vol.Bounds(), plan.Cam, plan.TF, render.Options{})
 	if d := serial.MaxAbsDiff(final, serial.Full()); d > 2e-3 {
 		log.Fatalf("distributed image differs from serial by %g", d)
 	}

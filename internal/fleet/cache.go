@@ -55,7 +55,7 @@ func quantizeDeg(deg, step float64) int {
 	return int(math.Round(n/step)) % buckets
 }
 
-// quantKey builds the cache/affinity key for a request. The empty
+// quantKey builds the cache key for a request. The empty
 // method is normalized to the server default so "bsbrc" and "" share an
 // entry. Methods key apart although all of them composite
 // byte-identical images, so invalidation can be method-scoped.

@@ -1,18 +1,16 @@
 // Package fleet is the horizontal-capacity tier above renderd: a
 // gateway that owns N world replicas (each a supervised internal/server
-// world with its own P and transport, or an externally running renderd
-// it attaches to) and speaks the same length-prefixed frame protocol to
+// world with its own P, or an externally running renderd it attaches
+// to) and speaks the same length-prefixed frame protocol to
 // clients, so internal/client works unchanged against a gateway.
 //
 // Three mechanisms turn one-world serving into a fleet:
 //
 //   - Routing: requests go to the replica with the least outstanding
-//     work, biased by a decaying camera-affinity bonus (repeat cameras
-//     stay on the replica whose caches are warm for them) and away from
-//     replicas that recently failed or whose world is rebuilding. A
-//     dispatch that fails with a retryable error is retried on the next
-//     replica, so one crashing replica drains to the survivors without
-//     failing client requests.
+//     work, away from replicas that recently failed or whose world is
+//     rebuilding. A dispatch that fails with a retryable error is
+//     retried on the next replica, so one crashing replica drains to
+//     the survivors without failing client requests.
 //
 //   - Hedged dispatch: a request that outlives its replica's rolling
 //     p99 latency is speculatively re-sent to a second replica; the
@@ -53,21 +51,13 @@ type Config struct {
 	Replicas []ReplicaConfig
 
 	// CacheBytes is the frame cache's byte budget. Zero means 64 MiB;
-	// negative disables the cache.
+	// negative disables the cache. Cache keys quantize the camera to
+	// DefaultQuantDeg.
 	CacheBytes int64
-	// QuantDeg is the camera quantization step in degrees for cache and
-	// affinity keys. Zero means DefaultQuantDeg.
-	QuantDeg float64
 
 	// HedgeMin floors the hedge delay so a replica with a very fast
 	// rolling p99 is not hedged on scheduling noise. Zero means 10ms.
 	HedgeMin time.Duration
-	// HedgeDisabled turns hedged dispatch off.
-	HedgeDisabled bool
-
-	// AffinityHalfLife is the camera-affinity decay half-life. Zero
-	// means 5s.
-	AffinityHalfLife time.Duration
 	// SuspectCooldown is how long a replica is deprioritized after a
 	// failed dispatch. Zero means 1s.
 	SuspectCooldown time.Duration
@@ -75,18 +65,13 @@ type Config struct {
 	// DefaultDeadline bounds requests that carry no DeadlineMS. Zero
 	// means 30s.
 	DefaultDeadline time.Duration
-	// PoolConns sizes each replica's client connection pool. Zero means
-	// 64.
-	PoolConns int
 
-	// TracingDisabled turns off the gateway's request tracing: no trace
+	// DisableTracing turns off the gateway's request tracing: no trace
 	// contexts are propagated to replicas, no merged span trees are
-	// returned to sampled callers, and the flight recorder is off.
-	TracingDisabled bool
-	// FlightSize bounds the gateway's frame flight recorder (last N
-	// interesting requests with their merged span trees, served at
-	// /debug/flight). Zero means trace.DefaultFlightSize.
-	FlightSize int
+	// returned to sampled callers, and the flight recorder (the last
+	// trace.DefaultFlightSize interesting requests at /debug/flight) is
+	// off.
+	DisableTracing bool
 }
 
 func (c Config) withDefaults() Config {
@@ -96,23 +81,14 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.QuantDeg == 0 {
-		c.QuantDeg = DefaultQuantDeg
-	}
 	if c.HedgeMin == 0 {
 		c.HedgeMin = 10 * time.Millisecond
-	}
-	if c.AffinityHalfLife == 0 {
-		c.AffinityHalfLife = 5 * time.Second
 	}
 	if c.SuspectCooldown == 0 {
 		c.SuspectCooldown = time.Second
 	}
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 30 * time.Second
-	}
-	if c.PoolConns == 0 {
-		c.PoolConns = 64
 	}
 	return c
 }
@@ -129,7 +105,6 @@ const hedgeMinSamples = 16
 type Gateway struct {
 	cfg      Config
 	replicas []*replica
-	router   *router
 	met      *metrics
 
 	cacheMu sync.Mutex
@@ -154,20 +129,16 @@ func Start(cfg Config) (*Gateway, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas configured")
 	}
-	replicas, err := startReplicas(cfg.Replicas, cfg.PoolConns)
+	replicas, err := startReplicas(cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
-	g := &Gateway{
-		cfg:      cfg,
-		replicas: replicas,
-		router:   newRouter(cfg.AffinityHalfLife),
-	}
+	g := &Gateway{cfg: cfg, replicas: replicas}
 	if cfg.CacheBytes > 0 {
 		g.cache = newFrameCache(cfg.CacheBytes)
 	}
-	if !cfg.TracingDisabled {
-		g.flight = trace.NewFlight(cfg.FlightSize)
+	if !cfg.DisableTracing {
+		g.flight = trace.NewFlight(trace.DefaultFlightSize)
 	}
 	g.met = newFleetMetrics(g)
 
@@ -244,7 +215,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		return &server.Response{Code: server.CodeBadRequest, Error: err.Error()}, nil
 	}
 	t0 := time.Now()
-	key := quantKey(req, g.cfg.QuantDeg)
+	key := quantKey(req, DefaultQuantDeg)
 	rt := g.newReqTrace(req.Trace, t0)
 
 	// gen is the cache's invalidation generation as of this lookup; an
@@ -270,14 +241,13 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), req.Deadline(g.cfg.DefaultDeadline))
 	defer cancel()
 
-	f, idx, hedged, err := g.dispatch(ctx, req, key, rt)
+	f, idx, hedged, err := g.dispatch(ctx, req, rt)
 	total := time.Since(t0)
 	if err != nil {
 		resp := errorResponse(err)
 		resp.Stats.Hedged = hedged
 		return g.reply(rt, req, total, resp), nil
 	}
-	g.router.remember(key, idx, time.Now())
 	if g.cache != nil {
 		// The entry is keyed by the quality actually delivered (a
 		// DegradeOK request may come back below what it asked for), so a
@@ -370,12 +340,12 @@ type result struct {
 // replica after a retryable failure. Each replica is tried at most once
 // per request. It returns the winning frame and replica index, and
 // whether a hedge was issued.
-func (g *Gateway) dispatch(ctx context.Context, req server.Request, key cacheKey, rt *reqTrace) (*client.Frame, int, bool, error) {
+func (g *Gateway) dispatch(ctx context.Context, req server.Request, rt *reqTrace) (*client.Frame, int, bool, error) {
 	tried := make(map[int]bool, len(g.replicas))
 	hedgeIdx := map[int]bool{}
 	resCh := make(chan result, len(g.replicas))
 
-	primary := g.pick(key, tried)
+	primary := g.pick(tried)
 	if primary < 0 {
 		return nil, 0, false, fmt.Errorf("fleet: no replicas available")
 	}
@@ -406,7 +376,7 @@ func (g *Gateway) dispatch(ctx context.Context, req server.Request, key cacheKey
 				return nil, r.idx, hedged, r.err
 			}
 			g.replicas[r.idx].suspect(time.Now(), g.cfg.SuspectCooldown)
-			if next := g.pick(key, tried); next >= 0 {
+			if next := g.pick(tried); next >= 0 {
 				g.met.retries.Add(1)
 				g.send(ctx, next, req, resCh, rt, "retry")
 				tried[next] = true
@@ -415,10 +385,10 @@ func (g *Gateway) dispatch(ctx context.Context, req server.Request, key cacheKey
 				return nil, r.idx, hedged, lastErr
 			}
 		case <-hedgeTimer.C:
-			if g.cfg.HedgeDisabled || hedged {
+			if hedged {
 				continue
 			}
-			if next := g.pick(key, tried); next >= 0 {
+			if next := g.pick(tried); next >= 0 {
 				hedged = true
 				hedgeIdx[next] = true
 				g.met.hedges.Add(1)
@@ -476,7 +446,7 @@ func errCode(err error) string {
 
 // pick scores the replicas not yet tried for this request and returns
 // the best, or -1 when all are exhausted.
-func (g *Gateway) pick(key cacheKey, tried map[int]bool) int {
+func (g *Gateway) pick(tried map[int]bool) int {
 	now := time.Now()
 	cands := make([]pickCandidate, len(g.replicas))
 	for i, r := range g.replicas {
@@ -489,8 +459,7 @@ func (g *Gateway) pick(key cacheKey, tried map[int]bool) int {
 			cands[i].Penalty += degradedPenalty
 		}
 	}
-	affIdx, w := g.router.affinity(key, now)
-	return pickReplica(cands, affIdx, w)
+	return pickReplica(cands)
 }
 
 // hedgeDelay is how long a dispatch to replica idx may run before a

@@ -261,6 +261,52 @@ func TestFleetCacheByteIdentity(t *testing.T) {
 	waitNoLeaks(t, before)
 }
 
+// A negative CacheBytes really disables the cache: an exact repeat
+// camera is rendered again, nothing is stored, and no lookup is counted
+// (the branch renderfleet -cache-bytes -1 turns on).
+func TestFleetCacheDisabled(t *testing.T) {
+	cfg := twoReplicaConfig(2)
+	cfg.CacheBytes = -1
+	g, err := fleet.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Shutdown(context.Background())
+	cl := client.New(g.Addr().String())
+	defer cl.Close()
+
+	req := server.Request{Dataset: "cube", Method: "bs", Width: 40, Height: 40, RotY: 77.5}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	ref := referenceGray(t, req, 2)
+	for i := 0; i < 2; i++ {
+		f, err := cl.Render(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Stats.Cached || f.Stats.Replica == 0 {
+			t.Errorf("request %d: cached=%v replica=%d, want a fresh render from a replica", i, f.Stats.Cached, f.Stats.Replica)
+		}
+		if !bytes.Equal(f.Gray, ref) {
+			t.Errorf("request %d differs from the one-shot harness run", i)
+		}
+	}
+	st := g.Stats()
+	var frames int64
+	for _, r := range st.Replicas {
+		frames += r.Frames
+	}
+	if frames != 2 || st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 || st.CacheBytes != 0 {
+		t.Errorf("replicas rendered %d frames, stats %+v; want 2 renders and an untouched cache", frames, st)
+	}
+	_, body := gatewayGet(t, "http://"+g.HTTPAddr().String()+"/metrics")
+	for _, want := range []string{`fleet_cache_requests_total{outcome="hit"} 0`, "fleet_cache_entries 0"} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}
+
 // TestGatewayRejectsOversizeGeometry: the gateway applies the protocol's
 // geometry bound itself. An oversize request is a typed bad_request
 // that never reaches a replica — here a bare listener standing in for

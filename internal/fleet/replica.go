@@ -13,9 +13,9 @@ import (
 
 // ReplicaConfig describes one world replica the gateway owns or fronts.
 // Exactly one of Server and Addr must be set: a non-nil Server starts
-// an in-process renderd (its own supervised world, P and transport —
-// replicas may be heterogeneous), while Addr attaches to a renderd
-// already running elsewhere.
+// an in-process renderd (its own supervised world and P — replicas may
+// be heterogeneous), while Addr attaches to a renderd already running
+// elsewhere.
 type ReplicaConfig struct {
 	// Server configures an in-process replica. Its Addr defaults to a
 	// loopback ephemeral port; the gateway dials it like any backend, so
@@ -24,6 +24,11 @@ type ReplicaConfig struct {
 	// Addr attaches to an external renderd's frame-protocol address.
 	Addr string
 }
+
+// poolConns sizes each replica's client connection pool: the most
+// dispatches (hedges and retries included) one replica can have on
+// sockets at once before a caller waits for a connection.
+const poolConns = 64
 
 // latWindowSize is the rolling latency window per replica. 64 samples
 // keeps the p99 responsive to regime changes (a replica going slow
@@ -115,7 +120,7 @@ func (r *replica) restarts() int64 {
 // startReplicas builds every replica concurrently — world construction
 // dominates gateway startup, and replicas are independent. Any failure
 // shuts the already-started replicas down and fails Start.
-func startReplicas(cfgs []ReplicaConfig, poolConns int) ([]*replica, error) {
+func startReplicas(cfgs []ReplicaConfig) ([]*replica, error) {
 	reps := make([]*replica, len(cfgs))
 	errs := make([]error, len(cfgs))
 	var wg sync.WaitGroup
@@ -123,7 +128,7 @@ func startReplicas(cfgs []ReplicaConfig, poolConns int) ([]*replica, error) {
 		wg.Add(1)
 		go func(i int, rc ReplicaConfig) {
 			defer wg.Done()
-			reps[i], errs[i] = startReplica(i, rc, poolConns)
+			reps[i], errs[i] = startReplica(i, rc)
 		}(i, rc)
 	}
 	wg.Wait()
@@ -140,7 +145,7 @@ func startReplicas(cfgs []ReplicaConfig, poolConns int) ([]*replica, error) {
 	return reps, nil
 }
 
-func startReplica(idx int, rc ReplicaConfig, poolConns int) (*replica, error) {
+func startReplica(idx int, rc ReplicaConfig) (*replica, error) {
 	r := &replica{idx: idx}
 	switch {
 	case rc.Server != nil && rc.Addr != "":

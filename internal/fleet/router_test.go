@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"math"
-	"testing"
-	"time"
-)
+import "testing"
 
 // The scorer is deterministic: least outstanding work wins, ties break
 // to the lowest index.
@@ -28,82 +24,8 @@ func TestPickLeastOutstandingTieBreak(t *testing.T) {
 			[]pickCandidate{{Penalty: suspectPenalty}, {Penalty: degradedPenalty}}, 1},
 	}
 	for _, tc := range cases {
-		if got := pickReplica(tc.cands, -1, 0); got != tc.want {
+		if got := pickReplica(tc.cands); got != tc.want {
 			t.Errorf("%s: pickReplica = %d, want %d", tc.name, got, tc.want)
 		}
-	}
-}
-
-// Affinity breaks ties toward the warm replica but never outweighs a
-// full request of load difference.
-func TestPickAffinityBonus(t *testing.T) {
-	even := []pickCandidate{{Outstanding: 1}, {Outstanding: 1}}
-	if got := pickReplica(even, 1, 1.0); got != 1 {
-		t.Errorf("affinity did not break the tie: got %d, want 1", got)
-	}
-	// One extra outstanding request on the affine replica must dominate
-	// even a full-strength bonus.
-	loaded := []pickCandidate{{Outstanding: 1}, {Outstanding: 2}}
-	if got := pickReplica(loaded, 1, 1.0); got != 0 {
-		t.Errorf("affinity outweighed load: got %d, want 0", got)
-	}
-	// A decayed bonus still wins an exact tie.
-	if got := pickReplica(even, 1, 0.01); got != 1 {
-		t.Errorf("decayed affinity did not break the tie: got %d, want 1", got)
-	}
-	// Zero weight leaves the deterministic index tie-break in place.
-	if got := pickReplica(even, 1, 0); got != 0 {
-		t.Errorf("zero-weight affinity changed the pick: got %d, want 0", got)
-	}
-	// Weights outside [0,1] are clamped, not amplified.
-	if got := pickReplica(loaded, 1, 50); got != 0 {
-		t.Errorf("oversized affinity weight was not clamped: got %d, want 0", got)
-	}
-}
-
-// The affinity weight halves every half-life and is exactly 1 at zero
-// age.
-func TestAffinityDecay(t *testing.T) {
-	const hl = 5 * time.Second
-	if w := affinityDecay(0, hl); w != 1 {
-		t.Errorf("decay(0) = %g, want 1", w)
-	}
-	if w := affinityDecay(hl, hl); math.Abs(w-0.5) > 1e-9 {
-		t.Errorf("decay(halfLife) = %g, want 0.5", w)
-	}
-	if w := affinityDecay(2*hl, hl); math.Abs(w-0.25) > 1e-9 {
-		t.Errorf("decay(2*halfLife) = %g, want 0.25", w)
-	}
-	// Monotonically non-increasing in age.
-	prev := math.Inf(1)
-	for age := time.Duration(0); age < 30*time.Second; age += 100 * time.Millisecond {
-		w := affinityDecay(age, hl)
-		if w > prev {
-			t.Fatalf("decay not monotonic at age %v: %g > %g", age, w, prev)
-		}
-		prev = w
-	}
-	if w := affinityDecay(time.Hour, 0); w != 1 {
-		t.Errorf("zero half-life must disable decay, got %g", w)
-	}
-}
-
-// The router's table remembers the last server per camera key and
-// reports a decayed weight; unknown keys report no affinity.
-func TestRouterRememberAndDecay(t *testing.T) {
-	r := newRouter(time.Second)
-	key := cacheKey{dataset: "cube", method: "bs", width: 64, height: 64}
-	if idx, w := r.affinity(key, time.Now()); idx != -1 || w != 0 {
-		t.Fatalf("unknown key: affinity = (%d, %g), want (-1, 0)", idx, w)
-	}
-	now := time.Now()
-	r.remember(key, 2, now)
-	idx, w := r.affinity(key, now)
-	if idx != 2 || math.Abs(w-1) > 1e-9 {
-		t.Fatalf("fresh hint: affinity = (%d, %g), want (2, 1)", idx, w)
-	}
-	idx, w = r.affinity(key, now.Add(time.Second))
-	if idx != 2 || math.Abs(w-0.5) > 1e-9 {
-		t.Fatalf("one half-life later: affinity = (%d, %g), want (2, 0.5)", idx, w)
 	}
 }

@@ -50,7 +50,7 @@ type attempt struct {
 // external caller — a fresh ID is minted. Returns nil when gateway
 // tracing is disabled.
 func (g *Gateway) newReqTrace(tc *trace.Context, t0 time.Time) *reqTrace {
-	if g.cfg.TracingDisabled {
+	if g.cfg.DisableTracing {
 		return nil
 	}
 	rt := &reqTrace{start: t0}

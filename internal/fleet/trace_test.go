@@ -333,7 +333,7 @@ func TestFleetTracingDisabled(t *testing.T) {
 		Replicas: []fleet.ReplicaConfig{
 			{Server: &server.Config{P: 2, QueueDepth: 8, MaxInFlight: 2, DefaultDeadline: time.Minute}},
 		},
-		TracingDisabled: true,
+		DisableTracing: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -231,13 +231,6 @@ func RunWithImage(cfg Config) (*Row, *frame.Image, error) {
 	return row, img, err
 }
 
-// RunDetailed additionally returns the per-rank counters, for timeline
-// and stage-breakdown reporting.
-func RunDetailed(cfg Config) (*Row, []*stats.Rank, error) {
-	row, _, rs, err := run(cfg, false)
-	return row, rs, err
-}
-
 // RunFull returns the row, the final image, and the per-rank counters —
 // everything a traced run needs for the measured-vs-modeled report.
 func RunFull(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {

@@ -220,7 +220,7 @@ func TestValueRunsDegenerateOnVolumeImages(t *testing.T) {
 }
 
 func TestRunDetailedExposesRankStats(t *testing.T) {
-	row, rs, err := RunDetailed(smallCfg("bsbrc", 4))
+	row, _, rs, err := RunFull(smallCfg("bsbrc", 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestTracedBSBRCRun(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := trace.WritePerfetto(&buf, rec); err != nil {
+	if err := rec.Wire("sortlast").WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var f trace.File

@@ -208,7 +208,7 @@ func TestServedWireBytesMatchOneShot(t *testing.T) {
 		_, cl := startServer(t, server.Config{P: p, DefaultDeadline: time.Minute})
 		for _, method := range core.Names() {
 			req := server.Request{Dataset: "cube", Method: method, Width: 64, Height: 64, RotY: 30}
-			_, ranks, err := harness.RunDetailed(harness.Config{
+			_, _, ranks, err := harness.RunFull(harness.Config{
 				Dataset: req.Dataset, Method: req.Method, Width: req.Width, Height: req.Height,
 				P: p, RotY: req.RotY,
 			})

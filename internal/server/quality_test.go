@@ -285,61 +285,3 @@ func TestRetiredQualityIsBadRequest(t *testing.T) {
 		t.Errorf("gateway stats after %d retired-name requests: %+v; want every one a miss and an error, nothing cached or retried", sent, st)
 	}
 }
-
-// TestDegradeDisabledIgnoresOptIn pins the operator override (renderd
-// -no-degrade): with DegradeDisabled set, DegradeOK requests behave as
-// if the flag were never sent — a saturated queue answers overloaded
-// and nothing is degraded.
-func TestDegradeDisabledIgnoresOptIn(t *testing.T) {
-	srv, err := server.Start(server.Config{
-		Addr: "127.0.0.1:0", P: 2,
-		QueueDepth: 1, MaxInFlight: 1, DefaultDeadline: 2 * time.Minute,
-		DegradeDisabled: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-	cl := client.New(srv.Addr().String())
-	defer cl.Close()
-
-	const n = 12
-	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 128, Height: 128, DegradeOK: true}
-	var (
-		wg         sync.WaitGroup
-		overloaded int
-		mu         sync.Mutex
-	)
-	errCh := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			f, err := cl.Render(ctx, req)
-			if errors.Is(err, client.ErrOverloaded) {
-				mu.Lock()
-				overloaded++
-				mu.Unlock()
-				return
-			}
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if f.Stats.Degraded || f.Stats.Quality != server.QualityFull {
-				errCh <- fmt.Errorf("degrade-disabled server delivered quality=%q degraded=%v",
-					f.Stats.Quality, f.Stats.Degraded)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	if overloaded == 0 {
-		t.Errorf("no overload rejections from a %d-deep burst against capacity 2 with degrade disabled", n)
-	}
-}

@@ -1,8 +1,8 @@
 // Package server implements renderd, the persistent frame-serving tier
-// of the sort-last system: a resident rank pool (in-process mp world or
-// TCP mpnet world) that keeps volumes, transfer functions and the
-// per-rank compositing scratch warm across requests and serves frames
-// over a length-prefixed TCP protocol.
+// of the sort-last system: a resident rank pool (an in-process mp world)
+// that keeps volumes, transfer functions and the per-rank compositing
+// scratch warm across requests and serves frames over a length-prefixed
+// TCP protocol.
 //
 // The serving skeleton is: connection handlers validate and admit
 // requests into a bounded queue (admission control — a full queue is a
@@ -49,10 +49,6 @@ type Config struct {
 	// /metrics). Empty disables the sidecar.
 	HTTPAddr string
 
-	// World picks the resident rank pool: "mp" (in-process, default) or
-	// "mpnet" (one TCP node per rank; WorldAddrs or loopback ephemeral).
-	World      string
-	WorldAddrs []string
 	// P is the number of resident ranks. Default 4.
 	P int
 
@@ -76,12 +72,6 @@ type Config struct {
 	// world. Default 60s.
 	FrameTimeout time.Duration
 
-	// DegradeDisabled makes the server ignore Request.DegradeOK: a
-	// saturated queue rejects with CodeOverloaded, exactly as if the
-	// caller had not opted in. Operator knob for pinning full fidelity
-	// fleet-wide (renderd -no-degrade) without changing clients.
-	DegradeDisabled bool
-
 	// Chaos, when set, wraps every rank's transport with fault injection
 	// (drops, delays, resets, rank crashes, stalls) for chaos testing;
 	// see internal/faultinject. Nil (the default) injects nothing.
@@ -90,15 +80,10 @@ type Config struct {
 	// DisableTracing turns off the per-frame span recorder. By default
 	// every frame records per-rank spans (a few hundred appends per
 	// frame), feeding the /debug/trace/last endpoint, the per-phase
-	// latency histograms on /metrics, the flight recorder, and the span
-	// trees returned to sampled requests.
+	// latency histograms on /metrics, the flight recorder (the last
+	// trace.DefaultFlightSize interesting frames at /debug/flight), and
+	// the span trees returned to sampled requests.
 	DisableTracing bool
-
-	// FlightSize bounds the frame flight recorder: the last N
-	// interesting frames (errors, hedged, at-or-over-p99 latency) kept
-	// with their full span trees, served at /debug/flight. Zero means
-	// trace.DefaultFlightSize; tracing disabled disables it too.
-	FlightSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -260,13 +245,13 @@ func Start(cfg Config) (*Server, error) {
 		supDone: make(chan struct{}),
 	}
 	if !cfg.DisableTracing {
-		s.flight = trace.NewFlight(cfg.FlightSize)
+		s.flight = trace.NewFlight(trace.DefaultFlightSize)
 	}
 	s.met = newMetrics(func() int { return len(s.queue) }, func() int { return len(s.tokens) }, s.flight, s.renderStats.Snapshot)
 
-	// The first world builds synchronously so configuration errors
-	// (unknown world kind, bad address list) fail Start; later failures
-	// are the supervisor's to absorb.
+	// The first world builds synchronously so a configuration error (a
+	// rank count mp refuses) fails Start; later failures are the
+	// supervisor's to absorb.
 	run, err := s.newWorldRun()
 	if err != nil {
 		return nil, err
@@ -321,7 +306,7 @@ func (s *Server) handleTraceLast(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	trace.WritePerfetto(w, rec)
+	rec.Wire("renderd").WritePerfetto(w)
 }
 
 // ---- pipeline ----
@@ -416,11 +401,6 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 	requested, err := NormalizeQuality(req.Quality)
 	if err != nil {
 		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
-	}
-	if s.cfg.DegradeDisabled {
-		// req is a copy, so clearing the flag here blinds the
-		// admission step below.
-		req.DegradeOK = false
 	}
 	// Arrival is stamped once: the deadline and every reported latency
 	// are anchored to it, however many times admission rebuilds the job.
@@ -685,7 +665,7 @@ func (s *Server) stopWorld(ctx context.Context) error {
 	case <-pipeDone:
 	case <-ctx.Done():
 		err = ctx.Err()
-		run.res.forceStop()
+		run.res.stop()
 		<-pipeDone
 	}
 	// Frames cancelled mid-flight by the forced stop were untracked by
@@ -695,8 +675,6 @@ func (s *Server) stopWorld(ctx context.Context) error {
 		<-s.tokens
 		j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
 	}
-	if werr := run.res.shutdown(ctx); werr != nil && err == nil {
-		err = werr
-	}
+	run.res.stop()
 	return err
 }

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -13,7 +12,7 @@ import (
 	"sortlast/internal/server"
 )
 
-func startServer(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
+func startServer(t testing.TB, cfg server.Config) (*server.Server, *client.Client) {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -98,43 +97,6 @@ func TestQueuedDeadlineCancels(t *testing.T) {
 		t.Errorf("short-deadline queued request: got %v, want ErrDeadline", err)
 	}
 	wg.Wait()
-}
-
-// The mpnet resident world serves frames identical to the in-process
-// world and tears down cleanly.
-func TestServeOverMPNetWorld(t *testing.T) {
-	before := runtime.NumGoroutine()
-	srv, err := server.Start(server.Config{
-		Addr: "127.0.0.1:0", World: "mpnet", P: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := client.New(srv.Addr().String())
-	req := server.Request{Dataset: "cube", Method: "bsbr", Width: 48, Height: 48, RotY: 20}
-	ref := referenceGray(t, req, 2, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	f, err := cl.Render(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f.Gray, ref) {
-		t.Error("mpnet-served frame differs from one-shot harness run")
-	}
-	cl.Close()
-	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer scancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
-	waitNoLeaks(t, before)
-}
-
-func TestUnknownWorldKind(t *testing.T) {
-	if _, err := server.Start(server.Config{World: "smoke", Addr: "127.0.0.1:0"}); err == nil {
-		t.Fatal("unknown world kind must fail Start")
-	}
 }
 
 // TestOversizeGeometryRejected: request geometry is bounded at

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,11 +15,10 @@ import (
 // Config.FrameTimeout — the paper's failure mode of one slow SP2 rank
 // stalling the whole binary-swap exchange) fails the incarnation: every
 // in-flight job is answered with the typed, retryable CodeWorldFailed,
-// the world is torn down through the existing forceStop/shutdown hooks,
-// and the supervisor rebuilds a fresh rank pool under capped exponential
-// backoff. Requests admitted while the world is down simply wait in the
-// admission queue (or bounce with CodeOverloaded when it fills), so the
-// server degrades instead of hanging forever.
+// the world is stopped, and the supervisor rebuilds a fresh rank pool
+// under capped exponential backoff. Requests admitted while the world is
+// down simply wait in the admission queue (or bounce with CodeOverloaded
+// when it fills), so the server degrades instead of hanging forever.
 
 // Restart backoff bounds: quick first retry (most failures are one bad
 // frame or an injected fault), capped so a persistently failing world
@@ -38,7 +36,7 @@ var errWedged = errors.New("server: frame watchdog expired (rank world wedged)")
 // currently inside the pipeline. Exactly one incarnation is live at a
 // time; the supervisor replaces it after a failure.
 type worldRun struct {
-	res       resident
+	res       *procResident
 	renderChs []chan *job
 	pipeWG    sync.WaitGroup // render+composite loops + watchdog
 
@@ -56,8 +54,7 @@ type worldRun struct {
 // newWorldRun builds a fresh resident world and spawns its per-rank
 // pipeline loops and the watchdog.
 func (s *Server) newWorldRun() (*worldRun, error) {
-	res, err := newResident(s.cfg.World, s.cfg.P, s.cfg.WorldAddrs,
-		s.worldOpts(), s.cfg.Chaos)
+	res, err := newProcResident(s.cfg.P, mp.Options{RecvTimeout: s.cfg.RecvTimeout}, s.cfg.Chaos)
 	if err != nil {
 		return nil, err
 	}
@@ -68,14 +65,13 @@ func (s *Server) newWorldRun() (*worldRun, error) {
 		inflight:  make(map[*job]time.Time),
 		watchStop: make(chan struct{}),
 	}
-	comms := res.comms()
 	for r := 0; r < s.cfg.P; r++ {
 		renderCh := make(chan *job, s.cfg.MaxInFlight)
 		compCh := make(chan rendered, s.cfg.MaxInFlight)
 		run.renderChs[r] = renderCh
 		run.pipeWG.Add(2)
 		go s.renderLoop(r, run, renderCh, compCh)
-		go s.compositeLoop(r, run, comms[r], compCh)
+		go s.compositeLoop(r, run, res.cs[r], compCh)
 	}
 	run.pipeWG.Add(1)
 	go s.watchdog(run)
@@ -91,7 +87,7 @@ func (run *worldRun) fail(s *Server, err error) {
 		run.failErr = err
 		e := err
 		s.lastWorldErr.Store(&e)
-		run.res.forceStop()
+		run.res.stop()
 		close(run.failed)
 	})
 }
@@ -272,7 +268,7 @@ func (s *Server) dispatch(run *worldRun) (stopped bool) {
 // teardownFailed disposes a failed incarnation: pipeline loops drain
 // (fail already force-stopped the world, so nothing blocks), every job
 // still inside the pipeline is answered with CodeWorldFailed and its
-// token released, and the world's listeners are closed.
+// token released.
 func (s *Server) teardownFailed(run *worldRun) {
 	s.setCur(nil)
 	for _, ch := range run.renderChs {
@@ -284,11 +280,6 @@ func (s *Server) teardownFailed(run *worldRun) {
 		<-s.tokens
 		j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
 	}
-	// Bounded close of sockets/listeners; the world is already
-	// force-stopped, so this never waits for a quiesce.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	run.res.shutdown(ctx)
 }
 
 func (s *Server) setCur(run *worldRun) {
@@ -310,8 +301,4 @@ func (s *Server) frameTimeout() time.Duration {
 		return s.cfg.FrameTimeout
 	}
 	return 60 * time.Second
-}
-
-func (s *Server) worldOpts() mp.Options {
-	return mp.Options{RecvTimeout: s.cfg.RecvTimeout}
 }

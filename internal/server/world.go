@@ -1,56 +1,25 @@
 package server
 
 import (
-	"context"
-	"fmt"
-	"net"
-	"sync"
-	"time"
-
 	"sortlast/internal/faultinject"
 	"sortlast/internal/mp"
-	"sortlast/internal/mpnet"
 )
 
-// resident is the standing rank pool the server owns for the lifetime of
-// one world incarnation: one Comm endpoint per rank (each used by
-// exactly one composite-stage goroutine), a graceful quiesce-then-close
-// teardown, and a force stop that fails blocked receives when teardown
-// must not wait. The supervisor builds a fresh resident after a failure.
-type resident interface {
-	comms() []mp.Comm
-	// shutdown quiesces and tears the world down; bounded by ctx.
-	shutdown(ctx context.Context) error
-	// forceStop fails all blocked receives immediately (and releases any
-	// injected stalls). Used when the pipeline must be cancelled without
-	// waiting for quiescence.
-	forceStop()
-}
-
-// newResident builds the rank pool named by kind: "mp" (in-process
-// goroutine world) or "mpnet" (TCP world; every rank a node over real
-// sockets, on addrs or loopback ephemeral ports when addrs is empty).
-// A non-nil injector wraps every rank's transport with fault injection;
-// each call starts a fresh injector incarnation, so faults armed against
-// a previous world do not carry over to its replacement.
-func newResident(kind string, p int, addrs []string, opts mp.Options, inj *faultinject.Injector) (resident, error) {
-	switch kind {
-	case "", "mp":
-		return newProcResident(p, opts, inj)
-	case "mpnet":
-		return newNetResident(p, addrs, opts, inj)
-	default:
-		return nil, fmt.Errorf("server: unknown world kind %q (want mp or mpnet)", kind)
-	}
-}
-
-// procResident is the in-process world.
+// procResident is the standing rank pool the server owns for the
+// lifetime of one world incarnation: an in-process mp world with one
+// Comm endpoint per rank, each used by exactly one composite-stage
+// goroutine. The supervisor builds a fresh one after a failure. (Ranks
+// on sockets are cmd/clusternode's job; a served world is in-process.)
 type procResident struct {
 	w   *mp.World
 	cs  []mp.Comm
 	inj *faultinject.Injector
 }
 
+// newProcResident builds a p-rank pool. A non-nil injector wraps every
+// rank's transport with fault injection; each call starts a fresh
+// injector incarnation, so faults armed against a previous world do not
+// carry over to its replacement.
 func newProcResident(p int, opts mp.Options, inj *faultinject.Injector) (*procResident, error) {
 	w, err := mp.NewWorld(p, opts)
 	if err != nil {
@@ -72,124 +41,12 @@ func newProcResident(p int, opts mp.Options, inj *faultinject.Injector) (*procRe
 	return &procResident{w: w, cs: cs, inj: inj}, nil
 }
 
-func (p *procResident) comms() []mp.Comm { return p.cs }
-func (p *procResident) forceStop() {
+// stop fails all blocked receives immediately and releases any injected
+// stalls, so teardown never sleeps them out. Idempotent: an idle world's
+// teardown and a cancelled pipeline's are the same call.
+func (p *procResident) stop() {
 	p.w.Shutdown()
 	if p.inj != nil {
-		p.inj.EndWorld() // release injected stalls so teardown never sleeps them out
+		p.inj.EndWorld()
 	}
-}
-func (p *procResident) shutdown(context.Context) error {
-	p.forceStop()
-	return nil
-}
-
-// netResident runs every rank as an mpnet node over TCP. With an empty
-// address list the nodes bind loopback ephemeral ports, which keeps the
-// serving pipeline honest about byte movement without configuration.
-type netResident struct {
-	nodes []*mpnet.Node
-	cs    []mp.Comm
-	inj   *faultinject.Injector
-}
-
-func newNetResident(p int, addrs []string, opts mp.Options, inj *faultinject.Injector) (*netResident, error) {
-	if len(addrs) == 0 {
-		addrs = make([]string, p)
-		for i := range addrs {
-			addrs[i] = "127.0.0.1:0"
-		}
-	}
-	if len(addrs) != p {
-		return nil, fmt.Errorf("server: %d mpnet addresses for %d ranks", len(addrs), p)
-	}
-	// Bind all listeners first so every rank knows its peers' real
-	// (possibly ephemeral) addresses before anyone dials.
-	listeners := make([]net.Listener, p)
-	real := make([]string, p)
-	for i, addr := range addrs {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("server: mpnet rank %d listen: %w", i, err)
-		}
-		listeners[i] = ln
-		real[i] = ln.Addr().String()
-	}
-	if inj != nil {
-		inj.BeginWorld()
-	}
-	nodes := make([]*mpnet.Node, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var wrap func(mp.Transport) mp.Transport
-			if inj != nil {
-				wrap = func(tr mp.Transport) mp.Transport { return inj.Wrap(r, tr) }
-			}
-			nodes[r], errs[r] = mpnet.Connect(mpnet.Config{
-				Rank: r, Addrs: real, Listener: listeners[r],
-				DialTimeout:   30 * time.Second,
-				WrapTransport: wrap,
-				Opts:          opts,
-			})
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			for _, n := range nodes {
-				if n != nil {
-					n.Close()
-				}
-			}
-			return nil, fmt.Errorf("server: mpnet rank %d: %w", r, err)
-		}
-	}
-	cs := make([]mp.Comm, p)
-	for r, n := range nodes {
-		cs[r] = n.Comm()
-	}
-	return &netResident{nodes: nodes, cs: cs, inj: inj}, nil
-}
-
-func (n *netResident) comms() []mp.Comm { return n.cs }
-
-func (n *netResident) forceStop() {
-	for _, node := range n.nodes {
-		node.Close()
-	}
-	if n.inj != nil {
-		n.inj.EndWorld()
-	}
-}
-
-func (n *netResident) shutdown(ctx context.Context) error {
-	if n.inj != nil {
-		n.inj.EndWorld()
-	}
-	// Every node barriers, so the quiesce completes exactly when all
-	// ranks are idle; a wedged rank trips the ctx deadline and the
-	// remaining nodes close anyway.
-	errs := make([]error, len(n.nodes))
-	var wg sync.WaitGroup
-	for r, node := range n.nodes {
-		wg.Add(1)
-		go func(r int, node *mpnet.Node) {
-			defer wg.Done()
-			errs[r] = node.Shutdown(ctx)
-		}(r, node)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
-// Event is one Chrome trace-event object. The recorder emits complete
+// Event is one Chrome trace-event object. (*Wire).Events emits complete
 // events (ph "X", microsecond ts/dur) plus metadata events (ph "M")
-// naming the process and one thread per rank, which is exactly the
+// naming each process and one thread per track, which is exactly the
 // subset ui.perfetto.dev needs to show one aligned track per rank.
 type Event struct {
 	Name string         `json:"name"`
@@ -34,42 +33,6 @@ type File struct {
 // writeTraceFile encodes one trace-event file as JSON.
 func writeTraceFile(w io.Writer, f File) error {
 	return json.NewEncoder(w).Encode(f)
-}
-
-// Events flattens the recorder into trace events, one tid per rank.
-func Events(rec *Recorder) []Event {
-	if rec == nil {
-		return nil
-	}
-	events := []Event{{
-		Name: "process_name", Ph: "M", PID: 0, TID: 0,
-		Args: map[string]any{"name": "sortlast"},
-	}}
-	for i, spans := range rec.Snapshot() {
-		events = append(events, Event{
-			Name: "thread_name", Ph: "M", PID: 0, TID: i,
-			Args: map[string]any{"name": fmt.Sprintf("rank %d", i)},
-		})
-		for _, s := range spans {
-			ev := Event{
-				Name: s.Name, Ph: "X",
-				TS:  float64(s.Start) / float64(time.Microsecond),
-				Dur: float64(s.Dur) / float64(time.Microsecond),
-				PID: 0, TID: i,
-			}
-			if s.Stage != "" {
-				ev.Args = map[string]any{"stage": s.Stage}
-			}
-			events = append(events, ev)
-		}
-	}
-	return events
-}
-
-// WritePerfetto writes the recorder as Chrome/Perfetto trace-event
-// JSON. Open the file directly in ui.perfetto.dev or chrome://tracing.
-func WritePerfetto(w io.Writer, rec *Recorder) error {
-	return writeTraceFile(w, File{TraceID: rec.TraceID().String(), TraceEvents: Events(rec), DisplayTimeUnit: "ms"})
 }
 
 // ValidateNesting checks that one rank's spans form a proper tree:

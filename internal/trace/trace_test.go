@@ -103,7 +103,7 @@ func TestWritePerfettoSchema(t *testing.T) {
 		r.End(m, "stage1", "stage1")
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, rec); err != nil {
+	if err := rec.Wire("sortlast").WritePerfetto(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var f File

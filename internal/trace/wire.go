@@ -98,26 +98,37 @@ func toWireSpans(spans []Span) []WireSpan {
 	return out
 }
 
-// BuildWire flattens one process's view of a request into a wire trace:
-// an optional process-level track (queue/serve spans the server derives
-// from its own timestamps) followed by one track per recorder rank.
-// rec may be nil (tracing disabled server-side); the process track
-// alone still tells the caller where queue time went. The result is
-// capped at MaxWireSpans, and Truncated is also set when the recorder
-// itself dropped spans at MaxRankSpans.
-func BuildWire(traceID ID, proc string, total time.Duration, procTrack []Span, rec *Recorder) *Wire {
-	w := &Wire{TraceID: traceID.String(), TotalUS: us(total), Truncated: rec.Dropped() > 0}
+// Wire is the recorder as a one-process wire trace named proc, one
+// track per rank that recorded anything, every span kept: the form the
+// CLIs' -trace files and /debug/trace/last export, where no reply-header
+// limit applies and a P=64 run must not lose its deepest ranks.
+// Truncated is set only when the recorder itself dropped spans at
+// MaxRankSpans. A nil recorder yields a process with no tracks.
+func (rec *Recorder) Wire(proc string) *Wire {
+	w := &Wire{TraceID: rec.TraceID().String(), Truncated: rec.Dropped() > 0}
 	p := WireProc{Name: proc}
-	if len(procTrack) > 0 {
-		p.Tracks = append(p.Tracks, WireTrack{Name: "server", Spans: toWireSpans(procTrack)})
-	}
 	for i, spans := range rec.Snapshot() {
-		if len(spans) == 0 {
-			continue
+		if len(spans) > 0 {
+			p.Tracks = append(p.Tracks, WireTrack{Name: fmt.Sprintf("rank %d", i), Spans: toWireSpans(spans)})
 		}
-		p.Tracks = append(p.Tracks, WireTrack{Name: fmt.Sprintf("rank %d", i), Spans: toWireSpans(spans)})
 	}
 	w.Procs = []WireProc{p}
+	return w
+}
+
+// BuildWire flattens one process's view of a request into the trace a
+// reply header carries: an optional process-level track (queue/serve
+// spans the server derives from its own timestamps) followed by rec's
+// rank tracks. rec may be nil (tracing disabled server-side); the
+// process track alone still tells the caller where queue time went. The
+// result is capped at MaxWireSpans.
+func BuildWire(traceID ID, proc string, total time.Duration, procTrack []Span, rec *Recorder) *Wire {
+	w := rec.Wire(proc)
+	w.TraceID, w.TotalUS = traceID.String(), us(total)
+	if len(procTrack) > 0 {
+		p := &w.Procs[0]
+		p.Tracks = append([]WireTrack{{Name: "server", Spans: toWireSpans(procTrack)}}, p.Tracks...)
+	}
 	w.Truncate(MaxWireSpans)
 	return w
 }

@@ -83,6 +83,15 @@ func TestWireTruncate(t *testing.T) {
 	if len(b) > 56<<10 {
 		t.Fatalf("truncated wire marshals to %d bytes, want <= %d", len(b), 56<<10)
 	}
+
+	// The cap belongs to the reply header, not to the recorder → Wire
+	// conversion: the form the CLIs' -trace files and /debug/trace/last
+	// export keeps every span of every rank.
+	full := rec.Wire("sortlast")
+	if full.Truncated || full.SpanCount() != 1600 || len(full.Procs[0].Tracks) != 8 {
+		t.Fatalf("Recorder.Wire: truncated=%v spans=%d tracks=%d, want all 1600 spans on 8 rank tracks",
+			full.Truncated, full.SpanCount(), len(full.Procs[0].Tracks))
+	}
 }
 
 // TestTruncateAfterNestLeavesChildIntact pins the ownership contract:
