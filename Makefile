@@ -53,12 +53,15 @@ bench:
 
 # lines is the size figure EXPERIMENTS.md's census tables and ROADMAP
 # quote: non-test .go outside bench/, blank and comment-only lines
-# dropped, per top-level directory ("." is the root package) and in
-# total. Not part of check.
+# dropped, per top-level directory ("." is the root package), per
+# internal/* package, and in total. Not part of check.
 lines:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l; }; \
 	for d in */; do \
-		[ "$$d" = bench/ ] || printf '%-10s %6d\n' "$${d%/}" "$$(count "$$d")"; \
+		[ "$$d" = bench/ ] || printf '%-20s %6d\n' "$${d%/}" "$$(count "$$d")"; \
 	done; \
-	printf '%-10s %6d\n' . "$$(count . -maxdepth 1)"; \
-	printf '%-10s %6d\n' total "$$(count . -path ./bench -prune -o)"
+	for d in internal/*/; do \
+		printf '%-20s %6d\n' "$${d%/}" "$$(count "$$d")"; \
+	done; \
+	printf '%-20s %6d\n' . "$$(count . -maxdepth 1)"; \
+	printf '%-20s %6d\n' total "$$(count . -path ./bench -prune -o)"

@@ -67,7 +67,7 @@ func validateFlags() ([]string, error) {
 		return nil, fmt.Errorf("-rank %d out of range [0,%d)", *rank, len(list))
 	}
 	if _, err := core.New(*method); err != nil {
-		return nil, fmt.Errorf("unknown -method %q (have %v)", *method, core.Names())
+		return nil, fmt.Errorf("-method: %w", err)
 	}
 	if !harness.KnownDataset(*dataset) {
 		return nil, fmt.Errorf("unknown -dataset %q (have %v)", *dataset, harness.Datasets())

@@ -97,8 +97,8 @@ func methodOverride() ([]string, error) {
 	ms := strings.Split(*methodsFl, ",")
 	for i, m := range ms {
 		ms[i] = strings.TrimSpace(m)
-		if !core.Known(ms[i]) {
-			return nil, fmt.Errorf("-method: unknown compositor %q (have %s)", ms[i], strings.Join(core.Names(), ", "))
+		if _, err := core.New(ms[i]); err != nil {
+			return nil, fmt.Errorf("-method: %w", err)
 		}
 	}
 	return ms, nil
@@ -172,7 +172,7 @@ func run() error {
 
 	if *all || *table == 1 {
 		did = true
-		methods := pick([]string{"bs", "bsbr", "bslc", "bsbrc"})
+		methods := pick(core.PaperMethods())
 		rows, err := sweep(384, methods, datasets(), ps)
 		if err != nil {
 			return err
@@ -218,7 +218,7 @@ func run() error {
 	}
 	if *all || *mmax {
 		did = true
-		methods := pick([]string{"bs", "bsbr", "bslc", "bsbrc"})
+		methods := pick(core.PaperMethods())
 		for _, ds := range datasets() {
 			rows, err := sweep(384, methods, []string{ds}, ps)
 			if err != nil {

@@ -7,7 +7,6 @@
 //
 //	renderfleet -listen 127.0.0.1:7261 -metrics-addr 127.0.0.1:7262 -replicas 2 -p 4 &
 //	curl -s http://127.0.0.1:7262/metrics | grep fleet_cache
-//	curl -s 'http://127.0.0.1:7262/cache/invalidate?dataset=cube'
 //	curl -s http://127.0.0.1:7262/debug/flight  # recent slow/failed/hedged requests
 //
 // Replicas are in-process by default (each its own supervised rank
@@ -33,7 +32,7 @@ import (
 
 var (
 	listen      = flag.String("listen", "127.0.0.1:7261", "frame-protocol listen address")
-	metricsAddr = flag.String("metrics-addr", "127.0.0.1:7262", "observability sidecar address serving /healthz, /metrics, /cache/invalidate, /debug/pprof/ and /debug/flight; empty disables")
+	metricsAddr = flag.String("metrics-addr", "127.0.0.1:7262", "observability sidecar address serving /healthz, /metrics, /debug/pprof/ and /debug/flight; empty disables")
 	replicas    = flag.Int("replicas", 2, "in-process renderd replicas (ignored with -attach)")
 	attach      = flag.String("attach", "", "comma-separated addresses of externally-run renderd processes to route to instead of starting in-process replicas")
 	pList       = flag.String("p", "4", "resident ranks per replica: one value for all, or a comma-separated per-replica list")
@@ -142,7 +141,7 @@ func run() error {
 	fmt.Printf("renderfleet: serving frames on %s (%s, cache=%v)\n",
 		g.Addr(), mode, *cacheBytes >= 0)
 	if a := g.HTTPAddr(); a != nil {
-		fmt.Printf("renderfleet: /healthz, /metrics, /cache/invalidate, /debug/pprof/ and /debug/flight on http://%s\n", a)
+		fmt.Printf("renderfleet: /healthz, /metrics, /debug/pprof/ and /debug/flight on http://%s\n", a)
 	}
 	return obs.DrainOnSignal("renderfleet", *drain, g.Shutdown)
 }

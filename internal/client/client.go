@@ -10,9 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"sortlast/internal/server"
@@ -39,14 +37,6 @@ var (
 	// ErrInternal means the serving pipeline failed.
 	ErrInternal = errors.New("renderd: internal server error")
 )
-
-// Retryable reports whether err is a typed server reply worth retrying:
-// backpressure (ErrOverloaded) and world failure (ErrWorldFailed) are
-// transient — the queue drains, the supervisor rebuilds the world —
-// while the other codes are permanent for the same request.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrWorldFailed)
-}
 
 // Error is a typed failure reply from the server.
 type Error struct {
@@ -85,53 +75,18 @@ type Frame struct {
 	// Trace is the server's span tree for this request, present only
 	// when req.Trace asked for sampling (trace.NewContext). Against a
 	// fleet gateway this is the merged multi-process trace — gateway
-	// decisions plus every dispatch attempt's replica spans. Wrap it
-	// with trace.Nest to put the client-side round trip on top, or feed
-	// it to (*trace.Wire).WritePerfetto directly.
+	// decisions plus every dispatch attempt's replica spans. Feed it to
+	// (*trace.Wire).WritePerfetto to view it.
 	Trace *trace.Wire
 }
 
 // At returns the gray value at (x, y).
 func (f *Frame) At(x, y int) uint8 { return f.Gray[y*f.Width+x] }
 
-// RetryPolicy bounds the client's automatic retries of retryable typed
-// errors (see Retryable). The zero value disables retries.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first;
-	// values below 2 disable retries.
-	MaxAttempts int
-	// BaseBackoff caps the first retry's sleep; the cap doubles per
-	// subsequent retry up to MaxBackoff, and the actual sleep is drawn
-	// uniformly in (0, cap] (full jitter, so synchronized retry storms
-	// decorrelate). Zero means 20ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff growth. Zero means 1s.
-	MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) base() time.Duration {
-	if p.BaseBackoff <= 0 {
-		return 20 * time.Millisecond
-	}
-	return p.BaseBackoff
-}
-
-func (p RetryPolicy) max() time.Duration {
-	if p.MaxBackoff <= 0 {
-		return time.Second
-	}
-	return p.MaxBackoff
-}
-
 // Client talks to one renderd instance. It is safe for concurrent use;
 // each in-flight Render occupies one pooled connection.
 type Client struct {
-	addr  string
-	retry RetryPolicy
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
+	addr string
 	idle chan idleConn
 
 	// probeAfter is how long a connection may sit idle before checkout
@@ -175,69 +130,23 @@ func NewPooled(addr string, maxIdle int) *Client {
 	}
 	return &Client{
 		addr:       addr,
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 		idle:       make(chan idleConn, maxIdle),
 		probeAfter: idleProbeAfter,
 	}
 }
 
-// SetRetryPolicy enables automatic retries of retryable typed errors
-// (overloaded, world_failed) with jittered exponential backoff. Set it
-// before sharing the client across goroutines.
-func (c *Client) SetRetryPolicy(p RetryPolicy) { c.retry = p }
-
-// Render requests one frame. The context bounds the whole round trip —
-// retries and their backoffs included; its deadline (when set and sooner
-// than req.DeadlineMS) is also shipped to the server so queue-side
-// cancellation matches the caller's budget. Retryable typed errors
-// (ErrOverloaded, ErrWorldFailed) are retried within the client's
-// RetryPolicy budget; the last typed error is returned when it runs out.
+// Render requests one frame. The context bounds the round trip; its
+// deadline (when set and sooner than req.DeadlineMS) is also shipped to
+// the server so queue-side cancellation matches the caller's budget.
+// Typed server replies come back as *Error, never retried here: the
+// fleet gateway retries across replicas itself.
 func (c *Client) Render(ctx context.Context, req server.Request) (*Frame, error) {
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	frame, err := c.renderOnce(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	for attempt := 0; ; attempt++ {
-		frame, err := c.renderOnce(ctx, req)
-		if err == nil {
-			upscalePreview(frame, req.Width, req.Height)
-			return frame, nil
-		}
-		if !Retryable(err) || attempt+1 >= attempts {
-			return frame, err
-		}
-		if !c.backoff(ctx, attempt) {
-			// No budget left to sleep and retry; the last typed error is
-			// more useful than a bare deadline error.
-			return nil, err
-		}
-	}
-}
-
-// backoff sleeps one jittered, capped exponential backoff step. It
-// returns false when the context is cancelled or its deadline leaves no
-// room for the sleep plus a useful retry.
-func (c *Client) backoff(ctx context.Context, attempt int) bool {
-	limit := c.retry.base() << attempt
-	if maxB := c.retry.max(); limit > maxB || limit <= 0 { // <<: overflow guard
-		limit = maxB
-	}
-	c.rngMu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(limit))) + 1
-	c.rngMu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		if remaining := time.Until(dl); remaining <= d {
-			return false // would sleep into (or past) the deadline
-		}
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	upscalePreview(frame, req.Width, req.Height)
+	return frame, nil
 }
 
 // upscalePreview maps a reduced-resolution reply — quality "preview",

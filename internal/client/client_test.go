@@ -54,26 +54,7 @@ func stubServer(t *testing.T, codes []string) (addr string, requests *atomic.Int
 	return ln.Addr().String(), requests
 }
 
-func TestRetryableErrorsRecover(t *testing.T) {
-	addr, requests := stubServer(t, []string{server.CodeOverloaded, server.CodeWorldFailed, ""})
-	c := New(addr)
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	f, err := c.Render(ctx, server.Request{Dataset: "cube", Width: 1, Height: 1})
-	if err != nil {
-		t.Fatalf("Render with retries = %v", err)
-	}
-	if f.At(0, 0) != 200 {
-		t.Errorf("frame pixel = %d, want 200", f.At(0, 0))
-	}
-	if n := requests.Load(); n != 3 {
-		t.Errorf("server saw %d requests, want 3 (two retries)", n)
-	}
-}
-
-// Without a retry policy the first typed error surfaces immediately.
+// The client never retries: the first typed error surfaces immediately.
 func TestNoRetryByDefault(t *testing.T) {
 	addr, requests := stubServer(t, []string{server.CodeWorldFailed, ""})
 	c := New(addr)
@@ -88,11 +69,10 @@ func TestNoRetryByDefault(t *testing.T) {
 	}
 }
 
-// Non-retryable codes are never retried even with a policy.
+// A bad request maps to its sentinel and is sent once.
 func TestBadRequestNotRetried(t *testing.T) {
 	addr, requests := stubServer(t, []string{server.CodeBadRequest, ""})
 	c := New(addr)
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond})
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -101,32 +81,6 @@ func TestBadRequestNotRetried(t *testing.T) {
 	}
 	if n := requests.Load(); n != 1 {
 		t.Errorf("server saw %d requests, want 1 (no retries)", n)
-	}
-}
-
-// The retry budget honors the context deadline: backoffs never sleep
-// past it, and the last typed error is returned rather than a bare
-// deadline error.
-func TestRetryHonorsDeadline(t *testing.T) {
-	codes := make([]string, 1000)
-	for i := range codes {
-		codes[i] = server.CodeOverloaded
-	}
-	addr, _ := stubServer(t, codes)
-	c := New(addr)
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 1000, BaseBackoff: 40 * time.Millisecond, MaxBackoff: 40 * time.Millisecond})
-	defer c.Close()
-	const budget = 250 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Render(ctx, server.Request{})
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("Render = %v, want the last typed ErrOverloaded", err)
-	}
-	if elapsed > budget+150*time.Millisecond {
-		t.Errorf("Render took %v for a %v budget: a backoff slept past the deadline", elapsed, budget)
 	}
 }
 

@@ -291,7 +291,7 @@ func TestAllMethodsMatchSerial(t *testing.T) {
 	}
 	check := func(name string, sc *scene, run world, ps []int) {
 		for _, p := range ps {
-			for _, spec := range Specs() {
+			for _, spec := range registry {
 				comp, dec, lay := methodWorld(t, spec.Name, sc.vol.Bounds(), p, 0)
 				final, _ := runImages(t, run, comp, dec, sc.cam.Dir, renderRanks(sc, lay))
 				if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {
@@ -416,7 +416,7 @@ func TestFoldedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range Specs() {
+		for _, spec := range registry {
 			if !spec.Caps.Foldable {
 				continue
 			}

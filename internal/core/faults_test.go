@@ -104,7 +104,7 @@ func TestCompositorsRejectCorruptMessages(t *testing.T) {
 			return b
 		},
 	}
-	for _, spec := range Specs() {
+	for _, spec := range registry {
 		comp := mustNew(t, spec.Name)
 		for mname, mutate := range mutations {
 			if spec.Name == "bs" && mname == "garbage-header" {
@@ -125,7 +125,7 @@ func TestCompositorsRejectCorruptMessages(t *testing.T) {
 // A zero-length corrupt frame must also surface as an error, not hang.
 // At P=2 plain BS exchanges whole non-empty halves, so it is covered too.
 func TestCompositorsRejectEmptyMessages(t *testing.T) {
-	for _, spec := range Specs() {
+	for _, spec := range registry {
 		err := runWithCorruption(t, mustNew(t, spec.Name), 2, 1, func([]byte) []byte { return nil })
 		if err == nil {
 			t.Errorf("%s: empty message accepted", spec.Name)
@@ -135,7 +135,7 @@ func TestCompositorsRejectEmptyMessages(t *testing.T) {
 
 // Sanity: without corruption the same scaffolding completes cleanly.
 func TestCorruptionHarnessCleanRun(t *testing.T) {
-	for _, spec := range Specs() {
+	for _, spec := range registry {
 		if err := runWithCorruption(t, mustNew(t, spec.Name), 4, 1<<30, func(b []byte) []byte { return b }); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

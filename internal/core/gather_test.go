@@ -171,7 +171,7 @@ func TestGatherWithEmptyOwners(t *testing.T) {
 // must stay out of the compositing stages.
 func TestGatherStageCounters(t *testing.T) {
 	viewDir := [3]float64{0.3, -0.5, 0.81}
-	for _, spec := range Specs() {
+	for _, spec := range registry {
 		for _, p := range []int{4, 6} {
 			imgs := goldenImages(0, p)
 			comp, dec, _ := methodWorld(t, spec.Name, goldenRoot(), p, 16)
@@ -260,7 +260,7 @@ func TestGatherRejectsMalformedParts(t *testing.T) {
 // like the ones the schedules produce.
 func gatherOwnerships(full frame.Rect) []Ownership {
 	evens, _ := splitInterleavedInto([]Interval{{0, full.Area()}}, full.Dx(), nil, nil)
-	top, _ := full.SplitH()
+	top, _ := full.Split(0) // the horizontal halves
 	return []Ownership{
 		RectOwn{R: top},
 		RectSetOwn{Rs: []frame.Rect{frame.XYWH(0, 0, 16, 16), frame.XYWH(32, 0, 16, 16), frame.XYWH(16, 16, 16, 16)}},

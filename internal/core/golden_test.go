@@ -228,7 +228,7 @@ func mergeDirectStages(t *testing.T, stages []stats.Stage) []stats.Stage {
 func TestGoldenTranscript(t *testing.T) {
 	var got, gathers []string
 	for scene := range goldenScenes {
-		for _, spec := range Specs() {
+		for _, spec := range registry {
 			for _, p := range []int{4, 8, 3, 6} {
 				lines, gather := transcript(t, spec.Name, p, scene)
 				got = append(got, lines...)

@@ -35,11 +35,11 @@ const DefaultTile = 64
 //
 // With tile 0 the tiles are P horizontal strips, one per rank, and a
 // message is one codec region (direct, ds). With a positive tile edge
-// they are square tiles dealt round-robin (partition.Tiling) and a
-// message batches the regions of all the owner's tiles that carry
-// foreground: [u32 count] then per region [u32 tile][codec region]
-// (dfb). Tile ownership depends only on the grid and P, so a sparse
-// frame ships only the tiles it touches.
+// they are the square tiles of a partition.Tiling, dealt round-robin
+// (tile t to rank t mod P), and a message batches the regions of all
+// the owner's tiles that carry foreground: [u32 count] then per region
+// [u32 tile][codec region] (dfb). Tile ownership depends only on the
+// grid and P, so a sparse frame ships only the tiles it touches.
 //
 // An owner holds exactly what it owns: one accumulator per owned strip
 // or tile, sized to that rectangle once — by the first contribution to
@@ -75,7 +75,7 @@ func newTiling(full frame.Rect, tile, p int) (tiling, error) {
 	if tile == 0 {
 		return tiling{full: full, p: p, n: p}, nil
 	}
-	grid, err := partition.NewTiling(full, tile, p)
+	grid, err := partition.NewTiling(full, tile)
 	if err != nil {
 		return tiling{}, err
 	}

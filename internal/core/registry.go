@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"sortlast/internal/partition"
 )
@@ -83,13 +84,6 @@ func Lookup(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Specs returns the registered methods in registry order.
-func Specs() []Spec {
-	out := make([]Spec, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // Build returns the named method configured and ready to run.
 // granularity is the interleave section size of the load-balanced
 // methods in pixels (0: one scanline) and tile the dfb tile edge (0:
@@ -104,7 +98,7 @@ func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compos
 	s, ok := Lookup(name)
 	switch {
 	case !ok:
-		return nil, fmt.Errorf("core: unknown compositor %q", name)
+		return nil, fmt.Errorf("core: unknown compositor %q (have %s)", name, strings.Join(Names(), ", "))
 	case plan == nil || plan.Extras() == 0:
 		return s.build(granularity, tile, nil), nil
 	case s.Caps.Foldable:
@@ -116,14 +110,6 @@ func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compos
 // New returns the named compositor with default settings; Names lists
 // the recognized names.
 func New(name string) (Compositor, error) { return Build(name, 0, 0, nil) }
-
-// Known reports whether name is a registered compositor, so admission
-// layers can validate a method name without constructing the compositor
-// or parsing New's error.
-func Known(name string) bool {
-	_, ok := Lookup(name)
-	return ok
-}
 
 // Names lists the compositors in registration order.
 func Names() []string {

@@ -19,12 +19,12 @@ func TestRegistryLists(t *testing.T) {
 		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
 	for _, name := range want {
-		if !Known(name) {
+		if _, ok := Lookup(name); !ok {
 			t.Errorf("built-in %q not registered", name)
 		}
 	}
 	names := map[string]bool{}
-	for _, s := range Specs() {
+	for _, s := range registry {
 		if names[s.Name] {
 			t.Errorf("duplicate spec %q", s.Name)
 		}
@@ -40,9 +40,6 @@ func TestRegistryLists(t *testing.T) {
 }
 
 func TestRegistryUnknown(t *testing.T) {
-	if Known("nope") {
-		t.Error("unknown name recognized")
-	}
 	if _, err := New("nope"); err == nil {
 		t.Error("New must reject unknown names")
 	}
@@ -58,7 +55,7 @@ func TestBuildOverFoldPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range Specs() {
+	for _, s := range registry {
 		comp, err := Build(s.Name, 0, 0, plan)
 		if err != nil {
 			t.Errorf("%s: %v", s.Name, err)

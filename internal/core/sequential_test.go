@@ -23,7 +23,7 @@ func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 		granularity int
 	}
 	rows := []row{{"bslc", 16}}
-	for _, spec := range Specs() {
+	for _, spec := range registry {
 		rows = append(rows, row{spec.Name, 0})
 	}
 	for _, p := range []int{2, 4, 5, 8} {

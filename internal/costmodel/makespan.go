@@ -29,27 +29,28 @@ func (p Params) Makespan(ranks []*stats.Rank) time.Duration {
 		ready[r] = time.Duration(rk.BoundScan) * p.Tbound
 	}
 
-	// Fold pre-stage: extras send, cores composite. Pair r <-> core via
-	// the Fold counters (senders have MsgsSent, receivers MsgsRecv); the
-	// pairing is rank-symmetric in the plan, so match by bytes.
-	for r, rk := range ranks {
+	// Fold pre-stage: extra rank Core+i sends its whole subimage to core
+	// rank i, composited before the swap stages (partition.FoldPlan's
+	// pairing). Core is the rank count less the ranks that sent a fold
+	// message.
+	core := n
+	for _, rk := range ranks {
+		if rk != nil && rk.Fold.MsgsSent > 0 {
+			core--
+		}
+	}
+	for r := 0; r < core; r++ {
+		rk := ranks[r]
 		if rk == nil || rk.Fold.MsgsRecv == 0 {
 			continue
 		}
-		// Arrival from the extra rank: the plan pairs core i with extra
-		// i + core; scan for the sender whose byte count matches.
 		arrive := ready[r]
-		for s, sk := range ranks {
-			if s == r || sk == nil || sk.Fold.MsgsSent == 0 {
-				continue
-			}
-			if sk.Fold.BytesSent == rk.Fold.BytesRecv {
-				t := ready[s] + time.Duration(sk.Fold.Encoded)*p.Tencode +
-					p.Ts + time.Duration(sk.Fold.BytesSent)*p.Tc
-				if t > arrive {
-					arrive = t
-				}
-				break
+		if e := core + r; e < n && ranks[e] != nil {
+			ek := ranks[e]
+			t := ready[e] + time.Duration(ek.Fold.Encoded)*p.Tencode +
+				p.Ts + time.Duration(ek.Fold.BytesSent)*p.Tc
+			if t > arrive {
+				arrive = t
 			}
 		}
 		ready[r] = arrive + time.Duration(rk.Fold.Composited)*p.To

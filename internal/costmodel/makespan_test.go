@@ -91,6 +91,30 @@ func TestMakespanAtLeastPerRankComm(t *testing.T) {
 	}
 }
 
+// TestMakespanFoldPairsByRank: at P = 6 core rank i receives the fold of
+// extra rank 4+i (partition.FoldPlan's pairing). Extras 4 and 5 ship the
+// same number of bytes and only extra 4 is late, so core 1 — waiting
+// only for extra 5 — must not be charged extra 4's arrival, as a
+// partner matched by byte count was.
+func TestMakespanFoldPairsByRank(t *testing.T) {
+	p := params()
+	ranks := make([]*stats.Rank, 6)
+	for i := range ranks {
+		ranks[i] = &stats.Rank{RankID: i, Method: "BSBRC"}
+	}
+	for i := 0; i < 2; i++ {
+		ranks[i].Fold = stats.Stage{MsgsRecv: 1, BytesRecv: 100}
+		ranks[4+i].Fold = stats.Stage{MsgsSent: 1, BytesSent: 100}
+	}
+	ranks[4].BoundScan = 1_000_000       // extra 4 sends 10 ms late
+	ranks[1].Fold.Composited = 2_000_000 // core 1 composites for 2 s
+	arrive := p.Ts + 100*p.Tc
+	want := arrive + 2_000_000*p.To // core 1, fed on time by extra 5
+	if got := p.Makespan(ranks); got != want {
+		t.Errorf("makespan = %v, want %v (core 1 charged another extra's arrival?)", got, want)
+	}
+}
+
 func TestMakespanEmpty(t *testing.T) {
 	if d := params().Makespan(nil); d != 0 {
 		t.Errorf("empty makespan = %v", d)

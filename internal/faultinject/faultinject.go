@@ -7,7 +7,7 @@
 //
 // An Injector is configured once (probabilistic drops, delays and
 // connection resets, seeded so a run is reproducible) and then wraps
-// each world incarnation's per-rank transports via BeginWorld + Wrap.
+// each world incarnation's per-rank transports via beginWorld + wrap.
 // On top of the probabilistic faults, tests can arm deterministic
 // faults against the current incarnation: Crash(rank) makes every
 // operation on that rank's transport fail (the in-process equivalent of
@@ -107,10 +107,10 @@ func New(cfg Config) *Injector {
 	}
 }
 
-// BeginWorld starts a fresh incarnation: armed crashes and stalls from
+// beginWorld starts a fresh incarnation: armed crashes and stalls from
 // the previous incarnation are dropped and its in-flight sleeps are
 // released. Call it once per world build, before wrapping the ranks.
-func (inj *Injector) BeginWorld() {
+func (inj *Injector) beginWorld() {
 	inj.mu.Lock()
 	prev := inj.gen
 	inj.gen = &generation{done: make(chan struct{})}
@@ -119,7 +119,7 @@ func (inj *Injector) BeginWorld() {
 }
 
 // EndWorld releases every in-flight injected sleep of the current
-// incarnation (armed crashes stay armed until BeginWorld). Teardown
+// incarnation (armed crashes stay armed until beginWorld). Teardown
 // paths call it so a stalled rank unblocks immediately instead of
 // sleeping out its injected stall.
 func (inj *Injector) EndWorld() {
@@ -129,20 +129,20 @@ func (inj *Injector) EndWorld() {
 	g.end()
 }
 
-// Wrap wraps one rank's transport for the current incarnation.
-func (inj *Injector) Wrap(rank int, tr mp.Transport) mp.Transport {
+// wrap wraps one rank's transport for the current incarnation.
+func (inj *Injector) wrap(rank int, tr mp.Transport) mp.Transport {
 	inj.mu.Lock()
 	g := inj.gen
 	inj.mu.Unlock()
 	return &transport{inj: inj, gen: g, rank: rank, tr: tr}
 }
 
-// WrapWorld is BeginWorld plus Wrap over a whole rank pool.
+// WrapWorld is beginWorld plus wrap over a whole rank pool.
 func (inj *Injector) WrapWorld(trs []mp.Transport) []mp.Transport {
-	inj.BeginWorld()
+	inj.beginWorld()
 	out := make([]mp.Transport, len(trs))
 	for r, tr := range trs {
-		out[r] = inj.Wrap(r, tr)
+		out[r] = inj.wrap(r, tr)
 	}
 	return out
 }
@@ -161,7 +161,7 @@ func (inj *Injector) Crash(rank int) {
 
 // Stall arms a deterministic stall: every subsequent operation on the
 // rank's transport (this incarnation only) sleeps d before proceeding,
-// released early by EndWorld/BeginWorld.
+// released early by EndWorld/beginWorld.
 func (inj *Injector) Stall(rank int, d time.Duration) {
 	g := inj.current()
 	g.mu.Lock()

@@ -60,7 +60,7 @@ func TestBeginWorldClearsArmedFaults(t *testing.T) {
 	}
 	inj.Crash(0)
 	inj.Stall(1, time.Hour)
-	trs, err := echoPair(inj) // WrapWorld calls BeginWorld
+	trs, err := echoPair(inj) // WrapWorld calls beginWorld
 	if err != nil {
 		t.Fatal(err)
 	}

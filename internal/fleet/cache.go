@@ -11,8 +11,8 @@ import (
 // touching a world: requests are keyed by their camera quantized to a
 // configurable angular step, and an exact quantized-camera hit returns
 // the cached encoded frame bytes. Entries are evicted LRU under a byte
-// budget, and a dataset change invalidates per (dataset, method)
-// without flushing unrelated entries.
+// budget. The datasets are compiled in and immutable, so an entry never
+// goes stale and nothing invalidates it.
 
 // DefaultQuantDeg is the camera quantization step in degrees. Requests
 // whose rotations land in the same step share a cache entry; the step
@@ -58,7 +58,7 @@ func quantizeDeg(deg, step float64) int {
 // quantKey builds the cache key for a request. The empty
 // method is normalized to the server default so "bsbrc" and "" share an
 // entry. Methods key apart although all of them composite
-// byte-identical images, so invalidation can be method-scoped.
+// byte-identical images: a request names the method it wants served.
 func quantKey(req server.Request, step float64) cacheKey {
 	method := req.Method
 	if method == "" {
@@ -106,15 +106,6 @@ type frameCache struct {
 	bytes    int64
 	ll       *list.List // front = most recently used; values are *cacheEntry
 	index    map[cacheKey]*list.Element
-
-	// gen guards put against resurrecting invalidated entries: every
-	// invalidation bumps it, a serve snapshots it (generation) before
-	// dispatching, and a put whose snapshot is stale is dropped — the
-	// render raced an invalidation and may have read the old dataset.
-	// Hedge losers reaped after a winner are already never inserted
-	// (their replies are never read), so this closes the remaining
-	// insert-after-invalidate window.
-	gen uint64
 }
 
 func newFrameCache(maxBytes int64) *frameCache {
@@ -135,21 +126,14 @@ func (c *frameCache) get(key cacheKey) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-// generation returns the invalidation generation to snapshot before a
-// dispatch whose result will be offered to put.
-func (c *frameCache) generation() uint64 { return c.gen }
-
 // put inserts or replaces the entry for key and evicts LRU entries
 // until the byte budget holds again, reporting how many entries were
-// evicted. gen must be the generation snapshotted before the render
-// that produced e was dispatched: a stale generation means an
-// invalidation ran in between and the entry is dropped instead of
-// resurrecting stale bytes. Replacing an existing key swaps the value
+// evicted. Replacing an existing key swaps the value
 // in place — the budget is charged the size difference, never twice, so
 // a duplicate insert (e.g. a repeated render of the same camera) cannot
 // double-charge. An entry larger than the whole budget is not cached.
-func (c *frameCache) put(e *cacheEntry, gen uint64) (evicted int) {
-	if gen != c.gen || e.size() > c.maxBytes {
+func (c *frameCache) put(e *cacheEntry) (evicted int) {
+	if e.size() > c.maxBytes {
 		return 0
 	}
 	if el, ok := c.index[e.key]; ok {
@@ -172,28 +156,6 @@ func (c *frameCache) removeElement(el *list.Element) {
 	c.ll.Remove(el)
 	delete(c.index, e.key)
 	c.bytes -= e.size()
-}
-
-// invalidate removes every entry for dataset; a non-empty method
-// restricts the sweep to that method's entries. It returns the number
-// of entries removed. This is the dataset-change hook: a mutated or
-// reloaded dataset must not serve stale frames.
-func (c *frameCache) invalidate(dataset, method string) int {
-	// Bump the generation before sweeping so any in-flight render
-	// dispatched before this point can no longer insert (see put) —
-	// regardless of whether its key matched the sweep.
-	c.gen++
-	removed := 0
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.dataset == dataset && (method == "" || e.key.method == method) {
-			c.removeElement(el)
-			removed++
-		}
-	}
-	return removed
 }
 
 func (c *frameCache) entries() int     { return len(c.index) }

@@ -72,7 +72,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 	budget := int64(3 * (payload + entryOverhead))
 	c := newFrameCache(budget)
 	for i := 0; i < 3; i++ {
-		if ev := c.put(entryFor("cube", "bs", float64(i*10), payload), c.generation()); ev != 0 {
+		if ev := c.put(entryFor("cube", "bs", float64(i*10), payload)); ev != 0 {
 			t.Fatalf("put %d evicted %d entries under budget", i, ev)
 		}
 	}
@@ -83,7 +83,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 	if _, ok := c.get(entryFor("cube", "bs", 0, payload).key); !ok {
 		t.Fatal("entry 0 missing before overflow")
 	}
-	if ev := c.put(entryFor("cube", "bs", 30, payload), c.generation()); ev != 1 {
+	if ev := c.put(entryFor("cube", "bs", 30, payload)); ev != 1 {
 		t.Fatalf("overflow evicted %d entries, want 1", ev)
 	}
 	if _, ok := c.get(entryFor("cube", "bs", 10, payload).key); ok {
@@ -96,7 +96,7 @@ func TestCacheLRUByteBudget(t *testing.T) {
 		t.Errorf("cache holds %d bytes over its %d budget", c.sizeBytes(), budget)
 	}
 	// An entry larger than the whole budget is refused, not cached.
-	if c.put(entryFor("cube", "bs", 99, int(budget)), c.generation()); c.entries() != 3 {
+	if c.put(entryFor("cube", "bs", 99, int(budget))); c.entries() != 3 {
 		t.Errorf("oversized entry changed the cache: %d entries", c.entries())
 	}
 }
@@ -104,53 +104,14 @@ func TestCacheLRUByteBudget(t *testing.T) {
 // Replacing an existing key must adjust the byte account, not leak it.
 func TestCacheReplaceAccounting(t *testing.T) {
 	c := newFrameCache(1 << 20)
-	c.put(entryFor("cube", "bs", 0, 1000), c.generation())
+	c.put(entryFor("cube", "bs", 0, 1000))
 	before := c.sizeBytes()
-	c.put(entryFor("cube", "bs", 0, 500), c.generation())
+	c.put(entryFor("cube", "bs", 0, 500))
 	if c.entries() != 1 {
 		t.Fatalf("entries = %d after replace, want 1", c.entries())
 	}
 	if got, want := c.sizeBytes(), before-500; got != want {
 		t.Errorf("bytes = %d after shrinking replace, want %d", got, want)
-	}
-}
-
-// Invalidation is scoped per (dataset, method): the dataset sweep drops
-// all of a dataset's entries, the method-scoped sweep only that
-// method's, and unrelated datasets survive both.
-func TestCacheInvalidateDatasetMethod(t *testing.T) {
-	c := newFrameCache(1 << 20)
-	for _, ds := range []string{"cube", "head"} {
-		for _, m := range []string{"bs", "bsbrc"} {
-			c.put(entryFor(ds, m, 0, 100), c.generation())
-			c.put(entryFor(ds, m, 10, 100), c.generation())
-		}
-	}
-	if c.entries() != 8 {
-		t.Fatalf("entries = %d, want 8", c.entries())
-	}
-	if n := c.invalidate("cube", "bs"); n != 2 {
-		t.Errorf("invalidate(cube, bs) removed %d, want 2", n)
-	}
-	if _, ok := c.get(entryFor("cube", "bsbrc", 0, 100).key); !ok {
-		t.Error("method-scoped sweep removed another method's entry")
-	}
-	if n := c.invalidate("head", ""); n != 4 {
-		t.Errorf("invalidate(head, all) removed %d, want 4", n)
-	}
-	if c.entries() != 2 {
-		t.Errorf("entries = %d after sweeps, want 2 (cube/bsbrc)", c.entries())
-	}
-	if n := c.invalidate("missing", ""); n != 0 {
-		t.Errorf("invalidating an absent dataset removed %d entries", n)
-	}
-	// The byte account matches the survivors.
-	var want int64
-	for i := 0; i < c.entries(); i++ {
-		want += 100 + entryOverhead
-	}
-	if c.sizeBytes() != want {
-		t.Errorf("bytes = %d after sweeps, want %d", c.sizeBytes(), want)
 	}
 }
 
@@ -162,7 +123,7 @@ func TestCacheHitReturnsStoredBytes(t *testing.T) {
 	for i := range e.gray {
 		e.gray[i] = byte(i * 7)
 	}
-	c.put(e, c.generation())
+	c.put(e)
 	got, ok := c.get(e.key)
 	if !ok {
 		t.Fatal("stored entry missed")
@@ -174,36 +135,6 @@ func TestCacheHitReturnsStoredBytes(t *testing.T) {
 	}
 	if fmt.Sprintf("%p", got.gray) != fmt.Sprintf("%p", e.gray) {
 		t.Error("hit copied the payload; entries should be shared read-only")
-	}
-}
-
-// An insert whose generation snapshot predates an invalidation must be
-// dropped: the render raced the invalidation and may carry bytes of the
-// old dataset. This is the resurrection window behind /cache/invalidate
-// racing an in-flight (possibly hedged) dispatch — the loser of that
-// race must not repopulate the cache.
-func TestCachePutStaleGenerationDropped(t *testing.T) {
-	c := newFrameCache(1 << 20)
-	gen := c.generation()
-	c.invalidate("cube", "") // bumps the generation even with nothing cached
-	if ev := c.put(entryFor("cube", "bs", 0, 100), gen); ev != 0 {
-		t.Errorf("stale put evicted %d entries", ev)
-	}
-	if c.entries() != 0 || c.sizeBytes() != 0 {
-		t.Fatalf("stale-generation put inserted: %d entries, %d bytes — invalidated bytes resurrected",
-			c.entries(), c.sizeBytes())
-	}
-	// A fresh snapshot taken after the invalidation inserts normally.
-	c.put(entryFor("cube", "bs", 0, 100), c.generation())
-	if c.entries() != 1 {
-		t.Fatalf("fresh-generation put did not insert")
-	}
-	// Repeating the same insert with the same still-current snapshot
-	// replaces in place: one entry, single-charged.
-	c.put(entryFor("cube", "bs", 0, 100), c.generation())
-	if c.entries() != 1 || c.sizeBytes() != 100+entryOverhead {
-		t.Errorf("duplicate insert double-counted: %d entries, %d bytes (want 1 entry, %d bytes)",
-			c.entries(), c.sizeBytes(), 100+entryOverhead)
 	}
 }
 
@@ -220,7 +151,7 @@ func qualityKey(quality string, rot float64) cacheKey {
 func TestCacheQualityKeying(t *testing.T) {
 	c := newFrameCache(1 << 20)
 	full := &cacheEntry{key: qualityKey("", 0), gray: make([]byte, 64)}
-	c.put(full, c.generation())
+	c.put(full)
 
 	// "" and "full" share the key.
 	if k := qualityKey(server.QualityFull, 0); k != full.key {
@@ -238,27 +169,11 @@ func TestCacheQualityKeying(t *testing.T) {
 	// The reverse direction: with only a preview entry cached, a full
 	// request misses and the preview request hits its own entry.
 	preview := &cacheEntry{key: qualityKey(server.QualityPreview, 10), gray: make([]byte, 64)}
-	c.put(preview, c.generation())
+	c.put(preview)
 	if _, ok := c.get(qualityKey("", 10)); ok {
 		t.Fatal("a full request was served a preview entry")
 	}
 	if e, ok := c.get(qualityKey(server.QualityPreview, 10)); !ok || e != preview {
 		t.Error("exact preview entry missed")
-	}
-}
-
-// Invalidation sweeps degraded entries along with full ones — quality
-// variants of a dataset never outlive their dataset.
-func TestCacheInvalidateSweepsQualityVariants(t *testing.T) {
-	c := newFrameCache(1 << 20)
-	for _, q := range []string{"", server.QualityPreview} {
-		e := &cacheEntry{key: qualityKey(q, 0), gray: make([]byte, 16)}
-		c.put(e, c.generation())
-	}
-	if c.entries() != 2 {
-		t.Fatalf("entries = %d, want 2 quality variants", c.entries())
-	}
-	if n := c.invalidate("cube", ""); n != 2 {
-		t.Errorf("invalidate removed %d entries, want both quality variants", n)
 	}
 }

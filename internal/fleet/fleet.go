@@ -19,8 +19,8 @@
 //
 //   - Frame cache: successful frames are cached under their quantized
 //     camera key (LRU, byte budget), so dashboard-style repeat traffic
-//     is served from memory without touching a world. Entries are
-//     invalidated per (dataset, method) when a dataset changes.
+//     is served from memory without touching a world. The datasets are
+//     compiled in and immutable, so entries leave only by eviction.
 package fleet
 
 import (
@@ -44,7 +44,7 @@ type Config struct {
 	// 127.0.0.1:7261.
 	Addr string
 	// HTTPAddr is the observability sidecar address (/healthz, /metrics,
-	// /cache/invalidate). Empty disables the sidecar.
+	// /debug/pprof/, /debug/flight). Empty disables the sidecar.
 	HTTPAddr string
 
 	// Replicas is the replica set; at least one is required.
@@ -145,7 +145,6 @@ func Start(cfg Config) (*Gateway, error) {
 	// The frame listener starts last: once it accepts, serve runs.
 	g.sidecar, err = obs.StartSidecar(cfg.HTTPAddr, g.met.reg, g.handleHealthz, g.flight)
 	if err == nil {
-		g.sidecar.HandleFunc("/cache/invalidate", g.handleInvalidate)
 		g.lis, err = server.Listen(cfg.Addr, g.serve)
 	}
 	if err != nil {
@@ -161,19 +160,6 @@ func (g *Gateway) Addr() net.Addr { return g.lis.Addr() }
 
 // HTTPAddr returns the sidecar listen address, nil when disabled.
 func (g *Gateway) HTTPAddr() net.Addr { return g.sidecar.Addr() }
-
-// InvalidateDataset drops every cached frame of dataset; a non-empty
-// method restricts the sweep to that method's entries. It returns the
-// number of entries removed. Call it whenever a dataset's contents
-// change, or stale frames will be served until eviction.
-func (g *Gateway) InvalidateDataset(dataset, method string) int {
-	if g.cache == nil {
-		return 0
-	}
-	g.cacheMu.Lock()
-	defer g.cacheMu.Unlock()
-	return g.cache.invalidate(dataset, method)
-}
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	now := time.Now()
@@ -192,16 +178,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ok (%d/%d replicas healthy)\n", healthy, len(g.replicas))
 }
 
-func (g *Gateway) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	dataset := r.URL.Query().Get("dataset")
-	if dataset == "" {
-		http.Error(w, "missing dataset parameter", http.StatusBadRequest)
-		return
-	}
-	n := g.InvalidateDataset(dataset, r.URL.Query().Get("method"))
-	fmt.Fprintf(w, "invalidated %d entries\n", n)
-}
-
 // ---- serving ----
 
 // serve answers one request — it is the frame listener's handler: from
@@ -218,14 +194,9 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 	key := quantKey(req, DefaultQuantDeg)
 	rt := g.newReqTrace(req.Trace, t0)
 
-	// gen is the cache's invalidation generation as of this lookup; an
-	// invalidation between here and the post-render put makes the put a
-	// no-op instead of resurrecting bytes from the old dataset.
-	var gen uint64
 	if g.cache != nil {
 		g.cacheMu.Lock()
 		e, ok := g.cache.get(key)
-		gen = g.cache.generation()
 		g.cacheMu.Unlock()
 		if ok {
 			g.met.cache.Add(1, "hit")
@@ -259,7 +230,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		}
 		e := &cacheEntry{key: ckey, width: f.Width, height: f.Height, gray: f.Gray}
 		g.cacheMu.Lock()
-		evicted := g.cache.put(e, gen)
+		evicted := g.cache.put(e)
 		g.cacheMu.Unlock()
 		g.met.cacheEvict.Add(int64(evicted))
 	}

@@ -29,7 +29,7 @@ func goldenGateway(full bool) *Gateway {
 		}
 		g.cache = newFrameCache(1 << 20)
 		for i, size := range []int{1000, 2000, 4000} {
-			g.cache.put(&cacheEntry{key: cacheKey{dataset: "cube", qx: i}, gray: make([]byte, size)}, 0)
+			g.cache.put(&cacheEntry{key: cacheKey{dataset: "cube", qx: i}, gray: make([]byte, size)})
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -76,13 +76,13 @@ func (rt *reqTrace) traceID() trace.ID {
 }
 
 // childContext derives the trace context shipped with one dispatch
-// attempt: same trace ID, the attempt as parent, sampling forced on so
-// the replica returns its span tree for the merge.
+// attempt: same trace ID, sampling forced on so the replica returns its
+// span tree for the merge.
 func (rt *reqTrace) childContext() *trace.Context {
 	if rt == nil {
 		return nil
 	}
-	return &trace.Context{TraceID: rt.id.String(), ParentID: trace.NewID().String(), Sampled: true}
+	return &trace.Context{TraceID: rt.id.String(), Sampled: true}
 }
 
 // cacheLookup records the cache-probe duration on the request track.

@@ -182,13 +182,6 @@ func (im *Image) Row(y, x0, x1 int) []Pixel {
 	return im.pix[i : i+(x1-x0)]
 }
 
-// Clear resets every allocated pixel to blank without releasing storage.
-func (im *Image) Clear() {
-	for i := range im.pix {
-		im.pix[i] = Pixel{}
-	}
-}
-
 // Clone returns a deep copy of the image. Storage is compacted to the
 // logical bounds, dropping any over-allocation padding.
 func (im *Image) Clone() *Image {

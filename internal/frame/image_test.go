@@ -209,18 +209,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	im := NewImageBounds(8, 8, XYWH(0, 0, 8, 8))
-	im.Set(3, 3, Pixel{I: 1, A: 1})
-	im.Clear()
-	if !im.At(3, 3).Blank() {
-		t.Error("Clear must blank all pixels")
-	}
-	if im.Bounds() != XYWH(0, 0, 8, 8) {
-		t.Error("Clear must not release bounds")
-	}
-}
-
 func TestMaxAbsDiffAndNonBlankEqual(t *testing.T) {
 	a := NewImage(8, 8)
 	b := NewImage(8, 8)

@@ -97,29 +97,3 @@ func ExampleOver() {
 	fmt.Printf("I=%.2f A=%.2f\n", out.I, out.A)
 	// Output: I=0.50 A=1.00
 }
-
-func TestWritePNG(t *testing.T) {
-	im := NewImage(5, 4)
-	im.Set(2, 1, Pixel{I: 1, A: 1})
-	var buf bytes.Buffer
-	if err := im.WritePNG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("\x89PNG")) {
-		t.Error("missing PNG signature")
-	}
-	g := im.GrayImage()
-	if g.Bounds().Dx() != 5 || g.Bounds().Dy() != 4 {
-		t.Error("gray image dims wrong")
-	}
-	if g.GrayAt(2, 1).Y != 255 || g.GrayAt(0, 0).Y != 0 {
-		t.Error("gray conversion wrong")
-	}
-	path := t.TempDir() + "/x.png"
-	if err := im.WritePNGFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-}

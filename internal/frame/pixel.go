@@ -31,10 +31,6 @@ const PixelBytes = 16
 // RLE codec and the bounding-rectangle scan.
 func (p Pixel) Blank() bool { return p.A == 0 && p.I == 0 }
 
-// Opaque reports whether the pixel is effectively fully opaque, i.e.
-// anything composited behind it is invisible.
-func (p Pixel) Opaque() bool { return p.A >= 1 }
-
 // Over composites pixel front over pixel back using the standard
 // front-to-back over operator on opacity-weighted intensities:
 //
@@ -60,10 +56,10 @@ func OverInto(front Pixel, back *Pixel) {
 	back.A = front.A + t*back.A
 }
 
-// Clamp returns the pixel with both channels clamped to [0, 1]. The over
-// operator keeps values in range for in-range inputs; Clamp guards the
+// clamp returns the pixel with both channels clamped to [0, 1]. The over
+// operator keeps values in range for in-range inputs; clamp guards the
 // final conversion to a displayable image against accumulated rounding.
-func (p Pixel) Clamp() Pixel {
+func (p Pixel) clamp() Pixel {
 	return Pixel{I: clamp01(p.I), A: clamp01(p.A)}
 }
 

@@ -95,24 +95,18 @@ func pixelTripleValues(vals []reflectValue, r *rand.Rand) {
 	pixelPairValues(vals, r)
 }
 
-func TestBlankAndOpaque(t *testing.T) {
+func TestBlank(t *testing.T) {
 	if !(Pixel{}).Blank() {
 		t.Error("zero pixel must be blank")
 	}
 	if (Pixel{I: 0.1, A: 0.1}).Blank() {
 		t.Error("non-zero pixel must not be blank")
 	}
-	if !(Pixel{I: 1, A: 1}).Opaque() {
-		t.Error("alpha 1 must be opaque")
-	}
-	if (Pixel{I: 1, A: 0.5}).Opaque() {
-		t.Error("alpha 0.5 must not be opaque")
-	}
 }
 
 func TestClampAndGray(t *testing.T) {
 	p := Pixel{I: 1.5, A: -0.2}
-	c := p.Clamp()
+	c := p.clamp()
 	if c.I != 1 || c.A != 0 {
 		t.Errorf("Clamp = %v", c)
 	}

@@ -109,20 +109,20 @@ func (r Rect) Union(s Rect) Rect {
 // Overlaps reports whether r and s share at least one pixel.
 func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
-// SplitH splits r along its horizontal centerline into a top half
+// splitH splits r along its horizontal centerline into a top half
 // (y in [Y0, mid)) and a bottom half (y in [mid, Y1)). When the height is
 // odd the top half is the smaller one, matching integer centerline
 // division.
-func (r Rect) SplitH() (top, bottom Rect) {
+func (r Rect) splitH() (top, bottom Rect) {
 	mid := r.Y0 + r.Dy()/2
 	top = Rect{r.X0, r.Y0, r.X1, mid}.Canon()
 	bottom = Rect{r.X0, mid, r.X1, r.Y1}.Canon()
 	return top, bottom
 }
 
-// SplitV splits r along its vertical centerline into a left half
+// splitV splits r along its vertical centerline into a left half
 // (x in [X0, mid)) and a right half (x in [mid, X1)).
-func (r Rect) SplitV() (left, right Rect) {
+func (r Rect) splitV() (left, right Rect) {
 	mid := r.X0 + r.Dx()/2
 	left = Rect{r.X0, r.Y0, mid, r.Y1}.Canon()
 	right = Rect{mid, r.Y0, r.X1, r.Y1}.Canon()
@@ -135,9 +135,9 @@ func (r Rect) SplitV() (left, right Rect) {
 // lower-ranked partner) and the "high" half.
 func (r Rect) Split(stage int) (low, high Rect) {
 	if stage%2 == 0 {
-		return r.SplitH()
+		return r.splitH()
 	}
-	return r.SplitV()
+	return r.splitV()
 }
 
 // String implements fmt.Stringer.

@@ -70,23 +70,23 @@ func TestRectIntersectUnion(t *testing.T) {
 
 func TestRectSplit(t *testing.T) {
 	r := XYWH(0, 0, 8, 6)
-	top, bottom := r.SplitH()
+	top, bottom := r.splitH()
 	if top != (Rect{0, 0, 8, 3}) || bottom != (Rect{0, 3, 8, 6}) {
-		t.Errorf("SplitH = %v / %v", top, bottom)
+		t.Errorf("splitH = %v / %v", top, bottom)
 	}
-	left, right := r.SplitV()
+	left, right := r.splitV()
 	if left != (Rect{0, 0, 4, 6}) || right != (Rect{4, 0, 8, 6}) {
-		t.Errorf("SplitV = %v / %v", left, right)
+		t.Errorf("splitV = %v / %v", left, right)
 	}
 	// Odd extent: the low half is smaller.
-	oTop, oBot := XYWH(0, 0, 4, 5).SplitH()
+	oTop, oBot := XYWH(0, 0, 4, 5).splitH()
 	if oTop.Dy() != 2 || oBot.Dy() != 3 {
-		t.Errorf("odd SplitH = %v / %v", oTop, oBot)
+		t.Errorf("odd splitH = %v / %v", oTop, oBot)
 	}
 	// Degenerate split of a one-row rect.
-	dTop, dBot := XYWH(0, 0, 4, 1).SplitH()
+	dTop, dBot := XYWH(0, 0, 4, 1).splitH()
 	if !dTop.Empty() || dBot.Area() != 4 {
-		t.Errorf("1-row SplitH = %v / %v", dTop, dBot)
+		t.Errorf("1-row splitH = %v / %v", dTop, dBot)
 	}
 	lo, hi := r.Split(0)
 	if lo != top || hi != bottom {

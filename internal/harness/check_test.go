@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Check must mirror the errors run() would hit, without generating
-// volumes or building a world — it is the admission filter the serving
-// tier and the CLIs use.
+// NewPlan's validation must reject every bad field with a precise
+// error before it generates a volume or builds a world — it is the
+// admission filter the serving tier and the CLIs rely on.
 func TestConfigCheck(t *testing.T) {
 	ok := Config{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32, P: 4}
 	cases := []struct {
@@ -20,7 +20,7 @@ func TestConfigCheck(t *testing.T) {
 		{"zero width", func(c *Config) { c.Width = 0 }, "image size"},
 		{"negative height", func(c *Config) { c.Height = -1 }, "image size"},
 		{"zero P", func(c *Config) { c.P = 0 }, "P = 0"},
-		{"unknown method", func(c *Config) { c.Method = "nope" }, "nope"},
+		{"unknown method", func(c *Config) { c.Method = "nope" }, "have bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb"},
 		// The names of retired methods are unknown methods like any other.
 		{"retired method name", func(c *Config) { c.P = 6; c.Method = `auto` }, "unknown compositor"},
 		{"retired pipeline", func(c *Config) { c.Method = "pipeline" }, "unknown compositor"},
@@ -36,15 +36,15 @@ func TestConfigCheck(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ok
 			tc.mutate(&cfg)
-			err := cfg.Check()
+			_, err := NewPlan(cfg)
 			if tc.want == "" {
 				if err != nil {
-					t.Fatalf("Check() = %v, want nil", err)
+					t.Fatalf("NewPlan = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("Check() = nil, want error mentioning %q", tc.want)
+				t.Fatalf("NewPlan succeeded, want error mentioning %q", tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
@@ -62,11 +62,11 @@ func TestConfigCheckCallerVolume(t *testing.T) {
 	}
 	cfg := Config{Dataset: "custom", Method: "bs", Width: 16, Height: 16, P: 2}
 	cfg.Volume = vol
-	if err := cfg.Check(); err == nil {
-		t.Error("caller volume with unresolvable transfer preset must fail Check")
+	if _, err := NewPlan(cfg); err == nil {
+		t.Error("caller volume with unresolvable transfer preset must fail NewPlan")
 	}
 	cfg.TF = tf
-	if err := cfg.Check(); err != nil {
-		t.Errorf("caller volume with explicit TF: Check() = %v, want nil", err)
+	if _, err := NewPlan(cfg); err != nil {
+		t.Errorf("caller volume with explicit TF: NewPlan = %v, want nil", err)
 	}
 }

@@ -41,13 +41,6 @@ type Config struct {
 	// rotation study.
 	RotX, RotY float64
 
-	// Quality is the frame's quality contract: QualityFull (or empty,
-	// byte-identical to an unconstrained render) or QualityPreview.
-	// Preview is geometric: callers pass the reduced PreviewDims as
-	// Width/Height themselves — the harness renders exactly the
-	// geometry it is given.
-	Quality string
-
 	// RenderOpts tune the ray caster (zero value: defaults).
 	RenderOpts render.Options
 
@@ -92,9 +85,6 @@ type Row struct {
 	WallMS   float64
 	RenderMS float64 // measured rendering wall, max over ranks
 
-	// RenderSkipFrac is the fraction of candidate ray samples the
-	// macro-cell empty-space skipping removed, aggregated over ranks.
-	RenderSkipFrac float64
 	// RenderImbalance is the busiest rank's ray samples ÷ the mean over
 	// ranks — an exact count, 1 when the partition is balanced for this
 	// view, 0 when no rank sampled.
@@ -193,12 +183,6 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 			return nil, nil, err
 		}
 		tf = f
-	}
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, nil, fmt.Errorf("harness: image size %dx%d", cfg.Width, cfg.Height)
-	}
-	if cfg.P <= 0 {
-		return nil, nil, fmt.Errorf("harness: P = %d", cfg.P)
 	}
 	return vol, tf, nil
 }
@@ -309,18 +293,12 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 		MakespanMS:     ms(makespan),
 		MMax:           stats.MaxMessageBytes(rankStats),
 	}
-	var skipNum, samples, maxSamples int
+	var samples, maxSamples int64
 	for me, r := range rankStats {
-		if r != nil {
-			row.EmptyRects += r.EmptyRecvRects()
-			r.Render = renderCounters(renderStats[me].Snapshot())
-			skipNum += r.Render.SamplesSkipped
-			samples += r.Render.Samples
-			maxSamples = max(maxSamples, r.Render.Samples)
-		}
-	}
-	if skipNum+samples > 0 {
-		row.RenderSkipFrac = float64(skipNum) / float64(skipNum+samples)
+		row.EmptyRects += r.EmptyRecvRects()
+		s := renderStats[me].Snapshot().Samples
+		samples += s
+		maxSamples = max(maxSamples, s)
 	}
 	if samples > 0 {
 		row.RenderImbalance = float64(maxSamples) * float64(cfg.P) / float64(samples)
@@ -391,18 +369,6 @@ func validateAgainstSequential(c mp.Comm, lay partition.Layout, viewDir [3]float
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
-
-// renderCounters converts the ray caster's snapshot into the stats
-// package's plain-int form carried on stats.Rank.
-func renderCounters(s render.StatsSnapshot) stats.Render {
-	return stats.Render{
-		Rays:           int(s.Rays),
-		Samples:        int(s.Samples),
-		SamplesSkipped: int(s.SamplesSkipped),
-		CellsVisited:   int(s.CellsVisited),
-		CellsSkipped:   int(s.CellsSkipped),
-	}
-}
 
 // PowersOfTwo returns {2, 4, ..., max} — the paper's processor-count
 // sweep.

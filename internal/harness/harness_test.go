@@ -79,7 +79,8 @@ func TestRunNonPowerOfTwoFolds(t *testing.T) {
 // a P with extras — at a power of two the compositor is the plain method.
 func TestPlanBuildsEveryPThroughFold(t *testing.T) {
 	for p := 1; p <= 9; p++ {
-		for _, spec := range core.Specs() {
+		for _, name := range core.Names() {
+			spec, _ := core.Lookup(name)
 			plan, err := NewPlan(smallCfg(spec.Name, p))
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", spec.Name, p, err)

@@ -32,16 +32,17 @@ type Plan struct {
 	Cam *render.Camera
 }
 
-// NewPlan resolves cfg into an executable per-frame plan.
+// NewPlan resolves cfg into an executable per-frame plan. Every field
+// is validated before a volume is generated or a world built, so
+// admission layers (the renderd server, the CLIs) get a precise error
+// for a bad request at the cost of a few comparisons.
 func NewPlan(cfg Config) (*Plan, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	vol, tf, err := cfg.resolve()
 	if err != nil {
 		return nil, err
-	}
-	if q, err := NormalizeQuality(cfg.Quality); err != nil {
-		return nil, err
-	} else {
-		cfg.Quality = q
 	}
 	comp, plan, err := cfg.newCompositor(vol)
 	if err != nil {
@@ -106,12 +107,10 @@ func (p *Plan) GatherRank(c mp.Comm, res *core.Result) (*frame.Image, error) {
 	return core.GatherImage(c, 0, res)
 }
 
-// Check validates a Config without generating volumes or building a
-// world, so admission layers (the renderd server, CLI flag parsing) can
-// reject bad requests up front with a precise error. (Named Check
-// because Validate is the Config field enabling the sequential-reference
-// comparison.)
-func (cfg *Config) Check() error {
+// check validates a Config without generating volumes or building a
+// world. (Not named validate: Validate is the Config field enabling the
+// sequential-reference comparison.)
+func (cfg *Config) check() error {
 	if cfg.Volume == nil && !KnownDataset(cfg.Dataset) {
 		return fmt.Errorf("harness: unknown dataset %q (have %v)", cfg.Dataset, Datasets())
 	}
@@ -122,9 +121,6 @@ func (cfg *Config) Check() error {
 	}
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return fmt.Errorf("harness: image size %dx%d must be positive", cfg.Width, cfg.Height)
-	}
-	if _, err := NormalizeQuality(cfg.Quality); err != nil {
-		return err
 	}
 	if cfg.P <= 0 {
 		return fmt.Errorf("harness: P = %d must be positive", cfg.P)

@@ -262,9 +262,9 @@ const (
 	ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
-// NegotiatesOpenMetrics reports whether an Accept header asks for the
+// negotiatesOpenMetrics reports whether an Accept header asks for the
 // OpenMetrics text format. A q=0 weight explicitly refuses the type.
-func NegotiatesOpenMetrics(accept string) bool {
+func negotiatesOpenMetrics(accept string) bool {
 	for _, clause := range strings.Split(accept, ",") {
 		mediaType, params, _ := strings.Cut(strings.TrimSpace(clause), ";")
 		if strings.TrimSpace(mediaType) != "application/openmetrics-text" {
@@ -284,7 +284,7 @@ func NegotiatesOpenMetrics(accept string) bool {
 // ServeHTTP answers a /metrics scrape in the format its Accept header
 // negotiated.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	contentType, om := ContentTypeProm, NegotiatesOpenMetrics(req.Header.Get("Accept"))
+	contentType, om := ContentTypeProm, negotiatesOpenMetrics(req.Header.Get("Accept"))
 	if om {
 		contentType = ContentTypeOpenMetrics
 	}

@@ -187,8 +187,8 @@ func TestNegotiatesOpenMetrics(t *testing.T) {
 		{"text/plain;version=0.0.4, application/openmetrics-text; version=1.0.0; q=0.8", true},
 		{"application/openmetrics-text;q=0", false},
 	} {
-		if got := NegotiatesOpenMetrics(tc.accept); got != tc.want {
-			t.Errorf("NegotiatesOpenMetrics(%q) = %v, want %v", tc.accept, got, tc.want)
+		if got := negotiatesOpenMetrics(tc.accept); got != tc.want {
+			t.Errorf("negotiatesOpenMetrics(%q) = %v, want %v", tc.accept, got, tc.want)
 		}
 	}
 }

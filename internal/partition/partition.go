@@ -13,7 +13,7 @@
 // differing in bit (k-1), i.e. it merges across the level-(d-k) split
 // planes — the deepest splits first, exactly the schedule of Ma et al.
 // Compositing order across a split plane depends only on the view
-// direction's sign along the split axis, which is what FrontSide encodes.
+// direction's sign along the split axis, which is what frontSide encodes.
 package partition
 
 import (
@@ -114,19 +114,19 @@ func (d *Decomposition) Partner(r, stage int) int {
 // plane it merges across.
 func (d *Decomposition) StageLevel(stage int) int { return d.Depth - stage }
 
-// StageAxis returns the split axis merged at the given 1-based stage.
-func (d *Decomposition) StageAxis(stage int) int {
+// stageAxis returns the split axis merged at the given 1-based stage.
+func (d *Decomposition) stageAxis(stage int) int {
 	return d.Axes[d.StageLevel(stage)]
 }
 
-// FrontSide reports which side (0 = low coordinates, 1 = high) of the
+// frontSide reports which side (0 = low coordinates, 1 = high) of the
 // stage's split plane is nearer the viewer for rays travelling along
 // viewDir. Rays with positive direction along the axis enter the low
 // side first. A direction perpendicular to the axis never crosses the
 // plane, so each ray sees only one side and either answer composites
 // correctly; 0 is returned.
-func (d *Decomposition) FrontSide(stage int, viewDir [3]float64) int {
-	if viewDir[d.StageAxis(stage)] >= 0 {
+func (d *Decomposition) frontSide(stage int, viewDir [3]float64) int {
+	if viewDir[d.stageAxis(stage)] >= 0 {
 		return 0
 	}
 	return 1
@@ -135,7 +135,7 @@ func (d *Decomposition) FrontSide(stage int, viewDir [3]float64) int {
 // RankInFront reports whether rank r's half is in front of its stage-k
 // partner's half for the given view direction.
 func (d *Decomposition) RankInFront(r, stage int, viewDir [3]float64) bool {
-	return d.Side(r, d.StageLevel(stage)) == d.FrontSide(stage, viewDir)
+	return d.Side(r, d.StageLevel(stage)) == d.frontSide(stage, viewDir)
 }
 
 // DepthOrder returns all ranks sorted front-to-back for the given view

@@ -136,14 +136,14 @@ func TestFrontSideFollowsViewDirection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for stage := 1; stage <= 2; stage++ {
-		axis := d.StageAxis(stage)
+		axis := d.stageAxis(stage)
 		var pos, neg [3]float64
 		pos[axis] = 1
 		neg[axis] = -1
-		if d.FrontSide(stage, pos) != 0 {
+		if d.frontSide(stage, pos) != 0 {
 			t.Errorf("stage %d: rays along +axis must see the low side first", stage)
 		}
-		if d.FrontSide(stage, neg) != 1 {
+		if d.frontSide(stage, neg) != 1 {
 			t.Errorf("stage %d: rays along -axis must see the high side first", stage)
 		}
 	}

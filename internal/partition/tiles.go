@@ -8,33 +8,29 @@ import (
 
 // Tiling is the image decomposition of the tile-routed compositors: the
 // frame splits into a fixed grid of square tiles (edge tiles clipped to
-// the frame) and every tile has exactly one owning rank, assigned
-// round-robin by tile index. The assignment depends only on the tile
-// grid and P — never on the volume decomposition — which is what frees
-// the tile-routed methods from the power-of-two rank restriction: any
-// rank can own any tile, and a rank owning zero tiles (P > tile count)
-// is valid.
+// the frame). The grid depends only on the frame and the tile edge —
+// never on the volume decomposition or the rank count — which is what
+// frees the tile-routed methods from the power-of-two rank restriction:
+// internal/core deals the tiles round-robin (tile i to rank i mod P), so
+// any rank can own any tile, and a rank owning zero tiles (P > tile
+// count) is valid.
 type Tiling struct {
 	Full frame.Rect
 	Tile int // tile edge in pixels
-	P    int // owning rank count
 
 	nx, ny int // tiles per row / column
 }
 
-// NewTiling builds the tile grid over full for p owning ranks.
-func NewTiling(full frame.Rect, tile, p int) (*Tiling, error) {
+// NewTiling builds the tile grid over full.
+func NewTiling(full frame.Rect, tile int) (*Tiling, error) {
 	if tile <= 0 {
 		return nil, fmt.Errorf("partition: tile edge %d must be positive", tile)
-	}
-	if p <= 0 {
-		return nil, fmt.Errorf("partition: tiling rank count %d must be positive", p)
 	}
 	if full.Empty() {
 		return nil, fmt.Errorf("partition: tiling over empty frame %v", full)
 	}
 	return &Tiling{
-		Full: full, Tile: tile, P: p,
+		Full: full, Tile: tile,
 		nx: (full.Dx() + tile - 1) / tile,
 		ny: (full.Dy() + tile - 1) / tile,
 	}, nil
@@ -54,44 +50,4 @@ func (t *Tiling) Rect(i int) frame.Rect {
 		Y1: t.Full.Y0 + (ty+1)*t.Tile,
 	}
 	return r.Intersect(t.Full)
-}
-
-// Valid reports whether i is a tile index.
-func (t *Tiling) Valid(i int) bool { return i >= 0 && i < t.NumTiles() }
-
-// Owner returns the rank that composites and owns tile i. Round-robin by
-// index interleaves neighboring tiles across ranks, so a compact
-// foreground region spreads its compositing work instead of landing on
-// one owner.
-func (t *Tiling) Owner(i int) int { return i % t.P }
-
-// OwnedBy returns the tiles rank r owns, in ascending index order.
-func (t *Tiling) OwnedBy(r int) []int {
-	if r < 0 || r >= t.P {
-		return nil
-	}
-	n := t.NumTiles()
-	out := make([]int, 0, (n-r+t.P-1)/t.P)
-	for i := r; i < n; i += t.P {
-		out = append(out, i)
-	}
-	return out
-}
-
-// Overlapping calls fn for every tile whose rectangle intersects r, in
-// ascending index order.
-func (t *Tiling) Overlapping(r frame.Rect, fn func(i int)) {
-	r = r.Intersect(t.Full)
-	if r.Empty() {
-		return
-	}
-	tx0 := (r.X0 - t.Full.X0) / t.Tile
-	ty0 := (r.Y0 - t.Full.Y0) / t.Tile
-	tx1 := (r.X1 - 1 - t.Full.X0) / t.Tile
-	ty1 := (r.Y1 - 1 - t.Full.Y0) / t.Tile
-	for ty := ty0; ty <= ty1; ty++ {
-		for tx := tx0; tx <= tx1; tx++ {
-			fn(ty*t.nx + tx)
-		}
-	}
 }

@@ -65,8 +65,8 @@ func (c *Camera) PlanePoint(px, py int) [3]float64 {
 	}
 }
 
-// Project returns the continuous pixel coordinates of a world point.
-func (c *Camera) Project(p [3]float64) (fx, fy float64) {
+// project returns the continuous pixel coordinates of a world point.
+func (c *Camera) project(p [3]float64) (fx, fy float64) {
 	q := [3]float64{p[0] - c.Center[0], p[1] - c.Center[1], p[2] - c.Center[2]}
 	fx = dot(q, c.U)/c.Scale + float64(c.W)/2
 	fy = dot(q, c.V)/c.Scale + float64(c.H)/2
@@ -80,7 +80,7 @@ func (c *Camera) Footprint(b volume.Box) frame.Rect {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, corner := range b.Corners() {
-		fx, fy := c.Project(corner)
+		fx, fy := c.project(corner)
 		minX, maxX = math.Min(minX, fx), math.Max(maxX, fx)
 		minY, maxY = math.Min(minY, fy), math.Max(maxY, fy)
 	}

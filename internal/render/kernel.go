@@ -21,7 +21,7 @@ const skipSafety = 0.25
 // and their derived skip/correction tables, the volume's voxels and its
 // macro-cell grid. Building it costs microseconds (plus the
 // once-per-volume grid build, amortized by the cache on the volume) and
-// removes the reference kernel's per-sample math.Pow, method calls and
+// removes the reference kernel's per-sample method calls and
 // box.Contains. Every shortcut is bit-exact — the identity argument
 // lives in DESIGN.md §11 and is enforced against RaycastReference by
 // TestRaycastMatchesReference and TestRaycastRandomizedIdentity.
@@ -29,12 +29,9 @@ type kernel struct {
 	box volume.Box
 	cam *Camera
 
-	dt      float64
-	dtIsOne bool
-	cutoff  float64
-	shaded  bool
-	light   [3]float64
-	ambient float64
+	cutoff float64
+	shaded bool
+	light  [3]float64 // toward the light: head-on, -cam.Dir
 
 	vol        *volume.Volume
 	data       []uint8
@@ -42,7 +39,7 @@ type kernel struct {
 	grid       *volume.MacroGrid
 
 	opac, inten *[256]float64
-	corr        [256]float64 // 1 − (1−Opacity[j])^dt; exact where the table is flat
+	corr        [256]float64 // 1 − (1−Opacity[j]); exact where the table is flat
 	flat        [256]bool    // Opacity[j] == Opacity[j+1]
 	nzBelow     [257]int32   // count of non-zero Opacity entries with index < j
 }
@@ -51,18 +48,12 @@ func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Fun
 	k := &kernel{
 		box: box, cam: cam,
 		vol: vol, data: vol.Data, nx: vol.NX, ny: vol.NY, nz: vol.NZ,
-		grid:    vol.MacroCells(),
-		dt:      opt.step(),
-		cutoff:  opt.cutoff(),
-		shaded:  opt.Shaded,
-		light:   opt.Light,
-		ambient: opt.ambient(),
-		opac:    &tf.Opacity,
-		inten:   &tf.Intensity,
-	}
-	k.dtIsOne = k.dt == 1
-	if k.light == ([3]float64{}) {
-		k.light = [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]}
+		grid:   vol.MacroCells(),
+		cutoff: opt.cutoff(),
+		shaded: opt.Shaded,
+		light:  [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]},
+		opac:   &tf.Opacity,
+		inten:  &tf.Intensity,
 	}
 	var nz int32
 	for j := 0; j < 256; j++ {
@@ -70,13 +61,9 @@ func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Fun
 		if tf.Opacity[j] != 0 {
 			nz++
 		}
-		if k.dtIsOne {
-			// math.Pow(x, 1) returns x exactly, so the correction
-			// reduces to 1−(1−op) — which is NOT op in floats.
-			k.corr[j] = 1 - (1 - tf.Opacity[j])
-		} else {
-			k.corr[j] = 1 - math.Pow(1-tf.Opacity[j], k.dt)
-		}
+		// The reference's opacity correction at a unit step, 1−(1−op) —
+		// which is NOT op in floats.
+		k.corr[j] = 1 - (1 - tf.Opacity[j])
 		if j < 255 {
 			k.flat[j] = tf.Opacity[j] == tf.Opacity[j+1]
 		}
@@ -109,7 +96,7 @@ func (k *kernel) cellEmpty(cx, cy, cz int) bool {
 // contains tests sample index kk's world position against the box,
 // with arithmetic identical to the reference kernel's.
 func (k *kernel) contains(origin [3]float64, kk int) bool {
-	t := (float64(kk) + 0.5) * k.dt
+	t := float64(kk) + 0.5
 	return k.box.Contains(
 		origin[0]+t*k.cam.Dir[0],
 		origin[1]+t*k.cam.Dir[1],
@@ -118,15 +105,15 @@ func (k *kernel) contains(origin [3]float64, kk int) bool {
 
 // castRay casts the ray through pixel (px, py) and returns the
 // accumulated pixel, bit-identical to the reference kernel's.
-func (k *kernel) castRay(px, py int, st *tileStats) frame.Pixel {
+func (k *kernel) castRay(px, py int, st *StatsSnapshot) frame.Pixel {
 	var acc frame.Pixel
 	origin := k.cam.PlanePoint(px, py)
 	tMin, tMax, ok := k.cam.rayBox(origin, k.box)
 	if !ok {
 		return acc
 	}
-	kLo := int(math.Floor(tMin/k.dt - 0.5))
-	kHi := int(math.Ceil(tMax/k.dt - 0.5))
+	kLo := int(math.Floor(tMin - 0.5))
+	kHi := int(math.Ceil(tMax - 0.5))
 
 	// The per-axis sample position origin[a] + t·Dir[a] is monotone in
 	// the sample index (IEEE rounding preserves order, each axis's
@@ -150,7 +137,7 @@ func (k *kernel) castRay(px, py int, st *tileStats) frame.Pixel {
 			break
 		}
 	}
-	st.rays++
+	st.Rays++
 
 	k.traverse(origin, kA, kB, &acc, st)
 	return acc
@@ -162,10 +149,10 @@ func (k *kernel) castRay(px, py int, st *tileStats) frame.Pixel {
 // skipSafety of a cell boundary, and every sample of a non-empty cell,
 // are evaluated exactly as the reference kernel would. The kNext cursor
 // is monotone, so no sample is evaluated twice.
-func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *tileStats) {
+func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *StatsSnapshot) {
 	d := k.cam.Dir
-	tA := (float64(kA) + 0.5) * k.dt
-	tB := (float64(kB) + 0.5) * k.dt
+	tA := float64(kA) + 0.5
+	tB := float64(kB) + 0.5
 
 	// Cell holding the first sample, and per-axis DDA state: tNext[a]
 	// is the ray parameter of the next cell boundary crossing on axis
@@ -207,19 +194,19 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 			// Final cell the interval reaches: evaluate the remainder
 			// (conservative for an empty final cell, but it bounds the
 			// loop and at most one cell's samples are evaluated).
-			st.cellsVisited++
+			st.CellsVisited++
 			k.processRun(origin, kNext, kB, acc, st)
 			return
 		}
-		st.cellsVisited++
+		st.CellsVisited++
 		if k.cellEmpty(c[0], c[1], c[2]) {
-			st.cellsSkipped++
+			st.CellsSkipped++
 			// Indices whose parameters clear both boundaries by the
 			// safety margin are provably transparent; stragglers below
 			// the window (this cell's entry zone plus any boundary
 			// samples earlier cells left behind) are evaluated.
-			kSkipLo := int(math.Ceil((tEnter+skipSafety)/k.dt - 0.5))
-			kSkipHi := int(math.Floor((tExit-skipSafety)/k.dt - 0.5))
+			kSkipLo := int(math.Ceil(tEnter + skipSafety - 0.5))
+			kSkipHi := int(math.Floor(tExit - skipSafety - 0.5))
 			if kSkipHi > kB {
 				kSkipHi = kB
 			}
@@ -234,11 +221,11 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 				kNext = hi + 1
 			}
 			if kSkipHi >= kNext {
-				st.samplesSkipped += int64(kSkipHi - kNext + 1)
+				st.SamplesSkipped += int64(kSkipHi - kNext + 1)
 				kNext = kSkipHi + 1
 			}
 		} else {
-			kCellHi := int(math.Floor(tExit/k.dt - 0.5))
+			kCellHi := int(math.Floor(tExit - 0.5))
 			if kCellHi > kB {
 				kCellHi = kB
 			}
@@ -265,17 +252,17 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 
 // processRun evaluates sample indices k0..k1 exactly as the reference
 // kernel does and reports whether the ray hit the early-termination
-// cutoff. Positions stay closed-form ((k+0.5)·dt from the plane point,
-// never incrementally accumulated) so they are bit-identical to the
-// reference kernel's.
-func (k *kernel) processRun(origin [3]float64, k0, k1 int, acc *frame.Pixel, st *tileStats) bool {
+// cutoff. Positions stay closed-form (k+0.5 from the plane point, never
+// incrementally accumulated) so they are bit-identical to the reference
+// kernel's.
+func (k *kernel) processRun(origin [3]float64, k0, k1 int, acc *frame.Pixel, st *StatsSnapshot) bool {
 	d := k.cam.Dir
 	for kk := k0; kk <= k1; kk++ {
-		t := (float64(kk) + 0.5) * k.dt
+		t := float64(kk) + 0.5
 		x := origin[0] + t*d[0]
 		y := origin[1] + t*d[1]
 		z := origin[2] + t*d[2]
-		st.samples++
+		st.Samples++
 		if k.accumulate(x, y, z, acc) {
 			return true
 		}
@@ -289,9 +276,8 @@ func (k *kernel) processRun(origin [3]float64, k0, k1 int, acc *frame.Pixel, st 
 //   - the transfer lookup inlines transfer.Func.Classify;
 //   - where the opacity table is flat across the interpolation span,
 //     the lerp returns the table entry exactly, so the precomputed
-//     correction corr[i] applies; for dt == 1, math.Pow(x, 1) == x
-//     collapses the correction to 1−(1−op); only a varying table entry
-//     under dt ≠ 1 still pays math.Pow.
+//     correction corr[i] applies; elsewhere the correction 1−(1−op) is
+//     computed in place, as the reference does.
 func (k *kernel) accumulate(x, y, z float64, acc *frame.Pixel) bool {
 	v := k.sample(x, y, z)
 
@@ -312,13 +298,10 @@ func (k *kernel) accumulate(x, y, z float64, acc *frame.Pixel) bool {
 		}
 		in0 := k.inten[i]
 		in = in0 + t*(k.inten[i+1]-in0)
-		switch {
-		case k.flat[i]:
+		if k.flat[i] {
 			a = k.corr[i]
-		case k.dtIsOne:
+		} else {
 			a = 1 - (1 - op)
-		default:
-			a = 1 - math.Pow(1-op, k.dt)
 		}
 	}
 	if op <= 0 {
@@ -392,5 +375,5 @@ func (k *kernel) shade(x, y, z float64) float64 {
 	if d < 0 {
 		d = 0
 	}
-	return k.ambient + (1-k.ambient)*d
+	return ambient + (1-ambient)*d
 }

@@ -14,23 +14,14 @@ import (
 
 // Options tune the ray caster.
 type Options struct {
-	// Step is the sample spacing along rays in voxel units. Zero means 1.
-	Step float64
 	// EarlyTermination stops a ray once accumulated opacity exceeds this
 	// value. Zero means the default 0.999; negative disables termination
 	// (needed when an exact match with segment-composited rendering is
 	// required).
 	EarlyTermination float64
-	// Shaded enables Lambertian shading from the scalar gradient.
+	// Shaded enables Lambertian shading from the scalar gradient, lit
+	// head-on (from the viewer) over an ambient floor of 0.3.
 	Shaded bool
-	// Light is the direction toward the light source for shading;
-	// zero means head-on lighting (the view direction).
-	Light [3]float64
-	// Ambient is the ambient term used with shading. Zero means the
-	// default 0.3; negative means a true zero ambient term — the same
-	// negative-disables sentinel as EarlyTermination, making "no
-	// ambient" expressible (a plain 0 was indistinguishable from unset).
-	Ambient float64
 	// Workers bounds the worker pool rendering tiles concurrently.
 	// Zero or negative means GOMAXPROCS; 1 renders serially on the
 	// calling goroutine. Tiles are disjoint regions of pre-grown
@@ -46,13 +37,6 @@ type Options struct {
 	// given collector. Shared collectors are safe (atomics); nil (the
 	// default) skips collection.
 	Stats *Stats
-}
-
-func (o Options) step() float64 {
-	if o.Step <= 0 {
-		return 1
-	}
-	return o.Step
 }
 
 func (o Options) workers() int {
@@ -73,17 +57,6 @@ func (o Options) cutoff() float64 {
 	}
 }
 
-func (o Options) ambient() float64 {
-	switch {
-	case o.Ambient == 0:
-		return 0.3
-	case o.Ambient < 0:
-		return 0
-	default:
-		return o.Ambient
-	}
-}
-
 // Tile geometry of the work queue. A tile row is 64 pixels = 1 KiB of
 // pixel storage = 16 cache lines, so neighboring tiles contend for at
 // most one line per row; 4 rows per tile keeps a tile coarse enough
@@ -97,10 +70,10 @@ const (
 )
 
 // Raycast renders the portion of the scene inside box, as seen by cam,
-// into a sparse subimage. Sample positions are globally aligned: sample k
-// of any ray sits at parameter (k+0.5)*step measured from the camera's
-// image plane, and a sample is accumulated exactly when its world
-// position lies inside the half-open box. Disjoint boxes therefore
+// into a sparse subimage. Samples are one voxel apart and globally
+// aligned: sample k of any ray sits at parameter k+0.5 measured from the
+// camera's image plane, and a sample is accumulated exactly when its
+// world position lies inside the half-open box. Disjoint boxes therefore
 // partition every ray's samples, and over-compositing the per-box images
 // front-to-back reproduces the full-volume rendering.
 //
@@ -131,7 +104,7 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 	tilesY := (foot.Dy() + tileH - 1) / tileH
 	tiles := tilesX * tilesY
 
-	renderTile := func(idx int, st *tileStats) {
+	renderTile := func(idx int, st *StatsSnapshot) {
 		x0 := foot.X0 + (idx%tilesX)*tileW
 		y0 := foot.Y0 + (idx/tilesX)*tileH
 		x1 := min(x0+tileW, foot.X1)
@@ -151,11 +124,11 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 		workers = tiles
 	}
 	if workers <= 1 {
-		var st tileStats
+		var st StatsSnapshot
 		for idx := 0; idx < tiles; idx++ {
 			renderTile(idx, &st)
 		}
-		st.flush(opt.Stats)
+		opt.Stats.flush(&st)
 		return img
 	}
 	// Tiles are claimed off one atomic counter; workers share nothing
@@ -167,11 +140,11 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var st tileStats
+			var st StatsSnapshot
 			for {
 				idx := int(next.Add(1)) - 1
 				if idx >= tiles {
-					st.flush(opt.Stats)
+					opt.Stats.flush(&st)
 					return
 				}
 				renderTile(idx, &st)
@@ -182,8 +155,13 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 	return img
 }
 
-// shade returns a Lambertian brightness factor from the local gradient.
-func shade(s *volume.Volume, x, y, z float64, light [3]float64, ambient float64) float64 {
+// ambient is the shading model's ambient floor: a surface facing away
+// from the light keeps this share of its intensity.
+const ambient = 0.3
+
+// shade returns a Lambertian brightness factor from the local gradient,
+// lit from the viewer (light is the direction toward the light, -Dir).
+func shade(s *volume.Volume, x, y, z float64, light [3]float64) float64 {
 	g := s.Gradient(x, y, z)
 	n := math.Sqrt(g[0]*g[0] + g[1]*g[1] + g[2]*g[2])
 	if n < 1e-9 {

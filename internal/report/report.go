@@ -88,35 +88,23 @@ func Table(title string, rows []harness.Row, methods []string) string {
 // Figure renders the total compositing time of each method against P for
 // one dataset — the series behind Figures 8–11.
 func Figure(title string, rows []harness.Row, methods []string, dataset string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (%s, total compositing time, ms)\n", title, dataset)
-	idx := index(rows)
-	tw := tabwriter.NewWriter(&sb, 4, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprint(tw, "  P\t")
-	for _, m := range methods {
-		fmt.Fprintf(tw, "%s\t", m)
-	}
-	fmt.Fprintln(tw)
-	for _, p := range psOf(rows) {
-		fmt.Fprintf(tw, "  %d\t", p)
-		for _, m := range methods {
-			if r, ok := idx[key{dataset, m, p}]; ok {
-				fmt.Fprintf(tw, "%.2f\t", r.TotalMS)
-			} else {
-				fmt.Fprint(tw, "-\t")
-			}
-		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
-	return sb.String()
+	return series(title, "total compositing time, ms", rows, methods, dataset,
+		func(r harness.Row) string { return fmt.Sprintf("%.2f", r.TotalMS) })
 }
 
 // MMax renders the maximum received message size per method and P for
 // one dataset — the quantity ordered by the paper's Eq. 9.
 func MMax(title string, rows []harness.Row, methods []string, dataset string) string {
+	return series(title, "M_max in bytes", rows, methods, dataset,
+		func(r harness.Row) string { return fmt.Sprintf("%d", r.MMax) })
+}
+
+// series renders cell of each method's row against P for one dataset,
+// "-" where no row exists; quantity names the cell in the title line.
+func series(title, quantity string, rows []harness.Row, methods []string, dataset string,
+	cell func(harness.Row) string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (%s, M_max in bytes)\n", title, dataset)
+	fmt.Fprintf(&sb, "%s (%s, %s)\n", title, dataset, quantity)
 	idx := index(rows)
 	tw := tabwriter.NewWriter(&sb, 4, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprint(tw, "  P\t")
@@ -128,7 +116,7 @@ func MMax(title string, rows []harness.Row, methods []string, dataset string) st
 		fmt.Fprintf(tw, "  %d\t", p)
 		for _, m := range methods {
 			if r, ok := idx[key{dataset, m, p}]; ok {
-				fmt.Fprintf(tw, "%d\t", r.MMax)
+				fmt.Fprintf(tw, "%s\t", cell(r))
 			} else {
 				fmt.Fprint(tw, "-\t")
 			}

@@ -135,7 +135,7 @@ func EncodeRect(img *frame.Image, region frame.Rect, e *Encoding) {
 type Wire struct {
 	total int
 	codes []byte // NumCodes 2-byte little-endian run lengths
-	px    []byte // NumNonBlank packed pixels
+	px    []byte // packed foreground pixels
 }
 
 // ParseWire parses a Pack-serialized encoding from the front of buf,
@@ -182,9 +182,6 @@ func (w Wire) Total() int { return w.total }
 
 // NumCodes returns the number of run-length codes in the message.
 func (w Wire) NumCodes() int { return len(w.codes) / CodeBytes }
-
-// NumNonBlank returns the number of foreground pixels in the message.
-func (w Wire) NumNonBlank() int { return len(w.px) / frame.PixelBytes }
 
 func (w Wire) code(i int) int {
 	return int(w.codes[2*i]) | int(w.codes[2*i+1])<<8

@@ -146,9 +146,9 @@ func TestParseWireMatchesUnpack(t *testing.T) {
 		if len(rest1) != 2 || len(rest2) != 2 {
 			t.Fatalf("trial %d: rest %d/%d bytes, want 2", trial, len(rest1), len(rest2))
 		}
-		if w.Total() != ue.Total || w.NumCodes() != len(ue.Codes) || w.NumNonBlank() != len(ue.NonBlank) {
+		if w.Total() != ue.Total || w.NumCodes() != len(ue.Codes) || len(w.px)/frame.PixelBytes != len(ue.NonBlank) {
 			t.Fatalf("trial %d: view (%d,%d,%d) vs encoding (%d,%d,%d)", trial,
-				w.Total(), w.NumCodes(), w.NumNonBlank(),
+				w.Total(), w.NumCodes(), len(w.px)/frame.PixelBytes,
 				ue.Total, len(ue.Codes), len(ue.NonBlank))
 		}
 		dec := make([]frame.Pixel, w.Total())

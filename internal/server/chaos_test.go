@@ -176,10 +176,11 @@ func TestWatchdogUnwedgesStalledRank(t *testing.T) {
 }
 
 // TestChaosSoakWithRetries drives sequential frames through a world
-// with probabilistic connection resets while the client retries
-// retryable failures. Every frame must eventually land byte-identical
-// to the fault-free reference, whatever mix of resets and world
-// restarts the seed produces.
+// with probabilistic connection resets, retrying the transient typed
+// failures (world_failed, overloaded) the way a caller would. Every
+// frame must eventually land byte-identical to the fault-free
+// reference, whatever mix of resets and world restarts the seed
+// produces.
 func TestChaosSoakWithRetries(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -189,19 +190,19 @@ func TestChaosSoakWithRetries(t *testing.T) {
 		DefaultDeadline: time.Minute,
 		FrameTimeout:    10 * time.Second,
 	}, faultinject.Config{Seed: 7, ResetProb: 0.01})
-	cl.SetRetryPolicy(client.RetryPolicy{
-		MaxAttempts: 10,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-	})
 
 	req := server.Request{Dataset: "cube", Method: "bsbr", Width: 48, Height: 48, RotY: 15}
 	ref := referenceGray(t, req, p, 0)
 
 	for i := 0; i < 12; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		f, err := cl.Render(ctx, req)
-		cancel()
+		var f *client.Frame
+		var err error
+		for attempt := 0; attempt < 10; attempt++ {
+			if f, err = renderOnce(t, cl, req); !errors.Is(err, client.ErrWorldFailed) && !errors.Is(err, client.ErrOverloaded) {
+				break
+			}
+			time.Sleep(time.Duration(min(5<<attempt, 100)) * time.Millisecond)
+		}
 		if err != nil {
 			t.Fatalf("frame %d exhausted its retry budget: %v", i, err)
 		}

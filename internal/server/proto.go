@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"sortlast/internal/harness"
 	"sortlast/internal/trace"
 )
 
@@ -36,18 +35,39 @@ const (
 // gateway's frame cache) normalize against it.
 const DefaultMethod = "bsbrc"
 
-// Quality contract names accepted in Request.Quality, re-exported from
-// the harness so the wire protocol and the execution layer can never
-// disagree on the names. See harness/quality.go for the semantics.
+// Quality contracts: a request names how much fidelity it is willing to
+// trade for latency, and renderd, the gateway's cache key and the client
+// library's upscaler all honor the same two names.
+//
+//	full    — the default: byte-identical to a plain render.
+//	preview — quarter-resolution render (PreviewDims); the client
+//	          upscales. Resolution degrades, pixel values do not.
 const (
-	QualityFull    = harness.QualityFull
-	QualityPreview = harness.QualityPreview
+	QualityFull    = "full"
+	QualityPreview = "preview"
 )
 
-// NormalizeQuality re-exports the harness quality helper at the
-// protocol layer, so gateways that key caches by contract need not
-// import the execution harness.
-func NormalizeQuality(q string) (string, error) { return harness.NormalizeQuality(q) }
+// NormalizeQuality maps the empty string to QualityFull and rejects
+// unknown names, so admission layers can fail bad contracts up front.
+func NormalizeQuality(q string) (string, error) {
+	switch q {
+	case "", QualityFull:
+		return QualityFull, nil
+	case QualityPreview:
+		return q, nil
+	}
+	return "", fmt.Errorf("server: unknown quality %q (have %s, %s)",
+		q, QualityFull, QualityPreview)
+}
+
+// PreviewDims is the preview contract's render geometry: each dimension
+// halves (rounding up, so odd sizes keep their last pixel column/row).
+// A quarter of the rays means roughly a quarter of the render cost; the
+// reply carries these reduced dimensions and the client library
+// upscales back to the requested size.
+func PreviewDims(w, h int) (int, int) {
+	return (w + 1) / 2, (h + 1) / 2
+}
 
 // Request asks for one frame.
 type Request struct {
@@ -96,7 +116,7 @@ type Request struct {
 // pixels could not be delivered anyway — its gray payload would exceed
 // the reply frame limit every client enforces. renderd and the gateway
 // answer a failed Check with CodeBadRequest. (Non-positive dimensions
-// are the execution layer's to reject, see harness.Config.Check.)
+// are the execution layer's to reject, see harness.NewPlan.)
 func (r Request) Check() error {
 	w, h := int64(r.Width), int64(r.Height)
 	// Each side is bounded first so the product cannot overflow.
@@ -158,8 +178,9 @@ type FrameStats struct {
 	// TotalMS is the server-side wall time from admission to reply.
 	TotalMS float64 `json:"total_ms"`
 	// WireBytes counts compositing bytes received across all ranks for
-	// this frame (ranks that finish after the reply was sent may be
-	// missing; the /metrics total is exact).
+	// this frame. The count is exact: every rank adds its share before
+	// its gather message leaves, so all of it is in before rank 0 can
+	// reply.
 	WireBytes int64 `json:"wire_bytes"`
 
 	// Replica is the 1-based index of the fleet replica that rendered

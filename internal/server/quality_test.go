@@ -15,7 +15,6 @@ import (
 	"sortlast/internal/client"
 	"sortlast/internal/core"
 	"sortlast/internal/fleet"
-	"sortlast/internal/harness"
 	"sortlast/internal/server"
 )
 
@@ -95,7 +94,7 @@ func TestQualityContract(t *testing.T) {
 
 	// Preview: the server renders the quarter-resolution geometry and the
 	// client upscales, so the reply equals the upscaled small reference.
-	pw, ph := harness.PreviewDims(w, h)
+	pw, ph := server.PreviewDims(w, h)
 	small := referenceGray(t, server.Request{Dataset: "cube", Method: "bsbrc", Width: pw, Height: ph, RotY: 30}, p, 0)
 	prev := base
 	prev.Quality = server.QualityPreview

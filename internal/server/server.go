@@ -64,8 +64,6 @@ type Config struct {
 	// Workers bounds each rank's ray-casting worker pool (0: GOMAXPROCS).
 	// Rendering is bit-identical for any value.
 	Workers int
-	// RecvTimeout is the rank pool's receive timeout (0: the mp default).
-	RecvTimeout time.Duration
 	// FrameTimeout is the per-frame watchdog deadline: a dispatched frame
 	// that has not replied within it declares the rank world wedged, which
 	// fails every in-flight job with CodeWorldFailed and rebuilds the
@@ -395,9 +393,6 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 	if err := req.Check(); err != nil {
 		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
 	}
-	if err := ValidateMethod(req.Method); err != nil {
-		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
-	}
 	requested, err := NormalizeQuality(req.Quality)
 	if err != nil {
 		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
@@ -481,7 +476,7 @@ func (s *Server) enqueue(j *job) (code, msg string) {
 }
 
 // buildJob resolves one request at one quality contract into a
-// ready-to-enqueue job. Preview contracts render at harness.PreviewDims
+// ready-to-enqueue job. Preview contracts render at PreviewDims
 // — a quarter of the rays — and carry the reduced geometry in the
 // reply. arrived is when the request reached submit: a job rebuilt at a
 // lower contract keeps it, so its reported latencies cover the first
@@ -490,7 +485,7 @@ func (s *Server) enqueue(j *job) (code, msg string) {
 func (s *Server) buildJob(req Request, quality, requested string, arrived, deadlineAt time.Time) (*job, *Response) {
 	w, h := req.Width, req.Height
 	if quality == QualityPreview {
-		w, h = harness.PreviewDims(w, h)
+		w, h = PreviewDims(w, h)
 	}
 	cfg := harness.Config{
 		Dataset: req.Dataset,
@@ -498,17 +493,12 @@ func (s *Server) buildJob(req Request, quality, requested string, arrived, deadl
 		P:      s.cfg.P,
 		Method: req.Method,
 		RotX:   req.RotX, RotY: req.RotY,
-		Quality:    quality,
 		RenderOpts: render.Options{Shaded: req.Shaded, Workers: s.cfg.Workers},
 	}
 	if cfg.Method == "" {
 		cfg.Method = DefaultMethod
 	}
-	err := cfg.Check()
-	var plan *harness.Plan
-	if err == nil {
-		plan, err = harness.NewPlan(cfg)
-	}
+	plan, err := harness.NewPlan(cfg)
 	if err != nil {
 		return nil, s.reject(nil, req, CodeBadRequest, err.Error())
 	}

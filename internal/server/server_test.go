@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,26 @@ func TestBadRequestsAreTyped(t *testing.T) {
 	// The connection stays usable after typed errors.
 	if _, err := cl.Render(ctx, server.Request{Dataset: "cube", Width: 32, Height: 32}); err != nil {
 		t.Errorf("valid request after typed errors: %v", err)
+	}
+}
+
+// An unknown method must be rejected at admission with the typed
+// bad-request code, before any rank does work, and the message must
+// list the methods that exist.
+func TestUnknownMethodRejectedAtAdmission(t *testing.T) {
+	srv, cl := startServer(t, server.Config{P: 2})
+	for _, m := range append([]string{"bsqrc"}, retiredMethods...) {
+		_, err := cl.Render(context.Background(),
+			server.Request{Dataset: "cube", Method: m, Width: 32, Height: 32})
+		if !errors.Is(err, client.ErrBadRequest) {
+			t.Fatalf("method %q: want ErrBadRequest, got %v", m, err)
+		}
+		if !strings.Contains(err.Error(), "unknown compositor") || !strings.Contains(err.Error(), "have ") {
+			t.Errorf("method %q: error %q should name the problem and the methods that exist", m, err)
+		}
+	}
+	if n := srv.WorldRestarts(); n != 0 {
+		t.Errorf("world restarted %d times over bad requests", n)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"sortlast/internal/mp"
 )
 
 // World supervision: the resident rank pool is one *incarnation* of the
@@ -54,7 +52,7 @@ type worldRun struct {
 // newWorldRun builds a fresh resident world and spawns its per-rank
 // pipeline loops and the watchdog.
 func (s *Server) newWorldRun() (*worldRun, error) {
-	res, err := newProcResident(s.cfg.P, mp.Options{RecvTimeout: s.cfg.RecvTimeout}, s.cfg.Chaos)
+	res, err := newProcResident(s.cfg.P, s.cfg.Chaos)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,8 @@ type procResident struct {
 // rank's transport with fault injection; each call starts a fresh
 // injector incarnation, so faults armed against a previous world do not
 // carry over to its replacement.
-func newProcResident(p int, opts mp.Options, inj *faultinject.Injector) (*procResident, error) {
-	w, err := mp.NewWorld(p, opts)
+func newProcResident(p int, inj *faultinject.Injector) (*procResident, error) {
+	w, err := mp.NewWorld(p, mp.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func newProcResident(p int, opts mp.Options, inj *faultinject.Injector) (*procRe
 	}
 	cs := make([]mp.Comm, p)
 	for r := range cs {
-		if cs[r], err = mp.FromTransport(r, p, trs[r], opts); err != nil {
+		if cs[r], err = mp.FromTransport(r, p, trs[r], mp.Options{}); err != nil {
 			return nil, err
 		}
 	}

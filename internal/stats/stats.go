@@ -68,32 +68,6 @@ type Rank struct {
 	// CompWall is the measured wall-clock time spent in compositing
 	// computation (excluding communication waits).
 	CompWall time.Duration
-
-	// Render holds the rank's rendering-phase counters (the compositing
-	// counters above are the paper's; these describe the ray caster that
-	// feeds it).
-	Render Render
-}
-
-// Render holds one rank's rendering-phase counters: rays cast into its
-// box, samples evaluated, and the work the macro-cell empty-space
-// skipping removed.
-type Render struct {
-	Rays           int
-	Samples        int
-	SamplesSkipped int
-	CellsVisited   int
-	CellsSkipped   int
-}
-
-// SkipFraction returns the fraction of candidate samples removed by
-// empty-space skipping, 0 when no samples were traced.
-func (r Render) SkipFraction() float64 {
-	total := r.Samples + r.SamplesSkipped
-	if total == 0 {
-		return 0
-	}
-	return float64(r.SamplesSkipped) / float64(total)
 }
 
 // StageAt returns a pointer to the entry for 1-based stage k, growing the

@@ -166,8 +166,8 @@ func (f *Flight) Len() int {
 	return f.next
 }
 
-// Entries returns the retained entries, newest first.
-func (f *Flight) Entries() []FlightEntry {
+// newestFirst returns the retained entries, newest first.
+func (f *Flight) newestFirst() []FlightEntry {
 	if f == nil {
 		return nil
 	}
@@ -186,7 +186,7 @@ func (f *Flight) Entries() []FlightEntry {
 
 // Lookup finds a retained entry by trace id or decimal sequence number.
 func (f *Flight) Lookup(key string) (FlightEntry, bool) {
-	for _, e := range f.Entries() {
+	for _, e := range f.newestFirst() {
 		if e.TraceID == key || fmt.Sprint(e.Seq) == key {
 			return e, true
 		}
@@ -227,5 +227,5 @@ func (f *Flight) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(struct {
 		Entries []FlightEntry `json:"entries"`
-	}{f.Entries()})
+	}{f.newestFirst()})
 }

@@ -44,7 +44,7 @@ func TestFlightTailSampling(t *testing.T) {
 	}
 
 	// Reasons recorded, newest first.
-	entries := f.Entries()
+	entries := f.newestFirst()
 	if len(entries) == 0 || entries[0].Reason != "p99" {
 		t.Fatalf("entries[0] = %+v", entries)
 	}
@@ -90,7 +90,7 @@ func TestFlightRingEviction(t *testing.T) {
 	if f.Len() != 4 {
 		t.Fatalf("len = %d, want 4", f.Len())
 	}
-	es := f.Entries()
+	es := f.newestFirst()
 	if len(es) != 4 {
 		t.Fatalf("entries = %d, want 4", len(es))
 	}
@@ -106,7 +106,7 @@ func TestFlightNilDisabled(t *testing.T) {
 	if f.Observe(FlightEntry{Outcome: "error"}) {
 		t.Fatal("nil flight kept an entry")
 	}
-	if f.Len() != 0 || f.Entries() != nil {
+	if f.Len() != 0 || f.newestFirst() != nil {
 		t.Fatal("nil flight accessors not zero-valued")
 	}
 	rr := httptest.NewRecorder()

@@ -17,8 +17,8 @@ import (
 // the metrics exemplars key on the same ID, so a slow histogram bucket,
 // a /debug/flight entry and a Perfetto trace all name the same request.
 
-// ID is a 64-bit trace or span identifier. The zero ID means "absent":
-// an untraced request, an unset parent.
+// ID is a 64-bit trace identifier. The zero ID means "absent": an
+// untraced request.
 type ID uint64
 
 var (
@@ -41,7 +41,7 @@ func NewID() ID {
 
 // String formats the ID as 16 lowercase hex digits (the form carried on
 // the wire and shown in /debug/flight). The zero (absent) ID formats as
-// the empty string, so it round-trips through ParseID and disappears
+// the empty string, so it round-trips through parseID and disappears
 // under json omitempty.
 func (id ID) String() string {
 	if id == 0 {
@@ -50,9 +50,9 @@ func (id ID) String() string {
 	return fmt.Sprintf("%016x", uint64(id))
 }
 
-// ParseID parses the hex form produced by String. The empty string
+// parseID parses the hex form produced by String. The empty string
 // parses to the zero (absent) ID without error.
-func ParseID(s string) (ID, error) {
+func parseID(s string) (ID, error) {
 	if s == "" {
 		return 0, nil
 	}
@@ -64,16 +64,13 @@ func ParseID(s string) (ID, error) {
 }
 
 // Context is the trace context carried in a request header: the trace
-// identity, the sending side's span, and whether the sender wants the
-// span tree back in the reply. A nil *Context means the request is
+// identity and whether the sender wants the span tree back in the
+// reply. A nil *Context means the request is
 // untraced (servers may still record locally for their own flight
 // recorder).
 type Context struct {
 	// TraceID names the whole request tree, hex form of an ID.
 	TraceID string `json:"trace_id"`
-	// ParentID is the sender's span under which this dispatch nests
-	// (informational; the merge places spans by track and time).
-	ParentID string `json:"parent_id,omitempty"`
 	// Sampled asks the receiver to return its span tree in the reply so
 	// the caller can assemble a merged trace. Unsampled contexts still
 	// propagate the ID for exemplars and flight-recorder correlation.
@@ -87,21 +84,11 @@ func NewContext() *Context {
 	return &Context{TraceID: NewID().String(), Sampled: true}
 }
 
-// Child derives the context for a downstream dispatch issued under span.
-// On a nil receiver it returns nil, so untraced requests propagate
-// nothing.
-func (c *Context) Child(span ID) *Context {
-	if c == nil {
-		return nil
-	}
-	return &Context{TraceID: c.TraceID, ParentID: span.String(), Sampled: c.Sampled}
-}
-
 // Trace parses the context's trace ID, zero when absent or malformed.
 func (c *Context) Trace() ID {
 	if c == nil {
 		return 0
 	}
-	id, _ := ParseID(c.TraceID)
+	id, _ := parseID(c.TraceID)
 	return id
 }

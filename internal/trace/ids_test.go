@@ -12,43 +12,25 @@ func TestIDRoundTrip(t *testing.T) {
 		if len(s) != 16 {
 			t.Fatalf("ID %v formats to %q, want 16 hex digits", uint64(id), s)
 		}
-		back, err := ParseID(s)
+		back, err := parseID(s)
 		if err != nil || back != id {
-			t.Fatalf("ParseID(%q) = %v, %v, want %v", s, back, err, id)
+			t.Fatalf("parseID(%q) = %v, %v, want %v", s, back, err, id)
 		}
 	}
 	if ID(0).String() != "" {
 		t.Fatalf("zero ID formats to %q, want empty", ID(0).String())
 	}
-	if id, err := ParseID(""); id != 0 || err != nil {
-		t.Fatalf("ParseID(\"\") = %v, %v, want 0, nil", id, err)
+	if id, err := parseID(""); id != 0 || err != nil {
+		t.Fatalf("parseID(\"\") = %v, %v, want 0, nil", id, err)
 	}
-	if _, err := ParseID("not-hex"); err == nil {
-		t.Fatal("ParseID accepted garbage")
+	if _, err := parseID("not-hex"); err == nil {
+		t.Fatal("parseID accepted garbage")
 	}
-}
-
-func TestContextChildPropagation(t *testing.T) {
 	var nilCtx *Context
-	if nilCtx.Child(NewID()) != nil {
-		t.Fatal("nil context derived a child")
-	}
 	if nilCtx.Trace() != 0 {
 		t.Fatal("nil context has a trace ID")
 	}
-	c := NewContext()
-	if !c.Sampled || c.Trace() == 0 {
+	if c := NewContext(); !c.Sampled || c.Trace() == 0 {
 		t.Fatalf("fresh context = %+v", c)
-	}
-	span := NewID()
-	ch := c.Child(span)
-	if ch.TraceID != c.TraceID {
-		t.Fatalf("child trace ID %q != parent %q", ch.TraceID, c.TraceID)
-	}
-	if ch.ParentID != span.String() {
-		t.Fatalf("child parent ID %q, want %q", ch.ParentID, span)
-	}
-	if !ch.Sampled {
-		t.Fatal("child dropped the sampling decision")
 	}
 }

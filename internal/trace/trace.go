@@ -101,9 +101,6 @@ func (r *Rank) ID() int {
 	return r.id
 }
 
-// Enabled reports whether spans are being recorded.
-func (r *Rank) Enabled() bool { return r != nil }
-
 // Begin starts a span and returns its mark. On a nil Rank it returns 0
 // without reading the clock.
 func (r *Rank) Begin() Mark {

@@ -48,8 +48,8 @@ type WireProc struct {
 // Clone deep-copies the process: fresh Tracks and Spans arrays, so the
 // copy can be renamed, offset, and Truncated without mutating the
 // source. Assemblers that merge retained child trees into a new Wire
-// (the gateway, Nest) must clone — the same child is merged again on a
-// later flight export, and Truncate rewrites slices in place.
+// (the gateway) must clone — the same child is merged again on a later
+// flight export, and Truncate rewrites slices in place.
 func (p WireProc) Clone() WireProc {
 	out := p
 	out.Tracks = make([]WireTrack, len(p.Tracks))
@@ -186,34 +186,9 @@ func MidpointOffset(start, rtt, total time.Duration) time.Duration {
 	return start + slack/2
 }
 
-// Nest wraps child under a single parent span covering rtt on the
-// caller's clock: the result's first process is the parent (one track,
-// one span), and the child's processes shift by the midpoint offset so
-// they sit centered inside the parent window. Used by clients to put a
-// "client wait" root over the tree a server returned. child may be nil.
-func Nest(proc, track, span string, rtt time.Duration, child *Wire) *Wire {
-	out := &Wire{TotalUS: us(rtt)}
-	parent := WireProc{Name: proc, Tracks: []WireTrack{{
-		Name:  track,
-		Spans: []WireSpan{{Name: span, DurUS: us(rtt)}},
-	}}}
-	out.Procs = append(out.Procs, parent)
-	if child != nil {
-		out.TraceID = child.TraceID
-		out.Truncated = child.Truncated
-		off := us(MidpointOffset(0, rtt, child.Total()))
-		for _, p := range child.Procs {
-			p = p.Clone() // the result may be Truncated; leave child intact
-			p.OffsetUS += off
-			out.Procs = append(out.Procs, p)
-		}
-	}
-	return out
-}
-
-// Events flattens the wire trace into Chrome trace events: one pid per
+// events flattens the wire trace into Chrome trace events: one pid per
 // process, one tid per track, timestamps shifted by the process offset.
-func (w *Wire) Events() []Event {
+func (w *Wire) events() []Event {
 	var events []Event
 	for pi, p := range w.Procs {
 		events = append(events, Event{
@@ -244,5 +219,5 @@ func (w *Wire) Events() []Event {
 // WritePerfetto writes the wire trace as Chrome/Perfetto trace-event
 // JSON, the trace ID carried as a top-level field.
 func (w *Wire) WritePerfetto(dst io.Writer) error {
-	return writeTraceFile(dst, File{TraceID: w.TraceID, TraceEvents: w.Events(), DisplayTimeUnit: "ms"})
+	return writeTraceFile(dst, File{TraceID: w.TraceID, TraceEvents: w.events(), DisplayTimeUnit: "ms"})
 }

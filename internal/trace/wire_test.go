@@ -94,34 +94,6 @@ func TestWireTruncate(t *testing.T) {
 	}
 }
 
-// TestTruncateAfterNestLeavesChildIntact pins the ownership contract:
-// assemblers clone retained child trees into the merged Wire, so
-// truncating the merge (the reply path does) must not corrupt the
-// source — a flight export rebuilds from the same child later, possibly
-// concurrently with the reply's JSON marshal.
-func TestTruncateAfterNestLeavesChildIntact(t *testing.T) {
-	id := NewID()
-	rec := recWithSpans(t, 4, 100) // 400 spans across 4 rank tracks
-	child := BuildWire(id, "renderd", time.Millisecond, nil, rec)
-	spans, tracks := child.SpanCount(), len(child.Procs[0].Tracks)
-
-	first := Nest("gateway", "request", "dispatch", 2*time.Millisecond, child)
-	first.Truncate(10) // cuts deep into the child's copied tracks
-	if got := first.SpanCount(); got != 10 {
-		t.Fatalf("merged span count after truncate = %d, want 10", got)
-	}
-	if child.SpanCount() != spans || len(child.Procs[0].Tracks) != tracks {
-		t.Fatalf("truncating the merge mutated the child: %d spans in %d tracks, want %d in %d",
-			child.SpanCount(), len(child.Procs[0].Tracks), spans, tracks)
-	}
-	// A second export from the same child (the flight-recorder path)
-	// sees the full tree again.
-	second := Nest("gateway", "request", "dispatch", 2*time.Millisecond, child)
-	if got := second.SpanCount(); got != spans+1 {
-		t.Fatalf("re-merged span count = %d, want %d", got, spans+1)
-	}
-}
-
 func TestMidpointOffset(t *testing.T) {
 	// 10ms round trip, server worked 6ms: 4ms slack, server epoch sits
 	// 2ms after dispatch.
@@ -135,35 +107,18 @@ func TestMidpointOffset(t *testing.T) {
 	}
 }
 
-func TestNestMergesChild(t *testing.T) {
-	id := NewID()
-	rec := recWithSpans(t, 1, 1)
-	child := BuildWire(id, "renderd", 6*time.Millisecond, nil, rec)
-	w := Nest("client", "client", "render rtt", 10*time.Millisecond, child)
-	if w.TraceID != id.String() {
-		t.Fatalf("nest dropped trace id: %q", w.TraceID)
-	}
-	if len(w.Procs) != 2 || w.Procs[0].Name != "client" || w.Procs[1].Name != "renderd" {
-		t.Fatalf("procs = %+v", w.Procs)
-	}
-	root := w.Procs[0].Tracks[0].Spans[0]
-	if root.Name != "render rtt" || root.DurUS != 10000 {
-		t.Fatalf("root span = %+v", root)
-	}
-	if got := w.Procs[1].OffsetUS; got != 2000 { // (10ms-6ms)/2
-		t.Fatalf("child offset = %v us, want 2000", got)
-	}
-	// Nil child still yields the parent-only wire.
-	if w := Nest("client", "client", "rtt", time.Millisecond, nil); len(w.Procs) != 1 {
-		t.Fatalf("nil-child nest = %+v", w.Procs)
-	}
-}
-
 func TestWirePerfettoExport(t *testing.T) {
 	id := NewID()
 	rec := recWithSpans(t, 2, 1)
+	// A gateway's merge: its own dispatch span, and the replica's tree
+	// shifted to the midpoint of the 9 ms round trip.
 	child := BuildWire(id, "replica 0", 5*time.Millisecond, nil, rec)
-	w := Nest("gateway", "request", "dispatch", 9*time.Millisecond, child)
+	replica := child.Procs[0]
+	replica.OffsetUS = us(MidpointOffset(0, 9*time.Millisecond, child.Total()))
+	w := &Wire{TraceID: id.String(), TotalUS: 9000, Procs: []WireProc{
+		{Name: "gateway", Tracks: []WireTrack{{Name: "request", Spans: []WireSpan{{Name: "dispatch", DurUS: 9000}}}}},
+		replica,
+	}}
 
 	var buf bytes.Buffer
 	if err := w.WritePerfetto(&buf); err != nil {

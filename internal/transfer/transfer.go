@@ -56,23 +56,6 @@ func Ramp(name string, lo, hi int, maxOpacity float64) *Func {
 	return f
 }
 
-// Iso builds a band-pass transfer function: opaque only within
-// [center-width, center+width], emphasizing one material.
-func Iso(name string, center, width int, opacity float64) *Func {
-	f := &Func{Name: name}
-	for v := 0; v < 256; v++ {
-		d := v - center
-		if d < 0 {
-			d = -d
-		}
-		if d <= width {
-			f.Opacity[v] = opacity * (1 - float64(d)/float64(width+1))
-			f.Intensity[v] = float64(v) / 255
-		}
-	}
-	return f
-}
-
 // EngineLow is the paper's Engine_low setting: a low threshold that picks
 // up the whole casting, producing dense subimages.
 func EngineLow() *Func { return Ramp("engine_low", 40, 110, 0.08) }

@@ -31,7 +31,7 @@ func TestRampPanicsOnBadRange(t *testing.T) {
 }
 
 func TestClassifyBoundsProperty(t *testing.T) {
-	funcs := []*Func{EngineLow(), EngineHigh(), Head(), Cube(), Iso("iso", 128, 30, 0.5)}
+	funcs := []*Func{EngineLow(), EngineHigh(), Head(), Cube()}
 	cfg := &quick.Config{MaxCount: 2000, Values: func(vals []reflect.Value, r *rand.Rand) {
 		vals[0] = reflect.ValueOf(r.Float64()*1.4 - 0.2) // include out-of-range
 	}}
@@ -86,19 +86,6 @@ func TestCubeOpaque(t *testing.T) {
 	}
 	if op, _ := f.Classify(0); op != 0 {
 		t.Error("empty space must stay transparent")
-	}
-}
-
-func TestIsoBandPass(t *testing.T) {
-	f := Iso("band", 128, 20, 0.6)
-	if op, _ := f.Classify(128.0 / 255); op <= 0 {
-		t.Error("center must be visible")
-	}
-	if op, _ := f.Classify(0.2); op != 0 {
-		t.Error("out-of-band must be invisible")
-	}
-	if op, _ := f.Classify(0.95); op != 0 {
-		t.Error("out-of-band high must be invisible")
 	}
 }
 

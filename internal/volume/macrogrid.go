@@ -40,8 +40,8 @@ func (g *MacroGrid) Range(cx, cy, cz int) (mn, mx uint8, ok bool) {
 	return g.Min[i], g.Max[i], true
 }
 
-// Cells returns the total cell count.
-func (g *MacroGrid) Cells() int { return g.CX * g.CY * g.CZ }
+// cells returns the total cell count.
+func (g *MacroGrid) cells() int { return g.CX * g.CY * g.CZ }
 
 // MacroCells returns the volume's macro-cell grid, building it on first
 // use and caching it for the volume's lifetime (the build is a single
@@ -60,7 +60,7 @@ func buildMacroGrid(v *Volume) *MacroGrid {
 		CY: (v.NY + MacroCell - 1) >> MacroShift,
 		CZ: (v.NZ + MacroCell - 1) >> MacroShift,
 	}
-	n := g.Cells()
+	n := g.cells()
 	g.Min = make([]uint8, n)
 	g.Max = make([]uint8, n)
 	i := 0

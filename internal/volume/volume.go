@@ -160,13 +160,6 @@ func (b Box) Contains(x, y, z float64) bool {
 		z >= float64(b.Lo[2]) && z < float64(b.Hi[2])
 }
 
-// ContainsVoxel reports whether the voxel (x, y, z) lies inside the box.
-func (b Box) ContainsVoxel(x, y, z int) bool {
-	return x >= b.Lo[0] && x < b.Hi[0] &&
-		y >= b.Lo[1] && y < b.Hi[1] &&
-		z >= b.Lo[2] && z < b.Hi[2]
-}
-
 // Intersect returns the overlap of two boxes.
 func (b Box) Intersect(o Box) Box {
 	for a := 0; a < 3; a++ {

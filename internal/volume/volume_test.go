@@ -104,9 +104,6 @@ func TestBoxOperations(t *testing.T) {
 	if !b.Contains(0, 0, 0) || b.Contains(10, 0, 0) {
 		t.Error("half-open containment wrong")
 	}
-	if !b.ContainsVoxel(9, 19, 29) || b.ContainsVoxel(10, 0, 0) {
-		t.Error("voxel containment wrong")
-	}
 	in := b.Intersect(Box{Lo: [3]int{5, 5, 5}, Hi: [3]int{15, 15, 15}})
 	if in != (Box{Lo: [3]int{5, 5, 5}, Hi: [3]int{10, 15, 15}}) {
 		t.Errorf("intersect = %v", in)

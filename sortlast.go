@@ -19,7 +19,6 @@ import (
 	"io"
 
 	"sortlast/internal/core"
-	"sortlast/internal/costmodel"
 	"sortlast/internal/frame"
 	"sortlast/internal/harness"
 	"sortlast/internal/render"
@@ -185,7 +184,3 @@ func finish(row *harness.Row, img *frame.Image, err error) (*Result, error) {
 		},
 	}, nil
 }
-
-// SP2Params exposes the cost-model preset used for the paper-comparable
-// numbers, for documentation purposes.
-func SP2Params() string { return fmt.Sprintf("%+v", costmodel.SP2()) }

@@ -116,7 +116,4 @@ func TestListings(t *testing.T) {
 			t.Errorf("method %q missing from listing %v", m, Methods())
 		}
 	}
-	if SP2Params() == "" {
-		t.Error("SP2Params must describe the preset")
-	}
 }
