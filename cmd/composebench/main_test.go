@@ -62,8 +62,10 @@ func TestBadAxisFailsBeforeTheSweep(t *testing.T) {
 }
 
 // -method is trimmed, and the CSV ends in the exact render imbalance: at
-// P=3 the unsplit core rank samples about twice what each folded half
-// does.
+// P=3 the unsplit core rank holds twice the volume of each folded half.
+// On the cube it reads 1.199, not about 1.5: the samples no longer
+// include the provable zeros in the unsplit rank's extra volume (the
+// kernel clips rays to the occupied hull and skips empty last cells).
 func TestCSVShowsFoldImbalance(t *testing.T) {
 	stdout, stderr, exit := runCommand(t, "-table", "1", "-method", " bsbrc", "-plist", "3", "-dataset", "cube", "-csv")
 	lines := strings.Split(strings.TrimSpace(stdout), "\n")
@@ -71,7 +73,7 @@ func TestCSVShowsFoldImbalance(t *testing.T) {
 		t.Fatalf("exit %d, stdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
 	}
 	last := lines[1][strings.LastIndex(lines[1], ",")+1:]
-	if v, err := strconv.ParseFloat(last, 64); err != nil || v < 1.3 || v > 1.6 {
-		t.Errorf("render_imbalance = %q, want about 1.5", last)
+	if v, err := strconv.ParseFloat(last, 64); err != nil || v < 1.1 || v > 1.3 {
+		t.Errorf("render_imbalance = %q, want about 1.2", last)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"sortlast/internal/core"
 	"sortlast/internal/frame"
+	"sortlast/internal/harness"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
@@ -195,6 +196,36 @@ func TestGatherAllocs(t *testing.T) {
 			t.Errorf("%s: %d allocations >= 1 KiB in %d gathers, want one each (the root's pixel storage)",
 				method, large, runs+1)
 		}
+	}
+}
+
+// A one-shot frame — render_orbit's shape: head, 256², P=4, bsbrc
+// through harness.RunWithImage — allocates what its images hold: each
+// rank's subimage sized to its footprint, regrown to exactly the
+// rectangles the swap stages composite into it, and the root's frame.
+// That is 1.2 MiB; padding each growth by half the extent plus 8 px a
+// side, up to the whole frame, made it 3.2 MiB.
+func TestOneShotFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are not the frame's")
+	}
+	cfg := harness.Config{Dataset: "head", Width: 256, Height: 256, P: 4, Method: "bsbrc",
+		RotX: paperRotX, RotY: paperRotY}
+	const frames, limit = 3, 2 << 20
+	var before, after runtime.MemStats
+	for i := -1; i < frames; i++ { // frame -1 builds the dataset and its macro grid
+		if i == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		if _, _, err := harness.RunWithImage(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / frames
+	t.Logf("bsbrc, P=4, 256x256 head: %d KiB allocated per frame", perFrame>>10)
+	if perFrame > limit {
+		t.Errorf("%d B allocated per frame, limit %d", perFrame, limit)
 	}
 }
 

@@ -195,7 +195,7 @@ func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, 
 		return r, nil, err
 	}
 	s.RecvPixels += r.Area()
-	img.Grow(r)
+	img.GrowExact(r)
 	w := r.Dx()
 	n := 0
 	// Positions arrive in row-major order; fetch each scanline segment
@@ -359,7 +359,7 @@ func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool
 	}
 	s.RecvPixels += keepLen
 	w := img.Full().Dx()
-	img.Grow(intervalRows(w, keep.iv))
+	img.GrowExact(intervalRows(w, keep.iv))
 	n := 0
 	cur := intervalCursor{iv: keep.iv}
 	// The walk visits ascending positions; grab each scanline once

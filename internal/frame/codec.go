@@ -94,7 +94,7 @@ func (im *Image) CompositeWire(region Rect, wire []byte, srcInFront bool) int {
 	if region.Empty() {
 		return 0
 	}
-	im.Grow(region)
+	im.GrowExact(region)
 	w := region.Dx()
 	ops := 0
 	for y := region.Y0; y < region.Y1; y++ {
@@ -131,7 +131,7 @@ func (im *Image) StoreWire(region Rect, wire []byte) {
 	if region.Empty() {
 		return
 	}
-	im.Grow(region)
+	im.GrowExact(region)
 	w := region.Dx()
 	for y := region.Y0; y < region.Y1; y++ {
 		dst := im.Row(y, region.X0, region.X1)

@@ -91,6 +91,9 @@ func (im *Image) Set(x, y int, p Pixel) {
 // clipped to the full frame), so a sequence of one-pixel Sets marching
 // across the frame costs amortized O(1) per pixel instead of a full
 // reallocation-and-copy each — Bounds still reports the exact union.
+// The padding is for that pixel-at-a-time growth (Set, which BSDPF's
+// forwarded decode uses); a caller that knows the rectangle it is about
+// to write wants GrowExact.
 func (im *Image) Grow(r Rect) {
 	r = r.Intersect(im.full)
 	if im.bounds.ContainsRect(r) {
@@ -132,9 +135,11 @@ func (im *Image) Grow(r Rect) {
 const growPad = 8
 
 // GrowExact extends the logical bounds to cover r exactly like Grow but
-// without storage over-allocation, for callers that know the final
-// footprint up front and do not want the padding memory: the gather's
-// root, and the owner-merge accumulators (a tile's rectangle).
+// without storage over-allocation. It is the default for a caller that
+// knows the rectangle before writing it: Raycast's footprint, the region
+// decoders (CompositeWire, StoreWire and core's rectangle and interval
+// codecs), the gather's root and the owner-merge accumulators. A binary
+// swap rank's image regrows at most once per stage this way.
 func (im *Image) GrowExact(r Rect) {
 	r = r.Intersect(im.full)
 	if im.bounds.ContainsRect(r) {

@@ -19,15 +19,19 @@ const skipSafety = 0.25
 
 // kernel is one Raycast invocation's precomputed state: transfer tables
 // and their derived skip/correction tables, the volume's voxels and its
-// macro-cell grid. Building it costs microseconds (plus the
-// once-per-volume grid build, amortized by the cache on the volume) and
-// removes the reference kernel's per-sample method calls and
-// box.Contains. Every shortcut is bit-exact — the identity argument
-// lives in DESIGN.md §11 and is enforced against RaycastReference by
-// TestRaycastMatchesReference and TestRaycastRandomizedIdentity.
+// macro-cell grid, and the part of the box that can reach the frame.
+// Building it costs microseconds (plus the once-per-volume grid build,
+// amortized by the cache on the volume) and removes the reference
+// kernel's per-sample method calls and box.Contains. Every shortcut is
+// bit-exact — the identity argument lives in DESIGN.md §11 and is
+// enforced against RaycastReference by TestRaycastMatchesReference and
+// TestRaycastRandomizedIdentity.
 type kernel struct {
-	box volume.Box
-	cam *Camera
+	// clip is the box cut to the cell-aligned hull of its non-empty
+	// macro cells: every sample of the box outside it lies in a cell
+	// that classifies to zero opacity. Empty when the whole box does.
+	clip volume.Box
+	cam  *Camera
 
 	cutoff float64
 	shaded bool
@@ -46,7 +50,7 @@ type kernel struct {
 
 func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *kernel {
 	k := &kernel{
-		box: box, cam: cam,
+		cam: cam,
 		vol: vol, data: vol.Data, nx: vol.NX, ny: vol.NY, nz: vol.NZ,
 		grid:   vol.MacroCells(),
 		cutoff: opt.cutoff(),
@@ -69,7 +73,31 @@ func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Fun
 		}
 	}
 	k.nzBelow[256] = nz
+	k.clip = k.occupied(box)
 	return k
+}
+
+// occupied returns box cut to the cell-aligned hull of the macro cells
+// that meet it and that cellEmpty cannot prove transparent. One pass
+// over the box's cells; a cell outside the grid is never empty, so it
+// stays inside the hull.
+func (k *kernel) occupied(box volume.Box) volume.Box {
+	const s = volume.MacroShift
+	hull := volume.Box{Lo: box.Hi, Hi: box.Lo} // inverted: empty until a cell widens it
+	for cz := box.Lo[2] >> s; cz <= (box.Hi[2]-1)>>s; cz++ {
+		for cy := box.Lo[1] >> s; cy <= (box.Hi[1]-1)>>s; cy++ {
+			for cx := box.Lo[0] >> s; cx <= (box.Hi[0]-1)>>s; cx++ {
+				if k.cellEmpty(cx, cy, cz) {
+					continue
+				}
+				for a, c := range [3]int{cx, cy, cz} {
+					hull.Lo[a] = min(hull.Lo[a], c<<s)
+					hull.Hi[a] = max(hull.Hi[a], (c+1)<<s)
+				}
+			}
+		}
+	}
+	return box.Intersect(hull)
 }
 
 // cellEmpty reports whether every sample inside macro cell (cx, cy, cz)
@@ -93,11 +121,11 @@ func (k *kernel) cellEmpty(cx, cy, cz int) bool {
 	return k.nzBelow[hi+1] == k.nzBelow[lo]
 }
 
-// contains tests sample index kk's world position against the box,
-// with arithmetic identical to the reference kernel's.
+// contains tests sample index kk's world position against the clip box,
+// with arithmetic identical to the reference kernel's box test.
 func (k *kernel) contains(origin [3]float64, kk int) bool {
 	t := float64(kk) + 0.5
-	return k.box.Contains(
+	return k.clip.Contains(
 		origin[0]+t*k.cam.Dir[0],
 		origin[1]+t*k.cam.Dir[1],
 		origin[2]+t*k.cam.Dir[2])
@@ -108,20 +136,21 @@ func (k *kernel) contains(origin [3]float64, kk int) bool {
 func (k *kernel) castRay(px, py int, st *StatsSnapshot) frame.Pixel {
 	var acc frame.Pixel
 	origin := k.cam.PlanePoint(px, py)
-	tMin, tMax, ok := k.cam.rayBox(origin, k.box)
+	tMin, tMax, ok := k.cam.rayBox(origin, k.clip)
 	if !ok {
 		return acc
 	}
-	kLo := int(math.Floor(tMin - 0.5))
-	kHi := int(math.Ceil(tMax - 0.5))
+	kLo := floorInt(tMin - 0.5)
+	kHi := ceilInt(tMax - 0.5)
 
 	// The per-axis sample position origin[a] + t·Dir[a] is monotone in
 	// the sample index (IEEE rounding preserves order, each axis's
 	// direction sign is fixed), so per axis the in-slab indices form an
-	// interval and their three-way intersection — the in-box indices —
+	// interval and their three-way intersection — the in-clip indices —
 	// is one contiguous interval [kA, kB]. Membership is decided by
 	// scanning in from the ends; the interior never pays the reference
-	// kernel's per-sample box.Contains.
+	// kernel's per-sample box.Contains. The reference's in-box samples
+	// outside the clip lie in empty cells and would classify to zero.
 	kA := kLo
 	for ; kA <= kHi; kA++ {
 		if k.contains(origin, kA) {
@@ -145,14 +174,16 @@ func (k *kernel) castRay(px, py int, st *StatsSnapshot) frame.Pixel {
 
 // traverse walks the macro-cell grid along the ray with a 3D-DDA over
 // the sample interval [kA, kB]. Cells that classify to zero opacity
-// have their interior samples skipped wholesale; samples within
-// skipSafety of a cell boundary, and every sample of a non-empty cell,
-// are evaluated exactly as the reference kernel would. The kNext cursor
-// is monotone, so no sample is evaluated twice.
+// have their interior samples skipped wholesale, the last cell the
+// interval reaches included; samples within skipSafety of a cell
+// boundary, and every sample of a non-empty cell, are evaluated exactly
+// as the reference kernel would. The kNext cursor is monotone, so no
+// sample is evaluated twice; a cell reaching past the last sample ends
+// the loop unless that sample sits in its exit margin, which the next
+// cell then takes.
 func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *StatsSnapshot) {
 	d := k.cam.Dir
 	tA := float64(kA) + 0.5
-	tB := float64(kB) + 0.5
 
 	// Cell holding the first sample, and per-axis DDA state: tNext[a]
 	// is the ray parameter of the next cell boundary crossing on axis
@@ -162,7 +193,7 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 	var step [3]int
 	for a := 0; a < 3; a++ {
 		p := origin[a] + tA*d[a]
-		c[a] = int(math.Floor(p / volume.MacroCell))
+		c[a] = floorInt(p / volume.MacroCell)
 		switch {
 		case d[a] > 0:
 			step[a] = 1
@@ -190,14 +221,6 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 		if tNext[2] < tExit {
 			tExit = tNext[2]
 		}
-		if tExit >= tB {
-			// Final cell the interval reaches: evaluate the remainder
-			// (conservative for an empty final cell, but it bounds the
-			// loop and at most one cell's samples are evaluated).
-			st.CellsVisited++
-			k.processRun(origin, kNext, kB, acc, st)
-			return
-		}
 		st.CellsVisited++
 		if k.cellEmpty(c[0], c[1], c[2]) {
 			st.CellsSkipped++
@@ -205,8 +228,8 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 			// safety margin are provably transparent; stragglers below
 			// the window (this cell's entry zone plus any boundary
 			// samples earlier cells left behind) are evaluated.
-			kSkipLo := int(math.Ceil(tEnter + skipSafety - 0.5))
-			kSkipHi := int(math.Floor(tExit - skipSafety - 0.5))
+			kSkipLo := ceilInt(tEnter + skipSafety - 0.5)
+			kSkipHi := floorInt(tExit - skipSafety - 0.5)
 			if kSkipHi > kB {
 				kSkipHi = kB
 			}
@@ -225,7 +248,8 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 				kNext = kSkipHi + 1
 			}
 		} else {
-			kCellHi := int(math.Floor(tExit - 0.5))
+			// In the last cell tExit ≥ kB+0.5, so kCellHi clamps to kB.
+			kCellHi := floorInt(tExit - 0.5)
 			if kCellHi > kB {
 				kCellHi = kB
 			}
@@ -323,7 +347,7 @@ func (k *kernel) sample(x, y, z float64) float64 {
 	x -= 0.5
 	y -= 0.5
 	z -= 0.5
-	x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
+	x0, y0, z0 := floorInt(x), floorInt(y), floorInt(z)
 	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
 
 	var c000, c100, c010, c110, c001, c101, c011, c111 float64
@@ -376,4 +400,26 @@ func (k *kernel) shade(x, y, z float64) float64 {
 		d = 0
 	}
 	return ambient + (1-ambient)*d
+}
+
+// floorInt is int(math.Floor(x)) and ceilInt int(math.Ceil(x)) for every
+// finite |x| < 2⁶³, without the call: int(x) truncates toward zero, the
+// truncated value converts back to float64 exactly, and one compare
+// steps it to the floor (ceiling) when truncation rounded the wrong way.
+// Under GOAMD64=v1, math.Floor is a runtime SSE4.1 test and a call that
+// spills every live register; the kernel takes three per sample.
+func floorInt(x float64) int {
+	i := int(x)
+	if float64(i) > x {
+		i--
+	}
+	return i
+}
+
+func ceilInt(x float64) int {
+	i := int(x)
+	if float64(i) < x {
+		i++
+	}
+	return i
 }

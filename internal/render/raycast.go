@@ -77,19 +77,21 @@ const (
 // partition every ray's samples, and over-compositing the per-box images
 // front-to-back reproduces the full-volume rendering.
 //
-// The implementation is the accelerated kernel — macro-cell empty-space
-// skipping over a min/max grid, a contiguous in-box sample interval in
-// place of per-sample containment checks, precomputed opacity
-// correction — but its output is bit-identical to RaycastReference for
-// every method, shading and worker-count combination (DESIGN.md §11
-// explains why; the identity tests enforce it).
+// The implementation is the accelerated kernel — rays clipped to the
+// occupied hull of the box, macro-cell empty-space skipping over a
+// min/max grid, a contiguous in-box sample interval in place of
+// per-sample containment checks, precomputed opacity correction — but
+// its output is bit-identical to RaycastReference for every method,
+// shading and worker-count combination (DESIGN.md §11 explains why; the
+// identity tests enforce it). The image's bounds are the box's
+// footprint, storage sized to exactly that.
 func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
 	img := frame.NewImage(cam.W, cam.H)
 	foot := cam.Footprint(box)
 	if foot.Empty() {
 		return img
 	}
-	img.Grow(foot)
+	img.GrowExact(foot)
 	tm := opt.Trace.Begin()
 	defer opt.Trace.End(tm, trace.SpanRaycast, "")
 
@@ -99,6 +101,13 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 	gm := opt.Trace.Begin()
 	k := newKernel(vol, box, cam, tf, opt)
 	opt.Trace.End(gm, trace.SpanGridBuild, "")
+
+	// Rays outside the clip's footprint meet only provably empty cells:
+	// their pixels stay blank without being cast.
+	if k.clip.Empty() {
+		return img
+	}
+	foot = cam.Footprint(k.clip).Intersect(foot)
 
 	tilesX := (foot.Dx() + tileW - 1) / tileW
 	tilesY := (foot.Dy() + tileH - 1) / tileH

@@ -9,7 +9,7 @@ import "sync/atomic"
 // accumulate into a plain-integer StatsSnapshot and flush once on exit,
 // so the atomics stay cold.
 type Stats struct {
-	Rays           atomic.Int64 // rays whose sample interval intersected the box
+	Rays           atomic.Int64 // rays with a sample in the box's occupied hull (the kernel's clip)
 	Samples        atomic.Int64 // sample points evaluated (sampled + classified)
 	SamplesSkipped atomic.Int64 // sample points skipped by macro-cell classification
 	CellsVisited   atomic.Int64 // macro cells stepped over by the 3D-DDA
