@@ -36,7 +36,6 @@ var (
 	inflight    = flag.Int("inflight", 2, "max frames pipelined through the render/composite stages")
 	deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline; a frame stuck longer fails the rank world, which is rebuilt (0: 60s)")
-	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
 	drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGINT/SIGTERM")
 )
 
@@ -57,7 +56,6 @@ func run() error {
 		MaxInFlight:     *inflight,
 		DefaultDeadline: *deadline,
 		FrameTimeout:    *frameTO,
-		Workers:         *workers,
 		DisableTracing:  *noTrace,
 	})
 	if err != nil {

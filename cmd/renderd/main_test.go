@@ -20,12 +20,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// A served world is in-process, the flight ring has one size and
-// degrading is the client's per-request opt-in: the flags that said
-// otherwise are unknown flags, which the flag package answers with exit
-// 2 and the usage text listing what exists.
+// A served world is in-process, the flight ring has one size,
+// degrading is the client's per-request opt-in and ray casting spans
+// GOMAXPROCS: the flags that said otherwise are unknown flags, which the
+// flag package answers with exit 2 and the usage text listing what
+// exists.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-world", "mpnet"}, {"-world-addrs", "a,b"}, {"-flight", "8"}, {"-no-degrade"}} {
+	for _, args := range [][]string{{"-world", "mpnet"}, {"-world-addrs", "a,b"}, {"-flight", "8"}, {"-no-degrade"}, {"-workers", "2"}} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), asCommandEnv+"=1")
 		out, err := cmd.CombinedOutput()

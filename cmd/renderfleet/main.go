@@ -38,7 +38,6 @@ var (
 	pList       = flag.String("p", "4", "resident ranks per replica: one value for all, or a comma-separated per-replica list")
 	queue       = flag.Int("queue", 64, "admission queue depth per replica")
 	inflight    = flag.Int("inflight", 2, "max frames pipelined per replica")
-	workers     = flag.Int("workers", 0, "ray-casting workers per rank (0: GOMAXPROCS)")
 	deadline    = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	frameTO     = flag.Duration("frame-timeout", 0, "per-frame watchdog deadline per replica (0: 60s)")
 	cacheBytes  = flag.Int64("cache-bytes", 0, "frame cache byte budget (0: 64 MiB; negative disables the cache)")
@@ -106,7 +105,6 @@ func replicaConfigs() ([]fleet.ReplicaConfig, error) {
 			P:               ps[i],
 			QueueDepth:      *queue,
 			MaxInFlight:     *inflight,
-			Workers:         *workers,
 			DefaultDeadline: *deadline,
 			FrameTimeout:    *frameTO,
 			// An in-process replica has no sidecar, so with gateway

@@ -23,12 +23,12 @@ func TestMain(m *testing.M) {
 }
 
 // Replica worlds are in-process, the quantization step, the flight ring
-// and hedging have one setting each, and the cache is disabled by its
-// byte budget: the flags that said otherwise are unknown flags, which
-// the flag package answers with exit 2 and the usage text listing what
-// exists.
+// and hedging have one setting each, the cache is disabled by its byte
+// budget, and ray casting spans GOMAXPROCS: the flags that said
+// otherwise are unknown flags, which the flag package answers with exit
+// 2 and the usage text listing what exists.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-world", "mpnet"}, {"-quant", "1"}, {"-no-hedge"}, {"-no-cache"}, {"-flight", "8"}} {
+	for _, args := range [][]string{{"-world", "mpnet"}, {"-quant", "1"}, {"-no-hedge"}, {"-no-cache"}, {"-flight", "8"}, {"-workers", "2"}} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), asCommandEnv+"=1")
 		out, err := cmd.CombinedOutput()

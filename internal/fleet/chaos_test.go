@@ -32,7 +32,6 @@ func TestFleetDrainsToSurvivorOnCrash(t *testing.T) {
 			{Server: &server.Config{P: p, QueueDepth: 16, MaxInFlight: 2, DefaultDeadline: time.Minute}},
 		},
 		DefaultDeadline: time.Minute,
-		SuspectCooldown: 200 * time.Millisecond,
 	}
 	g, err := fleet.Start(cfg)
 	if err != nil {

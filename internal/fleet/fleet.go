@@ -58,9 +58,6 @@ type Config struct {
 	// HedgeMin floors the hedge delay so a replica with a very fast
 	// rolling p99 is not hedged on scheduling noise. Zero means 10ms.
 	HedgeMin time.Duration
-	// SuspectCooldown is how long a replica is deprioritized after a
-	// failed dispatch. Zero means 1s.
-	SuspectCooldown time.Duration
 
 	// DefaultDeadline bounds requests that carry no DeadlineMS. Zero
 	// means 30s.
@@ -83,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeMin == 0 {
 		c.HedgeMin = 10 * time.Millisecond
-	}
-	if c.SuspectCooldown == 0 {
-		c.SuspectCooldown = time.Second
 	}
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 30 * time.Second
@@ -346,7 +340,7 @@ func (g *Gateway) dispatch(ctx context.Context, req server.Request, rt *reqTrace
 				// deadline): another replica would answer identically.
 				return nil, r.idx, hedged, r.err
 			}
-			g.replicas[r.idx].suspect(time.Now(), g.cfg.SuspectCooldown)
+			g.replicas[r.idx].suspect(time.Now())
 			if next := g.pick(tried); next >= 0 {
 				g.met.retries.Add(1)
 				g.send(ctx, next, req, resCh, rt, "retry")

@@ -33,7 +33,7 @@ func goldenGateway(full bool) *Gateway {
 		}
 	}
 	for i := 0; i < n; i++ {
-		r := &replica{idx: i, addr: "127.0.0.1:0"}
+		r := &replica{idx: i}
 		r.frames.Add(int64(100 * (i + 1)))
 		r.errs.Add(int64(i))
 		r.hedgesWon.Add(int64(2 * i))

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"strconv"
-	"time"
 
 	"sortlast/internal/obs"
 )
@@ -71,42 +70,33 @@ func newFleetMetrics(g *Gateway) *metrics {
 
 // ReplicaStats is one replica's slice of a Stats snapshot.
 type ReplicaStats struct {
-	// Addr is the replica's frame-protocol address.
-	Addr string `json:"addr"`
 	// Frames counts successful dispatches served by this replica.
-	Frames int64 `json:"frames"`
+	Frames int64
 	// Errors counts failed dispatches to this replica.
-	Errors int64 `json:"errors"`
+	Errors int64
 	// HedgeWins counts requests this replica won as the hedge target.
-	HedgeWins int64 `json:"hedge_wins"`
+	HedgeWins int64
 	// Outstanding is the replica's current in-flight dispatch count.
-	Outstanding int64 `json:"outstanding"`
-	// P99MS is the replica's rolling-window p99 dispatch latency.
-	P99MS float64 `json:"p99_ms"`
+	Outstanding int64
 	// WorldRestarts is the replica's supervisor restart count
 	// (in-process replicas only).
-	WorldRestarts int64 `json:"world_restarts"`
-	// Degraded reports the replica's world is down and rebuilding
-	// (in-process replicas only).
-	Degraded bool `json:"degraded"`
-	// Suspect reports the replica is in its post-failure cooldown.
-	Suspect bool `json:"suspect"`
+	WorldRestarts int64
 }
 
 // Stats is a point-in-time snapshot of the gateway, for load harnesses
 // and tests (the HTTP sidecar exposes the same numbers as /metrics).
 type Stats struct {
-	Requests       int64          `json:"requests"`
-	Errors         int64          `json:"errors"`
-	CacheHits      int64          `json:"cache_hits"`
-	CacheMisses    int64          `json:"cache_misses"`
-	CacheEvictions int64          `json:"cache_evictions"`
-	CacheBytes     int64          `json:"cache_bytes"`
-	CacheEntries   int            `json:"cache_entries"`
-	HedgesIssued   int64          `json:"hedges_issued"`
-	HedgeWins      int64          `json:"hedge_wins"`
-	Retries        int64          `json:"retries"`
-	Replicas       []ReplicaStats `json:"replicas"`
+	Requests       int64
+	Errors         int64
+	CacheHits      int64
+	CacheMisses    int64
+	CacheEvictions int64
+	CacheBytes     int64
+	CacheEntries   int
+	HedgesIssued   int64
+	HedgeWins      int64
+	Retries        int64
+	Replicas       []ReplicaStats
 }
 
 // Stats returns a snapshot of the gateway's counters and per-replica
@@ -123,18 +113,13 @@ func (g *Gateway) Stats() Stats {
 		Retries:        g.met.retries.Load(),
 	}
 	s.CacheBytes, s.CacheEntries = g.cacheSize()
-	now := time.Now()
 	for _, r := range g.replicas {
 		s.Replicas = append(s.Replicas, ReplicaStats{
-			Addr:          r.addr,
 			Frames:        r.frames.Load(),
 			Errors:        r.errs.Load(),
 			HedgeWins:     r.hedgesWon.Load(),
 			Outstanding:   r.outstanding.Load(),
-			P99MS:         r.p99MS(),
 			WorldRestarts: r.restarts(),
-			Degraded:      r.degraded(),
-			Suspect:       r.isSuspect(now),
 		})
 	}
 	return s

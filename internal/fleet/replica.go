@@ -73,10 +73,9 @@ func (w *latWindow) p99() (time.Duration, int) {
 
 // replica is one live backend: its client pool, load and health state.
 type replica struct {
-	idx  int
-	addr string
-	srv  *server.Server // nil when attached to an external renderd
-	cl   *client.Client
+	idx int
+	srv *server.Server // nil when attached to an external renderd
+	cl  *client.Client
 
 	outstanding atomic.Int64
 	frames      atomic.Int64
@@ -90,8 +89,12 @@ type replica struct {
 	win latWindow
 }
 
-func (r *replica) suspect(now time.Time, cooldown time.Duration) {
-	r.suspectUntil.Store(now.Add(cooldown).UnixNano())
+// suspectCooldown is how long a replica is deprioritized after a failed
+// dispatch.
+const suspectCooldown = time.Second
+
+func (r *replica) suspect(now time.Time) {
+	r.suspectUntil.Store(now.Add(suspectCooldown).UnixNano())
 }
 
 func (r *replica) isSuspect(now time.Time) bool {
@@ -114,7 +117,7 @@ func (r *replica) restarts() int64 {
 	if r.srv == nil {
 		return 0
 	}
-	return r.srv.Stats().WorldRestarts
+	return r.srv.WorldRestarts()
 }
 
 // startReplicas builds every replica concurrently — world construction
@@ -147,6 +150,7 @@ func startReplicas(cfgs []ReplicaConfig) ([]*replica, error) {
 
 func startReplica(idx int, rc ReplicaConfig) (*replica, error) {
 	r := &replica{idx: idx}
+	addr := rc.Addr
 	switch {
 	case rc.Server != nil && rc.Addr != "":
 		return nil, fmt.Errorf("both Server and Addr set")
@@ -160,13 +164,11 @@ func startReplica(idx int, rc ReplicaConfig) (*replica, error) {
 			return nil, err
 		}
 		r.srv = srv
-		r.addr = srv.Addr().String()
-	case rc.Addr != "":
-		r.addr = rc.Addr
-	default:
+		addr = srv.Addr().String()
+	case rc.Addr == "":
 		return nil, fmt.Errorf("neither Server nor Addr set")
 	}
-	r.cl = client.NewPooled(r.addr, poolConns)
+	r.cl = client.NewPooled(addr, poolConns)
 	return r, nil
 }
 

@@ -20,9 +20,6 @@ func TestTileRoutedValidateAnyP(t *testing.T) {
 			if row.NonBlank == 0 {
 				t.Errorf("%s P=%d: blank final image", m, p)
 			}
-			if row.WallMS <= 0 {
-				t.Errorf("%s P=%d: no wall time measured: %+v", m, p, row)
-			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,10 +81,7 @@ type Row struct {
 	MakespanMS float64
 
 	MeasuredCompMS float64 // measured compositing compute, max over ranks
-	// WallMS is the measured compositing wall time including
-	// communication waits, max over ranks — what a frame actually paid.
-	WallMS   float64
-	RenderMS float64 // measured rendering wall, max over ranks
+	RenderMS       float64 // measured rendering wall, max over ranks
 
 	// RenderImbalance is the busiest rank's ray samples ÷ the mean over
 	// ranks — an exact count, 1 when the partition is balanced for this
@@ -230,7 +228,6 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 	rankStats := make([]*stats.Rank, cfg.P)
 	renderStats := make([]render.Stats, cfg.P)
 	renderWall := make([]time.Duration, cfg.P)
-	compositeWall := make([]time.Duration, cfg.P)
 	var final *frame.Image
 	var validateDiff float64
 
@@ -250,9 +247,7 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 		if err := c.Barrier(); err != nil { // compositing starts together
 			return err
 		}
-		cstart := time.Now()
 		res, err := plan.CompositeRank(c, img)
-		compositeWall[me] = time.Since(cstart)
 		if err != nil {
 			return err
 		}
@@ -303,19 +298,7 @@ func run(cfg Config, wantImage bool) (*Row, *frame.Image, []*stats.Rank, error) 
 	if samples > 0 {
 		row.RenderImbalance = float64(maxSamples) * float64(cfg.P) / float64(samples)
 	}
-	var maxRender, maxComposite time.Duration
-	for _, d := range renderWall {
-		if d > maxRender {
-			maxRender = d
-		}
-	}
-	for _, d := range compositeWall {
-		if d > maxComposite {
-			maxComposite = d
-		}
-	}
-	row.RenderMS = ms(maxRender)
-	row.WallMS = ms(maxComposite)
+	row.RenderMS = ms(slices.Max(renderWall))
 	row.ValidateDiff = validateDiff
 	if final != nil {
 		row.NonBlank = final.CountNonBlank(final.Full())

@@ -22,12 +22,6 @@ type Options struct {
 	// Shaded enables Lambertian shading from the scalar gradient, lit
 	// head-on (from the viewer) over an ambient floor of 0.3.
 	Shaded bool
-	// Workers bounds the worker pool rendering tiles concurrently.
-	// Zero or negative means GOMAXPROCS; 1 renders serially on the
-	// calling goroutine. Tiles are disjoint regions of pre-grown
-	// storage and every pixel depends only on its own ray, so the
-	// output is bit-identical for any worker count.
-	Workers int
 	// Trace, when set, records a "raycast" span covering the tile loop
 	// (with a nested "grid-build" span for kernel + macro-grid setup)
 	// on this rank's track. nil (the default) records nothing.
@@ -37,13 +31,12 @@ type Options struct {
 	// given collector. Shared collectors are safe (atomics); nil (the
 	// default) skips collection.
 	Stats *Stats
-}
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
+	// workers is the tile pool's width. Zero means GOMAXPROCS, the
+	// process's one CPU budget, which every caller runs with; only this
+	// package's identity tests set it, to check that any width gives the
+	// same bits.
+	workers int
 }
 
 func (o Options) cutoff() float64 {
@@ -128,10 +121,11 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 		}
 	}
 
-	workers := opt.workers()
-	if workers > tiles {
-		workers = tiles
+	workers := opt.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, tiles)
 	if workers <= 1 {
 		var st StatsSnapshot
 		for idx := 0; idx < tiles; idx++ {

@@ -55,7 +55,7 @@ func TestRaycastMatchesReference(t *testing.T) {
 			cam := NewCamera(64, 64, tc.vol.Bounds(), 20, 35)
 			want := RaycastReference(tc.vol, tc.vol.Bounds(), cam, tc.tf, opt)
 			for _, w := range []int{1, 4, 0} {
-				opt.Workers = w
+				opt.workers = w
 				got := Raycast(tc.vol, tc.vol.Bounds(), cam, tc.tf, opt)
 				requireIdentical(t, fmt.Sprintf("%s shaded=%v workers=%d", tc.name, shaded, w), got, want)
 			}
@@ -74,7 +74,7 @@ func TestRaycastMatchesReference(t *testing.T) {
 	for _, shaded := range []bool{false, true} {
 		for r := 0; r < 4; r++ {
 			box := dec.Box(r)
-			opt := Options{Shaded: shaded, Workers: 4}
+			opt := Options{Shaded: shaded, workers: 4}
 			want := RaycastReference(v, box, cam, tf, opt)
 			got := Raycast(v, box, cam, tf, opt)
 			requireIdentical(t, fmt.Sprintf("rank %d shaded=%v shared", r, shaded), got, want)
@@ -229,7 +229,7 @@ func requireReference(t *testing.T, label string, v *volume.Volume, box volume.B
 	label = fmt.Sprintf("%s (box=%v opts=%+v)", label, box, opt)
 	want := RaycastReference(v, box, cam, tf, opt)
 	requireIdentical(t, label, Raycast(v, box, cam, tf, opt), want)
-	opt.Workers = 3
+	opt.workers = 3
 	requireIdentical(t, label+" workers=3", Raycast(v, box, cam, tf, opt), want)
 }
 
@@ -348,7 +348,7 @@ func TestRaycastStats(t *testing.T) {
 	gapCam := axisCamera(24, 24, [3]float64{0, 1, 0}, [3]float64{0, 0, 1}, [3]float64{1, 0, 0}, [3]float64{0, 12, 12})
 	gapTF := transfer.Ramp("gap", 60, 160, 0.05)
 	var g Stats
-	requireIdentical(t, "gap", Raycast(gap, gap.Bounds(), gapCam, gapTF, Options{Workers: 1, Stats: &g}),
+	requireIdentical(t, "gap", Raycast(gap, gap.Bounds(), gapCam, gapTF, Options{workers: 1, Stats: &g}),
 		RaycastReference(gap, gap.Bounds(), gapCam, gapTF, Options{}))
 	if gs := g.Snapshot(); gs.CellsSkipped == 0 || gs.SamplesSkipped == 0 {
 		t.Errorf("no empty cell inside the hull was skipped: %+v", gs)
@@ -359,7 +359,7 @@ func TestRaycastStats(t *testing.T) {
 	cam := NewCamera(96, 96, v.Bounds(), 20, 30)
 
 	var serial Stats
-	Raycast(v, v.Bounds(), cam, tf, Options{Workers: 1, Stats: &serial})
+	Raycast(v, v.Bounds(), cam, tf, Options{workers: 1, Stats: &serial})
 	s := serial.Snapshot()
 	if s.Rays == 0 || s.Samples == 0 {
 		t.Fatalf("no work recorded: %+v", s)
@@ -372,7 +372,7 @@ func TestRaycastStats(t *testing.T) {
 	}
 
 	var par Stats
-	Raycast(v, v.Bounds(), cam, tf, Options{Workers: 4, Stats: &par})
+	Raycast(v, v.Bounds(), cam, tf, Options{workers: 4, Stats: &par})
 	if p := par.Snapshot(); p != s {
 		t.Errorf("parallel counters %+v differ from serial %+v", p, s)
 	}
@@ -388,7 +388,7 @@ func TestRaycastAllocsPinned(t *testing.T) {
 	cam := NewCamera(48, 48, v.Bounds(), 20, 30)
 	v.MacroCells() // amortized once per dataset, not part of the pin
 	allocs := testing.AllocsPerRun(10, func() {
-		Raycast(v, v.Bounds(), cam, tf, Options{Workers: 1})
+		Raycast(v, v.Bounds(), cam, tf, Options{workers: 1})
 	})
 	// NewImage + GrowExact storage + rows + kernel + tile closure ≈ single
 	// digits; 12 leaves slack for runtime jitter without letting a

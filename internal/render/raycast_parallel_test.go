@@ -23,10 +23,10 @@ func TestRaycastParallelMatchesSerial(t *testing.T) {
 	for name, v := range vols {
 		for _, shaded := range []bool{false, true} {
 			cam := NewCamera(64, 64, v.Bounds(), 20, 35)
-			serial := Raycast(v, v.Bounds(), cam, tfs[name], Options{Workers: 1, Shaded: shaded})
+			serial := Raycast(v, v.Bounds(), cam, tfs[name], Options{workers: 1, Shaded: shaded})
 			// 0 = GOMAXPROCS; 97 exceeds the row count and must be capped.
 			for _, w := range []int{0, 2, 4, 97} {
-				par := Raycast(v, v.Bounds(), cam, tfs[name], Options{Workers: w, Shaded: shaded})
+				par := Raycast(v, v.Bounds(), cam, tfs[name], Options{workers: w, Shaded: shaded})
 				if par.Bounds() != serial.Bounds() {
 					t.Fatalf("%s shaded=%v workers=%d: bounds %v, want %v",
 						name, shaded, w, par.Bounds(), serial.Bounds())
@@ -56,8 +56,8 @@ func TestRaycastParallelSubvolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 8; r++ {
-		serial := Raycast(v, dec.Box(r), cam, tf, Options{Workers: 1})
-		par := Raycast(v, dec.Box(r), cam, tf, Options{Workers: 4})
+		serial := Raycast(v, dec.Box(r), cam, tf, Options{workers: 1})
+		par := Raycast(v, dec.Box(r), cam, tf, Options{workers: 4})
 		if par.Bounds() != serial.Bounds() {
 			t.Fatalf("rank %d: bounds %v, want %v", r, par.Bounds(), serial.Bounds())
 		}

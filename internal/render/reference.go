@@ -15,7 +15,7 @@ import (
 // accelerated Raycast must produce byte-identical images — asserted by
 // the identity tests in this package and by the oracle gate of every
 // bench/run.sh run; DESIGN.md §11 gives the argument for why macro-cell
-// skipping cannot change a bit. Workers, Trace and Stats options are
+// skipping cannot change a bit. The pool width, Trace and Stats are
 // ignored: the oracle is the mathematical definition of a frame, not a
 // production path.
 func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {

@@ -49,7 +49,7 @@ func TestWorldCrashRecovery(t *testing.T) {
 	}, faultinject.Config{Seed: 42})
 
 	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 64, Height: 64, RotY: 30}
-	ref := referenceGray(t, req, p, 0)
+	ref := referenceGray(t, req, p)
 
 	f, err := renderOnce(t, cl, req)
 	if err != nil {
@@ -137,7 +137,7 @@ func TestWatchdogUnwedgesStalledRank(t *testing.T) {
 			}, faultinject.Config{Seed: 1})
 
 			req := server.Request{Dataset: "cube", Method: "bs", Width: 48, Height: 48, DegradeOK: degradeOK}
-			ref := referenceGray(t, req, p, 0)
+			ref := referenceGray(t, req, p)
 
 			inj.Stall(1, 30*time.Second)
 			start := time.Now()
@@ -192,7 +192,7 @@ func TestChaosSoakWithRetries(t *testing.T) {
 	}, faultinject.Config{Seed: 7, ResetProb: 0.01})
 
 	req := server.Request{Dataset: "cube", Method: "bsbr", Width: 48, Height: 48, RotY: 15}
-	ref := referenceGray(t, req, p, 0)
+	ref := referenceGray(t, req, p)
 
 	for i := 0; i < 12; i++ {
 		var f *client.Frame

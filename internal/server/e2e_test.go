@@ -22,14 +22,14 @@ import (
 
 // referenceGray renders the same configuration through the one-shot
 // harness path and returns the row-major 8-bit gray image.
-func referenceGray(t *testing.T, req server.Request, p, workers int) []byte {
+func referenceGray(t *testing.T, req server.Request, p int) []byte {
 	t.Helper()
 	_, img, err := harness.RunWithImage(harness.Config{
 		Dataset: req.Dataset, Method: req.Method,
 		Width: req.Width, Height: req.Height,
 		P:    p,
 		RotX: req.RotX, RotY: req.RotY,
-		RenderOpts: render.Options{Shaded: req.Shaded, Workers: workers},
+		RenderOpts: render.Options{Shaded: req.Shaded},
 	})
 	if err != nil {
 		t.Fatalf("reference run %+v: %v", req, err)
@@ -83,7 +83,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	refs := make([][]byte, len(reqs))
 	for i, r := range reqs {
-		refs[i] = referenceGray(t, r, p, 0)
+		refs[i] = referenceGray(t, r, p)
 	}
 
 	var wg sync.WaitGroup

@@ -78,7 +78,7 @@ func newMetrics(queueDepth, inflight func() int, flight *trace.Flight, renderSta
 	}
 	if renderStats != nil {
 		outcome := obs.Label("outcome", "evaluated", "skipped")
-		obs.CounterFunc(r, "renderd_render_rays_total", "Rays cast whose sample interval intersected a rank's box.", obs.None, func(int) int64 { return renderStats().Rays })
+		obs.CounterFunc(r, "renderd_render_rays_total", "Rays cast with a sample inside the occupied hull of a rank's box.", obs.None, func(int) int64 { return renderStats().Rays })
 		obs.CounterFunc(r, "renderd_render_samples_total", "Ray sample points, by whether macro-cell empty-space skipping removed them.", outcome, func(i int) int64 {
 			rs := renderStats()
 			return [...]int64{rs.Samples, rs.SamplesSkipped}[i]

@@ -71,7 +71,7 @@ func TestQualityContract(t *testing.T) {
 	}
 
 	base := server.Request{Dataset: "head", Method: "bsbrc", Width: w, Height: h, RotY: 30}
-	ref := referenceGray(t, base, p, 0)
+	ref := referenceGray(t, base, p)
 
 	// Full contract: "" and "full" and DegradeOK-without-contention all
 	// return the exact seed bytes and report full quality.
@@ -98,7 +98,7 @@ func TestQualityContract(t *testing.T) {
 	// Preview: the server renders the quarter-resolution geometry and the
 	// client upscales, so the reply equals the upscaled small reference.
 	pw, ph := server.PreviewDims(w, h)
-	small := referenceGray(t, server.Request{Dataset: "head", Method: "bsbrc", Width: pw, Height: ph, RotY: 30}, p, 0)
+	small := referenceGray(t, server.Request{Dataset: "head", Method: "bsbrc", Width: pw, Height: ph, RotY: 30}, p)
 	prev := base
 	prev.Quality = server.QualityPreview
 	before := samples()

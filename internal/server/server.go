@@ -61,9 +61,6 @@ type Config struct {
 	// DefaultDeadline applies to requests that do not set DeadlineMS.
 	// Default 30s.
 	DefaultDeadline time.Duration
-	// Workers bounds each rank's ray-casting worker pool (0: GOMAXPROCS).
-	// Rendering is bit-identical for any value.
-	Workers int
 	// FrameTimeout is the per-frame watchdog deadline: a dispatched frame
 	// that has not replied within it declares the rank world wedged, which
 	// fails every in-flight job with CodeWorldFailed and rebuilds the
@@ -202,31 +199,6 @@ func (s *Server) WorldRestarts() int64 { return s.met.worldRestarts.Load() }
 // Degraded reports whether the rank world is currently down and being
 // rebuilt (requests queue until it returns).
 func (s *Server) Degraded() bool { return s.degraded.Load() }
-
-// Stats is a point-in-time snapshot of one server's serving state, for
-// layers that embed renderd instances (the fleet gateway's per-replica
-// gauges) rather than scraping /metrics over HTTP.
-type Stats struct {
-	// QueueLen is the number of admitted requests waiting for dispatch.
-	QueueLen int
-	// Inflight is the number of frames inside the render→composite
-	// pipeline.
-	Inflight int64
-	// WorldRestarts counts rank worlds torn down and rebuilt.
-	WorldRestarts int64
-	// Degraded reports the rank world is down and being rebuilt.
-	Degraded bool
-}
-
-// Stats returns a snapshot of the server's serving state.
-func (s *Server) Stats() Stats {
-	return Stats{
-		QueueLen:      len(s.queue),
-		Inflight:      int64(len(s.tokens)),
-		WorldRestarts: s.met.worldRestarts.Load(),
-		Degraded:      s.degraded.Load(),
-	}
-}
 
 // Start builds the resident world, spawns the rank pipelines and begins
 // serving on cfg.Addr (and cfg.HTTPAddr when set).
@@ -493,7 +465,7 @@ func (s *Server) buildJob(req Request, quality, requested string, arrived, deadl
 		P:      s.cfg.P,
 		Method: req.Method,
 		RotX:   req.RotX, RotY: req.RotY,
-		RenderOpts: render.Options{Shaded: req.Shaded, Workers: s.cfg.Workers},
+		RenderOpts: render.Options{Shaded: req.Shaded},
 	}
 	if cfg.Method == "" {
 		cfg.Method = DefaultMethod

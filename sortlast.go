@@ -43,10 +43,6 @@ type Options struct {
 	RotX, RotY float64
 	// Shaded enables gradient-based Lambertian shading.
 	Shaded bool
-	// Workers bounds the per-rank ray-casting worker pool. Zero means
-	// GOMAXPROCS; 1 renders each rank's subimage serially. The rendered
-	// image is bit-identical for any value.
-	Workers int
 }
 
 func (o Options) fill() Options {
@@ -130,7 +126,7 @@ func Render(dataset string, opt Options) (*Result, error) {
 		P:      opt.Processors,
 		Method: opt.Method,
 		RotX:   opt.RotX, RotY: opt.RotY,
-		RenderOpts: render.Options{Shaded: opt.Shaded, Workers: opt.Workers},
+		RenderOpts: render.Options{Shaded: opt.Shaded},
 	}
 	return finish(harness.RunWithImage(cfg))
 }
@@ -163,7 +159,7 @@ func RenderRaw(data []uint8, nx, ny, nz int, tfName string, opt Options) (*Resul
 		P:      opt.Processors,
 		Method: opt.Method,
 		RotX:   opt.RotX, RotY: opt.RotY,
-		RenderOpts: render.Options{Shaded: opt.Shaded, Workers: opt.Workers},
+		RenderOpts: render.Options{Shaded: opt.Shaded},
 	}
 	return finish(harness.RunWithImage(cfg))
 }
