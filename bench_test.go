@@ -334,10 +334,10 @@ func BenchmarkCompositeAllocs(b *testing.B) {
 }
 
 // BenchmarkCompositeAllocsTraced is BenchmarkCompositeAllocs with a span
-// recorder attached and reset per frame — compare against the untraced
-// variant to see the tracing overhead on the compositing data path
-// (steady-state span recording reuses buffer capacity, so allocs/op
-// should match the untraced numbers).
+// recorder built per frame, as renderd builds one per traced frame —
+// compare against the untraced variant to see the tracing overhead on
+// the compositing data path: the recorder's P preallocated span buffers
+// per frame, and no append that grows them.
 func BenchmarkCompositeAllocsTraced(b *testing.B) {
 	for _, m := range []string{"bs", "bsbrc"} {
 		b.Run(m, func(b *testing.B) {
@@ -346,24 +346,25 @@ func BenchmarkCompositeAllocsTraced(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec := trace.NewRecorder(env.p)
+			var rec *trace.Recorder
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = mp.Run(env.p, benchWorldOpts(), func(c mp.Comm) error {
-				c.SetTracer(rec.Rank(c.Rank()))
 				var img frame.Image
 				for i := 0; i < b.N; i++ {
-					img.CopyFrom(env.imgs[c.Rank()])
-					if _, err := comp.Composite(c, env.dec, env.cam.Dir, &img); err != nil {
-						return err
+					// Rank 0 builds the frame's recorder; the barrier
+					// publishes it, and the second one keeps every rank on
+					// this frame's recorder until all are done with it.
+					if c.Rank() == 0 {
+						rec = trace.NewRecorder(env.p)
 					}
-					// All ranks finish the frame before rank 0 resets the
-					// shared recorder for the next one.
 					if err := c.Barrier(); err != nil {
 						return err
 					}
-					if c.Rank() == 0 {
-						rec.Reset()
+					c.SetTracer(rec.Rank(c.Rank()))
+					img.CopyFrom(env.imgs[c.Rank()])
+					if _, err := comp.Composite(c, env.dec, env.cam.Dir, &img); err != nil {
+						return err
 					}
 					if err := c.Barrier(); err != nil {
 						return err

@@ -30,7 +30,7 @@ import (
 var (
 	listen      = flag.String("listen", "127.0.0.1:7171", "frame-protocol listen address")
 	metricsAddr = flag.String("metrics-addr", "127.0.0.1:7172", "observability sidecar address serving /healthz, /metrics, /debug/pprof/ and /debug/trace/last; empty disables")
-	noTrace     = flag.Bool("no-trace", false, "disable the per-frame span recorder (also empties /debug/trace/last, /debug/flight and the phase histograms)")
+	noTrace     = flag.Bool("no-trace", false, "disable the per-frame span recorder (empties /debug/trace/last and /debug/flight; the latency and phase histograms still count every frame)")
 	p           = flag.Int("p", 4, "resident ranks")
 	queue       = flag.Int("queue", 64, "admission queue depth (full queue rejects with a typed overload error)")
 	inflight    = flag.Int("inflight", 2, "max frames pipelined through the render/composite stages")

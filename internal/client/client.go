@@ -80,9 +80,6 @@ type Frame struct {
 	Trace *trace.Wire
 }
 
-// At returns the gray value at (x, y).
-func (f *Frame) At(x, y int) uint8 { return f.Gray[y*f.Width+x] }
-
 // Client talks to one renderd instance. It is safe for concurrent use;
 // each in-flight Render occupies one pooled connection.
 type Client struct {

@@ -542,12 +542,13 @@ func (t *countingTransport) Recv(from, tag int, timeout time.Duration) ([]byte, 
 	return msg, err
 }
 
-// counted is the same quantity as the rank's counters have it.
-// Rank.BytesSent leaves the fold pre-stage out; its sends are added back.
+// counted is the same quantity as the rank's counters have it: the
+// stages plus the fold pre-stage.
 func counted(rk *stats.Rank) traffic {
-	n := traffic{bytesSent: rk.BytesSent() + rk.Fold.BytesSent, msgsSent: rk.Fold.MsgsSent,
+	n := traffic{bytesSent: rk.Fold.BytesSent, msgsSent: rk.Fold.MsgsSent,
 		bytesRecv: rk.BytesReceived(), msgsRecv: rk.Fold.MsgsRecv}
 	for _, s := range rk.Stages {
+		n.bytesSent += s.BytesSent
 		n.msgsSent += s.MsgsSent
 		n.msgsRecv += s.MsgsRecv
 	}

@@ -74,8 +74,8 @@ func owners(name string, tag int, codec regionCodec, tiled bool) builder {
 	}
 }
 
-// Lookup returns the named method's spec.
-func Lookup(name string) (Spec, bool) {
+// lookup returns the named method's spec.
+func lookup(name string) (Spec, bool) {
 	for _, s := range registry {
 		if s.Name == name {
 			return s, true
@@ -95,7 +95,7 @@ func Lookup(name string) (Spec, bool) {
 // geometry (no fold messages); either way Composite must then be given
 // plan.Dec.
 func Build(name string, granularity, tile int, plan *partition.FoldPlan) (Compositor, error) {
-	s, ok := Lookup(name)
+	s, ok := lookup(name)
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("core: unknown compositor %q (have %s)", name, strings.Join(Names(), ", "))

@@ -19,7 +19,7 @@ func TestRegistryLists(t *testing.T) {
 		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
 	for _, name := range want {
-		if _, ok := Lookup(name); !ok {
+		if _, ok := lookup(name); !ok {
 			t.Errorf("built-in %q not registered", name)
 		}
 	}
@@ -43,8 +43,8 @@ func TestRegistryUnknown(t *testing.T) {
 	if _, err := New("nope"); err == nil {
 		t.Error("New must reject unknown names")
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup must reject unknown names")
+	if _, ok := lookup("nope"); ok {
+		t.Error("lookup must reject unknown names")
 	}
 }
 

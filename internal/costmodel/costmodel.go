@@ -47,7 +47,7 @@ type Cost struct {
 // Total returns T_total = T_comp + T_comm.
 func (c Cost) Total() time.Duration { return c.Comp + c.Comm }
 
-// Rank evaluates the model for one rank's counters. The computation
+// rank evaluates the model for one rank's counters. The computation
 // formula follows the rank's method:
 //
 //	BS    (Eq. 1): To·Σ A/2^k                 — every received pixel
@@ -58,7 +58,7 @@ func (c Cost) Total() time.Duration { return c.Comp + c.Comm }
 // Baselines use the generic form T_bound·scan + T_enc·encoded +
 // To·composited. Communication (Eq. 2/4/6/8) is Σ (Ts + bytes·Tc) over
 // received messages, the fold pre-stage included.
-func (p Params) Rank(r *stats.Rank) Cost {
+func (p Params) rank(r *stats.Rank) Cost {
 	var c Cost
 	c.Comp += time.Duration(r.BoundScan) * p.Tbound
 	c.Comp += p.stageComp(r.Method, &r.Fold)
@@ -71,7 +71,7 @@ func (p Params) Rank(r *stats.Rank) Cost {
 }
 
 // Stage evaluates the model for a single stage's counters — the
-// per-stage resolution of Rank, for reports that place modeled stage
+// per-stage resolution of rank, for reports that place modeled stage
 // costs beside measured span times.
 func (p Params) Stage(method string, s *stats.Stage) Cost {
 	return Cost{Comp: p.stageComp(method, s), Comm: p.stageComm(s)}
@@ -81,7 +81,7 @@ func (p Params) Stage(method string, s *stats.Stage) Cost {
 // rank's stats.Rank.Gather counters: the final gather as one more route
 // round. A sending rank pays T_encode for the owned pixels it scans; the
 // root pays one Ts per sending rank, Tc per encoded byte received, and
-// To per pixel it stores. Rank and World leave the term out, so the
+// To per pixel it stores. rank and World leave the term out, so the
 // paper's tables keep comparing compositing with compositing.
 func (p Params) Gather(s *stats.Stage) Cost {
 	return Cost{
@@ -122,7 +122,7 @@ func (p Params) World(ranks []*stats.Rank) Cost {
 		if r == nil {
 			continue
 		}
-		c := p.Rank(r)
+		c := p.rank(r)
 		if c.Comp > w.Comp {
 			w.Comp = c.Comp
 		}

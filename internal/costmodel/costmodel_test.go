@@ -24,7 +24,7 @@ func TestBSFormula(t *testing.T) {
 	s.Composited = 400 // must be ignored for BS
 	s.BytesRecv = 16000
 	s.MsgsRecv = 1
-	c := params().Rank(r)
+	c := params().rank(r)
 	wantComp := 1000 * time.Microsecond
 	if c.Comp != wantComp {
 		t.Errorf("BS comp = %v, want %v (To x RecvPixels)", c.Comp, wantComp)
@@ -41,7 +41,7 @@ func TestBSLCFormula(t *testing.T) {
 	s.Encoded = 2000
 	s.Composited = 300
 	s.RecvPixels = 2000 // ignored for BSLC
-	c := params().Rank(r)
+	c := params().rank(r)
 	want := 2000*100*time.Nanosecond + 300*time.Microsecond
 	if c.Comp != want {
 		t.Errorf("BSLC comp = %v, want %v", c.Comp, want)
@@ -53,7 +53,7 @@ func TestBSBRCFormulaIncludesBoundScan(t *testing.T) {
 	s := r.StageAt(1)
 	s.Encoded = 500
 	s.Composited = 200
-	c := params().Rank(r)
+	c := params().rank(r)
 	want := 10000*10*time.Nanosecond + 500*100*time.Nanosecond + 200*time.Microsecond
 	if c.Comp != want {
 		t.Errorf("BSBRC comp = %v, want %v", c.Comp, want)
@@ -64,7 +64,7 @@ func TestCommSkipsSilentStages(t *testing.T) {
 	r := &stats.Rank{Method: "BSBR"}
 	r.StageAt(1).MsgsRecv = 0 // no message, no Ts
 	r.StageAt(2).MsgsRecv = 1
-	c := params().Rank(r)
+	c := params().rank(r)
 	if c.Comm != 100*time.Microsecond {
 		t.Errorf("comm = %v, want one Ts", c.Comm)
 	}
@@ -75,7 +75,7 @@ func TestFoldStageCounted(t *testing.T) {
 	r.Fold.MsgsRecv = 1
 	r.Fold.BytesRecv = 100
 	r.Fold.Composited = 10
-	c := params().Rank(r)
+	c := params().rank(r)
 	if c.Comm == 0 || c.Comp == 0 {
 		t.Error("fold stage must contribute to both comp and comm")
 	}
@@ -92,10 +92,10 @@ func TestWorldTakesMaxima(t *testing.T) {
 	b.StageAt(1).BytesRecv = 100000
 	p := params()
 	w := p.World([]*stats.Rank{a, b, nil})
-	if w.Comp != p.Rank(a).Comp {
+	if w.Comp != p.rank(a).Comp {
 		t.Error("world comp must be the slower rank's")
 	}
-	if w.Comm != p.Rank(b).Comm {
+	if w.Comm != p.rank(b).Comm {
 		t.Error("world comm must be the slower rank's")
 	}
 	if w.Total() != w.Comp+w.Comm {
@@ -112,7 +112,7 @@ func TestSP2PresetMagnitudes(t *testing.T) {
 	s.RecvPixels = 73728
 	s.BytesRecv = 73728 * 16
 	s.MsgsRecv = 1
-	c := p.Rank(r)
+	c := p.rank(r)
 	compMS := float64(c.Comp) / 1e6
 	commMS := float64(c.Comm) / 1e6
 	// Paper: T_comp ~= 297.85 ms, T_comm ~= 29.25 ms.
@@ -137,12 +137,12 @@ func TestGatherTerm(t *testing.T) {
 	for _, method := range []string{"BS", "BSBRC", "DFB"} {
 		r := &stats.Rank{Method: method}
 		r.StageAt(1).MsgsRecv = 1
-		without := params().Rank(r)
+		without := params().rank(r)
 		r.Gather = stats.Stage{
 			Encoded: 3000, Composited: 700, RecvPixels: 5000,
 			MsgsRecv: 7, BytesRecv: 40000, MsgsSent: 1, BytesSent: 9000,
 		}
-		if got := params().Rank(r); got != without {
+		if got := params().rank(r); got != without {
 			t.Errorf("%s: the gather moved the compositing cost %v -> %v", method, without, got)
 		}
 		c := params().Gather(&r.Gather)

@@ -46,7 +46,7 @@ func TestMakespanStalledBySlowPartner(t *testing.T) {
 		t.Errorf("makespan %v must exceed the slow partner's encode %v", got, lower)
 	}
 	// And the naive per-rank sum under-reports the fast rank's wait.
-	naive := p.Rank(fast)
+	naive := p.rank(fast)
 	if naive.Total() >= got {
 		t.Errorf("naive fast-rank total %v should be below the coupled makespan %v",
 			naive.Total(), got)
@@ -85,7 +85,7 @@ func TestMakespanAtLeastPerRankComm(t *testing.T) {
 	}
 	mk := p.Makespan(ranks)
 	for _, r := range ranks {
-		if c := p.Rank(r); mk < c.Comp {
+		if c := p.rank(r); mk < c.Comp {
 			t.Errorf("makespan %v below rank %d's compute %v", mk, r.RankID, c.Comp)
 		}
 	}

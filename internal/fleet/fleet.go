@@ -66,8 +66,9 @@ type Config struct {
 	// DisableTracing turns off the gateway's request tracing: no trace
 	// contexts are propagated to replicas, no merged span trees are
 	// returned to sampled callers, and the flight recorder (the last
-	// trace.DefaultFlightSize interesting requests at /debug/flight) is
-	// off.
+	// trace.DefaultFlightSize interesting requests at /debug/flight,
+	// kept only when the sidecar is up) is off. The request record that
+	// replies, the latency histogram and Stats read is kept either way.
 	DisableTracing bool
 }
 
@@ -106,7 +107,7 @@ type Gateway struct {
 
 	// flight retains the merged span trees of the last N interesting
 	// requests (errors, hedges, over-p99), served at /debug/flight. Nil
-	// when tracing is disabled.
+	// when tracing is disabled or no sidecar would serve it.
 	flight *trace.Flight
 
 	lis     *server.Listener // frame protocol; serve is its handler
@@ -131,7 +132,7 @@ func Start(cfg Config) (*Gateway, error) {
 	if cfg.CacheBytes > 0 {
 		g.cache = newFrameCache(cfg.CacheBytes)
 	}
-	if !cfg.DisableTracing {
+	if !cfg.DisableTracing && cfg.HTTPAddr != "" {
 		g.flight = trace.NewFlight(trace.DefaultFlightSize)
 	}
 	g.met = newFleetMetrics(g)
@@ -184,9 +185,8 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		g.met.errored.Add(1)
 		return &server.Response{Code: server.CodeBadRequest, Error: err.Error()}, nil
 	}
-	t0 := time.Now()
+	rec := g.newReqRecord(req.Trace)
 	key := quantKey(req, DefaultQuantDeg)
-	rt := g.newReqTrace(req.Trace, t0)
 
 	if g.cache != nil {
 		g.cacheMu.Lock()
@@ -194,25 +194,25 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		g.cacheMu.Unlock()
 		if ok {
 			g.met.cache.Add(1, "hit")
-			return g.reply(rt, req, time.Since(t0), &server.Response{
+			return g.reply(rec, req, &server.Response{
 				OK: true, Width: e.width, Height: e.height,
 				Stats: server.FrameStats{Cached: true, Quality: e.key.quality},
 			}), e.gray
 		}
 		g.met.cache.Add(1, "miss")
-		rt.cacheLookup(time.Since(t0))
+		rec.cacheLookup()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), req.Deadline(g.cfg.DefaultDeadline))
 	defer cancel()
 
-	f, idx, hedged, err := g.dispatch(ctx, req, rt)
-	total := time.Since(t0)
+	f, err := g.dispatch(ctx, req, rec)
 	if err != nil {
-		resp := errorResponse(err)
-		resp.Stats.Hedged = hedged
-		return g.reply(rt, req, total, resp), nil
+		return g.reply(rec, req, errorResponse(err)), nil
 	}
+	resp := g.reply(rec, req, &server.Response{OK: true, Width: f.Width, Height: f.Height, Stats: f.Stats})
+	// The insert is the gateway's bookkeeping, outside the request's
+	// total.
 	if g.cache != nil {
 		// The entry is keyed by the quality actually delivered (a
 		// DegradeOK request may come back below what it asked for), so a
@@ -228,27 +228,26 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		g.cacheMu.Unlock()
 		g.met.cacheEvict.Add(int64(evicted))
 	}
-	resp := &server.Response{OK: true, Width: f.Width, Height: f.Height, Stats: f.Stats}
-	resp.Stats.Replica = idx + 1
-	resp.Stats.Hedged = hedged
-	return g.reply(rt, req, total, resp), f.Gray
+	return resp, f.Gray
 }
 
-// reply closes one request, whatever its outcome: the gateway-side wall
-// time and trace identity are stamped on the response, the latency
-// histogram (served frames) or the error counter moves, and the request
-// is offered to the flight recorder. The flight entry's span tree is
-// built lazily at export time, so a hedge loser reaped after this call
-// still shows up in the retained trace.
-func (g *Gateway) reply(rt *reqTrace, req server.Request, total time.Duration, resp *server.Response) *server.Response {
-	rt.finish(total)
+// reply closes one request, whatever its outcome, from its record: the
+// total is taken once, here; the response's gateway fields (total,
+// trace ID, winning replica, hedged), the latency histogram (served
+// frames) or the error counter, and the flight entry all read the
+// record. The flight entry's span tree is built lazily at export time,
+// so a hedge loser reaped after this call still shows up in the
+// retained trace.
+func (g *Gateway) reply(rec *reqRecord, req server.Request, resp *server.Response) *server.Response {
+	total := rec.finish()
 	resp.Stats.TotalMS = float64(total) / 1e6
-	resp.Stats.TraceID = rt.traceID().String()
+	resp.Stats.TraceID = rec.id.String()
+	resp.Stats.Replica, resp.Stats.Hedged = rec.winner, rec.hedged
 	outcome := "ok"
 	if resp.OK {
-		g.met.latency.Observe(total.Seconds(), uint64(rt.traceID()))
-		if rt.wantsReply() {
-			resp.Trace = rt.wire()
+		g.met.latency.Observe(total.Seconds(), uint64(rec.id))
+		if rec.clientSampled {
+			resp.Trace = rec.wire()
 		}
 	} else {
 		g.met.errored.Add(1)
@@ -256,7 +255,7 @@ func (g *Gateway) reply(rt *reqTrace, req server.Request, total time.Duration, r
 			outcome = server.CodeInternal
 		}
 	}
-	if g.flight != nil && rt != nil {
+	if g.flight != nil {
 		method := req.Method
 		if method == "" {
 			method = server.DefaultMethod
@@ -269,7 +268,7 @@ func (g *Gateway) reply(rt *reqTrace, req server.Request, total time.Duration, r
 			Hedged:  resp.Stats.Hedged,
 			Cached:  resp.Stats.Cached,
 			Detail:  fmt.Sprintf("%s %dx%d %s", method, req.Width, req.Height, req.Dataset),
-			Trace:   rt.wire,
+			Trace:   rec.wire,
 		})
 	}
 	return resp
@@ -303,21 +302,20 @@ type result struct {
 // dispatch sends req to the best replica, hedging to a second one when
 // the reply outlives the primary's rolling p99 and retrying on the next
 // replica after a retryable failure. Each replica is tried at most once
-// per request. It returns the winning frame and replica index, and
+// per request. It returns the winning frame, and records the winner and
 // whether a hedge was issued.
-func (g *Gateway) dispatch(ctx context.Context, req server.Request, rt *reqTrace) (*client.Frame, int, bool, error) {
+func (g *Gateway) dispatch(ctx context.Context, req server.Request, rec *reqRecord) (*client.Frame, error) {
 	tried := make(map[int]bool, len(g.replicas))
 	hedgeIdx := map[int]bool{}
 	resCh := make(chan result, len(g.replicas))
 
 	primary := g.pick(tried)
 	if primary < 0 {
-		return nil, 0, false, fmt.Errorf("fleet: no replicas available")
+		return nil, fmt.Errorf("fleet: no replicas available")
 	}
-	g.send(ctx, primary, req, resCh, rt, "primary")
+	g.send(ctx, primary, req, resCh, rec, "primary")
 	tried[primary] = true
 	outstanding := 1
-	hedged := false
 
 	hedgeTimer := time.NewTimer(g.hedgeDelay(primary))
 	defer hedgeTimer.Stop()
@@ -332,37 +330,38 @@ func (g *Gateway) dispatch(ctx context.Context, req server.Request, rt *reqTrace
 					g.met.hedgeWins.Add(1)
 					g.replicas[r.idx].hedgesWon.Add(1)
 				}
-				return r.f, r.idx, hedged, nil
+				rec.winner = r.idx + 1
+				return r.f, nil
 			}
 			lastErr = r.err
 			if !dispatchRetryable(r.err) {
 				// Permanent for this request (bad request, expired
 				// deadline): another replica would answer identically.
-				return nil, r.idx, hedged, r.err
+				return nil, r.err
 			}
 			g.replicas[r.idx].suspect(time.Now())
 			if next := g.pick(tried); next >= 0 {
 				g.met.retries.Add(1)
-				g.send(ctx, next, req, resCh, rt, "retry")
+				g.send(ctx, next, req, resCh, rec, "retry")
 				tried[next] = true
 				outstanding++
 			} else if outstanding == 0 {
-				return nil, r.idx, hedged, lastErr
+				return nil, lastErr
 			}
 		case <-hedgeTimer.C:
-			if hedged {
+			if rec.hedged {
 				continue
 			}
 			if next := g.pick(tried); next >= 0 {
-				hedged = true
+				rec.hedged = true
 				hedgeIdx[next] = true
 				g.met.hedges.Add(1)
-				g.send(ctx, next, req, resCh, rt, "hedge")
+				g.send(ctx, next, req, resCh, rec, "hedge")
 				tried[next] = true
 				outstanding++
 			}
 		case <-ctx.Done():
-			return nil, 0, hedged, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -372,25 +371,25 @@ func (g *Gateway) dispatch(ctx context.Context, req server.Request, rt *reqTrace
 // a hedge loser finishing after the winner returned still lands its
 // numbers — and its trace attempt, which the flight recorder's lazy
 // export picks up even after the winner's reply went out.
-func (g *Gateway) send(ctx context.Context, idx int, req server.Request, ch chan<- result, rt *reqTrace, kind string) {
+func (g *Gateway) send(ctx context.Context, idx int, req server.Request, ch chan<- result, rec *reqRecord, kind string) {
 	r := g.replicas[idx]
 	r.outstanding.Add(1)
 	g.sendWG.Add(1)
 	// req is a copy: the attempt-specific trace context never leaks into
 	// a sibling dispatch.
-	req.Trace = rt.childContext()
-	a := rt.beginAttempt(idx, kind)
+	req.Trace = rec.childContext()
+	a := rec.beginAttempt(idx, kind)
 	go func() {
 		defer g.sendWG.Done()
 		defer r.outstanding.Add(-1)
 		t0 := time.Now()
 		f, err := r.cl.Render(ctx, req)
 		if err == nil {
-			rt.endAttempt(a, f.Trace, "")
+			rec.endAttempt(a, f.Trace, "")
 			r.win.observe(time.Since(t0))
 			r.frames.Add(1)
 		} else {
-			rt.endAttempt(a, nil, errCode(err))
+			rec.endAttempt(a, nil, errCode(err))
 			r.errs.Add(1)
 		}
 		ch <- result{f: f, err: err, idx: idx}

@@ -30,14 +30,14 @@ func oversizedChild(id trace.ID) *trace.Wire {
 // first build must have left intact (no span loss, no duplicated
 // tracks, no concurrent mutation under a marshal).
 func TestReqTraceWireRepeatable(t *testing.T) {
-	rt := &reqTrace{id: trace.NewID(), clientSampled: true, start: time.Now()}
-	a := rt.beginAttempt(0, "primary")
-	child := oversizedChild(rt.id)
+	rec := &reqRecord{id: trace.NewID(), clientSampled: true, start: time.Now()}
+	a := rec.beginAttempt(0, "primary")
+	child := oversizedChild(rec.id)
 	childSpans := child.SpanCount()
-	rt.endAttempt(a, child, "")
-	rt.finish(time.Millisecond)
+	rec.endAttempt(a, child, "")
+	rec.finish()
 
-	first := rt.wire()
+	first := rec.wire()
 	if !first.Truncated || first.SpanCount() != trace.MaxWireSpans {
 		t.Fatalf("first merge: truncated=%v spans=%d, want truncated at %d",
 			first.Truncated, first.SpanCount(), trace.MaxWireSpans)
@@ -46,9 +46,34 @@ func TestReqTraceWireRepeatable(t *testing.T) {
 		t.Fatalf("reply-path truncation corrupted the retained child: %d spans in %d tracks, want %d in 1",
 			child.SpanCount(), len(child.Procs[0].Tracks), childSpans)
 	}
-	second := rt.wire()
+	second := rec.wire()
 	if second.SpanCount() != first.SpanCount() || len(second.Procs) != len(first.Procs) {
 		t.Fatalf("flight re-export differs from reply merge: %d spans / %d procs vs %d / %d",
 			second.SpanCount(), len(second.Procs), first.SpanCount(), len(first.Procs))
+	}
+}
+
+// TestReplicaSamplingRule pins when the gateway asks a replica for its
+// span tree: only when something reads it, the caller's sampled reply or
+// the gateway's own flight recorder. With tracing off it ships no
+// context at all.
+func TestReplicaSamplingRule(t *testing.T) {
+	for _, c := range []struct {
+		off, flight, caller bool
+		wantCtx, wantSample bool
+	}{
+		{off: true, caller: true},
+		{wantCtx: true},
+		{caller: true, wantCtx: true, wantSample: true},
+		{flight: true, wantCtx: true, wantSample: true},
+	} {
+		g := &Gateway{cfg: Config{DisableTracing: c.off}}
+		if c.flight {
+			g.flight = trace.NewFlight(1)
+		}
+		ctx := g.newReqRecord(&trace.Context{TraceID: trace.NewID().String(), Sampled: c.caller}).childContext()
+		if (ctx != nil) != c.wantCtx || (ctx != nil && ctx.Sampled != c.wantSample) {
+			t.Errorf("tracing off %v, flight %v, caller sampled %v: child context %+v", c.off, c.flight, c.caller, ctx)
+		}
 	}
 }

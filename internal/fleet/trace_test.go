@@ -188,10 +188,11 @@ func TestFleetTracedHedgedRequest(t *testing.T) {
 	}
 	var list struct {
 		Entries []struct {
-			TraceID string `json:"trace_id"`
-			Outcome string `json:"outcome"`
-			Hedged  bool   `json:"hedged"`
-			Reason  string `json:"reason"`
+			TraceID string  `json:"trace_id"`
+			Outcome string  `json:"outcome"`
+			Hedged  bool    `json:"hedged"`
+			Reason  string  `json:"reason"`
+			MS      float64 `json:"ms"`
 		} `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
@@ -203,6 +204,9 @@ func TestFleetTracedHedgedRequest(t *testing.T) {
 			found = true
 			if e.Outcome != "ok" || !e.Hedged || e.Reason != "hedged" {
 				t.Errorf("flight entry = %+v, want ok/hedged/hedged", e)
+			}
+			if e.MS != f.Stats.TotalMS {
+				t.Errorf("flight entry carries %v ms, the reply %v ms: want one total", e.MS, f.Stats.TotalMS)
 			}
 		}
 	}

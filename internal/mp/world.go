@@ -73,9 +73,6 @@ func (w *World) closeAll() {
 	}
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Shutdown closes every rank's mailbox: receives that are blocked (or
 // would block) fail promptly instead of waiting out their timeout.
 // Long-running services built on a standing world use it to cancel the

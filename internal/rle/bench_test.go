@@ -41,6 +41,6 @@ func BenchmarkWalk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		_ = e.Walk(func(int, frame.Pixel) { n++ })
+		_ = e.walk(func(int, frame.Pixel) { n++ })
 	}
 }

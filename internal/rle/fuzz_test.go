@@ -21,7 +21,7 @@ func FuzzUnpack(f *testing.F) {
 			return
 		}
 		// Accepted encodings must walk cleanly and in bounds.
-		walkErr := enc.Walk(func(seq int, p frame.Pixel) {
+		walkErr := enc.walk(func(seq int, p frame.Pixel) {
 			if seq < 0 || seq >= enc.Total {
 				t.Fatalf("walk position %d outside [0,%d)", seq, enc.Total)
 			}

@@ -32,13 +32,6 @@ type Encoding struct {
 	Total    int // length of the encoded sequence in pixels
 }
 
-// WireBytes returns the number of bytes this encoding occupies on the
-// wire: 2 bytes per code plus 16 per non-blank pixel, matching the
-// paper's Eq. (6)/(8) terms 2·R_code + 16·A_opaque.
-func (e *Encoding) WireBytes() int {
-	return len(e.Codes)*CodeBytes + len(e.NonBlank)*frame.PixelBytes
-}
-
 // Encode run-length encodes pixels by blank/non-blank state. The first
 // code always describes a (possibly empty) blank run so the decoder needs
 // no out-of-band phase bit. Runs longer than 65535 are split by inserting
@@ -85,21 +78,21 @@ func Encode(pixels []frame.Pixel) Encoding {
 // Decode reconstructs the dense pixel sequence, blanks included.
 func (e *Encoding) Decode() []frame.Pixel {
 	out := make([]frame.Pixel, e.Total)
-	err := e.Walk(func(seq int, p frame.Pixel) {
+	err := e.walk(func(seq int, p frame.Pixel) {
 		out[seq] = p
 	})
 	if err != nil {
-		panic(err) // Walk over a locally built encoding cannot fail.
+		panic(err) // walk over a locally built encoding cannot fail.
 	}
 	return out
 }
 
-// Walk calls fn once per non-blank pixel with its position in the encoded
+// walk calls fn once per non-blank pixel with its position in the encoded
 // sequence, in order, without materializing blanks. It validates the
 // encoding and returns an error on inconsistency (truncated payload or
 // runs overrunning Total), which a receiver must treat as a corrupt
 // message.
-func (e *Encoding) Walk(fn func(seq int, p frame.Pixel)) error {
+func (e *Encoding) walk(fn func(seq int, p frame.Pixel)) error {
 	pos, payload := 0, 0
 	blankPhase := true
 	for _, c := range e.Codes {
@@ -129,8 +122,8 @@ func (e *Encoding) Walk(fn func(seq int, p frame.Pixel)) error {
 
 // Pack serializes the encoding: a 4-byte sequence length, a 4-byte code
 // count, the codes, then the non-blank pixels. The framing fields are
-// bookkeeping of this implementation; WireBytes (what the cost model
-// charges) counts only codes and pixels, as the paper does.
+// bookkeeping of this implementation; the paper's Eq. (6)/(8) terms
+// 2·R_code + 16·A_opaque count only codes and pixels.
 func (e *Encoding) Pack(buf []byte) []byte {
 	buf = appendU32(buf, uint32(e.Total))
 	buf = appendU32(buf, uint32(len(e.Codes)))

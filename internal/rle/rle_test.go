@@ -106,7 +106,7 @@ func TestWalkOrderAndPositions(t *testing.T) {
 	in := []frame.Pixel{{}, px(1, 1), {}, px(0.5, 0.5), px(0.25, 0.25)}
 	e := Encode(in)
 	var seqs []int
-	err := e.Walk(func(seq int, p frame.Pixel) {
+	err := e.walk(func(seq int, p frame.Pixel) {
 		seqs = append(seqs, seq)
 		if in[seq] != p {
 			t.Errorf("walk pixel at %d = %v, want %v", seq, p, in[seq])
@@ -123,17 +123,17 @@ func TestWalkOrderAndPositions(t *testing.T) {
 func TestWalkRejectsCorruptEncodings(t *testing.T) {
 	// Runs overrunning Total.
 	e := Encoding{Codes: []uint16{10}, Total: 5}
-	if err := e.Walk(func(int, frame.Pixel) {}); err == nil {
+	if err := e.walk(func(int, frame.Pixel) {}); err == nil {
 		t.Error("overrunning blank run must be rejected")
 	}
 	// Non-blank run without payload.
 	e = Encoding{Codes: []uint16{0, 3}, Total: 3}
-	if err := e.Walk(func(int, frame.Pixel) {}); err == nil {
+	if err := e.walk(func(int, frame.Pixel) {}); err == nil {
 		t.Error("missing payload must be rejected")
 	}
 	// Excess payload.
 	e = Encoding{Codes: []uint16{3}, NonBlank: []frame.Pixel{px(1, 1)}, Total: 3}
-	if err := e.Walk(func(int, frame.Pixel) {}); err == nil {
+	if err := e.walk(func(int, frame.Pixel) {}); err == nil {
 		t.Error("uncovered payload must be rejected")
 	}
 }
@@ -177,9 +177,12 @@ func TestUnpackRejectsTruncation(t *testing.T) {
 func TestWireBytesMatchesPaperFormula(t *testing.T) {
 	in := []frame.Pixel{{}, {}, px(1, 1), px(0.5, 0.5), {}, px(0.1, 0.1)}
 	e := Encode(in)
-	want := len(e.Codes)*2 + len(e.NonBlank)*16
-	if e.WireBytes() != want {
-		t.Errorf("WireBytes = %d, want %d", e.WireBytes(), want)
+	// Pack's 8-byte frame (sequence length, code count) is this
+	// implementation's bookkeeping; the rest is the paper's 2·R_code +
+	// 16·A_opaque.
+	want := 8 + len(e.Codes)*2 + len(e.NonBlank)*16
+	if got := len(e.Pack(nil)); got != want {
+		t.Errorf("packed %d bytes, want %d", got, want)
 	}
 }
 

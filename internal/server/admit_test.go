@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"sortlast/internal/trace"
 )
 
 // A request that admission steps down is rebuilt as a new job; the
@@ -44,10 +46,36 @@ func TestDegradedJobKeepsArrivalStamp(t *testing.T) {
 	if j.quality != QualityPreview || j.requested != QualityFull {
 		t.Fatalf("admitted at quality=%q requested=%q, want preview/full", j.quality, j.requested)
 	}
-	if !j.admitted.Equal(arrived) {
-		t.Errorf("degraded job stamped %v after the arrival it was given", j.admitted.Sub(arrived))
+	if !j.rec.arrived.Equal(arrived) {
+		t.Errorf("degraded job stamped %v after the arrival it was given", j.rec.arrived.Sub(arrived))
 	}
 	if want := arrived.Add(time.Minute); !j.deadline.Equal(want) {
 		t.Errorf("degraded job deadline moved by %v", j.deadline.Sub(want))
+	}
+}
+
+// A frame's spans are recorded only where they can be read: in a
+// sampled reply, or by the flight recorder and /debug/trace/last that a
+// sidecar serves. Neither, and the job carries no recorder.
+func TestSpansOnlyWhenReadable(t *testing.T) {
+	req := Request{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32}
+	sampled := req
+	sampled.Trace = trace.NewContext()
+	for _, c := range []struct {
+		flight bool
+		req    Request
+		want   bool
+	}{{false, req, false}, {false, sampled, true}, {true, req, true}} {
+		s := &Server{cfg: Config{P: 2}.withDefaults()}
+		if c.flight {
+			s.flight = trace.NewFlight(1)
+		}
+		j, resp := s.buildJob(c.req, QualityFull, QualityFull, time.Now(), time.Now().Add(time.Minute))
+		if resp != nil {
+			t.Fatalf("buildJob rejected %+v: %+v", c.req, resp)
+		}
+		if got := j.spans != nil; got != c.want {
+			t.Errorf("flight %v, sampled %v: recorder %v, want %v", c.flight, c.req.Trace != nil, got, c.want)
+		}
 	}
 }

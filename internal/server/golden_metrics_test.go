@@ -44,7 +44,6 @@ func goldenMetrics(full bool) *metrics {
 	m.quality.Add(1, QualityPreview)
 	m.degrades.Add(1, "admission", QualityPreview)
 	m.worldRestarts.Add(2)
-	m.spansDropped.Add(17)
 	m.wire.Add(1234567)
 	m.phaseDone("render", 12*time.Millisecond, 0xabcd)
 	m.phaseDone("render", 300*time.Microsecond, 0)
@@ -68,9 +67,10 @@ func goldenScrapes(m *metrics) (classic, openMetrics string) {
 // # EOF trailer — for the classic and the OpenMetrics scrape. The files
 // were generated from the hand-written exposition at b8c02f6, before
 // internal/obs existed (since then only the three sample lines of the
-// deleted approx contract and the nine lines of the deleted selector's
-// per-method counter family have left them); pass -update only when a
-// metric is meant to change.
+// deleted approx contract, the nine lines of the deleted selector's
+// per-method counter family and the three of the dropped-spans counter
+// have left them, and two HELP lines were corrected); pass -update only
+// when a metric is meant to change.
 func TestGoldenExposition(t *testing.T) {
 	for _, sc := range []struct {
 		name string

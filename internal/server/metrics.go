@@ -49,18 +49,17 @@ type metrics struct {
 	degrades *obs.Counter // degrade events per (path, to) pair
 
 	worldRestarts *obs.Counter // rank worlds torn down and rebuilt
-	spansDropped  *obs.Counter // spans a frame's recorder discarded at trace.MaxRankSpans
 	wire          *obs.Counter // compositing bytes received, all ranks
 
 	latency *obs.Histogram // admission-to-reply, whole request
-	phases  *obs.Histogram // per-phase (slowest rank), from spans
+	phases  *obs.Histogram // per phase, from the frame record
 }
 
 // newMetrics registers renderd's families in export order. queueDepth,
 // inflight (the pipeline tokens held) and renderStats (the server's
 // cumulative ray-caster counters) are sampled at scrape time; a nil
-// flight (tracing disabled) or a nil renderStats leaves its families
-// out.
+// flight (tracing disabled, or no sidecar) or a nil renderStats leaves
+// its families out.
 func newMetrics(queueDepth, inflight func() int, flight *trace.Flight, renderStats func() render.StatsSnapshot) *metrics {
 	r := new(obs.Registry)
 	m := &metrics{reg: r}
@@ -69,7 +68,6 @@ func newMetrics(queueDepth, inflight func() int, flight *trace.Flight, renderSta
 	m.quality = r.Counter("renderd_quality_delivered_total", "Frames served, by delivered quality contract.", obs.Label("quality", qualityNames...))
 	m.degrades = r.Counter("renderd_degraded_total", "Requests stepped below their asked quality contract, by degrade path and the contract landed on.", degradePaths)
 	m.worldRestarts = r.Counter("renderd_world_restarts_total", "Rank worlds torn down and rebuilt after a pipeline failure or watchdog wedge.", obs.None)
-	m.spansDropped = r.Counter("renderd_trace_spans_dropped_total", "Spans discarded because a rank's recorder reached its span cap; the frame's trace is flagged truncated.", obs.None)
 	obs.GaugeFunc(r, "renderd_queue_depth", "Requests admitted and waiting for dispatch.", obs.None, func(int) int { return queueDepth() })
 	obs.GaugeFunc(r, "renderd_inflight_frames", "Frames dispatched into the rank pool and not yet replied.", obs.None, func(int) int { return inflight() })
 	m.wire = r.Counter("renderd_wire_bytes_total", "Compositing payload bytes received across all ranks.", obs.None)
@@ -89,6 +87,6 @@ func newMetrics(queueDepth, inflight func() int, flight *trace.Flight, renderSta
 		})
 	}
 	m.latency = r.Histogram("renderd_frame_latency_seconds", "Admission-to-reply latency of served frames.", latencyBuckets, obs.None)
-	m.phases = r.Histogram("renderd_phase_latency_seconds", "Slowest-rank wall time per frame phase, from trace spans.", phaseBuckets, obs.Label("phase", phaseNames...))
+	m.phases = r.Histogram("renderd_phase_latency_seconds", "Wall time per phase of served frames: render and composite on the slowest rank, gather at rank 0.", phaseBuckets, obs.Label("phase", phaseNames...))
 	return m
 }

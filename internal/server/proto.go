@@ -173,7 +173,8 @@ type Response struct {
 type FrameStats struct {
 	// QueueMS is the time from admission to dispatch into the rank pool.
 	QueueMS float64 `json:"queue_ms"`
-	// RenderMS is rank 0's ray-casting wall time.
+	// RenderMS is the slowest rank's ray-casting wall time, the render
+	// phase the frame waits for. QueueMS + RenderMS <= TotalMS.
 	RenderMS float64 `json:"render_ms"`
 	// TotalMS is the server-side wall time from admission to reply.
 	TotalMS float64 `json:"total_ms"`

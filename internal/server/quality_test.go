@@ -14,6 +14,7 @@ import (
 
 	"sortlast/internal/client"
 	"sortlast/internal/core"
+	"sortlast/internal/faultinject"
 	"sortlast/internal/fleet"
 	"sortlast/internal/server"
 )
@@ -133,11 +134,16 @@ func TestQualityContract(t *testing.T) {
 // 1 queued) with concurrent DegradeOK requests: every request must be
 // answered with a frame — degraded to preview, never rejected with
 // overloaded — with the delivered quality populated, and the admission
-// degrade path must show up in /metrics.
+// degrade path must show up in /metrics. A stalled rank holds the world
+// until the burst has found the queue full, so the overflow is certain
+// however fast a frame renders; then the stall lifts and the burst
+// drains.
 func TestDegradeUnderOverload(t *testing.T) {
+	inj := faultinject.New(faultinject.Config{})
 	srv, err := server.Start(server.Config{
 		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", P: 2,
 		QueueDepth: 1, MaxInFlight: 1, DefaultDeadline: 2 * time.Minute,
+		Chaos: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +151,20 @@ func TestDegradeUnderOverload(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	cl := client.New(srv.Addr().String())
 	defer cl.Close()
+	metrics := func() []byte {
+		resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return body
+	}
+	const noDegrade = `renderd_degraded_total{path="admission",to="preview"} 0`
+
+	// Every message rank 1 sends or receives waits 200 ms, far inside
+	// the 60 s frame watchdog.
+	inj.Stall(1, 200*time.Millisecond)
 
 	const n = 10
 	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 96, Height: 96, DegradeOK: true}
@@ -177,6 +197,12 @@ func TestDegradeUnderOverload(t *testing.T) {
 			}
 		}()
 	}
+	for deadline := time.Now().Add(time.Minute); bytes.Contains(metrics(), []byte(noDegrade)); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no request degraded within a minute of the burst")
+		}
+	}
+	inj.Stall(1, 0)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -193,16 +219,11 @@ func TestDegradeUnderOverload(t *testing.T) {
 		t.Errorf("%d replies left the delivered quality empty", quals[""])
 	}
 
-	resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body := metrics()
 	if !bytes.Contains(body, []byte(`renderd_degraded_total{path="admission",to="preview"}`)) {
 		t.Error("metrics missing the admission degrade counter")
 	}
-	if bytes.Contains(body, []byte(`renderd_degraded_total{path="admission",to="preview"} 0`)) {
+	if bytes.Contains(body, []byte(noDegrade)) {
 		t.Error("admission degrade counter zero after a degrading burst")
 	}
 	if !bytes.Contains(body, []byte(`renderd_quality_delivered_total{quality="full"}`)) {

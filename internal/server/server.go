@@ -72,12 +72,13 @@ type Config struct {
 	// see internal/faultinject. Nil (the default) injects nothing.
 	Chaos *faultinject.Injector
 
-	// DisableTracing turns off the per-frame span recorder. By default
-	// every frame records per-rank spans (a few hundred appends per
-	// frame), feeding the /debug/trace/last endpoint, the per-phase
-	// latency histograms on /metrics, the flight recorder (the last
-	// trace.DefaultFlightSize interesting frames at /debug/flight), and
-	// the span trees returned to sampled requests.
+	// DisableTracing turns off the per-frame span recorder. By default a
+	// frame records per-rank spans (a few hundred appends per frame)
+	// when someone can read them: a sampled request gets its span tree
+	// in the reply, and with the sidecar up every frame feeds
+	// /debug/trace/last and the flight recorder (the last
+	// trace.DefaultFlightSize interesting frames at /debug/flight). The
+	// latency and phase histograms on /metrics do not depend on it.
 	DisableTracing bool
 }
 
@@ -104,7 +105,6 @@ func (c Config) withDefaults() Config {
 type job struct {
 	plan     *harness.Plan
 	method   string
-	admitted time.Time
 	deadline time.Time
 
 	// quality is the contract the job was admitted at (what the plan
@@ -119,18 +119,44 @@ type job struct {
 	id      trace.ID
 	sampled bool
 
-	// rec is this frame's span recorder (nil when tracing is disabled).
-	// Pipelined frames overlap in the rank pool, so the recorder is
-	// per-job: each frame's spans land on its own set of rank tracks.
-	rec *trace.Recorder
-
-	dispatched time.Time    // set by the scheduler
-	renderNS   atomic.Int64 // rank 0 render wall
-	wireBytes  atomic.Int64 // composite bytes received, all ranks
+	// rec is the frame's account; spans is its span recorder, nil unless
+	// someone can read it (see buildJob). Pipelined frames overlap in
+	// the rank pool, so both are per-job: each frame's spans land on its
+	// own set of rank tracks.
+	rec   frameRecord
+	spans *trace.Recorder
 
 	once sync.Once
 	done chan reply // buffered; exactly one reply per admitted job
 }
+
+// frameRecord is the one account of a served frame. The reply's
+// FrameStats, the latency and phase histograms, the flight entry and
+// the reply's span tree are all read from it and from the one total
+// taken when the request is answered.
+type frameRecord struct {
+	arrived    time.Time // submit's stamp: the deadline and every latency are anchored to it
+	dispatched time.Time // the scheduler's stamp; zero for a job never dispatched
+
+	// The slowest rank's render and composite walls (ns), rank 0's
+	// gather wall, and the compositing bytes every rank received. All
+	// are in when rank 0 replies: every rank folds in its render and
+	// composite walls and its bytes before its gather message leaves.
+	render, composite atomic.Int64
+	gather            time.Duration // written by rank 0 before it answers the job
+	wireBytes         atomic.Int64
+}
+
+// queue is the time from arrival to dispatch.
+func (r *frameRecord) queue() time.Duration { return r.dispatched.Sub(r.arrived) }
+
+// foldMax raises m to d when d is larger.
+func foldMax(m *atomic.Int64, d time.Duration) {
+	for old := m.Load(); int64(d) > old && !m.CompareAndSwap(old, int64(d)); old = m.Load() {
+	}
+}
+
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 type reply struct {
 	img  *frame.Image
@@ -186,7 +212,7 @@ type Server struct {
 
 	// flight retains the span trees of the last N interesting frames
 	// (tail-sampled), served at /debug/flight. Nil when tracing is
-	// disabled.
+	// disabled or no sidecar would serve it.
 	flight *trace.Flight
 
 	stopOnce sync.Once
@@ -214,7 +240,7 @@ func Start(cfg Config) (*Server, error) {
 		stop:    make(chan struct{}),
 		supDone: make(chan struct{}),
 	}
-	if !cfg.DisableTracing {
+	if !cfg.DisableTracing && cfg.HTTPAddr != "" {
 		s.flight = trace.NewFlight(trace.DefaultFlightSize)
 	}
 	s.met = newMetrics(func() int { return len(s.queue) }, func() int { return len(s.tokens) }, s.flight, s.renderStats.Snapshot)
@@ -297,10 +323,8 @@ func (s *Server) renderLoop(me int, run *worldRun, in <-chan *job, out chan<- re
 	defer close(out)
 	for j := range in {
 		start := time.Now()
-		img := j.plan.RenderRankObserved(me, j.rec.Rank(me), &s.renderStats)
-		if me == 0 {
-			j.renderNS.Store(int64(time.Since(start)))
-		}
+		img := j.plan.RenderRankObserved(me, j.spans.Rank(me), &s.renderStats)
+		foldMax(&j.rec.render, time.Since(start))
 		out <- rendered{job: j, img: img}
 	}
 }
@@ -313,17 +337,23 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 		// The comm is long-lived but jobs come and go, so the tracer is
 		// attached per frame; the nil store afterwards keeps a finished
 		// job's recorder from collecting a later frame's spans.
-		c.SetTracer(j.rec.Rank(me))
+		c.SetTracer(j.spans.Rank(me))
+		start := time.Now()
 		res, err := j.plan.CompositeRank(c, rj.img)
 		if err == nil {
-			// Bytes-on-wire for this frame: what this rank's compositing
-			// received (fold and stages). Counted before the gather, so
-			// every rank's share is in by the time rank 0 has the image
-			// and answers the job.
+			// This rank's share of the record goes in before the gather,
+			// so every rank's is in by the time rank 0 has the image and
+			// answers the job. Bytes-on-wire: what this rank's
+			// compositing received (fold and stages).
+			foldMax(&j.rec.composite, time.Since(start))
 			recv := int64(res.Stats.BytesReceived())
 			s.met.wire.Add(recv)
-			j.wireBytes.Add(recv)
+			j.rec.wireBytes.Add(recv)
+			start = time.Now()
 			img, err = j.plan.GatherRank(c, res)
+			if me == 0 {
+				j.rec.gather = time.Since(start)
+			}
 		}
 		c.SetTracer(nil)
 
@@ -341,13 +371,6 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 		}
 		if me == 0 && run.untrack(j) {
 			<-s.tokens
-			if j.rec != nil {
-				s.met.phases.Observe(j.rec.MaxTotal(trace.SpanRender).Seconds(), uint64(j.id), "render")
-				s.met.phases.Observe(j.rec.MaxTotal(trace.SpanCompositing).Seconds(), uint64(j.id), "composite")
-				s.met.phases.Observe(j.rec.MaxTotal(trace.SpanGather).Seconds(), uint64(j.id), "gather")
-				s.met.spansDropped.Add(int64(j.rec.Dropped()))
-				s.lastTrace.Store(j.rec)
-			}
 			j.finish(reply{img: img})
 		}
 	}
@@ -381,11 +404,18 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 	if rep.code != "" {
 		return s.reject(j, req, rep.code, rep.err.Error()), nil
 	}
-	total := time.Since(j.admitted)
+	total := time.Since(j.rec.arrived)
+	render, composite := time.Duration(j.rec.render.Load()), time.Duration(j.rec.composite.Load())
 	s.met.frames.Add(1, j.method)
 	s.met.latency.Observe(total.Seconds(), uint64(j.id))
 	s.met.quality.Add(1, j.quality)
-	s.observeFlight(j, req, "ok")
+	for i, d := range [...]time.Duration{render, composite, j.rec.gather} {
+		s.met.phases.Observe(d.Seconds(), uint64(j.id), phaseNames[i])
+	}
+	if j.spans != nil {
+		s.lastTrace.Store(j.spans)
+	}
+	s.observeFlight(j, req, "ok", total)
 	resp = &Response{
 		OK: true,
 		// The plan's geometry, not the request's: a preview delivery
@@ -393,10 +423,10 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 		// holds exactly Width*Height bytes either way.
 		Width: j.plan.Cfg.Width, Height: j.plan.Cfg.Height,
 		Stats: FrameStats{
-			QueueMS:   float64(j.dispatched.Sub(j.admitted)) / 1e6,
-			RenderMS:  float64(j.renderNS.Load()) / 1e6,
-			TotalMS:   float64(total) / 1e6,
-			WireBytes: j.wireBytes.Load(),
+			QueueMS:   ms(j.rec.queue()),
+			RenderMS:  ms(render),
+			TotalMS:   ms(total),
+			WireBytes: j.rec.wireBytes.Load(),
 			Quality:   j.quality,
 			Degraded:  j.quality != j.requested,
 			TraceID:   j.id.String(),
@@ -414,13 +444,14 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 // This is the one place a failed request is counted. Once a job exists
 // (the request got as far as a plan and a trace identity) the failure
 // is also offered to the flight recorder, and the reply carries the
-// trace ID and the time spent.
+// trace ID and the time spent, one total for both.
 func (s *Server) reject(j *job, req Request, code, msg string) *Response {
 	s.met.errors.Add(1, code)
 	resp := &Response{Code: code, Error: msg}
 	if j != nil {
-		s.observeFlight(j, req, code)
-		resp.Stats = FrameStats{TraceID: j.id.String(), TotalMS: float64(time.Since(j.admitted)) / 1e6}
+		total := time.Since(j.rec.arrived)
+		s.observeFlight(j, req, code, total)
+		resp.Stats = FrameStats{TraceID: j.id.String(), TotalMS: ms(total)}
 	}
 	return resp
 }
@@ -488,15 +519,17 @@ func (s *Server) buildJob(req Request, quality, requested string, arrived, deadl
 		method:    plan.Cfg.Method,
 		quality:   quality,
 		requested: requested,
-		admitted:  arrived,
 		deadline:  deadlineAt,
 		id:        id,
 		sampled:   sampled,
+		rec:       frameRecord{arrived: arrived},
 		done:      make(chan reply, 1),
 	}
-	if !s.cfg.DisableTracing {
-		j.rec = trace.NewRecorder(s.cfg.P)
-		j.rec.SetTraceID(id)
+	// Spans are recorded only where they can be read: in a sampled
+	// reply, or on the sidecar's /debug/trace/last and flight recorder.
+	if sampled || s.flight != nil {
+		j.spans = trace.NewRecorder(s.cfg.P)
+		j.spans.SetTraceID(id)
 	}
 	return j, nil
 }
@@ -541,36 +574,30 @@ func (s *Server) admit(req Request, requested string, arrived, deadlineAt time.T
 	return nil, resp
 }
 
-// frameWire assembles the server's span tree for one finished job: a
-// process-level track splitting the request into queue wait and
-// pipeline time (derived from the admission timestamps, so it exists
-// even for frames that failed before recording anything), plus the
-// per-rank recorder tracks.
+// frameWire assembles the server's span tree for one finished job from
+// its record and total: a process-level track splitting the request
+// into queue wait and pipeline time (so it exists even for frames that
+// failed before recording anything), plus the per-rank recorder
+// tracks. The total is taken after dispatch, so the queue wait lies
+// inside it.
 func (s *Server) frameWire(j *job, total time.Duration) *trace.Wire {
 	procTrack := []trace.Span{{Name: "serve", Dur: total}}
-	if !j.dispatched.IsZero() {
-		queue := j.dispatched.Sub(j.admitted)
-		if queue < 0 {
-			queue = 0
-		}
-		if queue > total {
-			queue = total
-		}
+	if !j.rec.dispatched.IsZero() {
+		queue := j.rec.queue()
 		procTrack = append(procTrack,
 			trace.Span{Name: "queue", Dur: queue},
 			trace.Span{Name: "pipeline", Start: queue, Dur: total - queue})
 	}
-	return trace.BuildWire(j.id, "renderd", total, procTrack, j.rec)
+	return trace.BuildWire(j.id, "renderd", total, procTrack, j.spans)
 }
 
-// observeFlight offers one finished request to the flight recorder; the
-// span tree is built lazily at export time so retaining an entry costs
-// a closure, not a wire build.
-func (s *Server) observeFlight(j *job, req Request, outcome string) {
+// observeFlight offers one finished request, with the total its reply
+// carries, to the flight recorder; the span tree is built lazily at
+// export time so retaining an entry costs a closure, not a wire build.
+func (s *Server) observeFlight(j *job, req Request, outcome string, total time.Duration) {
 	if s.flight == nil {
 		return
 	}
-	total := time.Since(j.admitted)
 	detail := fmt.Sprintf("%s %dx%d %s", j.method, j.plan.Cfg.Width, j.plan.Cfg.Height, req.Dataset)
 	if j.quality != QualityFull {
 		detail += " " + j.quality

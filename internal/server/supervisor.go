@@ -254,8 +254,8 @@ func (s *Server) dispatch(run *worldRun) (stopped bool) {
 				j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
 				return false
 			}
-			j.dispatched = time.Now()
-			run.track(j, j.dispatched.Add(s.frameTimeout()))
+			j.rec.dispatched = time.Now()
+			run.track(j, j.rec.dispatched.Add(s.frameTimeout()))
 			for _, ch := range run.renderChs {
 				ch <- j // never blocks: token bound ≥ channel backlog
 			}

@@ -3,9 +3,11 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,7 +98,8 @@ func TestTraceSidecar(t *testing.T) {
 }
 
 // TestTracingDisabled pins the opt-out: frames still serve, the trace
-// endpoint stays 404, and the phase histograms stay empty.
+// and flight endpoints stay 404, and the phase histograms, which read
+// the frame record rather than spans, still count the frame.
 func TestTracingDisabled(t *testing.T) {
 	srv, cl := startServer(t, server.Config{P: 2, HTTPAddr: "127.0.0.1:0", DisableTracing: true})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -112,8 +115,11 @@ func TestTracingDisabled(t *testing.T) {
 		t.Errorf("flight endpoint with tracing disabled: status %d, want 404", code)
 	}
 	_, metrics := httpGet(t, base+"/metrics")
-	if !strings.Contains(string(metrics), `renderd_phase_latency_seconds_count{phase="render"} 0`) {
-		t.Error("phase histogram counted a frame with tracing disabled")
+	for _, phase := range []string{"render", "composite", "gather"} {
+		want := `renderd_phase_latency_seconds_count{phase="` + phase + `"} 1`
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q with tracing disabled", want)
+		}
 	}
 	// A sampled request against a tracing-disabled server still renders,
 	// just without a span tree.
@@ -125,6 +131,54 @@ func TestTracingDisabled(t *testing.T) {
 	}
 	if f.Trace != nil {
 		t.Error("tracing-disabled server returned a span tree")
+	}
+}
+
+// TestOneTotalPerReply pins the frame record under an 8-caller closed
+// loop (BenchmarkServeClosedLoop's shape): on every reply the queue wait
+// and the slowest rank's render wall lie inside the one total, and
+// afterwards each phase histogram has counted exactly the frames served,
+// with tracing on and with it off.
+func TestOneTotalPerReply(t *testing.T) {
+	const callers, perCaller = 8, 4
+	for _, noTrace := range []bool{false, true} {
+		t.Run(fmt.Sprintf("no-trace=%v", noTrace), func(t *testing.T) {
+			srv, cl := startServer(t, server.Config{P: 2, HTTPAddr: "127.0.0.1:0", DisableTracing: noTrace})
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			var wg sync.WaitGroup
+			for w := 0; w < callers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perCaller; i++ {
+						req := server.Request{Dataset: "head", Width: 64, Height: 64, RotY: float64((w*perCaller + i) % 8 * 10)}
+						f, err := cl.Render(ctx, req)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						// The bound is exact in nanoseconds; 1e-9 ms absorbs
+						// the rounding of three separate conversions to ms.
+						if st := f.Stats; st.QueueMS < 0 || st.RenderMS <= 0 || st.QueueMS+st.RenderMS > st.TotalMS+1e-9 {
+							t.Errorf("reply stats queue %v + render %v ms outside total %v ms", st.QueueMS, st.RenderMS, st.TotalMS)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			_, metrics := httpGet(t, "http://"+srv.HTTPAddr().String()+"/metrics")
+			served := callers * perCaller
+			want := []string{fmt.Sprintf("renderd_frame_latency_seconds_count %d", served)}
+			for _, phase := range []string{"render", "composite", "gather"} {
+				want = append(want, fmt.Sprintf("renderd_phase_latency_seconds_count{phase=%q} %d", phase, served))
+			}
+			for _, w := range want {
+				if !strings.Contains(string(metrics), w+"\n") {
+					t.Errorf("metrics missing %q", w)
+				}
+			}
+		})
 	}
 }
 
@@ -180,6 +234,15 @@ func TestSampledRequestReturnsTrace(t *testing.T) {
 			t.Errorf("rank 0 track missing %q (has %v)", want, rank)
 		}
 	}
+	// RenderMS is the slowest rank's render wall, which brackets every
+	// rank's render span.
+	for name, spans := range tracks {
+		for _, s := range spans {
+			if s.Name == trace.SpanRender && s.DurUS/1e3 > f.Stats.RenderMS+1e-9 {
+				t.Errorf("%s render span %v ms outlasts RenderMS %v", name, s.DurUS/1e3, f.Stats.RenderMS)
+			}
+		}
+	}
 
 	// The frame shows up on /debug/flight (first frame: kept by the p99
 	// rule on an empty window) and exports as Perfetto JSON.
@@ -190,9 +253,10 @@ func TestSampledRequestReturnsTrace(t *testing.T) {
 	}
 	var list struct {
 		Entries []struct {
-			TraceID string `json:"trace_id"`
-			Outcome string `json:"outcome"`
-			Reason  string `json:"reason"`
+			TraceID string  `json:"trace_id"`
+			Outcome string  `json:"outcome"`
+			Reason  string  `json:"reason"`
+			MS      float64 `json:"ms"`
 		} `json:"entries"`
 	}
 	if err := json.Unmarshal(body, &list); err != nil {
@@ -204,6 +268,9 @@ func TestSampledRequestReturnsTrace(t *testing.T) {
 			found = true
 			if e.Outcome != "ok" {
 				t.Errorf("flight outcome = %q", e.Outcome)
+			}
+			if e.MS != f.Stats.TotalMS {
+				t.Errorf("flight entry carries %v ms, its reply %v ms: want one total", e.MS, f.Stats.TotalMS)
 			}
 		}
 	}

@@ -116,15 +116,6 @@ func (r *Rank) BytesReceived() int {
 	return n
 }
 
-// BytesSent returns the rank's total sent payload bytes.
-func (r *Rank) BytesSent() int {
-	n := 0
-	for _, s := range r.Stages {
-		n += s.BytesSent
-	}
-	return n
-}
-
 // TotalComposited sums over operations across stages.
 func (r *Rank) TotalComposited() int {
 	n := 0

@@ -184,8 +184,8 @@ func (f *Flight) newestFirst() []FlightEntry {
 	return out
 }
 
-// Lookup finds a retained entry by trace id or decimal sequence number.
-func (f *Flight) Lookup(key string) (FlightEntry, bool) {
+// lookup finds a retained entry by trace id or decimal sequence number.
+func (f *Flight) lookup(key string) (FlightEntry, bool) {
 	for _, e := range f.newestFirst() {
 		if e.TraceID == key || fmt.Sprint(e.Seq) == key {
 			return e, true
@@ -206,7 +206,7 @@ func (f *Flight) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if key := r.URL.Query().Get("trace"); key != "" {
-		e, ok := f.Lookup(key)
+		e, ok := f.lookup(key)
 		if !ok {
 			http.Error(w, "no such flight entry", http.StatusNotFound)
 			return

@@ -9,12 +9,12 @@
 // Tracing is opt-in per run. Every method is a no-op on a nil *Rank or
 // nil *Recorder, so instrumented code calls Begin/End unconditionally
 // and a tracing-disabled run pays two nil checks per span — no clock
-// reads, no locks, no allocations (asserted in tests). When enabled,
-// appends reuse buffer capacity across frames (Reset keeps storage), so
-// steady-state recording allocates nothing either; each rank's buffer
-// takes a private uncontended mutex per span so exporters can snapshot
-// a live recorder safely (the serving tier reads the last frame's trace
-// while the next frame records).
+// reads, no locks, no allocations (asserted in tests). When enabled, a
+// recorder is built per frame with each rank's buffer preallocated for
+// a frame's spans, so recording allocates nothing beyond the recorder
+// itself; each rank's buffer takes a private uncontended mutex per span
+// so exporters can snapshot a live recorder safely (the serving tier
+// exports a frame's trace while later frames record).
 package trace
 
 import (
@@ -85,20 +85,11 @@ type Mark time.Duration
 // every method is a no-op. The buffer has a single writer (the rank's
 // goroutine); the mutex exists so exporters can snapshot concurrently.
 type Rank struct {
-	id    int
 	epoch time.Time
 
 	mu      sync.Mutex
 	spans   []Span
-	dropped int // spans End discarded at MaxRankSpans since the last reset
-}
-
-// ID returns the rank number.
-func (r *Rank) ID() int {
-	if r == nil {
-		return -1
-	}
-	return r.id
+	dropped int // spans End discarded at MaxRankSpans
 }
 
 // Begin starts a span and returns its mark. On a nil Rank it returns 0
@@ -136,48 +127,14 @@ func (r *Rank) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// Total sums the durations of spans with the given name.
-func (r *Rank) Total(name string) time.Duration {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var d time.Duration
-	for i := range r.spans {
-		if r.spans[i].Name == name {
-			d += r.spans[i].Dur
-		}
-	}
-	return d
-}
-
-// Dropped returns the number of spans discarded at MaxRankSpans.
-func (r *Rank) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// reset truncates the buffer, keeping its storage.
-func (r *Rank) reset() {
-	r.mu.Lock()
-	r.spans = r.spans[:0]
-	r.dropped = 0
-	r.mu.Unlock()
-}
-
 // spansPerRankHint sizes a rank's initial buffer: a deep world frame
 // records a handful of spans per binary-swap stage plus the phase and
 // gather spans; 256 covers P=64 runs without growing.
 const spansPerRankHint = 256
 
-// MaxRankSpans caps one rank's buffer between resets. A frame records a
-// few hundred spans per rank (P=64 stays under spansPerRankHint), so the
-// cap only bites on a recorder that is never reset; it bounds that
+// MaxRankSpans caps one rank's buffer. A frame records a few hundred
+// spans per rank (P=64 stays under spansPerRankHint), so the cap only
+// bites on a recorder kept across many frames; it bounds that
 // recorder's memory at ~3 MiB per rank instead of letting a runaway
 // writer grow the slice until the host OOMs. Spans past the cap are
 // counted in Dropped, never silently lost.
@@ -214,7 +171,7 @@ func (rec *Recorder) TraceID() ID {
 func NewRecorder(p int) *Recorder {
 	rec := &Recorder{epoch: time.Now(), ranks: make([]*Rank, p)}
 	for i := range rec.ranks {
-		rec.ranks[i] = &Rank{id: i, epoch: rec.epoch, spans: make([]Span, 0, spansPerRankHint)}
+		rec.ranks[i] = &Rank{epoch: rec.epoch, spans: make([]Span, 0, spansPerRankHint)}
 	}
 	return rec
 }
@@ -236,18 +193,6 @@ func (rec *Recorder) Size() int {
 	return len(rec.ranks)
 }
 
-// Reset truncates every rank's buffer, keeping storage, so a standing
-// recorder can be reused frame to frame without allocating.
-func (rec *Recorder) Reset() {
-	if rec == nil {
-		return
-	}
-	rec.traceID.Store(0)
-	for _, r := range rec.ranks {
-		r.reset()
-	}
-}
-
 // Snapshot copies every rank's spans, indexed by rank.
 func (rec *Recorder) Snapshot() [][]Span {
 	if rec == nil {
@@ -267,23 +212,9 @@ func (rec *Recorder) Dropped() int {
 	}
 	n := 0
 	for _, r := range rec.ranks {
-		n += r.Dropped()
+		r.mu.Lock()
+		n += r.dropped
+		r.mu.Unlock()
 	}
 	return n
-}
-
-// MaxTotal returns the slowest rank's summed duration for one span
-// name — the completion-time bound for a phase, the quantity the
-// serving tier's per-phase latency histograms observe.
-func (rec *Recorder) MaxTotal(name string) time.Duration {
-	if rec == nil {
-		return 0
-	}
-	var max time.Duration
-	for _, r := range rec.ranks {
-		if d := r.Total(name); d > max {
-			max = d
-		}
-	}
-	return max
 }

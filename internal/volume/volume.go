@@ -33,9 +33,9 @@ func New(nx, ny, nz int) *Volume {
 	return &Volume{NX: nx, NY: ny, NZ: nz, Data: make([]uint8, nx*ny*nz)}
 }
 
-// Index returns the linear index of voxel (x, y, z), which must be in
+// index returns the linear index of voxel (x, y, z), which must be in
 // range.
-func (v *Volume) Index(x, y, z int) int { return (z*v.NY+y)*v.NX + x }
+func (v *Volume) index(x, y, z int) int { return (z*v.NY+y)*v.NX + x }
 
 // At returns the sample at (x, y, z); coordinates outside the grid read
 // as 0 (empty space), which keeps sampling loops free of bounds branches.
@@ -43,7 +43,7 @@ func (v *Volume) At(x, y, z int) uint8 {
 	if x < 0 || y < 0 || z < 0 || x >= v.NX || y >= v.NY || z >= v.NZ {
 		return 0
 	}
-	return v.Data[v.Index(x, y, z)]
+	return v.Data[v.index(x, y, z)]
 }
 
 // Set stores value at (x, y, z); out-of-range coordinates are ignored,
@@ -52,7 +52,7 @@ func (v *Volume) Set(x, y, z int, value uint8) {
 	if x < 0 || y < 0 || z < 0 || x >= v.NX || y >= v.NY || z >= v.NZ {
 		return
 	}
-	v.Data[v.Index(x, y, z)] = value
+	v.Data[v.index(x, y, z)] = value
 }
 
 // Bounds returns the voxel-space box covering the whole volume.
@@ -105,7 +105,7 @@ func (v *Volume) Fill(b Box, value uint8) {
 	b = b.Intersect(v.Bounds())
 	for z := b.Lo[2]; z < b.Hi[2]; z++ {
 		for y := b.Lo[1]; y < b.Hi[1]; y++ {
-			base := v.Index(b.Lo[0], y, z)
+			base := v.index(b.Lo[0], y, z)
 			for i := 0; i < b.Dx(); i++ {
 				v.Data[base+i] = value
 			}

@@ -25,13 +25,13 @@ func TestAtSetAndOutOfRange(t *testing.T) {
 
 func TestIndexLayoutXFastest(t *testing.T) {
 	v := New(3, 4, 5)
-	if v.Index(1, 0, 0) != 1 {
+	if v.index(1, 0, 0) != 1 {
 		t.Error("x must be fastest")
 	}
-	if v.Index(0, 1, 0) != 3 {
+	if v.index(0, 1, 0) != 3 {
 		t.Error("y stride must be NX")
 	}
-	if v.Index(0, 0, 1) != 12 {
+	if v.index(0, 0, 1) != 12 {
 		t.Error("z stride must be NX*NY")
 	}
 }
