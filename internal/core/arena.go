@@ -8,19 +8,18 @@ import (
 )
 
 // arena bundles the per-rank scratch a schedule and its codec reuse
-// across stages: a wire-buffer codec and a reusable background/foreground
-// encoding with its SeqEncoder front end. Stage exchange regions shrink
-// monotonically, so the storage sized by stage 1 serves every later
-// stage without reallocating;
-// mp.Comm.Send copies payloads, which makes handing the same buffer to
-// consecutive sends safe. Each Composite call checks an arena out of a
-// shared pool for its exclusive use — concurrent ranks never share
-// scratch, and successive composites over a standing communicator reuse
-// warm buffers instead of allocating fresh ones per frame.
+// across stages: a wire-buffer codec and a run-length writer with its
+// code and row scratch. Stage exchange regions shrink monotonically, so
+// the storage sized by stage 1 serves every later stage without
+// reallocating; mp.Comm.Send copies payloads, which makes handing the
+// same buffer to consecutive sends safe. Each Composite call checks an
+// arena out of a shared pool for its exclusive use — concurrent ranks
+// never share scratch, and successive composites over a standing
+// communicator reuse warm buffers instead of allocating fresh ones per
+// frame.
 type arena struct {
 	codec frame.Codec
-	enc   rle.Encoding
-	se    rle.SeqEncoder
+	rle   rle.Writer
 	// iv double-buffers interval scratch for the interleaved split: each
 	// stage splits the previous stage's kept set, which aliases one of
 	// these slices, so the split alternates between the two pairs —

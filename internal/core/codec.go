@@ -85,14 +85,6 @@ func parseRLE(body []byte, total int) (rle.Wire, []byte, error) {
 	return e, rest, nil
 }
 
-// packCounted appends a finished run-length encoding to buf and counts
-// its codes and pixels as sent.
-func packCounted(e *rle.Encoding, buf []byte, s *stats.Stage) []byte {
-	s.Codes += len(e.Codes)
-	s.SentPixels += len(e.NonBlank)
-	return e.Pack(buf)
-}
-
 // raw is plain binary swap's format (§3.1): every pixel of the region,
 // blanks included, 16 bytes each.
 type raw struct{}
@@ -170,12 +162,14 @@ func (c rectRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, br
 		s.SendRectEmpty = true
 		return appendRect(buf, sr)
 	}
-	rle.EncodeRect(img, sr, &ar.enc)
 	s.Encoded += sr.Area() // every pixel of the rectangle is scanned
-	if c.batched && len(ar.enc.NonBlank) == 0 {
+	out, codes, pixels := ar.rle.AppendRect(appendRect(buf, sr), img, sr)
+	if c.batched && pixels == 0 {
 		return buf
 	}
-	return packCounted(&ar.enc, appendRect(buf, sr), s)
+	s.Codes += codes
+	s.SentPixels += pixels
+	return out
 }
 
 func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
@@ -197,25 +191,30 @@ func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, 
 	s.RecvPixels += r.Area()
 	img.GrowExact(r)
 	w := r.Dx()
-	n := 0
-	// Positions arrive in row-major order; fetch each scanline segment
-	// once.
-	rowY := -1
-	var row []frame.Pixel
-	e.Walk(func(seq int, p frame.Pixel) {
-		if y := r.Y0 + seq/w; y != rowY {
-			rowY = y
-			row = img.Row(y, r.X0, r.X1)
-		}
-		if front {
-			frame.OverInto(p, &row[seq%w])
-		} else {
-			row[seq%w] = frame.Over(row[seq%w], p)
-		}
-		n++
+	s.Composited += compositeRuns(img, e, front, func(seq int) (y, x, n int) {
+		return r.Y0 + seq/w, r.X0 + seq%w, w - seq%w
 	})
-	s.Composited += n
 	return r, rest, nil
+}
+
+// compositeRuns composites every foreground run of e into img, in front
+// of the local pixels or behind them, and returns the runs' pixel count.
+// at maps a sequence position to its pixel's row y and column x and the
+// number of pixels from there on that lie contiguous in that row; each
+// run is cut at those boundaries, and each piece goes through one row
+// kernel.
+func compositeRuns(img *frame.Image, e rle.Wire, front bool, at func(seq int) (y, x, n int)) int {
+	total := 0
+	e.Runs(func(seq int, px []byte) {
+		total += len(px) / frame.PixelBytes
+		for len(px) > 0 {
+			y, x, n := at(seq)
+			n = min(n, len(px)/frame.PixelBytes)
+			frame.CompositeRow(img.Row(y, x, x+n), px[:n*frame.PixelBytes], front)
+			px, seq = px[n*frame.PixelBytes:], seq+n
+		}
+	})
+	return total
 }
 
 // batch frames several codec regions as one message: [u32 count] then,
@@ -344,11 +343,13 @@ type intervalRLE struct{}
 func (intervalRLE) bounded() bool { return false }
 
 func (intervalRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
-	ar.se.Start(&ar.enc)
-	encodeIntervals(img, img.Full().Dx(), send.iv, &ar.se)
-	ar.se.Finish()
+	ar.rle.Start()
+	encodeIntervals(img, img.Full().Dx(), send.iv, &ar.rle)
+	buf, codes, pixels := ar.rle.Append(buf)
 	s.Encoded += intervalsLen(send.iv) // every pixel of the sent set counts as scanned
-	return packCounted(&ar.enc, buf, s)
+	s.Codes += codes
+	s.SentPixels += pixels
+	return buf
 }
 
 func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
@@ -359,35 +360,22 @@ func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool
 	}
 	s.RecvPixels += keepLen
 	w := img.Full().Dx()
+	// Full-width storage for every touched row, so each piece of a run is
+	// one slice of a row.
 	img.GrowExact(intervalRows(w, keep.iv))
-	n := 0
 	cur := intervalCursor{iv: keep.iv}
-	// The walk visits ascending positions; grab each scanline once
-	// (the Grow above guaranteed full-width storage for every touched
-	// row).
-	rowY := -1
-	var row []frame.Pixel
-	e.Walk(func(seq int, p frame.Pixel) {
+	s.Composited += compositeRuns(img, e, front, func(seq int) (y, x, n int) {
 		idx := cur.index(seq)
-		if y := idx / w; y != rowY {
-			rowY = y
-			row = img.Row(y, 0, w)
-		}
-		if front {
-			frame.OverInto(p, &row[idx%w])
-		} else {
-			row[idx%w] = frame.Over(row[idx%w], p)
-		}
-		n++
+		return idx / w, idx % w, min(cur.iv[cur.i].Hi-idx, w-idx%w)
 	})
-	s.Composited += n
 	return frame.ZR, rest, nil
 }
 
 // encodeIntervals feeds the pixels of the interval set, in sequence
-// order, to enc. Everything the image has no storage for goes in as
-// arithmetic blank runs instead of materialized blank pixels.
-func encodeIntervals(img *frame.Image, w int, iv []Interval, enc *rle.SeqEncoder) {
+// order, to enc: the run-length writer, or the reference SeqEncoder the
+// tests compare it with. Everything the image has no storage for goes in
+// as arithmetic blank runs instead of materialized blank pixels.
+func encodeIntervals(img *frame.Image, w int, iv []Interval, enc rle.Sequence) {
 	bounds := img.Bounds()
 	rowSegments(w, iv, func(y, x0, x1 int) {
 		sx0, sx1 := max(x0, bounds.X0), min(x1, bounds.X1)
@@ -436,7 +424,7 @@ func intervalRows(w int, iv []Interval) frame.Rect {
 }
 
 // intervalCursor maps sequence positions to linear indices for
-// monotonically non-decreasing queries (the order rle.Walk produces).
+// monotonically non-decreasing queries (the order rle.Wire.Runs yields).
 type intervalCursor struct {
 	iv   []Interval
 	i    int // current interval

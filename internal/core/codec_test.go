@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -159,9 +162,11 @@ func packIntervals(img *frame.Image, w int, iv []Interval) []frame.Pixel {
 }
 
 // encodeIntervals must produce exactly the encoding of the dense
-// sequence, including on an image that stores only part of the frame.
+// sequence, including on an image that stores only part of the frame,
+// and the run-length writer fed by it exactly SeqEncoder's packed bytes.
 func TestEncodeIntervalsMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
+	var wr rle.Writer
 	for trial := 0; trial < 60; trial++ {
 		w, h := 24, 20
 		br := frame.XYWH(3+r.Intn(5), 2+r.Intn(5), 1+r.Intn(12), 1+r.Intn(10)).
@@ -198,6 +203,110 @@ func TestEncodeIntervalsMatchesDense(t *testing.T) {
 			!reflect.DeepEqual(e.NonBlank, want.NonBlank) {
 			t.Fatalf("trial %d: encoding differs from dense\n got %v\nwant %v",
 				trial, e.Codes, want.Codes)
+		}
+		wr.Start()
+		encodeIntervals(img, w, iv, &wr)
+		got, codes, pixels := wr.Append([]byte{0xEE})
+		if !bytes.Equal(got[1:], e.Pack(nil)) || codes != len(e.Codes) || pixels != len(e.NonBlank) {
+			t.Fatalf("trial %d: writer's %d bytes (%d codes, %d pixels) differ from SeqEncoder + Pack",
+				trial, len(got)-1, codes, pixels)
+		}
+	}
+}
+
+// walkComposite is the per-pixel decode the run-based decoders replace,
+// kept as their reference: every foreground pixel through Wire.Walk,
+// placed by division. at maps a sequence position to its pixel.
+func walkComposite(img *frame.Image, e rle.Wire, front bool, at func(seq int) (x, y int)) int {
+	n := 0
+	e.Walk(func(seq int, p frame.Pixel) {
+		x, y := at(seq)
+		q := &img.Row(y, x, x+1)[0]
+		if front {
+			frame.OverInto(p, q)
+		} else {
+			*q = frame.Over(*q, p)
+		}
+		n++
+	})
+	return n
+}
+
+// The run-based rectRLE and intervalRLE decoders must leave the same
+// image bits and the same Composited as the Walk-based reference, in
+// front and behind, on sparse, dense and run-splitting (>65,535 pixel)
+// payloads.
+func TestRunDecodeMatchesWalk(t *testing.T) {
+	const w, h = 320, 300
+	solid := frame.NewImage(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			solid.Set(x, y, frame.Pixel{I: 0.25, A: 0.5})
+		}
+	}
+	srcs := []*frame.Image{sparseImage(3, w, h, 0.05), sparseImage(4, w, h, 0.6), solid}
+	full := frame.XYWH(0, 0, w, h)
+	evens, _ := splitInterleavedInto([]Interval{{0, full.Area()}}, 97, nil, nil)
+	for si, src := range srcs {
+		for _, front := range []bool{true, false} {
+			// rectRLE over a block reaching past 65,535 pixels.
+			g := region{rect: frame.XYWH(10, 0, 300, 300)}
+			var sent stats.Stage
+			payload := rectRLE{}.encode(nil, new(arena), src, g, src.Full(), &sent)
+			dst := sparseImage(9, w, h, 0.5)
+			want := dst.Clone()
+			var got stats.Stage
+			if _, _, err := (rectRLE{}).decode(dst, g, payload, front, &got); err != nil {
+				t.Fatal(err)
+			}
+			r, body, _ := readRect(payload, g.rect)
+			e, _, err := parseRLE(body, r.Area())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.GrowExact(r)
+			n := walkComposite(want, e, front, func(seq int) (int, int) {
+				return r.X0 + seq%r.Dx(), r.Y0 + seq/r.Dx()
+			})
+			sameBits(t, fmt.Sprintf("rectRLE src %d front %v", si, front), dst, want, got.Composited, n)
+
+			// intervalRLE over an interleaved half of the frame.
+			g = region{rect: full, iv: evens}
+			payload = intervalRLE{}.encode(nil, new(arena), src, g, frame.ZR, &sent)
+			dst = sparseImage(9, w, h, 0.5)
+			want = dst.Clone()
+			got = stats.Stage{}
+			if _, _, err := (intervalRLE{}).decode(dst, g, payload, front, &got); err != nil {
+				t.Fatal(err)
+			}
+			if e, _, err = parseRLE(payload, intervalsLen(evens)); err != nil {
+				t.Fatal(err)
+			}
+			want.GrowExact(intervalRows(w, evens))
+			cur := intervalCursor{iv: evens}
+			n = walkComposite(want, e, front, func(seq int) (int, int) {
+				idx := cur.index(seq)
+				return idx % w, idx / w
+			})
+			sameBits(t, fmt.Sprintf("intervalRLE src %d front %v", si, front), dst, want, got.Composited, n)
+		}
+	}
+}
+
+// sameBits fails unless the two images hold bit-identical pixels over
+// the whole frame and the two composited counts agree.
+func sameBits(t *testing.T, name string, got, want *frame.Image, gotN, wantN int) {
+	t.Helper()
+	if gotN != wantN {
+		t.Fatalf("%s: composited %d, reference %d", name, gotN, wantN)
+	}
+	full := got.Full()
+	for y := full.Y0; y < full.Y1; y++ {
+		for x := full.X0; x < full.X1; x++ {
+			a, b := got.At(x, y), want.At(x, y)
+			if math.Float64bits(a.I) != math.Float64bits(b.I) || math.Float64bits(a.A) != math.Float64bits(b.A) {
+				t.Fatalf("%s: pixel (%d,%d) = %v, reference %v", name, x, y, a, b)
+			}
 		}
 	}
 }

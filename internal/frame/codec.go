@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the fused wire codec: the compositing data path between an
@@ -52,12 +53,12 @@ func EncodeRegion(img *Image, region Rect, buf []byte) []byte {
 	region = region.Intersect(img.full)
 	need := region.Area() * PixelBytes
 	off := len(buf)
-	buf = append(buf, make([]byte, need)...)
+	// Grow without zeroing: a region inside the bounds overwrites every
+	// byte, and the extension may be dirty scratch capacity, so only a
+	// region with blank parts is cleared first.
+	buf = slices.Grow(buf, need)[:off+need]
 	out := buf[off:]
 	if !img.bounds.ContainsRect(region) {
-		// Parts of the region are blank; the appended bytes may reuse
-		// dirty scratch capacity, so clear before writing rows. (The
-		// append above only zeroes when it allocates fresh storage.)
 		clear(out)
 	}
 	w := region.Dx()
@@ -67,17 +68,21 @@ func EncodeRegion(img *Image, region Rect, buf []byte) []byte {
 			continue
 		}
 		// Row may be clipped on the left; recompute its x origin.
-		x0 := region.X0
-		if img.bounds.X0 > x0 {
-			x0 = img.bounds.X0
-		}
-		dst := out[((y-region.Y0)*w+(x0-region.X0))*PixelBytes:]
-		for i, p := range row {
-			binary.LittleEndian.PutUint64(dst[i*PixelBytes:], math.Float64bits(p.I))
-			binary.LittleEndian.PutUint64(dst[i*PixelBytes+8:], math.Float64bits(p.A))
-		}
+		x0 := max(region.X0, img.bounds.X0)
+		PutPixels(out[((y-region.Y0)*w+(x0-region.X0))*PixelBytes:], row)
 	}
 	return buf
+}
+
+// PutPixels encodes px into the front of dst, which must hold
+// len(px)*PixelBytes bytes: the copy loop EncodeRegion and the
+// run-length writer share.
+func PutPixels(dst []byte, px []Pixel) {
+	dst = dst[:len(px)*PixelBytes]
+	for i, p := range px {
+		binary.LittleEndian.PutUint64(dst[i*PixelBytes:], math.Float64bits(p.I))
+		binary.LittleEndian.PutUint64(dst[i*PixelBytes+8:], math.Float64bits(p.A))
+	}
 }
 
 // CompositeWire composites wire-format pixels (exactly
@@ -98,22 +103,32 @@ func (im *Image) CompositeWire(region Rect, wire []byte, srcInFront bool) int {
 	w := region.Dx()
 	ops := 0
 	for y := region.Y0; y < region.Y1; y++ {
-		dst := im.Row(y, region.X0, region.X1)
-		src := wire[(y-region.Y0)*w*PixelBytes:]
-		for x := range dst {
-			s := Pixel{
-				I: math.Float64frombits(binary.LittleEndian.Uint64(src[x*PixelBytes:])),
-				A: math.Float64frombits(binary.LittleEndian.Uint64(src[x*PixelBytes+8:])),
-			}
-			if s.Blank() {
-				continue
-			}
-			ops++
-			if srcInFront {
-				OverInto(s, &dst[x])
-			} else {
-				dst[x] = Over(dst[x], s)
-			}
+		ops += CompositeRow(im.Row(y, region.X0, region.X1), wire[(y-region.Y0)*w*PixelBytes:], srcInFront)
+	}
+	return ops
+}
+
+// CompositeRow composites the first len(dst) wire-format pixels of wire
+// in front of dst's pixels (srcInFront) or behind them, skipping blank
+// ones, and returns how many it composited. It is the one loop from
+// wire bytes to the over operator: CompositeWire runs it per scanline,
+// and the run-length decoders per contiguous piece of a foreground run.
+func CompositeRow(dst []Pixel, wire []byte, srcInFront bool) int {
+	wire = wire[:len(dst)*PixelBytes]
+	ops := 0
+	for x := range dst {
+		s := Pixel{
+			I: math.Float64frombits(binary.LittleEndian.Uint64(wire[x*PixelBytes:])),
+			A: math.Float64frombits(binary.LittleEndian.Uint64(wire[x*PixelBytes+8:])),
+		}
+		if s.Blank() {
+			continue
+		}
+		ops++
+		if srcInFront {
+			OverInto(s, &dst[x])
+		} else {
+			dst[x] = Over(dst[x], s)
 		}
 	}
 	return ops

@@ -58,18 +58,20 @@ func TestEncodeRegionMatchesPackPixels(t *testing.T) {
 
 func TestEncodeRegionClearsDirtyScratch(t *testing.T) {
 	// A reused buffer full of garbage must not leak into blank flanks of
-	// a region that sticks out of the image bounds.
+	// a region that sticks out of the image bounds, nor survive in one
+	// inside them, which is written without being cleared first.
 	im := sparseImage(2, XYWH(10, 10, 6, 6))
-	region := XYWH(4, 4, 20, 20)
-	var c Codec
-	dirty := c.Grab(region.Area() * PixelBytes)
-	dirty = append(dirty, bytes.Repeat([]byte{0xAB}, region.Area()*PixelBytes)...)
-	c.Retain(dirty)
+	for _, region := range []Rect{XYWH(4, 4, 20, 20), XYWH(11, 11, 4, 5)} {
+		var c Codec
+		dirty := c.Grab(region.Area() * PixelBytes)
+		dirty = append(dirty, bytes.Repeat([]byte{0xAB}, region.Area()*PixelBytes)...)
+		c.Retain(dirty)
 
-	want := PackPixels(im.PackRegion(region))
-	got := EncodeRegion(im, region, c.Grab(region.Area()*PixelBytes))
-	if !bytes.Equal(got, want) {
-		t.Fatal("EncodeRegion into dirty scratch differs from clean encoding")
+		want := PackPixels(im.PackRegion(region))
+		got := EncodeRegion(im, region, c.Grab(region.Area()*PixelBytes))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: EncodeRegion into dirty scratch differs from clean encoding", region)
+		}
 	}
 }
 

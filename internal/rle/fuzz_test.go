@@ -6,9 +6,11 @@ import (
 	"sortlast/internal/frame"
 )
 
-// FuzzUnpack feeds arbitrary bytes to the bg/fg-encoding parser: it must
-// never panic, and anything it accepts must be internally consistent
-// (walkable without error).
+// FuzzUnpack feeds arbitrary bytes to the bg/fg-encoding parsers: they
+// must never panic, and anything they accept must be internally
+// consistent — Unpack's encoding walkable without error, and ParseWire's
+// foreground runs ascending, inside the sequence and covering exactly
+// the payload bytes.
 func FuzzUnpack(f *testing.F) {
 	e := Encode([]frame.Pixel{{}, {I: 0.5, A: 1}, {}, {I: 0.25, A: 0.5}})
 	f.Add(e.Pack(nil))
@@ -28,6 +30,27 @@ func FuzzUnpack(f *testing.F) {
 		})
 		if walkErr != nil {
 			t.Fatalf("accepted encoding fails to walk: %v", walkErr)
+		}
+
+		w, _, err := ParseWire(data)
+		if err != nil {
+			t.Fatalf("Unpack accepts what ParseWire rejects: %v", err)
+		}
+		end, off := 0, 0
+		w.Runs(func(seq int, px []byte) {
+			n := len(px) / frame.PixelBytes
+			switch {
+			case n == 0 || len(px)%frame.PixelBytes != 0:
+				t.Fatalf("run at %d holds %d bytes", seq, len(px))
+			case seq < end || seq+n > w.Total():
+				t.Fatalf("run [%d,%d) after %d or past total %d", seq, seq+n, end, w.Total())
+			case &px[0] != &w.px[off]:
+				t.Fatalf("run at %d is not the payload's next %d bytes", seq, len(px))
+			}
+			end, off = seq+n, off+len(px)
+		})
+		if off != len(w.px) {
+			t.Fatalf("runs cover %d of %d payload bytes", off, len(w.px))
 		}
 	})
 }

@@ -9,10 +9,11 @@ import (
 // This file holds the zero-copy side of the background/foreground codec:
 // SeqEncoder/EncodeRect build an Encoding straight from image rows (or
 // any pixel stream) into caller-owned slices with no intermediate
-// []Pixel sequence, and Wire is a validated view over packed bytes that
-// walks foreground pixels without allocating Codes or NonBlank slices.
-// Both are bit-identical to the allocating Encode/Unpack pair, which
-// remains the tested reference.
+// []Pixel sequence, Writer (writer.go) goes one step further and writes
+// the packed form straight from the rows, and Wire is a validated view
+// over packed bytes that walks foreground runs without allocating Codes
+// or NonBlank slices. All are bit-identical to the allocating
+// Encode/Pack/Unpack trio, which remains the tested reference.
 
 // SeqEncoder incrementally encodes a pixel sequence with exactly the
 // semantics of Encode — the same maximal-run state machine and the same
@@ -23,6 +24,10 @@ type SeqEncoder struct {
 	e          *Encoding
 	run        int
 	blankPhase bool
+	// count makes Pixels count the foreground in fg instead of storing
+	// it in e.NonBlank: the Writer's first pass. Start keeps it.
+	count bool
+	fg    int
 }
 
 // Start attaches the encoder to e, truncating e's slices in place so
@@ -34,6 +39,7 @@ func (se *SeqEncoder) Start(e *Encoding) {
 	se.e = e
 	se.run = 0
 	se.blankPhase = true
+	se.fg = 0
 }
 
 // Blank appends n known-blank pixels without scanning anything.
@@ -50,25 +56,31 @@ func (se *SeqEncoder) Blank(n int) {
 	se.e.Total += n
 }
 
-// Pixels scans a pixel slice, classifying each as blank or foreground.
+// Pixels scans a pixel slice, classifying each as blank or foreground,
+// one maximal stretch of the current phase at a time.
 func (se *SeqEncoder) Pixels(px []frame.Pixel) {
-	for _, p := range px {
-		if p.Blank() {
-			if !se.blankPhase {
-				se.emit(se.run)
-				se.run = 0
-				se.blankPhase = true
+	for i := 0; i < len(px); {
+		j := i
+		if se.blankPhase {
+			for j < len(px) && px[j].Blank() {
+				j++
 			}
-			se.run++
 		} else {
-			if se.blankPhase {
-				se.emit(se.run)
-				se.run = 0
-				se.blankPhase = false
+			for j < len(px) && !px[j].Blank() {
+				j++
 			}
-			se.e.NonBlank = append(se.e.NonBlank, p)
-			se.run++
+			if se.count {
+				se.fg += j - i
+			} else {
+				se.e.NonBlank = append(se.e.NonBlank, px[i:j]...)
+			}
 		}
+		se.run += j - i
+		if j < len(px) { // px[j] opens a run of the other phase
+			se.emit(se.run)
+			se.run, se.blankPhase = 0, !se.blankPhase
+		}
+		i = j
 	}
 	se.e.Total += len(px)
 }
@@ -106,26 +118,36 @@ func (se *SeqEncoder) emit(n int) {
 // while deriving blank flanks outside the image bounds arithmetically
 // instead of scanning materialized blank pixels.
 func EncodeRect(img *frame.Image, region frame.Rect, e *Encoding) {
-	region = region.Intersect(img.Full())
 	var se SeqEncoder
 	se.Start(e)
-	bounds := img.Bounds()
+	feedRect(img, region, &se)
+	se.Finish()
+}
+
+// Sequence is what a pixel sequence is fed to, blank stretches as
+// counts and pixels as slices: a SeqEncoder, or a Writer.
+type Sequence interface {
+	Blank(n int)
+	Pixels(px []frame.Pixel)
+}
+
+// feedRect feeds the pixels of region (clipped to the image's full
+// frame) row-major to s: the image's rows as they are, the parts outside
+// its bounds as blank runs.
+func feedRect(img *frame.Image, region frame.Rect, s Sequence) {
+	region = region.Intersect(img.Full())
+	left := max(img.Bounds().X0-region.X0, 0)
 	w := region.Dx()
 	for y := region.Y0; y < region.Y1; y++ {
 		row := img.Row(y, region.X0, region.X1)
 		if row == nil {
-			se.Blank(w)
+			s.Blank(w)
 			continue
 		}
-		left := 0
-		if bounds.X0 > region.X0 {
-			left = bounds.X0 - region.X0
-		}
-		se.Blank(left)
-		se.Pixels(row)
-		se.Blank(w - left - len(row))
+		s.Blank(left)
+		s.Pixels(row)
+		s.Blank(w - left - len(row))
 	}
-	se.Finish()
 }
 
 // Wire is a validated zero-copy view over a Pack-serialized encoding:
@@ -187,21 +209,32 @@ func (w Wire) code(i int) int {
 	return int(w.codes[2*i]) | int(w.codes[2*i+1])<<8
 }
 
-// Walk calls fn once per foreground pixel with its position in the
-// encoded sequence, in order, decoding pixels on the fly from the wire
-// bytes. The view was validated at parse time, so Walk cannot fail.
-func (w Wire) Walk(fn func(seq int, p frame.Pixel)) {
-	pos, payload := 0, 0
-	blankPhase := true
+// Runs calls fn once per non-empty foreground run, in sequence order,
+// with the run's first position in the encoded sequence and its packed
+// pixels — a slice of the message buffer. It is the one walk of the
+// codes: Walk, the Writer's second pass and the compositors' run-length
+// decoders all run on it. The view was validated at parse time, so Runs
+// cannot fail.
+func (w Wire) Runs(fn func(seq int, px []byte)) {
+	pos, off := 0, 0
 	for i, n := 0, w.NumCodes(); i < n; i++ {
 		c := w.code(i)
-		if !blankPhase {
-			for k := 0; k < c; k++ {
-				fn(pos+k, frame.GetPixel(w.px[(payload+k)*frame.PixelBytes:]))
-			}
-			payload += c
+		if i%2 == 1 && c > 0 {
+			end := off + c*frame.PixelBytes
+			fn(pos, w.px[off:end])
+			off = end
 		}
 		pos += c
-		blankPhase = !blankPhase
 	}
+}
+
+// Walk calls fn once per foreground pixel with its position in the
+// encoded sequence, in order, decoding pixels on the fly from the wire
+// bytes.
+func (w Wire) Walk(fn func(seq int, p frame.Pixel)) {
+	w.Runs(func(seq int, px []byte) {
+		for k := 0; k < len(px); k += frame.PixelBytes {
+			fn(seq+k/frame.PixelBytes, frame.GetPixel(px[k:]))
+		}
+	})
 }

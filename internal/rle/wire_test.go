@@ -1,6 +1,7 @@
 package rle
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -189,5 +190,101 @@ func TestParseWireRejectsCorrupt(t *testing.T) {
 	}
 	if _, _, err := Unpack(bad); err == nil {
 		t.Fatal("Unpack accepted over-covering runs")
+	}
+}
+
+// packRect is the reference the Writer is checked against: EncodeRect,
+// then Pack.
+func packRect(im *frame.Image, region frame.Rect) (buf []byte, codes, pixels int) {
+	var e Encoding
+	EncodeRect(im, region, &e)
+	return e.Pack(nil), len(e.Codes), len(e.NonBlank)
+}
+
+// dirty returns a buffer holding prefix whose spare capacity, n bytes in
+// all, holds garbage, as a reused message buffer does.
+func dirty(prefix []byte, n int) []byte {
+	buf := append(make([]byte, 0, n), prefix...)
+	garbage := buf[len(buf):cap(buf)]
+	for i := range garbage {
+		garbage[i] = 0xAB
+	}
+	return buf
+}
+
+// The Writer's bytes must be EncodeRect + Pack's, on every region shape
+// and after whatever its scratch held from earlier messages: regions
+// partly or wholly outside the image's bounds, empty ones, all-blank
+// ones, and runs past 65,535 pixels in both phases.
+func TestWriterMatchesPack(t *testing.T) {
+	type rectCase struct {
+		name   string
+		im     *frame.Image
+		region frame.Rect
+	}
+	var cases []rectCase
+	for _, tc := range rectCases() {
+		cases = append(cases, rectCase{tc.name, sparseImage(1, 32, 32, tc.bounds), tc.region})
+	}
+	blank := frame.NewImageBounds(32, 32, frame.XYWH(4, 4, 16, 16))
+	cases = append(cases, rectCase{"all-blank", blank, frame.XYWH(2, 2, 20, 20)})
+	// 300x300 = 90,000 pixels: one foreground run past 65,535, a leading
+	// blank run past it, and a trailing one.
+	full := frame.NewImage(320, 300)
+	lead := frame.NewImage(320, 300)
+	trail := frame.NewImage(320, 300)
+	for y := 0; y < 300; y++ {
+		for x := 0; x < 300; x++ {
+			full.Set(x, y, px(0.25, 0.5))
+		}
+	}
+	lead.Set(299, 299, px(0.5, 0.5))
+	trail.Set(0, 0, px(0.5, 0.5))
+	for _, im := range []*frame.Image{full, lead, trail} {
+		cases = append(cases, rectCase{"long-runs", im, frame.XYWH(0, 0, 300, 300)})
+	}
+
+	var w Writer
+	prefix := []byte{1, 2, 3}
+	for _, tc := range cases {
+		want, wantCodes, wantPixels := packRect(tc.im, tc.region)
+		got, codes, pixels := w.AppendRect(dirty(prefix, 1<<21), tc.im, tc.region)
+		if !bytes.Equal(got[:3], prefix) || !bytes.Equal(got[3:], want) {
+			t.Fatalf("%s: Writer wrote %d bytes, EncodeRect+Pack %d, or they differ",
+				tc.name, len(got)-3, len(want))
+		}
+		if codes != wantCodes || pixels != wantPixels {
+			t.Fatalf("%s: Writer counted %d codes, %d pixels; want %d, %d",
+				tc.name, codes, pixels, wantCodes, wantPixels)
+		}
+	}
+}
+
+// TestWriterQuick feeds one random sequence to the Writer, chopped into
+// arbitrary Blank/Pixels chunks, and to Encode; the Writer must append
+// exactly Pack's bytes.
+func TestWriterQuick(t *testing.T) {
+	var w Writer
+	property := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var seq []frame.Pixel
+		w.Start()
+		for chunk, n := 0, r.Intn(8); chunk < n; chunk++ {
+			if r.Intn(2) == 0 {
+				k := r.Intn(40)
+				seq = append(seq, make([]frame.Pixel, k)...)
+				w.Blank(k)
+			} else {
+				pxs := randSparsePixels(r, r.Intn(40), r.Float64())
+				seq = append(seq, pxs...)
+				w.Pixels(pxs)
+			}
+		}
+		got, _, _ := w.Append(dirty(nil, 1<<13))
+		want := Encode(seq)
+		return bytes.Equal(got, want.Pack(nil))
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
