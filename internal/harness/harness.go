@@ -98,8 +98,16 @@ type Row struct {
 }
 
 // datasetCache avoids regenerating the procedural volumes for every
-// experiment; they are immutable once built.
-var datasetCache sync.Map // map[string]*volume.Volume
+// experiment; they are immutable once built. Each entry is built once:
+// concurrent first callers wait for one build instead of each making
+// their own.
+var datasetCache sync.Map // map[string]*cachedVolume
+
+type cachedVolume struct {
+	once sync.Once
+	v    *volume.Volume
+	err  error
+}
 
 // datasets is the one table of built-in workloads: the paper's four
 // names in table order, each with the procedural volume it renders (the
@@ -141,15 +149,13 @@ func datasetVolume(name string) (*volume.Volume, error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown dataset %q", name)
 	}
-	if v, ok := datasetCache.Load(base); ok {
-		return v.(*volume.Volume), nil
+	e, ok := datasetCache.Load(base)
+	if !ok {
+		e, _ = datasetCache.LoadOrStore(base, new(cachedVolume))
 	}
-	v, err := volume.Generate(base)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := datasetCache.LoadOrStore(base, v)
-	return actual.(*volume.Volume), nil
+	c := e.(*cachedVolume)
+	c.once.Do(func() { c.v, c.err = volume.Generate(base) })
+	return c.v, c.err
 }
 
 // Dataset resolves one of the paper's workload names to its (cached)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"sortlast/internal/core"
@@ -138,6 +140,38 @@ func TestDatasetCacheAndPresets(t *testing.T) {
 	b, _ := datasetVolume("engine_high")
 	if a != b {
 		t.Error("engine_low and engine_high must share the cached engine volume")
+	}
+}
+
+// TestDatasetBuiltOnceUnderConcurrentFirstUse: cold callers racing for
+// one dataset (two replicas' first requests, parallel Runs) share a
+// single build rather than each generating a copy and discarding it.
+func TestDatasetBuiltOnceUnderConcurrentFirstUse(t *testing.T) {
+	datasetCache.Delete(volume.DatasetHead)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	vols := make([]*volume.Volume, 8)
+	var wg sync.WaitGroup
+	wg.Add(len(vols))
+	for i := range vols {
+		go func(i int) {
+			defer wg.Done()
+			v, err := datasetVolume("head")
+			if err != nil {
+				t.Error(err)
+			}
+			vols[i] = v
+		}(i)
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	for i, v := range vols {
+		if v != vols[0] {
+			t.Fatalf("caller %d got a different volume", i)
+		}
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(vols[0].Data)); grew >= limit {
+		t.Errorf("8 first callers allocated %d bytes, want < %d (two volumes)", grew, limit)
 	}
 }
 

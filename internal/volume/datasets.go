@@ -3,6 +3,8 @@ package volume
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // The paper evaluates on four CT samples: Engine_low and Engine_high
@@ -23,35 +25,56 @@ const (
 	DatasetCube   = "cube"
 )
 
+// noiseAmplitude bounds textureNoise's perturbation: ±6 of 255.
+const noiseAmplitude = 6
+
 // textureNoise perturbs non-empty material values like CT acquisition
 // noise does (deterministically, so every process generates an identical
 // volume). Real scans almost never have exactly repeating sample values,
 // which is the premise of the paper's §3.3 argument against value-based
 // run-length encoding; noiseless phantoms would hide it.
-func textureNoise(v *Volume, amplitude int) {
-	for z := 0; z < v.NZ; z++ {
-		for y := 0; y < v.NY; y++ {
-			for x := 0; x < v.NX; x++ {
-				s := v.At(x, y, z)
-				if s == 0 {
-					continue
+func textureNoise(v *Volume) {
+	slabs(v.NZ, func(z0, z1 int) {
+		for z := z0; z < z1; z++ {
+			for y := 0; y < v.NY; y++ {
+				hyz := uint32(y)*2246822519 ^ uint32(z)*3266489917
+				row := v.Data[(z*v.NY+y)*v.NX:][:v.NX]
+				for x, s := range row {
+					if s == 0 {
+						continue
+					}
+					h := uint32(x)*2654435761 ^ hyz
+					h ^= h >> 13
+					h *= 1274126177
+					h ^= h >> 16
+					n := int(s) + int(h%(2*noiseAmplitude+1)) - noiseAmplitude
+					row[x] = uint8(min(max(n, 1), 255))
 				}
-				h := uint32(x)*2654435761 ^ uint32(y)*2246822519 ^ uint32(z)*3266489917
-				h ^= h >> 13
-				h *= 1274126177
-				h ^= h >> 16
-				d := int(h%uint32(2*amplitude+1)) - amplitude
-				n := int(s) + d
-				if n < 1 {
-					n = 1
-				}
-				if n > 255 {
-					n = 255
-				}
-				v.Set(x, y, z, uint8(n))
 			}
 		}
+	})
+}
+
+// slabs splits [0, n) into min(GOMAXPROCS, n) contiguous ranges, runs fn
+// on each in its own goroutine and waits for them. Every pass given to it
+// writes only inside its range, and each value it writes is a function of
+// position and of what earlier passes wrote, so the bytes do not depend
+// on the split.
+func slabs(n int, fn func(lo, hi int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w <= 1 {
+		fn(0, n)
+		return
 	}
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for i := 0; i < w; i++ {
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(i*n/w, (i+1)*n/w)
+	}
+	wg.Wait()
 }
 
 // Generate builds the named dataset at the paper's native dimensions.
@@ -98,7 +121,10 @@ func EngineBlock(nx, ny, nz int) *Volume {
 	}
 	v.Fill(slab, casting)
 
-	// Four cylinders along z: steel liner with hollow bore.
+	// Four cylinders along z: steel liner with hollow bore. What a voxel
+	// becomes depends only on its (x, y) column, so it is decided once per
+	// column, later centers overriding earlier ones, then stamped onto
+	// every slice the cylinders span.
 	rOuter := 0.085 * fx
 	rInner := 0.060 * fx
 	zLo, zHi := int(0.16*fz), int(0.84*fz)
@@ -106,22 +132,35 @@ func EngineBlock(nx, ny, nz int) *Volume {
 		{0.30 * fx, 0.38 * fy}, {0.70 * fx, 0.38 * fy},
 		{0.30 * fx, 0.62 * fy}, {0.70 * fx, 0.62 * fy},
 	}
-	for z := zLo; z < zHi; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				px, py := float64(x)+0.5, float64(y)+0.5
-				for _, c := range centers {
-					d := math.Hypot(px-c[0], py-c[1])
-					switch {
-					case d < rInner:
-						v.Set(x, y, z, 0) // bore: hollow
-					case d < rOuter:
-						v.Set(x, y, z, liner)
-					}
+	const bore, wall = 1, 2 // 0 leaves the column as it is
+	cols := make([]uint8, nx*ny)
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			px, py := float64(x)+0.5, float64(y)+0.5
+			for _, c := range centers {
+				d := math.Hypot(px-c[0], py-c[1])
+				switch {
+				case d < rInner:
+					cols[y*nx+x] = bore
+				case d < rOuter:
+					cols[y*nx+x] = wall
 				}
 			}
 		}
 	}
+	slabs(zHi-zLo, func(lo, hi int) {
+		for z := zLo + lo; z < zLo+hi; z++ {
+			slice := v.Data[z*nx*ny:][:nx*ny]
+			for i, c := range cols {
+				switch c {
+				case bore:
+					slice[i] = 0
+				case wall:
+					slice[i] = liner
+				}
+			}
+		}
+	})
 
 	// Bolt bosses: small dense spheres at the corners of the head slab.
 	rBoss := 0.035 * fx
@@ -130,7 +169,7 @@ func EngineBlock(nx, ny, nz int) *Volume {
 			fillSphere(v, cx, cy, 0.78*fz, rBoss, boss)
 		}
 	}
-	textureNoise(v, 6)
+	textureNoise(v)
 	return v
 }
 
@@ -151,35 +190,39 @@ func HeadPhantom(nx, ny, nz int) *Volume {
 		csf   = 35
 	)
 
-	ell := func(x, y, z, sx, sy, sz float64) float64 {
-		dx, dy, dz := (x-cx)/sx, (y-cy)/sy, (z-cz)/sz
-		return dx*dx + dy*dy + dz*dz
-	}
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				px, py, pz := float64(x)+0.5, float64(y)+0.5, float64(z)+0.5
-				r := ell(px, py, pz, ax, ay, az)
-				switch {
-				case r > 1:
-					// outside the head: air
-				case r > 0.90:
-					v.Set(x, y, z, skin)
-				case r > 0.74:
-					v.Set(x, y, z, skull)
-				default:
-					v.Set(x, y, z, brain)
+	// Only dx varies along a row: dy² and dz² are hoisted as products,
+	// and the sum keeps its left-to-right order.
+	slabs(nz, func(z0, z1 int) {
+		for z := z0; z < z1; z++ {
+			dz := (float64(z) + 0.5 - cz) / az
+			dz2 := dz * dz
+			for y := 0; y < ny; y++ {
+				dy := (float64(y) + 0.5 - cy) / ay
+				dy2 := dy * dy
+				row := v.Data[(z*ny+y)*nx:][:nx]
+				for x := range row {
+					dx := (float64(x) + 0.5 - cx) / ax
+					switch r := dx*dx + dy2 + dz2; {
+					case r > 1:
+						// outside the head: air
+					case r > 0.90:
+						row[x] = skin
+					case r > 0.74:
+						row[x] = skull
+					default:
+						row[x] = brain
+					}
 				}
 			}
 		}
-	}
+	})
 	// Ventricles: two small low-density ellipsoids inside the brain.
 	for _, side := range []float64{-1, 1} {
 		vcx := cx + side*0.10*float64(nx)
 		fillEllipsoid(v, vcx, cy, cz+0.05*float64(nz),
 			0.05*float64(nx), 0.14*float64(ny), 0.10*float64(nz), csf)
 	}
-	textureNoise(v, 6)
+	textureNoise(v)
 	return v
 }
 
