@@ -39,8 +39,9 @@ func BenchmarkRaycastShaded(b *testing.B) {
 }
 
 // raycastScenario is one kernel benchmark configuration; run times both
-// the accelerated kernel and the reference, reporting ns/ray and a
-// pinned allocation count per call.
+// the accelerated kernel and the reference, reporting ns/ray, ns/sample
+// (per sample the kernel evaluates, so the reference's figure includes
+// the samples the kernel skips) and a pinned allocation count per call.
 type raycastScenario struct {
 	vol *volume.Volume
 	tf  *transfer.Func
@@ -66,6 +67,14 @@ func shadedScenario() raycastScenario {
 		cam: NewCamera(128, 128, vol.Bounds(), 15, 25), opt: Options{Shaded: true}}
 }
 
+// orbitHeadScenario is bench/'s render_orbit scene at one point of its
+// orbit: the head dataset at 256², unshaded, rotated (20°, 30°).
+func orbitHeadScenario() raycastScenario {
+	vol := volume.HeadPhantom(256, 256, 113)
+	return raycastScenario{vol: vol, tf: transfer.Head(),
+		cam: NewCamera(256, 256, vol.Bounds(), 20, 30)}
+}
+
 func (s raycastScenario) run(b *testing.B, reference bool) {
 	b.Helper()
 	s.vol.MacroCells() // amortized once per dataset; keep it out of the pin
@@ -73,8 +82,8 @@ func (s raycastScenario) run(b *testing.B, reference bool) {
 	opt := s.opt
 	opt.Stats = &rs
 	Raycast(s.vol, s.vol.Bounds(), s.cam, s.tf, opt)
-	rays := rs.Snapshot().Rays
-	if rays == 0 {
+	work := rs.Snapshot()
+	if work.Rays == 0 {
 		b.Fatal("scenario casts no rays")
 	}
 	render := func() {
@@ -94,7 +103,9 @@ func (s raycastScenario) run(b *testing.B, reference bool) {
 		render()
 	}
 	b.ReportMetric(allocs, "allocs/frame")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rays), "ns/ray")
+	perFrame := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perFrame/float64(work.Rays), "ns/ray")
+	b.ReportMetric(perFrame/float64(work.Samples), "ns/sample")
 }
 
 func BenchmarkRaycastDense(b *testing.B)  { denseScenario().run(b, false) }
@@ -102,8 +113,12 @@ func BenchmarkRaycastSparse(b *testing.B) { sparseScenario().run(b, false) }
 func BenchmarkRaycastShadedHead(b *testing.B) {
 	shadedScenario().run(b, false)
 }
+func BenchmarkRaycastOrbitHead(b *testing.B)       { orbitHeadScenario().run(b, false) }
 func BenchmarkRaycastDenseReference(b *testing.B)  { denseScenario().run(b, true) }
 func BenchmarkRaycastSparseReference(b *testing.B) { sparseScenario().run(b, true) }
 func BenchmarkRaycastShadedHeadReference(b *testing.B) {
 	shadedScenario().run(b, true)
+}
+func BenchmarkRaycastOrbitHeadReference(b *testing.B) {
+	orbitHeadScenario().run(b, true)
 }

@@ -18,7 +18,7 @@ import (
 const skipSafety = 0.25
 
 // kernel is one Raycast invocation's precomputed state: transfer tables
-// and their derived skip/correction tables, the volume's voxels and its
+// and their derived skip table, the volume's voxels and its
 // macro-cell grid, and the part of the box that can reach the frame.
 // Building it costs microseconds (plus the once-per-volume grid build,
 // amortized by the cache on the volume) and removes the reference
@@ -41,12 +41,20 @@ type kernel struct {
 	data       []uint8
 	nx, ny, nz int
 	grid       *volume.MacroGrid
+	innerCells [3]uint // per axis, how many cells from 1 up are inner
 
 	opac, inten *[256]float64
-	corr        [256]float64 // 1 − (1−Opacity[j]); exact where the table is flat
-	flat        [256]bool    // Opacity[j] == Opacity[j+1]
-	nzBelow     [257]int32   // count of non-zero Opacity entries with index < j
+	nzBelow     [257]int32 // count of non-zero Opacity entries with index < j
 }
+
+// u8f is float64(b) for every byte b: the voxel loads' conversion as
+// one exact table load.
+var u8f = func() (t [256]float64) {
+	for i := range t {
+		t[i] = float64(i)
+	}
+	return t
+}()
 
 func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *kernel {
 	k := &kernel{
@@ -65,14 +73,11 @@ func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Fun
 		if tf.Opacity[j] != 0 {
 			nz++
 		}
-		// The reference's opacity correction at a unit step, 1−(1−op) —
-		// which is NOT op in floats.
-		k.corr[j] = 1 - (1 - tf.Opacity[j])
-		if j < 255 {
-			k.flat[j] = tf.Opacity[j] == tf.Opacity[j+1]
-		}
 	}
 	k.nzBelow[256] = nz
+	for a, n := range [3]int{vol.NX, vol.NY, vol.NZ} {
+		k.innerCells[a] = uint(max((n-2)>>volume.MacroShift-1, 0))
+	}
 	k.clip = k.occupied(box)
 	return k
 }
@@ -119,6 +124,15 @@ func (k *kernel) cellEmpty(cx, cy, cz int) bool {
 		hi = 255
 	}
 	return k.nzBelow[hi+1] == k.nzBelow[lo]
+}
+
+// inner reports whether every sample a run in macro cell c can hold
+// reads only in-volume voxels at non-negative coordinates. Such a run's
+// samples lie in the cell or, carried over from the cells before it,
+// within 0.75 voxel of its entry face in the shifted coordinates
+// (x−0.5, …) that the floors take; DESIGN.md §11 gives the bound.
+func (k *kernel) inner(c [3]int) bool {
+	return uint(c[0]-1) < k.innerCells[0] && uint(c[1]-1) < k.innerCells[1] && uint(c[2]-1) < k.innerCells[2]
 }
 
 // contains tests sample index kk's world position against the clip box,
@@ -238,7 +252,7 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 				if hi > kB {
 					hi = kB
 				}
-				if k.processRun(origin, kNext, hi, acc, st) {
+				if k.processRun(origin, kNext, hi, k.inner(c), acc, st) {
 					return
 				}
 				kNext = hi + 1
@@ -254,7 +268,7 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 				kCellHi = kB
 			}
 			if kCellHi >= kNext {
-				if k.processRun(origin, kNext, kCellHi, acc, st) {
+				if k.processRun(origin, kNext, kCellHi, k.inner(c), acc, st) {
 					return
 				}
 				kNext = kCellHi + 1
@@ -275,69 +289,66 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *S
 }
 
 // processRun evaluates sample indices k0..k1 exactly as the reference
-// kernel does and reports whether the ray hit the early-termination
+// kernel does and reports whether the ray reached the early-termination
 // cutoff. Positions stay closed-form (k+0.5 from the plane point, never
 // incrementally accumulated) so they are bit-identical to the reference
-// kernel's.
-func (k *kernel) processRun(origin [3]float64, k0, k1 int, acc *frame.Pixel, st *StatsSnapshot) bool {
+// kernel's. Every sample is composited, with no branch on its value: a
+// sample of zero opacity adds w = +0, which leaves I and A bit for bit
+// where the reference's continue leaves them (DESIGN.md §11). An inner
+// run (see inner) of an unshaded frame loads its voxels directly, with
+// int() as the floor and no call in the loop, so I and A stay in
+// registers; any other run calls sample and shade.
+func (k *kernel) processRun(origin [3]float64, k0, k1 int, inner bool, acc *frame.Pixel, st *StatsSnapshot) bool {
 	d := k.cam.Dir
-	for kk := k0; kk <= k1; kk++ {
-		t := float64(kk) + 0.5
-		x := origin[0] + t*d[0]
-		y := origin[1] + t*d[1]
-		z := origin[2] + t*d[2]
-		st.Samples++
-		if k.accumulate(x, y, z, acc) {
-			return true
+	data, nx, nxy := k.data, k.nx, k.nx*k.ny
+	cutoff := k.cutoff
+	I, A := acc.I, acc.A // A < cutoff: the run before did not terminate
+	kk := k0
+	if inner && !k.shaded {
+		for ; kk <= k1 && A < cutoff; kk++ {
+			t := float64(kk) + 0.5
+			x := origin[0] + t*d[0] - 0.5
+			y := origin[1] + t*d[1] - 0.5
+			z := origin[2] + t*d[2] - 0.5
+			x0, y0, z0 := int(x), int(y), int(z)
+			b := z0*nxy + y0*nx + x0
+			op, in := k.classify(trilinear(
+				u8f[data[b]], u8f[data[b+1]], u8f[data[b+nx]], u8f[data[b+nx+1]],
+				u8f[data[b+nxy]], u8f[data[b+nxy+1]], u8f[data[b+nxy+nx]], u8f[data[b+nxy+nx+1]],
+				x-float64(x0), y-float64(y0), z-float64(z0)))
+			w := (1 - A) * (1 - (1 - op))
+			I, A = I+w*in, A+w
+		}
+	} else {
+		for ; kk <= k1 && A < cutoff; kk++ {
+			t := float64(kk) + 0.5
+			x := origin[0] + t*d[0]
+			y := origin[1] + t*d[1]
+			z := origin[2] + t*d[2]
+			op, in := k.classify(k.sample(x, y, z))
+			if k.shaded && op > 0 {
+				in *= k.shade(x, y, z)
+			}
+			w := (1 - A) * (1 - (1 - op))
+			I, A = I+w*in, A+w
 		}
 	}
-	return false
+	acc.I, acc.A = I, A
+	st.Samples += int64(kk - k0)
+	return A >= cutoff
 }
 
-// accumulate classifies, shades and composites one sample. Each
-// shortcut reproduces the reference arithmetic bit for bit:
-//
-//   - the transfer lookup inlines transfer.Func.Classify;
-//   - where the opacity table is flat across the interpolation span,
-//     the lerp returns the table entry exactly, so the precomputed
-//     correction corr[i] applies; elsewhere the correction 1−(1−op) is
-//     computed in place, as the reference does.
-func (k *kernel) accumulate(x, y, z float64, acc *frame.Pixel) bool {
-	v := k.sample(x, y, z)
-
-	var op, in, a float64
-	switch {
-	case v <= 0:
-		op, in, a = k.opac[0], k.inten[0], k.corr[0]
-	case v >= 1:
-		op, in, a = k.opac[255], k.inten[255], k.corr[255]
-	default:
-		xf := v * 255
-		i := int(xf)
-		t := xf - float64(i)
-		o0 := k.opac[i]
-		op = o0 + t*(k.opac[i+1]-o0)
-		if op <= 0 {
-			return false
-		}
-		in0 := k.inten[i]
-		in = in0 + t*(k.inten[i+1]-in0)
-		if k.flat[i] {
-			a = k.corr[i]
-		} else {
-			a = 1 - (1 - op)
-		}
-	}
-	if op <= 0 {
-		return false
-	}
-	if k.shaded {
-		in *= k.shade(x, y, z)
-	}
-	w := (1 - acc.A) * a
-	acc.I += w * in
-	acc.A += w
-	return acc.A >= k.cutoff
+// classify is transfer.Func.Classify without its range tests. A sample
+// value v lies in [0, 1], and at v = 0 and v = 1 the lerp weight f is
+// 0, so the lerp returns the end entry as Classify does; j's clamp
+// keeps v = 1 on entry 255. The uint8 indices drop the bounds checks.
+func (k *kernel) classify(v float64) (op, in float64) {
+	xf := v * 255
+	i := int(xf)
+	j := min(i+1, 255)
+	f := xf - float64(i)
+	o0, n0 := k.opac[uint8(i)], k.inten[uint8(i)]
+	return o0 + f*(k.opac[uint8(j)]-o0), n0 + f*(k.inten[uint8(j)]-n0)
 }
 
 // sample reproduces volume.Volume.Sample bit for bit: direct strided
@@ -349,31 +360,25 @@ func (k *kernel) sample(x, y, z float64) float64 {
 	z -= 0.5
 	x0, y0, z0 := floorInt(x), floorInt(y), floorInt(z)
 	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
-
-	var c000, c100, c010, c110, c001, c101, c011, c111 float64
 	if x0 >= 0 && y0 >= 0 && z0 >= 0 && x0+1 < k.nx && y0+1 < k.ny && z0+1 < k.nz {
-		d := k.data
-		nx, nxy := k.nx, k.nx*k.ny
-		base := (z0*k.ny+y0)*k.nx + x0
-		c000 = float64(d[base])
-		c100 = float64(d[base+1])
-		c010 = float64(d[base+nx])
-		c110 = float64(d[base+nx+1])
-		c001 = float64(d[base+nxy])
-		c101 = float64(d[base+nxy+1])
-		c011 = float64(d[base+nxy+nx])
-		c111 = float64(d[base+nxy+nx+1])
-	} else {
-		v := k.vol
-		c000 = float64(v.At(x0, y0, z0))
-		c100 = float64(v.At(x0+1, y0, z0))
-		c010 = float64(v.At(x0, y0+1, z0))
-		c110 = float64(v.At(x0+1, y0+1, z0))
-		c001 = float64(v.At(x0, y0, z0+1))
-		c101 = float64(v.At(x0+1, y0, z0+1))
-		c011 = float64(v.At(x0, y0+1, z0+1))
-		c111 = float64(v.At(x0+1, y0+1, z0+1))
+		d, nx, nxy := k.data, k.nx, k.nx*k.ny
+		b := z0*nxy + y0*nx + x0
+		return trilinear(
+			u8f[d[b]], u8f[d[b+1]], u8f[d[b+nx]], u8f[d[b+nx+1]],
+			u8f[d[b+nxy]], u8f[d[b+nxy+1]], u8f[d[b+nxy+nx]], u8f[d[b+nxy+nx+1]],
+			fx, fy, fz)
 	}
+	v := k.vol
+	return trilinear(
+		u8f[v.At(x0, y0, z0)], u8f[v.At(x0+1, y0, z0)],
+		u8f[v.At(x0, y0+1, z0)], u8f[v.At(x0+1, y0+1, z0)],
+		u8f[v.At(x0, y0, z0+1)], u8f[v.At(x0+1, y0, z0+1)],
+		u8f[v.At(x0, y0+1, z0+1)], u8f[v.At(x0+1, y0+1, z0+1)],
+		fx, fy, fz)
+}
+
+// trilinear is Volume.Sample's lerp chain over the corners cXYZ.
+func trilinear(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz float64) float64 {
 	c00 := c000 + fx*(c100-c000)
 	c10 := c010 + fx*(c110-c010)
 	c01 := c001 + fx*(c101-c001)
@@ -407,7 +412,7 @@ func (k *kernel) shade(x, y, z float64) float64 {
 // truncated value converts back to float64 exactly, and one compare
 // steps it to the floor (ceiling) when truncation rounded the wrong way.
 // Under GOAMD64=v1, math.Floor is a runtime SSE4.1 test and a call that
-// spills every live register; the kernel takes three per sample.
+// spills every live register; sample takes three per call.
 func floorInt(x float64) int {
 	i := int(x)
 	if float64(i) > x {

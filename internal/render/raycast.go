@@ -73,7 +73,9 @@ const (
 // The implementation is the accelerated kernel — rays clipped to the
 // occupied hull of the box, macro-cell empty-space skipping over a
 // min/max grid, a contiguous in-box sample interval in place of
-// per-sample containment checks, precomputed opacity correction — but
+// per-sample containment checks, a sample loop that classifies and
+// composites every sample without branching on its value, and a volume
+// border test made once per macro cell instead of once per sample — but
 // its output is bit-identical to RaycastReference for every method,
 // shading and worker-count combination (DESIGN.md §11 explains why; the
 // identity tests enforce it). The image's bounds are the box's

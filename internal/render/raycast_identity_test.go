@@ -216,6 +216,77 @@ func randomBox(rng *rand.Rand, v *volume.Volume, aligned bool) volume.Box {
 	return b
 }
 
+// edgeVolume builds a volume whose sides are mostly not multiples of
+// the macro cell, some as thin as one cell, holding boxes that touch
+// its near and far faces and blocks
+// saturated at 255, whose interiors sample to exactly v = 1. Rays then
+// cross from cells whose runs read only in-volume voxels into border
+// cells, and classify at the top table entry.
+func edgeVolume(rng *rand.Rand) *volume.Volume {
+	const m = volume.MacroCell
+	var dims [3]int
+	for a := range dims {
+		dims[a] = m*(1+rng.Intn(6)) + 1 + rng.Intn(m-1) // 9 … 55
+		if rng.Intn(4) == 0 {
+			dims[a] = m - 1 + rng.Intn(4) // one cell, give or take a voxel
+		}
+	}
+	v := volume.New(dims[0], dims[1], dims[2])
+	if rng.Intn(3) == 0 { // content on every face
+		v.Fill(v.Bounds(), uint8(1+rng.Intn(254)))
+	}
+	for i := 0; i < 2+rng.Intn(4); i++ {
+		var b volume.Box
+		for a, n := range dims {
+			b.Lo[a] = rng.Intn(n)
+			b.Hi[a] = b.Lo[a] + 2 + rng.Intn(n/2)
+		}
+		b.Lo[rng.Intn(3)] = 0
+		b.Hi[rng.Intn(3)] = 1 << 20 // Fill clips it to the far face
+		value := uint8(255)
+		if i%2 == 1 {
+			value = uint8(1 + rng.Intn(254))
+		}
+		v.Fill(b, value)
+	}
+	for i := 0; i < 100; i++ {
+		v.Set(rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2]), uint8(rng.Intn(256)))
+	}
+	return v
+}
+
+// randomTable returns a transfer function that is not a ramp: runs of
+// zeros, flat runs and random entries in random order, a band scaled
+// by 0.25 as Head's soft tissue is (so opacity is not monotone), and in
+// half the tables a non-zero Opacity[0], which makes empty space
+// visible.
+func randomTable(rng *rand.Rand) *transfer.Func {
+	f := &transfer.Func{Name: "table"}
+	scale := 0.05 + rng.Float64()*0.5
+	for v := 0; v < 256; {
+		kind, flat := rng.Intn(3), rng.Float64()*scale
+		for n := 1 + rng.Intn(40); n > 0 && v < 256; n, v = n-1, v+1 {
+			switch kind {
+			case 1:
+				f.Opacity[v] = flat
+			case 2:
+				f.Opacity[v] = rng.Float64() * scale
+			}
+			f.Intensity[v] = rng.Float64()
+		}
+	}
+	lo := rng.Intn(200)
+	for v := lo; v < lo+1+rng.Intn(56); v++ {
+		f.Opacity[v] *= 0.25
+	}
+	if rng.Intn(2) == 0 {
+		f.Opacity[0] = rng.Float64() * scale / 4
+	} else {
+		f.Opacity[0] = 0
+	}
+	return f
+}
+
 // randomRamp returns a random single-ramp transfer function.
 func randomRamp(rng *rand.Rand) *transfer.Func {
 	lo := rng.Intn(120)
@@ -289,6 +360,24 @@ func TestRaycastRandomizedIdentity(t *testing.T) {
 	t.Logf("the clip cut the box in %d of %d blob iterations", clipped, iters)
 	if 2*clipped < iters {
 		t.Errorf("the clip differed from the box in %d of %d blob iterations, want at least half", clipped, iters)
+	}
+
+	// Classification and border edge cases: tables that are not ramps,
+	// samples at exactly v = 1, and runs that cross from inner cells
+	// into cells that read past the volume's far faces.
+	rng = rand.New(rand.NewSource(13))
+	for i := 0; i < iters; i++ {
+		v := edgeVolume(rng)
+		tf := randomTable(rng)
+		if i%4 == 3 {
+			tf = randomRamp(rng)
+		}
+		cam := NewCamera(48, 48, v.Bounds(), rng.Float64()*360, rng.Float64()*360)
+		box := v.Bounds()
+		if rng.Intn(3) == 0 {
+			box = randomBox(rng, v, false)
+		}
+		requireReference(t, fmt.Sprintf("edge iter %d", i), v, box, cam, tf, randomOptions())
 	}
 }
 
@@ -375,6 +464,24 @@ func TestRaycastStats(t *testing.T) {
 	Raycast(v, v.Bounds(), cam, tf, Options{workers: 4, Stats: &par})
 	if p := par.Snapshot(); p != s {
 		t.Errorf("parallel counters %+v differ from serial %+v", p, s)
+	}
+}
+
+// TestRaycastWorkCountersPinned pins the work counters exactly on one
+// fixed head-phantom scene, serially and with three workers. Which
+// samples are evaluated, skipped or cut off by early termination, and
+// how they are counted, must not move any of them.
+func TestRaycastWorkCountersPinned(t *testing.T) {
+	v := volume.HeadPhantom(96, 96, 48)
+	tf := transfer.Head()
+	cam := NewCamera(96, 96, v.Bounds(), 20, 30)
+	want := StatsSnapshot{Rays: 3630, Samples: 90511, SamplesSkipped: 48221, CellsVisited: 28485, CellsSkipped: 11165}
+	for _, w := range []int{1, 3} {
+		var st Stats
+		Raycast(v, v.Bounds(), cam, tf, Options{workers: w, Stats: &st})
+		if got := st.Snapshot(); got != want {
+			t.Errorf("workers=%d: counters %+v, want %+v", w, got, want)
+		}
 	}
 }
 
