@@ -90,7 +90,7 @@ func benchWorldOpts() mp.Options { return mp.Options{RecvTimeout: 120 * time.Sec
 // rendered subimages and returns the per-rank counters.
 func compositeOnce(b testing.TB, env *benchEnv, method string, granularity int) []*stats.Rank {
 	b.Helper()
-	comp, err := core.Build(method, granularity, 0, nil)
+	comp, err := core.Build(method, granularity, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,13 +415,13 @@ func BenchmarkAblationInterleave(b *testing.B) {
 // BenchmarkAblationEncodings compares the sparse-pixel encodings the
 // paper discusses, as binary-swap variants on the same scene: bounding
 // rectangle + bg/fg codes (BSBRC), interleaved bg/fg codes (BSLC) and
-// explicit coordinates (BSDPF, 20 B per non-blank pixel). M_max and the
-// encoder-scan volume tell the story.
+// the dense bounding rectangle (BSBR). M_max and the encoder-scan volume
+// tell the story.
 func BenchmarkAblationEncodings(b *testing.B) {
 	if testing.Short() {
 		b.Skip("paper-scale sweep")
 	}
-	for _, m := range []string{"bsbrc", "bslc", "bsdpf"} {
+	for _, m := range []string{"bsbrc", "bslc", "bsbr"} {
 		b.Run(m, func(b *testing.B) {
 			env := getEnv(b, "engine_low", 384, 8, paperRotX, paperRotY)
 			var rs []*stats.Rank

@@ -29,7 +29,7 @@ var (
 	rank    = flag.Int("rank", -1, "this process's rank (required)")
 	addrs   = flag.String("addrs", "", "comma-separated listen addresses, one per rank (required)")
 	dataset = flag.String("dataset", "cube", "built-in dataset")
-	method  = flag.String("method", "bsbrc", "compositing method (bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb); each runs at any rank count")
+	method  = flag.String("method", "bsbrc", "compositing method (bs, bsbr, bslc, bsbrc, direct, ds, dfb); each runs at any rank count")
 	size    = flag.Int("size", 384, "image size (square)")
 	rotX    = flag.Float64("rotx", 0, "rotation about x (degrees)")
 	rotY    = flag.Float64("roty", 0, "rotation about y (degrees)")

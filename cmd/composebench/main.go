@@ -39,7 +39,6 @@ var (
 	methodsFl = flag.String("method", "", "comma-separated methods overriding each sweep's method set")
 	maxP      = flag.Int("maxp", 64, "largest processor count in the sweep")
 	plist     = flag.String("plist", "", "comma-separated explicit processor counts overriding the power-of-two sweep")
-	tileFl    = flag.Int("tile", 0, "dfb tile edge in pixels (0: core.DefaultTile)")
 	rotX      = flag.Float64("rotx", 20, "viewpoint rotation about x (degrees)")
 	rotY      = flag.Float64("roty", 30, "viewpoint rotation about y (degrees)")
 	csv       = flag.Bool("csv", false, "emit CSV instead of formatted tables")
@@ -123,7 +122,6 @@ func sweep(size int, methods, ds []string, ps []int) ([]harness.Row, error) {
 				cfg := harness.Config{
 					Dataset: d, Width: size, Height: size,
 					P: p, Method: m, RotX: *rotX, RotY: *rotY,
-					Tile: *tileFl,
 				}
 				if *traceOut != "" {
 					cfg.Trace = trace.NewRecorder(p)

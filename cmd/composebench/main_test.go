@@ -47,7 +47,7 @@ func TestBadAxisFailsBeforeTheSweep(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{[]string{"-table", "1", "-method", "bs, nope"}, []string{`unknown compositor "nope"`, "have bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb"}},
+		{[]string{"-table", "1", "-method", "bs, nope"}, []string{`unknown compositor "nope"`, "have bs, bsbr, bslc, bsbrc, direct, ds, dfb"}},
 		{[]string{"-table", "1", "-maxp", "1"}, []string{"-maxp 1", "Usage of"}},
 		{[]string{"-table", "1", "-plist", "4,x"}, []string{`bad processor count "x"`}},
 	} {
@@ -104,10 +104,11 @@ func TestOneCellWritesImageAndTrace(t *testing.T) {
 	}
 }
 
-// rendervol's flags that composebench never had are the flag package's
-// usage error: exit 2 and the listing of the flags that exist.
+// rendervol's flags that composebench never had, and the dfb tile edge
+// it no longer takes, are the flag package's usage error: exit 2 and
+// the listing of the flags that exist.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	for _, flag := range []string{"-p", "-size", "-shaded", "-validate", "-stats"} {
+	for _, flag := range []string{"-p", "-size", "-shaded", "-validate", "-stats", "-tile"} {
 		_, stderr, exit := runCommand(t, "-table", "1", flag)
 		if exit != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag) || !strings.Contains(stderr, "-plist") {
 			t.Errorf("%s: exit %d, stderr:\n%s", flag, exit, stderr)

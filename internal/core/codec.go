@@ -277,64 +277,6 @@ func (b batch) decode(recv []byte, s *stats.Stage,
 	return whole(recv, nil)
 }
 
-// forwarded is direct pixel forwarding (Lee, §2): a count, then each
-// non-blank pixel with explicit x and y coordinates, 20 bytes per pixel.
-// The paper prefers run-length codes because they carry less position
-// information (§3.3).
-type forwarded struct{}
-
-// dpfPixelBytes is the wire cost of one forwarded pixel: two uint16
-// coordinates plus the pixel payload.
-const dpfPixelBytes = 4 + frame.PixelBytes
-
-func (forwarded) bounded() bool { return false }
-
-func (forwarded) encode(buf []byte, _ *arena, img *frame.Image, send region, _ frame.Rect, s *stats.Stage) []byte {
-	off := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	scan := send.rect.Intersect(img.Bounds())
-	var px [frame.PixelBytes]byte
-	for y := scan.Y0; y < scan.Y1; y++ {
-		for i, p := range img.Row(y, scan.X0, scan.X1) {
-			if p.Blank() {
-				continue
-			}
-			x := scan.X0 + i
-			buf = append(buf, byte(x), byte(x>>8), byte(y), byte(y>>8))
-			frame.PutPixel(px[:], p)
-			buf = append(buf, px[:]...)
-		}
-	}
-	n := (len(buf) - off - 4) / dpfPixelBytes
-	binary.LittleEndian.PutUint32(buf[off:], uint32(n))
-	s.Encoded += send.rect.Area() // the scan for non-blank pixels
-	s.SentPixels += n
-	return buf
-}
-
-func (forwarded) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
-	count, body, err := readU32(recv)
-	if err != nil {
-		return frame.ZR, nil, err
-	}
-	n := int(count)
-	if len(body)/dpfPixelBytes < n {
-		return frame.ZR, nil, fmt.Errorf("%d bytes for %d forwarded pixels", len(body), n)
-	}
-	for i := 0; i < n; i++ {
-		off := i * dpfPixelBytes
-		x := int(binary.LittleEndian.Uint16(body[off:]))
-		y := int(binary.LittleEndian.Uint16(body[off+2:]))
-		if !keep.rect.Contains(x, y) {
-			return frame.ZR, nil, fmt.Errorf("forwarded pixel (%d,%d) outside kept half %v", x, y, keep.rect)
-		}
-		img.CompositePixel(x, y, frame.GetPixel(body[off+4:]), front)
-	}
-	s.RecvPixels += keep.rect.Area()
-	s.Composited += n
-	return frame.ZR, body[n*dpfPixelBytes:], nil
-}
-
 // intervalRLE is the load-balanced format (§3.3): the pixels of an
 // interleaved interval set, in sequence order, as background/foreground
 // run-length codes plus the non-blank pixels.

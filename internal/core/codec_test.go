@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,7 +27,6 @@ var codecCases = []struct {
 	{"rectRaw", rectRaw{}, false},
 	{"rectRLE", rectRLE{}, false},
 	{"rectRLE-batched", rectRLE{batched: true}, false},
-	{"forwarded", forwarded{}, false},
 	{"intervalRLE", intervalRLE{}, true},
 }
 
@@ -311,68 +309,9 @@ func sameBits(t *testing.T, name string, got, want *frame.Image, gotN, wantN int
 	}
 }
 
-// packForwarded is the forwarded codec's message for region.
-func packForwarded(img *frame.Image, r frame.Rect) []byte {
-	var s stats.Stage
-	return forwarded{}.encode(nil, nil, img, region{rect: r}, frame.ZR, &s)
-}
-
-func TestForwardedSkipsBlanksAndClips(t *testing.T) {
-	img := frame.NewImage(16, 16)
-	img.Set(2, 2, frame.Pixel{I: 1, A: 1})
-	img.Set(9, 9, frame.Pixel{I: 1, A: 1})
-	// Region covering only the first pixel.
-	buf := packForwarded(img, frame.XYWH(0, 0, 8, 8))
-	if n := binary.LittleEndian.Uint32(buf); n != 1 {
-		t.Errorf("forwarded %d pixels, want 1", n)
-	}
-}
-
-func TestForwardedRejectsCorruption(t *testing.T) {
-	img := frame.NewImage(8, 8)
-	keep := frame.XYWH(0, 0, 8, 8)
-	decode := func(keep frame.Rect, buf []byte) error {
-		var s stats.Stage
-		_, _, err := forwarded{}.decode(img, region{rect: keep}, buf, true, &s)
-		return err
-	}
-	if decode(keep, []byte{1, 2}) == nil {
-		t.Error("truncated header accepted")
-	}
-	// Count says 2 but only one tuple present.
-	src := frame.NewImage(8, 8)
-	src.Set(1, 1, frame.Pixel{I: 1, A: 1})
-	buf := packForwarded(src, keep)
-	binary.LittleEndian.PutUint32(buf[:4], 2)
-	if decode(keep, buf) == nil {
-		t.Error("count/body mismatch accepted")
-	}
-	// A pixel outside the kept half must be rejected.
-	binary.LittleEndian.PutUint32(buf[:4], 1)
-	if decode(frame.XYWH(4, 4, 4, 4), buf) == nil {
-		t.Error("out-of-half pixel accepted")
-	}
-}
-
-// The DPF wire cost is 20 bytes per non-blank pixel, the number the
-// paper's §3.3 compares against 2-byte run codes.
-func TestForwardedWireCost(t *testing.T) {
-	img := frame.NewImage(32, 32)
-	for i := 0; i < 10; i++ {
-		img.Set(i, i, frame.Pixel{I: 1, A: 1})
-	}
-	buf := packForwarded(img, img.Full())
-	if len(buf) != 4+10*dpfPixelBytes {
-		t.Errorf("wire size %d, want %d", len(buf), 4+10*dpfPixelBytes)
-	}
-	if dpfPixelBytes != 20 {
-		t.Errorf("dpf pixel bytes = %d, want 20", dpfPixelBytes)
-	}
-}
-
 // On a sparse scene the paper's ordering of encodings must show up in
-// M_max: direct forwarding (20 B per non-blank pixel, but only
-// non-blanks) sits below raw BS and above BSBRC's rect + 2-byte codes.
+// M_max: BSBRC's rect + 2-byte codes sit below BSBR's dense bounding
+// rectangle, which sits below raw BS's whole half.
 func TestVariantEncodingCostOrdering(t *testing.T) {
 	sc := makeScene(t, volume.EngineBlock(48, 48, 96), transfer.EngineLow(), 96, 96, 20, 30)
 	const p = 8
@@ -381,14 +320,14 @@ func TestVariantEncodingCostOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	mmax := map[string]int{}
-	for _, name := range []string{"bsbrc", "bsdpf", "bs"} {
+	for _, name := range []string{"bsbrc", "bsbr", "bs"} {
 		_, rs := runComposite(t, sc, mustNew(t, name), dec, p)
 		mmax[name] = stats.MaxMessageBytes(rs)
 	}
-	if mmax["bsbrc"] >= mmax["bsdpf"] {
-		t.Errorf("BSBRC M_max %d not below BSDPF %d", mmax["bsbrc"], mmax["bsdpf"])
+	if mmax["bsbrc"] >= mmax["bsbr"] {
+		t.Errorf("BSBRC M_max %d not below BSBR %d", mmax["bsbrc"], mmax["bsbr"])
 	}
-	if mmax["bsdpf"] >= mmax["bs"] {
-		t.Errorf("BSDPF M_max %d not below raw BS %d", mmax["bsdpf"], mmax["bs"])
+	if mmax["bsbr"] >= mmax["bs"] {
+		t.Errorf("BSBR M_max %d not below raw BS %d", mmax["bsbr"], mmax["bs"])
 	}
 }

@@ -1,15 +1,14 @@
 // Package core implements the paper's contribution: the compositing
 // phase of the sort-last-sparse pipeline. Every method is a routing
 // schedule paired with a region codec (registry.go holds the table).
-// Two schedules carry all eight methods: swapLoop, the binary swap of
+// Two schedules carry all seven methods: swapLoop, the binary swap of
 // §3 — BS (plain), BSBR (bounding rectangle), BSLC (run-length encoding
-// over an interleaved, statically load-balanced split), BSBRC (bounding
-// rectangle + run-length encoding) and §2's direct pixel forwarding as
-// a swap variant — and ownerMerge, one route round to static strip or
-// tile owners followed by a depth-order merge (direct, ds, dfb). The
-// codecs (codec.go) each own one wire format end to end. The §5 fold to
-// non-power-of-two processor counts is a pre-stage in front of the swap
-// schedule.
+// over an interleaved, statically load-balanced split) and BSBRC
+// (bounding rectangle + run-length encoding) — and ownerMerge, one
+// route round to static strip or tile owners followed by a depth-order
+// merge (direct, ds, dfb). The codecs (codec.go) each own one wire
+// format end to end. The §5 fold to non-power-of-two processor counts
+// is a pre-stage in front of the swap schedule.
 //
 // All compositors are communication optimizations, not approximations:
 // on the same subimages they produce bit-identical final images, because

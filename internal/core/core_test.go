@@ -48,17 +48,21 @@ func mustNew(t testing.TB, name string) Compositor {
 
 // methodWorld builds the named method and the geometry it runs over at
 // p ranks the way the harness does: over the fold plan, which at a power
-// of two is the plain decomposition under the plain method. tile is the
-// dfb tile edge (0: default).
+// of two is the plain decomposition under the plain method. A positive
+// tile replaces the tile edge of a tiled method (dfb); the others ignore
+// it.
 func methodWorld(t testing.TB, name string, bounds volume.Box, p, tile int) (Compositor, *partition.Decomposition, partition.Layout) {
 	t.Helper()
 	plan, err := partition.PlanFold(bounds, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Build(name, 0, tile, plan)
+	comp, err := Build(name, 0, plan)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m, ok := comp.(*ownerMerge); ok && m.tile > 0 && tile > 0 {
+		m.tile = tile
 	}
 	return comp, plan.Dec, plan
 }
@@ -417,10 +421,10 @@ func TestFoldedMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range registry {
-			if !spec.Caps.Foldable {
+			if !spec.Caps.Paper {
 				continue
 			}
-			comp, err := Build(spec.Name, 0, 0, plan)
+			comp, err := Build(spec.Name, 0, plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,9 +10,9 @@ import (
 	"sortlast/internal/trace"
 )
 
-// DefaultTile is the dfb tile edge when none is configured: big enough
-// that per-tile framing stays small against pixel payloads, small enough
-// that a compact foreground still spreads across owners.
+// DefaultTile is dfb's tile edge: big enough that per-tile framing stays
+// small against pixel payloads, small enough that a compact foreground
+// still spreads across owners.
 const DefaultTile = 64
 
 // ownerMerge is the owner-routed schedule, the Distributed FrameBuffer

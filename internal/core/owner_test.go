@@ -192,7 +192,7 @@ func TestLayoutSizeMismatch(t *testing.T) {
 	}
 	imgs := []*frame.Image{frame.NewImage(16, 16), frame.NewImage(16, 16)}
 	for _, method := range []string{"ds", "dfb"} {
-		comp, err := Build(method, 0, 0, plan)
+		comp, err := Build(method, 0, plan)
 		if err != nil {
 			t.Fatal(err)
 		}

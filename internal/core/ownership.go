@@ -10,7 +10,7 @@ import (
 // Ownership describes which pixels of the full frame a rank holds after
 // compositing; the final gather (gather.go) picks the region codec they
 // travel in from its kind. Rect ownership comes out of the block-split
-// methods (BS, BSBR, BSBRC, BSDPF, direct, ds), a rect set out of dfb's
+// methods (BS, BSBR, BSBRC, direct, ds), a rect set out of dfb's
 // tiles, interval ownership out of BSLC's interleaved split.
 type Ownership interface {
 	// Area returns the number of owned pixels.

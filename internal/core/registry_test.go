@@ -14,7 +14,7 @@ func TestRegistryLists(t *testing.T) {
 	if len(PaperMethods()) != 4 {
 		t.Fatalf("paper methods: %v", PaperMethods())
 	}
-	want := []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "bsdpf", "ds", "dfb"}
+	want := []string{"bs", "bsbr", "bslc", "bsbrc", "direct", "ds", "dfb"}
 	if !reflect.DeepEqual(Names(), want) {
 		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
@@ -48,24 +48,25 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 }
 
-// Build adapts every method to a fold plan: foldable methods get the
-// fold pre-stage, the owner-routed methods take the plan as geometry.
+// Build adapts every method to a fold plan: the swap-schedule (paper)
+// methods get the fold pre-stage, the owner-routed methods take the
+// plan as geometry.
 func TestBuildOverFoldPlan(t *testing.T) {
 	plan, err := partition.PlanFold(volume.Box{Hi: [3]int{32, 32, 32}}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range registry {
-		comp, err := Build(s.Name, 0, 0, plan)
+		comp, err := Build(s.Name, 0, plan)
 		if err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 			continue
 		}
-		if _, folded := comp.(*Folded); folded != s.Caps.Foldable {
-			t.Errorf("%s: folded = %v, want %v", s.Name, folded, s.Caps.Foldable)
+		if _, folded := comp.(*Folded); folded != s.Caps.Paper {
+			t.Errorf("%s: folded = %v, want %v", s.Name, folded, s.Caps.Paper)
 		}
 	}
-	if _, err := Build("nope", 0, 0, plan); err == nil {
+	if _, err := Build("nope", 0, plan); err == nil {
 		t.Error("Build must reject unknown names")
 	}
 }

@@ -39,7 +39,7 @@ func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 			}
 			ref := CompositeSequentialLayout(imgs, plan, viewDir)
 			for _, m := range rows {
-				comp, err := Build(m.name, m.granularity, 0, plan)
+				comp, err := Build(m.name, m.granularity, plan)
 				if err != nil {
 					t.Fatal(err)
 				}

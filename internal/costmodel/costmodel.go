@@ -11,6 +11,7 @@ package costmodel
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"sortlast/internal/stats"
@@ -55,13 +56,15 @@ func (c Cost) Total() time.Duration { return c.Comp + c.Comm }
 //	BSLC  (Eq. 5): Σ (T_enc·A/2^k + To·A_op)  — encode scans + non-blanks
 //	BSBRC (Eq. 7): T_bound·A + Σ (T_enc·A_send + To·A_op)
 //
-// Baselines use the generic form T_bound·scan + T_enc·encoded +
-// To·composited. Communication (Eq. 2/4/6/8) is Σ (Ts + bytes·Tc) over
-// received messages, the fold pre-stage included.
+// A folded method ("BS+fold") follows its inner method's rule on the
+// swap stages; its fold pre-stage, always rectRLE, and the baselines use
+// the generic form T_bound·scan + T_enc·encoded + To·composited.
+// Communication (Eq. 2/4/6/8) is Σ (Ts + bytes·Tc) over received
+// messages, the fold pre-stage included.
 func (p Params) rank(r *stats.Rank) Cost {
 	var c Cost
 	c.Comp += time.Duration(r.BoundScan) * p.Tbound
-	c.Comp += p.stageComp(r.Method, &r.Fold)
+	c.Comp += p.stageComp("", &r.Fold)
 	c.Comm += p.stageComm(&r.Fold)
 	for i := range r.Stages {
 		c.Comp += p.stageComp(r.Method, &r.Stages[i])
@@ -73,7 +76,7 @@ func (p Params) rank(r *stats.Rank) Cost {
 func (p Params) stageComp(method string, s *stats.Stage) time.Duration {
 	var d time.Duration
 	d += time.Duration(s.Encoded) * p.Tencode
-	switch method {
+	switch strings.TrimSuffix(method, "+fold") {
 	case "BS", "BSBR":
 		// The paper charges the over cost for every delivered pixel,
 		// blanks included (the receiving half or rectangle is dense).

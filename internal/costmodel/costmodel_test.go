@@ -70,6 +70,32 @@ func TestCommSkipsSilentStages(t *testing.T) {
 	}
 }
 
+// A folded BS rank keeps Eq. 1 on its swap stages, every received
+// pixel, in the per-rank sum and in the makespan, while its fold
+// pre-stage (rectRLE) is charged what it composited.
+func TestFoldedBSFormula(t *testing.T) {
+	r := &stats.Rank{Method: "BS+fold"}
+	r.Fold.Composited = 50
+	r.Fold.RecvPixels = 5000 // ignored: the fold stage is rectRLE
+	for k := 1; k <= 2; k++ {
+		s := r.StageAt(k)
+		s.RecvPixels = 1000
+		s.Composited = 400 // ignored for BS
+	}
+	want := (50 + 2*1000) * time.Microsecond
+	if c := params().rank(r); c.Comp != want {
+		t.Errorf("BS+fold comp = %v, want %v (To x fold Composited + To x ΣRecvPixels)", c.Comp, want)
+	}
+	pair := []*stats.Rank{{Method: "BS+fold"}, {Method: "BS+fold"}}
+	for _, rk := range pair {
+		s := rk.StageAt(1)
+		s.RecvPixels, s.Composited = 1000, 400
+	}
+	if got, want := params().Makespan(pair), params().Ts+1000*time.Microsecond; got != want {
+		t.Errorf("BS+fold makespan = %v, want %v (Ts + To x RecvPixels)", got, want)
+	}
+}
+
 func TestFoldStageCounted(t *testing.T) {
 	r := &stats.Rank{Method: "BSBRC"}
 	r.Fold.MsgsRecv = 1

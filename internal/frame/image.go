@@ -91,9 +91,9 @@ func (im *Image) Set(x, y int, p Pixel) {
 // clipped to the full frame), so a sequence of one-pixel Sets marching
 // across the frame costs amortized O(1) per pixel instead of a full
 // reallocation-and-copy each — Bounds still reports the exact union.
-// The padding is for that pixel-at-a-time growth (Set, which BSDPF's
-// forwarded decode uses); a caller that knows the rectangle it is about
-// to write wants GrowExact.
+// The padding is for that pixel-at-a-time growth (Set, the tests'
+// fixture setter); a caller that knows the rectangle it is about to
+// write wants GrowExact.
 func (im *Image) Grow(r Rect) {
 	r = r.Intersect(im.full)
 	if im.bounds.ContainsRect(r) {
@@ -361,19 +361,6 @@ func (im *Image) StoreRegion(region Rect, src []Pixel) {
 	for y := region.Y0; y < region.Y1; y++ {
 		dst := im.Row(y, region.X0, region.X1)
 		copy(dst, src[(y-region.Y0)*w:(y-region.Y0)*w+w])
-	}
-}
-
-// CompositePixel composites a single incoming pixel at (x, y), in front
-// of or behind the local pixel. Callers compositing many pixels should
-// Grow the image to the target region first to avoid repeated
-// reallocation.
-func (im *Image) CompositePixel(x, y int, p Pixel, srcInFront bool) {
-	local := im.At(x, y)
-	if srcInFront {
-		im.Set(x, y, Over(p, local))
-	} else {
-		im.Set(x, y, Over(local, p))
 	}
 }
 

@@ -73,23 +73,6 @@ func TestStoreRegionPanicsOnMismatch(t *testing.T) {
 	NewImage(4, 4).StoreRegion(XYWH(0, 0, 2, 2), make([]Pixel, 3))
 }
 
-func TestCompositePixel(t *testing.T) {
-	im := NewImage(4, 4)
-	local := Pixel{I: 0.3, A: 0.5}
-	in := Pixel{I: 0.2, A: 0.4}
-	im.Set(1, 1, local)
-	im.CompositePixel(1, 1, in, true)
-	if got, want := im.At(1, 1), Over(in, local); !got.NearlyEqual(want, 1e-15) {
-		t.Errorf("front composite = %v, want %v", got, want)
-	}
-	im2 := NewImage(4, 4)
-	im2.Set(1, 1, local)
-	im2.CompositePixel(1, 1, in, false)
-	if got, want := im2.At(1, 1), Over(local, in); !got.NearlyEqual(want, 1e-15) {
-		t.Errorf("back composite = %v, want %v", got, want)
-	}
-}
-
 func ExampleOver() {
 	front := Pixel{I: 0.2, A: 0.5}
 	back := Pixel{I: 0.6, A: 1.0}

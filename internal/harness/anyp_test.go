@@ -48,20 +48,3 @@ func TestTileRoutedMatchesFoldedAtNonPow2(t *testing.T) {
 		}
 	}
 }
-
-// The Tile knob must reach the DFB compositor and leave the image exact.
-func TestTileRoutedTileKnob(t *testing.T) {
-	for _, tile := range []int{5, 16, 512} {
-		cfg := smallCfg("dfb", 3)
-		cfg.Tile = tile
-		cfg.Validate = true
-		cfg.RenderOpts.EarlyTermination = -1
-		row, _, err := RunWithImage(cfg)
-		if err != nil {
-			t.Fatalf("tile=%d: %v", tile, err)
-		}
-		if row.ValidateDiff != 0 {
-			t.Errorf("tile=%d: diff %g from sequential", tile, row.ValidateDiff)
-		}
-	}
-}

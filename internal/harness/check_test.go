@@ -20,13 +20,14 @@ func TestConfigCheck(t *testing.T) {
 		{"zero width", func(c *Config) { c.Width = 0 }, "image size"},
 		{"negative height", func(c *Config) { c.Height = -1 }, "image size"},
 		{"zero P", func(c *Config) { c.P = 0 }, "P = 0"},
-		{"unknown method", func(c *Config) { c.Method = "nope" }, "have bs, bsbr, bslc, bsbrc, direct, bsdpf, ds, dfb"},
+		{"unknown method", func(c *Config) { c.Method = "nope" }, "have bs, bsbr, bslc, bsbrc, direct, ds, dfb"},
 		// The names of retired methods are unknown methods like any other.
 		{"retired method name", func(c *Config) { c.P = 6; c.Method = `auto` }, "unknown compositor"},
 		{"retired pipeline", func(c *Config) { c.Method = "pipeline" }, "unknown compositor"},
 		{"retired bintree", func(c *Config) { c.Method = "bintree" }, "unknown compositor"},
 		{"retired bsvc", func(c *Config) { c.Method = "bsvc" }, "unknown compositor"},
 		{"retired bsbrlc", func(c *Config) { c.Method = "bsbrlc" }, "unknown compositor"},
+		{"retired bsdpf", func(c *Config) { c.Method = "bsdpf" }, "unknown compositor"},
 		{"non-pow2 binary swap ok", func(c *Config) { c.P = 6 }, ""},
 		{"non-pow2 direct send", func(c *Config) { c.P = 6; c.Method = "direct" }, ""},
 		{"non-pow2 ds ok", func(c *Config) { c.P = 6; c.Method = "ds" }, ""},

@@ -34,8 +34,8 @@ type Config struct {
 
 	Width, Height int
 	P             int
-	// Method is a core registry name: bs, bsbr, bslc, bsbrc, direct,
-	// bsdpf, ds or dfb. Every method runs at every P ≥ 1.
+	// Method is a core registry name: bs, bsbr, bslc, bsbrc, direct, ds
+	// or dfb. Every method runs at every P ≥ 1.
 	Method string
 
 	// RotX and RotY rotate the viewpoint (degrees), the paper's §3.2
@@ -44,9 +44,6 @@ type Config struct {
 
 	// RenderOpts tune the ray caster (zero value: defaults).
 	RenderOpts render.Options
-
-	// Tile is the dfb tile edge in pixels (0: core.DefaultTile).
-	Tile int
 
 	// Validate gathers the pristine subimages at rank 0 after
 	// compositing and compares the parallel result against the
@@ -77,7 +74,9 @@ type Row struct {
 
 	// MakespanMS is the schedule-aware completion time: stage-k
 	// compositing waits for the partner's message, so slow partners
-	// stall pairs. Only computed for the binary-swap family.
+	// stall pairs. Only computed for the binary-swap schedule (the
+	// paper's four methods, folded or not); 0 for direct, ds and dfb,
+	// whose schedule is not that graph.
 	MakespanMS float64
 
 	MeasuredCompMS float64 // measured compositing compute, max over ranks
@@ -194,15 +193,15 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 // newCompositor builds the configured compositor over the fold plan of
 // cfg.P ranks, the one rank geometry: at a power of two the plan is the
 // plain decomposition and core.Build returns the plain method; otherwise
-// it wraps foldable binary-swap methods in the fold pre-stage and hands
-// the owner-routed methods the plan as pure geometry — per-rank boxes
-// and a global depth order, no fold messages.
+// it wraps the binary-swap methods in the fold pre-stage and hands the
+// owner-routed methods the plan as pure geometry — per-rank boxes and a
+// global depth order, no fold messages.
 func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partition.FoldPlan, error) {
 	plan, err := partition.PlanFold(vol.Bounds(), cfg.P)
 	if err != nil {
 		return nil, nil, err
 	}
-	comp, err := core.Build(cfg.Method, 0, cfg.Tile, plan)
+	comp, err := core.Build(cfg.Method, 0, plan)
 	return comp, plan, err
 }
 
@@ -272,7 +271,6 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 
 	p := costmodel.SP2()
 	cost := p.World(rankStats)
-	makespan := p.Makespan(rankStats)
 	row := &Row{
 		Dataset: cfg.Dataset, Method: plan.Comp.Name(), P: cfg.P,
 		Width: cfg.Width, Height: cfg.Height,
@@ -280,8 +278,10 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 		CommMS:         ms(cost.Comm),
 		TotalMS:        ms(cost.Comp) + ms(cost.Comm),
 		MeasuredCompMS: ms(stats.MaxCompWall(rankStats)),
-		MakespanMS:     ms(makespan),
 		MMax:           stats.MaxMessageBytes(rankStats),
+	}
+	if slices.Contains(core.PaperMethods(), cfg.Method) {
+		row.MakespanMS = ms(p.Makespan(rankStats))
 	}
 	var samples, maxSamples int64
 	for me, r := range rankStats {

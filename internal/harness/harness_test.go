@@ -80,7 +80,7 @@ func TestRunNonPowerOfTwoFolds(t *testing.T) {
 // plan's, and the fold pre-stage wraps exactly the binary-swap methods at
 // a P with extras — at a power of two the compositor is the plain method.
 func TestPlanBuildsEveryPThroughFold(t *testing.T) {
-	foldable := map[string]bool{"bs": true, "bsbr": true, "bslc": true, "bsbrc": true, "bsdpf": true}
+	foldable := map[string]bool{"bs": true, "bsbr": true, "bslc": true, "bsbrc": true}
 	for p := 1; p <= 9; p++ {
 		for _, name := range core.Names() {
 			plan, err := NewPlan(smallCfg(name, p))
@@ -251,6 +251,24 @@ func TestValueRunsDegenerateOnVolumeImages(t *testing.T) {
 	}
 	if volRatio := float64(nonBlankRuns) / float64(nb); volRatio < 0.9 {
 		t.Errorf("volume image value-runs/px = %.3f; expected near-degenerate (~1)", volRatio)
+	}
+}
+
+// The makespan is the binary-swap dependency graph: a folded swap row
+// has one, a dfb row — whose owner-routed schedule is not that graph —
+// has none.
+func TestMakespanOnlyOnSwapSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		method string
+		want   bool
+	}{{"dfb", false}, {"bs", true}} {
+		row, _, err := RunWithImage(smallCfg(tc.method, 3))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.method, err)
+		}
+		if got := row.MakespanMS != 0; got != tc.want {
+			t.Errorf("%s P=3: makespan %.3f ms, want one: %v", tc.method, row.MakespanMS, tc.want)
+		}
 	}
 }
 

@@ -127,15 +127,21 @@ func series(title, quantity string, rows []harness.Row, methods []string, datase
 	return sb.String()
 }
 
-// CSV renders every row with a header, for downstream plotting.
+// CSV renders every row with a header, for downstream plotting. The
+// makespan_ms cell is empty for rows without one (MakespanMS 0: the
+// methods off the binary-swap schedule).
 func CSV(rows []harness.Row) string {
 	var sb strings.Builder
 	sb.WriteString("dataset,method,p,width,height,comp_ms,comm_ms,total_ms," +
 		"makespan_ms,measured_comp_ms,render_ms,mmax_bytes,empty_rects,nonblank,render_imbalance\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%s,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d,%d,%.3f\n",
+		makespan := ""
+		if r.MakespanMS != 0 {
+			makespan = fmt.Sprintf("%.4f", r.MakespanMS)
+		}
+		fmt.Fprintf(&sb, "%s,%s,%d,%d,%d,%.4f,%.4f,%.4f,%s,%.4f,%.4f,%d,%d,%d,%.3f\n",
 			r.Dataset, r.Method, r.P, r.Width, r.Height,
-			r.CompMS, r.CommMS, r.TotalMS, r.MakespanMS, r.MeasuredCompMS, r.RenderMS,
+			r.CompMS, r.CommMS, r.TotalMS, makespan, r.MeasuredCompMS, r.RenderMS,
 			r.MMax, r.EmptyRects, r.NonBlank, r.RenderImbalance)
 	}
 	return sb.String()

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,5 +75,18 @@ func TestCSV(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "engine_low,BS,2,384,384,") {
 		t.Errorf("csv row wrong: %s", lines[1])
+	}
+}
+
+// A row without a makespan (the owner-routed methods) leaves that cell
+// empty; a swap row prints it.
+func TestCSVEmptyMakespan(t *testing.T) {
+	rows := []harness.Row{{Dataset: "cube", Method: "DFB", P: 3}, {Dataset: "cube", Method: "BS", P: 3, MakespanMS: 1.5}}
+	lines := strings.Split(strings.TrimSpace(CSV(rows)), "\n")
+	col := slices.Index(strings.Split(lines[0], ","), "makespan_ms")
+	for i, want := range []string{"", "1.5000"} {
+		if got := strings.Split(lines[1+i], ",")[col]; got != want {
+			t.Errorf("%s makespan_ms cell = %q, want %q", rows[i].Method, got, want)
+		}
 	}
 }

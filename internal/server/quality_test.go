@@ -233,11 +233,11 @@ func TestDegradeUnderOverload(t *testing.T) {
 
 // Names this tree used to accept and clients built against it may still
 // send: the lossy quality contract between full and preview, the method
-// that asked the server to pick a compositor per frame, and the four
-// compositors the method census retired.
+// that asked the server to pick a compositor per frame, and the five
+// compositors the method censuses retired.
 const retiredQuality = `approx`
 
-var retiredMethods = []string{`auto`, `pipeline`, `bintree`, `bsvc`, `bsbrlc`}
+var retiredMethods = []string{`auto`, `pipeline`, `bintree`, `bsvc`, `bsbrlc`, `bsdpf`}
 
 // TestRetiredQualityIsBadRequest pins what such a client gets for each
 // retired name: a typed bad_request listing the names that exist, from

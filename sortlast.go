@@ -101,11 +101,10 @@ type Result struct {
 // samples.
 func Datasets() []string { return harness.Datasets() }
 
-// Methods lists the eight compositing methods in registration order:
+// Methods lists the seven compositing methods in registration order:
 // the paper's four (bs, bsbr, bslc, bsbrc), the related work's direct
-// send and direct pixel forwarding (direct, bsdpf), then the owner-routed
-// pair over encoded regions (ds, dfb). Every one runs at every
-// Processors >= 1.
+// send (direct), then the owner-routed pair over encoded regions (ds,
+// dfb). Every one runs at every Processors >= 1.
 func Methods() []string {
 	return core.Names()
 }

@@ -111,7 +111,7 @@ func TestImagePGM(t *testing.T) {
 }
 
 func TestListings(t *testing.T) {
-	if len(Datasets()) != 4 || len(Methods()) != 8 {
+	if len(Datasets()) != 4 || len(Methods()) != 7 {
 		t.Error("listings changed unexpectedly")
 	}
 	have := map[string]bool{}
