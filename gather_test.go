@@ -199,19 +199,91 @@ func TestGatherAllocs(t *testing.T) {
 	}
 }
 
+// A folded composite on a standing world allocates nothing of 1 KiB or
+// more once warm, like every other composite: the core rank that
+// pre-composites its extra partner's subimage gives the fold message
+// back to the receive pool, and the extra rank keeps its grown send
+// buffer in its arena. Each of the two, missing, cost one such
+// allocation per folded composite.
+func TestFoldedCompositeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	plan, err := harness.NewPlan(harness.Config{Dataset: "head", Width: 256, Height: 256, P: 3,
+		Method: "bsbrc", RotX: paperRotX, RotY: paperRotY})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := make([]*frame.Image, 3)
+	for r := range imgs {
+		imgs[r] = plan.RenderRank(r)
+	}
+	// One P and no collection, as in TestGatherAllocs, so a released
+	// buffer is in the pool the next receive looks in.
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	defer func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	}()
+	const warm, composites = 3, 20
+	var before, after uint64
+	largeAllocs() // the first read allocates the runtime's metric tables
+	err = mp.Run(3, benchWorldOpts(), func(c mp.Comm) error {
+		read := func(n *uint64) error {
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				*n = largeAllocs()
+			}
+			return c.Barrier()
+		}
+		var img frame.Image
+		for i := 0; i < warm+composites; i++ {
+			if i == warm {
+				if err := read(&before); err != nil {
+					return err
+				}
+			}
+			img.CopyFrom(imgs[c.Rank()])
+			if _, err := plan.Comp.Composite(c, plan.Dec, plan.Cam.Dir, &img); err != nil {
+				return err
+			}
+			// A frame's gather would hold the extra rank, which only
+			// sends, to one composite ahead at most; without it the
+			// extra rank queues every fold message at once.
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+		}
+		return read(&after)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s: %d allocations >= 1 KiB in %d composites", plan.Comp.Name(), after-before, composites)
+	if after != before {
+		t.Errorf("%s: %d allocations >= 1 KiB in %d composites, want none",
+			plan.Comp.Name(), after-before, composites)
+	}
+}
+
 // A one-shot frame — render_orbit's shape: head, 256², P=4, bsbrc
-// through harness.RunWithImage — allocates what its images hold: each
-// rank's subimage sized to its footprint, regrown to exactly the
-// rectangles the swap stages composite into it, and the root's frame.
-// That is 1.2 MiB; padding each growth by half the extent plus 8 px a
-// side, up to the whole frame, made it 3.2 MiB.
+// through harness.RunWithImage — allocates the root's frame and little
+// else. Each rank's subimage, sized to its footprint, and the exact
+// rectangles the swap stages regrow it to come from the pixel pool, and
+// the run gives them back once the gather has read them, so the next
+// frame's ranks render into the same memory. That is 240–360 KiB;
+// before the pool it was 1.1 MiB (every subimage and regrowth allocated
+// fresh), and padding each growth by half its extent made it 3.2 MiB.
 func TestOneShotFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are not the frame's")
 	}
 	cfg := harness.Config{Dataset: "head", Width: 256, Height: 256, P: 4, Method: "bsbrc",
 		RotX: paperRotX, RotY: paperRotY}
-	const frames, limit = 3, 2 << 20
+	const frames, limit = 3, 640 << 10
 	var before, after runtime.MemStats
 	for i := -1; i < frames; i++ { // frame -1 builds the dataset and its macro grid
 		if i == 0 {
@@ -226,6 +298,26 @@ func TestOneShotFrameAllocs(t *testing.T) {
 	t.Logf("bsbrc, P=4, 256x256 head: %d KiB allocated per frame", perFrame>>10)
 	if perFrame > limit {
 		t.Errorf("%d B allocated per frame, limit %d", perFrame, limit)
+	}
+}
+
+// BenchmarkOneShotFrame is render_orbit's frame — head, 256², P=4,
+// bsbrc through harness.RunWithImage — on an orbit of 36 cameras, so
+// subimage sizes change from frame to frame as they do in the bench.
+// B/op is what a one-shot frame allocates.
+func BenchmarkOneShotFrame(b *testing.B) {
+	cfg := harness.Config{Dataset: "head", Width: 256, Height: 256, P: 4, Method: "bsbrc",
+		RotX: paperRotX}
+	if _, _, err := harness.RunWithImage(cfg); err != nil { // the dataset and its macro grid
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.RotY = float64(i%36) * 10
+		if _, _, err := harness.RunWithImage(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -58,6 +58,16 @@ type Result struct {
 	Stats *stats.Rank
 }
 
+// Release gives every part's pixel storage back to the frame pool. The
+// caller must be done with the parts, as it is once the gather has read
+// them. A part may be the input subimage; releasing that too is
+// harmless.
+func (r *Result) Release() {
+	for _, part := range r.Parts {
+		part.Release()
+	}
+}
+
 // partnerInFront reports whether the stage partner's contribution lies in
 // front of this rank's accumulated pixels.
 func partnerInFront(dec *partition.Decomposition, rank, stage int, viewDir [3]float64) bool {

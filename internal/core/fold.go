@@ -63,6 +63,7 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		if err := c.Send(f.Plan.FoldPartner(me), tagFold, payload); err != nil {
 			return nil, fmt.Errorf("fold: send: %w", err)
 		}
+		ar.codec.Retain(payload)
 		st.Fold.MsgsSent = 1
 		st.Fold.BytesSent = len(payload)
 		st.CompWall = timer.Total()
@@ -82,6 +83,7 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		foldTimer.Start()
 		_, err = decodeWhole(rectRLE{}, img, region{rect: full}, recv, f.Plan.ExtraInFront(me, viewDir), &fold)
 		foldTimer.Stop()
+		mp.Release(recv) // the codec is done with the bytes
 		if err != nil {
 			return nil, fmt.Errorf("fold: from %d: %w", e, err)
 		}

@@ -1,6 +1,9 @@
 package frame
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Image is a sparse sub-image: a window (Bounds) of pixel storage inside
 // a conceptual full frame (Full). Pixels outside Bounds read as blank.
@@ -44,7 +47,7 @@ func NewImageBounds(w, h int, bounds Rect) *Image {
 	}
 	im.bounds = bounds
 	im.store = bounds
-	im.pix = make([]Pixel, bounds.Area())
+	im.pix = allocPixels(bounds.Area())
 	return im
 }
 
@@ -109,11 +112,17 @@ func (im *Image) Grow(r Rect) {
 	// Pad the needed rectangle by half its extent (at least growPad) on
 	// every side so each reallocation at least doubles the dimensions.
 	pad := func(d int) int { return d/2 + growPad }
-	ns := Rect{
+	im.reallocate(nb, Rect{
 		X0: nb.X0 - pad(nb.Dx()), Y0: nb.Y0 - pad(nb.Dy()),
 		X1: nb.X1 + pad(nb.Dx()), Y1: nb.Y1 + pad(nb.Dy()),
-	}.Intersect(im.full)
-	np := make([]Pixel, ns.Area())
+	}.Intersect(im.full))
+}
+
+// reallocate moves the image onto pooled blank storage over ns, which
+// contains nb, with logical bounds nb: the pixels inside the old bounds
+// are copied across, and the old storage goes back to the pool.
+func (im *Image) reallocate(nb, ns Rect) {
+	np := allocPixels(ns.Area())
 	if !im.bounds.Empty() {
 		w := im.bounds.Dx()
 		sw := im.store.Dx()
@@ -124,6 +133,7 @@ func (im *Image) Grow(r Rect) {
 			copy(np[dstOff:dstOff+w], im.pix[srcOff:srcOff+w])
 		}
 	}
+	releasePixels(im.pix)
 	im.bounds = nb
 	im.store = ns
 	im.pix = np
@@ -139,7 +149,8 @@ const growPad = 8
 // knows the rectangle before writing it: Raycast's footprint, the region
 // decoders (CompositeWire, StoreWire and core's rectangle and interval
 // codecs), the gather's root and the owner-merge accumulators. A binary
-// swap rank's image regrows at most once per stage this way.
+// swap rank's image regrows at most once per stage this way. Like Grow,
+// it draws new storage from the pool and releases what it replaces.
 func (im *Image) GrowExact(r Rect) {
 	r = r.Intersect(im.full)
 	if im.bounds.ContainsRect(r) {
@@ -150,20 +161,7 @@ func (im *Image) GrowExact(r Rect) {
 		im.bounds = nb
 		return
 	}
-	np := make([]Pixel, nb.Area())
-	if !im.bounds.Empty() {
-		w := im.bounds.Dx()
-		sw := im.store.Dx()
-		nw := nb.Dx()
-		for y := im.bounds.Y0; y < im.bounds.Y1; y++ {
-			srcOff := (y-im.store.Y0)*sw + (im.bounds.X0 - im.store.X0)
-			dstOff := (y-nb.Y0)*nw + (im.bounds.X0 - nb.X0)
-			copy(np[dstOff:dstOff+w], im.pix[srcOff:srcOff+w])
-		}
-	}
-	im.bounds = nb
-	im.store = nb
-	im.pix = np
+	im.reallocate(nb, nb)
 }
 
 // Row returns the pixel storage for the portion of scanline y that lies
@@ -191,7 +189,7 @@ func (im *Image) Row(y, x0, x1 int) []Pixel {
 // logical bounds, dropping any over-allocation padding.
 func (im *Image) Clone() *Image {
 	cp := &Image{full: im.full, bounds: im.bounds, store: im.bounds}
-	cp.pix = make([]Pixel, im.bounds.Area())
+	cp.pix = allocPixels(im.bounds.Area())
 	w := im.bounds.Dx()
 	for y := im.bounds.Y0; y < im.bounds.Y1; y++ {
 		copy(cp.pix[(y-im.bounds.Y0)*w:(y-im.bounds.Y0)*w+w], im.Row(y, im.bounds.X0, im.bounds.X1))
@@ -200,7 +198,8 @@ func (im *Image) Clone() *Image {
 }
 
 // CopyFrom makes im an exact logical copy of src, reusing im's pixel
-// storage when it is large enough. The retained store keeps covering its
+// storage when it is large enough and otherwise trading it for pooled
+// storage sized to src's bounds. The retained store keeps covering its
 // old (possibly larger) rectangle, so a working image that is restored
 // from a pristine source and re-grown every frame stops reallocating
 // after the first one.
@@ -209,8 +208,9 @@ func (im *Image) CopyFrom(src *Image) {
 	if im.store.ContainsRect(src.bounds) && src.full.ContainsRect(im.store) {
 		clear(im.pix)
 	} else {
+		releasePixels(im.pix)
 		im.store = src.bounds
-		im.pix = make([]Pixel, im.store.Area())
+		im.pix = allocPixels(im.store.Area())
 	}
 	im.bounds = src.bounds
 	for y := src.bounds.Y0; y < src.bounds.Y1; y++ {
@@ -379,22 +379,21 @@ func (im *Image) NonBlankEqual(other *Image, region Rect, eps float64) bool {
 }
 
 // MaxAbsDiff returns the largest per-channel absolute difference between
-// im and other over region.
+// im and other over region, +Inf when a channel differs by NaN.
 func (im *Image) MaxAbsDiff(other *Image, region Rect) float64 {
 	region = region.Intersect(im.full)
-	max := 0.0
+	m := 0.0
 	for y := region.Y0; y < region.Y1; y++ {
 		for x := region.X0; x < region.X1; x++ {
 			a, b := im.At(x, y), other.At(x, y)
-			if d := abs(a.I - b.I); d > max {
-				max = d
+			d := max(abs(a.I-b.I), abs(a.A-b.A)) // NaN if either is
+			if math.IsNaN(d) {
+				return math.Inf(1)
 			}
-			if d := abs(a.A - b.A); d > max {
-				max = d
-			}
+			m = max(m, d)
 		}
 	}
-	return max
+	return m
 }
 
 func abs(v float64) float64 {

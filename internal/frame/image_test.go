@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -222,6 +223,24 @@ func TestMaxAbsDiffAndNonBlankEqual(t *testing.T) {
 	}
 	if a.NonBlankEqual(b, a.Full(), 1e-8) {
 		t.Error("images beyond eps must compare unequal")
+	}
+}
+
+// A NaN pixel is no match for a blank one: MaxAbsDiff must not let
+// abs(NaN) > max, which is false, read as no difference.
+func TestMaxAbsDiffSeesNaN(t *testing.T) {
+	a := NewImage(8, 8)
+	b := NewImage(8, 8)
+	a.Set(3, 3, Pixel{I: math.NaN(), A: math.NaN()})
+	b.Set(3, 3, Pixel{})
+	if d := a.MaxAbsDiff(b, a.Full()); !(d > 1e-9) {
+		t.Errorf("MaxAbsDiff(NaN pixel, blank) = %g, want above 1e-9", d)
+	}
+	if d := b.MaxAbsDiff(a, a.Full()); !(d > 1e-9) {
+		t.Errorf("MaxAbsDiff(blank, NaN pixel) = %g, want above 1e-9", d)
+	}
+	if a.NonBlankEqual(b, a.Full(), 1e-9) {
+		t.Error("NonBlankEqual matched a NaN pixel with a blank one")
 	}
 }
 

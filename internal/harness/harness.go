@@ -262,7 +262,12 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 			if me == 0 {
 				validateDiff = d
 			}
+			pristine.Release()
 		}
+		// The rank's pixels are all in the gathered image now: its
+		// subimage and parts go back to the pool for the next frame.
+		img.Release()
+		res.Release()
 		return nil
 	})
 	if err != nil {

@@ -10,9 +10,10 @@ import (
 // mailbox; Recv hands it to the caller; the caller may give it back with
 // Release once its decoder has consumed the bytes. A caller that never
 // releases leaves the buffer to the garbage collector, which is always
-// correct — only the three per-frame consumers in internal/core
-// (swapLoop, ownerMerge, GatherImage's root) release, and they are what
-// keeps a standing world from allocating per message.
+// correct — only the four per-frame consumers in internal/core
+// (swapLoop, ownerMerge, the fold pre-stage's core rank, GatherImage's
+// root) release, and they are what keeps a standing world from
+// allocating per message.
 //
 // The pools are sync.Pools, so an idle world pins nothing: two
 // collections empty them.

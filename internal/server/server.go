@@ -354,6 +354,10 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 			if me == 0 {
 				j.rec.gather = time.Since(start)
 			}
+			// The gathered image holds every pixel the rank had; the
+			// reply path releases that one once it is encoded.
+			rj.img.Release()
+			res.Release()
 		}
 		c.SetTracer(nil)
 
@@ -435,7 +439,9 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 	if j.sampled {
 		resp.Trace = s.frameWire(j, total)
 	}
-	return resp, rep.img.AppendGray(nil)
+	gray := rep.img.AppendGray(nil)
+	rep.img.Release()
+	return resp, gray
 }
 
 // reject answers a request with a typed error, wherever it failed: at
