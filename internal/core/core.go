@@ -50,22 +50,18 @@ type Result struct {
 	// owned region i, in the order the gather ships Own's regions — one
 	// image for rectangle and interval ownership (it may alias the
 	// input subimage), one per rectangle of a rectangle set. A part has
-	// pixel storage only where something was composited into it.
+	// pixel storage only where something was composited into it. The
+	// gather is the parts' last reader.
 	Parts []*frame.Image
 	// Own describes which pixels of the full frame this rank owns.
 	Own Ownership
 	// Stats carries the counted quantities of the paper's cost model.
 	Stats *stats.Rank
-}
-
-// Release gives every part's pixel storage back to the frame pool. The
-// caller must be done with the parts, as it is once the gather has read
-// them. A part may be the input subimage; releasing that too is
-// harmless.
-func (r *Result) Release() {
-	for _, part := range r.Parts {
-		part.Release()
-	}
+	// pooled marks Parts as storage the schedule allocated (ownerMerge's
+	// accumulators), which GatherImage gives back to the frame pool;
+	// otherwise the one part is the caller's subimage, and stays the
+	// caller's to release.
+	pooled bool
 }
 
 // partnerInFront reports whether the stage partner's contribution lies in

@@ -136,6 +136,12 @@ func parsePart(part []byte, full frame.Rect) (gatherForm, []byte, error) {
 // codecs' own decoders — compositing into a blank pixel is a store,
 // Over(blank, p) == p bit for bit. The exchange is counted in
 // res.Stats.Gather.
+//
+// The gather consumes res: what core allocated, core releases. On
+// return, whatever the outcome, parts the schedule allocated (the
+// owner-merge accumulators) are back in the frame pool, blank with
+// empty Bounds. A part that is the caller's subimage is left alone, so
+// a working image restored with CopyFrom every frame keeps its storage.
 func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 	full := res.Full
 	st := &res.Stats.Gather
@@ -144,6 +150,11 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 	c.SetStage(st.Label)
 	gm := tr.Begin()
 	defer func() {
+		if res.pooled {
+			for _, part := range res.Parts {
+				part.Release()
+			}
+		}
 		tr.End(gm, trace.SpanGather, st.Label)
 		c.SetStage("")
 	}()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,16 +86,17 @@ func denseGather(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 	return final, nil
 }
 
-// gatherBoth gathers res the production way and the dense way and
+// gatherBoth gathers res the dense way and the production way and
 // requires the two images to agree byte for byte; every test that goes
 // through runImages therefore checks the sparse gather against the
-// reference for its method, rank count and transport.
+// reference for its method, rank count and transport. The reference
+// goes first: GatherImage consumes res.
 func gatherBoth(c mp.Comm, res *Result) (*frame.Image, error) {
-	out, err := GatherImage(c, 0, res)
+	ref, err := denseGather(c, 0, res)
 	if err != nil {
 		return nil, err
 	}
-	ref, err := denseGather(c, 0, res)
+	out, err := GatherImage(c, 0, res)
 	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}
@@ -253,6 +255,107 @@ func TestGatherRejectsMalformedParts(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// The gather consumes the parts the schedule allocated: once
+// GatherImage returns, on the root and on every other rank, each
+// owner-merge part is blank with empty Bounds, its storage back in the
+// pixel pool. A swap schedule's part — and a fold extra rank's — is the
+// caller's subimage, and still holds its pixels.
+func TestGatherConsumesScheduleParts(t *testing.T) {
+	viewDir := [3]float64{0.3, -0.5, 0.81}
+	for _, method := range Names() {
+		owner := slices.Contains(ownerMethods, method)
+		for _, p := range []int{3, 4} {
+			label := fmt.Sprintf("%s P=%d", method, p)
+			imgs := randImages(rand.New(rand.NewSource(int64(p))), p, 64, 48, 1)
+			comp, dec, _ := methodWorld(t, method, testRoot(), p, 16)
+			err := inProcess(p, func(c mp.Comm) error {
+				img := imgs[c.Rank()].Clone()
+				res, err := comp.Composite(c, dec, viewDir, img)
+				if err != nil {
+					return err
+				}
+				before := make([]*frame.Image, len(res.Parts))
+				for i, part := range res.Parts {
+					before[i] = part.Clone()
+				}
+				if _, err := GatherImage(c, 0, res); err != nil {
+					return err
+				}
+				return checkConsumed(res, img, before, owner)
+			})
+			if err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+		}
+	}
+}
+
+// checkConsumed reports a part of a gathered res that the gather kept
+// though the schedule allocated it, or changed though it is the
+// caller's subimage img; before holds the parts as the gather got them.
+func checkConsumed(res *Result, img *frame.Image, before []*frame.Image, owner bool) error {
+	full := res.Full
+	stored := 0
+	for i, part := range res.Parts {
+		if (part == img) == owner {
+			return fmt.Errorf("part %d: is the subimage %v, want %v", i, part == img, !owner)
+		}
+		if part == img {
+			if part.Bounds() != before[i].Bounds() || part.MaxAbsDiff(before[i], full) != 0 {
+				return fmt.Errorf("part %d, the caller's subimage, changed in the gather", i)
+			}
+			continue
+		}
+		stored += before[i].Bounds().Area()
+		if !part.Bounds().Empty() || part.CountNonBlank(full) != 0 {
+			return fmt.Errorf("part %d still holds %v after the gather", i, part.Bounds())
+		}
+	}
+	if owner && stored == 0 {
+		return fmt.Errorf("no part held pixels: the release tests nothing")
+	}
+	return nil
+}
+
+// A gather that fails still consumes the schedule's parts: here rank 1's
+// result carries no ownership the gather can ship, so it fails before
+// sending, and the root then receives a malformed message, as in
+// TestGatherRejectsMalformedParts. Both ranks' dfb parts come back
+// blank.
+func TestFailedGatherConsumesScheduleParts(t *testing.T) {
+	imgs := randImages(rand.New(rand.NewSource(5)), 2, 64, 48, 1)
+	comp, dec, _ := methodWorld(t, "dfb", testRoot(), 2, 16)
+	err := inProcess(2, func(c mp.Comm) error {
+		img := imgs[c.Rank()].Clone()
+		res, err := comp.Composite(c, dec, [3]float64{0, 0, 1}, img)
+		if err != nil {
+			return err
+		}
+		before := make([]*frame.Image, len(res.Parts))
+		for i, part := range res.Parts {
+			before[i] = part.Clone()
+		}
+		if c.Rank() == 1 {
+			res.Own = nil
+		}
+		if _, err := GatherImage(c, 0, res); err == nil {
+			return fmt.Errorf("rank %d: the gather did not fail", c.Rank())
+		}
+		if c.Rank() == 1 {
+			if _, err := c.Gather(0, []byte{9}); err != nil {
+				return err
+			}
+		}
+		if err := checkConsumed(res, img, before, true); err != nil {
+			return fmt.Errorf("rank %d: %w", c.Rank(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -49,7 +49,8 @@ const DefaultTile = 64
 // the whole frame on every rank; per tile, frame.Image's "storage
 // limited to Bounds keeps 64-rank runs affordable" holds for dfb as it
 // does for the swap schedule. The accumulators leave as the Result's
-// Parts; nothing is kept between frames.
+// Parts, and GatherImage gives them back to the frame pool, so the next
+// frame's owners accumulate in the same memory.
 type ownerMerge struct {
 	name  string // display name and stats.Rank.Method
 	tag   int
@@ -209,7 +210,7 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 	c.SetStage("")
 	st.CompWall = timer.Total()
 
-	res := &Result{Full: full, Parts: acc, Own: RectSetOwn{Rs: own}, Stats: st}
+	res := &Result{Full: full, Parts: acc, Own: RectSetOwn{Rs: own}, Stats: st, pooled: true}
 	if m.tile == 0 {
 		res.Own = RectOwn{R: own[0]}
 	}

@@ -264,10 +264,10 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 			}
 			pristine.Release()
 		}
-		// The rank's pixels are all in the gathered image now: its
-		// subimage and parts go back to the pool for the next frame.
+		// The rank's pixels are all in the gathered image now, and the
+		// gather gave back the parts it consumed: the subimage goes back
+		// to the pool for the next frame.
 		img.Release()
-		res.Release()
 		return nil
 	})
 	if err != nil {

@@ -354,10 +354,10 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 			if me == 0 {
 				j.rec.gather = time.Since(start)
 			}
-			// The gathered image holds every pixel the rank had; the
-			// reply path releases that one once it is encoded.
+			// The gathered image holds every pixel the rank had, and the
+			// gather gave back the parts it consumed; the reply path
+			// releases the gathered image once it is encoded.
 			rj.img.Release()
-			res.Release()
 		}
 		c.SetTracer(nil)
 
