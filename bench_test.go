@@ -304,7 +304,8 @@ func BenchmarkNonPowerOfTwo(b *testing.B) {
 // way an interactive renderer composites successive frames on a standing
 // communicator, so allocs/op isolates the data path: per-rank
 // pack/encode/decode/composite work, the mandatory message copies, and
-// the per-iteration subimage clones that restore the pre-composite state.
+// the CopyFrom that restores each rank's working image to its pristine
+// subimage every iteration (reusing the working image's storage).
 // Run with -benchmem.
 func BenchmarkCompositeAllocs(b *testing.B) {
 	for _, m := range core.Names() {

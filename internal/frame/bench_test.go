@@ -58,6 +58,31 @@ func BenchmarkBoundingRect(b *testing.B) {
 	}
 }
 
+// BenchmarkCopyFrom restores a working image whose Bounds grew past its
+// source's, as a standing frame does before every composite: the source
+// is a subimage fitted to its foreground, the working image was regrown
+// over the subimage's footprint by the previous composite.
+func BenchmarkCopyFrom(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	fg := XYWH(96, 112, 160, 144)
+	src := NewImageBounds(384, 384, fg)
+	for y := fg.Y0; y < fg.Y1; y++ {
+		for x := fg.X0; x < fg.X1; x++ {
+			if r.Float64() < 0.3 {
+				src.Set(x, y, Pixel{I: 0.5 * r.Float64(), A: 0.5})
+			}
+		}
+	}
+	foot := XYWH(64, 64, 256, 256)
+	var dst Image
+	b.SetBytes(int64(fg.Area() * PixelBytes))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst.GrowExact(foot)
+		dst.CopyFrom(src)
+	}
+}
+
 func BenchmarkPackUnpackPixels(b *testing.B) {
 	im := benchImage(0.5, 384, 192)
 	pixels := im.PackRegion(im.Full())

@@ -252,19 +252,42 @@ func TestCopyFrom(t *testing.T) {
 	if d := dst.MaxAbsDiff(src, src.Full()); d != 0 {
 		t.Fatalf("copy differs by %g", d)
 	}
-	// Mutate and grow the copy, then restore: contents must match the
-	// pristine source again, with storage reused.
-	dst.Grow(XYWH(0, 0, 32, 32))
-	dst.Set(1, 1, Pixel{I: 1, A: 1})
-	dst.Set(30, 30, Pixel{I: 1, A: 1})
-	dst.CopyFrom(src)
-	if d := dst.MaxAbsDiff(src, src.Full()); d != 0 {
-		t.Fatalf("restored copy differs by %g", d)
-	}
-	if !dst.At(1, 1).Blank() || !dst.At(30, 30).Blank() {
-		t.Fatal("restore left stale pixels")
-	}
-	if dst.Bounds() != src.Bounds() {
-		t.Fatalf("restored bounds = %v, want %v", dst.Bounds(), src.Bounds())
+	// Grow the working copy past its source and dirty every pixel, then
+	// restore. At reads blank outside Bounds whatever the storage holds,
+	// so the check regrows over the old rectangle first: a stale pixel
+	// left in storage shows there.
+	offset := sparseImage(10, XYWH(20, 2, 10, 26))
+	moved := NewImage(64, 64)
+	moved.Set(50, 45, Pixel{I: 0.25, A: 0.5})
+	moved.GrowExact(XYWH(40, 40, 16, 16))
+	for _, tc := range []struct {
+		name string
+		src  *Image
+	}{
+		{"smaller source", src},
+		{"offset source", offset},
+		{"smaller source again", src},
+		{"source outside the store", moved},
+	} {
+		grown := dst.Full()
+		dst.Grow(grown)
+		for y := grown.Y0; y < grown.Y1; y++ {
+			row := dst.Row(y, grown.X0, grown.X1)
+			for x := range row {
+				row[x] = Pixel{I: 1, A: 1}
+			}
+		}
+		dst.CopyFrom(tc.src)
+		if dst.Bounds() != tc.src.Bounds() || dst.Full() != tc.src.Full() {
+			t.Fatalf("%s: restored bounds %v full %v, want %v %v", tc.name,
+				dst.Bounds(), dst.Full(), tc.src.Bounds(), tc.src.Full())
+		}
+		if d := dst.MaxAbsDiff(tc.src, tc.src.Full()); d != 0 {
+			t.Fatalf("%s: restored copy differs by %g", tc.name, d)
+		}
+		dst.Grow(grown.Intersect(dst.Full()))
+		if d := dst.MaxAbsDiff(tc.src, tc.src.Full()); d != 0 {
+			t.Fatalf("%s: restore left stale pixels in storage (differs by %g)", tc.name, d)
+		}
 	}
 }

@@ -9,12 +9,17 @@ import (
 // a conceptual full frame (Full). Pixels outside Bounds read as blank.
 //
 // Every rank in the sort-last pipeline holds one Image. After rendering,
-// Bounds covers the screen footprint of the rank's subvolume; during
-// binary-swap compositing the owned region shrinks while received pixels
-// are composited in place, and an owner-merge rank accumulates into one
-// further Image per strip or tile it owns, sized to that rectangle.
-// Keeping storage limited to Bounds keeps 64-rank runs at 768x768
-// affordable.
+// Bounds is the bounding rectangle of the pixels the ray caster wrote,
+// inside storage that covers the screen footprint of the rank's
+// subvolume; during binary-swap compositing the owned region shrinks
+// while received pixels are composited in place, and an owner-merge rank
+// accumulates into one further Image per strip or tile it owns, sized to
+// that rectangle. Keeping storage limited to the footprint keeps 64-rank
+// runs at 768x768 affordable.
+//
+// Storage outside Bounds is always blank: Grow widens Bounds over it
+// without clearing, CopyFrom clears only the old Bounds, and Fit narrows
+// Bounds only over margins that are blank already.
 type Image struct {
 	full   Rect
 	bounds Rect
@@ -55,7 +60,8 @@ func NewImageBounds(w, h int, bounds Rect) *Image {
 func (im *Image) Full() Rect { return im.full }
 
 // Bounds returns the rectangle over which pixels may be non-blank: the
-// exact union of every region grown so far (explicitly or via Set).
+// exact union of every region grown so far (explicitly or via Set),
+// narrowed by Fit.
 func (im *Image) Bounds() Rect { return im.bounds }
 
 // Width and Height return the full-frame dimensions.
@@ -206,7 +212,19 @@ func (im *Image) Clone() *Image {
 func (im *Image) CopyFrom(src *Image) {
 	im.full = src.full
 	if im.store.ContainsRect(src.bounds) && src.full.ContainsRect(im.store) {
-		clear(im.pix)
+		// The copy overwrites src's bounds; the rest of the store is
+		// blank already except where the old bounds lie outside them.
+		b, s := im.bounds, src.bounds
+		lo := min(max(s.X0, b.X0), b.X1)
+		hi := min(max(s.X1, lo), b.X1)
+		for y := b.Y0; y < b.Y1; y++ {
+			row := im.Row(y, b.X0, b.X1)
+			if y >= s.Y0 && y < s.Y1 {
+				clear(row[:lo-b.X0])
+				row = row[hi-b.X0:]
+			}
+			clear(row)
+		}
 	} else {
 		releasePixels(im.pix)
 		im.store = src.bounds
@@ -215,6 +233,25 @@ func (im *Image) CopyFrom(src *Image) {
 	im.bounds = src.bounds
 	for y := src.bounds.Y0; y < src.bounds.Y1; y++ {
 		copy(im.Row(y, src.bounds.X0, src.bounds.X1), src.Row(y, src.bounds.X0, src.bounds.X1))
+	}
+}
+
+// Fit narrows Bounds to r ∩ Bounds and keeps the storage; when nothing
+// is left it releases the storage, as Release does. Every pixel outside
+// r must be blank already (race builds check it): Fit is for a producer
+// that knows where it wrote, such as the ray caster, and spares the
+// consumers' scans the blank margins.
+func (im *Image) Fit(r Rect) {
+	if checkFit {
+		for i, p := range im.pix {
+			x, y := im.store.X0+i%im.store.Dx(), im.store.Y0+i/im.store.Dx()
+			if !p.Blank() && !r.Contains(x, y) {
+				panic(fmt.Sprintf("frame: Fit(%v) over non-blank pixel (%d,%d)", r, x, y))
+			}
+		}
+	}
+	if im.bounds = r.Intersect(im.bounds); im.bounds.Empty() {
+		im.Release()
 	}
 }
 

@@ -252,3 +252,28 @@ func TestAtPanicsOutsideFullFrame(t *testing.T) {
 	}()
 	NewImage(4, 4).At(4, 0)
 }
+
+// Fit narrows Bounds over blank margins without touching the storage,
+// and releases the storage when nothing is left.
+func TestFit(t *testing.T) {
+	im := NewImageBounds(32, 32, XYWH(4, 4, 20, 20))
+	im.Set(9, 8, Pixel{I: 0.5, A: 0.5})
+	im.Set(11, 13, Pixel{I: 0.25, A: 0.5})
+	row := im.Row(8, 4, 24)
+	im.Fit(XYWH(8, 8, 30, 6)) // reaches past Bounds: cut to them
+	if want := XYWH(8, 8, 16, 6); im.Bounds() != want {
+		t.Fatalf("bounds = %v, want %v", im.Bounds(), want)
+	}
+	if &im.Row(8, 9, 10)[0] != &row[5] {
+		t.Fatal("Fit moved the storage")
+	}
+	if im.At(9, 8) != (Pixel{I: 0.5, A: 0.5}) || im.At(11, 13) != (Pixel{I: 0.25, A: 0.5}) {
+		t.Fatal("Fit lost pixels inside its rectangle")
+	}
+	im.Set(9, 8, Pixel{})
+	im.Set(11, 13, Pixel{})
+	im.Fit(XYWH(0, 0, 4, 4)) // disjoint from Bounds
+	if !im.Bounds().Empty() || im.pix != nil {
+		t.Fatalf("empty fit: bounds %v, %d pixels of storage kept", im.Bounds(), len(im.pix))
+	}
+}

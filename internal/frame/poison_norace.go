@@ -2,5 +2,9 @@
 
 package frame
 
-// poisonReleased is off outside race builds; see poison_race.go.
-const poisonReleased = false
+// poisonReleased and checkFit are off outside race builds; see
+// poison_race.go.
+const (
+	poisonReleased = false
+	checkFit       = false
+)

@@ -6,4 +6,11 @@ package frame
 // before pooling it, so every test run under the race detector is also
 // a use-after-release detector: an image read after its owner released
 // it fails its byte-identity check.
-const poisonReleased = true
+//
+// checkFit makes Fit panic on a non-blank pixel outside its rectangle,
+// so every race run is also a stale-margin detector: CopyFrom and Grow
+// trust that storage outside Bounds is blank.
+const (
+	poisonReleased = true
+	checkFit       = true
+)

@@ -78,8 +78,9 @@ const (
 // border test made once per macro cell instead of once per sample — but
 // its output is bit-identical to RaycastReference for every method,
 // shading and worker-count combination (DESIGN.md §11 explains why; the
-// identity tests enforce it). The image's bounds are the box's
-// footprint, storage sized to exactly that.
+// identity tests enforce it). The image's storage is the box's
+// footprint; its bounds are the bounding rectangle of the pixels the
+// rays wrote (empty, with the storage released, when none did).
 func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
 	img := frame.NewImage(cam.W, cam.H)
 	foot := cam.Footprint(box)
@@ -100,6 +101,7 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 	// Rays outside the clip's footprint meet only provably empty cells:
 	// their pixels stay blank without being cast.
 	if k.clip.Empty() {
+		img.Fit(frame.ZR)
 		return img
 	}
 	foot = cam.Footprint(k.clip).Intersect(foot)
@@ -108,18 +110,23 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 	tilesY := (foot.Dy() + tileH - 1) / tileH
 	tiles := tilesX * tilesY
 
-	renderTile := func(idx int, st *StatsSnapshot) {
+	// renderTile widens fg over every row's first and last written
+	// pixel.
+	renderTile := func(idx int, st *StatsSnapshot, fg *frame.Rect) {
 		x0 := foot.X0 + (idx%tilesX)*tileW
 		y0 := foot.Y0 + (idx/tilesX)*tileH
 		x1 := min(x0+tileW, foot.X1)
 		y1 := min(y0+tileH, foot.Y1)
 		for py := y0; py < y1; py++ {
 			row := img.Row(py, x0, x1)
+			lo, hi := x1, x0
 			for px := x0; px < x1; px++ {
 				if acc := k.castRay(px, py, st); !acc.Blank() {
 					row[px-x0] = acc
+					lo, hi = min(lo, px), px+1
 				}
 			}
+			*fg = fg.Union(frame.Rect{X0: lo, Y0: py, X1: hi, Y1: py + 1})
 		}
 	}
 
@@ -130,33 +137,46 @@ func Raycast(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func,
 	workers = min(workers, tiles)
 	if workers <= 1 {
 		var st StatsSnapshot
+		var fg frame.Rect
 		for idx := 0; idx < tiles; idx++ {
-			renderTile(idx, &st)
+			renderTile(idx, &st, &fg)
 		}
 		opt.Stats.flush(&st)
+		img.Fit(fg)
 		return img
 	}
-	// Tiles are claimed off one atomic counter; workers share nothing
-	// else (per-worker stats flush once at exit). Pixels depend only on
-	// the ray through them, so scheduling cannot change the output.
-	var next atomic.Int64
+	// Tiles are claimed off one atomic counter; a worker's stats and
+	// foreground rectangle are its own until it flushes them once at
+	// exit (the counter, mutex and merged rectangle are one allocation).
+	// Pixels depend only on the ray through them, so scheduling cannot
+	// change the output.
+	var shared struct {
+		next atomic.Int64
+		mu   sync.Mutex
+		fg   frame.Rect
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var st StatsSnapshot
+			var fg frame.Rect
 			for {
-				idx := int(next.Add(1)) - 1
+				idx := int(shared.next.Add(1)) - 1
 				if idx >= tiles {
 					opt.Stats.flush(&st)
+					shared.mu.Lock()
+					shared.fg = shared.fg.Union(fg)
+					shared.mu.Unlock()
 					return
 				}
-				renderTile(idx, &st)
+				renderTile(idx, &st, &fg)
 			}
 		}()
 	}
 	wg.Wait()
+	img.Fit(shared.fg)
 	return img
 }
 

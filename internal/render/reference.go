@@ -17,7 +17,8 @@ import (
 // bench/run.sh run; DESIGN.md §11 gives the argument for why macro-cell
 // skipping cannot change a bit. The pool width, Trace and Stats are
 // ignored: the oracle is the mathematical definition of a frame, not a
-// production path.
+// production path. Its bounds are fitted to a BoundingRect scan of the
+// footprint, the definition Raycast's tracked rectangle must equal.
 func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Func, opt Options) *frame.Image {
 	img := frame.NewImage(cam.W, cam.H)
 	foot := cam.Footprint(box)
@@ -75,5 +76,7 @@ func RaycastReference(s *volume.Volume, box volume.Box, cam *Camera, tf *transfe
 			}
 		}
 	}
+	fg, _ := img.BoundingRect(foot)
+	img.Fit(fg)
 	return img
 }

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -199,6 +200,35 @@ func TestRaycastSubvolumeFootprintOnly(t *testing.T) {
 		foot := cam.Footprint(dec.Box(r))
 		if !foot.ContainsRect(img.Bounds()) {
 			t.Errorf("rank %d: bounds %v exceed footprint %v", r, img.Bounds(), foot)
+		}
+	}
+}
+
+// A box whose rays all stay transparent renders to empty Bounds (Fit
+// releases the storage), both when the occupied-hull clip proves it
+// (value 99: every cell classifies to zero opacity) and when only the
+// rays find it (value 100, the ramp's foot: the cell test's one-entry
+// margin keeps the clip, every sample classifies to zero).
+func TestRaycastTransparentBoxHasEmptyBounds(t *testing.T) {
+	tf := transfer.Ramp("foot", 100, 140, 1)
+	for _, tc := range []struct {
+		value   uint8
+		clipped bool
+	}{{99, true}, {100, false}} {
+		v := volume.New(32, 32, 32)
+		v.Fill(volume.Box{Lo: [3]int{8, 8, 8}, Hi: [3]int{24, 24, 24}}, tc.value)
+		cam := NewCamera(48, 48, v.Bounds(), 20, 30)
+		want := RaycastReference(v, v.Bounds(), cam, tf, Options{})
+		for _, w := range []int{1, 3} {
+			var st Stats
+			img := Raycast(v, v.Bounds(), cam, tf, Options{Stats: &st, workers: w})
+			if rays := st.Snapshot().Rays; (rays == 0) != tc.clipped {
+				t.Fatalf("value %d: %d rays cast, want clip empty = %v", tc.value, rays, tc.clipped)
+			}
+			if !img.Bounds().Empty() {
+				t.Fatalf("value %d workers=%d: bounds %v, want empty", tc.value, w, img.Bounds())
+			}
+			requireIdentical(t, fmt.Sprintf("value %d workers=%d", tc.value, w), img, want)
 		}
 	}
 }
