@@ -25,6 +25,11 @@ type arena struct {
 	// these slices, so the split alternates between the two pairs —
 	// stage k writes pair (k%2)*2 while reading from the other pair.
 	iv [4][]Interval
+	// cs, tops, ends and active are the gather root's scratch for
+	// checking ownership disjoint (disjoint): the claims, the sweep's two
+	// orders of them, and the claims crossing the sweep line.
+	cs, active []claim
+	tops, ends []uint64
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}

@@ -10,8 +10,10 @@ import (
 
 // BenchmarkRegionCodecs times the region codecs the compositors ship, in
 // ns per pixel of the region: encode from an image into a warm arena's
-// buffer, and decode that message into an image whose storage already
-// covers the region. The region is a 384×192 frame — for intervalRLE
+// buffer, and decode that message in each write — in front of and
+// behind an image whose storage already covers the region, and stored
+// into one restored to blank before every call, as the gather root's
+// image is blank (the store's figure includes that restore). The region is a 384×192 frame — for intervalRLE
 // every other scanline of it, the interleaved split bslc makes — whose
 // foreground is random discs covering 1 %, 30 % and 90 % of it, the run
 // structure of rendered footprints, and, as the worst case for a
@@ -52,15 +54,22 @@ func BenchmarkRegionCodecs(b *testing.B) {
 			encode := func() { ar.codec.Retain(tc.codec.encode(ar.codec.Grab(0), ar, src, g, br, &s)) }
 			wire := tc.codec.encode(nil, ar, src, g, br, &s)
 			dst := frame.NewImageBounds(w, h, src.Full())
-			decode := func() {
-				if _, _, err := tc.codec.decode(dst, g, wire, true, &s); err != nil {
-					b.Fatal(err)
+			blank := frame.NewImageBounds(w, h, src.Full())
+			decode := func(wr write) func() {
+				return func() {
+					if wr == store {
+						dst.CopyFrom(blank)
+					}
+					if _, _, err := tc.codec.decode(dst, g, wire, wr, &s); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			for _, dir := range []struct {
 				name string
 				run  func()
-			}{{"encode", encode}, {"decode", decode}} {
+			}{{"encode", encode}, {"decode-front", decode(inFront)}, {"decode-behind", decode(behind)},
+				{"decode-store", decode(store)}} {
 				b.Run(tc.name+"/"+im.name+"/"+dir.name, func(b *testing.B) {
 					dir.run()
 					if n := testing.AllocsPerRun(5, dir.run); n != 0 {
@@ -95,4 +104,56 @@ func discImage(seed int64, w, h int, share float64) *frame.Image {
 		}
 	}
 	return im
+}
+
+// BenchmarkDisjoint times the gather root's ownership check at P=8 on a
+// 384×384 frame, for the ownership each schedule kind leaves: dfb's
+// tiles dealt round-robin, ds's strips, and bslc's every-eighth
+// scanline as intervals.
+//
+//	go test -run xxx -bench Disjoint ./internal/core
+func BenchmarkDisjoint(b *testing.B) {
+	const p, w = 8, 384
+	full := frame.XYWH(0, 0, w, w)
+	til, err := newTiling(full, DefaultTile, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owns := map[string]func(r int) Ownership{
+		"tiles": func(r int) Ownership {
+			var own RectSetOwn
+			for t := r; t < til.n; t += p {
+				own.Rs = append(own.Rs, til.rect(t))
+			}
+			return own
+		},
+		"strips": func(r int) Ownership { return RectOwn{R: stripRect(full, r, p)} },
+		"intervals": func(r int) Ownership {
+			own := IntervalOwn{W: w}
+			for y := r; y < w; y += p {
+				own.Iv = append(own.Iv, Interval{y * w, (y + 1) * w})
+			}
+			return own
+		},
+	}
+	for name, own := range owns {
+		forms := make([]gatherForm, p)
+		for r := range forms {
+			if forms[r], err = formOf(own(r), full); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			ar := new(arena)
+			for i := 0; i < b.N; i++ {
+				ar.cs = ar.cs[:0]
+				for r, f := range forms {
+					ar.cs = f.claims(r, ar.cs)
+				}
+				if err := disjoint(ar); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -31,17 +31,63 @@ type regionCodec interface {
 	// pixels (bounded codecs only; others ignore it).
 	encode(buf []byte, ar *arena, img *frame.Image, send region, br frame.Rect, s *stats.Stage) []byte
 	// decode parses one payload for keep from the front of recv and
-	// composites it into img, in front of the local pixels or behind
-	// them. It returns the rectangle the received foreground lies in
-	// (bounded codecs) and the bytes after the payload; nothing outside
-	// keep is written, whatever recv holds.
-	decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error)
+	// writes it into img as w says. It returns the rectangle the
+	// received foreground lies in (bounded codecs) and the bytes after
+	// the payload; nothing outside keep is written, whatever recv holds.
+	decode(img *frame.Image, keep region, recv []byte, w write, s *stats.Stage) (frame.Rect, []byte, error)
+}
+
+// write is how a decoder puts received pixels into the receiver's
+// image: composited behind the pixels there or in front of them, or
+// stored. A store is for storage the caller knows is blank — the gather
+// root's image, an owner-merge accumulator's first contribution — where
+// it equals compositing behind bit for bit (frame.StoreRow) without
+// reading the destination. Each returns the non-blank count.
+type write uint8
+
+const (
+	behind write = iota
+	inFront
+	store
+)
+
+// order is the compositing write for received pixels in front of the
+// local ones or behind them.
+func order(front bool) write {
+	if front {
+		return inFront
+	}
+	return behind
+}
+
+// row writes the first len(dst) wire pixels of px into dst.
+func (w write) row(dst []frame.Pixel, px []byte) int {
+	if w == store {
+		return frame.StoreRow(dst, px)
+	}
+	return frame.CompositeRow(dst, px, w == inFront)
+}
+
+// rect writes the wire pixels of r, row-major, into img, grown to r.
+func (w write) rect(img *frame.Image, r frame.Rect, px []byte) int {
+	if w == store {
+		return img.StoreWire(r, px)
+	}
+	return img.CompositeWire(r, px, w == inFront)
+}
+
+// image writes src's pixels over r into dst.
+func (w write) image(dst, src *frame.Image, r frame.Rect) int {
+	if w == store {
+		return dst.StoreImage(src, r)
+	}
+	return dst.CompositeImage(src, r, w == inFront)
 }
 
 // decodeWhole decodes a message that must be exactly one payload.
-func decodeWhole(c regionCodec, img *frame.Image, keep region, recv []byte, front bool,
+func decodeWhole(c regionCodec, img *frame.Image, keep region, recv []byte, w write,
 	s *stats.Stage) (frame.Rect, error) {
-	got, rest, err := c.decode(img, keep, recv, front, s)
+	got, rest, err := c.decode(img, keep, recv, w, s)
 	return got, whole(rest, err)
 }
 
@@ -96,13 +142,13 @@ func (raw) encode(buf []byte, _ *arena, img *frame.Image, send region, _ frame.R
 	return frame.EncodeRegion(img, send.rect, buf)
 }
 
-func (raw) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+func (raw) decode(img *frame.Image, keep region, recv []byte, w write, s *stats.Stage) (frame.Rect, []byte, error) {
 	n := keep.rect.Area() * frame.PixelBytes
 	if len(recv) < n {
 		return frame.ZR, nil, fmt.Errorf("got %d bytes for %d pixels", len(recv), keep.rect.Area())
 	}
 	s.RecvPixels += keep.rect.Area()
-	s.Composited += img.CompositeWire(keep.rect, recv[:n], front)
+	s.Composited += w.rect(img, keep.rect, recv[:n])
 	return frame.ZR, recv[n:], nil
 }
 
@@ -125,7 +171,7 @@ func (rectRaw) encode(buf []byte, _ *arena, img *frame.Image, send region, br fr
 	return frame.EncodeRegion(img, sr, buf)
 }
 
-func (rectRaw) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+func (rectRaw) decode(img *frame.Image, keep region, recv []byte, w write, s *stats.Stage) (frame.Rect, []byte, error) {
 	r, body, err := readRect(recv, keep.rect)
 	if err != nil {
 		return r, nil, err
@@ -139,7 +185,7 @@ func (rectRaw) decode(img *frame.Image, keep region, recv []byte, front bool, s 
 		return r, nil, fmt.Errorf("%d body bytes for rect %v", len(body), r)
 	}
 	s.RecvPixels += r.Area()
-	s.Composited += img.CompositeWire(r, body[:n], front)
+	s.Composited += w.rect(img, r, body[:n])
 	return r, body[n:], nil
 }
 
@@ -172,7 +218,7 @@ func (c rectRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, br
 	return out
 }
 
-func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, w write, s *stats.Stage) (frame.Rect, []byte, error) {
 	r, body, err := readRect(recv, keep.rect)
 	if err != nil {
 		return r, nil, err
@@ -190,27 +236,26 @@ func (c rectRLE) decode(img *frame.Image, keep region, recv []byte, front bool, 
 	}
 	s.RecvPixels += r.Area()
 	img.GrowExact(r)
-	w := r.Dx()
-	s.Composited += compositeRuns(img, e, front, func(seq int) (y, x, n int) {
-		return r.Y0 + seq/w, r.X0 + seq%w, w - seq%w
+	dx := r.Dx()
+	s.Composited += compositeRuns(img, e, w, func(seq int) (y, x, n int) {
+		return r.Y0 + seq/dx, r.X0 + seq%dx, dx - seq%dx
 	})
 	return r, rest, nil
 }
 
-// compositeRuns composites every foreground run of e into img, in front
-// of the local pixels or behind them, and returns the runs' pixel count.
-// at maps a sequence position to its pixel's row y and column x and the
-// number of pixels from there on that lie contiguous in that row; each
-// run is cut at those boundaries, and each piece goes through one row
-// kernel.
-func compositeRuns(img *frame.Image, e rle.Wire, front bool, at func(seq int) (y, x, n int)) int {
+// compositeRuns writes every foreground run of e into img as w says and
+// returns the runs' pixel count. at maps a sequence position to its
+// pixel's row y and column x and the number of pixels from there on
+// that lie contiguous in that row; each run is cut at those boundaries,
+// and each piece goes through one row kernel.
+func compositeRuns(img *frame.Image, e rle.Wire, w write, at func(seq int) (y, x, n int)) int {
 	total := 0
 	e.Runs(func(seq int, px []byte) {
 		total += len(px) / frame.PixelBytes
 		for len(px) > 0 {
 			y, x, n := at(seq)
 			n = min(n, len(px)/frame.PixelBytes)
-			frame.CompositeRow(img.Row(y, x, x+n), px[:n*frame.PixelBytes], front)
+			w.row(img.Row(y, x, x+n), px[:n*frame.PixelBytes])
 			px, seq = px[n*frame.PixelBytes:], seq+n
 		}
 	})
@@ -294,7 +339,7 @@ func (intervalRLE) encode(buf []byte, ar *arena, img *frame.Image, send region, 
 	return buf
 }
 
-func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool, s *stats.Stage) (frame.Rect, []byte, error) {
+func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, wr write, s *stats.Stage) (frame.Rect, []byte, error) {
 	keepLen := intervalsLen(keep.iv)
 	e, rest, err := parseRLE(recv, keepLen)
 	if err != nil {
@@ -306,7 +351,7 @@ func (intervalRLE) decode(img *frame.Image, keep region, recv []byte, front bool
 	// one slice of a row.
 	img.GrowExact(intervalRows(w, keep.iv))
 	cur := intervalCursor{iv: keep.iv}
-	s.Composited += compositeRuns(img, e, front, func(seq int) (y, x, n int) {
+	s.Composited += compositeRuns(img, e, wr, func(seq int) (y, x, n int) {
 		idx := cur.index(seq)
 		return idx / w, idx % w, min(cur.iv[cur.i].Hi-idx, w-idx%w)
 	})

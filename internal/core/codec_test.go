@@ -71,9 +71,9 @@ func inRegion(g region, w, x, y int) bool {
 }
 
 // Every codec must carry a region's pixels exactly: decoding what encode
-// produced into a blank image reproduces the source inside the region,
-// leaves everything outside it blank, consumes the whole payload, and
-// appends after whatever the buffer already held.
+// produced into a blank image, in every write, reproduces the source
+// inside the region, leaves everything outside it blank, consumes the
+// whole payload, and appends after whatever the buffer already held.
 func TestRegionCodecRoundTrip(t *testing.T) {
 	const w, h = 40, 32
 	for _, tc := range codecCases {
@@ -95,33 +95,36 @@ func TestRegionCodecRoundTrip(t *testing.T) {
 				}
 				continue
 			}
-			dst := frame.NewImage(w, h)
-			_, rest, err := tc.codec.decode(dst, g, payload, true, &got)
-			if err != nil {
-				t.Fatalf("%s density %g: %v", tc.name, density, err)
-			}
-			if len(rest) != 0 {
-				t.Fatalf("%s density %g: %d bytes left over", tc.name, density, len(rest))
-			}
-			nonBlank := 0
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					want := frame.Pixel{}
-					if inRegion(g, w, x, y) {
-						want = src.At(x, y)
-					}
-					if !want.Blank() {
-						nonBlank++
-					}
-					if dst.At(x, y) != want {
-						t.Fatalf("%s density %g: pixel (%d,%d) = %v, want %v",
-							tc.name, density, x, y, dst.At(x, y), want)
+			for _, wr := range []write{behind, inFront, store} {
+				dst := frame.NewImage(w, h)
+				got = stats.Stage{}
+				_, rest, err := tc.codec.decode(dst, g, payload, wr, &got)
+				if err != nil {
+					t.Fatalf("%s density %g write %d: %v", tc.name, density, wr, err)
+				}
+				if len(rest) != 0 {
+					t.Fatalf("%s density %g write %d: %d bytes left over", tc.name, density, wr, len(rest))
+				}
+				nonBlank := 0
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						want := frame.Pixel{}
+						if inRegion(g, w, x, y) {
+							want = src.At(x, y)
+						}
+						if !want.Blank() {
+							nonBlank++
+						}
+						if dst.At(x, y) != want {
+							t.Fatalf("%s density %g write %d: pixel (%d,%d) = %v, want %v",
+								tc.name, density, wr, x, y, dst.At(x, y), want)
+						}
 					}
 				}
-			}
-			if got.Composited != nonBlank {
-				t.Errorf("%s density %g: composited %d, region holds %d non-blank pixels",
-					tc.name, density, got.Composited, nonBlank)
+				if got.Composited != nonBlank {
+					t.Errorf("%s density %g write %d: composited %d, region holds %d non-blank pixels",
+						tc.name, density, wr, got.Composited, nonBlank)
+				}
 			}
 		}
 	}
@@ -233,7 +236,8 @@ func walkComposite(img *frame.Image, e rle.Wire, front bool, at func(seq int) (x
 // The run-based rectRLE and intervalRLE decoders must leave the same
 // image bits and the same Composited as the Walk-based reference, in
 // front and behind, on sparse, dense and run-splitting (>65,535 pixel)
-// payloads.
+// payloads; a store into a blank image must leave the bits compositing
+// behind it does.
 func TestRunDecodeMatchesWalk(t *testing.T) {
 	const w, h = 320, 300
 	solid := frame.NewImage(w, h)
@@ -246,15 +250,22 @@ func TestRunDecodeMatchesWalk(t *testing.T) {
 	full := frame.XYWH(0, 0, w, h)
 	evens, _ := splitInterleavedInto([]Interval{{0, full.Area()}}, 97, nil, nil)
 	for si, src := range srcs {
-		for _, front := range []bool{true, false} {
+		for _, wr := range []write{inFront, behind, store} {
+			front := wr == inFront
+			under := func() *frame.Image {
+				if wr == store {
+					return frame.NewImage(w, h)
+				}
+				return sparseImage(9, w, h, 0.5)
+			}
 			// rectRLE over a block reaching past 65,535 pixels.
 			g := region{rect: frame.XYWH(10, 0, 300, 300)}
 			var sent stats.Stage
 			payload := rectRLE{}.encode(nil, new(arena), src, g, src.Full(), &sent)
-			dst := sparseImage(9, w, h, 0.5)
+			dst := under()
 			want := dst.Clone()
 			var got stats.Stage
-			if _, _, err := (rectRLE{}).decode(dst, g, payload, front, &got); err != nil {
+			if _, _, err := (rectRLE{}).decode(dst, g, payload, wr, &got); err != nil {
 				t.Fatal(err)
 			}
 			r, body, _ := readRect(payload, g.rect)
@@ -266,15 +277,15 @@ func TestRunDecodeMatchesWalk(t *testing.T) {
 			n := walkComposite(want, e, front, func(seq int) (int, int) {
 				return r.X0 + seq%r.Dx(), r.Y0 + seq/r.Dx()
 			})
-			sameBits(t, fmt.Sprintf("rectRLE src %d front %v", si, front), dst, want, got.Composited, n)
+			sameBits(t, fmt.Sprintf("rectRLE src %d write %d", si, wr), dst, want, got.Composited, n)
 
 			// intervalRLE over an interleaved half of the frame.
 			g = region{rect: full, iv: evens}
 			payload = intervalRLE{}.encode(nil, new(arena), src, g, frame.ZR, &sent)
-			dst = sparseImage(9, w, h, 0.5)
+			dst = under()
 			want = dst.Clone()
 			got = stats.Stage{}
-			if _, _, err := (intervalRLE{}).decode(dst, g, payload, front, &got); err != nil {
+			if _, _, err := (intervalRLE{}).decode(dst, g, payload, wr, &got); err != nil {
 				t.Fatal(err)
 			}
 			if e, _, err = parseRLE(payload, intervalsLen(evens)); err != nil {
@@ -286,7 +297,7 @@ func TestRunDecodeMatchesWalk(t *testing.T) {
 				idx := cur.index(seq)
 				return idx % w, idx / w
 			})
-			sameBits(t, fmt.Sprintf("intervalRLE src %d front %v", si, front), dst, want, got.Composited, n)
+			sameBits(t, fmt.Sprintf("intervalRLE src %d write %d", si, wr), dst, want, got.Composited, n)
 		}
 	}
 }

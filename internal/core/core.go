@@ -64,12 +64,6 @@ type Result struct {
 	pooled bool
 }
 
-// partnerInFront reports whether the stage partner's contribution lies in
-// front of this rank's accumulated pixels.
-func partnerInFront(dec *partition.Decomposition, rank, stage int, viewDir [3]float64) bool {
-	return dec.RankInFront(dec.Partner(rank, stage), stage, viewDir)
-}
-
 // checkWorld validates the comm/decomposition pairing shared by the
 // schedules that pair ranks along the kd tree.
 func checkWorld(c mp.Comm, dec *partition.Decomposition) error {

@@ -81,7 +81,7 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 		fold.MsgsRecv = 1
 		fold.BytesRecv = len(recv)
 		foldTimer.Start()
-		_, err = decodeWhole(rectRLE{}, img, region{rect: full}, recv, f.Plan.ExtraInFront(me, viewDir), &fold)
+		_, err = decodeWhole(rectRLE{}, img, region{rect: full}, recv, order(f.Plan.ExtraInFront(me, viewDir)), &fold)
 		foldTimer.Stop()
 		mp.Release(recv) // the codec is done with the bytes
 		if err != nil {

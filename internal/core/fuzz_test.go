@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"sortlast/internal/frame"
@@ -73,7 +75,7 @@ func decodeCases() []decodeCase {
 				return tc.codec.encode(nil, new(arena), src, g, br, new(stats.Stage))
 			},
 			decode: func(_ *testing.T, img *frame.Image, data []byte, front bool) func(x, y int) bool {
-				tc.codec.decode(img, g, data, front, new(stats.Stage))
+				tc.codec.decode(img, g, data, order(front), new(stats.Stage))
 				return func(x, y int) bool { return inRegion(g, goldenW, x, y) }
 			},
 		})
@@ -116,41 +118,58 @@ func decodeCases() []decodeCase {
 		},
 	})
 	// The gather: the descriptor comes off the wire too, so what may be
-	// touched is whatever the parsed descriptor owns — nothing at all
-	// unless it validates against the frame.
+	// written is whatever the parsed descriptor owns — nothing at all
+	// unless it validates against the frame and its regions are
+	// disjoint. The root stores into a blank image, as GatherImage does;
+	// the receiver's pixels are never handed to it.
 	for _, own := range gatherOwnerships(full) {
 		own := own
 		cases = append(cases, decodeCase{
 			name: fmt.Sprintf("gather-%T", own),
-			seed: func(src *frame.Image) []byte {
-				f, err := formOf(own, full)
-				if err != nil {
-					panic(err)
-				}
-				parts := sameParts(f, src)
-				return f.encode(own.AppendWire(nil), new(arena), parts, f.bound(parts), new(stats.Stage))
-			},
-			decode: func(t *testing.T, img *frame.Image, data []byte, _ bool) func(x, y int) bool {
-				var owned [goldenW * goldenH]bool
-				kept := func(x, y int) bool { return owned[y*goldenW+x] }
+			seed: func(src *frame.Image) []byte { return gatherPart(own, src) },
+			decode: func(t *testing.T, _ *frame.Image, data []byte, _ bool) func(x, y int) bool {
+				nothing := func(x, y int) bool { return false }
 				f, body, err := parsePart(data, full)
-				if err != nil {
-					return kept
+				if err != nil || disjoint(&arena{cs: f.claims(1, nil)}) != nil {
+					return nothing
 				}
-				if got, _, err := ParseOwnership(data); err == nil && got.Validate(full) == nil {
-					eachOwned(got, func(_, x, y int) { owned[y*goldenW+x] = true })
+				var owned [goldenW * goldenH]bool
+				got, _, _ := ParseOwnership(data)
+				eachOwned(got, func(_, x, y int) { owned[y*goldenW+x] = true })
+				final := func() *frame.Image {
+					img := frame.NewImage(goldenW, goldenH)
+					img.GrowExact(f.span(body))
+					return img
 				}
-				img.GrowExact(f.span(body))
+				img := final()
 				if f.store(img, body, new(stats.Stage)) == nil {
-					if f.store(img.Clone(), append(body[:len(body):len(body)], 0), new(stats.Stage)) == nil {
+					if f.store(final(), append(body[:len(body):len(body)], 0), new(stats.Stage)) == nil {
 						t.Errorf("%T: a trailing byte after an accepted gather message was accepted", own)
 					}
 				}
-				return kept
+				for y := 0; y < goldenH; y++ {
+					for x := 0; x < goldenW; x++ {
+						if !owned[y*goldenW+x] && !img.At(x, y).Blank() {
+							t.Fatalf("%T: pixel (%d,%d) outside the owned regions written: %v", own, x, y, img.At(x, y))
+						}
+					}
+				}
+				return nothing
 			},
 		})
 	}
 	return cases
+}
+
+// gatherPart is the gather message of a rank owning own whose pixels
+// are src's: the descriptor, then the owned pixels in own's gather form.
+func gatherPart(own Ownership, src *frame.Image) []byte {
+	f, err := formOf(own, src.Full())
+	if err != nil {
+		panic(err)
+	}
+	parts := sameParts(f, src)
+	return f.encode(own.AppendWire(nil), new(arena), parts, f.bound(parts), new(stats.Stage))
 }
 
 // FuzzRegionDecode feeds arbitrary bytes to every region codec's decoder
@@ -167,6 +186,16 @@ func FuzzRegionDecode(f *testing.F) {
 			f.Add(uint8(ci), dc.seed(goldenImages(scene, 4)[1]))
 		}
 		f.Add(uint8(ci), []byte{})
+	}
+	// A gather message whose own regions overlap: tiles sharing a pixel
+	// and intervals sharing one, refused before anything is stored.
+	gather := slices.IndexFunc(cases, func(dc decodeCase) bool { return strings.HasPrefix(dc.name, "gather-") })
+	src := goldenImages(0, 4)[1]
+	for _, own := range []Ownership{
+		RectSetOwn{Rs: []frame.Rect{frame.XYWH(0, 0, 16, 16), frame.XYWH(15, 15, 16, 16)}},
+		IntervalOwn{W: goldenW, Iv: []Interval{{0, 2 * goldenW}, {goldenW + 3, goldenW + 4}}},
+	} {
+		f.Add(uint8(gather), gatherPart(own, src))
 	}
 	// The receiver's own pixels: whatever the payload says, the ones
 	// outside the kept region must come out untouched.

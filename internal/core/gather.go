@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sortlast/internal/frame"
 	"sortlast/internal/mp"
@@ -102,13 +104,81 @@ func (f gatherForm) span(body []byte) frame.Rect {
 	return span
 }
 
-// store decodes body into final: the sender's owned pixels, and nothing
-// outside its owned regions whatever body holds.
+// store decodes body into final, which must be blank over the form's
+// regions: the sender's owned pixels, and nothing outside its owned
+// regions whatever body holds.
 func (f gatherForm) store(final *frame.Image, body []byte, s *stats.Stage) error {
 	return f.decode(body, s, func(_ int, keep region, body []byte) ([]byte, error) {
-		_, rest, err := f.codec.decode(final, keep, body, false, s)
+		_, rest, err := f.codec.decode(final, keep, body, store, s)
 		return rest, err
 	})
+}
+
+// claims appends the rectangles rank's regions cover to cs, in region
+// order, empty ones left out: a rectangle as it is, an interval set as
+// the piece of each scanline it covers.
+func (f gatherForm) claims(rank int, cs []claim) []claim {
+	for i, r := range f.regions {
+		if r.iv != nil {
+			rowSegments(r.rect.Dx(), r.iv, func(y, x0, x1 int) {
+				cs = append(cs, claim{frame.Rect{X0: x0, Y0: y, X1: x1, Y1: y + 1}, rank, i})
+			})
+		} else if !r.rect.Empty() {
+			cs = append(cs, claim{r.rect, rank, i})
+		}
+	}
+	return cs
+}
+
+// claim is a rectangle of pixels a rank owns, in its region part.
+type claim struct {
+	r          frame.Rect
+	rank, part int
+}
+
+// overlapError is the gather root's refusal of two owned regions that
+// share pixels — of two ranks, or twice the same rank. The root stores
+// every owned pixel instead of compositing it, which is exact only
+// because ownership is disjoint.
+type overlapError struct{ a, b claim }
+
+func (e *overlapError) Error() string {
+	return fmt.Sprintf("core: gather: rank %d's %v overlaps rank %d's %v", e.a.rank, e.a.r, e.b.rank, e.b.r)
+}
+
+// disjoint returns an *overlapError for the first two of the claims in
+// ar.cs found to overlap, nil when they are pairwise disjoint; ar.cs
+// keeps its order. It sweeps the scanlines top to bottom, taking the
+// claims by top edge and retiring them by bottom edge (both orders
+// sorted as packed integer keys): the claims crossing the sweep line
+// are kept sorted by left edge and, until an overlap turns up, are
+// disjoint, so a new claim need only be checked against its two
+// neighbours there — O(n log n) comparisons for n claims.
+func disjoint(ar *arena) error {
+	tops, ends := ar.tops[:0], ar.ends[:0]
+	for i, c := range ar.cs {
+		tops = append(tops, uint64(c.r.Y0)<<32|uint64(i))
+		ends = append(ends, uint64(c.r.Y1)<<32|uint64(i))
+	}
+	slices.Sort(tops)
+	slices.Sort(ends)
+	ar.tops, ar.ends, ar.active = tops, ends, ar.active[:0]
+	byX0 := func(a claim, x int) int { return cmp.Compare(a.r.X0, x) }
+	for _, top := range tops {
+		c := ar.cs[uint32(top)]
+		for ; len(ends) > 0 && int(ends[0]>>32) <= c.r.Y0; ends = ends[1:] {
+			i, _ := slices.BinarySearchFunc(ar.active, ar.cs[uint32(ends[0])].r.X0, byX0)
+			ar.active = slices.Delete(ar.active, i, i+1)
+		}
+		i, _ := slices.BinarySearchFunc(ar.active, c.r.X0, byX0)
+		for _, n := range ar.active[max(i-1, 0):min(i+1, len(ar.active))] {
+			if n.r.X0 < c.r.X1 && c.r.X0 < n.r.X1 {
+				return &overlapError{n, c}
+			}
+		}
+		ar.active = slices.Insert(ar.active, i, c)
+	}
+	return nil
 }
 
 // parsePart splits one rank's gather message into the form its
@@ -132,10 +202,14 @@ func parsePart(part []byte, full frame.Rect) (gatherForm, []byte, error) {
 // followed by its owned pixels in the descriptor's gatherForm, so the
 // root needs no knowledge of the compositor that produced the
 // distribution. The root allocates the image once, to the rectangle the
-// received headers and its own pixels span, and decodes with the
-// codecs' own decoders — compositing into a blank pixel is a store,
-// Over(blank, p) == p bit for bit. The exchange is counted in
-// res.Stats.Gather.
+// received headers and its own pixels span, and stores every owned
+// pixel — its own parts and each received region, through the codecs'
+// own decoders — instead of compositing it: over blank storage the two
+// are equal bit for bit (frame.StoreRow), and each pixel has one owner.
+// That last holds only for disjoint ownership, so before the image
+// exists the root checks every rank's owned regions against every
+// other's and refuses an overlap with an *overlapError. The exchange is
+// counted in res.Stats.Gather.
 //
 // The gather consumes res: what core allocated, core releases. On
 // return, whatever the outcome, parts the schedule allocated (the
@@ -175,18 +249,23 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 		return nil, err
 	}
 
+	ar := getArena()
+	defer putArena(ar)
 	// The root's own pixels go straight from its parts: no encode, and
 	// nothing for the collective to copy.
 	parts, err := c.Gather(root, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Every descriptor is parsed and validated, and the final image
-	// allocated, before a pixel is stored.
+	// Every descriptor is parsed and validated, the owned regions
+	// checked disjoint, and the final image allocated, before a pixel is
+	// stored.
 	own := mine.bound(res.Parts)
 	span := own
 	forms := make([]gatherForm, len(parts))
 	bodies := make([][]byte, len(parts))
+	ar.cs = mine.claims(root, ar.cs[:0])
+	nMine := len(ar.cs)
 	for r, part := range parts {
 		if r == root {
 			continue
@@ -195,21 +274,17 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
 		}
 		span = span.Union(forms[r].span(bodies[r]))
+		ar.cs = forms[r].claims(r, ar.cs)
+	}
+	if err := disjoint(ar); err != nil {
+		return nil, err
 	}
 	final := frame.NewImage(full.Dx(), full.Dy())
 	final.GrowExact(span)
 
 	cm := tr.Begin()
-	for i, r := range mine.regions {
-		img := res.Parts[i]
-		if r.iv == nil {
-			st.Composited += final.CompositeImage(img, r.rect.Intersect(own), false)
-			continue
-		}
-		rowSegments(full.Dx(), r.iv, func(y, x0, x1 int) {
-			seg := frame.Rect{X0: x0, Y0: y, X1: x1, Y1: y + 1}.Intersect(own)
-			st.Composited += final.CompositeImage(img, seg, false)
-		})
+	for _, c := range ar.cs[:nMine] {
+		st.Composited += final.StoreImage(res.Parts[c.part], c.r.Intersect(own))
 	}
 	for r, part := range parts {
 		if r == root {

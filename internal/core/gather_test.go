@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -254,6 +255,116 @@ func TestGatherRejectsMalformedParts(t *testing.T) {
 		})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// The root stores owned pixels instead of compositing them, which is
+// exact only for disjoint ownership, so overlapping owned regions — of
+// two ranks or within one — are refused with an *overlapError naming
+// both ranks; regions that only touch, and empty ones, pass. An
+// interval is checked as the scanline pieces it covers, which must be
+// exactly its pixels.
+func TestDisjointOwnership(t *testing.T) {
+	full := frame.XYWH(0, 0, 64, 48)
+	tile := func(x, y int) frame.Rect { return frame.XYWH(x, y, 16, 16) }
+	iv := func(v ...Interval) IntervalOwn { return IntervalOwn{W: 64, Iv: v} }
+	for _, tc := range []struct {
+		name  string
+		owns  []Ownership // rank r owns owns[r]
+		ranks []int       // the two ranks named, nil for disjoint
+	}{
+		{"rect/rect", []Ownership{RectOwn{R: frame.XYWH(0, 0, 64, 20)}, RectOwn{R: frame.XYWH(0, 19, 64, 29)}}, []int{0, 1}},
+		{"rect/rect touching", []Ownership{RectOwn{R: frame.XYWH(0, 0, 64, 20)}, RectOwn{R: frame.XYWH(0, 20, 64, 28)}}, nil},
+		{"tile/tile", []Ownership{RectSetOwn{Rs: []frame.Rect{tile(0, 0), tile(32, 0)}},
+			RectSetOwn{Rs: []frame.Rect{tile(16, 0), tile(40, 8)}}}, []int{0, 1}},
+		{"tile/tile dealt", []Ownership{RectSetOwn{Rs: []frame.Rect{tile(0, 0), tile(32, 0), tile(16, 16)}},
+			RectSetOwn{Rs: []frame.Rect{tile(16, 0), tile(48, 0), tile(0, 16)}}}, nil},
+		{"tiles within a rank", []Ownership{RectOwn{}, RectSetOwn{Rs: []frame.Rect{tile(0, 0), tile(8, 8)}}}, []int{1, 1}},
+		{"interval/interval", []Ownership{iv(Interval{0, 70}), iv(Interval{69, 100})}, []int{0, 1}},
+		{"interval/interval adjacent", []Ownership{iv(Interval{0, 70}, Interval{200, 300}), iv(Interval{70, 200})}, nil},
+		{"intervals within a rank", []Ownership{iv(Interval{10, 20}, Interval{0, 11})}, []int{0, 0}},
+		{"interval/rect", []Ownership{iv(Interval{645, 646}), RectOwn{R: frame.XYWH(5, 10, 1, 1)}}, []int{0, 1}},
+		{"empty regions", []Ownership{RectOwn{}, RectOwn{R: full}, iv(Interval{10, 10}), RectSetOwn{}}, nil},
+	} {
+		ar := new(arena)
+		for r, own := range tc.owns {
+			f, err := formOf(own, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar.cs = f.claims(r, ar.cs)
+		}
+		err := disjoint(ar)
+		var oe *overlapError
+		switch {
+		case tc.ranks == nil && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ranks == nil:
+		case !errors.As(err, &oe):
+			t.Errorf("%s: overlap not refused (%v)", tc.name, err)
+		case min(oe.a.rank, oe.b.rank) != tc.ranks[0] || max(oe.a.rank, oe.b.rank) != tc.ranks[1]:
+			t.Errorf("%s: %v, want ranks %v named", tc.name, err, tc.ranks)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		lo := rng.Intn(full.Area())
+		v := Interval{lo, lo + rng.Intn(full.Area()-lo+1)}
+		f, _ := formOf(iv(v), full)
+		covered := 0
+		for _, c := range f.claims(0, nil) {
+			covered += c.r.Area()
+			for y := c.r.Y0; y < c.r.Y1; y++ {
+				for x := c.r.X0; x < c.r.X1; x++ {
+					if idx := y*64 + x; idx < v.Lo || idx >= v.Hi {
+						t.Fatalf("interval %v: claim %v covers pixel %d", v, c.r, idx)
+					}
+				}
+			}
+		}
+		if covered != v.Len() {
+			t.Fatalf("interval %v: claims cover %d pixels", v, covered)
+		}
+	}
+}
+
+// A gather whose parts claim overlapping regions fails at the root with
+// the *overlapError, before the final image is allocated — no panic, no
+// image — whether the overlap is between two senders or a sender and
+// the root.
+func TestGatherRejectsOverlappingOwners(t *testing.T) {
+	full := frame.XYWH(0, 0, goldenW, goldenH)
+	src := goldenImages(0, 4)[1]
+	top, bottom := full.Split(0)
+	bottom.Y0-- // one scanline into top
+	for _, tc := range []struct {
+		name  string
+		owns  [3]Ownership // rank r owns owns[r]
+		ranks [2]int       // the ranks the error names
+	}{
+		{"senders", [3]Ownership{RectOwn{}, RectOwn{R: top}, RectOwn{R: bottom}}, [2]int{1, 2}},
+		{"root and sender", [3]Ownership{RectOwn{R: top}, RectOwn{R: bottom}, RectOwn{}}, [2]int{0, 1}},
+	} {
+		owns := tc.owns
+		err := mp.Run(3, testOpts(), func(c mp.Comm) error {
+			if c.Rank() != 0 {
+				_, err := c.Gather(0, gatherPart(owns[c.Rank()], src))
+				return err
+			}
+			res := &Result{Full: full, Parts: []*frame.Image{src.Clone()}, Own: owns[0], Stats: new(stats.Rank)}
+			img, err := GatherImage(c, 0, res)
+			var oe *overlapError
+			if img != nil || !errors.As(err, &oe) {
+				return fmt.Errorf("gathered %v, err %v; want no image and an overlap error", img, err)
+			}
+			if ranks := [2]int{min(oe.a.rank, oe.b.rank), max(oe.a.rank, oe.b.rank)}; ranks != tc.ranks {
+				return fmt.Errorf("%v: want ranks %v named", err, tc.ranks)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }

@@ -44,11 +44,13 @@ const DefaultTile = 64
 // An owner holds exactly what it owns: one accumulator per owned strip
 // or tile, sized to that rectangle once — by the first contribution to
 // reach it, the rank's own pixels or a received entry — and never
-// regrown; a tile nothing reaches has no pixel storage. dfb's tiles are
-// dealt round-robin, so a single accumulator would stretch over almost
-// the whole frame on every rank; per tile, frame.Image's "storage
-// limited to Bounds keeps 64-rank runs affordable" holds for dfb as it
-// does for the swap schedule. The accumulators leave as the Result's
+// regrown; a tile nothing reaches has no pixel storage. That first
+// contribution lands in blank storage, so it is stored rather than
+// composited (into), bit for bit the same; every later one goes behind
+// through the over operator. dfb's tiles are dealt round-robin, so a
+// single accumulator would stretch over almost the whole frame on every
+// rank; per tile, frame.Image's "storage limited to Bounds keeps 64-rank
+// runs affordable" holds for dfb as it does for the swap schedule. The accumulators leave as the Result's
 // Parts, and GatherImage gives them back to the frame pool, so the next
 // frame's owners accumulate in the same memory.
 type ownerMerge struct {
@@ -184,8 +186,7 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 			timer.Start()
 			for i, tile := range own {
 				if r := tile.Intersect(br); !r.Empty() {
-					acc[i].GrowExact(tile)
-					merge.Composited += acc[i].CompositeImage(img, r, false)
+					merge.Composited += into(acc[i], tile).image(acc[i], img, r)
 				}
 			}
 			timer.Stop()
@@ -232,8 +233,20 @@ func (m *ownerMerge) encodeFor(ar *arena, img *frame.Image, til tiling, dst int,
 	return til.owned(dst).encode(buf, m.codec, ar, func(int) *frame.Image { return img }, br, route)
 }
 
-// mergeFrom validates one received message and composites its regions
-// into the accumulators, behind the pixels already there.
+// into sizes accumulator acc to its tile for a contribution and returns
+// how the contribution is written: behind the pixels already there, or,
+// for the first one to reach acc — its Bounds still empty, so its
+// storage blank — stored.
+func into(acc *frame.Image, tile frame.Rect) (w write) {
+	if acc.Bounds().Empty() {
+		w = store
+	}
+	acc.GrowExact(tile)
+	return w // behind, the zero write, otherwise
+}
+
+// mergeFrom validates one received message and writes its regions into
+// the accumulators, behind the pixels already there.
 func (m *ownerMerge) mergeFrom(acc []*frame.Image, til tiling, me int, recv []byte,
 	merge *stats.Stage) error {
 	// The first entry to reach a region sizes its accumulator — only
@@ -244,11 +257,11 @@ func (m *ownerMerge) mergeFrom(acc []*frame.Image, til tiling, me int, recv []by
 		if err != nil {
 			return nil, err
 		}
-		out := acc[(key-me)/til.p]
+		out, w := acc[(key-me)/til.p], behind
 		if !r.Empty() {
-			out.GrowExact(keep.rect)
+			w = into(out, keep.rect)
 		}
-		_, rest, err := m.codec.decode(out, keep, body, false, merge)
+		_, rest, err := m.codec.decode(out, keep, body, w, merge)
 		return rest, err
 	}
 	if m.tile == 0 {

@@ -20,7 +20,8 @@ type Ownership interface {
 	AppendWire(buf []byte) []byte
 	// Validate checks the descriptor against the full frame it claims
 	// to describe; the gather rejects descriptors that do not fit
-	// before touching pixel storage.
+	// before touching pixel storage, and then regions that overlap any
+	// owned region, the same rank's included.
 	Validate(full frame.Rect) error
 }
 
@@ -54,7 +55,9 @@ func (o RectOwn) Validate(full frame.Rect) error {
 // RectSetOwn is ownership of an ordered list of disjoint non-empty
 // rectangles — the tile set a tile-routed compositor owns. An empty list
 // is valid: with more ranks than tiles, some ranks own nothing. Pixels
-// travel in list order, row-major within each rectangle.
+// travel in list order, row-major within each rectangle. Validate checks
+// each rectangle alone; the gather root checks the set disjoint, with
+// every other rank's owned regions.
 type RectSetOwn struct {
 	Rs []frame.Rect
 }

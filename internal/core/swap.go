@@ -85,7 +85,7 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 
 		cm := tr.Begin()
 		timer.Start()
-		got, err := decodeWhole(m.codec, img, keep, recv, partnerInFront(dec, me, stage, viewDir), s)
+		got, err := decodeWhole(m.codec, img, keep, recv, order(dec.RankInFront(dec.Partner(me, stage), stage, viewDir)), s)
 		timer.Stop()
 		if !s.RecvRectEmpty { // an empty rectangle has no composite slice
 			tr.End(cm, trace.SpanComposite, s.Label)

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -155,4 +156,35 @@ func BenchmarkCompositeWire(b *testing.B) {
 			dst.CompositeRegion(region, UnpackPixels(wire, region.Area()), true)
 		}
 	})
+}
+
+// BenchmarkRowKernels times the wire-to-pixel row kernels on 384-pixel
+// rows, all foreground and 30 % foreground at random: CompositeRow in
+// each order over non-blank pixels, and StoreRow against CompositeRow
+// behind blank pixels, the write it replaces wherever the destination
+// is known blank.
+func BenchmarkRowKernels(b *testing.B) {
+	const w = 384
+	for _, density := range []float64{1, 0.3} {
+		src := benchImage(density, w, 1)
+		wire := EncodeRegion(src, src.Full(), nil)
+		under := benchImage(0.3, w, 1).Row(0, 0, w)
+		blank := make([]Pixel, w)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"composite-front", func() { CompositeRow(under, wire, true) }},
+			{"composite-behind", func() { CompositeRow(under, wire, false) }},
+			{"composite-blank", func() { clear(blank); CompositeRow(blank, wire, false) }},
+			{"store-blank", func() { clear(blank); StoreRow(blank, wire) }},
+		} {
+			b.Run(fmt.Sprintf("fg%.0f/%s", 100*density, k.name), func(b *testing.B) {
+				b.SetBytes(int64(len(wire)))
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+			})
+		}
+	}
 }

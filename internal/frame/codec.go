@@ -79,9 +79,12 @@ func EncodeRegion(img *Image, region Rect, buf []byte) []byte {
 // run-length writer share.
 func PutPixels(dst []byte, px []Pixel) {
 	dst = dst[:len(px)*PixelBytes]
-	for i, p := range px {
-		binary.LittleEndian.PutUint64(dst[i*PixelBytes:], math.Float64bits(p.I))
-		binary.LittleEndian.PutUint64(dst[i*PixelBytes+8:], math.Float64bits(p.A))
+	// As in CompositeRow, both lengths in the loop condition let the
+	// compiler drop every bounds check in the body.
+	for i := 0; i < len(px) && len(dst) >= PixelBytes; i++ {
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(px[i].I))
+		binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(px[i].A))
+		dst = dst[PixelBytes:]
 	}
 }
 
@@ -91,21 +94,39 @@ func PutPixels(dst []byte, px []Pixel) {
 // fused equivalent of CompositeRegion(region, UnpackPixels(wire, n),
 // srcInFront) and returns the same over-operation count.
 func (im *Image) CompositeWire(region Rect, wire []byte, srcInFront bool) int {
+	return im.putWire("CompositeWire", region, wire, func(dst []Pixel, wire []byte) int {
+		return CompositeRow(dst, wire, srcInFront)
+	})
+}
+
+// StoreWire is CompositeWire behind the image's pixels where those are
+// blank: it stores wire-format pixels (exactly region.Area()*PixelBytes
+// bytes) over region with StoreRow and returns the non-blank count.
+// Every pixel of the image over region must be blank (race builds check
+// it); the stored pixels are StoreRegion(region, UnpackPixels(wire, n))'s
+// with each -0 channel made +0.
+func (im *Image) StoreWire(region Rect, wire []byte) int {
+	return im.putWire("StoreWire", region, wire, StoreRow)
+}
+
+// putWire grows the image to region and runs row, a wire-to-pixel row
+// kernel, over each of its scanlines.
+func (im *Image) putWire(name string, region Rect, wire []byte, row func(dst []Pixel, wire []byte) int) int {
 	region = region.Intersect(im.full)
 	if len(wire) != region.Area()*PixelBytes {
-		panic(fmt.Sprintf("frame: CompositeWire: %d bytes for region %v (want %d)",
-			len(wire), region, region.Area()*PixelBytes))
+		panic(fmt.Sprintf("frame: %s: %d bytes for region %v (want %d)",
+			name, len(wire), region, region.Area()*PixelBytes))
 	}
 	if region.Empty() {
 		return 0
 	}
 	im.GrowExact(region)
-	w := region.Dx()
-	ops := 0
+	stride := region.Dx() * PixelBytes
+	n := 0
 	for y := region.Y0; y < region.Y1; y++ {
-		ops += CompositeRow(im.Row(y, region.X0, region.X1), wire[(y-region.Y0)*w*PixelBytes:], srcInFront)
+		n += row(im.Row(y, region.X0, region.X1), wire[(y-region.Y0)*stride:])
 	}
-	return ops
+	return n
 }
 
 // CompositeRow composites the first len(dst) wire-format pixels of wire
@@ -116,11 +137,11 @@ func (im *Image) CompositeWire(region Rect, wire []byte, srcInFront bool) int {
 func CompositeRow(dst []Pixel, wire []byte, srcInFront bool) int {
 	wire = wire[:len(dst)*PixelBytes]
 	ops := 0
-	for x := range dst {
-		s := Pixel{
-			I: math.Float64frombits(binary.LittleEndian.Uint64(wire[x*PixelBytes:])),
-			A: math.Float64frombits(binary.LittleEndian.Uint64(wire[x*PixelBytes+8:])),
-		}
+	// Both lengths in the loop condition let the compiler drop every
+	// bounds check in the body.
+	for x := 0; x < len(dst) && len(wire) >= PixelBytes; x++ {
+		s := GetPixel(wire)
+		wire = wire[PixelBytes:]
 		if s.Blank() {
 			continue
 		}
@@ -134,28 +155,36 @@ func CompositeRow(dst []Pixel, wire []byte, srcInFront bool) int {
 	return ops
 }
 
-// StoreWire writes wire-format pixels (exactly region.Area()*PixelBytes
-// bytes) into the image over region, replacing existing contents — the
-// fused equivalent of StoreRegion(region, UnpackPixels(wire, n)).
-func (im *Image) StoreWire(region Rect, wire []byte) {
-	region = region.Intersect(im.full)
-	if len(wire) != region.Area()*PixelBytes {
-		panic(fmt.Sprintf("frame: StoreWire: %d bytes for region %v (want %d)",
-			len(wire), region, region.Area()*PixelBytes))
+// StoreRow is CompositeRow behind dst's pixels when those are blank:
+// it stores the first len(dst) wire-format pixels of wire into dst,
+// without reading dst, and returns how many are non-blank. Over(blank, p)
+// is {0 + p.I, 0 + p.A} bit for bit — a -0 channel comes out +0, a NaN
+// keeps its payload — so the store writes exactly that. Every pixel of
+// dst must be blank (race builds check it).
+func StoreRow(dst []Pixel, wire []byte) int {
+	wire = wire[:len(dst)*PixelBytes]
+	requireBlank(dst)
+	n := 0
+	for x := 0; x < len(dst) && len(wire) >= PixelBytes; x++ {
+		i, a := binary.LittleEndian.Uint64(wire), binary.LittleEndian.Uint64(wire[8:])
+		wire = wire[PixelBytes:]
+		if (i|a)<<1 != 0 { // a channel other than ±0: not Blank
+			n++
+		}
+		dst[x] = Pixel{I: 0 + math.Float64frombits(i), A: 0 + math.Float64frombits(a)}
 	}
-	if region.Empty() {
+	return n
+}
+
+// requireBlank panics, in race builds, on a non-blank pixel of dst: the
+// store kernels' precondition.
+func requireBlank(dst []Pixel) {
+	if !checkStore {
 		return
 	}
-	im.GrowExact(region)
-	w := region.Dx()
-	for y := region.Y0; y < region.Y1; y++ {
-		dst := im.Row(y, region.X0, region.X1)
-		src := wire[(y-region.Y0)*w*PixelBytes:]
-		for x := range dst {
-			dst[x] = Pixel{
-				I: math.Float64frombits(binary.LittleEndian.Uint64(src[x*PixelBytes:])),
-				A: math.Float64frombits(binary.LittleEndian.Uint64(src[x*PixelBytes+8:])),
-			}
+	for _, p := range dst {
+		if !p.Blank() {
+			panic(fmt.Sprintf("frame: store over non-blank pixel %v", p))
 		}
 	}
 }
@@ -177,8 +206,8 @@ func (im *Image) CompositeImage(src *Image, region Rect, srcInFront bool) int {
 	for y := walk.Y0; y < walk.Y1; y++ {
 		srow := src.Row(y, walk.X0, walk.X1)
 		dst := im.Row(y, walk.X0, walk.X1)
-		for x := range srow {
-			s := srow[x]
+		dst = dst[:len(srow)]
+		for x, s := range srow {
 			if s.Blank() {
 				continue
 			}
@@ -191,4 +220,30 @@ func (im *Image) CompositeImage(src *Image, region Rect, srcInFront bool) int {
 		}
 	}
 	return ops
+}
+
+// StoreImage is CompositeImage behind im's pixels where those are blank
+// over region: it stores src's pixels there, as StoreRow does, and
+// returns the non-blank count CompositeImage would. Every pixel of im
+// over region must be blank (race builds check it).
+func (im *Image) StoreImage(src *Image, region Rect) int {
+	region = region.Intersect(im.full)
+	if region.Empty() {
+		return 0
+	}
+	im.GrowExact(region)
+	n := 0
+	walk := region.Intersect(src.bounds)
+	for y := walk.Y0; y < walk.Y1; y++ {
+		srow := src.Row(y, walk.X0, walk.X1)
+		dst := im.Row(y, walk.X0, walk.X1)[:len(srow)]
+		requireBlank(dst)
+		for x, s := range srow {
+			if !s.Blank() {
+				n++
+			}
+			dst[x] = Pixel{I: 0 + s.I, A: 0 + s.A}
+		}
+	}
+	return n
 }

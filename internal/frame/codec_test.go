@@ -2,7 +2,9 @@ package frame
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,12 +107,14 @@ func TestStoreWireMatchesStoreRegion(t *testing.T) {
 			wire := EncodeRegion(src, tc.region, nil)
 			clipped := tc.region.Intersect(src.Full())
 
-			a := sparseImage(6, XYWH(8, 8, 16, 16))
-			b := a.Clone()
+			a, b := NewImage(32, 32), NewImage(32, 32)
 			a.StoreRegion(clipped, UnpackPixels(wire, clipped.Area()))
-			b.StoreWire(tc.region, wire)
-			if d := a.MaxAbsDiff(b, a.Full()); d != 0 {
-				t.Fatalf("images differ by %g", d)
+			n := b.StoreWire(tc.region, wire)
+			if d := a.MaxAbsDiff(b, a.Full()); d != 0 || a.Bounds() != b.Bounds() {
+				t.Fatalf("images differ by %g, bounds %v and %v", d, a.Bounds(), b.Bounds())
+			}
+			if want := a.CountNonBlank(a.Full()); n != want {
+				t.Fatalf("stored %d non-blank pixels, want %d", n, want)
 			}
 		})
 	}
@@ -135,6 +139,139 @@ func TestCompositeImageMatchesCompositeRegion(t *testing.T) {
 			})
 		}
 	}
+}
+
+// StoreImage into a blank image must leave the bits, Bounds and count
+// that CompositeImage behind blank pixels leaves.
+func TestStoreImageMatchesCompositeImage(t *testing.T) {
+	for _, tc := range codecRegions {
+		t.Run(tc.name, func(t *testing.T) {
+			src := sparseImage(7, tc.bounds)
+			a, b := NewImage(32, 32), NewImage(32, 32)
+			wantOps := a.CompositeImage(src, tc.region, false)
+			gotOps := b.StoreImage(src, tc.region)
+			if gotOps != wantOps || a.Bounds() != b.Bounds() {
+				t.Fatalf("stored %d into %v, composited %d into %v", gotOps, b.Bounds(), wantOps, a.Bounds())
+			}
+			requireSameBits(t, b, a)
+		})
+	}
+}
+
+// requireSameBits fails unless got and want hold bit-identical pixels
+// over the whole frame.
+func requireSameBits(t *testing.T, got, want *Image) {
+	t.Helper()
+	for y := 0; y < got.Height(); y++ {
+		for x := 0; x < got.Width(); x++ {
+			if !sameBits(got.At(x, y), want.At(x, y)) {
+				t.Fatalf("pixel (%d,%d) = %v, want %v", x, y, got.At(x, y), want.At(x, y))
+			}
+		}
+	}
+}
+
+func sameBits(p, q Pixel) bool {
+	return math.Float64bits(p.I) == math.Float64bits(q.I) && math.Float64bits(p.A) == math.Float64bits(q.A)
+}
+
+// specialChannels are channel values the row kernels must carry bit for
+// bit: signed zeros, subnormals, infinities, quiet and signalling NaNs
+// with payloads, full opacity.
+var specialChannels = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1030,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7FF8_0000_0000_BEEF), math.Float64frombits(0xFFF0_0000_0000_0001),
+	1, 0.5,
+}
+
+// randomChannel is a special value, a zero or an in-range value.
+func randomChannel(r *rand.Rand) float64 {
+	switch r.Intn(3) {
+	case 0:
+		return specialChannels[r.Intn(len(specialChannels))]
+	case 1:
+		return 0
+	}
+	return r.Float64()
+}
+
+// The row kernels against the scalar operator, pixel by pixel and bit
+// for bit: CompositeRow in both orders over arbitrary pixels, StoreRow
+// over blank ones as Over(Pixel{}, p), each counting the non-blank
+// wire pixels. Where two NaNs meet in one operation, which payload
+// survives depends on the operand order the compiler picked, so a
+// composite may there yield any NaN; a store meets only one. Rows of 0 to 70 pixels, wire longer than the row (the
+// rest is ignored), special values in every channel; wire shorter
+// than the row panics.
+func TestRowKernelsMatchScalarOver(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for n := 0; n <= 70; n++ {
+		for trial := 0; trial < 20; trial++ {
+			wire := make([]byte, (n+r.Intn(3))*PixelBytes)
+			for off := 0; off < len(wire); off += PixelBytes {
+				PutPixel(wire[off:], Pixel{I: randomChannel(r), A: randomChannel(r)})
+			}
+			under := make([]Pixel, n)
+			for x := range under {
+				under[x] = Pixel{I: randomChannel(r), A: randomChannel(r)}
+			}
+			for _, k := range []struct {
+				name string
+				dst  []Pixel
+				want func(d, s Pixel) Pixel
+				run  func(dst []Pixel) int
+			}{
+				{"front", slices.Clone(under), func(d, s Pixel) Pixel { return Over(s, d) },
+					func(dst []Pixel) int { return CompositeRow(dst, wire, true) }},
+				{"behind", slices.Clone(under), Over,
+					func(dst []Pixel) int { return CompositeRow(dst, wire, false) }},
+				{"store", make([]Pixel, n), Over,
+					func(dst []Pixel) int { return StoreRow(dst, wire) }},
+			} {
+				before := slices.Clone(k.dst)
+				got := k.run(k.dst)
+				count := 0
+				for x, d := range before {
+					want := d
+					if s := GetPixel(wire[x*PixelBytes:]); !s.Blank() {
+						want = k.want(d, s)
+						count++
+					}
+					if !sameBits(k.dst[x], want) && (k.name == "store" || !bothNaN(k.dst[x], want)) {
+						t.Fatalf("%s, n=%d: pixel %d = %v (%#x, %#x), want %v (%#x, %#x)", k.name, n, x,
+							k.dst[x], math.Float64bits(k.dst[x].I), math.Float64bits(k.dst[x].A),
+							want, math.Float64bits(want.I), math.Float64bits(want.A))
+					}
+				}
+				if got != count {
+					t.Fatalf("%s, n=%d: counted %d, %d wire pixels are non-blank", k.name, n, got, count)
+				}
+				if n > 0 {
+					short := slices.Clip(wire[:n*PixelBytes-1])
+					if !panics(func() { CompositeRow(make([]Pixel, n), short, false) }) ||
+						!panics(func() { StoreRow(make([]Pixel, n), short) }) {
+						t.Fatalf("n=%d: a kernel accepted %d wire bytes", n, len(short))
+					}
+				}
+			}
+		}
+	}
+}
+
+// bothNaN reports whether p and q are NaN in the same channels and
+// equal in the others.
+func bothNaN(p, q Pixel) bool {
+	same := func(a, b float64) bool {
+		return math.IsNaN(a) && math.IsNaN(b) || math.Float64bits(a) == math.Float64bits(b)
+	}
+	return same(p.I, q.I) && same(p.A, q.A)
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 // TestFusedUnfusedQuick is the property test: for arbitrary sparse images

@@ -2,9 +2,10 @@
 
 package frame
 
-// poisonReleased and checkFit are off outside race builds; see
+// poisonReleased, checkFit and checkStore are off outside race builds; see
 // poison_race.go.
 const (
 	poisonReleased = false
 	checkFit       = false
+	checkStore     = false
 )

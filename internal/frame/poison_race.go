@@ -10,7 +10,12 @@ package frame
 // checkFit makes Fit panic on a non-blank pixel outside its rectangle,
 // so every race run is also a stale-margin detector: CopyFrom and Grow
 // trust that storage outside Bounds is blank.
+//
+// checkStore makes the store kernels (StoreRow, StoreImage) panic on a
+// non-blank destination pixel: a store equals the over operator only
+// over blank storage.
 const (
 	poisonReleased = true
 	checkFit       = true
+	checkStore     = true
 )

@@ -85,7 +85,7 @@ func TestDistinctTagsCannotOpenUnboundedQueues(t *testing.T) {
 	box, r := mp.NewMailbox(), bytes.NewReader(stream)
 	var err error
 	for err == nil {
-		err = readFrame(r, box, 1)
+		err = readFrame(r, new([8]byte), box, 1)
 	}
 	if !errors.As(err, &limit) || limit.Src != 1 || limit.Tag != queueCap {
 		t.Fatalf("frame %d of the stream: %v, want a QueueLimitError for source 1, tag %d", queueCap, err, queueCap)
@@ -209,7 +209,7 @@ func FuzzReadFrame(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		r := bytes.NewReader(data)
 		delivered := 0
-		for readFrame(r, box, 1) == nil {
+		for readFrame(r, new([8]byte), box, 1) == nil {
 			delivered++
 		}
 		runtime.ReadMemStats(&after)

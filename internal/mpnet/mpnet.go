@@ -268,10 +268,15 @@ type tcpTransport struct {
 	closeOnce sync.Once
 }
 
-// peerConn serializes frame writes on one connection.
+// peerConn serializes frame writes on one connection. Under mu, Send
+// builds each frame's header and writev vector in hdr, iov and bufs,
+// which live as long as the connection, so a send allocates nothing.
 type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	hdr  [8]byte
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 func newPeerConn(c net.Conn) *peerConn { return &peerConn{conn: c} }
@@ -293,16 +298,18 @@ func (t *tcpTransport) Send(to, tag int, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("mpnet: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(tag))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	binary.LittleEndian.PutUint32(pc.hdr[0:4], uint32(tag))
+	binary.LittleEndian.PutUint32(pc.hdr[4:8], uint32(len(payload)))
 	// Write header and payload with a single writev so each frame costs
 	// one syscall instead of two (and small frames leave in one packet
 	// even without Nagle).
-	bufs := net.Buffers{hdr[:], payload}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if _, err := bufs.WriteTo(pc.conn); err != nil {
+	pc.iov = [2][]byte{pc.hdr[:], payload}
+	pc.bufs = pc.iov[:]
+	_, err := pc.bufs.WriteTo(pc.conn)
+	pc.iov[1] = nil // the caller owns the payload again
+	if err != nil {
 		return fmt.Errorf("mpnet: send to %d: %w", to, err)
 	}
 	return nil
@@ -314,7 +321,8 @@ func (t *tcpTransport) Recv(from, tag int, timeout time.Duration) ([]byte, error
 }
 
 func (t *tcpTransport) readLoop(peer int, pc *peerConn) {
-	for readFrame(pc.conn, t.box, peer) == nil {
+	var hdr [8]byte // one header for the loop's lifetime
+	for readFrame(pc.conn, &hdr, t.box, peer) == nil {
 	}
 	// Peer gone (or local close), or a frame no peer of this world
 	// sends: already-delivered messages stay readable, but receives
@@ -322,12 +330,12 @@ func (t *tcpTransport) readLoop(peer int, pc *peerConn) {
 	t.box.FailSource(peer)
 }
 
-// readFrame reads one [tag u32][len u32][payload] frame from r and
-// delivers it to box as a message from peer. The mailbox reads the
-// payload into a buffer it then owns, growing it as bytes arrive, so
-// the length field alone allocates at most one read step.
-func readFrame(r io.Reader, box *mp.Mailbox, peer int) error {
-	var hdr [8]byte
+// readFrame reads one [tag u32][len u32][payload] frame from r, the
+// header into hdr, and delivers it to box as a message from peer. The
+// mailbox reads the payload into a buffer it then owns, growing it as
+// bytes arrive, so the length field alone allocates at most one read
+// step.
+func readFrame(r io.Reader, hdr *[8]byte, box *mp.Mailbox, peer int) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}

@@ -262,3 +262,56 @@ func TestPeerDisconnectFailsPendingRecv(t *testing.T) {
 		t.Error("pending recv must fail when the peer disconnects")
 	}
 }
+
+// A TCP round trip on a standing pair of ranks — a send each way, each
+// received buffer released — allocates two small objects once warm, the
+// boxes mp.Release's pool keeps the two buffers in: the frame header and
+// writev vector live on the connection, each read loop has one header
+// array, and payloads come from the receive pool. (Ten when a send
+// built its header and vector on the heap and a read its header.)
+func TestTCPRoundTripAllocs(t *testing.T) {
+	var lns [2]net.Listener
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	var nodes [2]*Node
+	errs := make(chan error, 2)
+	for r := range nodes {
+		go func(r int) {
+			var err error
+			nodes[r], err = Connect(Config{Rank: r, Addrs: addrs, Listener: lns[r], DialTimeout: 10 * time.Second})
+			errs <- err
+		}(r)
+	}
+	for range nodes {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer nodes[0].Close()
+	defer nodes[1].Close()
+	payload := make([]byte, 4<<10)
+	roundTrip := func() {
+		for _, hop := range [][2]int{{0, 1}, {1, 0}} {
+			if err := nodes[hop[0]].tr.Send(hop[1], 7, payload); err != nil {
+				t.Fatal(err)
+			}
+			got, err := nodes[hop[1]].tr.Recv(hop[0], 7, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp.Release(got)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip()
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n > 2 {
+		t.Errorf("%g allocations per round trip, want at most 2", n)
+	}
+}
