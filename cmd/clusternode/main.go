@@ -113,17 +113,13 @@ func run(list []string) error {
 	if err := c.Barrier(); err != nil {
 		return err
 	}
-	res, err := plan.CompositeRank(c, img)
-	if err != nil {
-		return err
-	}
-	final, err := plan.GatherRank(c, res)
+	final, rs, err := plan.Frame(c, img, new(harness.Tally))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("rank %d/%d: render %v, composited %d px, received %d B\n",
 		c.Rank(), c.Size(), renderTime.Round(time.Millisecond),
-		res.Stats.TotalComposited(), res.Stats.BytesReceived())
+		rs.TotalComposited(), rs.BytesReceived())
 	if c.Rank() == 0 && *out != "" {
 		if err := final.WritePGMFile(*out); err != nil {
 			return err

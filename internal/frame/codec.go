@@ -78,9 +78,10 @@ func EncodeRegion(img *Image, region Rect, buf []byte) []byte {
 // len(px)*PixelBytes bytes: the copy loop EncodeRegion and the
 // run-length writer share.
 func PutPixels(dst []byte, px []Pixel) {
-	dst = dst[:len(px)*PixelBytes]
-	// As in CompositeRow, both lengths in the loop condition let the
-	// compiler drop every bounds check in the body.
+	dst = dst[: len(px)*PixelBytes : len(dst)]
+	// As in CompositeRow, the three-index slice checks the length and
+	// both lengths in the loop condition let the compiler drop every
+	// bounds check in the body.
 	for i := 0; i < len(px) && len(dst) >= PixelBytes; i++ {
 		binary.LittleEndian.PutUint64(dst, math.Float64bits(px[i].I))
 		binary.LittleEndian.PutUint64(dst[8:], math.Float64bits(px[i].A))
@@ -135,10 +136,12 @@ func (im *Image) putWire(name string, region Rect, wire []byte, row func(dst []P
 // wire bytes to the over operator: CompositeWire runs it per scanline,
 // and the run-length decoders per contiguous piece of a foreground run.
 func CompositeRow(dst []Pixel, wire []byte, srcInFront bool) int {
-	wire = wire[:len(dst)*PixelBytes]
+	// The three-index slice checks len(wire), not only its capacity: a
+	// short wire panics here instead of reading stale bytes past its
+	// end. Both lengths in the loop condition then let the compiler drop
+	// every bounds check in the body.
+	wire = wire[: len(dst)*PixelBytes : len(wire)]
 	ops := 0
-	// Both lengths in the loop condition let the compiler drop every
-	// bounds check in the body.
 	for x := 0; x < len(dst) && len(wire) >= PixelBytes; x++ {
 		s := GetPixel(wire)
 		wire = wire[PixelBytes:]
@@ -162,7 +165,7 @@ func CompositeRow(dst []Pixel, wire []byte, srcInFront bool) int {
 // keeps its payload — so the store writes exactly that. Every pixel of
 // dst must be blank (race builds check it).
 func StoreRow(dst []Pixel, wire []byte) int {
-	wire = wire[:len(dst)*PixelBytes]
+	wire = wire[: len(dst)*PixelBytes : len(wire)] // checks the length, as in CompositeRow
 	requireBlank(dst)
 	n := 0
 	for x := 0; x < len(dst) && len(wire) >= PixelBytes; x++ {

@@ -248,10 +248,15 @@ func TestRowKernelsMatchScalarOver(t *testing.T) {
 					t.Fatalf("%s, n=%d: counted %d, %d wire pixels are non-blank", k.name, n, got, count)
 				}
 				if n > 0 {
-					short := slices.Clip(wire[:n*PixelBytes-1])
-					if !panics(func() { CompositeRow(make([]Pixel, n), short, false) }) ||
-						!panics(func() { StoreRow(make([]Pixel, n), short) }) {
-						t.Fatalf("n=%d: a kernel accepted %d wire bytes", n, len(short))
+					// A short slice is refused whatever its capacity:
+					// past its length an unclipped slice holds stale
+					// bytes, not pixels.
+					for _, short := range [][]byte{slices.Clip(wire[:n*PixelBytes-1]), wire[:n*PixelBytes-1]} {
+						if !panics(func() { CompositeRow(make([]Pixel, n), short, false) }) ||
+							!panics(func() { StoreRow(make([]Pixel, n), short) }) ||
+							!panics(func() { PutPixels(short, under) }) {
+							t.Fatalf("n=%d: a kernel accepted %d of %d bytes", n, len(short), cap(short))
+						}
 					}
 				}
 			}

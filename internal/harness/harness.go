@@ -221,7 +221,7 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 
 	rankStats := make([]*stats.Rank, cfg.P)
 	renderStats := make([]render.Stats, cfg.P)
-	renderWall := make([]time.Duration, cfg.P)
+	var tally Tally
 	var final *frame.Image
 	var validateDiff float64
 
@@ -231,7 +231,7 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 
 		start := time.Now()
 		img := plan.RenderRankObserved(me, c.Tracer(), &renderStats[me])
-		renderWall[me] = time.Since(start)
+		tally.Rendered(time.Since(start))
 
 		var pristine *frame.Image
 		if cfg.Validate {
@@ -241,16 +241,11 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 		if err := c.Barrier(); err != nil { // compositing starts together
 			return err
 		}
-		res, err := plan.CompositeRank(c, img)
+		out, rs, err := plan.Frame(c, img, &tally)
 		if err != nil {
 			return err
 		}
-		rankStats[me] = res.Stats
-
-		out, err := plan.GatherRank(c, res)
-		if err != nil {
-			return err
-		}
+		rankStats[me] = rs
 		if me == 0 {
 			final = out
 		}
@@ -264,10 +259,6 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 			}
 			pristine.Release()
 		}
-		// The rank's pixels are all in the gathered image now, and the
-		// gather gave back the parts it consumed: the subimage goes back
-		// to the pool for the next frame.
-		img.Release()
 		return nil
 	})
 	if err != nil {
@@ -298,7 +289,7 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 	if samples > 0 {
 		row.RenderImbalance = float64(maxSamples) * float64(cfg.P) / float64(samples)
 	}
-	row.RenderMS = ms(slices.Max(renderWall))
+	row.RenderMS = ms(time.Duration(tally.Render.Load()))
 	row.ValidateDiff = validateDiff
 	if final != nil {
 		row.NonBlank = final.CountNonBlank(final.Full())

@@ -2,12 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"sortlast/internal/core"
 	"sortlast/internal/frame"
 	"sortlast/internal/mp"
 	"sortlast/internal/partition"
 	"sortlast/internal/render"
+	"sortlast/internal/stats"
 	"sortlast/internal/trace"
 	"sortlast/internal/transfer"
 	"sortlast/internal/volume"
@@ -82,29 +85,57 @@ func (p *Plan) RenderRankObserved(me int, tr *trace.Rank, rs *render.Stats) *fra
 	return render.Raycast(p.Vol, p.Lay.Box(me), p.Cam, p.TF, opts)
 }
 
-// CompositeRank runs the compositing phase for one rank over a standing
-// communicator. Successive frames may be composited back to back on the
-// same communicator without barriers: per-(source, tag) FIFO ordering
-// keeps consecutive frames' messages correctly paired, the same
-// guarantee consecutive collectives rely on.
-//
-// When a tracer is attached to c, the whole phase is recorded as a
-// "compositing" span containing the compositor's per-stage spans.
-func (p *Plan) CompositeRank(c mp.Comm, img *frame.Image) (*core.Result, error) {
-	tr := c.Tracer()
-	m := tr.Begin()
-	res, err := p.Comp.Composite(c, p.Dec, p.Cam.Dir, img)
-	tr.End(m, trace.SpanCompositing, "")
-	return res, err
+// Tally is one frame's account, shared by every rank of its world. A
+// caller folds each rank's render wall in (Rendered) before that rank
+// calls Frame; Frame folds in the rest before the rank's gather message
+// leaves, so a Tally is complete by the time rank 0's Frame returns.
+type Tally struct {
+	Render, Composite atomic.Int64  // walls (ns), maximum over ranks
+	Gather            time.Duration // rank 0's gather wall
+	WireBytes         atomic.Int64  // compositing bytes received (fold and stages, not the gather), sum over ranks
 }
 
-// GatherRank assembles the distributed final image at rank 0 from this
-// rank's compositing result; non-root ranks receive nil. The gather
-// records its own "gather" span and labels its comm spans with the
-// "gather" stage, so the reports can separate them from binary-swap
-// exchange waits.
-func (p *Plan) GatherRank(c mp.Comm, res *core.Result) (*frame.Image, error) {
-	return core.GatherImage(c, 0, res)
+// Rendered folds one rank's render wall into t.
+func (t *Tally) Rendered(d time.Duration) { foldMax(&t.Render, d) }
+
+// foldMax raises m to d when d is larger.
+func foldMax(m *atomic.Int64, d time.Duration) {
+	for old := m.Load(); int64(d) > old && !m.CompareAndSwap(old, int64(d)); old = m.Load() {
+	}
+}
+
+// Frame is one rank's frame after rendering, over a standing
+// communicator: it composites img inside a "compositing" span on c's
+// tracer, folds this rank's share into t, gathers the final image at
+// rank 0 and, on success, releases img (the gather gave back the parts
+// it consumed). It returns the gathered image at rank 0, nil elsewhere,
+// and this rank's compositing counters.
+//
+// Successive frames may run back to back on the same communicator: the
+// per-(source, tag) FIFO ordering keeps consecutive frames' messages
+// paired, the guarantee consecutive collectives rely on. A barrier
+// before compositing is the caller's choice.
+func (p *Plan) Frame(c mp.Comm, img *frame.Image, t *Tally) (*frame.Image, *stats.Rank, error) {
+	tr := c.Tracer()
+	m := tr.Begin()
+	start := time.Now()
+	res, err := p.Comp.Composite(c, p.Dec, p.Cam.Dir, img)
+	tr.End(m, trace.SpanCompositing, "")
+	if err != nil {
+		return nil, nil, err
+	}
+	foldMax(&t.Composite, time.Since(start))
+	t.WireBytes.Add(int64(res.Stats.BytesReceived()))
+	start = time.Now()
+	out, err := core.GatherImage(c, 0, res)
+	if c.Rank() == 0 {
+		t.Gather = time.Since(start)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	img.Release()
+	return out, res.Stats, nil
 }
 
 // check validates a Config without generating volumes or building a

@@ -202,11 +202,15 @@ func TestServeEndToEnd(t *testing.T) {
 // TestServedWireBytesMatchOneShot pins what a reply's WireBytes is: the
 // compositing bytes every rank received for that frame (fold and
 // stages, not the gather) — the sum of the per-rank counters of the
-// same configuration's harness plan run once on a fresh world, for every
-// method, at a power-of-two and a folded rank count.
+// same configuration's compositor run once on a fresh world, for every
+// method, at a power-of-two and a folded rank count. The one-shot count
+// calls the compositor directly, so it shares no accounting with the
+// server. A fresh server's renderd_wire_bytes_total is the sum of the
+// WireBytes of the replies it served.
 func TestServedWireBytesMatchOneShot(t *testing.T) {
 	for _, p := range []int{3, 4} {
-		_, cl := startServer(t, server.Config{P: p, DefaultDeadline: time.Minute})
+		srv, cl := startServer(t, server.Config{P: p, HTTPAddr: "127.0.0.1:0", DefaultDeadline: time.Minute})
+		var served int64
 		for _, method := range core.Names() {
 			req := server.Request{Dataset: "cube", Method: method, Width: 64, Height: 64, RotY: 30}
 			plan, err := harness.NewPlan(harness.Config{
@@ -218,7 +222,7 @@ func TestServedWireBytesMatchOneShot(t *testing.T) {
 			}
 			var received atomic.Int64
 			err = mp.Run(p, mp.Options{}, func(c mp.Comm) error {
-				res, err := plan.CompositeRank(c, plan.RenderRank(c.Rank()))
+				res, err := plan.Comp.Composite(c, plan.Dec, plan.Cam.Dir, plan.RenderRank(c.Rank()))
 				if err == nil {
 					received.Add(int64(res.Stats.BytesReceived()))
 				}
@@ -236,6 +240,11 @@ func TestServedWireBytesMatchOneShot(t *testing.T) {
 				t.Errorf("%s P=%d: reply reports %d wire bytes, the one-shot run's ranks received %d",
 					method, p, f.Stats.WireBytes, want)
 			}
+			served += f.Stats.WireBytes
+		}
+		_, body := httpGet(t, "http://"+srv.HTTPAddr().String()+"/metrics")
+		if want := fmt.Sprintf("\nrenderd_wire_bytes_total %d\n", served); !bytes.Contains(body, []byte(want)) {
+			t.Errorf("P=%d: /metrics lacks %q, the sum of the replies' WireBytes", p, want[1:len(want)-1])
 		}
 	}
 }

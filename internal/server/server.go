@@ -131,30 +131,19 @@ type job struct {
 }
 
 // frameRecord is the one account of a served frame. The reply's
-// FrameStats, the latency and phase histograms, the flight entry and
-// the reply's span tree are all read from it and from the one total
-// taken when the request is answered.
+// FrameStats, the latency and phase histograms, the wire byte counter,
+// the flight entry and the reply's span tree are all read from it and
+// from the one total taken when the request is answered.
 type frameRecord struct {
 	arrived    time.Time // submit's stamp: the deadline and every latency are anchored to it
 	dispatched time.Time // the scheduler's stamp; zero for a job never dispatched
 
-	// The slowest rank's render and composite walls (ns), rank 0's
-	// gather wall, and the compositing bytes every rank received. All
-	// are in when rank 0 replies: every rank folds in its render and
-	// composite walls and its bytes before its gather message leaves.
-	render, composite atomic.Int64
-	gather            time.Duration // written by rank 0 before it answers the job
-	wireBytes         atomic.Int64
+	// The frame's walls and wire bytes, complete when rank 0 replies.
+	harness.Tally
 }
 
 // queue is the time from arrival to dispatch.
 func (r *frameRecord) queue() time.Duration { return r.dispatched.Sub(r.arrived) }
-
-// foldMax raises m to d when d is larger.
-func foldMax(m *atomic.Int64, d time.Duration) {
-	for old := m.Load(); int64(d) > old && !m.CompareAndSwap(old, int64(d)); old = m.Load() {
-	}
-}
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
@@ -324,7 +313,7 @@ func (s *Server) renderLoop(me int, run *worldRun, in <-chan *job, out chan<- re
 	for j := range in {
 		start := time.Now()
 		img := j.plan.RenderRankObserved(me, j.spans.Rank(me), &s.renderStats)
-		foldMax(&j.rec.render, time.Since(start))
+		j.rec.Rendered(time.Since(start))
 		out <- rendered{job: j, img: img}
 	}
 }
@@ -333,32 +322,12 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 	defer run.pipeWG.Done()
 	for rj := range in {
 		j := rj.job
-		var img *frame.Image
 		// The comm is long-lived but jobs come and go, so the tracer is
 		// attached per frame; the nil store afterwards keeps a finished
-		// job's recorder from collecting a later frame's spans.
+		// job's recorder from collecting a later frame's spans. The
+		// reply path releases the gathered image once it is encoded.
 		c.SetTracer(j.spans.Rank(me))
-		start := time.Now()
-		res, err := j.plan.CompositeRank(c, rj.img)
-		if err == nil {
-			// This rank's share of the record goes in before the gather,
-			// so every rank's is in by the time rank 0 has the image and
-			// answers the job. Bytes-on-wire: what this rank's
-			// compositing received (fold and stages).
-			foldMax(&j.rec.composite, time.Since(start))
-			recv := int64(res.Stats.BytesReceived())
-			s.met.wire.Add(recv)
-			j.rec.wireBytes.Add(recv)
-			start = time.Now()
-			img, err = j.plan.GatherRank(c, res)
-			if me == 0 {
-				j.rec.gather = time.Since(start)
-			}
-			// The gathered image holds every pixel the rank had, and the
-			// gather gave back the parts it consumed; the reply path
-			// releases the gathered image once it is encoded.
-			rj.img.Release()
-		}
+		img, _, err := j.plan.Frame(c, rj.img, &j.rec.Tally)
 		c.SetTracer(nil)
 
 		if err != nil {
@@ -409,11 +378,12 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 		return s.reject(j, req, rep.code, rep.err.Error()), nil
 	}
 	total := time.Since(j.rec.arrived)
-	render, composite := time.Duration(j.rec.render.Load()), time.Duration(j.rec.composite.Load())
+	render, composite := time.Duration(j.rec.Render.Load()), time.Duration(j.rec.Composite.Load())
 	s.met.frames.Add(1, j.method)
+	s.met.wire.Add(j.rec.WireBytes.Load())
 	s.met.latency.Observe(total.Seconds(), uint64(j.id))
 	s.met.quality.Add(1, j.quality)
-	for i, d := range [...]time.Duration{render, composite, j.rec.gather} {
+	for i, d := range [...]time.Duration{render, composite, j.rec.Gather} {
 		s.met.phases.Observe(d.Seconds(), uint64(j.id), phaseNames[i])
 	}
 	if j.spans != nil {
@@ -430,7 +400,7 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 			QueueMS:   ms(j.rec.queue()),
 			RenderMS:  ms(render),
 			TotalMS:   ms(total),
-			WireBytes: j.rec.wireBytes.Load(),
+			WireBytes: j.rec.WireBytes.Load(),
 			Quality:   j.quality,
 			Degraded:  j.quality != j.requested,
 			TraceID:   j.id.String(),
