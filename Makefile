@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-norace fmt vet build test race bench-module fuzz-smoke bench lines
+.PHONY: check check-norace fmt vet build test race bench-module tables fuzz-smoke bench lines
 
 # check is the pre-commit gate: formatting, static analysis, a full
 # build, the full test suite, the race detector over every package, and
@@ -10,7 +10,7 @@ check: check-norace race
 # check-norace is check without the race detector: what CI's check job
 # runs, because its race job already races every package on the same
 # commit.
-check-norace: fmt vet build test bench-module
+check-norace: fmt vet build test bench-module tables
 
 # fmt fails on any file gofmt would rewrite (bench/ included) and names
 # it: drift go vet does not report.
@@ -35,6 +35,20 @@ race:
 # benchmark. ~16 s.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# tables regenerates the paper's tables and figures (composebench -all)
+# and the seven-method Table 1 at non-power-of-two P, drops the two
+# host-timed columns, and diffs what is left against the goldens in
+# cmd/composebench/testdata: every modeled time and makespan, M_max, the
+# empty-rectangle and non-blank counts and the render imbalance. ~30 s on
+# 2 vCPUs. Only a change meant to move a count records them again:
+#   go run ./cmd/composebench -all -csv | awk -F, -f cmd/composebench/testdata/untimed.awk > cmd/composebench/testdata/paper_counts.csv
+#   go run ./cmd/composebench $(ANYP) | awk -F, -f cmd/composebench/testdata/untimed.awk > cmd/composebench/testdata/anyp_counts.csv
+TABLES = cmd/composebench/testdata
+ANYP = -table 1 -method bs,bsbr,bslc,bsbrc,direct,ds,dfb -plist 3,5,6,7,12 -csv
+tables:
+	$(GO) run ./cmd/composebench -all -csv | awk -F, -f $(TABLES)/untimed.awk | diff $(TABLES)/paper_counts.csv -
+	$(GO) run ./cmd/composebench $(ANYP) | awk -F, -f $(TABLES)/untimed.awk | diff $(TABLES)/anyp_counts.csv -
 
 # fuzz-smoke gives each parser of bytes that crossed a rank-to-rank
 # socket ten seconds of coverage-guided fuzzing from its real seeds: the
