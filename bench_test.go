@@ -90,7 +90,7 @@ func benchWorldOpts() mp.Options { return mp.Options{RecvTimeout: 120 * time.Sec
 // rendered subimages and returns the per-rank counters.
 func compositeOnce(b testing.TB, env *benchEnv, method string, granularity int) []*stats.Rank {
 	b.Helper()
-	comp, err := core.Build(method, granularity, nil)
+	comp, err := core.Build(method, granularity)
 	if err != nil {
 		b.Fatal(err)
 	}

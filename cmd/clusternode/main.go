@@ -87,8 +87,9 @@ func run(list []string) error {
 		Width: *size, Height: *size,
 		RotX: *rotX, RotY: *rotY,
 	}
-	// The plan is the one the in-process harness runs: kd decomposition
-	// at power-of-two world sizes, the fold plan otherwise.
+	// The plan is the one the in-process harness runs: the kd
+	// decomposition of the world's size, extra ranks folded in when it is
+	// not a power of two.
 	plan, err := harness.NewPlan(cfg)
 	if err != nil {
 		return err

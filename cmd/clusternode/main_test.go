@@ -115,8 +115,8 @@ func TestRanksMatchHarness(t *testing.T) {
 	}
 }
 
-// Direct send — refused at odd world sizes until it took the fold plan
-// as rank geometry — runs as three OS processes and exits 0 with the
+// Direct send — refused at odd world sizes until it took the folded
+// decomposition as rank geometry — runs as three OS processes and exits 0 with the
 // oracle's image.
 func TestDirectServesOddWorld(t *testing.T) { matchHarness(t, 3, "direct") }
 

@@ -37,6 +37,7 @@ var testOnlyExports = map[string]string{
 	"frame.Image.StoreRegion":     "reference store StoreWire is checked against",
 	"frame.PackPixels":            "reference pixel packer the region fast paths are checked against",
 	"core.Ownership.Area":         "oracle: the owner-merge and gather tests bound what a rank stores by its owned area",
+	"core.Build":                  "BenchmarkAblationInterleave's BSLC section-size knob; every program builds through core.New",
 	"obs.Registry.Write":          "the golden exposition tests of obs, server and fleet render the registry with it",
 	"frame.XYWH":                  "rectangle fixture constructor of the frame, partition and core tests",
 	"frame.NewImageBounds":        "image fixture constructor of the frame and core tests",

@@ -269,10 +269,10 @@ func TestFoldedCompositeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s: %d allocations >= 1 KiB in %d composites", plan.Comp.Name(), after-before, composites)
+	t.Logf("%s: %d allocations >= 1 KiB in %d composites", plan.Cfg.Method, after-before, composites)
 	if after != before {
 		t.Errorf("%s: %d allocations >= 1 KiB in %d composites, want none",
-			plan.Comp.Name(), after-before, composites)
+			plan.Cfg.Method, after-before, composites)
 	}
 }
 

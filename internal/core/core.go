@@ -7,8 +7,9 @@
 // (bounding rectangle + run-length encoding) — and ownerMerge, one
 // route round to static strip or tile owners followed by a depth-order
 // merge (direct, ds, dfb). The codecs (codec.go) each own one wire
-// format end to end. The §5 fold to non-power-of-two processor counts
-// is a pre-stage in front of the swap schedule.
+// format end to end. At a processor count that is not a power of two,
+// the §5 fold is the swap schedule's first exchange; ownerMerge needs
+// only the rank boxes and their depth order, so it runs at any count.
 //
 // All compositors are communication optimizations, not approximations:
 // on the same subimages they produce bit-identical final images, because
@@ -37,7 +38,6 @@ const (
 // image. Composite runs on every rank; on return, the rank's portion of
 // the final image is described by Result.Own and stored in Result.Parts.
 type Compositor interface {
-	Name() string
 	Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
 		img *frame.Image) (*Result, error)
 }
@@ -64,9 +64,12 @@ type Result struct {
 	pooled bool
 }
 
-// checkWorld validates the comm/decomposition pairing shared by the
-// schedules that pair ranks along the kd tree.
+// checkWorld validates the comm/decomposition pairing both schedules
+// rest on.
 func checkWorld(c mp.Comm, dec *partition.Decomposition) error {
+	if dec == nil {
+		return fmt.Errorf("core: no decomposition")
+	}
 	if c.Size() != dec.Size() {
 		return fmt.Errorf("core: world has %d ranks but decomposition expects %d",
 			c.Size(), dec.Size())

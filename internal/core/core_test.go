@@ -46,25 +46,32 @@ func mustNew(t testing.TB, name string) Compositor {
 	return comp
 }
 
-// methodWorld builds the named method and the geometry it runs over at
-// p ranks the way the harness does: over the fold plan, which at a power
-// of two is the plain decomposition under the plain method. A positive
-// tile replaces the tile edge of a tiled method (dfb); the others ignore
-// it.
-func methodWorld(t testing.TB, name string, bounds volume.Box, p, tile int) (Compositor, *partition.Decomposition, partition.Layout) {
+// nameOf is the method name a compositor reports in stats.Rank.Method
+// (without the "+fold" suffix of a folding world).
+func nameOf(c Compositor) string {
+	switch m := c.(type) {
+	case *swapLoop:
+		return m.name
+	case *ownerMerge:
+		return m.name
+	}
+	return ""
+}
+
+// methodWorld builds the named method and the decomposition it runs over
+// at p ranks the way the harness does. A positive tile replaces the tile
+// edge of a tiled method (dfb); the others ignore it.
+func methodWorld(t testing.TB, name string, bounds volume.Box, p, tile int) (Compositor, *partition.Decomposition) {
 	t.Helper()
-	plan, err := partition.PlanFold(bounds, p)
+	dec, err := partition.Decompose(bounds, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Build(name, 0, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := mustNew(t, name)
 	if m, ok := comp.(*ownerMerge); ok && m.tile > 0 && tile > 0 {
 		m.tile = tile
 	}
-	return comp, plan.Dec, plan
+	return comp, dec
 }
 
 // world runs fn on every rank of a p-rank world and returns the first
@@ -174,19 +181,19 @@ func runImages(t testing.TB, run world, comp Compositor, dec *partition.Decompos
 		return err
 	})
 	if err != nil {
-		t.Fatalf("%s P=%d: %v", comp.Name(), p, err)
+		t.Fatalf("%s P=%d: %v", nameOf(comp), p, err)
 	}
 	if final == nil {
-		t.Fatalf("%s P=%d: no final image at root", comp.Name(), p)
+		t.Fatalf("%s P=%d: no final image at root", nameOf(comp), p)
 	}
 	return final, ranksStats
 }
 
 // renderRanks ray casts every rank's subimage of the scene.
-func renderRanks(sc *scene, lay partition.Layout) []*frame.Image {
-	imgs := make([]*frame.Image, lay.Size())
+func renderRanks(sc *scene, dec *partition.Decomposition) []*frame.Image {
+	imgs := make([]*frame.Image, dec.Size())
 	for r := range imgs {
-		imgs[r] = render.Raycast(sc.vol, lay.Box(r), sc.cam, sc.tf, render.Options{EarlyTermination: -1})
+		imgs[r] = render.Raycast(sc.vol, dec.Box(r), sc.cam, sc.tf, render.Options{EarlyTermination: -1})
 	}
 	return imgs
 }
@@ -280,7 +287,7 @@ func blobScenes(t *testing.T, n int) map[string]*scene {
 // integration property), across datasets, rotations — the paper's four
 // fixed views plus seeded random cameras over three seeded random
 // volumes — and rank counts — powers of two, and non-powers of two
-// folded or over the fold plan's geometry — in process, and the seeded
+// folded or over the folded decomposition's boxes — in process, and the seeded
 // family once more over loopback TCP. No method is skipped at any P.
 func TestAllMethodsMatchSerial(t *testing.T) {
 	scenes := map[string]*scene{
@@ -296,8 +303,8 @@ func TestAllMethodsMatchSerial(t *testing.T) {
 	check := func(name string, sc *scene, run world, ps []int) {
 		for _, p := range ps {
 			for _, spec := range registry {
-				comp, dec, lay := methodWorld(t, spec.Name, sc.vol.Bounds(), p, 0)
-				final, _ := runImages(t, run, comp, dec, sc.cam.Dir, renderRanks(sc, lay))
+				comp, dec := methodWorld(t, spec.Name, sc.vol.Bounds(), p, 0)
+				final, _ := runImages(t, run, comp, dec, sc.cam.Dir, renderRanks(sc, dec))
 				if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {
 					t.Errorf("%s %s P=%d: final image differs from serial by %g",
 						name, spec.Name, p, d)
@@ -332,7 +339,7 @@ func TestPaperMethodsBitIdentical(t *testing.T) {
 			for x := 0; x < 64; x++ {
 				if got.At(x, y) != ref.At(x, y) {
 					t.Fatalf("%s differs from BS at (%d,%d): %v vs %v",
-						m.Name(), x, y, got.At(x, y), ref.At(x, y))
+						name, x, y, got.At(x, y), ref.At(x, y))
 				}
 			}
 		}
@@ -416,7 +423,7 @@ func TestMaxMessageBSLCWinsOnOverlap(t *testing.T) {
 func TestFoldedMatchesSerial(t *testing.T) {
 	sc := makeScene(t, volume.EngineBlock(32, 32, 16), transfer.EngineLow(), 48, 48, 15, 25)
 	for _, p := range []int{2, 3, 5, 6, 7, 11, 12} {
-		plan, err := partition.PlanFold(sc.vol.Bounds(), p)
+		dec, err := partition.Decompose(sc.vol.Bounds(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,24 +431,18 @@ func TestFoldedMatchesSerial(t *testing.T) {
 			if !spec.Caps.Paper {
 				continue
 			}
-			comp, err := Build(spec.Name, 0, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := mustNew(t, spec.Name).Name()
-			if plan.Extras() > 0 {
+			comp := mustNew(t, spec.Name)
+			want := nameOf(comp)
+			if dec.Extras() > 0 {
 				want += "+fold"
 			}
-			if comp.Name() != want {
-				t.Fatalf("%s over a %d-rank fold plan is %q, want %q", spec.Name, p, comp.Name(), want)
-			}
-			final, rs := runImages(t, inProcess, comp, plan.Dec, sc.cam.Dir, renderRanks(sc, plan))
+			final, rs := runImages(t, inProcess, comp, dec, sc.cam.Dir, renderRanks(sc, dec))
 			if d := sc.serial.MaxAbsDiff(final, sc.serial.Full()); d > 1e-9 {
-				t.Errorf("%s P=%d: differs from serial by %g", comp.Name(), p, d)
+				t.Errorf("%s P=%d: differs from serial by %g", want, p, d)
 			}
 			for _, r := range rs {
-				if r.Method != comp.Name() {
-					t.Errorf("P=%d rank %d reports method %q, want %q", p, r.RankID, r.Method, comp.Name())
+				if r.Method != want {
+					t.Errorf("P=%d rank %d reports method %q, want %q", p, r.RankID, r.Method, want)
 				}
 			}
 		}
@@ -466,14 +467,14 @@ func TestBoundingRectSkipsEmptyHalves(t *testing.T) {
 			empties += r.EmptyRecvRects()
 		}
 		if empties == 0 {
-			t.Errorf("%s: no empty receiving rectangles on the cube at P=%d", m.Name(), p)
+			t.Errorf("%s: no empty receiving rectangles on the cube at P=%d", name, p)
 		}
 		// Empty-rect messages must cost only the header.
 		for _, r := range rs {
 			for _, s := range r.Stages {
 				if s.RecvRectEmpty && s.BytesRecv != frame.RectBytes {
 					t.Errorf("%s: empty rect stage received %d bytes, want %d",
-						m.Name(), s.BytesRecv, frame.RectBytes)
+						name, s.BytesRecv, frame.RectBytes)
 				}
 			}
 		}
@@ -575,7 +576,7 @@ func TestStatsMatchTransport(t *testing.T) {
 			imgs := randImages(rand.New(rand.NewSource(int64(p))), p, 48, 40, 0.3)
 			for _, name := range Names() {
 				label := fmt.Sprintf("%s over %s P=%d", name, tp.name, p)
-				comp, dec, _ := methodWorld(t, name, testRoot(), p, 16)
+				comp, dec := methodWorld(t, name, testRoot(), p, 16)
 				carried := make([]*countingTransport, p)
 				run := tp.over(func(r int, tr mp.Transport) mp.Transport {
 					carried[r] = &countingTransport{Transport: tr}
@@ -607,7 +608,7 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Errorf("New(%q): %v", n, err)
 		}
-		if c.Name() == "" {
+		if nameOf(c) == "" {
 			t.Errorf("%q has empty display name", n)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // before it is read.
 func TestGatheredPartRowReadsPoison(t *testing.T) {
 	imgs := randImages(rand.New(rand.NewSource(7)), 2, 64, 48, 1)
-	comp, dec, _ := methodWorld(t, "dfb", testRoot(), 2, 16)
+	comp, dec := methodWorld(t, "dfb", testRoot(), 2, 16)
 	err := inProcess(2, func(c mp.Comm) error {
 		res, err := comp.Composite(c, dec, [3]float64{0, 0, 1}, imgs[c.Rank()].Clone())
 		if err != nil {

@@ -149,8 +149,8 @@ func TestGatherWithEmptyOwners(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(31*tc.p + tc.w)))
 		imgs := randImages(rng, tc.p, tc.w, tc.h, density)
-		comp, dec, lay := methodWorld(t, tc.method, testRoot(), tc.p, tc.tile)
-		ref := CompositeSequentialLayout(imgs, lay, viewDir)
+		comp, dec := methodWorld(t, tc.method, testRoot(), tc.p, tc.tile)
+		ref := CompositeSequential(imgs, dec, viewDir)
 		got, rs := runImages(t, inProcess, comp, dec, viewDir, imgs)
 		if tc.byteForByte {
 			requireIdentical(t, tc.name, got, ref)
@@ -177,7 +177,7 @@ func TestGatherStageCounters(t *testing.T) {
 	for _, spec := range registry {
 		for _, p := range []int{4, 6} {
 			imgs := goldenImages(0, p)
-			comp, dec, _ := methodWorld(t, spec.Name, goldenRoot(), p, 16)
+			comp, dec := methodWorld(t, spec.Name, goldenRoot(), p, 16)
 			_, rs := runImages(t, inProcess, comp, dec, viewDir, imgs)
 			var sent, msgs int
 			for _, r := range rs {
@@ -381,7 +381,7 @@ func TestGatherConsumesScheduleParts(t *testing.T) {
 		for _, p := range []int{3, 4} {
 			label := fmt.Sprintf("%s P=%d", method, p)
 			imgs := randImages(rand.New(rand.NewSource(int64(p))), p, 64, 48, 1)
-			comp, dec, _ := methodWorld(t, method, testRoot(), p, 16)
+			comp, dec := methodWorld(t, method, testRoot(), p, 16)
 			err := inProcess(p, func(c mp.Comm) error {
 				img := imgs[c.Rank()].Clone()
 				res, err := comp.Composite(c, dec, viewDir, img)
@@ -438,7 +438,7 @@ func checkConsumed(res *Result, img *frame.Image, before []*frame.Image, owner b
 // blank.
 func TestFailedGatherConsumesScheduleParts(t *testing.T) {
 	imgs := randImages(rand.New(rand.NewSource(5)), 2, 64, 48, 1)
-	comp, dec, _ := methodWorld(t, "dfb", testRoot(), 2, 16)
+	comp, dec := methodWorld(t, "dfb", testRoot(), 2, 16)
 	err := inProcess(2, func(c mp.Comm) error {
 		img := imgs[c.Rank()].Clone()
 		res, err := comp.Composite(c, dec, [3]float64{0, 0, 1}, img)

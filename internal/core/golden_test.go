@@ -85,9 +85,9 @@ func (t *recordingTransport) digest() string {
 // plus one for the gathered image, and separately the gather's own row.
 func transcript(t *testing.T, name string, p, scene int) (lines []string, gather string) {
 	t.Helper()
-	comp, dec, lay := methodWorld(t, name, goldenRoot(), p, 0)
+	comp, dec := methodWorld(t, name, goldenRoot(), p, 0)
 	imgs := goldenImages(scene, p)
-	ref := CompositeSequentialLayout(imgs, lay, goldenView)
+	ref := CompositeSequential(imgs, dec, goldenView)
 	opts := mp.Options{RecvTimeout: 20 * time.Second}
 	w, err := mp.NewWorld(p, opts)
 	if err != nil {

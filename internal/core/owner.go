@@ -26,12 +26,12 @@ const DefaultTile = 64
 // (mp.Comm.Send never blocks), so the fan-out completes before any rank
 // starts its merge: no cyclic waits at any P.
 //
-// Only per-rank geometry is needed, never stage pairing, so the schedule
-// runs at any rank count. Correctness rests on one argument: each rank's
-// subimage enters its owner's accumulation in the layout's global
-// front-to-back order. The rank boxes form a BSP of the volume, so that
-// order is a valid per-pixel order for every pixel, and skipping a blank
-// pixel is exact under the over operator.
+// Only per-rank geometry is needed, never stage pairing or the fold, so
+// the schedule runs at any rank count. Correctness rests on one
+// argument: each rank's subimage enters its owner's accumulation in the
+// decomposition's global front-to-back order. The rank boxes form a BSP
+// of the volume, so that order is a valid per-pixel order for every
+// pixel, and skipping a blank pixel is exact under the over operator.
 //
 // With tile 0 the tiles are P horizontal strips, one per rank, and a
 // message is one codec region (direct, ds). With a positive tile edge
@@ -54,18 +54,11 @@ const DefaultTile = 64
 // Parts, and GatherImage gives them back to the frame pool, so the next
 // frame's owners accumulate in the same memory.
 type ownerMerge struct {
-	name  string // display name and stats.Rank.Method
+	name  string // stats.Rank.Method
 	tag   int
 	codec regionCodec
 	tile  int
-	// lay fixes the rank geometry when the world is not described by
-	// the decomposition passed to Composite (a fold plan at
-	// non-power-of-two P); nil uses that decomposition.
-	lay partition.Layout
 }
-
-// Name implements Compositor.
-func (m *ownerMerge) Name() string { return m.name }
 
 // tiling cuts the frame into owner tiles: tile t belongs to rank t mod P.
 type tiling struct {
@@ -108,20 +101,10 @@ func stripRect(full frame.Rect, r, p int) frame.Rect {
 // Composite implements Compositor.
 func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
 	img *frame.Image) (*Result, error) {
-	lay := m.lay
-	if lay == nil {
-		if dec == nil {
-			return nil, fmt.Errorf("core: %s: no layout and no decomposition", m.name)
-		}
-		lay = dec
+	if err := checkWorld(c, dec); err != nil {
+		return nil, err
 	}
 	p, me := c.Size(), c.Rank()
-	if p != lay.Size() {
-		return nil, fmt.Errorf("core: world has %d ranks but layout expects %d", p, lay.Size())
-	}
-	if me < 0 || me >= p {
-		return nil, fmt.Errorf("core: rank %d out of range", me)
-	}
 	full := img.Full()
 	til, err := newTiling(full, m.tile, p)
 	if err != nil {
@@ -181,7 +164,7 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 	}
 	c.SetStage(merge.Label)
 	cm := tr.Begin()
-	for _, src := range lay.DepthOrder(viewDir) {
+	for _, src := range dec.DepthOrder(viewDir) {
 		if src == me {
 			timer.Start()
 			for i, tile := range own {

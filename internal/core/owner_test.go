@@ -9,7 +9,6 @@ import (
 
 	"sortlast/internal/frame"
 	"sortlast/internal/mp"
-	"sortlast/internal/partition"
 	"sortlast/internal/volume"
 )
 
@@ -68,10 +67,10 @@ func TestOwnerMergeMatchesSequential(t *testing.T) {
 			imgs := randImages(rng, p, 48, 48, density)
 			viewDir := [3]float64{0.3, -0.5, 0.81}
 			for _, method := range ownerMethods {
-				comp, dec, lay := methodWorld(t, method, testRoot(), p, 16)
-				ref := CompositeSequentialLayout(imgs, lay, viewDir)
+				comp, dec := methodWorld(t, method, testRoot(), p, 16)
+				ref := CompositeSequential(imgs, dec, viewDir)
 				got, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
-				requireIdentical(t, comp.Name()+" P="+strconv.Itoa(p)+" "+name, got, ref)
+				requireIdentical(t, nameOf(comp)+" P="+strconv.Itoa(p)+" "+name, got, ref)
 			}
 		}
 	}
@@ -85,11 +84,9 @@ func TestDFBTileSizes(t *testing.T) {
 	imgs := randImages(rand.New(rand.NewSource(42)), p, 50, 38, 0.2)
 	viewDir := [3]float64{-0.2, 0.4, 0.89}
 	for _, tile := range []int{1, 3, 16, 33, 64, 1000} {
-		comp, _, lay := methodWorld(t, "dfb", testRoot(), p, tile)
-		ref := CompositeSequentialLayout(imgs, lay, viewDir)
-		// No decomposition on purpose: a method built over a plan must
-		// resolve its own layout.
-		got, _ := runImages(t, inProcess, comp, nil, viewDir, imgs)
+		comp, dec := methodWorld(t, "dfb", testRoot(), p, tile)
+		ref := CompositeSequential(imgs, dec, viewDir)
+		got, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
 		requireIdentical(t, "DFB tile="+strconv.Itoa(tile), got, ref)
 	}
 }
@@ -109,10 +106,10 @@ func TestOwnerMergeRandomized(t *testing.T) {
 		viewDir := [3]float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1, 0.1 + rng.Float64()}
 		imgs := randImages(rng, p, w, h, rng.Float64())
 		for _, method := range ownerMethods {
-			comp, dec, lay := methodWorld(t, method, testRoot(), p, tile)
-			ref := CompositeSequentialLayout(imgs, lay, viewDir)
+			comp, dec := methodWorld(t, method, testRoot(), p, tile)
+			ref := CompositeSequential(imgs, dec, viewDir)
 			got, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
-			requireIdentical(t, comp.Name(), got, ref)
+			requireIdentical(t, nameOf(comp), got, ref)
 		}
 	}
 }
@@ -138,7 +135,7 @@ func TestOwnerMergeStoresOnlyWhatItOwns(t *testing.T) {
 					for r, img := range imgs {
 						bounds[r], _ = img.BoundingRect(img.Full())
 					}
-					comp, dec, _ := methodWorld(t, method, testRoot(), p, tile)
+					comp, dec := methodWorld(t, method, testRoot(), p, tile)
 					results := make([]*Result, p)
 					err := inProcess(p, func(c mp.Comm) (err error) {
 						results[c.Rank()], err = comp.Composite(c, dec, viewDir, imgs[c.Rank()].Clone())
@@ -183,32 +180,25 @@ func TestOwnerMergeStoresOnlyWhatItOwns(t *testing.T) {
 	}
 }
 
-// A compositor built for one world size must refuse another, and one
-// given neither a layout nor a decomposition must say so.
+// A compositor run over a decomposition of one world size must refuse
+// a world of another, and one given no decomposition must say so.
 func TestLayoutSizeMismatch(t *testing.T) {
-	plan, err := partition.PlanFold(testRoot(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	imgs := []*frame.Image{frame.NewImage(16, 16), frame.NewImage(16, 16)}
 	for _, method := range []string{"ds", "dfb"} {
-		comp, err := Build(method, 0, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = mp.Run(2, testOpts(), func(c mp.Comm) error {
-			_, err := comp.Composite(c, plan.Dec, [3]float64{0, 0, 1}, imgs[c.Rank()])
+		comp, dec := methodWorld(t, method, testRoot(), 4, 0)
+		err := mp.Run(2, testOpts(), func(c mp.Comm) error {
+			_, err := comp.Composite(c, dec, [3]float64{0, 0, 1}, imgs[c.Rank()])
 			return err
 		})
-		if err == nil || !strings.Contains(err.Error(), "layout expects") {
-			t.Fatalf("%s: world/layout mismatch not rejected: %v", method, err)
+		if err == nil || !strings.Contains(err.Error(), "decomposition expects") {
+			t.Fatalf("%s: world/decomposition mismatch not rejected: %v", method, err)
 		}
 		err = mp.Run(2, testOpts(), func(c mp.Comm) error {
-			_, err := mustNew(t, method).Composite(c, nil, [3]float64{0, 0, 1}, imgs[c.Rank()])
+			_, err := comp.Composite(c, nil, [3]float64{0, 0, 1}, imgs[c.Rank()])
 			return err
 		})
-		if err == nil {
-			t.Fatalf("%s: nil layout and nil decomposition not rejected", method)
+		if err == nil || !strings.Contains(err.Error(), "no decomposition") {
+			t.Fatalf("%s: nil decomposition not rejected: %v", method, err)
 		}
 	}
 }
@@ -223,31 +213,31 @@ func TestOwnerMergeStageSplit(t *testing.T) {
 	for _, method := range ownerMethods {
 		const p = 3
 		imgs := randImages(rand.New(rand.NewSource(11)), p, 48, 48, 1)
-		comp, dec, _ := methodWorld(t, method, testRoot(), p, 16)
+		comp, dec := methodWorld(t, method, testRoot(), p, 16)
 		_, perRank := runImages(t, inProcess, comp, dec, [3]float64{0.3, -0.5, 0.81}, imgs)
 		for r, st := range perRank {
 			if len(st.Stages) != 2 {
-				t.Fatalf("%s rank %d: %d stages, want route + merge", comp.Name(), r, len(st.Stages))
+				t.Fatalf("%s rank %d: %d stages, want route + merge", nameOf(comp), r, len(st.Stages))
 			}
 			route, merge := st.Stages[0], st.Stages[1]
 			if route.Label != "route" || merge.Label != "merge" {
-				t.Errorf("%s rank %d: stage labels %q, %q", comp.Name(), r, route.Label, merge.Label)
+				t.Errorf("%s rank %d: stage labels %q, %q", nameOf(comp), r, route.Label, merge.Label)
 			}
 			if route.MsgsSent != p-1 || route.BytesSent == 0 {
 				t.Errorf("%s rank %d route: sent %d msgs / %d bytes, want %d msgs",
-					comp.Name(), r, route.MsgsSent, route.BytesSent, p-1)
+					nameOf(comp), r, route.MsgsSent, route.BytesSent, p-1)
 			}
 			if route.MsgsRecv != 0 || route.Composited != 0 || route.RecvPixels != 0 {
 				t.Errorf("%s rank %d: merge-side counters leaked into the route stage: %+v",
-					comp.Name(), r, route)
+					nameOf(comp), r, route)
 			}
 			if merge.MsgsRecv != p-1 || merge.Composited == 0 {
 				t.Errorf("%s rank %d merge: recv %d msgs / composited %d, want %d msgs",
-					comp.Name(), r, merge.MsgsRecv, merge.Composited, p-1)
+					nameOf(comp), r, merge.MsgsRecv, merge.Composited, p-1)
 			}
 			if merge.MsgsSent != 0 || merge.Encoded != 0 || merge.SentPixels != 0 {
 				t.Errorf("%s rank %d: route-side counters leaked into the merge stage: %+v",
-					comp.Name(), r, merge)
+					nameOf(comp), r, merge)
 			}
 		}
 	}
@@ -257,7 +247,7 @@ func TestOwnerMergeStageSplit(t *testing.T) {
 // numbered for the swap schedule, route and merge for owner-merge.
 func TestStageLabelsFollowSchedule(t *testing.T) {
 	imgs := randImages(rand.New(rand.NewSource(5)), 4, 32, 32, 0.3)
-	comp, dec, _ := methodWorld(t, "bsbrc", testRoot(), 4, 0)
+	comp, dec := methodWorld(t, "bsbrc", testRoot(), 4, 0)
 	_, rs := runImages(t, inProcess, comp, dec, [3]float64{0, 0, 1}, imgs)
 	var labels []string
 	for _, s := range rs[0].Stages {

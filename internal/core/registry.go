@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"sortlast/internal/partition"
 )
 
 // Caps are a compositing method's capability flags.
@@ -22,9 +20,9 @@ type Spec struct {
 	build builder
 }
 
-// builder returns a method configured with the interleave granularity
-// over the rank geometry of plan; each method reads the knobs it has.
-type builder func(granularity int, plan *partition.FoldPlan) Compositor
+// builder returns a method configured with the interleave granularity;
+// each method reads the knobs it has.
+type builder func(granularity int) Compositor
 
 // registry lists the methods in the order the paper discusses them: the
 // four evaluated methods, the related-work direct send (§2), then the
@@ -46,34 +44,20 @@ var registry = []Spec{
 		build: owners("DFB", tagDFB, rectRLE{batched: true}, DefaultTile)},
 }
 
-// folds reports whether plan adds extra ranks to its power-of-two core.
-func folds(plan *partition.FoldPlan) bool { return plan != nil && plan.Extras() > 0 }
-
-// swap is a registry line for the binary-swap schedule, wrapped in the
-// Folded pre-stage when the plan has extra ranks. The interval codec
-// brings the interleaved split with it.
+// swap is a registry line for the binary-swap schedule. The interval
+// codec brings the interleaved split with it.
 func swap(name string, codec regionCodec) builder {
 	_, interleave := codec.(intervalRLE)
-	return func(granularity int, plan *partition.FoldPlan) Compositor {
-		var c Compositor = &swapLoop{name: name, codec: codec, interleave: interleave, granularity: granularity}
-		if folds(plan) {
-			c = &Folded{Plan: plan, Inner: c}
-		}
-		return c
+	return func(granularity int) Compositor {
+		return &swapLoop{name: name, codec: codec, interleave: interleave, granularity: granularity}
 	}
 }
 
 // owners is a registry line for the owner-merge schedule, over square
-// tiles of edge tile or, with tile 0, P strips. A plan with extra ranks
-// is pure rank geometry to it: per-rank boxes and a global depth order,
-// no fold messages.
+// tiles of edge tile or, with tile 0, P strips.
 func owners(name string, tag int, codec regionCodec, tile int) builder {
-	return func(_ int, plan *partition.FoldPlan) Compositor {
-		m := &ownerMerge{name: name, tag: tag, codec: codec, tile: tile}
-		if folds(plan) {
-			m.lay = plan
-		}
-		return m
+	return func(int) Compositor {
+		return &ownerMerge{name: name, tag: tag, codec: codec, tile: tile}
 	}
 }
 
@@ -87,24 +71,22 @@ func lookup(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Build returns the named method configured and ready to run.
+// Build returns the named method configured and ready to run at any
+// rank count the decomposition passed to Composite describes.
 // granularity is the interleave section size of the load-balanced
 // methods in pixels (0: one scanline); methods without the knob ignore
-// it. A nil plan, or one with no folds, builds the method for a
-// power-of-two world described by the decomposition passed to
-// Composite. A fold plan with extras adapts it to the plan's rank count,
-// and Composite must then be given plan.Dec.
-func Build(name string, granularity int, plan *partition.FoldPlan) (Compositor, error) {
+// it.
+func Build(name string, granularity int) (Compositor, error) {
 	s, ok := lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown compositor %q (have %s)", name, strings.Join(Names(), ", "))
 	}
-	return s.build(granularity, plan), nil
+	return s.build(granularity), nil
 }
 
 // New returns the named compositor with default settings; Names lists
 // the recognized names.
-func New(name string) (Compositor, error) { return Build(name, 0, nil) }
+func New(name string) (Compositor, error) { return Build(name, 0) }
 
 // Names lists the compositors in registration order.
 func Names() []string {

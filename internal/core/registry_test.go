@@ -3,9 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-
-	"sortlast/internal/partition"
-	"sortlast/internal/volume"
 )
 
 // The registry serves every list the system previously hardcoded; the
@@ -33,7 +30,7 @@ func TestRegistryLists(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%q): %v", s.Name, err)
 		}
-		if c.Name() == "" {
+		if nameOf(c) == "" {
 			t.Errorf("New(%q) has no display name", s.Name)
 		}
 	}
@@ -48,25 +45,21 @@ func TestRegistryUnknown(t *testing.T) {
 	}
 }
 
-// Build adapts every method to a fold plan: the swap-schedule (paper)
-// methods get the fold pre-stage, the owner-routed methods take the
-// plan as geometry.
+// Build returns every method on its schedule: the paper's methods on
+// the swap schedule, which runs the fold when ranks fold, the others on
+// owner-merge, which needs only the rank geometry.
 func TestBuildOverFoldPlan(t *testing.T) {
-	plan, err := partition.PlanFold(volume.Box{Hi: [3]int{32, 32, 32}}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range registry {
-		comp, err := Build(s.Name, 0, plan)
+		comp, err := Build(s.Name, 0)
 		if err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 			continue
 		}
-		if _, folded := comp.(*Folded); folded != s.Caps.Paper {
-			t.Errorf("%s: folded = %v, want %v", s.Name, folded, s.Caps.Paper)
+		if _, swap := comp.(*swapLoop); swap != s.Caps.Paper {
+			t.Errorf("%s: on the swap schedule = %v, want %v", s.Name, swap, s.Caps.Paper)
 		}
 	}
-	if _, err := Build("nope", 0, plan); err == nil {
+	if _, err := Build("nope", 0); err == nil {
 		t.Error("Build must reject unknown names")
 	}
 }

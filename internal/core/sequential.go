@@ -5,19 +5,19 @@ import (
 	"sortlast/internal/partition"
 )
 
-// CompositeSequentialLayout composites the per-rank subimages on a
-// single processor by walking the layout's depth order front-to-back —
+// CompositeSequential composites the per-rank subimages on a single
+// processor by walking the decomposition's depth order front-to-back —
 // the reference every parallel compositor must match. It is used by the
 // validation mode of the harness and by tests; it does not touch the
 // input images.
-func CompositeSequentialLayout(imgs []*frame.Image, lay partition.Layout,
+func CompositeSequential(imgs []*frame.Image, dec *partition.Decomposition,
 	viewDir [3]float64) *frame.Image {
 	if len(imgs) == 0 {
 		return nil
 	}
 	full := imgs[0].Full()
 	out := frame.NewImage(full.Dx(), full.Dy())
-	for _, r := range lay.DepthOrder(viewDir) {
+	for _, r := range dec.DepthOrder(viewDir) {
 		img := imgs[r]
 		b := img.Bounds()
 		if b.Empty() {
@@ -30,9 +30,10 @@ func CompositeSequentialLayout(imgs []*frame.Image, lay partition.Layout,
 	return out
 }
 
-// CompositeSequential is the sequential reference over a power-of-two
-// decomposition.
-func CompositeSequential(imgs []*frame.Image, dec *partition.Decomposition,
+// CompositeSequentialLayout is CompositeSequential under the name the
+// benchmark module (bench/) still calls; it leaves once bench/ calls
+// CompositeSequential.
+func CompositeSequentialLayout(imgs []*frame.Image, dec *partition.Decomposition,
 	viewDir [3]float64) *frame.Image {
-	return CompositeSequentialLayout(imgs, dec, viewDir)
+	return CompositeSequential(imgs, dec, viewDir)
 }

@@ -27,7 +27,7 @@ func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 		rows = append(rows, row{spec.Name, 0})
 	}
 	for _, p := range []int{2, 4, 5, 8} {
-		plan, err := partition.PlanFold(root, p)
+		dec, err := partition.Decompose(root, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,13 +37,13 @@ func TestAllMethodsMatchSequentialOnRandomImages(t *testing.T) {
 			for i := range imgs {
 				imgs[i] = sparseImage(int64(trial*100+i), 48, 48, 0.15+0.5*r.Float64())
 			}
-			ref := CompositeSequentialLayout(imgs, plan, viewDir)
+			ref := CompositeSequential(imgs, dec, viewDir)
 			for _, m := range rows {
-				comp, err := Build(m.name, m.granularity, plan)
+				comp, err := Build(m.name, m.granularity)
 				if err != nil {
 					t.Fatal(err)
 				}
-				final, _ := runImages(t, inProcess, comp, plan.Dec, viewDir, imgs)
+				final, _ := runImages(t, inProcess, comp, dec, viewDir, imgs)
 				if d := ref.MaxAbsDiff(final, ref.Full()); d > 1e-11 {
 					t.Errorf("%s (granularity %d) P=%d trial %d: differs from sequential by %g",
 						m.name, m.granularity, p, trial, d)

@@ -17,9 +17,11 @@ import (
 // every rank owns 1/P of the final image. The methods differ only in
 // the codec that turns a half into bytes — and in whether the split
 // cuts the block at alternating centerlines or, for the load-balanced
-// codecs, deals interleaved sections of the pixel sequence.
+// codecs, deals interleaved sections of the pixel sequence. When P is
+// not a power of two, the decomposition's extra ranks fold into the
+// core first (fold), and the stages run over the core.
 type swapLoop struct {
-	name  string // display name and stats.Rank.Method
+	name  string // stats.Rank.Method, "+fold" appended when ranks fold
 	codec regionCodec
 	// interleave selects the statically load-balanced split (§3.3):
 	// sections of granularity pixels (0: one scanline of the full
@@ -28,9 +30,6 @@ type swapLoop struct {
 	interleave  bool
 	granularity int
 }
-
-// Name implements Compositor.
-func (m *swapLoop) Name() string { return m.name }
 
 // Composite implements Compositor.
 func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
@@ -45,6 +44,18 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 	ar := getArena()
 	defer putArena(ar)
 	full := img.Full()
+	if dec.Extras() > 0 {
+		st.Method += "+fold"
+		c.SetStage("fold")
+		if err := fold(c, dec, viewDir, img, ar, st, &timer); err != nil {
+			return nil, err
+		}
+		if dec.IsExtra(me) {
+			st.CompWall = timer.Total()
+			// Extra ranks own nothing; they still join the final gather.
+			return &Result{Full: full, Parts: []*frame.Image{img}, Own: RectOwn{}, Stats: st}, nil
+		}
+	}
 	own := region{rect: full}
 	if m.interleave {
 		// Stage 1 writes iv[2] and iv[3], so iv[0] can hold its input.
@@ -108,6 +119,45 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 		return &Result{Full: full, Parts: []*frame.Image{img}, Own: owned, Stats: st}, nil
 	}
 	return &Result{Full: full, Parts: []*frame.Image{img}, Own: RectOwn{R: own.rect}, Stats: st}, nil
+}
+
+// fold is the exchange in front of the stages when P is not a power of
+// two: an extra rank ships its whole subimage, one rectRLE region (the
+// BSBRC message format), to its core partner, which composites it over
+// or under its own in depth order. Its counters land in st.Fold.
+func fold(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64, img *frame.Image,
+	ar *arena, st *stats.Rank, timer *stats.Timer) error {
+	me, full := c.Rank(), img.Full()
+	if dec.IsExtra(me) {
+		timer.Start()
+		br, scanned := img.BoundingRect(full)
+		payload := rectRLE{}.encode(ar.codec.Grab(0), ar, img, region{rect: full}, br, &st.Fold)
+		timer.Stop()
+		st.BoundScan = scanned
+		if err := c.Send(dec.FoldPartner(me), tagFold, payload); err != nil {
+			return fmt.Errorf("fold: send: %w", err)
+		}
+		ar.codec.Retain(payload)
+		st.Fold.MsgsSent, st.Fold.BytesSent = 1, len(payload)
+		return nil
+	}
+	e := dec.FoldPartner(me)
+	if e < 0 {
+		return nil
+	}
+	recv, err := c.Recv(e, tagFold)
+	if err != nil {
+		return fmt.Errorf("fold: recv from %d: %w", e, err)
+	}
+	st.Fold.MsgsRecv, st.Fold.BytesRecv = 1, len(recv)
+	timer.Start()
+	_, err = decodeWhole(rectRLE{}, img, region{rect: full}, recv, order(dec.ExtraInFront(me, viewDir)), &st.Fold)
+	timer.Stop()
+	mp.Release(recv) // the codec is done with the bytes
+	if err != nil {
+		return fmt.Errorf("fold: from %d: %w", e, err)
+	}
+	return nil
 }
 
 // split divides the region owned going into a stage into the part this

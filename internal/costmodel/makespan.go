@@ -29,10 +29,10 @@ func (p Params) Makespan(ranks []*stats.Rank) time.Duration {
 		ready[r] = time.Duration(rk.BoundScan) * p.Tbound
 	}
 
-	// Fold pre-stage: extra rank Core+i sends its whole subimage to core
-	// rank i, composited before the swap stages (partition.FoldPlan's
-	// pairing). Core is the rank count less the ranks that sent a fold
-	// message.
+	// Fold: extra rank Core+i sends its whole subimage to core rank i,
+	// composited before the swap stages (the pairing of
+	// partition.Decomposition.FoldPartner). Core is the rank count less
+	// the ranks that sent a fold message.
 	core := n
 	for _, rk := range ranks {
 		if rk != nil && rk.Fold.MsgsSent > 0 {

@@ -92,7 +92,7 @@ func TestMakespanAtLeastPerRankComm(t *testing.T) {
 }
 
 // TestMakespanFoldPairsByRank: at P = 6 core rank i receives the fold of
-// extra rank 4+i (partition.FoldPlan's pairing). Extras 4 and 5 ship the
+// extra rank 4+i (partition.Decomposition's FoldPartner pairing). Extras 4 and 5 ship the
 // same number of bytes and only extra 4 is late, so core 1 — waiting
 // only for extra 5 — must not be charged extra 4's arrival, as a
 // partner matched by byte count was.

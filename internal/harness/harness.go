@@ -190,21 +190,6 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 	return vol, tf, nil
 }
 
-// newCompositor builds the configured compositor over the fold plan of
-// cfg.P ranks, the one rank geometry: at a power of two the plan is the
-// plain decomposition and core.Build returns the plain method; otherwise
-// it wraps the binary-swap methods in the fold pre-stage and hands the
-// owner-routed methods the plan as pure geometry — per-rank boxes and a
-// global depth order, no fold messages.
-func (cfg *Config) newCompositor(vol *volume.Volume) (core.Compositor, *partition.FoldPlan, error) {
-	plan, err := partition.PlanFold(vol.Bounds(), cfg.P)
-	if err != nil {
-		return nil, nil, err
-	}
-	comp, err := core.Build(cfg.Method, 0, plan)
-	return comp, plan, err
-}
-
 // RunWithImage executes the experiment, the one-shot run: it returns the
 // table row and the final image gathered at rank 0.
 func RunWithImage(cfg Config) (*Row, *frame.Image, error) {
@@ -250,7 +235,7 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 			final = out
 		}
 		if cfg.Validate {
-			d, err := validateAgainstSequential(c, plan.Lay, plan.Cam.Dir, pristine, out)
+			d, err := validateAgainstSequential(c, plan.Dec, plan.Cam.Dir, pristine, out)
 			if err != nil {
 				return err
 			}
@@ -268,7 +253,7 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 	p := costmodel.SP2()
 	cost := p.World(rankStats)
 	row := &Row{
-		Dataset: cfg.Dataset, Method: plan.Comp.Name(), P: cfg.P,
+		Dataset: cfg.Dataset, Method: rankStats[0].Method, P: cfg.P,
 		Width: cfg.Width, Height: cfg.Height,
 		CompMS:         ms(cost.Comp),
 		CommMS:         ms(cost.Comm),
@@ -298,11 +283,10 @@ func run(cfg Config) (*Row, *frame.Image, []*stats.Rank, error) {
 }
 
 // validateAgainstSequential gathers every rank's pristine subimage at
-// rank 0, composites them sequentially in the layout's depth order, and
-// compares with the parallel result. One reference path serves every
-// method at every rank count: folded worlds and the tile-routed methods
-// alike resolve to a partition.Layout.
-func validateAgainstSequential(c mp.Comm, lay partition.Layout, viewDir [3]float64,
+// rank 0, composites them sequentially in the decomposition's depth
+// order, and compares with the parallel result. One reference path
+// serves every method at every rank count.
+func validateAgainstSequential(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
 	pristine, final *frame.Image) (float64, error) {
 	b := pristine.Bounds()
 	payload := make([]byte, frame.RectBytes, frame.RectBytes+b.Area()*frame.PixelBytes)
@@ -331,7 +315,7 @@ func validateAgainstSequential(c mp.Comm, lay partition.Layout, viewDir [3]float
 		}
 		imgs[r] = img
 	}
-	ref := core.CompositeSequentialLayout(imgs, lay, viewDir)
+	ref := core.CompositeSequential(imgs, dec, viewDir)
 	d := ref.MaxAbsDiff(final, full)
 	if d > 1e-9 {
 		return d, fmt.Errorf("harness: parallel result differs from sequential reference by %g", d)

@@ -76,36 +76,48 @@ func TestRunNonPowerOfTwoFolds(t *testing.T) {
 	}
 }
 
-// NewPlan builds every P through the fold plan: its boxes are the
-// plan's, and the fold pre-stage wraps exactly the binary-swap methods at
-// a P with extras — at a power of two the compositor is the plain method.
+// NewPlan builds every P over one decomposition of P ranks, and the
+// binary-swap methods fold exactly at a P that is not a power of two:
+// every rank's stats.Rank.Method and the row's Method carry "+fold"
+// there and only there.
 func TestPlanBuildsEveryPThroughFold(t *testing.T) {
+	display := map[string]string{"bs": "BS", "bsbr": "BSBR", "bslc": "BSLC", "bsbrc": "BSBRC",
+		"direct": "DirectSend", "ds": "DS", "dfb": "DFB"}
 	foldable := map[string]bool{"bs": true, "bsbr": true, "bslc": true, "bsbrc": true}
 	for p := 1; p <= 9; p++ {
 		for _, name := range core.Names() {
-			plan, err := NewPlan(smallCfg(name, p))
+			cfg := smallCfg(name, p)
+			plan, err := NewPlan(cfg)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", name, p, err)
 			}
-			fold, err := partition.PlanFold(plan.Vol.Bounds(), p)
+			dec, err := partition.Decompose(plan.Vol.Bounds(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.Lay.Size() != p || plan.Dec.Size() != fold.Core {
-				t.Errorf("%s P=%d: layout of %d ranks over a core of %d", name, p, plan.Lay.Size(), plan.Dec.Size())
+			if plan.Dec.Size() != p || plan.Lay != plan.Dec {
+				t.Errorf("%s P=%d: decomposition of %d ranks, Lay %p is not Dec %p", name, p, plan.Dec.Size(), plan.Lay, plan.Dec)
 			}
 			for r := 0; r < p; r++ {
-				if plan.Lay.Box(r) != fold.Box(r) {
-					t.Errorf("%s P=%d: rank %d renders %v, fold plan says %v", name, p, r, plan.Lay.Box(r), fold.Box(r))
+				if plan.Box(r) != dec.Box(r) {
+					t.Errorf("%s P=%d: rank %d renders %v, the decomposition says %v", name, p, r, plan.Box(r), dec.Box(r))
 				}
 			}
-			plain, _ := core.New(name)
-			want := plain.Name()
+			want := display[name]
 			if foldable[name] && p&(p-1) != 0 {
 				want += "+fold"
 			}
-			if got := plan.Comp.Name(); got != want {
-				t.Errorf("%s P=%d: compositor %q, want %q", name, p, got, want)
+			row, _, ranks, err := run(cfg)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", name, p, err)
+			}
+			if row.Method != want {
+				t.Errorf("%s P=%d: row method %q, want %q", name, p, row.Method, want)
+			}
+			for _, rs := range ranks {
+				if rs.Method != want {
+					t.Errorf("%s P=%d rank %d: method %q, want %q", name, p, rs.RankID, rs.Method, want)
+				}
 			}
 		}
 	}

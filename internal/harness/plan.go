@@ -27,11 +27,12 @@ type Plan struct {
 	Vol  *volume.Volume
 	TF   *transfer.Func
 	Comp core.Compositor
-	Dec  *partition.Decomposition
-	// Lay is the rank geometry the world runs over — the fold plan, whose
-	// core decomposition is Dec (the same boxes at a power-of-two P). Box
-	// and the sequential validation reference both read it.
-	Lay partition.Layout
+	// Dec is the rank geometry of all P ranks, extra ranks folded into
+	// its power-of-two core included.
+	Dec *partition.Decomposition
+	// Lay is Dec under the name the benchmark module (bench/) still
+	// reads; it leaves once bench/ reads Dec.
+	Lay *partition.Decomposition
 	Cam *render.Camera
 }
 
@@ -47,7 +48,11 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	comp, plan, err := cfg.newCompositor(vol)
+	dec, err := partition.Decompose(vol.Bounds(), cfg.P)
+	if err != nil {
+		return nil, err
+	}
+	comp, err := core.New(cfg.Method)
 	if err != nil {
 		return nil, err
 	}
@@ -58,13 +63,13 @@ func NewPlan(cfg Config) (*Plan, error) {
 	vol.MacroCells()
 	return &Plan{
 		Cfg: cfg, Vol: vol, TF: tf,
-		Comp: comp, Dec: plan.Dec, Lay: plan,
+		Comp: comp, Dec: dec, Lay: dec,
 		Cam: render.NewCamera(cfg.Width, cfg.Height, vol.Bounds(), cfg.RotX, cfg.RotY),
 	}, nil
 }
 
 // Box returns the subvolume assigned to rank me.
-func (p *Plan) Box(me int) volume.Box { return p.Lay.Box(me) }
+func (p *Plan) Box(me int) volume.Box { return p.Dec.Box(me) }
 
 // RenderRank runs the rendering phase for rank me: it ray-casts the
 // rank's box of the shared volume and returns the subimage.
@@ -82,7 +87,7 @@ func (p *Plan) RenderRankObserved(me int, tr *trace.Rank, rs *render.Stats) *fra
 	opts := p.Cfg.RenderOpts
 	opts.Trace = tr
 	opts.Stats = rs
-	return render.Raycast(p.Vol, p.Lay.Box(me), p.Cam, p.TF, opts)
+	return render.Raycast(p.Vol, p.Dec.Box(me), p.Cam, p.TF, opts)
 }
 
 // Tally is one frame's account, shared by every rank of its world. A

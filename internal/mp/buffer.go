@@ -10,8 +10,8 @@ import (
 // mailbox; Recv hands it to the caller; the caller may give it back with
 // Release once its decoder has consumed the bytes. A caller that never
 // releases leaves the buffer to the garbage collector, which is always
-// correct — only the four per-frame consumers in internal/core
-// (swapLoop, ownerMerge, the fold pre-stage's core rank, GatherImage's
+// correct — only the three per-frame consumers in internal/core
+// (swapLoop, its fold's core rank included, ownerMerge, GatherImage's
 // root) release, and they are what keeps a standing world from
 // allocating per message.
 //

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sortlast/internal/volume"
@@ -12,11 +13,14 @@ func root256() volume.Box {
 }
 
 func TestDecomposeRejectsBadInput(t *testing.T) {
-	if _, err := Decompose(root256(), 3); err == nil {
-		t.Error("non-power-of-two must be rejected")
+	if _, err := Decompose(root256(), 3); err != nil {
+		t.Errorf("a rank count that is not a power of two folds: %v", err)
 	}
 	if _, err := Decompose(root256(), 0); err == nil {
 		t.Error("zero ranks must be rejected")
+	}
+	if _, err := Decompose(root256(), -4); err == nil {
+		t.Error("negative ranks must be rejected")
 	}
 	if _, err := Decompose(volume.Box{}, 2); err == nil {
 		t.Error("empty root must be rejected")
@@ -226,70 +230,125 @@ func TestDepthOrderSeparatingPlaneInvariant(t *testing.T) {
 	}
 }
 
+// bitFlipOrder is the plain power-of-two depth order: position i holds
+// rank i with each level's bit flipped where the view runs toward the
+// low side of that level's split.
+func bitFlipOrder(d *Decomposition, dir [3]float64) []int {
+	flip := 0
+	for l, axis := range d.Axes {
+		if dir[axis] < 0 {
+			flip |= 1 << (d.Depth - 1 - l)
+		}
+	}
+	out := make([]int, 1<<d.Depth)
+	for i := range out {
+		out[i] = i ^ flip
+	}
+	return out
+}
+
+// At a power of two nothing folds: no rank is extra, no core rank has a
+// fold partner, and the depth order is the plain bit-flip order.
 func TestPlanFoldPowerOfTwoDegenerates(t *testing.T) {
-	f, err := PlanFold(root256(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Core != 8 || f.Extras() != 0 {
-		t.Fatalf("core=%d extras=%d", f.Core, f.Extras())
-	}
-	for r := 0; r < 8; r++ {
-		if f.IsExtra(r) {
-			t.Error("no rank may be extra")
+	r := rand.New(rand.NewSource(5))
+	for p := 1; p <= 64; p *= 2 {
+		d, err := Decompose(root256(), p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if f.Box(r) != f.Dec.Box(r) {
-			t.Error("boxes must match the plain decomposition")
+		if d.Size() != p || d.core() != p || d.Extras() != 0 {
+			t.Fatalf("P=%d: size=%d core=%d extras=%d", p, d.Size(), d.core(), d.Extras())
 		}
-	}
-	if f.FoldPartner(3) != -1 {
-		t.Error("unfolded core rank must have no partner")
+		for rank := 0; rank < p; rank++ {
+			if d.IsExtra(rank) {
+				t.Errorf("P=%d: rank %d may not be extra", p, rank)
+			}
+			if d.FoldPartner(rank) != -1 {
+				t.Errorf("P=%d: unfolded core rank %d must have no partner", p, rank)
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			dir := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+			if got, want := d.DepthOrder(dir), bitFlipOrder(d, dir); !slices.Equal(got, want) {
+				t.Fatalf("P=%d dir %v: depth order %v, want the bit-flip order %v", p, dir, got, want)
+			}
+		}
 	}
 }
 
+// Every P from 1 to 64 partitions the root exactly. Core ranks without a
+// fold keep their box of the power-of-two core, a folded core rank and
+// its extra rank split theirs in two, and fold partners are mutual.
 func TestPlanFoldArbitraryP(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 6, 7, 9, 12, 24, 48, 63} {
-		f, err := PlanFold(root256(), p)
+	for p := 1; p <= 64; p++ {
+		d, err := Decompose(root256(), p)
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
-		if f.Size() != p {
-			t.Fatalf("P=%d: size %d", p, f.Size())
+		if d.Size() != p || len(d.Boxes) != p {
+			t.Fatalf("P=%d: size %d boxes %d", p, d.Size(), len(d.Boxes))
+		}
+		if d.core() > p || 2*d.core() <= p || d.Extras() != p-d.core() {
+			t.Fatalf("P=%d: core %d, extras %d", p, d.core(), d.Extras())
 		}
 		total := 0
 		for r := 0; r < p; r++ {
-			total += f.Box(r).Volume()
+			total += d.Box(r).Volume()
 		}
 		if total != root256().Volume() {
 			t.Errorf("P=%d: covers %d voxels, want %d", p, total, root256().Volume())
 		}
 		for i := 0; i < p; i++ {
 			for j := i + 1; j < p; j++ {
-				if !f.Box(i).Intersect(f.Box(j)).Empty() {
+				if !d.Box(i).Intersect(d.Box(j)).Empty() {
 					t.Errorf("P=%d: boxes %d,%d overlap", p, i, j)
 				}
 			}
 		}
+		plain, err := Decompose(root256(), d.core())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < d.core(); r++ {
+			cb := plain.Box(r)
+			e := d.FoldPartner(r)
+			if e < 0 {
+				if d.Box(r) != cb {
+					t.Errorf("P=%d: unfolded rank %d renders %v, the core box is %v", p, r, d.Box(r), cb)
+				}
+				continue
+			}
+			lo, hi := d.Box(r), d.Box(e)
+			if lo.Intersect(cb) != lo || hi.Intersect(cb) != hi || lo.Volume()+hi.Volume() != cb.Volume() {
+				t.Errorf("P=%d: ranks %d and %d split %v into %v and %v", p, r, e, cb, lo, hi)
+			}
+		}
 		// Fold partners are mutual.
-		for e := f.Core; e < p; e++ {
-			c := f.FoldPartner(e)
-			if c < 0 || c >= f.Core || f.FoldPartner(c) != e {
+		for e := d.core(); e < p; e++ {
+			if !d.IsExtra(e) {
+				t.Errorf("P=%d: rank %d is past the core but not extra", p, e)
+			}
+			c := d.FoldPartner(e)
+			if c < 0 || c >= d.core() || d.FoldPartner(c) != e {
 				t.Errorf("P=%d: fold pairing broken at extra %d", p, e)
 			}
 		}
 	}
 }
 
+// At every P from 1 to 64 the depth order is a permutation of the ranks;
+// its core ranks keep the plain bit-flip order, and each extra rank sits
+// next to its fold partner, first when its half is in front.
 func TestFoldDepthOrderIsPermutation(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, p := range []int{3, 5, 7, 11, 24} {
-		f, err := PlanFold(root256(), p)
+	for p := 1; p <= 64; p++ {
+		d, err := Decompose(root256(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 20; trial++ {
 			dir := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
-			order := f.DepthOrder(dir)
+			order := d.DepthOrder(dir)
 			if len(order) != p {
 				t.Fatalf("P=%d: order length %d", p, len(order))
 			}
@@ -300,15 +359,24 @@ func TestFoldDepthOrderIsPermutation(t *testing.T) {
 			if len(seen) != p {
 				t.Fatalf("P=%d: order %v not a permutation", p, order)
 			}
-			// Each extra rank must be adjacent to its fold partner.
+			core := slices.DeleteFunc(slices.Clone(order), d.IsExtra)
+			if want := bitFlipOrder(d, dir); !slices.Equal(core, want) {
+				t.Fatalf("P=%d: core ranks in order %v, want the bit-flip order %v", p, core, want)
+			}
+			// Each extra rank must be adjacent to its fold partner, on the
+			// viewer's side when its half is in front.
 			posOf := make(map[int]int, p)
 			for i, x := range order {
 				posOf[x] = i
 			}
-			for e := f.Core; e < p; e++ {
-				c := f.FoldPartner(e)
-				if diff := posOf[e] - posOf[c]; diff != 1 && diff != -1 {
-					t.Fatalf("P=%d: extra %d not adjacent to partner %d in %v", p, e, c, order)
+			for e := d.core(); e < p; e++ {
+				c := d.FoldPartner(e)
+				want := 1
+				if d.ExtraInFront(c, dir) {
+					want = -1
+				}
+				if posOf[e]-posOf[c] != want {
+					t.Fatalf("P=%d: extra %d not on the right side of partner %d in %v", p, e, c, order)
 				}
 			}
 		}
@@ -316,10 +384,13 @@ func TestFoldDepthOrderIsPermutation(t *testing.T) {
 }
 
 func TestPlanFoldRejectsBadInput(t *testing.T) {
-	if _, err := PlanFold(root256(), 0); err == nil {
+	if _, err := Decompose(root256(), 0); err == nil {
 		t.Error("zero ranks must be rejected")
 	}
-	if _, err := PlanFold(volume.Box{Hi: [3]int{1, 1, 1}}, 3); err == nil {
-		t.Error("unfoldable box must be rejected")
+	if _, err := Decompose(volume.Box{Hi: [3]int{1, 1, 1}}, 3); err == nil {
+		t.Error("a core too thin to split must be rejected")
+	}
+	if _, err := Decompose(volume.Box{Hi: [3]int{2, 1, 1}}, 3); err == nil {
+		t.Error("a core box too thin to fold must be rejected")
 	}
 }

@@ -34,7 +34,7 @@ func sequentialGray(t *testing.T, req server.Request, p int) []byte {
 
 // A renderd world with a non-power-of-two rank count serves every
 // registered method — binary swap folded, the owner-routed methods over
-// the fold plan's geometry — byte-identical to the sequential oracle.
+// the folded decomposition's boxes — byte-identical to the sequential oracle.
 func TestServeTileRoutedNonPow2(t *testing.T) {
 	for _, p := range []int{3, 6} {
 		_, cl := startServer(t, server.Config{P: p, DefaultDeadline: time.Minute})

@@ -29,8 +29,9 @@ import (
 // engine_low dataset on 8 processors with BSBRC at 384x384.
 type Options struct {
 	// Processors is the number of simulated ranks; any count >= 1 works
-	// with every method (at non-powers-of-two binary swap runs behind
-	// the fold pre-stage). Default 8.
+	// with every method (at non-powers-of-two the binary-swap methods
+	// fold the extra ranks into a power-of-two core in their first
+	// exchange). Default 8.
 	Processors int
 	// Method is the compositing method; see Methods for the list.
 	// Default bsbrc, the paper's best.
