@@ -1,9 +1,11 @@
 // Command composebench regenerates the paper's evaluation (§4) from the
 // command line: Table 1 (384x384), Table 2 (768x768), Figures 8-11 (the
 // per-dataset compositing-time series) and the Eq. 9 M_max comparison.
-// Each cell is one one-shot harness run; narrowed to a single cell it is
-// the command line for one frame, whose image -out writes and whose
-// span trace -trace writes.
+// Each cell is one one-shot harness run, made once per process: a cell
+// that several tables and figures share (-all re-reads Table 1's 384²
+// cells for Figures 8-11 and -mmax) reuses its first run's row. -out and
+// -trace write the image and span trace of the last cell that actually
+// ran; narrowed to a single cell, that is the command line for one frame.
 //
 // Examples:
 //
@@ -42,17 +44,27 @@ var (
 	rotX      = flag.Float64("rotx", 20, "viewpoint rotation about x (degrees)")
 	rotY      = flag.Float64("roty", 30, "viewpoint rotation about y (degrees)")
 	csv       = flag.Bool("csv", false, "emit CSV instead of formatted tables")
-	traceOut  = flag.String("trace", "", "write a Chrome/Perfetto span trace of the last sweep cell to this JSON file")
-	out       = flag.String("out", "", "write the final image of the last sweep cell to this PGM file")
+	traceOut  = flag.String("trace", "", "write a Chrome/Perfetto span trace of the last sweep cell that ran (a repeated cell is not rerun) to this JSON file")
+	out       = flag.String("out", "", "write the final image of the last sweep cell that ran (a repeated cell is not rerun) to this PGM file")
 )
 
-// last is the most recently completed sweep cell's span recorder (nil
-// without -trace) and final image, written to -trace and -out after the
-// sweep finishes.
+// last is the span recorder (nil without -trace) and final image of the
+// last cell that ran, written to -trace and -out after the sweep
+// finishes.
 var last struct {
 	trace *trace.Recorder
 	image *frame.Image
 }
+
+// cell names one sweep cell, and done holds the row of every cell run
+// so far, so that no cell runs twice in one process.
+type cell struct {
+	size            int
+	dataset, method string
+	p               int
+}
+
+var done = map[cell]harness.Row{}
 
 var figureDataset = map[int]string{
 	8:  "engine_low",
@@ -113,12 +125,18 @@ func methodOverride() ([]string, error) {
 	return ms, nil
 }
 
-// sweep runs dataset x method x P at one image size.
+// sweep runs dataset x method x P at one image size, reusing the row of
+// a cell that already ran.
 func sweep(size int, methods, ds []string, ps []int) ([]harness.Row, error) {
 	var rows []harness.Row
 	for _, d := range ds {
 		for _, m := range methods {
 			for _, p := range ps {
+				key := cell{size, d, m, p}
+				if row, ok := done[key]; ok {
+					rows = append(rows, row)
+					continue
+				}
 				cfg := harness.Config{
 					Dataset: d, Width: size, Height: size,
 					P: p, Method: m, RotX: *rotX, RotY: *rotY,
@@ -134,6 +152,7 @@ func sweep(size int, methods, ds []string, ps []int) ([]harness.Row, error) {
 				// Key the cell by the requested name: the compositor's own
 				// display name differs for direct and for folded runs.
 				row.Method = strings.ToUpper(m)
+				done[key] = *row
 				rows = append(rows, *row)
 				fmt.Fprintf(os.Stderr, ".")
 			}

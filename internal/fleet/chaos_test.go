@@ -148,6 +148,19 @@ func TestFleetHedgesStalledReplica(t *testing.T) {
 		}
 	}
 
+	// A warm-up request whose hedge won can leave replica 0 busy with
+	// the loser, and join-shortest-queue would then route the next
+	// request away from it: wait until neither replica counts a dispatch.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st := g.Stats()
+		if st.Replicas[0].Outstanding == 0 && st.Replicas[1].Outstanding == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas still count dispatches after warm-up: %d, %d", st.Replicas[0].Outstanding, st.Replicas[1].Outstanding)
+		}
+	}
+
 	// Wedge replica 0's world: transport ops block far longer than any
 	// sane frame. The next request routed there must be rescued by the
 	// hedge, not by the stall expiring.

@@ -381,7 +381,6 @@ func (g *Gateway) send(ctx context.Context, idx int, req server.Request, ch chan
 	a := rec.beginAttempt(idx, kind)
 	go func() {
 		defer g.sendWG.Done()
-		defer r.outstanding.Add(-1)
 		t0 := time.Now()
 		f, err := r.cl.Render(ctx, req)
 		if err == nil {
@@ -392,6 +391,9 @@ func (g *Gateway) send(ctx context.Context, idx int, req server.Request, ch chan
 			rec.endAttempt(a, nil, errCode(err))
 			r.errs.Add(1)
 		}
+		// The replica is idle before its reply is handed on: a caller's
+		// next request must not see it still busy with this one.
+		r.outstanding.Add(-1)
 		ch <- result{f: f, err: err, idx: idx}
 	}()
 }

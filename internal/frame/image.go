@@ -139,7 +139,7 @@ func (im *Image) reallocate(nb, ns Rect) {
 			copy(np[dstOff:dstOff+w], im.pix[srcOff:srcOff+w])
 		}
 	}
-	releasePixels(im.pix)
+	pixels.Put(im.pix)
 	im.bounds = nb
 	im.store = ns
 	im.pix = np
@@ -226,7 +226,7 @@ func (im *Image) CopyFrom(src *Image) {
 			clear(row)
 		}
 	} else {
-		releasePixels(im.pix)
+		pixels.Put(im.pix)
 		im.store = src.bounds
 		im.pix = allocPixels(im.store.Area())
 	}

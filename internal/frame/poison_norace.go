@@ -2,10 +2,9 @@
 
 package frame
 
-// poisonReleased, checkFit and checkStore are off outside race builds; see
+// checkFit and checkStore are off outside race builds; see
 // poison_race.go.
 const (
-	poisonReleased = false
-	checkFit       = false
-	checkStore     = false
+	checkFit   = false
+	checkStore = false
 )

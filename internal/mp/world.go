@@ -202,7 +202,7 @@ func (b *Mailbox) FailSource(src int) {
 // Put copies payload into a pooled receive buffer and enqueues it on the
 // (src, tag) channel.
 func (b *Mailbox) Put(src, tag int, payload []byte) {
-	cp := grab(len(payload))
+	cp, _ := buffers.Get(len(payload))
 	copy(cp, payload)
 	b.enqueue(src, tag, cp)
 }
@@ -241,7 +241,7 @@ func (b *Mailbox) PutFrom(src, tag int, r io.Reader, n int) error {
 	if full {
 		return &QueueLimitError{Src: src, Tag: tag}
 	}
-	buf := grab(min(n, readStep))
+	buf, _ := buffers.Get(min(n, readStep))
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
 			Release(buf)
@@ -250,7 +250,7 @@ func (b *Mailbox) PutFrom(src, tag int, r io.Reader, n int) error {
 		if got = len(buf); got == n {
 			break
 		}
-		next := grab(min(n, 2*got))
+		next, _ := buffers.Get(min(n, 2*got))
 		copy(next, buf)
 		Release(buf)
 		buf = next

@@ -264,11 +264,13 @@ func TestPeerDisconnectFailsPendingRecv(t *testing.T) {
 }
 
 // A TCP round trip on a standing pair of ranks — a send each way, each
-// received buffer released — allocates two small objects once warm, the
-// boxes mp.Release's pool keeps the two buffers in: the frame header and
-// writev vector live on the connection, each read loop has one header
-// array, and payloads come from the receive pool. (Ten when a send
-// built its header and vector on the heap and a read its header.)
+// received buffer released — allocates nothing once warm: the frame
+// header and writev vector live on the connection, each read loop has
+// one header array, payloads come from the receive pool, and the pool
+// reuses the boxes it files released buffers in. (Ten when a send built
+// its header and vector on the heap and a read its header; two while
+// every release boxed its buffer anew.) Under the race detector, whose
+// sync.Pools drop items at random, up to two are allowed.
 func TestTCPRoundTripAllocs(t *testing.T) {
 	var lns [2]net.Listener
 	addrs := make([]string, 2)
@@ -311,7 +313,11 @@ func TestTCPRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		roundTrip()
 	}
-	if n := testing.AllocsPerRun(200, roundTrip); n > 2 {
-		t.Errorf("%g allocations per round trip, want at most 2", n)
+	want := 0.0
+	if raceEnabled {
+		want = 2
+	}
+	if n := testing.AllocsPerRun(200, roundTrip); n > want {
+		t.Errorf("%g allocations per round trip, want at most %g", n, want)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package mpnet
+
+// raceEnabled marks race builds, which poison released buffers and whose
+// sync.Pools drop items at random; see norace_test.go.
+const raceEnabled = true
