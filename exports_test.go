@@ -44,6 +44,7 @@ var testOnlyExports = map[string]string{
 	"frame.Image.NonBlankEqual":   "image comparison of the frame and core tests",
 	"frame.Image.Set":             "pixel fixture setter of the frame, core and rle tests",
 	"frame.Rect.Overlaps":         "rectangle predicate of the frame and core tests",
+	"pool.Classes.Class":          "class-table probe of the frame and mp tests, each checking its own pool's range",
 	"volume.Sphere":               "volume fixture of the render and volume tests",
 	"volume.Checker":              "volume fixture of the render DDA golden test",
 	"volume.Ramp":                 "volume fixture of the volume and render tests",
