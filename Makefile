@@ -50,14 +50,19 @@ tables:
 	$(GO) run ./cmd/composebench -all -csv | awk -F, -f $(TABLES)/untimed.awk | diff $(TABLES)/paper_counts.csv -
 	$(GO) run ./cmd/composebench $(ANYP) | awk -F, -f $(TABLES)/untimed.awk | diff $(TABLES)/anyp_counts.csv -
 
-# fuzz-smoke gives each parser of bytes that crossed a rank-to-rank
-# socket ten seconds of coverage-guided fuzzing from its real seeds: the
-# region decoders and gather messages, the TCP frame reader, the connect
-# handshake. A crasher is written to the package's testdata/fuzz.
+# fuzz-smoke gives each parser of bytes that crossed a socket ten
+# seconds of coverage-guided fuzzing from its real seeds: the region
+# decoders and gather messages, the gather's ownership descriptors, the
+# TCP frame reader, the connect handshake, renderd's request frames and
+# the trace trees a replica sends the gateway. ~70 s. A crasher is
+# written to the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegionDecode$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseOwnership$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/mpnet
 	$(GO) test -run '^$$' -fuzz '^FuzzHandshake$$' -fuzztime 10s ./internal/mpnet
+	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecodeTruncate$$' -fuzztime 10s ./internal/trace
 
 # bench runs the allocation benchmarks used in EXPERIMENTS.md: the
 # compositing phase alone, and the compositing phase plus the gather,

@@ -3,13 +3,12 @@ package core
 import (
 	"sync"
 
-	"sortlast/internal/frame"
 	"sortlast/internal/rle"
 )
 
 // arena bundles the per-rank scratch a schedule and its codec reuse
-// across stages: a wire-buffer codec and a run-length writer with its
-// code and row scratch. Stage exchange regions shrink monotonically, so
+// across stages: a wire buffer and a run-length writer with its code
+// and row scratch. Stage exchange regions shrink monotonically, so
 // the storage sized by stage 1 serves every later stage without
 // reallocating; mp.Comm.Send copies payloads, which makes handing the
 // same buffer to consecutive sends safe. Each Composite call checks an
@@ -18,8 +17,10 @@ import (
 // communicator reuse warm buffers instead of allocating fresh ones per
 // frame.
 type arena struct {
-	codec frame.Codec
-	rle   rle.Writer
+	// buf is the wire buffer: every payload is appended to buf[:0], and
+	// the grown payload is kept as buf = payload[:0] once sent.
+	buf []byte
+	rle rle.Writer
 	// iv double-buffers interval scratch for the interleaved split: each
 	// stage splits the previous stage's kept set, which aliases one of
 	// these slices, so the split alternates between the two pairs —

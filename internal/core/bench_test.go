@@ -51,7 +51,7 @@ func BenchmarkRegionCodecs(b *testing.B) {
 			br, _ := src.BoundingRect(src.Full())
 			ar := new(arena)
 			var s stats.Stage
-			encode := func() { ar.codec.Retain(tc.codec.encode(ar.codec.Grab(0), ar, src, g, br, &s)) }
+			encode := func() { ar.buf = tc.codec.encode(ar.buf[:0], ar, src, g, br, &s)[:0] }
 			wire := tc.codec.encode(nil, ar, src, g, br, &s)
 			dst := frame.NewImageBounds(w, h, src.Full())
 			blank := frame.NewImageBounds(w, h, src.Full())

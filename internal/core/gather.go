@@ -241,10 +241,10 @@ func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
 		ar := getArena()
 		defer putArena(ar)
 		em := tr.Begin()
-		payload := mine.encode(res.Own.AppendWire(ar.codec.Grab(0)), ar, res.Parts, mine.bound(res.Parts), st)
+		payload := mine.encode(res.Own.AppendWire(ar.buf[:0]), ar, res.Parts, mine.bound(res.Parts), st)
 		tr.End(em, trace.SpanEncode, st.Label)
 		_, err := c.Gather(root, payload)
-		ar.codec.Retain(payload)
+		ar.buf = payload[:0]
 		st.BytesSent, st.MsgsSent = len(payload), 1
 		return nil, err
 	}

@@ -142,7 +142,7 @@ func (m *ownerMerge) Composite(c mp.Comm, dec *partition.Decomposition, viewDir 
 		if err := c.Send(dst, m.tag, payload); err != nil {
 			return nil, fmt.Errorf("%s: send to %d: %w", m.name, dst, err)
 		}
-		ar.codec.Retain(payload)
+		ar.buf = payload[:0]
 		route.MsgsSent++
 		route.BytesSent += len(payload)
 	}
@@ -209,7 +209,7 @@ func (t tiling) owned(r int) batch {
 // encodeFor builds the message for owner dst in arena scratch.
 func (m *ownerMerge) encodeFor(ar *arena, img *frame.Image, til tiling, dst int,
 	br frame.Rect, route *stats.Stage) []byte {
-	buf := ar.codec.Grab(0)
+	buf := ar.buf[:0]
 	if m.tile == 0 {
 		return m.codec.encode(buf, ar, img, region{rect: til.rect(dst)}, br, route)
 	}

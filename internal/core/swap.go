@@ -82,7 +82,7 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 		em := tr.Begin()
 		timer.Start()
 		keep, send := m.split(ar, own, stage, dec.Side(me, dec.StageLevel(stage)) == 0)
-		payload := m.codec.encode(ar.codec.Grab(0), ar, img, send, br, s)
+		payload := m.codec.encode(ar.buf[:0], ar, img, send, br, s)
 		timer.Stop()
 		tr.End(em, trace.SpanEncode, s.Label)
 
@@ -90,7 +90,7 @@ func (m *swapLoop) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3
 		if err != nil {
 			return nil, fmt.Errorf("%s: stage %d: %w", m.name, stage, err)
 		}
-		ar.codec.Retain(payload)
+		ar.buf = payload[:0]
 		s.BytesSent, s.MsgsSent = len(payload), 1
 		s.BytesRecv, s.MsgsRecv = len(recv), 1
 
@@ -131,13 +131,13 @@ func fold(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64, img *fram
 	if dec.IsExtra(me) {
 		timer.Start()
 		br, scanned := img.BoundingRect(full)
-		payload := rectRLE{}.encode(ar.codec.Grab(0), ar, img, region{rect: full}, br, &st.Fold)
+		payload := rectRLE{}.encode(ar.buf[:0], ar, img, region{rect: full}, br, &st.Fold)
 		timer.Stop()
 		st.BoundScan = scanned
 		if err := c.Send(dec.FoldPartner(me), tagFold, payload); err != nil {
 			return fmt.Errorf("fold: send: %w", err)
 		}
-		ar.codec.Retain(payload)
+		ar.buf = payload[:0]
 		st.Fold.MsgsSent, st.Fold.BytesSent = 1, len(payload)
 		return nil
 	}

@@ -3,11 +3,11 @@
 // exercised from tests and load drivers instead of waiting for a real
 // interconnect to misbehave. The paper's SP2 runs assume a perfectly
 // reliable network; a service built on the same exchange patterns needs
-// its wedged-rank and lost-message behavior pinned by tests.
+// its wedged-rank and torn-connection behavior pinned by tests.
 //
-// An Injector is configured once (probabilistic drops, delays and
-// connection resets, seeded so a run is reproducible) and then wraps
-// each world incarnation's per-rank transports via beginWorld + wrap.
+// An Injector is configured once (probabilistic delays and connection
+// resets, seeded so a run is reproducible) and then wraps each world
+// incarnation's per-rank transports via beginWorld + wrap.
 // On top of the probabilistic faults, tests can arm deterministic
 // faults against the current incarnation: Crash(rank) makes every
 // operation on that rank's transport fail (the in-process equivalent of
@@ -45,9 +45,6 @@ type Config struct {
 	// Seed makes the probabilistic draws reproducible. Zero means 1.
 	Seed int64
 
-	// DropProb silently discards a Send (the message is lost in the
-	// network; the receiver waits until a timeout or watchdog fires).
-	DropProb float64
 	// ResetProb fails a Send or Recv with ErrReset, as a torn TCP
 	// connection would.
 	ResetProb float64
@@ -238,9 +235,6 @@ func (t *transport) Send(to, tag int, payload []byte) error {
 	}
 	if t.inj.roll(t.inj.cfg.ResetProb) {
 		return fmt.Errorf("%w (rank %d send to %d)", ErrReset, t.rank, to)
-	}
-	if t.inj.roll(t.inj.cfg.DropProb) {
-		return nil // lost in the network: the receiver never sees it
 	}
 	if t.inj.roll(t.inj.cfg.DelayProb) {
 		t.sleep(t.inj.delay(t.inj.cfg.maxDelay()))

@@ -16,39 +16,12 @@ import (
 // All functions produce byte- and bit-identical results to the unfused
 // pairs, which stay available (and tested against) as the reference path.
 
-// Codec is a reusable scratch buffer for building wire messages. The
-// zero value is ready to use. A Codec is not safe for concurrent use;
-// each compositing rank holds its own. Because compositing stage regions
-// shrink monotonically, the first stage's buffer serves every later
-// stage without reallocating, and because mp.Comm.Send copies payloads,
-// reusing the buffer across stages is safe.
-type Codec struct {
-	buf []byte
-}
-
-// Grab returns an empty slice with capacity at least n, backed by the
-// codec's scratch storage. Appending up to n bytes will not allocate.
-func (c *Codec) Grab(n int) []byte {
-	if cap(c.buf) < n {
-		c.buf = make([]byte, 0, n)
-	}
-	return c.buf[:0]
-}
-
-// Retain hands buf — typically the grown result of appends rooted in a
-// Grab — back to the codec so later Grabs reuse its storage.
-func (c *Codec) Retain(buf []byte) {
-	if cap(buf) > cap(c.buf) {
-		c.buf = buf
-	}
-}
-
 // EncodeRegion appends the wire encoding of region (clipped to the full
 // frame) to buf and returns the extended slice: region.Area() pixels in
 // row-major order, 16 bytes each, blank where the region lies outside
 // the image's bounds. It is the fused, allocation-free equivalent of
-// PackPixels(img.PackRegion(region)) — append to a scratch buffer from a
-// Codec to avoid allocation entirely.
+// PackPixels(img.PackRegion(region)) — append to a reused scratch buffer
+// to avoid allocation entirely.
 func EncodeRegion(img *Image, region Rect, buf []byte) []byte {
 	region = region.Intersect(img.full)
 	need := region.Area() * PixelBytes

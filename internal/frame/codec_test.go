@@ -64,13 +64,10 @@ func TestEncodeRegionClearsDirtyScratch(t *testing.T) {
 	// inside them, which is written without being cleared first.
 	im := sparseImage(2, XYWH(10, 10, 6, 6))
 	for _, region := range []Rect{XYWH(4, 4, 20, 20), XYWH(11, 11, 4, 5)} {
-		var c Codec
-		dirty := c.Grab(region.Area() * PixelBytes)
-		dirty = append(dirty, bytes.Repeat([]byte{0xAB}, region.Area()*PixelBytes)...)
-		c.Retain(dirty)
+		dirty := append(make([]byte, 0, region.Area()*PixelBytes), bytes.Repeat([]byte{0xAB}, region.Area()*PixelBytes)...)
 
 		want := PackPixels(im.PackRegion(region))
-		got := EncodeRegion(im, region, c.Grab(region.Area()*PixelBytes))
+		got := EncodeRegion(im, region, dirty[:0])
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%v: EncodeRegion into dirty scratch differs from clean encoding", region)
 		}
@@ -307,8 +304,7 @@ func TestFusedUnfusedQuick(t *testing.T) {
 		ref.CompositeRegion(clipped, UnpackPixels(wireRef, clipped.Area()), front)
 
 		// Fused path through reusable scratch.
-		var c Codec
-		wire := EncodeRegion(src, region, c.Grab(region.Area()*PixelBytes))
+		wire := EncodeRegion(src, region, make([]byte, 0, region.Area()*PixelBytes))
 		dst.CompositeWire(region, wire, front)
 
 		if !bytes.Equal(wire, wireRef) {
@@ -367,20 +363,6 @@ func TestGrowExact(t *testing.T) {
 	im.GrowExact(XYWH(8, 8, 16, 16))
 	if im.At(9, 9) != (Pixel{I: 0.5, A: 0.5}) {
 		t.Fatal("GrowExact lost contents")
-	}
-}
-
-func TestCodecGrabRetainReuses(t *testing.T) {
-	var c Codec
-	buf := c.Grab(128)
-	buf = append(buf, make([]byte, 128)...)
-	c.Retain(buf)
-	again := c.Grab(64)
-	if cap(again) < 128 {
-		t.Fatalf("Grab after Retain: cap = %d, want >= 128", cap(again))
-	}
-	if &again[:1][0] != &buf[:1][0] {
-		t.Fatal("Grab did not reuse retained storage")
 	}
 }
 

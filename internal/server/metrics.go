@@ -56,7 +56,7 @@ type metrics struct {
 }
 
 // newMetrics registers renderd's families in export order. queueDepth,
-// inflight (the pipeline tokens held) and renderStats (the server's
+// inflight (the in-flight FIFO's length) and renderStats (the server's
 // cumulative ray-caster counters) are sampled at scrape time; a nil
 // flight (tracing disabled, or no sidecar) or a nil renderStats leaves
 // its families out.

@@ -7,19 +7,20 @@
 // The serving skeleton is: connection handlers validate and admit
 // requests into a bounded queue (admission control — a full queue is a
 // typed "overloaded" reply, never unbounded buffering); a scheduler
-// dispatches queued jobs into the rank pool, bounded by a MaxInFlight
-// token so up to K frames pipeline through the two per-rank stages
-// (render, then composite+gather); rank 0's composite stage delivers the
-// final image back to the waiting handler. Per-request deadlines cancel
-// queued work at dispatch time — once a frame enters the rank pool it
-// runs to completion, because cancelling half a binary-swap would
-// desynchronize the world. An HTTP sidecar exposes /healthz and
-// Prometheus /metrics.
+// dispatches queued jobs into the rank pool through an in-flight FIFO of
+// capacity MaxInFlight, so up to K frames pipeline through the two
+// per-rank stages (render, then composite+gather); rank 0's composite
+// stage takes the FIFO's head and delivers the final image back to the
+// waiting handler. Per-request deadlines cancel queued work at dispatch
+// time — once a frame enters the rank pool it runs to completion,
+// because cancelling half a binary-swap would desynchronize the world.
+// An HTTP sidecar exposes /healthz and Prometheus /metrics.
 //
 // Frames dispatched back to back stay correctly paired without barriers:
 // every rank processes frames in the same dispatch order, and the mp
 // layer guarantees FIFO delivery per (source, tag) channel — the same
-// property consecutive collectives rely on.
+// property consecutive collectives rely on. So rank 0 always finishes
+// the oldest in-flight frame, the head of the FIFO.
 package server
 
 import (
@@ -68,7 +69,7 @@ type Config struct {
 	FrameTimeout time.Duration
 
 	// Chaos, when set, wraps every rank's transport with fault injection
-	// (drops, delays, resets, rank crashes, stalls) for chaos testing;
+	// (delays, resets, rank crashes, stalls) for chaos testing;
 	// see internal/faultinject. Nil (the default) injects nothing.
 	Chaos *faultinject.Injector
 
@@ -98,6 +99,9 @@ func (c Config) withDefaults() Config {
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 30 * time.Second
 	}
+	if c.FrameTimeout <= 0 {
+		c.FrameTimeout = 60 * time.Second
+	}
 	return c
 }
 
@@ -125,6 +129,10 @@ type job struct {
 	// own set of rank tracks.
 	rec   frameRecord
 	spans *trace.Recorder
+
+	// watchdog fails the world if the frame is not done within
+	// Config.FrameTimeout of its dispatch; nil until dispatched.
+	watchdog *time.Timer
 
 	once sync.Once
 	done chan reply // buffered; exactly one reply per admitted job
@@ -166,9 +174,11 @@ type Server struct {
 	cfg Config
 	met *metrics
 
-	queue  chan *job
-	tokens chan struct{} // in-flight bound
-	stop   chan struct{}
+	queue chan *job
+	// inflight holds the dispatched jobs not yet answered, oldest first;
+	// its capacity, MaxInFlight, is the in-flight bound.
+	inflight chan *job
+	stop     chan struct{}
 
 	// cur is the live world incarnation (nil while the supervisor is
 	// rebuilding after a failure). The supervisor replaces it; Shutdown
@@ -223,16 +233,16 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: MaxInFlight and QueueDepth must be positive")
 	}
 	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *job, cfg.QueueDepth),
-		tokens:  make(chan struct{}, cfg.MaxInFlight),
-		stop:    make(chan struct{}),
-		supDone: make(chan struct{}),
+		cfg:      cfg,
+		queue:    make(chan *job, cfg.QueueDepth),
+		inflight: make(chan *job, cfg.MaxInFlight),
+		stop:     make(chan struct{}),
+		supDone:  make(chan struct{}),
 	}
 	if !cfg.DisableTracing && cfg.HTTPAddr != "" {
 		s.flight = trace.NewFlight(trace.DefaultFlightSize)
 	}
-	s.met = newMetrics(func() int { return len(s.queue) }, func() int { return len(s.tokens) }, s.flight, s.renderStats.Snapshot)
+	s.met = newMetrics(func() int { return len(s.queue) }, func() int { return len(s.inflight) }, s.flight, s.renderStats.Snapshot)
 
 	// The first world builds synchronously so a configuration error (a
 	// rank count mp refuses) fails Start; later failures are the
@@ -333,17 +343,17 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 		if err != nil {
 			// Any pipeline error kills this world incarnation: half a
 			// binary swap cannot be resumed, so the supervisor tears the
-			// world down and rebuilds it. The job is answered with the
-			// retryable code; teardown answers the other in-flight jobs.
+			// world down, answers every job left in the in-flight FIFO
+			// (this one included) with the retryable code, and rebuilds.
 			run.fail(s, fmt.Errorf("rank %d: %w", me, err))
-			if me == 0 && run.untrack(j) {
-				<-s.tokens
-				j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", err)})
-			}
 			return
 		}
-		if me == 0 && run.untrack(j) {
-			<-s.tokens
+		if me == 0 {
+			// j is the FIFO's head: ranks finish frames in dispatch order.
+			// Its slot frees before the reply, so a caller answered here
+			// finds room for its next frame.
+			<-s.inflight
+			j.watchdog.Stop()
 			j.finish(reply{img: img})
 		}
 	}
@@ -633,13 +643,9 @@ func (s *Server) stopWorld(ctx context.Context) error {
 		run.res.stop()
 		<-pipeDone
 	}
-	// Frames cancelled mid-flight by the forced stop were untracked by
-	// their composite loop's error path; any job still tracked (e.g.
-	// never picked up) is answered here so no handler hangs.
-	for _, j := range run.takeInflight() {
-		<-s.tokens
-		j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
-	}
+	// Frames the forced stop (or a failure during the drain) cancelled
+	// mid-flight are still in the FIFO; answer them so no handler hangs.
+	s.failInflight(run)
 	run.res.stop()
 	return err
 }

@@ -9,14 +9,16 @@ import (
 
 // World supervision: the resident rank pool is one *incarnation* of the
 // world, not the server. A pipeline error (a rank's composite failed, a
-// connection reset) or a watchdog wedge (a frame stuck past
+// connection reset) or a watchdog wedge (a frame not done within
 // Config.FrameTimeout — the paper's failure mode of one slow SP2 rank
-// stalling the whole binary-swap exchange) fails the incarnation: every
-// in-flight job is answered with the typed, retryable CodeWorldFailed,
-// the world is stopped, and the supervisor rebuilds a fresh rank pool
-// under capped exponential backoff. Requests admitted while the world is
-// down simply wait in the admission queue (or bounce with CodeOverloaded
-// when it fills), so the server degrades instead of hanging forever.
+// stalling the whole binary-swap exchange) fails the incarnation: the
+// world is stopped, every frame in the in-flight FIFO is answered with
+// the typed, retryable CodeWorldFailed, and the supervisor rebuilds a
+// fresh rank pool under capped exponential backoff. Requests admitted
+// while the world is down wait in the admission queue (or bounce with
+// CodeOverloaded when it fills), and a job the dispatcher took from the
+// queue after the failure is carried to the rebuilt world, so only
+// frames that were inside the failed world are answered with its error.
 
 // Restart backoff bounds: quick first retry (most failures are one bad
 // frame or an injected fault), capped so a persistently failing world
@@ -29,28 +31,22 @@ const (
 // errWedged is the watchdog's failure reason.
 var errWedged = errors.New("server: frame watchdog expired (rank world wedged)")
 
-// worldRun is one incarnation of the resident world: the rank pool, its
-// pipeline goroutines, the per-frame watchdog, and the set of jobs
-// currently inside the pipeline. Exactly one incarnation is live at a
-// time; the supervisor replaces it after a failure.
+// worldRun is one incarnation of the resident world: the rank pool and
+// its pipeline goroutines. Exactly one incarnation is live at a time;
+// the supervisor replaces it after a failure. The frames inside it are
+// the server's in-flight FIFO, which outlives incarnations.
 type worldRun struct {
 	res       *procResident
 	renderChs []chan *job
-	pipeWG    sync.WaitGroup // render+composite loops + watchdog
+	pipeWG    sync.WaitGroup // render+composite loops
 
 	failed   chan struct{} // closed on the first failure
 	failOnce sync.Once
 	failErr  error
-
-	mu       sync.Mutex
-	inflight map[*job]time.Time // job → watchdog deadline
-
-	watchStop chan struct{}
-	watchOnce sync.Once
 }
 
 // newWorldRun builds a fresh resident world and spawns its per-rank
-// pipeline loops and the watchdog.
+// pipeline loops.
 func (s *Server) newWorldRun() (*worldRun, error) {
 	res, err := newProcResident(s.cfg.P, s.cfg.Chaos)
 	if err != nil {
@@ -60,8 +56,6 @@ func (s *Server) newWorldRun() (*worldRun, error) {
 		res:       res,
 		renderChs: make([]chan *job, s.cfg.P),
 		failed:    make(chan struct{}),
-		inflight:  make(map[*job]time.Time),
-		watchStop: make(chan struct{}),
 	}
 	for r := 0; r < s.cfg.P; r++ {
 		renderCh := make(chan *job, s.cfg.MaxInFlight)
@@ -71,8 +65,6 @@ func (s *Server) newWorldRun() (*worldRun, error) {
 		go s.renderLoop(r, run, renderCh, compCh)
 		go s.compositeLoop(r, run, res.cs[r], compCh)
 	}
-	run.pipeWG.Add(1)
-	go s.watchdog(run)
 	return run, nil
 }
 
@@ -90,88 +82,6 @@ func (run *worldRun) fail(s *Server, err error) {
 	})
 }
 
-func (run *worldRun) stopWatchdog() {
-	run.watchOnce.Do(func() { close(run.watchStop) })
-}
-
-// track registers a dispatched job with its watchdog deadline. Exactly
-// one token is held per tracked job; whoever untracks it releases the
-// token.
-func (run *worldRun) track(j *job, deadline time.Time) {
-	run.mu.Lock()
-	run.inflight[j] = deadline
-	run.mu.Unlock()
-}
-
-// untrack removes a job, reporting whether this caller owned the
-// removal (and with it the job's token).
-func (run *worldRun) untrack(j *job) bool {
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	if _, ok := run.inflight[j]; !ok {
-		return false
-	}
-	delete(run.inflight, j)
-	return true
-}
-
-// takeInflight removes and returns every tracked job; teardown answers
-// them.
-func (run *worldRun) takeInflight() []*job {
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	jobs := make([]*job, 0, len(run.inflight))
-	for j := range run.inflight {
-		jobs = append(jobs, j)
-	}
-	run.inflight = make(map[*job]time.Time)
-	return jobs
-}
-
-// expired returns the worst overrun among in-flight jobs past their
-// watchdog deadline at now; worst > 0 means the incarnation is wedged
-// and must fail.
-func (run *worldRun) expired(now time.Time) (worst time.Duration) {
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	for _, dl := range run.inflight {
-		if over := now.Sub(dl); over > worst {
-			worst = over
-		}
-	}
-	return worst
-}
-
-// watchdog fails the incarnation when an in-flight frame makes no
-// progress past its per-frame deadline — the wedged-world case (a
-// stalled rank, a lost message) where no rank ever returns an error.
-func (s *Server) watchdog(run *worldRun) {
-	defer run.pipeWG.Done()
-	interval := s.frameTimeout() / 8
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-run.watchStop:
-			return
-		case <-run.failed:
-			return
-		case now := <-ticker.C:
-			if over := run.expired(now); over > 0 {
-				run.fail(s, fmt.Errorf("%w: frame %v past its %v deadline",
-					errWedged, over+s.frameTimeout(), s.frameTimeout()))
-				return
-			}
-		}
-	}
-}
-
 // supervise owns the world lifecycle: dispatch against the current
 // incarnation until the server stops or the incarnation fails; on
 // failure, tear down, answer the casualties, and rebuild under capped
@@ -179,14 +89,15 @@ func (s *Server) watchdog(run *worldRun) {
 func (s *Server) supervise(run *worldRun) {
 	defer close(s.supDone)
 	backoff := restartBackoffMin
+	var carried *job
 	for {
-		if stopped := s.dispatch(run); stopped {
+		var stopped bool
+		if carried, stopped = s.dispatch(run, carried); stopped {
 			// Graceful stop: leave the incarnation for Shutdown to drain
 			// (in-flight frames finish and are delivered).
 			for _, ch := range run.renderChs {
 				close(ch)
 			}
-			run.stopWatchdog()
 			return
 		}
 
@@ -198,10 +109,13 @@ func (s *Server) supervise(run *worldRun) {
 
 		// Rebuild under capped exponential backoff. Admission stays open
 		// the whole time: requests queue (bounded) and dispatch resumes
-		// on the fresh world.
+		// on the fresh world, the carried job first.
 		for {
 			select {
 			case <-s.stop:
+				if carried != nil {
+					carried.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
+				}
 				s.failQueued()
 				return
 			case <-time.After(backoff):
@@ -224,59 +138,79 @@ func (s *Server) supervise(run *worldRun) {
 	}
 }
 
-// dispatch moves admitted jobs from the queue into the incarnation's
-// rank pool, bounded by the in-flight tokens. It owns deadline
-// cancellation for queued jobs and returns true on server stop, false
-// on world failure.
-func (s *Server) dispatch(run *worldRun) (stopped bool) {
-	for {
-		select {
-		case <-s.stop:
-			s.failQueued()
-			return true
-		case <-run.failed:
-			return false
-		case j := <-s.queue:
-			if time.Now().After(j.deadline) {
-				j.finish(reply{code: CodeDeadline, err: errors.New("deadline expired while queued")})
-				continue
-			}
+// dispatch moves admitted jobs, carried first, from the queue into the
+// incarnation's rank pool through the in-flight FIFO, whose capacity is
+// the in-flight bound. It owns deadline cancellation for queued jobs and
+// returns stopped on server stop. On world failure it returns the job it
+// holds, if any: a job taken after the failure never entered this world,
+// so it is carried to the next one instead of answered with this one's
+// error.
+func (s *Server) dispatch(run *worldRun, carried *job) (_ *job, stopped bool) {
+	for j := carried; ; j = nil {
+		if j == nil {
 			select {
-			case s.tokens <- struct{}{}:
 			case <-s.stop:
-				j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
 				s.failQueued()
-				return true
+				return nil, true
 			case <-run.failed:
-				// Admitted, but the world died before a pipeline slot
-				// freed; answer retryable so the client can try again
-				// against the rebuilt world.
-				j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
-				return false
+				return nil, false
+			case j = <-s.queue:
 			}
-			j.rec.dispatched = time.Now()
-			run.track(j, j.rec.dispatched.Add(s.frameTimeout()))
-			for _, ch := range run.renderChs {
-				ch <- j // never blocks: token bound ≥ channel backlog
-			}
+		}
+		select {
+		case <-run.failed:
+			return j, false
+		default:
+		}
+		if time.Now().After(j.deadline) {
+			j.finish(reply{code: CodeDeadline, err: errors.New("deadline expired while queued")})
+			continue
+		}
+		select {
+		case s.inflight <- j:
+		case <-s.stop:
+			j.finish(reply{code: CodeShutdown, err: errors.New("server shutting down")})
+			s.failQueued()
+			return nil, true
+		case <-run.failed:
+			return j, false
+		}
+		j.rec.dispatched = time.Now()
+		j.watchdog = time.AfterFunc(s.cfg.FrameTimeout, func() {
+			run.fail(s, fmt.Errorf("%w: frame not done within %v", errWedged, s.cfg.FrameTimeout))
+		})
+		for _, ch := range run.renderChs {
+			ch <- j // never blocks: the FIFO bound ≥ channel backlog
 		}
 	}
 }
 
 // teardownFailed disposes a failed incarnation: pipeline loops drain
-// (fail already force-stopped the world, so nothing blocks), every job
-// still inside the pipeline is answered with CodeWorldFailed and its
-// token released.
+// (fail already force-stopped the world, so nothing blocks), then every
+// job still in the in-flight FIFO is answered with CodeWorldFailed.
 func (s *Server) teardownFailed(run *worldRun) {
 	s.setCur(nil)
 	for _, ch := range run.renderChs {
 		close(ch)
 	}
-	run.stopWatchdog()
 	run.pipeWG.Wait()
-	for _, j := range run.takeInflight() {
-		<-s.tokens
-		j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
+	s.failInflight(run)
+}
+
+// failInflight answers every job left in the in-flight FIFO with
+// CodeWorldFailed and stops its watchdog: the frames a failed or
+// force-stopped incarnation will never deliver. It runs only after
+// run's pipeline loops have returned, so rank 0 no longer takes from
+// the FIFO.
+func (s *Server) failInflight(run *worldRun) {
+	for {
+		select {
+		case j := <-s.inflight:
+			j.watchdog.Stop()
+			j.finish(reply{code: CodeWorldFailed, err: fmt.Errorf("rank world failed: %w", run.failErr)})
+		default:
+			return
+		}
 	}
 }
 
@@ -292,11 +226,4 @@ func (s *Server) takeCur() *worldRun {
 	run := s.cur
 	s.cur = nil
 	return run
-}
-
-func (s *Server) frameTimeout() time.Duration {
-	if s.cfg.FrameTimeout > 0 {
-		return s.cfg.FrameTimeout
-	}
-	return 60 * time.Second
 }
