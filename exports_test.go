@@ -59,10 +59,10 @@ var testOnlyExports = map[string]string{
 	"sortlast.Datasets":           "public facade API: the only listing of Render's dataset names an importer can reach",
 	"sortlast.RenderRaw":          "public facade API: renders an importer's own voxels (ExampleRenderRaw)",
 	"trace.NewContext":            "a caller's sampled trace context, the README's tracing example",
-	"transfer.EngineLow":          "paper preset; run time reaches it through Preset's switch",
-	"transfer.EngineHigh":         "paper preset; run time reaches it through Preset's switch",
-	"transfer.Head":               "paper preset; run time reaches it through Preset's switch",
-	"transfer.Cube":               "paper preset; run time reaches it through Preset's switch",
+	"transfer.EngineLow":          "paper preset; run time reaches it through Preset's table",
+	"transfer.EngineHigh":         "paper preset; run time reaches it through Preset's table",
+	"transfer.Head":               "paper preset; run time reaches it through Preset's table",
+	"transfer.Cube":               "paper preset; run time reaches it through Preset's table",
 	"volume.EngineBlock":          "paper dataset; run time reaches it through Generate's switch",
 	"volume.HeadPhantom":          "paper dataset; run time reaches it through Generate's switch",
 	"volume.SolidCube":            "paper dataset; run time reaches it through Generate's switch",

@@ -13,6 +13,7 @@ import (
 	"net"
 	"time"
 
+	"sortlast/internal/pool"
 	"sortlast/internal/server"
 	"sortlast/internal/trace"
 )
@@ -68,7 +69,8 @@ func (e *Error) Unwrap() error {
 // Frame is one rendered reply.
 type Frame struct {
 	Width, Height int
-	// Gray is the row-major 8-bit image, Width*Height bytes.
+	// Gray is the row-major 8-bit image, Width*Height bytes. It is the
+	// caller's: the client never pools it or reads it again.
 	Gray  []byte
 	Stats server.FrameStats
 
@@ -138,38 +140,6 @@ func NewPooled(addr string, maxIdle int) *Client {
 // Typed server replies come back as *Error, never retried here: the
 // fleet gateway retries across replicas itself.
 func (c *Client) Render(ctx context.Context, req server.Request) (*Frame, error) {
-	frame, err := c.renderOnce(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	upscalePreview(frame, req.Width, req.Height)
-	return frame, nil
-}
-
-// upscalePreview maps a reduced-resolution reply — quality "preview",
-// whether asked for or degraded to — onto the requested geometry with
-// nearest-neighbor sampling, so callers always receive the dimensions
-// they asked for; Stats.Quality still says what was rendered. Full-size
-// replies pass through untouched.
-func upscalePreview(f *Frame, w, h int) {
-	if f == nil || f.Stats.Quality != server.QualityPreview ||
-		w <= 0 || h <= 0 || f.Width <= 0 || f.Height <= 0 ||
-		(f.Width == w && f.Height == h) {
-		return
-	}
-	out := make([]byte, w*h)
-	for y := 0; y < h; y++ {
-		src := f.Gray[(y*f.Height/h)*f.Width:]
-		dst := out[y*w : (y+1)*w]
-		for x := range dst {
-			dst[x] = src[x*f.Width/w]
-		}
-	}
-	f.Gray, f.Width, f.Height = out, w, h
-}
-
-// renderOnce is one request/reply round trip over one pooled connection.
-func (c *Client) renderOnce(ctx context.Context, req server.Request) (*Frame, error) {
 	if d, ok := ctx.Deadline(); ok {
 		remaining := time.Until(d)
 		if remaining <= 0 {
@@ -232,15 +202,45 @@ func roundTrip(ctx context.Context, conn net.Conn, req server.Request) (*Frame, 
 		return nil, fmt.Errorf("renderd: reply declares a %dx%d frame for a %dx%d request",
 			resp.Width, resp.Height, req.Width, req.Height)
 	}
-	gray, err := server.ReadFrame(conn, resp.Width*resp.Height)
+	// A reduced preview is read into pooled scratch, upscaled and given
+	// back; any other reply is read into the caller's storage.
+	n := resp.Width * resp.Height
+	upscale := resp.Stats.Quality == server.QualityPreview && n != req.Width*req.Height
+	var scratch []byte
+	if upscale {
+		scratch, _ = pool.Bytes.Get(n)
+	}
+	gray, err := server.ReadFrame(conn, n, scratch)
 	if err != nil {
 		return nil, fmt.Errorf("renderd: read pixels: %w", err)
 	}
-	if len(gray) != resp.Width*resp.Height {
+	if len(gray) != n {
 		return nil, fmt.Errorf("renderd: %d pixel bytes for a %dx%d frame",
 			len(gray), resp.Width, resp.Height)
 	}
-	return &Frame{Width: resp.Width, Height: resp.Height, Gray: gray, Stats: resp.Stats, Trace: resp.Trace}, nil
+	f := &Frame{Width: resp.Width, Height: resp.Height, Gray: gray, Stats: resp.Stats, Trace: resp.Trace}
+	if upscale {
+		upscalePreview(f, req.Width, req.Height)
+		pool.Bytes.Put(scratch)
+	}
+	return f, nil
+}
+
+// upscalePreview maps a reduced-resolution reply — quality "preview",
+// whether asked for or degraded to — onto the requested w x h geometry
+// with nearest-neighbor sampling, so callers always receive the
+// dimensions they asked for; Stats.Quality still says what was
+// rendered. f.Gray is replaced by new storage.
+func upscalePreview(f *Frame, w, h int) {
+	out := make([]byte, w*h)
+	for y := 0; y < h; y++ {
+		src := f.Gray[(y*f.Height/h)*f.Width:]
+		dst := out[y*w : (y+1)*w]
+		for x := range dst {
+			dst[x] = src[x*f.Width/w]
+		}
+	}
+	f.Gray, f.Width, f.Height = out, w, h
 }
 
 func (c *Client) conn(ctx context.Context) (net.Conn, error) {

@@ -178,12 +178,13 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // serve answers one request — it is the frame listener's handler: from
 // the frame cache when the quantized camera hits, otherwise by
 // dispatching to a replica (with hedging and cross-replica retry) and
-// caching the result.
-func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
+// caching the result. Its payload belongs to the cache or to nobody, so
+// it never goes back to a pool: the release is always nil.
+func (g *Gateway) serve(req server.Request) (*server.Response, []byte, func([]byte)) {
 	g.met.requests.Add(1)
 	if err := req.Check(); err != nil {
 		g.met.errored.Add(1)
-		return &server.Response{Code: server.CodeBadRequest, Error: err.Error()}, nil
+		return &server.Response{Code: server.CodeBadRequest, Error: err.Error()}, nil, nil
 	}
 	rec := g.newReqRecord(req.Trace)
 	key := quantKey(req, DefaultQuantDeg)
@@ -197,7 +198,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 			return g.reply(rec, req, &server.Response{
 				OK: true, Width: e.width, Height: e.height,
 				Stats: server.FrameStats{Cached: true, Quality: e.key.quality},
-			}), e.gray
+			}), e.gray, nil
 		}
 		g.met.cache.Add(1, "miss")
 		rec.cacheLookup()
@@ -208,7 +209,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 
 	f, err := g.dispatch(ctx, req, rec)
 	if err != nil {
-		return g.reply(rec, req, errorResponse(err)), nil
+		return g.reply(rec, req, errorResponse(err)), nil, nil
 	}
 	resp := g.reply(rec, req, &server.Response{OK: true, Width: f.Width, Height: f.Height, Stats: f.Stats})
 	// The insert is the gateway's bookkeeping, outside the request's
@@ -228,7 +229,7 @@ func (g *Gateway) serve(req server.Request) (*server.Response, []byte) {
 		g.cacheMu.Unlock()
 		g.met.cacheEvict.Add(int64(evicted))
 	}
-	return resp, f.Gray
+	return resp, f.Gray, nil
 }
 
 // reply closes one request, whatever its outcome, from its record: the

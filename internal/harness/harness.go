@@ -158,36 +158,22 @@ func datasetVolume(name string) (*volume.Volume, error) {
 }
 
 // Dataset resolves one of the paper's workload names to its (cached)
-// volume and transfer function.
+// volume and its shared, read-only transfer function.
 func Dataset(name string) (*volume.Volume, *transfer.Func, error) {
-	v, err := datasetVolume(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	tf, err := transfer.Preset(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, tf, nil
+	return (&Config{Dataset: name}).resolve()
 }
 
-func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
-	vol, tf := cfg.Volume, cfg.TF
+// resolve returns the Config's volume and transfer function: its own,
+// or else the named dataset's (cached) volume and shared preset.
+func (cfg *Config) resolve() (vol *volume.Volume, tf *transfer.Func, err error) {
+	vol, tf = cfg.Volume, cfg.TF
 	if vol == nil {
-		v, err := datasetVolume(cfg.Dataset)
-		if err != nil {
-			return nil, nil, err
-		}
-		vol = v
+		vol, err = datasetVolume(cfg.Dataset)
 	}
-	if tf == nil {
-		f, err := transfer.Preset(cfg.Dataset)
-		if err != nil {
-			return nil, nil, err
-		}
-		tf = f
+	if tf == nil && err == nil {
+		tf, err = transfer.Preset(cfg.Dataset)
 	}
-	return vol, tf, nil
+	return vol, tf, err
 }
 
 // RunWithImage executes the experiment, the one-shot run: it returns the

@@ -44,15 +44,15 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
+	comp, err := core.New(cfg.Method)
+	if err != nil {
+		return nil, err
+	}
 	vol, tf, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
 	dec, err := partition.Decompose(vol.Bounds(), cfg.P)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := core.New(cfg.Method)
 	if err != nil {
 		return nil, err
 	}
@@ -143,9 +143,10 @@ func (p *Plan) Frame(c mp.Comm, img *frame.Image, t *Tally) (*frame.Image, *stat
 	return out, res.Stats, nil
 }
 
-// check validates a Config without generating volumes or building a
-// world. (Not named validate: Validate is the Config field enabling the
-// sequential-reference comparison.)
+// check validates a Config's dataset, transfer function, image size and
+// P without generating volumes or building a world; NewPlan builds the
+// compositor, the method's check, next. (Not named validate: Validate
+// is the Config field enabling the sequential-reference comparison.)
 func (cfg *Config) check() error {
 	if cfg.Volume == nil && !KnownDataset(cfg.Dataset) {
 		return fmt.Errorf("harness: unknown dataset %q (have %v)", cfg.Dataset, Datasets())
@@ -160,9 +161,6 @@ func (cfg *Config) check() error {
 	}
 	if cfg.P <= 0 {
 		return fmt.Errorf("harness: P = %d must be positive", cfg.P)
-	}
-	if _, err := core.New(cfg.Method); err != nil {
-		return err
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"sortlast/internal/pool"
 )
 
 // The receive-buffer pool holds 1 KiB up to 64 MiB (a 2048x2048 frame
@@ -16,7 +18,7 @@ func TestSizeClass(t *testing.T) {
 	const lo, hi = 1 << 10, 2048 * 2048 * 16
 	seen, top := map[int]int{}, -1
 	for _, n := range []int{lo, lo + 1, 1280, 1281, 4096, 288 << 10, 1 << 20, 1<<20 + 1, hi - 1, hi} {
-		idx, size, ok := buffers.Class(n)
+		idx, size, ok := pool.Bytes.Class(n)
 		if !ok {
 			t.Fatalf("Class(%d): not pooled", n)
 		}
@@ -31,12 +33,12 @@ func TestSizeClass(t *testing.T) {
 			t.Errorf("class %d serves both %d and %d bytes", idx, other, size)
 		}
 		seen[idx] = size
-		if i2, s2, _ := buffers.Class(size); i2 != idx || s2 != size {
+		if i2, s2, _ := pool.Bytes.Class(size); i2 != idx || s2 != size {
 			t.Errorf("Class(%d) = (%d,%d), want the class itself (%d,%d)", size, i2, s2, idx, size)
 		}
 	}
 	for _, n := range []int{lo - 1, hi + 1} {
-		if _, _, ok := buffers.Class(n); ok {
+		if _, _, ok := pool.Bytes.Class(n); ok {
 			t.Errorf("Class(%d): pooled outside the range", n)
 		}
 	}
@@ -87,7 +89,7 @@ func TestReleaseReusesBuffer(t *testing.T) {
 func TestReleaseForeignAndPoison(t *testing.T) {
 	Release(nil)
 	Release(make([]byte, 10)) // below the pooled range: ignored
-	buf, _ := buffers.Get(5000)
+	buf, _ := pool.Bytes.Get(5000)
 	for i := range buf {
 		buf[i] = 1
 	}

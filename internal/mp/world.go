@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"sortlast/internal/pool"
 )
 
 // World is the in-process transport: P ranks running as goroutines,
@@ -202,7 +204,7 @@ func (b *Mailbox) FailSource(src int) {
 // Put copies payload into a pooled receive buffer and enqueues it on the
 // (src, tag) channel.
 func (b *Mailbox) Put(src, tag int, payload []byte) {
-	cp, _ := buffers.Get(len(payload))
+	cp, _ := pool.Bytes.Get(len(payload))
 	copy(cp, payload)
 	b.enqueue(src, tag, cp)
 }
@@ -241,7 +243,7 @@ func (b *Mailbox) PutFrom(src, tag int, r io.Reader, n int) error {
 	if full {
 		return &QueueLimitError{Src: src, Tag: tag}
 	}
-	buf, _ := buffers.Get(min(n, readStep))
+	buf, _ := pool.Bytes.Get(min(n, readStep))
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
 			Release(buf)
@@ -250,7 +252,7 @@ func (b *Mailbox) PutFrom(src, tag int, r io.Reader, n int) error {
 		if got = len(buf); got == n {
 			break
 		}
-		next, _ := buffers.Get(min(n, 2*got))
+		next, _ := pool.Bytes.Get(min(n, 2*got))
 		copy(next, buf)
 		Release(buf)
 		buf = next

@@ -1,7 +1,8 @@
 // Package pool recycles short-lived slices by size class: the pixel
-// storage of images (internal/frame) and the receive buffers of
-// messages (internal/mp), the two kinds of per-frame storage that
-// sort-last-sparse compositing pushes through every rank.
+// storage of images (internal/frame) and the process's byte storage
+// (Bytes): the receive buffers of messages (internal/mp), which
+// sort-last-sparse compositing pushes through every rank, and the
+// reply bytes of the serving tier.
 //
 // Storage has one owner at a time. The owner draws it with Get and may
 // give it back with Put once nothing will read it again; storage never
@@ -14,6 +15,13 @@ import (
 	"math/bits"
 	"sync"
 )
+
+// Bytes is the process's one pool of byte storage, 1 KiB (below it,
+// rectangle headers and barrier tokens cost less to allocate than to
+// pool) up to 64 MiB, a 2048x2048 frame at 16 bytes per pixel: mp's
+// receive buffers, renderd's reply payloads and the client's preview
+// reads. Race builds poison released bytes with 0xFF.
+var Bytes = New(10, 26, byte(0xFF))
 
 // Classes is a free list of []T split into four size classes per power
 // of two (2^e x 1.25, 1.5, 1.75, 2), from 2^minLog to 2^maxLog

@@ -18,14 +18,14 @@ import (
 const skipSafety = 0.25
 
 // kernel is one Raycast invocation's precomputed state: transfer tables
-// and their derived skip table, the volume's voxels and its
-// macro-cell grid, and the part of the box that can reach the frame.
-// Building it costs microseconds (plus the once-per-volume grid build,
-// amortized by the cache on the volume) and removes the reference
-// kernel's per-sample method calls and box.Contains. Every shortcut is
-// bit-exact — the identity argument lives in DESIGN.md §11 and is
-// enforced against RaycastReference by TestRaycastMatchesReference and
-// TestRaycastRandomizedIdentity.
+// and their derived skip table, the volume's voxels and its macro-cell
+// grid, and the part of the box that can reach the frame. Building it
+// costs microseconds (plus the once-per-volume grid build, amortized by
+// the cache on the volume, and the once-per-Func skip table, kept on
+// the Func) and removes the reference kernel's per-sample method calls
+// and box.Contains. Every shortcut is bit-exact — the identity argument
+// lives in DESIGN.md §11 and is enforced against RaycastReference by
+// TestRaycastMatchesReference and TestRaycastRandomizedIdentity.
 type kernel struct {
 	// clip is the box cut to the cell-aligned hull of its non-empty
 	// macro cells: every sample of the box outside it lies in a cell
@@ -44,7 +44,7 @@ type kernel struct {
 	innerCells [3]uint // per axis, how many cells from 1 up are inner
 
 	opac, inten *[256]float64
-	nzBelow     [257]int32 // count of non-zero Opacity entries with index < j
+	nzBelow     *[257]int32 // count of non-zero Opacity entries with index < j, shared with tf
 }
 
 // u8f is float64(b) for every byte b: the voxel loads' conversion as
@@ -60,21 +60,14 @@ func newKernel(vol *volume.Volume, box volume.Box, cam *Camera, tf *transfer.Fun
 	k := &kernel{
 		cam: cam,
 		vol: vol, data: vol.Data, nx: vol.NX, ny: vol.NY, nz: vol.NZ,
-		grid:   vol.MacroCells(),
-		cutoff: opt.cutoff(),
-		shaded: opt.Shaded,
-		light:  [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]},
-		opac:   &tf.Opacity,
-		inten:  &tf.Intensity,
+		grid:    vol.MacroCells(),
+		cutoff:  opt.cutoff(),
+		shaded:  opt.Shaded,
+		light:   [3]float64{-cam.Dir[0], -cam.Dir[1], -cam.Dir[2]},
+		opac:    &tf.Opacity,
+		inten:   &tf.Intensity,
+		nzBelow: tf.NonZeroBelow(),
 	}
-	var nz int32
-	for j := 0; j < 256; j++ {
-		k.nzBelow[j] = nz
-		if tf.Opacity[j] != 0 {
-			nz++
-		}
-	}
-	k.nzBelow[256] = nz
 	for a, n := range [3]int{vol.NX, vol.NY, vol.NZ} {
 		k.innerCells[a] = uint(max((n-2)>>volume.MacroShift-1, 0))
 	}

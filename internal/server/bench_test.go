@@ -18,8 +18,9 @@ import (
 // census III (PR 24)" quotes: 8 callers in a closed loop against one
 // server, each cycling 8 cameras, with MaxInFlight K = 1 (one frame in
 // the rank pool at a time) against the default K = 2 (one rendering
-// while one composites). It reports served frames/s and the
-// caller-observed p50. Regenerate with
+// while one composites). It reports served frames/s, the
+// caller-observed p50 and what a frame allocates in the process, caller
+// included (B/op, allocs/op). Regenerate with
 //
 //	go test -run xxx -bench ServeClosedLoop -benchtime 3s ./internal/server
 func BenchmarkServeClosedLoop(b *testing.B) {
@@ -35,6 +36,7 @@ func BenchmarkServeClosedLoop(b *testing.B) {
 	for _, c := range cells {
 		for _, k := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s_%d_P%d/K=%d", c.dataset, c.size, c.p, k), func(b *testing.B) {
+				b.ReportAllocs()
 				_, cl := startServer(b, server.Config{P: c.p, MaxInFlight: k})
 				render := func(i int) {
 					req := server.Request{Dataset: c.dataset, Width: c.size, Height: c.size, RotY: float64(i % 8 * 10)}

@@ -9,8 +9,12 @@ import (
 
 // Handler answers one decoded request: the reply header and, when the
 // header says OK, the gray payload that follows it. It must always
-// return a response; a typed error is a reply like any other.
-type Handler func(Request) (*Response, []byte)
+// return a response; a typed error is a reply like any other. The
+// payload stays the handler's: a nil release means the listener only
+// reads it; a non-nil release takes it back once, after the listener
+// has written (or failed to write) an OK reply, and the listener does
+// not touch the payload afterwards.
+type Handler func(Request) (resp *Response, payload []byte, release func([]byte))
 
 // Listener serves the frame protocol (see proto.go) on one TCP address:
 // it owns the socket, the set of live connections, the accept loop and
@@ -87,14 +91,18 @@ func (l *Listener) serveConn(conn net.Conn) {
 		if err := ReadJSON(conn, MaxRequestFrame, &req); err != nil {
 			return
 		}
-		resp, gray := l.handle(req)
-		if err := WriteJSON(conn, resp); err != nil {
-			return
-		}
+		resp, gray, release := l.handle(req)
+		err := WriteJSON(conn, resp)
 		if resp.OK {
-			if err := WriteFrame(conn, gray); err != nil {
-				return
+			if err == nil {
+				err = WriteFrame(conn, gray)
 			}
+			if release != nil {
+				release(gray)
+			}
+		}
+		if err != nil {
+			return
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,7 +62,8 @@ func (c *readSizeConn) Read(p []byte) (int, error) {
 // serving tier — the Listener's per-connection loop — over a net.Pipe
 // with a stub handler. Whatever the bytes: no panic, no read buffer
 // beyond MaxRequestFrame, the handler sees exactly the requests that
-// decoded, and the connection ends closed and untracked.
+// decoded, every OK reply's payload is released exactly once and no
+// error reply's, and the connection ends closed and untracked.
 func FuzzServeConn(f *testing.F) {
 	valid, _ := json.Marshal(Request{Dataset: "cube", Method: "bsbrc", Width: 32, Height: 32, RotY: 30})
 	failing, _ := json.Marshal(Request{Dataset: "cube"})
@@ -79,14 +81,25 @@ func FuzzServeConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var mu sync.Mutex
 		var seen []Request
-		l := &Listener{conns: make(map[net.Conn]struct{}), handle: func(req Request) (*Response, []byte) {
+		var handed, released int
+		l := &Listener{conns: make(map[net.Conn]struct{}), handle: func(req Request) (*Response, []byte, func([]byte)) {
 			mu.Lock()
+			defer mu.Unlock()
 			seen = append(seen, req)
-			mu.Unlock()
 			if req.Width <= 0 {
-				return &Response{Code: CodeBadRequest, Error: "stub"}, nil
+				return &Response{Code: CodeBadRequest, Error: "stub"}, nil, func([]byte) { t.Error("release ran for an error reply") }
 			}
-			return &Response{OK: true, Width: 1, Height: 1}, []byte{7}
+			handed++
+			payload, once := []byte{7}, false
+			return &Response{OK: true, Width: 1, Height: 1}, payload, func(b []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				if once || &b[0] != &payload[0] {
+					t.Error("a payload was released twice, or in place of another")
+				}
+				once = true
+				released++
+			}
 		}}
 		peer, ours := net.Pipe()
 		conn := &readSizeConn{Conn: ours}
@@ -123,7 +136,97 @@ func FuzzServeConn(f *testing.F) {
 		if want := decodablePrefix(data); !reflect.DeepEqual(seen, want) {
 			t.Errorf("handler saw %d requests %+v, stream decodes to %d %+v", len(seen), seen, len(want), want)
 		}
+		if released != handed {
+			t.Errorf("%d of %d OK payloads released", released, handed)
+		}
 	})
+}
+
+// writtenConn counts the bytes of every Write that has returned. Over a
+// net.Pipe a Write returns only once the peer has read all of it.
+type writtenConn struct {
+	net.Conn
+	written atomic.Int64
+}
+
+func (c *writtenConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written.Add(int64(n))
+	return n, err
+}
+
+// TestReleaseOncePerOKReply pins the payload ownership a Handler's
+// release carries: the listener calls it once per OK reply, only after
+// the payload's last byte is on the pipe, also when the peer hangs up
+// before the reply's header or between header and payload, and never
+// for an error reply or a nil release.
+func TestReleaseOncePerOKReply(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 5000)
+	for _, hangUp := range []string{"", "before header", "before payload"} {
+		var mu sync.Mutex
+		var at []int64 // bytes on the pipe when each release ran
+		conn := &writtenConn{}
+		l := &Listener{conns: make(map[net.Conn]struct{}), handle: func(req Request) (*Response, []byte, func([]byte)) {
+			ok := &Response{OK: true, Width: len(payload), Height: 1}
+			switch req.Dataset {
+			case "error":
+				return &Response{Code: CodeBadRequest, Error: "stub"}, nil, func([]byte) { t.Error("release ran for an error reply") }
+			case "unowned":
+				return ok, payload, nil
+			}
+			return ok, payload, func(b []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				if &b[0] != &payload[0] {
+					t.Error("release got other bytes than the payload")
+				}
+				at = append(at, conn.written.Load())
+			}
+		}}
+		peer, ours := net.Pipe()
+		conn.Conn = ours
+		l.track(conn)
+		go l.serveConn(conn)
+
+		var want []int64 // the stream offset after each owned payload
+		var got int64
+		read := func(req Request) {
+			var resp Response
+			b, err := ReadFrame(peer, MaxRequestFrame, nil)
+			if err == nil {
+				err = json.Unmarshal(b, &resp)
+			}
+			if got += 4 + int64(len(b)); err != nil || !resp.OK {
+				return
+			}
+			gray, err := ReadFrame(peer, MaxReplyFrame, nil)
+			if got += 4 + int64(len(gray)); err == nil && req.Dataset == "" {
+				want = append(want, got)
+			}
+		}
+		reqs := []Request{{}, {Dataset: "error"}, {Dataset: "unowned"}, {}}
+		if hangUp != "" {
+			reqs = reqs[:1]
+		}
+		for _, req := range reqs {
+			WriteJSON(peer, req)
+			switch hangUp {
+			case "before header":
+			case "before payload":
+				ReadFrame(peer, MaxRequestFrame, nil)
+			default:
+				read(req)
+			}
+		}
+		peer.Close()
+		l.wg.Wait()
+		if hangUp != "" {
+			want = []int64{conn.written.Load()}
+		}
+		if !reflect.DeepEqual(at, want) {
+			t.Errorf("hang-up %q: releases ran at stream offsets %v, want %v", hangUp, at, want)
+		}
+	}
 }
 
 func waitGoroutines(t *testing.T, before int) {
@@ -146,10 +249,10 @@ func TestDrain(t *testing.T) {
 	for _, forced := range []bool{false, true} {
 		before := runtime.NumGoroutine()
 		entered, release := make(chan struct{}), make(chan struct{})
-		l, err := Listen("127.0.0.1:0", func(Request) (*Response, []byte) {
+		l, err := Listen("127.0.0.1:0", func(Request) (*Response, []byte, func([]byte)) {
 			close(entered)
 			<-release
-			return &Response{OK: true, Width: 1, Height: 1}, []byte{7}
+			return &Response{OK: true, Width: 1, Height: 1}, []byte{7}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +302,7 @@ func TestDrain(t *testing.T) {
 			if err != nil || !resp.OK {
 				t.Errorf("in-flight reply lost by Drain: %v %+v", err, resp)
 			}
-			if gray, err := ReadFrame(busy, MaxReplyFrame); err != nil || !bytes.Equal(gray, []byte{7}) {
+			if gray, err := ReadFrame(busy, MaxReplyFrame, nil); err != nil || !bytes.Equal(gray, []byte{7}) {
 				t.Errorf("in-flight payload lost by Drain: %v %v", gray, err)
 			}
 			if err := <-drained; err != nil {

@@ -218,8 +218,9 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame of at most max bytes.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
+// ReadFrame reads one length-prefixed frame of at most max bytes, into
+// dst's storage when it holds the frame, else into new storage.
+func ReadFrame(r io.Reader, max int, dst []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -228,11 +229,13 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if int64(n) > int64(max) {
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, max)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if int64(n) > int64(cap(dst)) {
+		dst = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, dst[:n]); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return dst[:n], nil
 }
 
 // WriteJSON marshals v into one frame.
@@ -246,7 +249,7 @@ func WriteJSON(w io.Writer, v any) error {
 
 // ReadJSON reads one frame of at most max bytes and unmarshals it into v.
 func ReadJSON(r io.Reader, max int, v any) error {
-	b, err := ReadFrame(r, max)
+	b, err := ReadFrame(r, max, nil)
 	if err != nil {
 		return err
 	}

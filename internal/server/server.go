@@ -38,6 +38,7 @@ import (
 	"sortlast/internal/harness"
 	"sortlast/internal/mp"
 	"sortlast/internal/obs"
+	"sortlast/internal/pool"
 	"sortlast/internal/render"
 	"sortlast/internal/trace"
 )
@@ -367,25 +368,25 @@ func (s *Server) compositeLoop(me int, run *worldRun, c mp.Comm, in <-chan rende
 // rebuilding) still admits: the job waits in the queue until the
 // supervisor brings a fresh world up, bounded by the queue depth and
 // the request deadline.
-func (s *Server) submit(req Request) (*Response, []byte) {
+func (s *Server) submit(req Request) (*Response, []byte, func([]byte)) {
 	if err := req.Check(); err != nil {
-		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
+		return s.reject(nil, req, CodeBadRequest, err.Error()), nil, nil
 	}
 	requested, err := NormalizeQuality(req.Quality)
 	if err != nil {
-		return s.reject(nil, req, CodeBadRequest, err.Error()), nil
+		return s.reject(nil, req, CodeBadRequest, err.Error()), nil, nil
 	}
 	// Arrival is stamped once: the deadline and every reported latency
 	// are anchored to it, however many times admission rebuilds the job.
 	arrived := time.Now()
 	j, resp := s.admit(req, requested, arrived, arrived.Add(req.Deadline(s.cfg.DefaultDeadline)))
 	if resp != nil {
-		return resp, nil
+		return resp, nil, nil
 	}
 
 	rep := <-j.done
 	if rep.code != "" {
-		return s.reject(j, req, rep.code, rep.err.Error()), nil
+		return s.reject(j, req, rep.code, rep.err.Error()), nil, nil
 	}
 	total := time.Since(j.rec.arrived)
 	render, composite := time.Duration(j.rec.Render.Load()), time.Duration(j.rec.Composite.Load())
@@ -419,10 +420,17 @@ func (s *Server) submit(req Request) (*Response, []byte) {
 	if j.sampled {
 		resp.Trace = s.frameWire(j, total)
 	}
-	gray := rep.img.AppendGray(nil)
+	// The reply is built in pooled bytes (AppendGray overwrites all of
+	// them) and goes back to the pool once the listener has written it.
+	buf, _ := pool.Bytes.Get(resp.Width * resp.Height)
+	gray := rep.img.AppendGray(buf[:0])
 	rep.img.Release()
-	return resp, gray
+	return resp, gray, putReply
 }
+
+// putReply is the release renderd hands its listener, bound once: a
+// method value made per reply would allocate.
+var putReply = pool.Bytes.Put
 
 // reject answers a request with a typed error, wherever it failed: at
 // validation (no job yet), at admission, or — reported through the

@@ -6,15 +6,40 @@
 // semi-transparent over bright bone, and an opaque setting for the cube.
 package transfer
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Func maps an 8-bit scalar to opacity and intensity, both in [0, 1].
 // Opacity is per unit sample step (one voxel); the renderer corrects for
-// other step sizes.
+// other step sizes. A Func is immutable once rendered: the ray caster
+// keeps a table derived from Opacity on it (NonZeroBelow).
 type Func struct {
 	Name      string
 	Opacity   [256]float64
 	Intensity [256]float64
+
+	nzBelow atomic.Pointer[[257]int32] // NonZeroBelow's table, built on first use
+}
+
+// NonZeroBelow returns the table t where t[j] counts the non-zero
+// Opacity entries with index < j, so t[hi+1] == t[lo] says entries lo
+// through hi are all zero. The first call builds it; every later call,
+// from any goroutine, shares it.
+func (f *Func) NonZeroBelow() *[257]int32 {
+	if t := f.nzBelow.Load(); t != nil {
+		return t
+	}
+	t := new([257]int32)
+	for j, op := range f.Opacity {
+		t[j+1] = t[j]
+		if op != 0 {
+			t[j+1]++
+		}
+	}
+	f.nzBelow.Store(t)
+	return t
 }
 
 // Classify returns opacity and intensity for a normalized sample value in
@@ -77,19 +102,20 @@ func Head() *Func {
 // Cube renders the synthetic cube fully opaque at first touch.
 func Cube() *Func { return Ramp("cube", 100, 140, 1.0) }
 
+// presets are the paper's four test images' transfer functions, built
+// once per process.
+var presets = map[string]*Func{
+	"engine_low":  EngineLow(),
+	"engine_high": EngineHigh(),
+	"head":        Head(),
+	"cube":        Cube(),
+}
+
 // Preset returns the transfer function for one of the paper's four test
-// images.
+// images. It is shared by every caller and must not be modified.
 func Preset(name string) (*Func, error) {
-	switch name {
-	case "engine_low":
-		return EngineLow(), nil
-	case "engine_high":
-		return EngineHigh(), nil
-	case "head":
-		return Head(), nil
-	case "cube":
-		return Cube(), nil
-	default:
-		return nil, fmt.Errorf("transfer: unknown preset %q", name)
+	if f, ok := presets[name]; ok {
+		return f, nil
 	}
+	return nil, fmt.Errorf("transfer: unknown preset %q", name)
 }

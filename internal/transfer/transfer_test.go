@@ -3,6 +3,7 @@ package transfer
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -89,11 +90,15 @@ func TestCubeOpaque(t *testing.T) {
 	}
 }
 
+// A preset is built once and shared: every call returns the same Func.
 func TestPreset(t *testing.T) {
 	for _, name := range []string{"engine_low", "engine_high", "head", "cube"} {
 		f, err := Preset(name)
 		if err != nil || f.Name != name {
 			t.Errorf("Preset(%q) = %v, %v", name, f, err)
+		}
+		if again, _ := Preset(name); again != f {
+			t.Errorf("Preset(%q) built a second Func", name)
 		}
 	}
 	if _, err := Preset("bogus"); err == nil {
@@ -108,4 +113,43 @@ func TestHeadSuppressesSoftTissue(t *testing.T) {
 	if softOp >= boneOp {
 		t.Errorf("soft tissue opacity %v must be below bone %v", softOp, boneOp)
 	}
+}
+
+// NonZeroBelow counts the non-zero opacities below each index, and is
+// built once per Func: a second call returns the same table.
+func TestNonZeroBelow(t *testing.T) {
+	for _, f := range []*Func{EngineHigh(), Head(), {Name: "zero"}} {
+		tab := f.NonZeroBelow()
+		var nz int32
+		for j := 0; j <= 256; j++ {
+			if tab[j] != nz {
+				t.Fatalf("%s: table[%d] = %d, want %d", f.Name, j, tab[j], nz)
+			}
+			if j < 256 && f.Opacity[j] != 0 {
+				nz++
+			}
+		}
+		if f.NonZeroBelow() != tab {
+			t.Errorf("%s: the table was built twice", f.Name)
+		}
+	}
+}
+
+// Every rank of a frame renders with the same Func at once, so the
+// first NonZeroBelow calls race to build the table: each must see a
+// complete, correct one (run under -race).
+func TestNonZeroBelowConcurrentFirstUse(t *testing.T) {
+	want := *Head().NonZeroBelow()
+	f := Head()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if *f.NonZeroBelow() != want {
+				t.Error("a concurrent first use saw a different table")
+			}
+		}()
+	}
+	wg.Wait()
 }
